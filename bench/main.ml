@@ -17,6 +17,7 @@ module Schema_parser = Axml_schema.Schema_parser
 module Symbol = Axml_schema.Symbol
 module Auto = Axml_schema.Auto
 module D = Axml_core.Document
+module Contract = Axml_core.Contract
 module Rewriter = Axml_core.Rewriter
 module Marking = Axml_core.Marking
 module Possible = Axml_core.Possible
@@ -137,10 +138,21 @@ let example_registry () =
   Registry.register_all reg (example_services ());
   reg
 
-let rewriter ?(engine = Rewriter.Lazy) ?(k = 1) target =
-  Rewriter.create ~k ~engine ~s0:schema_star ~target ()
+let rewriter target = Rewriter.create ~s0:schema_star ~target ()
+let contract target = Contract.create ~s0:schema_star ~target ()
+let newspaper_regex c = Option.get (Contract.element_regex c "newspaper")
 
-let newspaper_regex rw = Option.get (Rewriter.element_regex rw "newspaper")
+(* Uncached analyses on a fresh product per call: what a contract-cache
+   miss costs. Timing [Contract.safe_analysis] instead would measure a
+   hash hit after the first iteration. *)
+let fresh_eager c ~target_regex word =
+  Marking.analyze_eager (Contract.product c ~target_regex word)
+
+let fresh_lazy c ~target_regex word =
+  Marking.analyze_lazy (Contract.product c ~target_regex word)
+
+let fresh_possible c ~target_regex word =
+  Possible.analyze (Contract.product c ~target_regex word)
 
 (* ------------------------------------------------------------------ *)
 (* E1 (Figure 2): the document before / after the Get_Temp call        *)
@@ -197,9 +209,9 @@ let e2 () =
 let e3 () =
   section "e3" "Figures 5-6: safe rewriting of the newspaper word into (**)";
   expectation "SAFE; the extracted sequence invokes Get_Temp and keeps TimeOut";
-  let rw = rewriter schema_star2 in
-  let regex = newspaper_regex rw in
-  let analysis = Rewriter.word_safe_analysis rw ~target_regex:regex newspaper_word in
+  let c = contract schema_star2 in
+  let regex = newspaper_regex c in
+  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
   Fmt.pr "verdict: %s@." (if analysis.Marking.safe then "SAFE" else "UNSAFE");
   Fmt.pr "product: %d nodes discovered, %d marked@."
     analysis.Marking.stats.Marking.discovered_nodes
@@ -215,8 +227,7 @@ let e3 () =
        (List.map (fun i -> i.Execute.inv_name) outcome.Execute.invocations)
    | Error e -> Fmt.pr "UNEXPECTED: execution failed: %a@." Execute.pp_failure e);
   let t =
-    measure_ns "e3" (fun () ->
-        Rewriter.word_safe_analysis rw ~target_regex:regex newspaper_word)
+    measure_ns "e3" (fun () -> fresh_lazy c ~target_regex:regex newspaper_word)
   in
   Fmt.pr "safe-analysis latency: %a@." pp_ns t
 
@@ -229,17 +240,16 @@ let e4 () =
   expectation
     "UNSAFE: both fork options of the TimeOut fork are marked (a performance \
      may come back)";
-  let rw = rewriter schema_star3 in
-  let regex = newspaper_regex rw in
-  let analysis = Rewriter.word_safe_analysis rw ~target_regex:regex newspaper_word in
+  let c = contract schema_star3 in
+  let regex = newspaper_regex c in
+  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
   Fmt.pr "verdict: %s@." (if analysis.Marking.safe then "SAFE" else "UNSAFE");
   Fmt.pr "product: %d nodes discovered, %d marked, %d pruned@."
     analysis.Marking.stats.Marking.discovered_nodes
     analysis.Marking.stats.Marking.marked_nodes
     analysis.Marking.stats.Marking.pruned;
   let t =
-    measure_ns "e4" (fun () ->
-        Rewriter.word_safe_analysis rw ~target_regex:regex newspaper_word)
+    measure_ns "e4" (fun () -> fresh_lazy c ~target_regex:regex newspaper_word)
   in
   Fmt.pr "safe-analysis latency: %a@." pp_ns t
 
@@ -252,9 +262,9 @@ let e5 () =
   expectation
     "POSSIBLE; succeeds when TimeOut actually returns exhibits, fails (with \
      backtracking) when it returns a performance";
-  let rw = rewriter schema_star3 in
-  let regex = newspaper_regex rw in
-  let analysis = Rewriter.word_possible_analysis rw ~target_regex:regex newspaper_word in
+  let c = contract schema_star3 in
+  let regex = newspaper_regex c in
+  let analysis = Contract.possible_analysis c ~target_regex:regex newspaper_word in
   Fmt.pr "verdict: %s@."
     (if analysis.Possible.possible then "POSSIBLE" else "IMPOSSIBLE");
   Fmt.pr "product: %d nodes, %d live@."
@@ -270,9 +280,7 @@ let e5 () =
               (R.alt (R.sym (Schema.A_label "exhibit"))
                  (R.sym (Schema.A_label "performance"))))
          behaviour);
-    let analysis =
-      Rewriter.word_possible_analysis rw ~target_regex:regex newspaper_word
-    in
+    let analysis = Contract.possible_analysis c ~target_regex:regex newspaper_word in
     Execute.run (Execute.Follow_possible analysis) (Registry.invoker reg)
       (D.children fig2a)
   in
@@ -293,8 +301,7 @@ let e5 () =
      | Ok _ -> "succeeded"
      | Error _ -> "failed (as expected)");
   let t =
-    measure_ns "e5" (fun () ->
-        Rewriter.word_possible_analysis rw ~target_regex:regex newspaper_word)
+    measure_ns "e5" (fun () -> fresh_possible c ~target_regex:regex newspaper_word)
   in
   Fmt.pr "possible-analysis latency: %a@." pp_ns t
 
@@ -337,22 +344,17 @@ let e6 () =
   List.iter
     (fun n ->
       let target = sized_schema n in
-      let rw_lazy =
-        Rewriter.create ~k:1 ~engine:Rewriter.Lazy ~s0:target ~target ()
-      in
-      let rw_eager =
-        Rewriter.create ~k:1 ~engine:Rewriter.Eager ~s0:target ~target ()
-      in
-      let regex = Option.get (Rewriter.element_regex rw_lazy "newspaper") in
+      let c = Contract.create ~k:1 ~s0:target ~target () in
+      let regex = newspaper_regex c in
       let word = sized_word n in
-      let a = Rewriter.word_safe_analysis rw_eager ~target_regex:regex word in
+      let a = fresh_eager c ~target_regex:regex word in
       let t_lazy =
         measure_ns (Fmt.str "e6-lazy-%d" n) (fun () ->
-            Rewriter.word_safe_analysis rw_lazy ~target_regex:regex word)
+            fresh_lazy c ~target_regex:regex word)
       in
       let t_eager =
         measure_ns (Fmt.str "e6-eager-%d" n) (fun () ->
-            Rewriter.word_safe_analysis rw_eager ~target_regex:regex word)
+            fresh_eager c ~target_regex:regex word)
       in
       Fmt.pr "%6d %a %a %10d@." n pp_ns t_lazy pp_ns t_eager
         a.Marking.stats.Marking.discovered_nodes)
@@ -526,19 +528,16 @@ let e10 () =
   in
   List.iter
     (fun (name, target, word) ->
-      let rw_eager = rewriter ~engine:Rewriter.Eager target in
-      let rw_lazy = rewriter ~engine:Rewriter.Lazy target in
-      let regex = newspaper_regex rw_eager in
-      let a_eager = Rewriter.word_safe_analysis rw_eager ~target_regex:regex word in
-      let a_lazy = Rewriter.word_safe_analysis rw_lazy ~target_regex:regex word in
+      let c = contract target in
+      let regex = newspaper_regex c in
+      let a_eager = fresh_eager c ~target_regex:regex word in
+      let a_lazy = fresh_lazy c ~target_regex:regex word in
       assert (a_eager.Marking.safe = a_lazy.Marking.safe);
       let t_eager =
-        measure_ns (name ^ "-eager") (fun () ->
-            Rewriter.word_safe_analysis rw_eager ~target_regex:regex word)
+        measure_ns (name ^ "-eager") (fun () -> fresh_eager c ~target_regex:regex word)
       in
       let t_lazy =
-        measure_ns (name ^ "-lazy") (fun () ->
-            Rewriter.word_safe_analysis rw_lazy ~target_regex:regex word)
+        measure_ns (name ^ "-lazy") (fun () -> fresh_lazy c ~target_regex:regex word)
       in
       Fmt.pr "%28s %8s %10d %10d %a %a@." name
         (if a_eager.Marking.safe then "SAFE" else "UNSAFE")
@@ -555,22 +554,26 @@ let e11 () =
   expectation
     "possible rewriting works on the product with A itself (no \
      complementation, no game): the analysis is cheaper than the safe one";
-  Fmt.pr "%6s %14s %14s@." "n" "safe" "possible";
+  Fmt.pr "%6s %14s %14s %14s@." "n" "safe-eager" "safe-lazy" "possible";
   List.iter
     (fun n ->
       let target = sized_schema n in
-      let rw = Rewriter.create ~k:1 ~engine:Rewriter.Eager ~s0:target ~target () in
-      let regex = Option.get (Rewriter.element_regex rw "newspaper") in
+      let c = Contract.create ~k:1 ~s0:target ~target () in
+      let regex = newspaper_regex c in
       let word = sized_word n in
-      let t_safe =
-        measure_ns (Fmt.str "e11-safe-%d" n) (fun () ->
-            Rewriter.word_safe_analysis rw ~target_regex:regex word)
+      let t_eager =
+        measure_ns (Fmt.str "e11-eager-%d" n) (fun () ->
+            fresh_eager c ~target_regex:regex word)
+      in
+      let t_lazy =
+        measure_ns (Fmt.str "e11-lazy-%d" n) (fun () ->
+            fresh_lazy c ~target_regex:regex word)
       in
       let t_poss =
         measure_ns (Fmt.str "e11-poss-%d" n) (fun () ->
-            Rewriter.word_possible_analysis rw ~target_regex:regex word)
+            fresh_possible c ~target_regex:regex word)
       in
-      Fmt.pr "%6d %a %a@." n pp_ns t_safe pp_ns t_poss)
+      Fmt.pr "%6d %a %a %a@." n pp_ns t_eager pp_ns t_lazy pp_ns t_poss)
     [ 4; 16; 64 ]
 
 (* ------------------------------------------------------------------ *)
@@ -586,13 +589,16 @@ let e12 () =
   let rw = rewriter schema_star3 in
   let reg = example_registry () in
   Fmt.pr "plain safe check: %s@."
-    (if Rewriter.is_safe rw fig2a then "SAFE" else "UNSAFE");
-  let failures =
-    Rewriter.check_mixed rw ~eager_calls:(String.equal "TimeOut")
-      ~invoker:(Registry.invoker reg) fig2a
+    (if (Rewriter.check rw fig2a).ok then "SAFE" else "UNSAFE");
+  let mixed =
+    Rewriter.check
+      ~mode:(Rewriter.Check_mixed
+               { eager_calls = String.equal "TimeOut";
+                 invoker = Registry.invoker reg })
+      rw fig2a
   in
   Fmt.pr "mixed check (TimeOut eager): %s@."
-    (if failures = [] then "SAFE" else "UNSAFE");
+    (if mixed.ok then "SAFE" else "UNSAFE");
   let doc' =
     match
       Rewriter.pre_materialize rw ~eager_calls:(String.equal "TimeOut")
@@ -682,7 +688,7 @@ let e14 () =
   in
   let scenario name exchange config =
     let sender = Peer.create ~name:"bench-sender" ~schema:schema_star () in
-    Peer.set_enforcement sender config;
+    Peer.configure sender config;
     Registry.register_all (Peer.registry sender) (example_services ());
     let receiver = Peer.create ~name:"bench-receiver" ~schema:schema_star () in
     let t =
@@ -695,11 +701,11 @@ let e14 () =
     in
     Fmt.pr "%36s %a  (%.0f docs/s)@." name pp_ns t (1e9 /. t)
   in
-  scenario "exchange = (*) (validate only)" schema_star Enforcement.default_config;
-  scenario "exchange = (**) (safe rewrite)" schema_star2 Enforcement.default_config;
+  scenario "exchange = (*) (validate only)" schema_star Peer.default_config;
+  scenario "exchange = (**) (safe rewrite)" schema_star2 Peer.default_config;
   scenario "exchange = extensional (possible)"
     (Policy.extensional schema_star)
-    { Enforcement.default_config with Enforcement.fallback_possible = true }
+    { Peer.default_config with Peer.fallback_possible = true }
 
 (* ------------------------------------------------------------------ *)
 (* E15 (Fig. 3 step 23 / Fig. 9 step d): cost-minimal rewriting plans  *)
@@ -715,13 +721,13 @@ let e15 () =
      greedy keep-first order can be arbitrarily worse than the optimal plan";
   (* the paper example: strategy invokes only Get_Temp (fee 0.1) *)
   let fee = function "Get_Temp" -> 0.1 | "TimeOut" -> 1.0 | _ -> 5.0 in
-  let rw = rewriter schema_star2 in
-  let regex = newspaper_regex rw in
-  let analysis = Rewriter.word_safe_analysis rw ~target_regex:regex newspaper_word in
+  let c = contract schema_star2 in
+  let regex = newspaper_regex c in
+  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
   (match Cost.safe_worst_cost analysis ~cost:fee with
    | Some c -> Fmt.pr "newspaper -> (**): guaranteed worst-case fee %.2f@." c
    | None -> Fmt.pr "UNEXPECTED: unsafe@.");
-  let poss = Rewriter.word_possible_analysis rw ~target_regex:regex newspaper_word in
+  let poss = Contract.possible_analysis c ~target_regex:regex newspaper_word in
   (match Cost.possible_min_cost poss ~cost:fee with
    | Some c -> Fmt.pr "newspaper -> (**): optimistic minimal fee %.2f@." c
    | None -> Fmt.pr "UNEXPECTED: impossible@.");
@@ -744,25 +750,25 @@ function H : () -> a
     | _ -> []
   in
   let items = [ D.call "F" []; D.call "H" [] ] in
-  let rw = Rewriter.create ~k:1 ~s0:tradeoff ~target:tradeoff () in
-  let regex = Option.get (Rewriter.element_regex rw "doc") in
+  let c = Contract.create ~k:1 ~s0:tradeoff ~target:tradeoff () in
+  let regex = Option.get (Contract.element_regex c "doc") in
   let word = D.word items in
   let total outcome =
     List.fold_left (fun acc i -> acc +. tfee i.Execute.inv_name) 0.
       outcome.Execute.invocations
   in
-  let analysis = Rewriter.word_safe_analysis rw ~target_regex:regex word in
+  let analysis = Contract.safe_analysis c ~target_regex:regex word in
   (match Execute.run (Execute.Follow_safe analysis) invoker items with
    | Ok o -> Fmt.pr "tradeoff case, greedy keep-first execution: fee %.1f@." (total o)
    | Error _ -> Fmt.pr "greedy execution failed@.");
-  let poss = Rewriter.word_possible_analysis rw ~target_regex:regex word in
+  let poss = Contract.possible_analysis c ~target_regex:regex word in
   let plan = Cost.possible_costs poss ~cost:tfee in
   (match Execute.run ~plan ~fee:tfee (Execute.Follow_possible poss) invoker items with
    | Ok o -> Fmt.pr "tradeoff case, cost-guided execution   : fee %.1f@." (total o)
    | Error _ -> Fmt.pr "guided execution failed@.");
   let t_plan =
     measure_ns "e15-plan" (fun () ->
-        let poss = Rewriter.word_possible_analysis rw ~target_regex:regex word in
+        let poss = Contract.possible_analysis c ~target_regex:regex word in
         Cost.possible_costs poss ~cost:tfee)
   in
   Fmt.pr "planning overhead (analysis + Dijkstra): %a@." pp_ns t_plan
@@ -858,7 +864,6 @@ function g : () -> (b | c)
 (* E17 (Section 7): cold vs warm-contract enforcement throughput       *)
 (* ------------------------------------------------------------------ *)
 
-module Contract = Axml_core.Contract
 module Pipeline = Enforcement.Pipeline
 
 let e17 () =
@@ -1525,15 +1530,12 @@ let e23 () =
   let verdicts =
     List.map
       (fun k ->
-        let rw =
-          Rewriter.create ~k ~s0:schema_star ~target:schema_extensional ()
-        in
-        let regex = Option.get (Rewriter.element_regex rw "newspaper") in
+        let c = Contract.create ~k ~s0:schema_star ~target:schema_extensional () in
+        let regex = newspaper_regex c in
         let ns =
           measure_ns
             (Printf.sprintf "e23-k%d" k)
-            (fun () ->
-              Rewriter.word_safe_analysis rw ~target_regex:regex newspaper_word)
+            (fun () -> Contract.safe_analysis c ~target_regex:regex newspaper_word)
         in
         Fmt.pr "verdict latency at k=%d: %a@." k pp_ns ns;
         (k, ns))

@@ -131,13 +131,6 @@ let possible_arg =
   Arg.(value & flag & info [ "possible" ]
          ~doc:"Use possible rewriting instead of safe rewriting.")
 
-let engine_arg =
-  let engine_conv =
-    Arg.enum [ ("lazy", Rewriter.Lazy); ("eager", Rewriter.Eager) ]
-  in
-  Arg.(value & opt engine_conv Rewriter.Lazy & info [ "engine" ] ~docv:"ENGINE"
-         ~doc:"Analysis engine: $(b,lazy) (Section 7) or $(b,eager) (Figure 3).")
-
 (* Shared by lint, diff, migrate, batch and compat, so the report
    surface stays one: JSON mode always prints a single envelope on
    stdout, even on usage/input errors (see [wrap]). *)
@@ -187,17 +180,16 @@ let validate_cmd =
 (* ------------------------------------------------------------------ *)
 
 let check_cmd =
-  let run sender target k possible engine doc_path =
+  let run sender target k possible doc_path =
     wrap (fun () ->
         let s0 = load_schema sender in
         let exchange = load_schema target in
         let doc = load_document doc_path in
-        let rw = Rewriter.create ~k ~engine ~s0 ~target:exchange () in
-        let failures =
-          if possible then Rewriter.check_possible rw doc
-          else Rewriter.check_safe rw doc
+        let rw = Rewriter.create ~k ~s0 ~target:exchange () in
+        let mode =
+          if possible then Rewriter.Check_possible else Rewriter.Check_safe
         in
-        match failures with
+        match (Rewriter.check ~mode rw doc).failures with
         | [] ->
           Fmt.pr "%s: the document rewrites into the exchange schema@."
             (if possible then "possible" else "safe");
@@ -211,7 +203,7 @@ let check_cmd =
        ~doc:"Decide whether a document safely (or possibly) rewrites into an \
              exchange schema, without invoking anything.")
     Term.(const run $ sender_arg $ target_arg $ k_arg $ possible_arg
-          $ engine_arg $ doc_arg)
+          $ doc_arg)
 
 (* ------------------------------------------------------------------ *)
 (* rewrite                                                             *)
@@ -258,7 +250,7 @@ let out_arg =
          ~doc:"Where to write the materialized document (default stdout).")
 
 let rewrite_cmd =
-  let run sender target k possible engine oracle out doc_path =
+  let run sender target k possible oracle out doc_path =
     wrap (fun () ->
         let s0 = load_schema sender in
         let exchange = load_schema target in
@@ -267,7 +259,7 @@ let rewrite_cmd =
         let invoker = make_invoker ~env ~s0 oracle in
         let config =
           { Enforcement.default_config with
-            Enforcement.k; engine; fallback_possible = possible }
+            Enforcement.k; fallback_possible = possible }
         in
         let result = Enforcement.enforce ~config ~s0 ~exchange ~invoker doc in
         (* the materialized document owns stdout; outcomes go to stderr *)
@@ -283,7 +275,7 @@ let rewrite_cmd =
        ~doc:"Materialize a document so it conforms to an exchange schema, \
              using simulated services.")
     Term.(const run $ sender_arg $ target_arg $ k_arg $ possible_arg
-          $ engine_arg $ oracle_arg $ out_arg $ doc_arg)
+          $ oracle_arg $ out_arg $ doc_arg)
 
 (* ------------------------------------------------------------------ *)
 (* batch                                                               *)
@@ -325,7 +317,7 @@ let batch_cmd =
                  the distribution lands in the batch statistics and the \
                  $(b,axml_enforce_min_k_total) metric.")
   in
-  let run sender target k possible engine oracle retries timeout_ms
+  let run sender target k possible oracle retries timeout_ms
       breaker_threshold jobs min_k format stats_out metrics_out doc_paths =
     wrap ~format (fun () ->
         let s0 = load_schema sender in
@@ -346,7 +338,7 @@ let batch_cmd =
         in
         let config =
           { Enforcement.default_config with
-            Enforcement.k; engine; fallback_possible = possible;
+            Enforcement.k; fallback_possible = possible;
             resilience = Some resilience; executor; track_min_k = min_k }
         in
         let pipeline = Enforcement.Pipeline.create ~config ~s0 ~exchange ~invoker () in
@@ -400,7 +392,7 @@ let batch_cmd =
              outcomes and batch statistics. With $(b,--jobs) N the batch \
              is sharded across N domains.")
     Term.(const run $ sender_arg $ target_arg $ k_arg $ possible_arg
-          $ engine_arg $ oracle_arg $ retries_arg $ timeout_ms_arg
+          $ oracle_arg $ retries_arg $ timeout_ms_arg
           $ breaker_arg $ jobs_arg $ min_k_arg $ format_arg
           $ stats_json_arg $ metrics_out_arg $ docs_arg)
 
@@ -436,7 +428,7 @@ let trace_cmd =
             Trace.pp_kind e.Trace.kind)
         events
   in
-  let run sender target k possible engine oracle retries buffer jsonl
+  let run sender target k possible oracle retries buffer jsonl
       metrics_out doc_path =
     wrap (fun () ->
         let s0 = load_schema sender in
@@ -451,7 +443,7 @@ let trace_cmd =
         in
         let config =
           { Enforcement.default_config with
-            Enforcement.k; engine; fallback_possible = possible;
+            Enforcement.k; fallback_possible = possible;
             resilience = Some resilience }
         in
         let pipeline =
@@ -470,9 +462,7 @@ let trace_cmd =
             (fun () -> Enforcement.Pipeline.enforce pipeline doc)
         in
         let events = Trace.buffer_events buf in
-        Fmt.pr "trace: %s -> %s (k=%d, engine=%s, %d event(s)%s)@." doc_path
-          target k
-          (match engine with Rewriter.Lazy -> "lazy" | Rewriter.Eager -> "eager")
+        Fmt.pr "trace: %s -> %s (k=%d, %d event(s)%s)@." doc_path target k
           (Trace.buffer_pushed buf)
           (let dropped = Trace.buffer_pushed buf - List.length events in
            if dropped > 0 then Fmt.str ", %d dropped" dropped else "");
@@ -499,7 +489,7 @@ let trace_cmd =
              choices, invocation attempts, retries, breaker transitions and \
              the final accept/reject/fault verdict.")
     Term.(const run $ sender_arg $ target_arg $ k_arg $ possible_arg
-          $ engine_arg $ oracle_arg $ retries_arg $ buffer_arg $ jsonl_arg
+          $ oracle_arg $ retries_arg $ buffer_arg $ jsonl_arg
           $ metrics_out_arg $ doc_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -540,7 +530,7 @@ let lint_cmd =
            ~doc:"Intensional XML documents to lint against the exchange \
                  contract (requires $(b,-f)/$(b,-t)).")
   in
-  let run schema_opt sender_opt target_opt k engine format deny metrics_out
+  let run schema_opt sender_opt target_opt k format deny metrics_out
       doc_paths =
     wrap ~format (fun () ->
         let module Lint = Axml_analysis.Lint in
@@ -560,7 +550,7 @@ let lint_cmd =
             let exchange, _ = load_schema_positions target in
             let contract =
               try
-                Axml_core.Contract.create ~k ~engine ~s0 ~target:exchange ()
+                Axml_core.Contract.create ~k ~s0 ~target:exchange ()
               with Schema.Schema_error e ->
                 fail "%s" (Fmt.str "schema pair: %a" Schema.pp_error e)
             in
@@ -590,7 +580,7 @@ let lint_cmd =
              elements, never-safe functions, incompatible schema pairs, \
              doomed calls — before anything is exchanged or invoked.")
     Term.(const run $ schema_opt_arg $ sender_opt_arg $ target_opt_arg
-          $ k_arg $ engine_arg $ format_arg $ deny_arg $ metrics_out_arg
+          $ k_arg $ format_arg $ deny_arg $ metrics_out_arg
           $ docs_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -600,12 +590,12 @@ let lint_cmd =
 module Evolution = Axml_analysis.Evolution
 
 let diff_cmd =
-  let run sender target k engine format deny metrics_out =
+  let run sender target k format deny metrics_out =
     wrap ~format (fun () ->
         let v1, from_positions = load_schema_positions sender in
         let v2, to_positions = load_schema_positions target in
         let report =
-          Evolution.diff ~k ~engine ~from_file:sender ?from_positions
+          Evolution.diff ~k ~from_file:sender ?from_positions
             ~to_file:target ?to_positions ~v1 ~v2 ()
         in
         Report.print_diff ~format ~from_file:sender ~to_file:target report;
@@ -623,21 +613,21 @@ let diff_cmd =
              (Glushkov-DFA inclusion), lift the per-label changes to \
              contract-level verdicts (Section 6 against the pair), and \
              report AXM04x diagnostics with source positions.")
-    Term.(const run $ sender_arg $ target_arg $ k_arg $ engine_arg
-          $ format_arg $ deny_arg $ metrics_out_arg)
+    Term.(const run $ sender_arg $ target_arg $ k_arg $ format_arg $ deny_arg
+          $ metrics_out_arg)
 
 let migrate_cmd =
   let docs_arg =
     Arg.(non_empty & pos_all file [] & info [] ~docv:"DOC.xml"
            ~doc:"Archived documents of the old version to advise.")
   in
-  let run sender target k engine format metrics_out doc_paths =
+  let run sender target k format metrics_out doc_paths =
     wrap ~format (fun () ->
         let v1 = load_schema sender in
         let v2 = load_schema target in
         let docs = List.map (fun p -> (p, load_document p)) doc_paths in
         let migration =
-          try Evolution.migrate ~k ~engine ~v1 ~v2 docs
+          try Evolution.migrate ~k ~v1 ~v2 docs
           with Schema.Schema_error e ->
             fail "%s" (Fmt.str "schema pair: %a" Schema.pp_error e)
         in
@@ -653,8 +643,8 @@ let migrate_cmd =
              materializing a named set of calls, rewrites only possibly, or \
              cannot migrate (AXM042). Exits 0 only when every document \
              conforms or materializes safely.")
-    Term.(const run $ sender_arg $ target_arg $ k_arg $ engine_arg
-          $ format_arg $ metrics_out_arg $ docs_arg)
+    Term.(const run $ sender_arg $ target_arg $ k_arg $ format_arg
+          $ metrics_out_arg $ docs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / call / send / federation (the networked peer)               *)
@@ -695,7 +685,7 @@ let serve_cmd =
                    are answered with an $(b,overloaded) error (admission \
                    control), never queued.")
   in
-  let run name schema_path dir host port k possible engine jobs oracle
+  let run name schema_path dir host port k possible jobs oracle
       max_connections max_in_flight =
     wrap (fun () ->
         let schema = load_schema schema_path in
@@ -725,7 +715,7 @@ let serve_cmd =
              (Schema.function_names schema));
         Axml_peer.Peer.configure peer
           { Axml_peer.Peer.default_config with
-            Axml_peer.Peer.k; engine; fallback_possible = possible; jobs };
+            Axml_peer.Peer.k; fallback_possible = possible; jobs };
         let repo = Option.map (fun dir -> Axml_net.Repo.attach ~dir peer) dir in
         let endpoint = Axml_net.Endpoint.create ?repo peer in
         let config =
@@ -761,7 +751,7 @@ let serve_cmd =
              the chosen oracle. Stops gracefully on SIGINT/SIGTERM.")
     Term.(const run $ name_srv_arg $ schema $ dir_arg $ host_arg
           $ port_arg ~default:7411 "Port to listen on (0 = ephemeral)."
-          $ k_arg $ possible_arg $ engine_arg $ jobs_arg $ oracle_arg
+          $ k_arg $ possible_arg $ jobs_arg $ oracle_arg
           $ max_connections_arg $ max_in_flight_arg)
 
 let call_cmd =
@@ -818,7 +808,7 @@ let send_cmd =
                  materialize calls, instead of simulating them with \
                  oracles.")
   in
-  let run host port sender_path exchange_path k possible engine oracle
+  let run host port sender_path exchange_path k possible oracle
       import as_name doc_path =
     wrap (fun () ->
         let s0 = load_schema sender_path in
@@ -827,7 +817,7 @@ let send_cmd =
         let sender = Axml_peer.Peer.create ~name:"axml-send" ~schema:s0 () in
         Axml_peer.Peer.configure sender
           { Axml_peer.Peer.default_config with
-            Axml_peer.Peer.k; engine; fallback_possible = possible };
+            Axml_peer.Peer.k; fallback_possible = possible };
         let client = Axml_net.Client.connect ~host ~port () in
         Fun.protect ~finally:(fun () -> Axml_net.Client.close client)
         @@ fun () ->
@@ -870,8 +860,8 @@ let send_cmd =
              and stores it.")
     Term.(const run $ host_arg
           $ port_arg ~default:7411 "Port the receiving peer listens on."
-          $ sender_arg $ target_arg $ k_arg $ possible_arg $ engine_arg
-          $ oracle_arg $ import_arg $ as_arg $ doc_arg)
+          $ sender_arg $ target_arg $ k_arg $ possible_arg $ oracle_arg
+          $ import_arg $ as_arg $ doc_arg)
 
 let federation_cmd =
   let smoke_arg =
@@ -1028,7 +1018,7 @@ let compat_cmd =
     Arg.(value & opt (some string) None & info [ "r"; "root" ] ~docv:"LABEL"
            ~doc:"Root label (defaults to the sender schema's declared root).")
   in
-  let run sender target k engine format root =
+  let run sender target k format root =
     wrap ~format (fun () ->
         let s0 = load_schema sender in
         let exchange = load_schema target in
@@ -1038,7 +1028,7 @@ let compat_cmd =
           | None, Some r -> r
           | None, None -> fail "no root label: pass --root or declare one in the schema"
         in
-        let result = Schema_rewrite.check ~k ~engine ~s0 ~root ~target:exchange () in
+        let result = Schema_rewrite.check ~k ~s0 ~root ~target:exchange () in
         (match format with
          | `Json ->
            Fmt.pr "%s@."
@@ -1063,8 +1053,7 @@ let compat_cmd =
     (Cmd.info "compat"
        ~doc:"Schema-level safe rewriting (Section 6): can every document of \
              one schema be safely rewritten into another?")
-    Term.(const run $ sender_arg $ target_arg $ k_arg $ engine_arg
-          $ format_arg $ root_arg)
+    Term.(const run $ sender_arg $ target_arg $ k_arg $ format_arg $ root_arg)
 
 (* ------------------------------------------------------------------ *)
 (* schema (convert / pretty-print)                                     *)

@@ -73,11 +73,11 @@ let make_publisher () =
   Peer.store p "front-page" front_page;
   p
 
-let scenario ~name ~why ~exchange ?(enforcement = Enforcement.default_config)
+let scenario ~name ~why ~exchange ?(config = Peer.default_config)
     ~receiver_schema () =
   Fmt.pr "@.--- %s ---@.%s@." name why;
   let publisher = make_publisher () in
-  Peer.set_enforcement publisher enforcement;
+  Peer.configure publisher config;
   let receiver = Peer.create ~name:"receiver" ~schema:receiver_schema () in
   match Peer.send publisher ~receiver ~exchange ~as_name:"front-page" front_page with
   | Error e -> Fmt.pr "exchange REFUSED: %a@." Enforcement.pp_error e
@@ -111,8 +111,7 @@ let () =
           possible-rewriting fallback and the attempt succeeds when \
           TimeOut actually returns exhibits."
     ~exchange:(Policy.extensional publisher_schema)
-    ~enforcement:
-      { Enforcement.default_config with Enforcement.fallback_possible = true }
+    ~config:{ Peer.default_config with Peer.fallback_possible = true }
     ~receiver_schema:(Policy.extensional publisher_schema) ();
 
   (* SECURITY: the receiver only trusts the TimeOut service. *)

@@ -66,8 +66,8 @@ let attempt ~k ~pages =
   Registry.register reg (paged_service ~pages);
   let rw = Rewriter.create ~k ~s0:engine_schema ~target:plain_schema () in
   Fmt.pr "k=%d, actual pages=%d: safe? %b, possible? %b -> " k pages
-    (Rewriter.is_safe rw first_answer)
-    (Rewriter.is_possible rw first_answer);
+    (Rewriter.check rw first_answer).ok
+    (Rewriter.check ~mode:Rewriter.Check_possible rw first_answer).ok;
   let config =
     { Enforcement.default_config with Enforcement.k; fallback_possible = true }
   in

@@ -137,7 +137,7 @@ let worst a b =
 (* ------------------------------------------------------------------ *)
 (* diff                                                                *)
 
-let diff ?(k = 1) ?(engine = Contract.Lazy) ?predicate ?from_file
+let diff ?(k = 1) ?predicate ?from_file
     ?from_positions ?to_file ?to_positions ~(v1 : Schema.t)
     ~(v2 : Schema.t) () : report =
   instrumented "diff" @@ fun () ->
@@ -376,7 +376,7 @@ let diff ?(k = 1) ?(engine = Contract.Lazy) ?predicate ?from_file
                 (l, g) :: gs ))
           (v1, []) lift_labels
       in
-      (match Contract.create ~k:(k + 1) ~engine ?predicate ~s0:s0' ~target:v2 () with
+      (match Contract.create ~k:(k + 1) ?predicate ~s0:s0' ~target:v2 () with
        | exception Schema.Schema_error _ -> ([], [])
        | contract ->
          let lift (l, g) =
@@ -487,10 +487,10 @@ let must_materialize contract doc =
       | Some m -> not (List.mem (Symbol.Fun name) (R.symbols m)))
     (Document.calls_with_paths doc)
 
-let migrate ?(k = 1) ?(engine = Contract.Lazy) ?predicate ~v1 ~v2 docs :
+let migrate ?(k = 1) ?predicate ~v1 ~v2 docs :
     migration =
   instrumented "migrate" @@ fun () ->
-  let contract = Contract.create ~k ~engine ?predicate ~s0:v1 ~target:v2 () in
+  let contract = Contract.create ~k ?predicate ~s0:v1 ~target:v2 () in
   let rw = Rewriter.of_contract contract in
   (* validate against v2 in the merged environment, so calls declared
      only by v1 do not read as unknown functions *)

@@ -109,8 +109,7 @@ type report = {
 }
 
 val diff :
-  ?k:int -> ?engine:Axml_core.Contract.engine ->
-  ?predicate:(string -> string -> bool) ->
+  ?k:int -> ?predicate:(string -> string -> bool) ->
   ?from_file:string ->
   ?from_positions:Axml_schema.Schema_parser.pos Axml_schema.Schema.String_map.t ->
   ?to_file:string ->
@@ -157,8 +156,7 @@ type migration = {
 }
 
 val migrate :
-  ?k:int -> ?engine:Axml_core.Contract.engine ->
-  ?predicate:(string -> string -> bool) ->
+  ?k:int -> ?predicate:(string -> string -> bool) ->
   v1:Axml_schema.Schema.t -> v2:Axml_schema.Schema.t ->
   (string * Axml_core.Document.t) list -> migration
 (** Advise a corpus of archived v1-documents on moving to v2. Each

@@ -569,8 +569,8 @@ let lint_contract c =
     | None -> []
     | Some root ->
       let result =
-        Schema_rewrite.check ~k:(Contract.k c) ~engine:(Contract.engine c)
-          ~predicate:env.Schema.predicate ~s0 ~root ~target ()
+        Schema_rewrite.check ~k:(Contract.k c) ~predicate:env.Schema.predicate
+          ~s0 ~root ~target ()
       in
       List.filter_map
         (fun (v : Schema_rewrite.label_verdict) ->

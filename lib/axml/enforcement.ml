@@ -81,7 +81,6 @@ type executor =
 
 type config = {
   k : int;
-  engine : Rewriter.engine;
   fallback_possible : bool;
     (* when the safe rewriting does not exist, attempt a possible one *)
   eager_calls : (string -> bool) option;
@@ -105,7 +104,6 @@ type config = {
 
 let default_config = {
   k = 1;
-  engine = Rewriter.Lazy;
   fallback_possible = false;
   eager_calls = None;
   resilience = None;
@@ -169,8 +167,7 @@ let of_rewriter rw =
 
 let compile ?predicate ~config ~s0 ~exchange () =
   of_rewriter
-    (Rewriter.create ~k:config.k ~engine:config.engine ?predicate ~s0
-       ~target:exchange ())
+    (Rewriter.create ~k:config.k ?predicate ~s0 ~target:exchange ())
 
 let compile_of_rewriter = of_rewriter
 
@@ -434,8 +431,7 @@ module Pipeline = struct
   let create ?(config = default_config) ?predicate ~s0 ~exchange ~invoker () =
     make ~config ~compiled:(compile ?predicate ~config ~s0 ~exchange ()) ~invoker
 
-  (* [config.k] / [config.engine] are ignored here: the contract fixes
-     them. *)
+  (* [config.k] is ignored here: the contract fixes it. *)
   let of_contract ?(config = default_config) ~invoker contract =
     make ~config
       ~compiled:(compile_of_rewriter (Rewriter.of_contract contract))

@@ -23,7 +23,6 @@ type executor =
 
 type config = {
   k : int;
-  engine : Axml_core.Rewriter.engine;
   fallback_possible : bool;
     (** attempt a possible rewriting when no safe one exists *)
   eager_calls : (string -> bool) option;
@@ -51,7 +50,7 @@ type config = {
 }
 
 val default_config : config
-(** [k = 1], lazy engine, no fallback, no eager calls, no resilience
+(** [k = 1], no fallback, no eager calls, no resilience
     guard, no lint gate, sequential executor, no min-k tracking. *)
 
 type action =
@@ -93,9 +92,8 @@ val enforce :
     compiled from scratch on every call; pass [rewriter] (built for the
     {e same} [s0]/[exchange]/[predicate], e.g. via
     {!Axml_core.Rewriter.of_contract}) to reuse a compiled contract —
-    [config.k] and [config.engine] are then taken from the contract,
-    and [s0]/[exchange] are trusted to match it. For whole streams,
-    prefer {!Pipeline}. *)
+    [config.k] is then taken from the contract, and [s0]/[exchange] are
+    trusted to match it. For whole streams, prefer {!Pipeline}. *)
 
 (** {1 Batch enforcement}
 
@@ -119,8 +117,7 @@ module Pipeline : sig
     ?config:config -> invoker:Axml_core.Execute.invoker ->
     Axml_core.Contract.t -> t
   (** Drive an existing contract (shares its analysis cache);
-      [config.k] / [config.engine] are ignored — the contract fixes
-      them. *)
+      [config.k] is ignored — the contract fixes it. *)
 
   val contract : t -> Axml_core.Contract.t
   val rewriter : t -> Axml_core.Rewriter.t

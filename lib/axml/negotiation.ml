@@ -26,13 +26,13 @@ type agreement = {
 (* [negotiate ~s0 ~root proposals] returns the first compatible proposal
    together with the reasons the earlier ones failed, or the full
    rejection list when none fits. *)
-let negotiate ?k ?engine ?predicate ~(s0 : Schema.t) ~root
+let negotiate ?k ?predicate ~(s0 : Schema.t) ~root
     (proposals : proposal list) : (agreement, rejection list) result =
   let rec go rejected = function
     | [] -> Error (List.rev rejected)
     | p :: rest ->
       let result =
-        Schema_rewrite.check ?k ?engine ?predicate ~s0 ~root ~target:p.schema ()
+        Schema_rewrite.check ?k ?predicate ~s0 ~root ~target:p.schema ()
       in
       if result.Schema_rewrite.compatible then
         Ok { chosen = p; rejected = List.rev rejected }

@@ -20,8 +20,7 @@ type agreement = {
 }
 
 val negotiate :
-  ?k:int -> ?engine:Axml_core.Rewriter.engine ->
-  ?predicate:(string -> string -> bool) ->
+  ?k:int -> ?predicate:(string -> string -> bool) ->
   s0:Axml_schema.Schema.t -> root:string ->
   proposal list -> (agreement, rejection list) result
 

@@ -70,13 +70,46 @@ type io_compiled = {
 
 type serve_compiled = { sc_params : io_compiled; sc_result : io_compiled }
 
+(* One record for every tunable of the peer, applied through
+   [configure]. *)
+type config = {
+  k : int;
+  fallback_possible : bool;
+  eager_calls : (string -> bool) option;
+  lint_gate : bool;
+  resilience : Axml_services.Resilience.t option;
+  jobs : int;
+  track_min_k : bool;
+}
+
+let default_config =
+  let e = Enforcement.default_config in
+  { k = e.Enforcement.k;
+    fallback_possible = e.Enforcement.fallback_possible;
+    eager_calls = e.Enforcement.eager_calls;
+    lint_gate = e.Enforcement.lint_gate;
+    resilience = e.Enforcement.resilience;
+    jobs = 1;
+    track_min_k = e.Enforcement.track_min_k }
+
+let enforcement_of_config (c : config) : Enforcement.config =
+  { Enforcement.k = c.k;
+    fallback_possible = c.fallback_possible;
+    eager_calls = c.eager_calls;
+    lint_gate = c.lint_gate;
+    resilience = c.resilience;
+    executor =
+      (if c.jobs <= 1 then Enforcement.Sequential
+       else Enforcement.Parallel { jobs = c.jobs });
+    track_min_k = c.track_min_k }
+
 type t = {
   name : string;
   mutable schema : Schema.t;  (* the peer's own schema, incl. known WSDLs *)
   repository : (string, Document.t) Hashtbl.t;
   registry : Registry.t;      (* remote services this peer can invoke *)
   provided : (string, provided) Hashtbl.t;
-  mutable enforcement : Enforcement.config;
+  mutable config : config;
   mutable trusted_peers : string list;
   (* compiled-artifact caches, all validated against [generation] *)
   mutable generation : int;
@@ -85,13 +118,13 @@ type t = {
   serve_cache : (string, int * serve_compiled) Hashtbl.t;
 }
 
-let create ?(enforcement = Enforcement.default_config) ~name ~schema () = {
+let create ~name ~schema () = {
   name;
   schema;
   repository = Hashtbl.create 8;
   registry = Registry.create ~principal:name ();
   provided = Hashtbl.create 8;
-  enforcement;
+  config = default_config;
   trusted_peers = [];
   generation = 0;
   send_pipelines = [];
@@ -107,71 +140,11 @@ let registry t = t.registry
    every compiled artifact. *)
 let invalidate t = t.generation <- t.generation + 1
 
-(* One record for every tunable of the peer; the legacy set_* mutators
-   below are thin shims over [configure]. *)
-type config = {
-  k : int;
-  engine : Rewriter.engine;
-  fallback_possible : bool;
-  eager_calls : (string -> bool) option;
-  lint_gate : bool;
-  resilience : Axml_services.Resilience.t option;
-  jobs : int;
-  track_min_k : bool;
-}
-
-let default_config =
-  let e = Enforcement.default_config in
-  { k = e.Enforcement.k;
-    engine = e.Enforcement.engine;
-    fallback_possible = e.Enforcement.fallback_possible;
-    eager_calls = e.Enforcement.eager_calls;
-    lint_gate = e.Enforcement.lint_gate;
-    resilience = e.Enforcement.resilience;
-    jobs = 1;
-    track_min_k = e.Enforcement.track_min_k }
-
-let enforcement_of_config (c : config) : Enforcement.config =
-  { Enforcement.k = c.k;
-    engine = c.engine;
-    fallback_possible = c.fallback_possible;
-    eager_calls = c.eager_calls;
-    lint_gate = c.lint_gate;
-    resilience = c.resilience;
-    executor =
-      (if c.jobs <= 1 then Enforcement.Sequential
-       else Enforcement.Parallel { jobs = c.jobs });
-    track_min_k = c.track_min_k }
-
-let config_of_enforcement (e : Enforcement.config) : config =
-  { k = e.Enforcement.k;
-    engine = e.Enforcement.engine;
-    fallback_possible = e.Enforcement.fallback_possible;
-    eager_calls = e.Enforcement.eager_calls;
-    lint_gate = e.Enforcement.lint_gate;
-    resilience = e.Enforcement.resilience;
-    jobs =
-      (match e.Enforcement.executor with
-       | Enforcement.Sequential -> 1
-       | Enforcement.Parallel { jobs } -> jobs);
-    track_min_k = e.Enforcement.track_min_k }
-
 let configure t config =
-  t.enforcement <- enforcement_of_config config;
+  t.config <- config;
   invalidate t
 
-let current_config t = config_of_enforcement t.enforcement
-
-(* Deprecated shims, kept so existing callers compile: each is a
-   read-modify-write through [configure]'s invalidation path. *)
-let set_enforcement t config =
-  t.enforcement <- config;
-  invalidate t
-
-let set_resilience t resilience =
-  configure t { (current_config t) with resilience }
-
-let set_jobs t jobs = configure t { (current_config t) with jobs }
+let current_config t = t.config
 
 let set_schema t schema =
   t.schema <- schema;
@@ -257,8 +230,7 @@ let io_compile t wrapper_name content =
   { io_ctx = Validate.ctx ~env:(Schema.env_of_schema s) s;
     io_rewriter =
       lazy
-        (Rewriter.create ~k:t.enforcement.Enforcement.k
-           ~engine:t.enforcement.Enforcement.engine ~s0:s ~target:s ()) }
+        (Rewriter.create ~k:t.config.k ~s0:s ~target:s ()) }
 
 let serve_compiled t (p : provided) =
   match Hashtbl.find_opt t.serve_cache p.p_name with
@@ -280,8 +252,8 @@ let exchange_pipeline t ~exchange =
     (fun t v -> t.send_pipelines <- v)
     exchange
     (fun () ->
-      Enforcement.Pipeline.create ~config:t.enforcement ~s0:t.schema ~exchange
-        ~invoker:(Registry.invoker t.registry) ())
+      Enforcement.Pipeline.create ~config:(enforcement_of_config t.config)
+        ~s0:t.schema ~exchange ~invoker:(Registry.invoker t.registry) ())
 
 (* Contract-level lint for an exchange agreement, served from the cached
    pipeline (the diagnostics the lint gate would refuse on). *)
@@ -504,8 +476,8 @@ let send t ~(receiver : t) ~exchange ?predicate ~as_name doc :
     match predicate with
     | None -> Enforcement.Pipeline.enforce (exchange_pipeline t ~exchange) doc
     | Some _ ->
-      Enforcement.enforce ~config:t.enforcement ?predicate ~s0:t.schema ~exchange
-        ~invoker:(Registry.invoker t.registry) doc
+      Enforcement.enforce ~config:(enforcement_of_config t.config) ?predicate
+        ~s0:t.schema ~exchange ~invoker:(Registry.invoker t.registry) doc
   in
   match enforced with
   | Error e -> Error e

@@ -17,9 +17,7 @@ type query =
 
 type t
 
-val create :
-  ?enforcement:Enforcement.config -> name:string ->
-  schema:Axml_schema.Schema.t -> unit -> t
+val create : name:string -> schema:Axml_schema.Schema.t -> unit -> t
 
 val name : t -> string
 val schema : t -> Axml_schema.Schema.t
@@ -35,7 +33,6 @@ val registry : t -> Axml_services.Registry.t
 
 type config = {
   k : int;                 (** maximum rewriting depth (Definition 7) *)
-  engine : Axml_core.Rewriter.engine;
   fallback_possible : bool;
       (** attempt a possible rewriting when no safe one exists *)
   eager_calls : (string -> bool) option;
@@ -52,7 +49,7 @@ type config = {
 }
 
 val default_config : config
-(** [k = 1], lazy engine, no fallback, no eager calls, no lint gate, no
+(** [k = 1], no fallback, no eager calls, no lint gate, no
     resilience guard, sequential ([jobs = 1]), no min-k tracking. *)
 
 val configure : t -> config -> unit
@@ -65,18 +62,6 @@ val current_config : t -> config
 val enforcement_of_config : config -> Enforcement.config
 (** The pipeline-level view of a peer config (the [executor] field is
     derived from [jobs]). *)
-
-val set_enforcement : t -> Enforcement.config -> unit
-(** Deprecated shim over {!configure}: replaces the enforcement part of
-    the configuration wholesale (including resilience and executor). *)
-
-val set_resilience : t -> Axml_services.Resilience.t option -> unit
-(** Deprecated shim over {!configure}: install (or remove) the
-    resilience guard, keeping everything else. *)
-
-val set_jobs : t -> int -> unit
-(** Deprecated shim over {!configure}: set the executor parallelism,
-    keeping everything else. *)
 
 val exchange_pipeline :
   t -> exchange:Axml_schema.Schema.t -> Enforcement.Pipeline.t

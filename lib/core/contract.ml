@@ -1,5 +1,5 @@
 (* A compiled exchange contract (see contract.mli): the schema-derived
-   artifacts for a fixed (s0, target, k, engine) quadruple, plus a
+   artifacts for a fixed (s0, target, k) triple, plus a
    bounded memo table from (content-model regex, children word) to the
    safe/possible analyses — the amortization that lets a peer's
    enforcement module pay the automata construction once per distinct
@@ -46,8 +46,6 @@ let h_analysis kind =
 
 let h_safe = h_analysis "safe"
 let h_possible = h_analysis "possible"
-
-type engine = Eager | Lazy
 
 module Sym_id = Axml_schema.Sym_id
 module Dense = Auto.Dfa.Dense
@@ -97,7 +95,6 @@ type t = {
   s0 : Schema.t;
   target : Schema.t;
   k : int;
-  engine : engine;
   capacity : int;
   lock : Mutex.t;  (* guards every mutable field below *)
   element_regexes : (string, Symbol.t R.t option) Hashtbl.t;
@@ -111,10 +108,10 @@ type t = {
   mutable evictions : int;
 }
 
-let create ?(k = 1) ?(engine = Lazy) ?predicate ?(cache_capacity = 4096)
+let create ?(k = 1) ?predicate ?(cache_capacity = 4096)
     ~s0 ~target () =
   let env = Schema.env_of_schemas ?predicate s0 target in
-  { env; s0; target; k; engine;
+  { env; s0; target; k;
     capacity = max 1 cache_capacity;
     lock = Mutex.create ();
     element_regexes = Hashtbl.create 16;
@@ -146,7 +143,6 @@ let env t = t.env
 let s0 t = t.s0
 let target t = t.target
 let k t = t.k
-let engine t = t.engine
 
 (* ------------------------------------------------------------------ *)
 (* Static artifacts                                                    *)
@@ -293,10 +289,7 @@ let safe_analysis ?k t ~target_regex word =
       Trace.emit (Cache_query { cache = "safe"; hit = false });
     let a =
       Metrics.time h_safe (fun () ->
-          let p = product ~k t ~target_regex word in
-          match t.engine with
-          | Eager -> Marking.analyze_eager p
-          | Lazy -> Marking.analyze_lazy p)
+          Marking.analyze_lazy (product ~k t ~target_regex word))
     in
     e.e_safe <- Some a;
     a

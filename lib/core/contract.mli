@@ -1,5 +1,5 @@
 (** A compiled exchange contract: every schema-derived artifact needed
-    to enforce a fixed [(s0, target, k, engine)] quadruple, compiled
+    to enforce a fixed [(s0, target, k)] triple, compiled
     once and reused across documents.
 
     The Schema Enforcement module sits on a peer's communication path
@@ -28,14 +28,10 @@
     from several domains at once is a race. Parallel pipelines give
     each worker domain a private {!clone} instead. *)
 
-type engine =
-  | Eager  (** the literal algorithm of Figure 3 *)
-  | Lazy   (** the pruned on-the-fly variant of Section 7 *)
-
 type t
 
 val create :
-  ?k:int -> ?engine:engine -> ?predicate:(string -> string -> bool) ->
+  ?k:int -> ?predicate:(string -> string -> bool) ->
   ?cache_capacity:int ->
   s0:Axml_schema.Schema.t -> target:Axml_schema.Schema.t -> unit -> t
 (** Compile the contract for exchanging documents of [s0] under the
@@ -48,11 +44,11 @@ val create :
 
 val clone : t -> t
 (** A private contract over the same compiled artifacts: shares the
-    (immutable) merged environment, schemas, [k], [engine] and
-    capacity; copies the compiled-regex memo tables; starts with an
-    empty analysis cache and zeroed counters. This is how parallel
-    pipelines give each worker domain its own analyses without
-    recompiling the schemas — see DESIGN.md. *)
+    (immutable) merged environment, schemas, [k] and capacity; copies
+    the compiled-regex memo tables; starts with an empty analysis cache
+    and zeroed counters. This is how parallel pipelines give each worker
+    domain its own analyses without recompiling the schemas — see
+    DESIGN.md. *)
 
 (** {1 Static artifacts} *)
 
@@ -68,10 +64,6 @@ val target : t -> Axml_schema.Schema.t
 
 val k : t -> int
 (** The rewriting depth bound (Definition 7). *)
-
-val engine : t -> engine
-(** Which safe-rewriting engine ({!Eager} or {!Lazy}) uncached
-    analyses run on. *)
 
 val element_regex : t -> string -> Axml_schema.Symbol.t Axml_regex.Regex.t option
 (** Compiled content model of a label in the {e target} schema
@@ -124,7 +116,9 @@ val safe_analysis :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
   Axml_schema.Symbol.t list -> Marking.t
 (** The marking game of Figure 3 for [word] against [target_regex],
-    memoized. *)
+    memoized, built by the pruned on-the-fly exploration of Section 7
+    ({!Marking.analyze_lazy}; {!Marking.analyze_eager} on a fresh
+    {!product} is the literal Figure 3 reference). *)
 
 val possible_analysis :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->

@@ -73,27 +73,25 @@ let in_language dfa items =
   Auto.Dfa.accepts dfa (List.map fst items)
 
 (* Completion alphabet: the target's own letters plus everything the
-   word and the reachable outputs may contain. *)
+   word and the outputs of every function it can reach may contain.
+   Each function's outputs are expanded once (a fixpoint over function
+   names), so the cost is linear in the signatures whatever k is; the
+   result is a superset of what any play reaches, and the extra letters
+   only lead to the completion sink. *)
 let closure_alphabet ~outputs ~(target_dfa : Auto.Dfa.t) word =
-  let add acc sym = Auto.Sym_set.add sym acc in
-  let add_word acc w = List.fold_left add acc w in
-  let rec add_outputs acc fuel w =
-    if fuel <= 0 then acc
-    else
-      List.fold_left
-        (fun acc sym ->
-          match sym with
-          | Symbol.Fun f ->
-            (match outputs f with
-             | Some outs ->
-               List.fold_left
-                 (fun acc o -> add_outputs (add_word acc o) (fuel - 1) o)
-                 acc outs
-             | None -> acc)
-          | Symbol.Label _ | Symbol.Data -> acc)
-        (add_word acc w) w
+  let expanded = Hashtbl.create 8 in
+  let rec add_word acc w = List.fold_left add_sym acc w
+  and add_sym acc sym =
+    let acc = Auto.Sym_set.add sym acc in
+    match sym with
+    | Symbol.Fun f when not (Hashtbl.mem expanded f) ->
+      Hashtbl.add expanded f ();
+      (match outputs f with
+       | Some outs -> List.fold_left add_word acc outs
+       | None -> acc)
+    | Symbol.Fun _ | Symbol.Label _ | Symbol.Data -> acc
   in
-  add_outputs target_dfa.Auto.Dfa.alphabet 8 word
+  add_word target_dfa.Auto.Dfa.alphabet word
 
 (* ------------------------------------------------------------------ *)
 (* The k-depth LEFT-TO-RIGHT game (the paper's restriction)            *)

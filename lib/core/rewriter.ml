@@ -4,7 +4,7 @@
    document accordingly.
 
    Since the analysis of a children word depends only on the contract
-   (schemas, k, engine) and the word itself, the engine is a thin view
+   (schemas, k) and the word itself, the engine is a thin view
    over [Contract]: every word-level question goes through the
    contract's memo table, so repeated words — across the nodes of one
    document or across a stream of documents against the same schema
@@ -35,8 +35,6 @@ module Auto = Axml_schema.Auto
 module Sym_id = Axml_schema.Sym_id
 module Dense = Auto.Dfa.Dense
 
-type engine = Contract.engine = Eager | Lazy
-
 type t = {
   contract : Contract.t;
   (* validation context over the merged environment, used to identify
@@ -59,8 +57,8 @@ let of_contract contract =
     element_entries = Hashtbl.create 16;
     input_entries = Hashtbl.create 16 }
 
-let create ?(k = 1) ?(engine = Lazy) ?predicate ~s0 ~target () =
-  of_contract (Contract.create ~k ~engine ?predicate ~s0 ~target ())
+let create ?(k = 1) ?predicate ~s0 ~target () =
+  of_contract (Contract.create ~k ?predicate ~s0 ~target ())
 
 let contract t = t.contract
 
@@ -91,23 +89,6 @@ let element_entry t label =
 
 let input_entry t fname =
   memo_entry t.input_entries (Contract.input_regex t.contract) fname
-
-(* ------------------------------------------------------------------ *)
-(* Word-level interface (views over the contract)                      *)
-(* ------------------------------------------------------------------ *)
-
-let word_product t ~target_regex word = Contract.product t.contract ~target_regex word
-
-let word_safe_analysis t ~target_regex word =
-  Contract.safe_analysis t.contract ~target_regex word
-
-let word_possible_analysis t ~target_regex word =
-  Contract.possible_analysis t.contract ~target_regex word
-
-let word_is_safe t ~target_regex word = Contract.is_safe t.contract ~target_regex word
-
-let word_is_possible t ~target_regex word =
-  Contract.is_possible t.contract ~target_regex word
 
 (* ------------------------------------------------------------------ *)
 (* Tree-level verdicts                                                 *)
@@ -481,16 +462,6 @@ let check ?(mode = Check_safe) ?k t doc =
   { ok;
     failures;
     cache = Contract.diff_stats ~before (Contract.stats t.contract) }
-
-(* Deprecated shims over [check] (kept so existing callers build). *)
-let check_safe t doc = (check ~mode:Check_safe t doc).failures
-let check_possible t doc = (check ~mode:Check_possible t doc).failures
-
-let check_mixed t ~eager_calls ~invoker doc =
-  (check ~mode:(Check_mixed { eager_calls; invoker }) t doc).failures
-
-let is_safe t doc = (check ~mode:Check_safe t doc).ok
-let is_possible t doc = (check ~mode:Check_possible t doc).ok
 
 (* ------------------------------------------------------------------ *)
 (* Document-level minimal-k                                            *)

@@ -19,14 +19,10 @@
     re-enforced at depth k-r — at depth 1 returned forests are spliced
     in as-is (footnote 5). *)
 
-type engine = Contract.engine =
-  | Eager  (** the literal algorithm of Figure 3 *)
-  | Lazy   (** the pruned on-the-fly variant of Section 7 *)
-
 type t
 
 val create :
-  ?k:int -> ?engine:engine -> ?predicate:(string -> string -> bool) ->
+  ?k:int -> ?predicate:(string -> string -> bool) ->
   s0:Axml_schema.Schema.t -> target:Axml_schema.Schema.t -> unit -> t
 (** [k] is the rewriting depth (Definition 7, default 1); [predicate]
     answers function-pattern predicates. Compiles a private contract.
@@ -46,36 +42,6 @@ val element_regex : t -> string -> Axml_schema.Symbol.t Axml_regex.Regex.t optio
 
 val input_regex : t -> string -> Axml_schema.Symbol.t Axml_regex.Regex.t option
 (** Compiled input type of a function, from the merged environment. *)
-
-(** {1 Word level}
-
-    Thin views over the contract, kept for compatibility; new code
-    should prefer {!Contract.analyze} / {!Contract.safe_analysis} on
-    the shared contract directly.
-
-    @deprecated Use the {!Contract} entry points. *)
-
-val word_product :
-  t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
-  Axml_schema.Symbol.t list -> Product.t
-
-val word_safe_analysis :
-  t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
-  Axml_schema.Symbol.t list -> Marking.t
-(** Equivalent to {!Contract.safe_analysis} on {!contract} (cached). *)
-
-val word_possible_analysis :
-  t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
-  Axml_schema.Symbol.t list -> Possible.t
-(** Equivalent to {!Contract.possible_analysis} on {!contract} (cached). *)
-
-val word_is_safe :
-  t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
-  Axml_schema.Symbol.t list -> bool
-
-val word_is_possible :
-  t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
-  Axml_schema.Symbol.t list -> bool
 
 (** {1 Tree-level verdicts} *)
 
@@ -118,12 +84,11 @@ val failure_is_fault : failure -> bool
 
 type mode = Safe | Possible_mode
 
-(** {2 The unified static check}
+(** {2 The static check}
 
-    One entry point replaces the old [check_safe] / [check_possible] /
-    [check_mixed] triple: pick the mode, get a structured report
-    (verdict, failures, and the contract-cache activity the check
-    caused). *)
+    Pick the mode, get a structured report (verdict, failures, and the
+    contract-cache activity the check caused). Word-level questions go
+    to the {!Contract} entry points on {!contract}. *)
 
 type check_mode =
   | Check_safe       (** every children word must rewrite {e safely} *)
@@ -147,22 +112,6 @@ val check : ?mode:check_mode -> ?k:int -> t -> Document.t -> check_report
     [Check_mixed]). Default mode is [Check_safe]; [?k] overrides the
     contract's rewriting depth for this one check (verdicts at
     different depths are cached separately and never alias). *)
-
-(** {2 Deprecated shims}
-
-    Thin wrappers over {!check}, kept so existing callers build.
-    @deprecated Use {!check}. *)
-
-val check_safe : t -> Document.t -> failure list
-(** [(check ~mode:Check_safe t doc).failures]. *)
-
-val check_possible : t -> Document.t -> failure list
-val is_safe : t -> Document.t -> bool
-val is_possible : t -> Document.t -> bool
-
-val check_mixed :
-  t -> eager_calls:(string -> bool) -> invoker:Execute.invoker ->
-  Document.t -> failure list
 
 (** {1 Materialization} *)
 

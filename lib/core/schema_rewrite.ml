@@ -90,7 +90,7 @@ let fresh_name env base =
   in
   go 0
 
-let check ?(k = 1) ?(engine = Rewriter.Lazy) ?predicate ~(s0 : Schema.t)
+let check ?(k = 1) ?predicate ~(s0 : Schema.t)
     ~root ~(target : Schema.t) () : result =
   (* one merged environment for the whole check: [verdict_of_label] only
      needs it for fresh-name collision avoidance, so recompiling it per
@@ -112,16 +112,16 @@ let check ?(k = 1) ?(engine = Rewriter.Lazy) ?predicate ~(s0 : Schema.t)
          let gname = fresh_name env ("g_" ^ label) in
          let g = Schema.func gname ~input:Axml_regex.Regex.epsilon ~output:content0 in
          let s0' = Schema.add_function s0 g in
-         let rewriter =
-           Rewriter.create ~k:(k + 1) ~engine ?predicate ~s0:s0' ~target ()
+         let contract =
+           Contract.create ~k:(k + 1) ?predicate ~s0:s0' ~target ()
          in
-         (match Rewriter.element_regex rewriter label with
+         (match Contract.element_regex contract label with
           | None ->
             { label; safe = false;
               reason = Some "exchange schema content model missing" }
           | Some target_regex ->
             let word = [ Symbol.Fun gname ] in
-            if Rewriter.word_is_safe rewriter ~target_regex word then
+            if Contract.is_safe contract ~target_regex word then
               { label; safe = true; reason = None }
             else
               { label; safe = false;
@@ -135,5 +135,5 @@ let check ?(k = 1) ?(engine = Rewriter.Lazy) ?predicate ~(s0 : Schema.t)
   let verdicts = List.map verdict_of_label labels in
   { compatible = List.for_all (fun v -> v.safe) verdicts; verdicts }
 
-let compatible ?k ?engine ?predicate ~s0 ~root ~target () =
-  (check ?k ?engine ?predicate ~s0 ~root ~target ()).compatible
+let compatible ?k ?predicate ~s0 ~root ~target () =
+  (check ?k ?predicate ~s0 ~root ~target ()).compatible

@@ -24,13 +24,11 @@ val reachable_labels :
     the input/output types of the functions and patterns they mention. *)
 
 val check :
-  ?k:int -> ?engine:Rewriter.engine ->
-  ?predicate:(string -> string -> bool) ->
+  ?k:int -> ?predicate:(string -> string -> bool) ->
   s0:Axml_schema.Schema.t -> root:string ->
   target:Axml_schema.Schema.t -> unit -> result
 
 val compatible :
-  ?k:int -> ?engine:Rewriter.engine ->
-  ?predicate:(string -> string -> bool) ->
+  ?k:int -> ?predicate:(string -> string -> bool) ->
   s0:Axml_schema.Schema.t -> root:string ->
   target:Axml_schema.Schema.t -> unit -> bool

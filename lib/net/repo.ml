@@ -6,7 +6,7 @@
 
 module D = Axml_core.Document
 module Peer = Axml_peer.Peer
-module Storage = Axml_peer.Storage
+module Syntax = Axml_peer.Syntax
 
 exception Repo_error of string
 
@@ -37,11 +37,62 @@ let mkdir_p path =
   in
   go path
 
+(* Snapshot file names are percent-encoded so arbitrary repository
+   names round-trip safely. *)
+
+let is_safe_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  || c = '-' || c = '_' || c = '.'
+
+let encode_name name =
+  let buf = Buffer.create (String.length name) in
+  String.iter
+    (fun c ->
+      if is_safe_char c then Buffer.add_char buf c
+      else Buffer.add_string buf (Fmt.str "%%%02X" (Char.code c)))
+    name;
+  Buffer.contents buf
+
+let decode_name encoded =
+  let buf = Buffer.create (String.length encoded) in
+  let n = String.length encoded in
+  let rec go i =
+    if i < n then begin
+      if encoded.[i] = '%' && i + 2 < n then begin
+        (match int_of_string_opt ("0x" ^ String.sub encoded (i + 1) 2) with
+         | Some code -> Buffer.add_char buf (Char.chr code)
+         | None -> fail "bad escape in stored name %S" encoded);
+        go (i + 3)
+      end
+      else begin
+        Buffer.add_char buf encoded.[i];
+        go (i + 1)
+      end
+    end
+  in
+  go 0;
+  Buffer.contents buf
+
+let save_document ~path doc =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
+  output_string oc (Syntax.to_xml_string doc);
+  close_out oc
+
+let load_document ~path =
+  let ic = open_in_bin path in
+  let xml =
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+    really_input_string ic (in_channel_length ic)
+  in
+  try Syntax.of_xml_string xml
+  with Syntax.Syntax_error m -> fail "%s: %s" path m
+
 (* One journal record: length-prefixed repository name, then the
    document's XML wire syntax to the end of the payload. *)
 
 let encode_record name doc =
-  let xml = Axml_peer.Syntax.to_xml_string ~pretty:false doc in
+  let xml = Syntax.to_xml_string ~pretty:false doc in
   let buf = Buffer.create (String.length name + String.length xml + 4) in
   let n = String.length name in
   Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff));
@@ -73,18 +124,17 @@ let replay_snapshot t =
     try
       while true do
         let line = input_line ic in
-        match Storage.decode_name line with
-        | exception Storage.Storage_error _ -> t.skipped <- t.skipped + 1
+        match decode_name line with
+        | exception Repo_error _ -> t.skipped <- t.skipped + 1
         | name ->
           let path =
-            Filename.concat (snapshot_dir t.dir)
-              (Storage.encode_name name ^ ".xml")
+            Filename.concat (snapshot_dir t.dir) (encode_name name ^ ".xml")
           in
-          (match Storage.load_document ~path with
+          (match load_document ~path with
            | doc ->
              Peer.store t.peer name doc;
              t.recovered <- t.recovered + 1
-           | exception Storage.Storage_error _ -> t.skipped <- t.skipped + 1
+           | exception Repo_error _ -> t.skipped <- t.skipped + 1
            | exception Sys_error _ -> t.skipped <- t.skipped + 1)
       done
     with End_of_file -> ()
@@ -105,8 +155,8 @@ let replay_journal t =
        | Some payload ->
          let name, xml = decode_record payload in
          let doc =
-           try Axml_peer.Syntax.of_xml_string xml
-           with Axml_peer.Syntax.Syntax_error m ->
+           try Syntax.of_xml_string xml
+           with Syntax.Syntax_error m ->
              fail "journal record %S: %s" name m
          in
          Peer.store t.peer name doc;
@@ -144,8 +194,8 @@ let snapshot_locked t =
   let names = Peer.documents t.peer in
   List.iter
     (fun name ->
-       let path = Filename.concat snap (Storage.encode_name name ^ ".xml") in
-       Storage.save_document ~path (Peer.fetch t.peer name))
+       let path = Filename.concat snap (encode_name name ^ ".xml") in
+       save_document ~path (Peer.fetch t.peer name))
     names;
   (* The manifest is written last, fsynced, and renamed into place (with
      the directory entry fsynced too): a crash — or power cut — during
@@ -153,7 +203,7 @@ let snapshot_locked t =
      a completed rename refers to data that actually reached the disk. *)
   let tmp = manifest_path t.dir ^ ".tmp" in
   let oc = open_out tmp in
-  List.iter (fun name -> output_string oc (Storage.encode_name name ^ "\n")) names;
+  List.iter (fun name -> output_string oc (encode_name name ^ "\n")) names;
   flush oc;
   (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
   close_out oc;

@@ -51,6 +51,15 @@ val skipped : t -> int
 
 val dir : t -> string
 
+val encode_name : string -> string
+(** The snapshot file name (and MANIFEST line) of a repository name:
+    percent-encoding of every byte outside [[A-Za-z0-9._-]], so
+    arbitrary names round-trip through {!decode_name}. *)
+
+val decode_name : string -> string
+(** Inverse of {!encode_name}.
+    @raise Repo_error on a malformed escape. *)
+
 val close : t -> unit
 (** Flush and close the journal. The repository stays readable for a
     later {!attach}; using [t] after [close] raises [Repo_error]. *)

@@ -70,8 +70,16 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let untrack t fd =
-  with_lock t.conns_lock (fun () -> Hashtbl.remove t.conns fd);
+(* Untrack and close under one lock hold: [stop] either still finds the
+   connection (and joins its thread) or finds it already closed, so no
+   descriptor outlives [stop]; and since [accept_loop] registers under
+   the same lock, a reused fd number is never untracked or shut down as
+   a stranger's. *)
+let release t fd =
+  with_lock t.conns_lock (fun () ->
+      Hashtbl.remove t.conns fd;
+      (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+      (try Unix.close fd with Unix.Unix_error _ -> ()));
   Metrics.set g_connections (float_of_int (Hashtbl.length t.conns))
 
 let connections t = with_lock t.conns_lock (fun () -> Hashtbl.length t.conns)
@@ -253,14 +261,7 @@ let sniff fd =
   go ()
 
 let handle_connection t fd =
-  let finally () =
-    (* Untrack first: once the fd is closed its number can be reused, and
-       [stop] must not shut down a stranger. *)
-    untrack t fd;
-    (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-  in
-  Fun.protect ~finally @@ fun () ->
+  Fun.protect ~finally:(fun () -> release t fd) @@ fun () ->
   match sniff fd with
   | None -> ()
   | Some first ->

@@ -849,11 +849,10 @@ let test_peer_exchange_pipeline_cached () =
   check "second send: hits grew" true
     (after_two.Contract.hits > after_one.Contract.hits);
   check_int "pipeline counted both sends" 2 (Pipeline.stats p1).Pipeline.docs;
-  (* changing the enforcement config invalidates the compiled pipeline *)
-  Peer.set_enforcement sender
-    { Enforcement.default_config with Enforcement.fallback_possible = true };
+  (* changing the configuration invalidates the compiled pipeline *)
+  Peer.configure sender { Peer.default_config with Peer.fallback_possible = true };
   let p3 = Peer.exchange_pipeline sender ~exchange:schema_star2 in
-  check "invalidated after set_enforcement" true (p3 != p1)
+  check "invalidated after configure" true (p3 != p1)
 
 (* ------------------------------------------------------------------ *)
 (* Peers                                                               *)
@@ -948,19 +947,14 @@ let test_peer_configure () =
   check "fallback applied" true c.Peer.fallback_possible;
   check "configure invalidates compiled pipelines" true
     (p1 != Peer.exchange_pipeline peer ~exchange:schema_star2);
-  (* the deprecated shims are views over configure: each touches its own
-     field and preserves the rest *)
-  Peer.set_jobs peer 2;
+  (* a record update through configure touches its own field and
+     preserves the rest *)
+  Peer.configure peer
+    { (Peer.current_config peer) with Peer.resilience = Some (Resilience.create ()) };
   let c = Peer.current_config peer in
-  check_int "set_jobs only touches jobs" 3 c.Peer.k;
-  check_int "set_jobs applied" 2 c.Peer.jobs;
-  check "set_jobs keeps fallback" true c.Peer.fallback_possible;
-  Peer.set_resilience peer (Some (Resilience.create ()));
-  let c = Peer.current_config peer in
-  check_int "set_resilience keeps jobs" 2 c.Peer.jobs;
-  check "set_resilience installs the guard" true
-    (Option.is_some c.Peer.resilience);
-  check "set_resilience keeps fallback" true c.Peer.fallback_possible
+  check_int "resilience update keeps jobs" 4 c.Peer.jobs;
+  check "resilience installed" true (Option.is_some c.Peer.resilience);
+  check "resilience update keeps fallback" true c.Peer.fallback_possible
 
 let test_peer_unknown_service_fault () =
   let provider = Peer.create ~name:"p" ~schema:schema_star () in
@@ -1193,50 +1187,6 @@ let axml_qcheck =
   List.map QCheck_alcotest.to_alcotest
     [ prop_xml_schema_int_roundtrip; prop_parallel_matches_sequential ]
 
-(* ------------------------------------------------------------------ *)
-(* Persistent storage                                                  *)
-(* ------------------------------------------------------------------ *)
-
-module Storage = Axml_peer.Storage
-
-let test_storage_roundtrip () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "axml_store_test" in
-  (* fresh directory *)
-  if Sys.file_exists dir then begin
-    let rec rm path =
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-    in
-    rm dir
-  end;
-  let peer = Peer.create ~name:"publisher" ~schema:schema_star () in
-  Peer.store peer "front-page" fig2a;
-  Peer.store peer "weird name/with:stuff" (D.elem "title" [ D.data "x" ]);
-  Storage.save_peer ~dir peer;
-  let loaded = Storage.load_peer ~dir ~name:"publisher-copy" () in
-  Alcotest.(check (list string)) "documents"
-    [ "front-page"; "weird name/with:stuff" ]
-    (Peer.documents loaded);
-  check "front page intact" true (D.equal fig2a (Peer.fetch loaded "front-page"));
-  (* the reloaded schema still validates the reloaded document *)
-  let ctx = Validate.ctx (Peer.schema loaded) in
-  check "still an instance" true
-    (Validate.violations ctx (Peer.fetch loaded "front-page") = [])
-
-let test_storage_name_codec () =
-  List.iter
-    (fun name ->
-      Alcotest.(check string) name name (Storage.decode_name (Storage.encode_name name)))
-    [ "plain"; "with space"; "a/b:c%d"; ""; "\xc3\xa9t\xc3\xa9" ]
-
-let test_storage_errors () =
-  (match Storage.load_peer ~dir:"/nonexistent-dir-xyz" ~name:"x" () with
-   | exception Storage.Storage_error _ -> ()
-   | _ -> Alcotest.fail "expected Storage_error")
-
 let test_peer_select_with_predicates () =
   let peer = Peer.create ~name:"library" ~schema:schema_star () in
   Peer.store peer "listing"
@@ -1321,11 +1271,6 @@ let () =
          Alcotest.test_case "peer pipeline caching" `Quick test_peer_exchange_pipeline_cached;
          Alcotest.test_case "parallel executor config" `Quick test_parallel_executor_config;
          Alcotest.test_case "parallel shares the breaker" `Quick test_parallel_breaker_shared
-       ]);
-      ("storage",
-       [ Alcotest.test_case "save/load roundtrip" `Quick test_storage_roundtrip;
-         Alcotest.test_case "name codec" `Quick test_storage_name_codec;
-         Alcotest.test_case "errors" `Quick test_storage_errors
        ]);
       ("negotiation",
        [ Alcotest.test_case "first fit" `Quick test_negotiation_first_fit;

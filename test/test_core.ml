@@ -98,11 +98,12 @@ let newspaper_word =
   [ Symbol.Label "title"; Symbol.Label "date"; Symbol.Fun "Get_Temp";
     Symbol.Fun "TimeOut" ]
 
-let rewriter ?(engine = Rewriter.Lazy) ?(k = 1) target =
-  Rewriter.create ~k ~engine ~s0:schema_star ~target ()
+let rewriter ?(k = 1) target = Rewriter.create ~k ~s0:schema_star ~target ()
 
-let target_regex rw label =
-  match Rewriter.element_regex rw label with
+let contract target = Contract.create ~s0:schema_star ~target ()
+
+let contract_regex c label =
+  match Contract.element_regex c label with
   | Some r -> r
   | None -> Alcotest.failf "no content model for %s" label
 
@@ -125,9 +126,9 @@ let test_fork_automaton_shape () =
 (* Figures 5-6: w safely rewrites into the (**) newspaper type; the
    extracted rewriting invokes Get_Temp and keeps TimeOut. *)
 let test_safe_into_star2 () =
-  let rw = rewriter schema_star2 in
-  let regex = target_regex rw "newspaper" in
-  let analysis = Rewriter.word_safe_analysis rw ~target_regex:regex newspaper_word in
+  let c = contract schema_star2 in
+  let regex = contract_regex c "newspaper" in
+  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
   check "safe" true analysis.Marking.safe;
   let items =
     [ D.elem "title" [ D.data "t" ]; D.elem "date" [ D.data "d" ];
@@ -156,15 +157,15 @@ let test_safe_into_star2 () =
 
 (* Figures 7-8: no safe rewriting into the (***) newspaper type. *)
 let test_unsafe_into_star3 () =
-  let rw = rewriter schema_star3 in
-  let regex = target_regex rw "newspaper" in
-  check "unsafe" false (Rewriter.word_is_safe rw ~target_regex:regex newspaper_word)
+  let c = contract schema_star3 in
+  let regex = contract_regex c "newspaper" in
+  check "unsafe" false (Contract.is_safe c ~target_regex:regex newspaper_word)
 
 (* Figures 10-11: but a possible rewriting exists. *)
 let test_possible_into_star3 () =
-  let rw = rewriter schema_star3 in
-  let regex = target_regex rw "newspaper" in
-  let analysis = Rewriter.word_possible_analysis rw ~target_regex:regex newspaper_word in
+  let c = contract schema_star3 in
+  let regex = contract_regex c "newspaper" in
+  let analysis = Contract.possible_analysis c ~target_regex:regex newspaper_word in
   check "possible" true analysis.Possible.possible;
   let items =
     [ D.elem "title" [ D.data "t" ]; D.elem "date" [ D.data "d" ];
@@ -181,7 +182,7 @@ let test_possible_into_star3 () =
      in
      Alcotest.(check (list string)) "both invoked" [ "Get_Temp"; "TimeOut" ] names);
   (* TimeOut returns a performance: the attempt fails (Figure 9c) *)
-  let analysis = Rewriter.word_possible_analysis rw ~target_regex:regex newspaper_word in
+  let analysis = Contract.possible_analysis c ~target_regex:regex newspaper_word in
   (match Execute.run (Execute.Follow_possible analysis)
            (honest_invoker ~timeout_returns:`Performance) items with
    | Error Execute.No_possible_path -> ()
@@ -190,9 +191,9 @@ let test_possible_into_star3 () =
 
 (* Already-conforming words need no invocation at all. *)
 let test_already_instance () =
-  let rw = rewriter schema_star in
-  let regex = target_regex rw "newspaper" in
-  let analysis = Rewriter.word_safe_analysis rw ~target_regex:regex newspaper_word in
+  let c = contract schema_star in
+  let regex = contract_regex c "newspaper" in
+  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
   check "safe" true analysis.Marking.safe;
   let items =
     [ D.elem "title" [ D.data "t" ]; D.elem "date" [ D.data "d" ];
@@ -220,7 +221,7 @@ let test_document_not_instance_of_star2 () =
 let test_materialize_fig2_into_star2 () =
   let rw = rewriter schema_star2 in
   Alcotest.(check (list string)) "check passes" []
-    (List.map (Fmt.str "%a" Rewriter.pp_failure) (Rewriter.check_safe rw fig2a));
+    (List.map (Fmt.str "%a" Rewriter.pp_failure) (Rewriter.check rw fig2a).failures);
   match Rewriter.materialize rw ~invoker:(honest_invoker ?timeout_returns:None) fig2a with
   | Error fs ->
     Alcotest.failf "materialize failed: %a" Fmt.(list Rewriter.pp_failure) fs
@@ -235,8 +236,8 @@ let test_materialize_fig2_into_star2 () =
 
 let test_materialize_fig2_into_star3_possible () =
   let rw = rewriter schema_star3 in
-  check "not safe" false (Rewriter.is_safe rw fig2a);
-  check "possible" true (Rewriter.is_possible rw fig2a);
+  check "not safe" false (Rewriter.check rw fig2a).ok;
+  check "possible" true (Rewriter.check ~mode:Rewriter.Check_possible rw fig2a).ok;
   match Rewriter.materialize ~mode:Rewriter.Possible_mode rw
           ~invoker:(honest_invoker ~timeout_returns:`Exhibits) fig2a with
   | Error fs ->
@@ -270,7 +271,7 @@ function Get_City : #data -> city
   in
   let rw = Rewriter.create ~k:1 ~s0 ~target:schema_star2 () in
   Alcotest.(check (list string)) "check passes" []
-    (List.map (Fmt.str "%a" Rewriter.pp_failure) (Rewriter.check_safe rw doc));
+    (List.map (Fmt.str "%a" Rewriter.pp_failure) (Rewriter.check rw doc).failures);
   let invoker name params =
     match name with
     | "Get_City" -> [ D.elem "city" [ D.data "Paris" ] ]
@@ -337,7 +338,7 @@ element doc = v.w
   let rw = Rewriter.create ~k:1 ~s0 ~target () in
   let doc = D.elem "doc" [ D.call "P" [ D.data "x" ]; D.call "Q" [ D.data "y" ] ] in
   Alcotest.(check (list string)) "check passes" []
-    (List.map (Fmt.str "%a" Rewriter.pp_failure) (Rewriter.check_safe rw doc));
+    (List.map (Fmt.str "%a" Rewriter.pp_failure) (Rewriter.check rw doc).failures);
   let invoker name _ =
     match name with
     | "P" -> [ D.elem "v" [ D.data "not-a-u" ] ]  (* tree-level ill-typed *)
@@ -396,9 +397,9 @@ let test_invocation_failed_attempts () =
    Execute.run directly with an analysis that does not match the
    items. *)
 let test_zero_invocation_invariant () =
-  let rw = rewriter schema_star2 in
-  let regex = target_regex rw "newspaper" in
-  let analysis = Rewriter.word_safe_analysis rw ~target_regex:regex newspaper_word in
+  let c = contract schema_star2 in
+  let regex = contract_regex c "newspaper" in
+  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
   (* items that do not spell the analyzed word: the walk dies without
      invoking anything *)
   let items = [ D.elem "date" [ D.data "d" ] ] in
@@ -427,13 +428,13 @@ function Get_Exhibit : () -> exhibit
 
 let test_depth_k () =
   let word = [ Symbol.Fun "Get_Exhibits" ] in
-  let target rw = target_regex rw "listing" in
-  let rw1 = Rewriter.create ~k:1 ~s0:exhibits_schema ~target:exhibits_schema () in
-  check "k=1 unsafe" false (Rewriter.word_is_safe rw1 ~target_regex:(target rw1) word);
-  let rw2 = Rewriter.create ~k:2 ~s0:exhibits_schema ~target:exhibits_schema () in
-  check "k=2 safe" true (Rewriter.word_is_safe rw2 ~target_regex:(target rw2) word);
+  let target c = contract_regex c "listing" in
+  let c1 = Contract.create ~k:1 ~s0:exhibits_schema ~target:exhibits_schema () in
+  check "k=1 unsafe" false (Contract.is_safe c1 ~target_regex:(target c1) word);
+  let c2 = Contract.create ~k:2 ~s0:exhibits_schema ~target:exhibits_schema () in
+  check "k=2 safe" true (Contract.is_safe c2 ~target_regex:(target c2) word);
   (* execution at k=2: Get_Exhibits returns three Get_Exhibit calls *)
-  let analysis = Rewriter.word_safe_analysis rw2 ~target_regex:(target rw2) word in
+  let analysis = Contract.safe_analysis c2 ~target_regex:(target c2) word in
   let invoker name _ =
     match name with
     | "Get_Exhibits" -> List.init 3 (fun _ -> D.call "Get_Exhibit" [])
@@ -461,24 +462,24 @@ let test_recursive_never_safe () =
   let target = R.star (R.sym (Symbol.Label "url")) in
   List.iter
     (fun k ->
-      let rw = Rewriter.create ~k ~s0:search_schema ~target:search_schema () in
+      let c = Contract.create ~k ~s0:search_schema ~target:search_schema () in
       check (Fmt.str "k=%d unsafe" k) false
-        (Rewriter.word_is_safe rw ~target_regex:target word);
+        (Contract.is_safe c ~target_regex:target word);
       check (Fmt.str "k=%d possible" k) true
-        (Rewriter.word_is_possible rw ~target_regex:target word))
+        (Contract.is_possible c ~target_regex:target word))
     [ 1; 2; 3; 4 ]
 
 (* k = 0 means: no invocation at all; safe iff already an instance. *)
 let test_depth_zero () =
-  let rw0 = Rewriter.create ~k:0 ~s0:schema_star ~target:schema_star2 () in
-  let regex = target_regex rw0 "newspaper" in
-  check "not safe at k=0" false (Rewriter.word_is_safe rw0 ~target_regex:regex newspaper_word);
+  let c0 = Contract.create ~k:0 ~s0:schema_star ~target:schema_star2 () in
+  let regex = contract_regex c0 "newspaper" in
+  check "not safe at k=0" false (Contract.is_safe c0 ~target_regex:regex newspaper_word);
   let conforming =
     [ Symbol.Label "title"; Symbol.Label "date"; Symbol.Label "temp";
       Symbol.Fun "TimeOut" ]
   in
   check "instance is safe at k=0" true
-    (Rewriter.word_is_safe rw0 ~target_regex:regex conforming)
+    (Contract.is_safe c0 ~target_regex:regex conforming)
 
 (* ------------------------------------------------------------------ *)
 (* Restricted invocations (Section 2.1)                                *)
@@ -503,12 +504,12 @@ function TimeOut : #data -> (exhibit | performance)*
 function Get_Date : title -> date
 |})
   in
-  let rw = Rewriter.create ~k:1 ~s0:s0_restricted ~target:schema_star2 () in
-  let regex = target_regex rw "newspaper" in
+  let c = Contract.create ~k:1 ~s0:s0_restricted ~target:schema_star2 () in
+  let regex = contract_regex c "newspaper" in
   (* Get_Temp may not be invoked: no legal rewriting reaches (**) *)
-  check "unsafe" false (Rewriter.word_is_safe rw ~target_regex:regex newspaper_word);
+  check "unsafe" false (Contract.is_safe c ~target_regex:regex newspaper_word);
   check "not even possible" false
-    (Rewriter.word_is_possible rw ~target_regex:regex newspaper_word)
+    (Contract.is_possible c ~target_regex:regex newspaper_word)
 
 (* ------------------------------------------------------------------ *)
 (* Function patterns and wildcards (Section 2.1)                       *)
@@ -553,19 +554,19 @@ let test_pattern_members () =
 
 let test_pattern_in_target () =
   let s = parse_schema pattern_schema_text in
-  let rw =
-    Rewriter.create ~k:1 ~predicate:uddi_predicate ~s0:schema_star ~target:s ()
+  let c =
+    Contract.create ~k:1 ~predicate:uddi_predicate ~s0:schema_star ~target:s ()
   in
-  let regex = target_regex rw "newspaper" in
+  let regex = contract_regex c "newspaper" in
   (* The document's Get_Temp call matches the Forecast pattern, so the
      word is already an instance: safe with no invocation. *)
-  check "safe" true (Rewriter.word_is_safe rw ~target_regex:regex newspaper_word);
+  check "safe" true (Contract.is_safe c ~target_regex:regex newspaper_word);
   let doc_word_bad =
     [ Symbol.Label "title"; Symbol.Label "date"; Symbol.Fun "Bad_Signature";
       Symbol.Fun "TimeOut" ]
   in
   check "bad signature rejected" false
-    (Rewriter.word_is_safe rw ~target_regex:regex doc_word_bad)
+    (Contract.is_safe c ~target_regex:regex doc_word_bad)
 
 let test_wildcards () =
   let s =
@@ -577,14 +578,14 @@ element b = #data
 function F : #data -> a
 |}
   in
-  let rw = Rewriter.create ~k:1 ~s0:s ~target:s () in
-  let regex = target_regex rw "box" in
+  let c = Contract.create ~k:1 ~s0:s ~target:s () in
+  let regex = contract_regex c "box" in
   check "any elements ok" true
-    (Rewriter.word_is_safe rw ~target_regex:regex
+    (Contract.is_safe c ~target_regex:regex
        [ Symbol.Label "a"; Symbol.Label "b" ]);
   (* a function is not an element: must be invoked *)
   let analysis =
-    Rewriter.word_safe_analysis rw ~target_regex:regex [ Symbol.Fun "F" ]
+    Contract.safe_analysis c ~target_regex:regex [ Symbol.Fun "F" ]
   in
   check "function must be invoked" true analysis.Marking.safe;
   let outcome =
@@ -603,10 +604,10 @@ element a = #data
 function F : #data -> a
 |}
   in
-  let rw = Rewriter.create ~k:1 ~s0:s_anyfun ~target:s_anyfun () in
-  let regex = target_regex rw "box" in
+  let c = Contract.create ~k:1 ~s0:s_anyfun ~target:s_anyfun () in
+  let regex = contract_regex c "box" in
   check "anyfun keeps functions" true
-    (Rewriter.word_is_safe rw ~target_regex:regex [ Symbol.Fun "F"; Symbol.Fun "F" ])
+    (Contract.is_safe c ~target_regex:regex [ Symbol.Fun "F"; Symbol.Fun "F" ])
 
 (* ------------------------------------------------------------------ *)
 (* The mixed approach (Section 5)                                      *)
@@ -614,13 +615,16 @@ function F : #data -> a
 
 let test_mixed () =
   let rw = rewriter schema_star3 in
-  check "not safe alone" false (Rewriter.is_safe rw fig2a);
+  check "not safe alone" false (Rewriter.check rw fig2a).ok;
   (* invoking the cheap TimeOut up-front (it happens to return exhibits)
      makes the remainder safely rewritable *)
   let invoker = honest_invoker ~timeout_returns:`Exhibits in
   Alcotest.(check (list string)) "mixed check passes" []
     (List.map (Fmt.str "%a" Rewriter.pp_failure)
-       (Rewriter.check_mixed rw ~eager_calls:(String.equal "TimeOut") ~invoker fig2a));
+       (Rewriter.check
+          ~mode:(Rewriter.Check_mixed
+                   { eager_calls = String.equal "TimeOut"; invoker })
+          rw fig2a).failures);
   match Rewriter.materialize_mixed rw ~eager_calls:(String.equal "TimeOut") ~invoker fig2a with
   | Error fs -> Alcotest.failf "failed: %a" Fmt.(list Rewriter.pp_failure) fs
   | Ok (doc, invs) ->
@@ -702,23 +706,26 @@ let test_generated_outputs_validate () =
 (* Eager vs lazy engines                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Both engines run on separately built products: an analysis extends
+   its product in place, so sharing one would let the second engine
+   start from the first one's exploration. *)
+let eager_and_lazy c ~target_regex word =
+  ( Marking.analyze_eager (Contract.product c ~target_regex word),
+    Marking.analyze_lazy (Contract.product c ~target_regex word) )
+
 let test_engines_agree_on_example () =
   List.iter
     (fun target ->
-      let rw_eager = rewriter ~engine:Rewriter.Eager target in
-      let rw_lazy = rewriter ~engine:Rewriter.Lazy target in
-      let regex = target_regex rw_eager "newspaper" in
-      check "same verdict" true
-        (Rewriter.word_is_safe rw_eager ~target_regex:regex newspaper_word
-         = Rewriter.word_is_safe rw_lazy ~target_regex:regex newspaper_word))
+      let c = contract target in
+      let regex = contract_regex c "newspaper" in
+      let a_eager, a_lazy = eager_and_lazy c ~target_regex:regex newspaper_word in
+      check "same verdict" true (a_eager.Marking.safe = a_lazy.Marking.safe))
     [ schema_star; schema_star2; schema_star3 ]
 
 let test_lazy_explores_less () =
-  let rw_eager = rewriter ~engine:Rewriter.Eager schema_star3 in
-  let rw_lazy = rewriter ~engine:Rewriter.Lazy schema_star3 in
-  let regex = target_regex rw_eager "newspaper" in
-  let a_eager = Rewriter.word_safe_analysis rw_eager ~target_regex:regex newspaper_word in
-  let a_lazy = Rewriter.word_safe_analysis rw_lazy ~target_regex:regex newspaper_word in
+  let c = contract schema_star3 in
+  let regex = contract_regex c "newspaper" in
+  let a_eager, a_lazy = eager_and_lazy c ~target_regex:regex newspaper_word in
   check "lazy explores no more nodes" true
     (a_lazy.Marking.stats.Marking.explored_nodes
      <= a_eager.Marking.stats.Marking.explored_nodes)
@@ -793,15 +800,18 @@ let prop_engines_match_reference =
       let target_dfa = Auto.Dfa.complete ~alphabet target_dfa in
       let ref_safe = Exhaustive.safe ~outputs ~target_dfa ~k word in
       let ref_possible = Exhaustive.possible ~outputs ~target_dfa ~k word in
-      let rw_eager = Rewriter.create ~k ~engine:Rewriter.Eager ~s0:s ~target:s () in
-      let rw_lazy = Rewriter.create ~k ~engine:Rewriter.Lazy ~s0:s ~target:s () in
-      let eager_safe = Rewriter.word_is_safe rw_eager ~target_regex word in
-      let lazy_safe = Rewriter.word_is_safe rw_lazy ~target_regex word in
-      let possible = Rewriter.word_is_possible rw_eager ~target_regex word in
+      let c = Contract.create ~k ~s0:s ~target:s () in
+      let a_eager, a_lazy = eager_and_lazy c ~target_regex word in
+      let eager_safe = a_eager.Marking.safe and lazy_safe = a_lazy.Marking.safe in
+      let contract_safe = (Contract.safe_analysis c ~target_regex word).Marking.safe in
+      let possible = Contract.is_possible c ~target_regex word in
       if eager_safe <> ref_safe then
         QCheck.Test.fail_reportf "eager safe=%b but reference=%b" eager_safe ref_safe;
       if lazy_safe <> ref_safe then
         QCheck.Test.fail_reportf "lazy safe=%b but reference=%b" lazy_safe ref_safe;
+      if contract_safe <> eager_safe then
+        QCheck.Test.fail_reportf "Contract.safe_analysis safe=%b but eager=%b"
+          contract_safe eager_safe;
       if possible <> ref_possible then
         QCheck.Test.fail_reportf "possible=%b but reference=%b" possible ref_possible;
       true)
@@ -813,9 +823,9 @@ let prop_safe_implies_possible =
       let s = mini_schema out_f out_g in
       let env = Schema.env_of_schema s in
       let target_regex = Schema.compile_content env target in
-      let rw = Rewriter.create ~k ~s0:s ~target:s () in
-      QCheck.assume (Rewriter.word_is_safe rw ~target_regex word);
-      Rewriter.word_is_possible rw ~target_regex word)
+      let c = Contract.create ~k ~s0:s ~target:s () in
+      QCheck.assume (Contract.is_safe c ~target_regex word);
+      Contract.is_possible c ~target_regex word)
 
 (* Safe executions against adversarial (random output) services always
    succeed and always produce a word in the target language. *)
@@ -826,8 +836,8 @@ let prop_safe_execution_robust =
       let s = mini_schema out_f out_g in
       let env = Schema.env_of_schema s in
       let target_regex = Schema.compile_content env target in
-      let rw = Rewriter.create ~k ~s0:s ~target:s () in
-      let analysis = Rewriter.word_safe_analysis rw ~target_regex word in
+      let c = Contract.create ~k ~s0:s ~target:s () in
+      let analysis = Contract.safe_analysis c ~target_regex word in
       QCheck.assume analysis.Marking.safe;
       let rng = Random.State.make [| seed |] in
       let outputs fname =
@@ -888,11 +898,11 @@ function g : () -> (b | c)
       (R.seq (R.sym (Symbol.Fun "f")) (R.sym (Symbol.Label "c")))
   in
   let word = [ Symbol.Fun "f"; Symbol.Fun "g" ] in
-  let rw = Rewriter.create ~k:1 ~s0:s ~target:s () in
+  let c = Contract.create ~k:1 ~s0:s ~target:s () in
   check "engine (left-to-right): unsafe" false
-    (Rewriter.word_is_safe rw ~target_regex:target word);
+    (Contract.is_safe c ~target_regex:target word);
   check "engine (left-to-right): possible" true
-    (Rewriter.word_is_possible rw ~target_regex:target word);
+    (Contract.is_possible c ~target_regex:target word);
   let outputs = Exhaustive.outputs_of_env env in
   let target_dfa = Auto.Dfa.of_regex target in
   check "reference left-to-right agrees: unsafe" false
@@ -918,8 +928,8 @@ let prop_ltr_implies_arbitrary =
           && List.for_all (fun o -> List.length o <= 3) outs
       in
       QCheck.assume (small "f" && small "g" && List.length word <= 2 && k <= 2);
-      let rw = Rewriter.create ~k ~s0:s ~target:s () in
-      QCheck.assume (Rewriter.word_is_safe rw ~target_regex word);
+      let c = Contract.create ~k ~s0:s ~target:s () in
+      QCheck.assume (Contract.is_safe c ~target_regex word);
       let target_dfa = Auto.Dfa.of_regex target_regex in
       Exhaustive.safe_arbitrary ~outputs ~target_dfa ~k word)
 
@@ -966,9 +976,9 @@ let example_fee = function
 
 let test_cost_safe_worst () =
   (* into schema 2: the strategy invokes Get_Temp and keeps TimeOut *)
-  let rw = rewriter schema_star2 in
-  let regex = target_regex rw "newspaper" in
-  let analysis = Rewriter.word_safe_analysis rw ~target_regex:regex newspaper_word in
+  let c = contract schema_star2 in
+  let regex = contract_regex c "newspaper" in
+  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
   (match Cost.safe_worst_cost analysis ~cost:example_fee with
    | Some c -> Alcotest.(check (float 1e-9)) "worst fee" 0.1 c
    | None -> Alcotest.fail "expected a bound");
@@ -977,31 +987,31 @@ let test_cost_safe_worst () =
    | Some c -> Alcotest.(check (float 1e-9)) "one invocation" 1.0 c
    | None -> Alcotest.fail "expected a bound");
   (* into schema 1: already an instance, zero cost *)
-  let rw1 = rewriter schema_star in
-  let regex1 = target_regex rw1 "newspaper" in
-  let analysis1 = Rewriter.word_safe_analysis rw1 ~target_regex:regex1 newspaper_word in
+  let c1 = contract schema_star in
+  let regex1 = contract_regex c1 "newspaper" in
+  let analysis1 = Contract.safe_analysis c1 ~target_regex:regex1 newspaper_word in
   (match Cost.safe_worst_cost analysis1 ~cost:example_fee with
    | Some c -> Alcotest.(check (float 1e-9)) "free" 0.0 c
    | None -> Alcotest.fail "expected a bound");
   (* into schema 3: not safe at all *)
-  let rw3 = rewriter schema_star3 in
-  let regex3 = target_regex rw3 "newspaper" in
-  let analysis3 = Rewriter.word_safe_analysis rw3 ~target_regex:regex3 newspaper_word in
+  let c3 = contract schema_star3 in
+  let regex3 = contract_regex c3 "newspaper" in
+  let analysis3 = Contract.safe_analysis c3 ~target_regex:regex3 newspaper_word in
   check "unsafe has no bound" true
     (Cost.safe_worst_cost analysis3 ~cost:example_fee = None)
 
 let test_cost_possible_min () =
-  let rw3 = rewriter schema_star3 in
-  let regex3 = target_regex rw3 "newspaper" in
-  let analysis = Rewriter.word_possible_analysis rw3 ~target_regex:regex3 newspaper_word in
+  let c3 = contract schema_star3 in
+  let regex3 = contract_regex c3 "newspaper" in
+  let analysis = Contract.possible_analysis c3 ~target_regex:regex3 newspaper_word in
   (* the only hopeful path invokes both functions: 0.1 + 1.0 *)
   (match Cost.possible_min_cost analysis ~cost:example_fee with
    | Some c -> Alcotest.(check (float 1e-9)) "both fees" 1.1 c
    | None -> Alcotest.fail "expected a cost");
   (* into schema 2 the cheap path only invokes Get_Temp *)
-  let rw2 = rewriter schema_star2 in
-  let regex2 = target_regex rw2 "newspaper" in
-  let analysis2 = Rewriter.word_possible_analysis rw2 ~target_regex:regex2 newspaper_word in
+  let c2 = contract schema_star2 in
+  let regex2 = contract_regex c2 "newspaper" in
+  let analysis2 = Contract.possible_analysis c2 ~target_regex:regex2 newspaper_word in
   (match Cost.possible_min_cost analysis2 ~cost:example_fee with
    | Some c -> Alcotest.(check (float 1e-9)) "cheap path" 0.1 c
    | None -> Alcotest.fail "expected a cost")
@@ -1019,28 +1029,28 @@ function F : () -> G*
 function G : () -> a
 |}
   in
-  let rw = Rewriter.create ~k:2 ~s0:s ~target:s () in
+  let c = Contract.create ~k:2 ~s0:s ~target:s () in
   let target = R.star (R.sym (Symbol.Label "a")) in
-  let analysis = Rewriter.word_safe_analysis rw ~target_regex:target [ Symbol.Fun "F" ] in
+  let analysis = Contract.safe_analysis c ~target_regex:target [ Symbol.Fun "F" ] in
   check "safe" true analysis.Marking.safe;
   (match Cost.safe_worst_cost analysis ~cost:(fun _ -> 1.) with
    | Some c -> check "unbounded worst case" true (c = Float.infinity)
    | None -> Alcotest.fail "expected a (infinite) bound");
   (* the optimistic cost is finite: F may return zero handles *)
-  let poss = Rewriter.word_possible_analysis rw ~target_regex:target [ Symbol.Fun "F" ] in
+  let poss = Contract.possible_analysis c ~target_regex:target [ Symbol.Fun "F" ] in
   (match Cost.possible_min_cost poss ~cost:(fun _ -> 1.) with
    | Some c -> Alcotest.(check (float 1e-9)) "one call suffices optimistically" 1.0 c
    | None -> Alcotest.fail "expected a cost")
 
 let test_cost_keep_is_free () =
   (* when the target accepts the function symbol, keeping it costs 0 *)
-  let rw = rewriter schema_star in
-  let regex = target_regex rw "newspaper" in
-  let analysis = Rewriter.word_safe_analysis rw ~target_regex:regex newspaper_word in
+  let c = contract schema_star in
+  let regex = contract_regex c "newspaper" in
+  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
   (match Cost.safe_worst_cost analysis ~cost:example_fee with
    | Some c -> Alcotest.(check (float 1e-9)) "free" 0.0 c
    | None -> Alcotest.fail "expected a bound");
-  let poss = Rewriter.word_possible_analysis rw ~target_regex:regex newspaper_word in
+  let poss = Contract.possible_analysis c ~target_regex:regex newspaper_word in
   match Cost.possible_min_cost poss ~cost:example_fee with
   | Some c -> Alcotest.(check (float 1e-9)) "free" 0.0 c
   | None -> Alcotest.fail "expected a cost"
@@ -1074,10 +1084,10 @@ let total_fee outcome =
     0. outcome.Execute.invocations
 
 let test_cost_guided_execution () =
-  let rw = Rewriter.create ~k:1 ~s0:tradeoff_schema ~target:tradeoff_schema () in
-  let regex = target_regex rw "doc" in
+  let c = Contract.create ~k:1 ~s0:tradeoff_schema ~target:tradeoff_schema () in
+  let regex = contract_regex c "doc" in
   let word = D.word tradeoff_items in
-  let analysis = Rewriter.word_safe_analysis rw ~target_regex:regex word in
+  let analysis = Contract.safe_analysis c ~target_regex:regex word in
   check "safe" true analysis.Marking.safe;
   (* the best strategy only ever pays for F *)
   (match Cost.safe_worst_cost analysis ~cost:tradeoff_fee with
@@ -1088,7 +1098,7 @@ let test_cost_guided_execution () =
    | Ok outcome -> Alcotest.(check (float 1e-9)) "greedy pays 10" 10.0 (total_fee outcome)
    | Error e -> Alcotest.failf "execution failed: %a" Execute.pp_failure e);
   (* the cost-guided order follows the optimal plan *)
-  let poss = Rewriter.word_possible_analysis rw ~target_regex:regex word in
+  let poss = Contract.possible_analysis c ~target_regex:regex word in
   (match Cost.possible_min_cost poss ~cost:tradeoff_fee with
    | Some c -> Alcotest.(check (float 1e-9)) "optimal plan" 1.0 c
    | None -> Alcotest.fail "expected a cost");
@@ -1108,12 +1118,12 @@ let prop_safe_worst_at_least_possible_min =
       let s = mini_schema out_f out_g in
       let env = Schema.env_of_schema s in
       let target_regex = Schema.compile_content env target in
-      let rw = Rewriter.create ~k ~s0:s ~target:s () in
-      let analysis = Rewriter.word_safe_analysis rw ~target_regex word in
+      let c = Contract.create ~k ~s0:s ~target:s () in
+      let analysis = Contract.safe_analysis c ~target_regex word in
       QCheck.assume analysis.Marking.safe;
       let fee = function "f" -> 1.0 | "g" -> 3.0 | _ -> 10.0 in
       let worst = Cost.safe_worst_cost analysis ~cost:fee in
-      let poss = Rewriter.word_possible_analysis rw ~target_regex word in
+      let poss = Contract.possible_analysis c ~target_regex word in
       let best = Cost.possible_min_cost poss ~cost:fee in
       match worst, best with
       | Some w, Some b -> b <= w +. 1e-9
@@ -1163,7 +1173,7 @@ let prop_schema_compat_sound =
       | exception Generate.Generation_failed _ -> true
       | doc ->
         let rw = Rewriter.create ~k:1 ~s0 ~target () in
-        match Rewriter.check_safe rw doc with
+        match (Rewriter.check rw doc).failures with
         | [] -> true
         | fs ->
           QCheck.Test.fail_reportf "doc %a not safe: %a" D.pp doc
@@ -1188,7 +1198,7 @@ let prop_tree_materialization_sound =
       | exception Generate.Generation_failed _ -> true
       | doc ->
         let rw = Rewriter.create ~k:1 ~s0 ~target () in
-        QCheck.assume (Rewriter.check_safe rw doc = []);
+        QCheck.assume ((Rewriter.check rw doc).failures = []);
         let env = Schema.env_of_schemas s0 target in
         let oracle = Generate.create ~seed:(seed + 1) ~env ~max_depth:16 s0 in
         let invoker name _params = Generate.output_instance oracle name in
@@ -1205,15 +1215,8 @@ let prop_tree_materialization_sound =
                 Fmt.(list Validate.pp_violation) vs)))
 
 (* ------------------------------------------------------------------ *)
-(* Compiled contracts: memo table, counters, eviction, shims           *)
+(* Compiled contracts: memo table, counters, eviction                  *)
 (* ------------------------------------------------------------------ *)
-
-let contract target = Contract.create ~s0:schema_star ~target ()
-
-let contract_regex c label =
-  match Contract.element_regex c label with
-  | Some r -> r
-  | None -> Alcotest.failf "no content model for %s" label
 
 let test_contract_verdicts () =
   let c2 = contract schema_star2 in
@@ -1288,19 +1291,18 @@ let test_contract_eviction () =
   check_int "two evictions" 2 s.Contract.evictions;
   check_int "bounded residency" 1 s.Contract.entries
 
-let test_rewriter_shims_cached () =
-  let rw = rewriter schema_star2 in
-  let regex = target_regex rw "newspaper" in
-  let a1 = Rewriter.word_safe_analysis rw ~target_regex:regex newspaper_word in
-  let a2 = Rewriter.word_safe_analysis rw ~target_regex:regex newspaper_word in
+let test_word_analyses_cached () =
+  let c = contract schema_star2 in
+  let regex = contract_regex c "newspaper" in
+  let a1 = Contract.safe_analysis c ~target_regex:regex newspaper_word in
+  let a2 = Contract.safe_analysis c ~target_regex:regex newspaper_word in
   check "same analysis object returned" true (a1 == a2);
-  let s = Contract.stats (Rewriter.contract rw) in
-  check_int "shim hit recorded" 1 s.Contract.hits;
-  check "word_is_safe agrees" true
-    (Rewriter.word_is_safe rw ~target_regex:regex newspaper_word);
-  let p1 = Rewriter.word_possible_analysis rw ~target_regex:regex newspaper_word in
-  let p2 = Rewriter.word_possible_analysis rw ~target_regex:regex newspaper_word in
-  check "possible analysis cached too" true (p1 == p2)
+  check_int "hit recorded" 1 (Contract.stats c).Contract.hits;
+  check "is_safe agrees" true (Contract.is_safe c ~target_regex:regex newspaper_word);
+  let p1 = Contract.possible_analysis c ~target_regex:regex newspaper_word in
+  let p2 = Contract.possible_analysis c ~target_regex:regex newspaper_word in
+  check "possible analysis cached too" true (p1 == p2);
+  check_int "possible hit recorded" 3 (Contract.stats c).Contract.hits
 
 let test_unified_check_report () =
   let rw = rewriter schema_star2 in
@@ -1311,17 +1313,12 @@ let test_unified_check_report () =
   let r2 = Rewriter.check rw fig2a in
   check "warm check misses nothing" true (r2.Rewriter.cache.Contract.misses = 0);
   check "warm check hits" true (r2.Rewriter.cache.Contract.hits > 0);
-  check "check_safe shim" true (Rewriter.check_safe rw fig2a = []);
-  check "is_safe shim" true (Rewriter.is_safe rw fig2a);
   let rw3 = rewriter schema_star3 in
   let r3 = Rewriter.check ~mode:Rewriter.Check_possible rw3 fig2a in
   check "possible into (***)" true r3.Rewriter.ok;
-  check "is_possible shim" true (Rewriter.is_possible rw3 fig2a);
   let r3s = Rewriter.check ~mode:Rewriter.Check_safe rw3 fig2a in
   check "not safe into (***)" false r3s.Rewriter.ok;
-  check "failures reported" true (r3s.Rewriter.failures <> []);
-  check "shim equals report failures" true
-    (Rewriter.check_safe rw3 fig2a = r3s.Rewriter.failures)
+  check "failures reported" true (r3s.Rewriter.failures <> [])
 
 let test_check_mixed_mode () =
   let rw = rewriter schema_star3 in
@@ -1333,12 +1330,7 @@ let test_check_mixed_mode () =
                  invoker = honest_invoker ~timeout_returns:`Exhibits })
       rw fig2a
   in
-  check "mixed check passes" true r.Rewriter.ok;
-  check "shim agrees" true
-    (Rewriter.check_mixed rw
-       ~eager_calls:(fun n -> n = "TimeOut" || n = "Get_Temp")
-       ~invoker:(honest_invoker ~timeout_returns:`Exhibits) fig2a
-     = [])
+  check "mixed check passes" true r.Rewriter.ok
 
 let test_shared_contract () =
   let c = contract schema_star2 in
@@ -1363,9 +1355,9 @@ let prop_contract_cache_transparent =
       let cold_possible = Contract.is_possible shared ~target_regex word in
       let warm_safe = Contract.is_safe shared ~target_regex word in
       let warm_possible = Contract.is_possible shared ~target_regex word in
-      let fresh = Rewriter.create ~k ~s0:s ~target:s () in
-      let fresh_safe = Rewriter.word_is_safe fresh ~target_regex word in
-      let fresh_possible = Rewriter.word_is_possible fresh ~target_regex word in
+      let fresh = Contract.create ~k ~s0:s ~target:s () in
+      let fresh_safe = Contract.is_safe fresh ~target_regex word in
+      let fresh_possible = Contract.is_possible fresh ~target_regex word in
       if cold_safe <> fresh_safe || warm_safe <> fresh_safe then
         QCheck.Test.fail_reportf "safe: cold=%b warm=%b fresh=%b" cold_safe
           warm_safe fresh_safe;
@@ -1635,7 +1627,7 @@ let () =
          Alcotest.test_case "unknown contexts" `Quick test_contract_unknown_context;
          Alcotest.test_case "hit/miss counters" `Quick test_contract_counters;
          Alcotest.test_case "FIFO eviction" `Quick test_contract_eviction;
-         Alcotest.test_case "word shims are cached" `Quick test_rewriter_shims_cached;
+         Alcotest.test_case "word shims are cached" `Quick test_word_analyses_cached;
          Alcotest.test_case "unified check report" `Quick test_unified_check_report;
          Alcotest.test_case "mixed check mode" `Quick test_check_mixed_mode;
          Alcotest.test_case "shared contract" `Quick test_shared_contract;

@@ -595,6 +595,12 @@ let test_repo_odd_names () =
   check "odd name round-trips" true (D.equal doc (Peer.fetch reborn name));
   Repo.close repo2
 
+let test_repo_name_codec () =
+  List.iter
+    (fun name ->
+      Alcotest.(check string) name name (Repo.decode_name (Repo.encode_name name)))
+    [ "plain"; "with space"; "a/b:c%d"; ""; "\xc3\xa9t\xc3\xa9" ]
+
 (* A damaged snapshot must not take recovery down with it: garbage
    manifest lines and listed-but-missing files are skipped and counted,
    while every intact snapshot document and the journal suffix come
@@ -710,5 +716,6 @@ let () =
          Alcotest.test_case "torn tail" `Quick test_repo_torn_tail;
          Alcotest.test_case "compaction" `Quick test_repo_compaction;
          Alcotest.test_case "odd repository names" `Quick test_repo_odd_names;
+         Alcotest.test_case "name codec" `Quick test_repo_name_codec;
          Alcotest.test_case "garbage manifest" `Quick test_repo_garbage_manifest ]);
       ("http", [ Alcotest.test_case "routes" `Quick test_http_routes ]) ]
