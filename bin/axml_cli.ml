@@ -332,14 +332,10 @@ let batch_cmd =
                  ~breaker_threshold ())
             ()
         in
-        let executor =
-          if jobs <= 1 then Enforcement.Sequential
-          else Enforcement.Parallel { jobs }
-        in
         let config =
           { Enforcement.default_config with
             Enforcement.k; fallback_possible = possible;
-            resilience = Some resilience; executor; track_min_k = min_k }
+            resilience = Some resilience; jobs; track_min_k = min_k }
         in
         let pipeline = Enforcement.Pipeline.create ~config ~s0 ~exchange ~invoker () in
         let failed = ref 0 in
@@ -354,20 +350,20 @@ let batch_cmd =
             outcomes := (path, result) :: !outcomes;
             Report.print_outcome ~ppf:Fmt.stderr ~label:path result
         in
-        (match executor with
-         | Enforcement.Sequential ->
-           (* stream: enforce and report one document at a time *)
-           List.iter
-             (fun path ->
-               let doc = load_document path in
-               report path (Enforcement.Pipeline.enforce pipeline doc))
-             doc_paths
-         | Enforcement.Parallel _ ->
-           (* batch: results come back in input order, so the report
-              reads exactly like the sequential one *)
-           let docs = List.map load_document doc_paths in
-           let results, _batch = Enforcement.Pipeline.enforce_many pipeline docs in
-           List.iter2 report doc_paths results);
+        if jobs <= 1 then
+          (* stream: enforce and report one document at a time *)
+          List.iter
+            (fun path ->
+              let doc = load_document path in
+              report path (Enforcement.Pipeline.enforce pipeline doc))
+            doc_paths
+        else begin
+          (* batch: results come back in input order, so the report
+             reads exactly like the streamed one *)
+          let docs = List.map load_document doc_paths in
+          let results, _batch = Enforcement.Pipeline.enforce_many pipeline docs in
+          List.iter2 report doc_paths results
+        end;
         let stats = Enforcement.Pipeline.stats pipeline in
         (match format with
          | `Text -> ()
@@ -663,10 +659,6 @@ let serve_cmd =
            ~doc:"Persist the repository under $(docv) (journal + \
                  snapshots); recovered on restart.")
   in
-  let jobs_arg =
-    Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N"
-           ~doc:"Domains for batch enforcement on this peer.")
-  in
   let name_srv_arg =
     Arg.(value & opt string "axml" & info [ "name" ] ~docv:"NAME"
            ~doc:"The peer's name (answered to pings).")
@@ -685,7 +677,7 @@ let serve_cmd =
                    are answered with an $(b,overloaded) error (admission \
                    control), never queued.")
   in
-  let run name schema_path dir host port k possible jobs oracle
+  let run name schema_path dir host port k possible oracle
       max_connections max_in_flight =
     wrap (fun () ->
         let schema = load_schema schema_path in
@@ -715,7 +707,7 @@ let serve_cmd =
              (Schema.function_names schema));
         Axml_peer.Peer.configure peer
           { Axml_peer.Peer.default_config with
-            Axml_peer.Peer.k; fallback_possible = possible; jobs };
+            Axml_peer.Peer.k; fallback_possible = possible };
         let repo = Option.map (fun dir -> Axml_net.Repo.attach ~dir peer) dir in
         let endpoint = Axml_net.Endpoint.create ?repo peer in
         let config =
@@ -751,7 +743,7 @@ let serve_cmd =
              the chosen oracle. Stops gracefully on SIGINT/SIGTERM.")
     Term.(const run $ name_srv_arg $ schema $ dir_arg $ host_arg
           $ port_arg ~default:7411 "Port to listen on (0 = ephemeral)."
-          $ k_arg $ possible_arg $ jobs_arg $ oracle_arg
+          $ k_arg $ possible_arg $ oracle_arg
           $ max_connections_arg $ max_in_flight_arg)
 
 let call_cmd =

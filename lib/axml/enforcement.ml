@@ -11,8 +11,7 @@
    exchange) pair is enforced against streams of documents. [Pipeline]
    compiles the pair once — validation context + exchange contract —
    and amortizes all static analysis across the stream; the one-shot
-   [enforce] keeps working for single documents and accepts a prebuilt
-   rewriter so even one-off callers can reuse a compiled contract. *)
+   [enforce] keeps working for single documents. *)
 
 module Schema = Axml_schema.Schema
 module Document = Axml_core.Document
@@ -73,12 +72,6 @@ let m_min_k ~kind ~k =
    CPU time — blind to service waits and summed across domains. *)
 let wall () = Metrics.now Metrics.default
 
-type executor =
-  | Sequential
-  | Parallel of { jobs : int }
-      (* shard batches across [jobs] OCaml domains; results keep input
-         order. Invokers must be thread-safe (see mli). *)
-
 type config = {
   k : int;
   fallback_possible : bool;
@@ -92,8 +85,9 @@ type config = {
        contract carrying error-level lint diagnostics precludes every
        document; a document whose calls lint at error level is
        precluded individually *)
-  executor : executor;
-    (* how [Pipeline.enforce_many] runs a batch *)
+  jobs : int;
+    (* domains [Pipeline.enforce_many] shards a batch across; [<= 1]
+       spawns none. Invokers must be thread-safe (see mli). *)
   track_min_k : bool;
     (* per accepted/checked document, also search for the smallest
        depth at which it would enforce (Rewriter.minimal_k) and surface
@@ -108,7 +102,7 @@ let default_config = {
   eager_calls = None;
   resilience = None;
   lint_gate = false;
-  executor = Sequential;
+  jobs = 1;
   track_min_k = false;
 }
 
@@ -168,8 +162,6 @@ let of_rewriter rw =
 let compile ?predicate ~config ~s0 ~exchange () =
   of_rewriter
     (Rewriter.create ~k:config.k ?predicate ~s0 ~target:exchange ())
-
-let compile_of_rewriter = of_rewriter
 
 let classify fs =
   (* a fault is the environment's problem, never a verdict on the
@@ -346,19 +338,13 @@ let enforce_compiled ~config ~compiled ~(invoker : Execute.invoker)
   result
 
 (* Enforce [exchange] on [doc]. [s0] is the local schema (it brings the
-   WSDL declarations of the functions the document may embed). When
-   [rewriter] is given, its compiled contract is reused (and must have
-   been built for the same schema pair — [s0]/[exchange] are then only
-   trusted, not recompiled). *)
-let enforce ?(config = default_config) ?predicate ?rewriter ~s0 ~exchange
+   WSDL declarations of the functions the document may embed). *)
+let enforce ?(config = default_config) ?predicate ~s0 ~exchange
     ~(invoker : Execute.invoker) (doc : Document.t) :
     (Document.t * report, error) result =
-  let compiled =
-    match rewriter with
-    | Some rw -> compile_of_rewriter rw
-    | None -> compile ?predicate ~config ~s0 ~exchange ()
-  in
-  enforce_compiled ~config ~compiled ~invoker doc
+  enforce_compiled ~config
+    ~compiled:(compile ?predicate ~config ~s0 ~exchange ())
+    ~invoker doc
 
 (* ------------------------------------------------------------------ *)
 (* Batch enforcement over document streams                             *)
@@ -434,7 +420,7 @@ module Pipeline = struct
   (* [config.k] is ignored here: the contract fixes it. *)
   let of_contract ?(config = default_config) ~invoker contract =
     make ~config
-      ~compiled:(compile_of_rewriter (Rewriter.of_contract contract))
+      ~compiled:(of_rewriter (Rewriter.of_contract contract))
       ~invoker
 
   type min_k_stats = {
@@ -514,26 +500,9 @@ module Pipeline = struct
       s.docs_per_s Contract.pp_stats s.cache Resilience.pp_stats s.resilience
       pp_min_k s.min_k
 
-  let reset_stats (t : t) =
-    t.p_docs <- 0;
-    t.p_conformed <- 0;
-    t.p_rewritten <- 0;
-    t.p_rewritten_possible <- 0;
-    t.p_rejected <- 0;
-    t.p_attempt_failed <- 0;
-    t.p_faults <- 0;
-    t.p_precluded <- 0;
-    t.p_invocations <- 0;
-    t.p_elapsed <- 0.;
-    t.p_cache_base <- cache_total t;
-    t.p_resilience_base <- resilience_total t.p_config;
-    Hashtbl.reset t.p_min_k;
-    t.p_min_k_unbounded <- 0;
-    t.p_min_k_measured <- 0
-
-  (* Outcome bookkeeping shared by the sequential and parallel paths.
-     Only the main domain tallies: parallel workers hand their results
-     back first, so these plain mutable fields never race. *)
+  (* Outcome bookkeeping shared by [enforce] and [enforce_many]. Only
+     the main domain tallies: batch workers hand their results back
+     first, so these plain mutable fields never race. *)
   let tally t result =
     t.p_docs <- t.p_docs + 1;
     (match result with
@@ -629,12 +598,6 @@ module Pipeline = struct
         Resilience.diff_stats ~before:before.resilience after.resilience;
       min_k = diff_min_k ~before:before.min_k after.min_k }
 
-  let enforce_many_seq t docs =
-    let before = stats t in
-    Metrics.set m_jobs 1.;
-    let results = List.map (enforce t) docs in
-    (results, diff_batch ~before (stats t))
-
   (* Grow the clone pool to at least [n] private compiled artifacts.
      Each clone shares the immutable compiled schemas but owns its
      analysis cache, products and validation memos, so a worker domain
@@ -647,12 +610,18 @@ module Pipeline = struct
           (Array.init (n - have) (fun _ ->
                of_rewriter (Rewriter.of_contract (Contract.clone (contract t)))))
 
-  let enforce_parallel t ~jobs docs =
+  (* The one batch path, for every [config.jobs]: worker 0 runs on the
+     calling domain with the shared compiled artifacts, workers
+     1..jobs-1 on fresh domains with their own clone; with [jobs <= 1]
+     no domain is spawned. [elapsed_s] covers the whole call — workers,
+     the minimal-k search and the tally. *)
+  let enforce_many t docs =
+    let before = stats t in
+    let started = wall () in
     let docs = Array.of_list docs in
     let n = Array.length docs in
     (* never spawn more domains than there are documents *)
-    let jobs = max 1 (min jobs (max 1 n)) in
-    let before = stats t in
+    let jobs = max 1 (min t.p_config.jobs n) in
     Metrics.set m_jobs (float_of_int jobs);
     ensure_clones t (jobs - 1);
     let results = Array.make n None in
@@ -677,16 +646,11 @@ module Pipeline = struct
       in
       loop ()
     in
-    let started = wall () in
-    (* workers 1..jobs-1 run on fresh domains with their own clone;
-       worker 0 runs right here with the shared compiled artifacts *)
     let spawned =
-      Array.init (jobs - 1) (fun i ->
-          Domain.spawn (worker t.p_clones.(i)))
+      Array.init (jobs - 1) (fun i -> Domain.spawn (worker t.p_clones.(i)))
     in
     worker t.p_compiled ();
     Array.iter Domain.join spawned;
-    t.p_elapsed <- t.p_elapsed +. (wall () -. started);
     (* deterministic in-order assembly: slot [i] belongs to input [i].
        Minimal-k observation happens here on the main domain (the
        shared contract's k-keyed cache answers most of it). *)
@@ -702,12 +666,6 @@ module Pipeline = struct
              | None -> assert false (* every index below [n] was claimed *))
            results)
     in
+    t.p_elapsed <- t.p_elapsed +. (wall () -. started);
     (results, diff_batch ~before (stats t))
-
-  let enforce_many t docs =
-    match t.p_config.executor with
-    | Sequential -> enforce_many_seq t docs
-    | Parallel { jobs } -> enforce_parallel t ~jobs docs
-
-  let enforce_seq t docs = Seq.map (enforce t) docs
 end

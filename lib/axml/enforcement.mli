@@ -8,21 +8,14 @@
     exchange) pair is enforced against streams of documents. {!Pipeline}
     compiles the pair once (validation context + exchange
     {!Axml_core.Contract}) and amortizes the static analysis across the
-    stream; {!enforce} stays as the one-shot entry point and accepts a
-    prebuilt rewriter for callers that manage their own contracts. *)
+    stream; {!enforce} stays as the one-shot entry point.
 
-type executor =
-  | Sequential  (** one document after another, on the calling domain *)
-  | Parallel of { jobs : int }
-    (** shard each batch across [jobs] OCaml domains (clamped to at
-        least 1, and to the batch size). Results keep input order.
-        {b The invoker must be thread-safe}: workers call it
-        concurrently. The built-in {!Axml_services.Oracle} behaviours
-        and {!Axml_services.Registry.invoke} are; a hand-rolled invoker
-        closing over unguarded mutable state is not. *)
+    {!config} is the one enforcement configuration: a pipeline, a peer
+    ([Peer.config] re-exports this record) and a served peer are all
+    set up with it. *)
 
 type config = {
-  k : int;
+  k : int;  (** maximum rewriting depth (Definition 7) *)
   fallback_possible : bool;
     (** attempt a possible rewriting when no safe one exists *)
   eager_calls : (string -> bool) option;
@@ -36,9 +29,16 @@ type config = {
         error-level diagnostics precludes every document; a document
         whose calls lint at error level is precluded individually.
         Warnings and hints never block. *)
-  executor : executor;
-    (** how {!Pipeline.enforce_many} runs a batch (default
-        {!Sequential}) *)
+  jobs : int;
+    (** OCaml domains {!Pipeline.enforce_many} shards a batch across
+        (clamped to the batch size); [<= 1] means sequential on the
+        calling domain. Results keep input order either way.
+        {b With [jobs > 1] the invoker must be thread-safe}: workers
+        call it concurrently. The built-in {!Axml_services.Oracle}
+        behaviours and {!Axml_services.Registry.invoke} are; a
+        hand-rolled invoker closing over unguarded mutable state is
+        not. Single-document calls ({!Pipeline.enforce}, a peer's
+        sends and serves) ignore it. *)
   track_min_k : bool;
     (** also search, per document, for the smallest rewriting depth at
         which its static check would pass ({!Axml_core.Rewriter.minimal_k},
@@ -51,7 +51,7 @@ type config = {
 
 val default_config : config
 (** [k = 1], no fallback, no eager calls, no resilience
-    guard, no lint gate, sequential executor, no min-k tracking. *)
+    guard, no lint gate, sequential ([jobs = 1]), no min-k tracking. *)
 
 type action =
   | Conformed           (** already an instance, nothing invoked *)
@@ -84,16 +84,12 @@ val pp_error : error Fmt.t
 
 val enforce :
   ?config:config -> ?predicate:(string -> string -> bool) ->
-  ?rewriter:Axml_core.Rewriter.t ->
   s0:Axml_schema.Schema.t -> exchange:Axml_schema.Schema.t ->
   invoker:Axml_core.Execute.invoker -> Axml_core.Document.t ->
   (Axml_core.Document.t * report, error) result
-(** One-shot enforcement. Without [rewriter], the schema pair is
-    compiled from scratch on every call; pass [rewriter] (built for the
-    {e same} [s0]/[exchange]/[predicate], e.g. via
-    {!Axml_core.Rewriter.of_contract}) to reuse a compiled contract —
-    [config.k] is then taken from the contract, and [s0]/[exchange] are
-    trusted to match it. For whole streams, prefer {!Pipeline}. *)
+(** One-shot enforcement: the schema pair is compiled from scratch on
+    every call. For whole streams, or to reuse a compiled contract
+    ({!Pipeline.of_contract}), use {!Pipeline}. *)
 
 (** {1 Batch enforcement}
 
@@ -154,8 +150,8 @@ module Pipeline : sig
     invocations : int;
     elapsed_s : float;
       (** wall-clock seconds spent enforcing (the injectable
-          [Axml_obs.Metrics] clock); for a parallel batch this is the
-          batch's wall time, not the per-domain sum *)
+          [Axml_obs.Metrics] clock); for a batch this is the whole
+          call's wall time, not the per-domain sum *)
     docs_per_s : float;
     cache : Axml_core.Contract.stats;  (** contract-cache activity *)
     cache_hit_rate : float;
@@ -172,37 +168,21 @@ module Pipeline : sig
   val enforce_many :
     t -> Axml_core.Document.t list ->
     (Axml_core.Document.t * report, error) result list * stats
-  (** Enforce a batch; the returned stats cover exactly this batch.
-      Dispatches on [config.executor]: {!Sequential} enforces in order
-      on the calling domain, [Parallel {jobs}] behaves like
-      {!enforce_parallel}. *)
-
-  val enforce_parallel :
-    t -> jobs:int -> Axml_core.Document.t list ->
-    (Axml_core.Document.t * report, error) result list * stats
-  (** Enforce a batch on [jobs] domains (clamped to at least 1 and to
-      the batch size): documents are claimed in chunks off an atomic
-      cursor, each worker domain enforces against its own
-      {!Axml_core.Contract.clone} of the compiled artifacts (worker 0
+  (** Enforce a batch on [config.jobs] domains (clamped to at least 1
+      and to the batch size; with one, no domain is spawned): documents
+      are claimed in chunks off an atomic cursor, each extra worker
+      domain enforces against its own {!Axml_core.Contract.clone} of
+      the compiled artifacts (worker 0 runs on the calling domain and
       reuses the shared ones), and results are assembled in input
-      order — for deterministic services the result list is identical
-      to the sequential one. Clones persist on the pipeline, so
-      repeated batches keep their analysis caches warm; {!stats}
-      reports the shared cache plus all clones, and [elapsed_s] grows
-      by the batch's wall time. The pipeline's invoker (and
-      [config.resilience] guard) are shared across workers — the
-      invoker must be thread-safe, and a circuit breaker opened by one
-      domain short-circuits the others. *)
-
-  val enforce_seq :
-    t -> Axml_core.Document.t Seq.t ->
-    (Axml_core.Document.t * report, error) result Seq.t
-  (** Lazy element-wise enforcement of a stream; counters accumulate as
-      the result sequence is consumed. *)
+      order — for deterministic services the result list is the one a
+      per-document {!enforce} loop returns. The returned stats cover
+      exactly this batch, and [elapsed_s] its whole wall time. Clones
+      persist on the pipeline, so repeated batches keep their analysis
+      caches warm; {!stats} reports the shared cache plus all clones.
+      The pipeline's invoker (and [config.resilience] guard) are shared
+      across workers — the invoker must be thread-safe, and a circuit
+      breaker opened by one domain short-circuits the others. *)
 
   val stats : t -> stats
-  (** Cumulative since creation (or the last {!reset_stats}). *)
-
-  val reset_stats : t -> unit
-  (** Zero the counters (cached analyses stay resident). *)
+  (** Cumulative since creation. *)
 end

@@ -70,38 +70,19 @@ type io_compiled = {
 
 type serve_compiled = { sc_params : io_compiled; sc_result : io_compiled }
 
-(* One record for every tunable of the peer, applied through
-   [configure]. *)
-type config = {
+(* The peer's tunables are the enforcement config itself, applied
+   through [configure]; re-exported so [Peer.k] etc. name its fields. *)
+type config = Enforcement.config = {
   k : int;
   fallback_possible : bool;
   eager_calls : (string -> bool) option;
-  lint_gate : bool;
   resilience : Axml_services.Resilience.t option;
+  lint_gate : bool;
   jobs : int;
   track_min_k : bool;
 }
 
-let default_config =
-  let e = Enforcement.default_config in
-  { k = e.Enforcement.k;
-    fallback_possible = e.Enforcement.fallback_possible;
-    eager_calls = e.Enforcement.eager_calls;
-    lint_gate = e.Enforcement.lint_gate;
-    resilience = e.Enforcement.resilience;
-    jobs = 1;
-    track_min_k = e.Enforcement.track_min_k }
-
-let enforcement_of_config (c : config) : Enforcement.config =
-  { Enforcement.k = c.k;
-    fallback_possible = c.fallback_possible;
-    eager_calls = c.eager_calls;
-    lint_gate = c.lint_gate;
-    resilience = c.resilience;
-    executor =
-      (if c.jobs <= 1 then Enforcement.Sequential
-       else Enforcement.Parallel { jobs = c.jobs });
-    track_min_k = c.track_min_k }
+let default_config = Enforcement.default_config
 
 type t = {
   name : string;
@@ -252,7 +233,7 @@ let exchange_pipeline t ~exchange =
     (fun t v -> t.send_pipelines <- v)
     exchange
     (fun () ->
-      Enforcement.Pipeline.create ~config:(enforcement_of_config t.config)
+      Enforcement.Pipeline.create ~config:t.config
         ~s0:t.schema ~exchange ~invoker:(Registry.invoker t.registry) ())
 
 (* Contract-level lint for an exchange agreement, served from the cached
@@ -426,15 +407,13 @@ type exchange_outcome = {
 (* Send [doc] to [receiver] under the agreed [exchange] schema: the
    sender's enforcement module materializes what must be materialized,
    the document crosses the (simulated) wire in XML, and the receiver
-   validates before storing it under [as_name].
-
-   With no [predicate], both sides reuse their cached compiled
-   artifacts (sender pipeline, receiver validation context); a
-   [predicate] is an arbitrary closure, so those calls compile fresh. *)
+   validates before storing it under [as_name]. Both sides reuse their
+   cached compiled artifacts (sender pipeline, receiver validation
+   context). *)
 (* The receiver-side half of an exchange — shared by [send] and the
    network endpoint: parse the XML wire bytes, validate against the
    exchange schema (never trust the sender), store the document. *)
-let receive t ~exchange ?predicate ~as_name (wire : string) :
+let receive t ~exchange ~as_name (wire : string) :
     (Document.t, Enforcement.error) result =
   let rejected failures = Error (Enforcement.Rejected failures) in
   match Syntax.of_xml_string wire with
@@ -444,14 +423,7 @@ let receive t ~exchange ?predicate ~as_name (wire : string) :
           reason =
             Rewriter.Unsafe_word { context = "malformed document: " ^ m; word = [] } } ]
   | received ->
-    let ctx =
-      match predicate with
-      | None -> receive_ctx t ~exchange
-      | Some _ ->
-        Validate.ctx ~env:(Schema.env_of_schemas ?predicate t.schema exchange)
-          exchange
-    in
-    (match Validate.document_violations ctx received with
+    (match Validate.document_violations (receive_ctx t ~exchange) received with
      | [] ->
        store t as_name received;
        Ok received
@@ -466,24 +438,17 @@ let receive t ~exchange ?predicate ~as_name (wire : string) :
                       word = [] } })
             violations))
 
-let send t ~(receiver : t) ~exchange ?predicate ~as_name doc :
+let send t ~(receiver : t) ~exchange ~as_name doc :
     (exchange_outcome, Enforcement.error) result =
   let outcome =
     Trace.with_span "peer.send"
       ~detail:(fun () -> Fmt.str "%s -> %s" t.name receiver.name)
     @@ fun () ->
-  let enforced =
-    match predicate with
-    | None -> Enforcement.Pipeline.enforce (exchange_pipeline t ~exchange) doc
-    | Some _ ->
-      Enforcement.enforce ~config:(enforcement_of_config t.config) ?predicate
-        ~s0:t.schema ~exchange ~invoker:(Registry.invoker t.registry) doc
-  in
-  match enforced with
+  match Enforcement.Pipeline.enforce (exchange_pipeline t ~exchange) doc with
   | Error e -> Error e
   | Ok (doc', report) ->
     let wire = Syntax.to_xml_string ~pretty:false doc' in
-    (match receive receiver ~exchange ?predicate ~as_name wire with
+    (match receive receiver ~exchange ~as_name wire with
      | Ok _ -> Ok { sent = doc'; report; wire_bytes = String.length wire }
      | Error e -> Error e)
   in

@@ -25,32 +25,36 @@ val registry : t -> Axml_services.Registry.t
 
 (** {1 Configuration}
 
-    All the peer's tunables live in one {!config} record, applied
+    All the peer's tunables live in one {!config} record — the
+    enforcement configuration itself, {!Enforcement.config} — applied
     atomically by {!configure}; any change invalidates every compiled
     enforcement artifact of the peer. The record is shared with the
     network endpoint ([Axml_net.Endpoint]), so an in-process peer and a
     served one are configured identically. *)
 
-type config = {
+type config = Enforcement.config = {
   k : int;                 (** maximum rewriting depth (Definition 7) *)
   fallback_possible : bool;
       (** attempt a possible rewriting when no safe one exists *)
   eager_calls : (string -> bool) option;
       (** mixed approach: services to invoke up-front (Section 5) *)
-  lint_gate : bool;
-      (** refuse statically-doomed exchanges before invoking anything *)
   resilience : Axml_services.Resilience.t option;
       (** retry/timeout/circuit-breaker guard around every invocation *)
+  lint_gate : bool;
+      (** refuse statically-doomed exchanges before invoking anything *)
   jobs : int;
-      (** domains for batch enforcement; [<= 1] means sequential *)
+      (** domains for [Enforcement.Pipeline.enforce_many]; a peer
+          enforces one document per {!send} or {!serve}, so this only
+          matters to callers batching through {!exchange_pipeline} *)
   track_min_k : bool;
       (** per-document minimal-k search surfaced in pipeline stats and
           [axml_enforce_min_k_total] (see [Enforcement.config]) *)
 }
 
 val default_config : config
-(** [k = 1], no fallback, no eager calls, no lint gate, no
-    resilience guard, sequential ([jobs = 1]), no min-k tracking. *)
+(** {!Enforcement.default_config}: [k = 1], no fallback, no eager
+    calls, no resilience guard, no lint gate, [jobs = 1], no min-k
+    tracking. *)
 
 val configure : t -> config -> unit
 (** Replace the peer's configuration and invalidate every compiled
@@ -59,23 +63,20 @@ val configure : t -> config -> unit
 
 val current_config : t -> config
 
-val enforcement_of_config : config -> Enforcement.config
-(** The pipeline-level view of a peer config (the [executor] field is
-    derived from [jobs]). *)
-
 val exchange_pipeline :
   t -> exchange:Axml_schema.Schema.t -> Enforcement.Pipeline.t
 (** The peer's sender-side enforcement pipeline for an exchange schema:
     compiled on first use and cached while the peer's schema,
     enforcement config and the [exchange] schema value all stay
     unchanged (so its contract-analysis cache and counters persist
-    across {!send}s of the same agreement). *)
+    across {!send}s of the same agreement). Its
+    {!Enforcement.Pipeline.config} is the peer's {!current_config}. *)
 
 val lint_exchange :
   t -> exchange:Axml_schema.Schema.t -> Axml_analysis.Diagnostic.t list
 (** Contract-level lint diagnostics ({!Axml_analysis.Lint.lint_contract})
     for the peer's side of an exchange agreement — the diagnostics the
-    lint gate ([enforcement.lint_gate]) would refuse on. Served from the
+    lint gate ([config.lint_gate]) would refuse on. Served from the
     cached {!exchange_pipeline}, so repeated calls (and subsequent
     {!send}s) reuse both the compiled contract and its lint. *)
 
@@ -146,16 +147,14 @@ type exchange_outcome = {
 }
 
 val send :
-  t -> receiver:t -> exchange:Axml_schema.Schema.t ->
-  ?predicate:(string -> string -> bool) -> as_name:string ->
+  t -> receiver:t -> exchange:Axml_schema.Schema.t -> as_name:string ->
   Axml_core.Document.t -> (exchange_outcome, Enforcement.error) result
 (** Sender-side enforcement, wire crossing in XML, receiver-side
     validation, then storage under [as_name] in the receiver's
     repository. *)
 
 val receive :
-  t -> exchange:Axml_schema.Schema.t ->
-  ?predicate:(string -> string -> bool) -> as_name:string -> string ->
+  t -> exchange:Axml_schema.Schema.t -> as_name:string -> string ->
   (Axml_core.Document.t, Enforcement.error) result
 (** The receiver-side half of {!send}, also what a network endpoint runs
     on an inbound exchange: parse the XML wire bytes, validate against

@@ -245,7 +245,7 @@ let child_sym_id = function
    means the identity rewriting (keep every child, invoke nothing)
    already lands in the target language: the word is trivially both
    safely and possibly rewritable at every depth, and the keep-first
-   executor returns it unchanged. Hot paths use this to bypass the game
+   [Execute] walk returns it unchanged. Hot paths use this to bypass the game
    analyses entirely for already-conforming words. *)
 let children_accepted t ~target_regex (children : Document.forest) =
   Mutex.protect t.lock @@ fun () ->

@@ -268,7 +268,7 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
        function children) before rewriting this children word *)
     let children = interiors depth path 0 children in
     (* fast path: a children word already in the target language needs
-       no game and no walk — the keep-first executor would return it
+       no game and no walk — the keep-first [Execute] walk would return it
        unchanged with zero invocations, so return it directly *)
     if Validate.forest_accepted dense children then children
     else begin

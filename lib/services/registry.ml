@@ -1,10 +1,9 @@
 (* The service registry: name -> service resolution, invocation with
-   full accounting (invocation count, fees, side effects), optional
-   contract checking of inputs and outputs against the declared types,
-   and fault injection for the failure tests. *)
+   accounting (invocation count and fees), optional contract checking
+   of inputs and outputs against the declared types, and fault
+   injection for the failure tests. *)
 
 module Schema = Axml_schema.Schema
-module Document = Axml_core.Document
 module Validate = Axml_core.Validate
 
 exception Unknown_service of string
@@ -12,14 +11,6 @@ exception Access_denied of { service : string; principal : string }
 exception Contract_violation of { service : string; what : [ `Input | `Output ];
                                   violations : Validate.violation list }
 exception Budget_exhausted of { service : string; budget : float }
-
-type record = {
-  seq : int;
-  service : string;
-  params : Document.forest;
-  result : Document.forest;
-  cost : float;
-}
 
 type check_mode =
   | Trust            (* never check (the paper's default: types come from WSDL) *)
@@ -33,7 +24,6 @@ type t = {
     (* guards the accounting fields and the contract checks below, so
        [invoke] is safe to call from several domains concurrently
        (parallel pipelines do); behaviours run outside the lock *)
-  mutable log : record list;  (* newest first *)
   mutable invocation_count : int;
   mutable total_cost : float;
   mutable budget : float option;   (* spending cap, if any *)
@@ -45,7 +35,6 @@ type t = {
 let create ?(principal = "anonymous") () = {
   services = Hashtbl.create 16;
   lock = Mutex.create ();
-  log = [];
   invocation_count = 0;
   total_cost = 0.;
   budget = None;
@@ -83,10 +72,8 @@ let declare_all t schema =
 
 let invocation_count t = t.invocation_count
 let total_cost t = t.total_cost
-let log t = List.rev t.log
 
 let reset_accounting t =
-  t.log <- [];
   t.invocation_count <- 0;
   t.total_cost <- 0.
 
@@ -124,11 +111,7 @@ let invoke t name params =
                 (Contract_violation { service = name; what = `Output; violations }))
          | _ -> ());
         t.invocation_count <- t.invocation_count + 1;
-        t.total_cost <- t.total_cost +. service.Service.cost;
-        t.log <-
-          { seq = t.invocation_count; service = name; params; result;
-            cost = service.Service.cost }
-          :: t.log);
+        t.total_cost <- t.total_cost +. service.Service.cost);
     result
 
 let invoker t : Axml_core.Execute.invoker = fun name params -> invoke t name params

@@ -1,5 +1,5 @@
 (** The service registry: name resolution, invocation with full
-    accounting (counts, fees, logs), spending budgets, ACLs, optional
+    accounting (counts and fees), spending budgets, ACLs, optional
     contract checking of inputs/outputs against the declared types, and
     the [Execute.invoker] the rewriting engine consumes. *)
 
@@ -11,14 +11,6 @@ exception Contract_violation of {
   violations : Axml_core.Validate.violation list;
 }
 exception Budget_exhausted of { service : string; budget : float }
-
-type record = {
-  seq : int;
-  service : string;
-  params : Axml_core.Document.forest;
-  result : Axml_core.Document.forest;
-  cost : float;
-}
 
 type check_mode =
   | Trust  (** never check — the paper's default; types come from WSDL *)
@@ -44,8 +36,6 @@ val declare_all : t -> Axml_schema.Schema.t -> Axml_schema.Schema.t
 
 val invocation_count : t -> int
 val total_cost : t -> float
-val log : t -> record list
-(** Chronological. *)
 
 val reset_accounting : t -> unit
 

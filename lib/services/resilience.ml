@@ -10,7 +10,7 @@
 
    and keeps per-service counters so batch pipelines can report retry /
    breaker activity. Giving up is reported through the engine's
-   structured channel, [Execute.Invocation_failed], which the executor
+   structured channel, [Execute.Invocation_failed], which [Execute]
    turns into a typed [Service_error] failure instead of a crash. *)
 
 module Document = Axml_core.Document
@@ -298,8 +298,8 @@ let jittered t base =
     base +. (Random.State.float t.rng (2. *. spread)) -. spread
 
 (* [guard t ~name behaviour params] runs [behaviour params] under the
-   policy. On give-up it raises [Execute.Invocation_failed] so the
-   executor (or any caller) receives a structured report.
+   policy. On give-up it raises [Execute.Invocation_failed] so
+   [Execute] (or any caller) receives a structured report.
 
    Locking discipline: every stats bump and breaker transition happens
    in a short [locked] section; the behaviour call and the backoff

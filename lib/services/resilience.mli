@@ -17,7 +17,7 @@
     Giving up never raises an unstructured exception: the guard raises
     [Execute.Invocation_failed] carrying the service name, the number of
     physical attempts, and the final cause ({!Circuit_open},
-    {!Timed_out}, or the behaviour's own exception). The executor turns
+    {!Timed_out}, or the behaviour's own exception). [Execute] turns
     this into a typed [Service_error] failure.
 
     {b Domain safety.} One guard may be shared by several domains (a

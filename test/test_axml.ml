@@ -576,26 +576,6 @@ let test_enforce_deep_k_gap () =
 
 module Pipeline = Enforcement.Pipeline
 
-let test_enforce_prebuilt_rewriter () =
-  let reg = make_registry () in
-  let rw = Rewriter.create ~s0:schema_star ~target:schema_star2 () in
-  let fresh =
-    Enforcement.enforce ~s0:schema_star ~exchange:schema_star2
-      ~invoker:(Registry.invoker reg) fig2a
-  in
-  let reused =
-    Enforcement.enforce ~rewriter:rw ~s0:schema_star ~exchange:schema_star2
-      ~invoker:(Registry.invoker reg) fig2a
-  in
-  (match fresh, reused with
-   | Ok (d1, r1), Ok (d2, r2) ->
-     check "same document" true (D.equal d1 d2);
-     check "same action" true (r1.Enforcement.action = r2.Enforcement.action)
-   | _ -> Alcotest.fail "both enforcements should succeed");
-  (* the prebuilt contract actually did the analysis *)
-  check "contract cache used" true
-    ((Contract.stats (Rewriter.contract rw)).Contract.misses > 0)
-
 let test_pipeline_batch () =
   let reg = make_registry () in
   let p =
@@ -621,9 +601,7 @@ let test_pipeline_batch () =
   check_int "second batch: 1 doc" 1 batch2.Pipeline.docs;
   check_int "second batch: all cached" 0 batch2.Pipeline.cache.Contract.misses;
   (* while the cumulative stats keep the running total *)
-  check_int "cumulative docs" 4 (Pipeline.stats p).Pipeline.docs;
-  Pipeline.reset_stats p;
-  check_int "reset" 0 (Pipeline.stats p).Pipeline.docs
+  check_int "cumulative docs" 4 (Pipeline.stats p).Pipeline.docs
 
 let test_pipeline_outcome_counters () =
   let reg = make_registry () in
@@ -688,18 +666,6 @@ let test_pipeline_min_k_stats () =
   check_int "none over budget" 0 m.Pipeline.unbounded;
   check "distribution: one at 0, two at 1" true
     (m.Pipeline.distribution = [ (0, 1); (1, 2) ])
-
-let test_pipeline_seq () =
-  let reg = make_registry () in
-  let p =
-    Pipeline.create ~s0:schema_star ~exchange:schema_star2
-      ~invoker:(Registry.invoker reg) ()
-  in
-  let stream = Pipeline.enforce_seq p (List.to_seq [ fig2a; fig2a ]) in
-  check_int "lazy: nothing enforced yet" 0 (Pipeline.stats p).Pipeline.docs;
-  let forced = List.of_seq stream in
-  check_int "consumed: both enforced" 2 (Pipeline.stats p).Pipeline.docs;
-  check "both ok" true (List.for_all Result.is_ok forced)
 
 let test_pipeline_of_contract () =
   let reg = make_registry () in
@@ -947,6 +913,10 @@ let test_peer_configure () =
   check "fallback applied" true c.Peer.fallback_possible;
   check "configure invalidates compiled pipelines" true
     (p1 != Peer.exchange_pipeline peer ~exchange:schema_star2);
+  (* the peer's record reaches its pipeline unchanged *)
+  check "pipeline runs the peer's config" true
+    (Pipeline.config (Peer.exchange_pipeline peer ~exchange:schema_star2)
+     == Peer.current_config peer);
   (* a record update through configure touches its own field and
      preserves the rest *)
   Peer.configure peer
@@ -1082,49 +1052,51 @@ let render_result = function
       (List.length report.Enforcement.invocations)
   | Error e -> Fmt.str "%a" Enforcement.pp_error e
 
-let prop_parallel_matches_sequential =
+let prop_batch_matches_per_document =
   QCheck.Test.make ~count:25
     ~name:
-      "enforce_parallel returns sequential results in input order (honest \
-       services)"
+      "enforce_many returns the per-document results in input order, at \
+       any jobs (honest services)"
     QCheck.(pair (oneofl [ 1; 2; 4 ]) small_int)
     (fun (jobs, seed) ->
       let g = Generate.create ~seed schema_star in
       let docs = List.init 24 (fun _ -> Generate.document g) in
-      let config =
-        { Enforcement.default_config with
-          Enforcement.fallback_possible = true }
-      in
-      let sequential =
-        let p =
-          Pipeline.create ~config ~s0:schema_star ~exchange:schema_star2
-            ~invoker:(Registry.invoker (make_registry ())) ()
-        in
-        fst (Pipeline.enforce_many p docs)
-      in
-      let p =
-        Pipeline.create ~config ~s0:schema_star ~exchange:schema_star2
+      let pipeline jobs =
+        Pipeline.create
+          ~config:
+            { Enforcement.default_config with
+              Enforcement.fallback_possible = true; jobs }
+          ~s0:schema_star ~exchange:schema_star2
           ~invoker:(Registry.invoker (make_registry ())) ()
       in
-      let parallel, batch = Pipeline.enforce_parallel p ~jobs docs in
-      if batch.Pipeline.docs <> 24 then
-        QCheck.Test.fail_reportf "batch counted %d docs" batch.Pipeline.docs;
+      (* the reference: a per-document loop on a fresh pipeline *)
+      let reference = pipeline 1 in
+      let expected = List.map (Pipeline.enforce reference) docs in
+      let expected_stats = Pipeline.stats reference in
+      let results, batch = Pipeline.enforce_many (pipeline jobs) docs in
+      List.iter
+        (fun (name, want, got) ->
+          if want <> got then
+            QCheck.Test.fail_reportf "jobs=%d: batch counted %d %s, loop %d"
+              jobs got name want)
+        [ ("docs", expected_stats.Pipeline.docs, batch.Pipeline.docs);
+          ("rewritten", expected_stats.Pipeline.rewritten,
+           batch.Pipeline.rewritten);
+          ("invocations", expected_stats.Pipeline.invocations,
+           batch.Pipeline.invocations) ];
       List.iteri
         (fun i (s, q) ->
           let s = render_result s and q = render_result q in
           if not (String.equal s q) then
             QCheck.Test.fail_reportf
-              "jobs=%d: result %d diverges:@.sequential: %s@.parallel:   %s"
+              "jobs=%d: result %d diverges:@.per-document: %s@.batch:        %s"
               jobs i s q)
-        (List.combine sequential parallel);
+        (List.combine expected results);
       true)
 
-(* The executor config routes enforce_many through the parallel path. *)
-let test_parallel_executor_config () =
-  let config =
-    { Enforcement.default_config with
-      Enforcement.executor = Enforcement.Parallel { jobs = 2 } }
-  in
+(* [config.jobs] routes enforce_many across domains. *)
+let test_parallel_jobs_config () =
+  let config = { Enforcement.default_config with Enforcement.jobs = 2 } in
   let p =
     Pipeline.create ~config ~s0:schema_star ~exchange:schema_star2
       ~invoker:(Registry.invoker (make_registry ())) ()
@@ -1164,14 +1136,15 @@ let test_parallel_breaker_shared () =
       ()
   in
   let config =
-    { Enforcement.default_config with Enforcement.resilience = Some guard }
+    { Enforcement.default_config with
+      Enforcement.resilience = Some guard; jobs = 2 }
   in
   let p =
     Pipeline.create ~config ~s0:schema_star ~exchange:schema_star2
       ~invoker:(Registry.invoker reg) ()
   in
   let docs = List.init 12 (fun _ -> fig2a) in
-  let results, batch = Pipeline.enforce_parallel p ~jobs:2 docs in
+  let results, batch = Pipeline.enforce_many p docs in
   check "every document faulted" true
     (List.for_all
        (function Error (Enforcement.Service_fault _) -> true | _ -> false)
@@ -1185,7 +1158,7 @@ let test_parallel_breaker_shared () =
 
 let axml_qcheck =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_xml_schema_int_roundtrip; prop_parallel_matches_sequential ]
+    [ prop_xml_schema_int_roundtrip; prop_batch_matches_per_document ]
 
 let test_peer_select_with_predicates () =
   let peer = Peer.create ~name:"library" ~schema:schema_star () in
@@ -1254,7 +1227,6 @@ let () =
          Alcotest.test_case "rejected" `Quick test_enforce_rejected;
          Alcotest.test_case "possible fallback" `Quick test_enforce_possible_fallback;
          Alcotest.test_case "possible run-time failure" `Quick test_enforce_possible_fails_at_runtime;
-         Alcotest.test_case "prebuilt rewriter" `Quick test_enforce_prebuilt_rewriter;
          Alcotest.test_case "deep result: k=1 gap, closed at k=2" `Quick
            test_enforce_deep_k_gap
        ]);
@@ -1262,14 +1234,13 @@ let () =
        [ Alcotest.test_case "batch stats" `Quick test_pipeline_batch;
          Alcotest.test_case "outcome counters" `Quick test_pipeline_outcome_counters;
          Alcotest.test_case "minimal-k stats" `Quick test_pipeline_min_k_stats;
-         Alcotest.test_case "lazy stream" `Quick test_pipeline_seq;
          Alcotest.test_case "from a shared contract" `Quick test_pipeline_of_contract;
          Alcotest.test_case "flaky service recovers" `Quick test_pipeline_flaky_recovers;
          Alcotest.test_case "survives a dead service" `Quick test_pipeline_survives_dead_service;
          Alcotest.test_case "ill-typed service fault" `Quick test_pipeline_ill_typed_service_fault;
          Alcotest.test_case "fault skips possible fallback" `Quick test_pipeline_fault_skips_possible_fallback;
          Alcotest.test_case "peer pipeline caching" `Quick test_peer_exchange_pipeline_cached;
-         Alcotest.test_case "parallel executor config" `Quick test_parallel_executor_config;
+         Alcotest.test_case "parallel jobs config" `Quick test_parallel_jobs_config;
          Alcotest.test_case "parallel shares the breaker" `Quick test_parallel_breaker_shared
        ]);
       ("negotiation",
