@@ -158,17 +158,14 @@ let feed_env = env_of schema_feed_sender schema_feed_target "doc"
 
 type row = { label : string; meta : (string * float) list }
 
-let json_of_rows rows =
-  rows
-  |> List.map (fun { label; meta } ->
-         meta
-         |> List.map (fun (k, v) ->
-                if Float.is_integer v && Float.abs v < 1e15 then
-                  Printf.sprintf "\"%s\": %.0f" k v
-                else Printf.sprintf "\"%s\": %.2f" k v)
-         |> String.concat ", "
-         |> Printf.sprintf "    \"%s\": { %s }" label)
-  |> String.concat ",\n"
+module Json = Axml_obs.Json
+
+let rows_json rows =
+  Json.Obj
+    (List.map
+       (fun { label; meta } ->
+         (label, Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) meta)))
+       rows)
 
 let membership ~quota =
   Fmt.pr "-- membership: map DFA vs dense tables (ns / word)@.";
@@ -278,20 +275,13 @@ let () =
   let mark = marking ~quota ~smoke:!smoke in
   let sub = subset ~quota in
   let json =
-    Printf.sprintf
-      "{\n\
-      \  \"experiment\": \"e25\",\n\
-      \  \"smoke\": %b,\n\
-      \  \"membership\": {\n%s\n  },\n\
-      \  \"marking\": {\n%s\n  },\n\
-      \  \"subset\": {\n%s\n  }\n\
-       }\n"
-      !smoke (json_of_rows mem) (json_of_rows mark) (json_of_rows sub)
+    Json.Obj
+      [ ("experiment", Json.String "e25"); ("smoke", Json.Bool !smoke);
+        ("membership", rows_json mem); ("marking", rows_json mark);
+        ("subset", rows_json sub) ]
   in
   if !out <> "-" then begin
-    let oc = open_out_bin !out in
-    output_string oc json;
-    close_out oc;
+    Json.to_file !out json;
     Fmt.pr "wrote %s@." !out
   end;
   (* the CI smoke also sanity-gates the kernel's reason to exist: dense

@@ -65,6 +65,22 @@ let section id title =
 
 let expectation fmt = Fmt.pr ("paper expectation: " ^^ fmt ^^ "@.")
 
+module Json = Axml_obs.Json
+
+let write_json file json =
+  Json.to_file file json;
+  Fmt.pr "machine-readable results written to %s@." file
+
+(* The BENCH_<ID>.json artifact of experiment [id]: its fields, tagged
+   with the experiment. *)
+let write_artifact id fields =
+  write_json
+    (Printf.sprintf "BENCH_%s.json" (String.uppercase_ascii id))
+    (Json.Obj (("experiment", Json.String id) :: fields))
+
+let int n = Json.Int n
+let num x = Json.Float x
+
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures: the paper's running example                        *)
 (* ------------------------------------------------------------------ *)
@@ -911,28 +927,19 @@ let e17 () =
     warm_s stats.Pipeline.docs_per_s warm_failures;
   Fmt.pr "speedup: %.1fx@." speedup;
   Fmt.pr "contract cache: %a@." Contract.pp_stats stats.Pipeline.cache;
-  let oc = open_out "BENCH_E17.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"e17\",\n\
-    \  \"docs\": %d,\n\
-    \  \"cold_s\": %.6f,\n\
-    \  \"warm_s\": %.6f,\n\
-    \  \"cold_docs_per_s\": %.1f,\n\
-    \  \"warm_docs_per_s\": %.1f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"cold_failures\": %d,\n\
-    \  \"warm_failures\": %d,\n\
-    \  \"cache\": { \"hits\": %d, \"misses\": %d, \"evictions\": %d, \
-     \"entries\": %d },\n\
-    \  \"cache_hit_rate\": %.4f\n\
-     }\n"
-    n cold_s warm_s cold_rate stats.Pipeline.docs_per_s speedup !cold_failures
-    warm_failures stats.Pipeline.cache.Contract.hits
-    stats.Pipeline.cache.Contract.misses stats.Pipeline.cache.Contract.evictions
-    stats.Pipeline.cache.Contract.entries stats.Pipeline.cache_hit_rate;
-  close_out oc;
-  Fmt.pr "machine-readable results written to BENCH_E17.json@."
+  let c = stats.Pipeline.cache in
+  write_artifact "e17"
+    [ ("docs", int n); ("cold_s", num cold_s); ("warm_s", num warm_s);
+      ("cold_docs_per_s", num cold_rate);
+      ("warm_docs_per_s", num stats.Pipeline.docs_per_s);
+      ("speedup", num speedup); ("cold_failures", int !cold_failures);
+      ("warm_failures", int warm_failures);
+      ( "cache",
+        Json.Obj
+          [ ("hits", int c.Contract.hits); ("misses", int c.Contract.misses);
+            ("evictions", int c.Contract.evictions);
+            ("entries", int c.Contract.entries) ] );
+      ("cache_hit_rate", num stats.Pipeline.cache_hit_rate) ]
 
 (* ------------------------------------------------------------------ *)
 (* E18: fault-tolerant batch enforcement under misbehaving services    *)
@@ -1012,31 +1019,14 @@ let e18 () =
   (match first_matching is_down with
    | Some f -> Fmt.pr "sample give-up outcome   : %a@." Rewriter.pp_failure f
    | None -> Fmt.pr "UNEXPECTED: no service-failure outcome@.");
-  let r = stats.Pipeline.resilience in
-  let oc = open_out "BENCH_E18.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"e18\",\n\
-    \  \"docs\": %d,\n\
-    \  \"rewritten\": %d,\n\
-    \  \"rejected\": %d,\n\
-    \  \"faults\": %d,\n\
-    \  \"invocations\": %d,\n\
-    \  \"elapsed_s\": %.6f,\n\
-    \  \"docs_per_s\": %.1f,\n\
-    \  \"cache_hit_rate\": %.4f,\n\
-    \  \"resilience\": { \"calls\": %d, \"attempts\": %d, \"retries\": %d, \
-     \"successes\": %d, \"gave_up\": %d, \"timeouts\": %d, \"trips\": %d, \
-     \"short_circuited\": %d }\n\
-     }\n"
-    stats.Pipeline.docs stats.Pipeline.rewritten stats.Pipeline.rejected
-    stats.Pipeline.faults stats.Pipeline.invocations stats.Pipeline.elapsed_s
-    stats.Pipeline.docs_per_s stats.Pipeline.cache_hit_rate r.Resilience.calls
-    r.Resilience.attempts r.Resilience.retries r.Resilience.successes
-    r.Resilience.gave_up r.Resilience.timeouts r.Resilience.trips
-    r.Resilience.short_circuited;
-  close_out oc;
-  Fmt.pr "machine-readable results written to BENCH_E18.json@."
+  write_artifact "e18"
+    [ ("docs", int stats.Pipeline.docs); ("rewritten", int stats.Pipeline.rewritten);
+      ("rejected", int stats.Pipeline.rejected); ("faults", int stats.Pipeline.faults);
+      ("invocations", int stats.Pipeline.invocations);
+      ("elapsed_s", num stats.Pipeline.elapsed_s);
+      ("docs_per_s", num stats.Pipeline.docs_per_s);
+      ("cache_hit_rate", num stats.Pipeline.cache_hit_rate);
+      ("resilience", Resilience.stats_to_json stats.Pipeline.resilience) ]
 
 (* ------------------------------------------------------------------ *)
 (* E19: observability overhead — tracing sinks vs the null sink        *)
@@ -1086,22 +1076,20 @@ let e19 () =
   in
   ignore (one_pass Trace.Null);  (* warm-up: caches, minor heap sizing *)
   let mem_buf = Trace.buffer ~capacity:4096 () in
-  let devnull = open_out "/dev/null" in
-  let arms = [| Trace.Null; Trace.Memory mem_buf; Trace.Jsonl devnull |] in
+  let arms = [| Trace.Null; Trace.Memory mem_buf |] in
   (* interleave the arms — alternating the order each round — and keep
      per-arm minima, so drift (GC state, scheduling, machine load)
      cannot masquerade as sink overhead *)
   let best = Array.make (Array.length arms) infinity in
   for round = 1 to passes do
     let order =
-      if round land 1 = 0 then [ 0; 1; 2 ] else [ 2; 1; 0 ]
+      if round land 1 = 0 then [ 0; 1 ] else [ 1; 0 ]
     in
     List.iter
       (fun i -> best.(i) <- Float.min best.(i) (one_pass arms.(i)))
       order
   done;
-  close_out devnull;
-  let null_s = best.(0) and mem_s = best.(1) and jsonl_s = best.(2) in
+  let null_s = best.(0) and mem_s = best.(1) in
   let total = n in
   let overhead arm_s = 100. *. (arm_s -. null_s) /. null_s in
   let rate s = float_of_int total /. s in
@@ -1109,34 +1097,16 @@ let e19 () =
     (rate null_s);
   Fmt.pr "memory ring : %8.3f s  (%7.0f docs/s)  %+.1f%%@." mem_s (rate mem_s)
     (overhead mem_s);
-  Fmt.pr "jsonl sink  : %8.3f s  (%7.0f docs/s)  %+.1f%%@." jsonl_s
-    (rate jsonl_s) (overhead jsonl_s);
   Fmt.pr "memory ring kept the last %d of %d events@."
     (List.length (Trace.buffer_events mem_buf))
     (Trace.buffer_pushed mem_buf);
-  let oc = open_out "BENCH_E19.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"e19\",\n\
-    \  \"docs\": %d,\n\
-    \  \"passes\": %d,\n\
-    \  \"null_s\": %.6f,\n\
-    \  \"memory_s\": %.6f,\n\
-    \  \"jsonl_s\": %.6f,\n\
-    \  \"null_docs_per_s\": %.1f,\n\
-    \  \"memory_docs_per_s\": %.1f,\n\
-    \  \"jsonl_docs_per_s\": %.1f,\n\
-    \  \"memory_overhead_pct\": %.2f,\n\
-    \  \"jsonl_overhead_pct\": %.2f,\n\
-    \  \"events_pushed\": %d,\n\
-    \  \"events_retained\": %d\n\
-     }\n"
-    n passes null_s mem_s jsonl_s (rate null_s) (rate mem_s) (rate jsonl_s)
-    (overhead mem_s) (overhead jsonl_s)
-    (Trace.buffer_pushed mem_buf)
-    (List.length (Trace.buffer_events mem_buf));
-  close_out oc;
-  Fmt.pr "machine-readable results written to BENCH_E19.json@."
+  write_artifact "e19"
+    [ ("docs", int n); ("passes", int passes); ("null_s", num null_s);
+      ("memory_s", num mem_s); ("null_docs_per_s", num (rate null_s));
+      ("memory_docs_per_s", num (rate mem_s));
+      ("memory_overhead_pct", num (overhead mem_s));
+      ("events_pushed", int (Trace.buffer_pushed mem_buf));
+      ("events_retained", int (List.length (Trace.buffer_events mem_buf))) ]
 
 (* ------------------------------------------------------------------ *)
 (* E20: static analysis — lint throughput over synthetic schemas       *)
@@ -1241,28 +1211,19 @@ let e20 () =
   let cached_ns = measure_ns "cached pipeline lint" (fun () -> Pipeline.lint p) in
   Fmt.pr "pipeline lint: first force %.3f ms, cached read %a@."
     (first_s *. 1e3) pp_ns cached_ns;
-  let oc = open_out "BENCH_E20.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"e20\",\n\
-    \  \"schemas\": [\n%s\n  ],\n\
-    \  \"contract_lint_ns\": %.0f,\n\
-    \  \"document_lint_ns\": %.0f,\n\
-    \  \"pipeline_lint_first_ms\": %.3f,\n\
-    \  \"pipeline_lint_cached_ns\": %.0f\n\
-     }\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (n, ns, e, w, h) ->
-            Printf.sprintf
-              "    {\"elements\": %d, \"lint_ns\": %.0f, \
-               \"schemas_per_s\": %.1f, \"errors\": %d, \"warnings\": %d, \
-               \"hints\": %d}"
-              n ns (1e9 /. ns) e w h)
-          rows))
-    contract_ns doc_ns (first_s *. 1e3) cached_ns;
-  close_out oc;
-  Fmt.pr "machine-readable results written to BENCH_E20.json@."
+  write_artifact "e20"
+    [ ( "schemas",
+        Json.List
+          (List.map
+             (fun (n, ns, e, w, h) ->
+               Json.Obj
+                 [ ("elements", int n); ("lint_ns", num ns);
+                   ("schemas_per_s", num (1e9 /. ns)); ("errors", int e);
+                   ("warnings", int w); ("hints", int h) ])
+             rows) );
+      ("contract_lint_ns", num contract_ns); ("document_lint_ns", num doc_ns);
+      ("pipeline_lint_first_ms", num (first_s *. 1e3));
+      ("pipeline_lint_cached_ns", num cached_ns) ]
 
 (* ------------------------------------------------------------------ *)
 (* E21: multicore batch enforcement — domain-scaling curve             *)
@@ -1332,33 +1293,27 @@ let e21 () =
    | (_, b, _) :: _ ->
      Fmt.pr "cache (jobs 1): %a@." Contract.pp_stats b.Pipeline.cache
    | [] -> ());
-  let oc = open_out "BENCH_E21.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"e21\",\n\
-    \  \"docs\": %d,\n\
-    \  \"service_delay_s\": %.4f,\n\
-    \  \"arms\": [\n%s\n  ],\n\
-    \  \"speedup_at_4_jobs\": %.2f,\n\
-    \  \"all_outputs_identical\": %b\n\
-     }\n"
-    n delay_s
-    (String.concat ",\n"
-       (List.map
-          (fun (jobs, batch, identical) ->
-            Printf.sprintf
-              "    {\"jobs\": %d, \"elapsed_s\": %.6f, \"docs_per_s\": %.1f, \
-               \"speedup\": %.2f, \"invocations\": %d, \"identical\": %b}"
-              jobs (elapsed batch) batch.Pipeline.docs_per_s
-              (base_s /. elapsed batch) batch.Pipeline.invocations identical)
-          arms))
-    (List.fold_left
-       (fun acc (jobs, batch, _) ->
-         if jobs = 4 then base_s /. elapsed batch else acc)
-       0. arms)
-    (List.for_all (fun (_, _, identical) -> identical) arms);
-  close_out oc;
-  Fmt.pr "machine-readable results written to BENCH_E21.json@."
+  write_artifact "e21"
+    [ ("docs", int n); ("service_delay_s", num delay_s);
+      ( "arms",
+        Json.List
+          (List.map
+             (fun (jobs, batch, identical) ->
+               Json.Obj
+                 [ ("jobs", int jobs); ("elapsed_s", num (elapsed batch));
+                   ("docs_per_s", num batch.Pipeline.docs_per_s);
+                   ("speedup", num (base_s /. elapsed batch));
+                   ("invocations", int batch.Pipeline.invocations);
+                   ("identical", Json.Bool identical) ])
+             arms) );
+      ( "speedup_at_4_jobs",
+        num
+          (List.fold_left
+             (fun acc (jobs, batch, _) ->
+               if jobs = 4 then base_s /. elapsed batch else acc)
+             0. arms) );
+      ( "all_outputs_identical",
+        Json.Bool (List.for_all (fun (_, _, identical) -> identical) arms) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* E22: networked vs in-process exchange on a 1k-doc stream            *)
@@ -1450,32 +1405,22 @@ let e22 () =
         (connections, elapsed, identical))
       [ 1; 2; 4 ]
   in
-  let oc = open_out "BENCH_E22.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"e22\",\n\
-    \  \"docs\": %d,\n\
-    \  \"accepted\": %d,\n\
-    \  \"in_process_s\": %.6f,\n\
-    \  \"in_process_docs_per_s\": %.1f,\n\
-    \  \"arms\": [\n%s\n  ],\n\
-    \  \"all_verdicts_identical\": %b\n\
-     }\n"
-    n accepted in_process_s
-    (float_of_int n /. in_process_s)
-    (String.concat ",\n"
-       (List.map
-          (fun (connections, elapsed, identical) ->
-            Printf.sprintf
-              "    {\"connections\": %d, \"elapsed_s\": %.6f, \
-               \"docs_per_s\": %.1f, \"overhead_vs_in_process\": %.2f, \
-               \"identical\": %b}"
-              connections elapsed (float_of_int n /. elapsed)
-              (elapsed /. in_process_s) identical)
-          arms))
-    (List.for_all (fun (_, _, identical) -> identical) arms);
-  close_out oc;
-  Fmt.pr "machine-readable results written to BENCH_E22.json@."
+  write_artifact "e22"
+    [ ("docs", int n); ("accepted", int accepted);
+      ("in_process_s", num in_process_s);
+      ("in_process_docs_per_s", num (float_of_int n /. in_process_s));
+      ( "arms",
+        Json.List
+          (List.map
+             (fun (connections, elapsed, identical) ->
+               Json.Obj
+                 [ ("connections", int connections); ("elapsed_s", num elapsed);
+                   ("docs_per_s", num (float_of_int n /. elapsed));
+                   ("overhead_vs_in_process", num (elapsed /. in_process_s));
+                   ("identical", Json.Bool identical) ])
+             arms) );
+      ( "all_verdicts_identical",
+        Json.Bool (List.for_all (fun (_, _, identical) -> identical) arms) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* E23: verdict cost and outcome growth in the rewriting depth k       *)
@@ -1596,39 +1541,32 @@ let e23 () =
   Fmt.pr "depth gap at k=1: %s; closed from k=2 on: %s@."
     (if gap_shown then "reproduced" else "NOT REPRODUCED")
     (if gap_closed then "yes" else "NO — residual calls above budget");
-  let oc = open_out "BENCH_E23.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"e23\",\n\
-    \  \"docs\": %d,\n\
-    \  \"verdict_ns\": { %s },\n\
-    \  \"arms\": [\n%s\n  ],\n\
-    \  \"gap_at_k1\": %b,\n\
-    \  \"gap_closed_at_k2\": %b\n\
-     }\n"
-    n
-    (String.concat ", "
-       (List.map (fun (k, ns) -> Printf.sprintf "\"k%d\": %.1f" k ns) verdicts))
-    (String.concat ",\n"
-       (List.map
-          (fun (k, (stats : Pipeline.stats), ok, residual) ->
-            let m = stats.Pipeline.min_k in
-            Printf.sprintf
-              "    {\"k\": %d, \"elapsed_s\": %.6f, \"docs_per_s\": %.1f, \
-               \"accepted\": %d, \"rejected\": %d, \"invocations\": %d, \
-               \"residual_intensional\": %d, \"min_k\": {\"measured\": %d, \
-               \"over_budget\": %d, \"distribution\": {%s}}}"
-              k stats.Pipeline.elapsed_s stats.Pipeline.docs_per_s ok
-              stats.Pipeline.rejected stats.Pipeline.invocations residual
-              m.Pipeline.measured m.Pipeline.unbounded
-              (String.concat ", "
-                 (List.map
-                    (fun (d, c) -> Printf.sprintf "\"%d\": %d" d c)
-                    m.Pipeline.distribution)))
-          arms))
-    gap_shown gap_closed;
-  close_out oc;
-  Fmt.pr "machine-readable results written to BENCH_E23.json@."
+  write_artifact "e23"
+    [ ("docs", int n);
+      ( "verdict_ns",
+        Json.Obj (List.map (fun (k, ns) -> (Printf.sprintf "k%d" k, num ns)) verdicts) );
+      ( "arms",
+        Json.List
+          (List.map
+             (fun (k, (stats : Pipeline.stats), ok, residual) ->
+               let m = stats.Pipeline.min_k in
+               Json.Obj
+                 [ ("k", int k); ("elapsed_s", num stats.Pipeline.elapsed_s);
+                   ("docs_per_s", num stats.Pipeline.docs_per_s);
+                   ("accepted", int ok); ("rejected", int stats.Pipeline.rejected);
+                   ("invocations", int stats.Pipeline.invocations);
+                   ("residual_intensional", int residual);
+                   ( "min_k",
+                     Json.Obj
+                       [ ("measured", int m.Pipeline.measured);
+                         ("over_budget", int m.Pipeline.unbounded);
+                         ( "distribution",
+                           Json.Obj
+                             (List.map
+                                (fun (d, c) -> (string_of_int d, int c))
+                                m.Pipeline.distribution) ) ] ) ])
+             arms) );
+      ("gap_at_k1", Json.Bool gap_shown); ("gap_closed_at_k2", Json.Bool gap_closed) ]
 
 (* ------------------------------------------------------------------ *)
 (* E24: schema evolution — diff and corpus-migration throughput        *)
@@ -1772,28 +1710,24 @@ let e24 () =
      materialize %d possible %d doomed — %s@."
     n_docs pp_ns migrate_ns docs_per_s conforms materialize possible doomed
     (if m.Evolution.g_migratable then "migratable" else "NOT migratable");
-  let oc = open_out "BENCH_E24.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"e24\",\n\
-    \  \"diffs\": [\n%s\n  ],\n\
-    \  \"migration\": {\"docs\": %d, \"migrate_ns\": %.0f, \
-     \"docs_per_s\": %.1f, \"conforms\": %d, \"materialize\": %d, \
-     \"possible\": %d, \"doomed\": %d, \"migratable\": %b}\n\
-     }\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (n, ns, id, wi, na, inc, ds) ->
-            Printf.sprintf
-              "    {\"elements\": %d, \"diff_ns\": %.0f, \
-               \"diffs_per_s\": %.1f, \"identical\": %d, \"widened\": %d, \
-               \"narrowed\": %d, \"incompatible\": %d, \"diagnostics\": %d}"
-              n ns (1e9 /. ns) id wi na inc ds)
-          diff_rows))
-    n_docs migrate_ns docs_per_s conforms materialize possible doomed
-    m.Evolution.g_migratable;
-  close_out oc;
-  Fmt.pr "machine-readable results written to BENCH_E24.json@."
+  write_artifact "e24"
+    [ ( "diffs",
+        Json.List
+          (List.map
+             (fun (n, ns, id, wi, na, inc, ds) ->
+               Json.Obj
+                 [ ("elements", int n); ("diff_ns", num ns);
+                   ("diffs_per_s", num (1e9 /. ns)); ("identical", int id);
+                   ("widened", int wi); ("narrowed", int na);
+                   ("incompatible", int inc); ("diagnostics", int ds) ])
+             diff_rows) );
+      ( "migration",
+        Json.Obj
+          [ ("docs", int n_docs); ("migrate_ns", num migrate_ns);
+            ("docs_per_s", num docs_per_s); ("conforms", int conforms);
+            ("materialize", int materialize); ("possible", int possible);
+            ("doomed", int doomed);
+            ("migratable", Json.Bool m.Evolution.g_migratable) ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* SOAK — the adversarial workload engine, in process                  *)
@@ -1922,11 +1856,7 @@ let esoak () =
     report.Soak.verdict.Soak.checks;
   Fmt.pr "breaker trips %d, heap high water %d words@."
     report.Soak.resilience.Resilience.trips report.Soak.heap_high_water_words;
-  let oc = open_out "BENCH_SOAK_INPROC.json" in
-  output_string oc (Soak.report_to_json report);
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "machine-readable results written to BENCH_SOAK_INPROC.json@."
+  write_json "BENCH_SOAK_INPROC.json" (Soak.report_to_json report)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)

@@ -99,7 +99,7 @@ let write_output out text =
 let wrap ?(format = `Text) f =
   let input_error m =
     (match format with
-     | `Json -> Fmt.pr "%s@." (Report.error_envelope m)
+     | `Json -> Report.print_json Fmt.stdout (Report.error_envelope m)
      | `Text -> ());
     Fmt.epr "error: %s@." m;
     2
@@ -368,14 +368,13 @@ let batch_cmd =
         (match format with
          | `Text -> ()
          | `Json ->
-           Fmt.pr "%s@."
+           Report.print_json Fmt.stdout
              (Report.batch_json ~sender ~exchange:target
                 ~outcomes:(List.rev !outcomes) stats));
         Report.print_run_stats stats;
         Option.iter
           (fun file ->
-            write_output (Some file)
-              (Report.stats_json ~sender ~exchange:target stats))
+            Axml_obs.Json.to_file file (Report.stats_json ~sender ~exchange:target stats))
           stats_out;
         Option.iter Report.write_metrics metrics_out;
         if !failed = 0 then 0 else 1)
@@ -468,7 +467,7 @@ let trace_cmd =
             let oc = open_out_bin file in
             List.iter
               (fun e ->
-                output_string oc (Trace.event_to_json e);
+                output_string oc (Axml_obs.Json.to_string (Trace.event_to_json e));
                 output_char oc '\n')
               events;
             close_out oc)
@@ -1023,7 +1022,7 @@ let compat_cmd =
         let result = Schema_rewrite.check ~k ~s0 ~root ~target:exchange () in
         (match format with
          | `Json ->
-           Fmt.pr "%s@."
+           Report.print_json Fmt.stdout
              (Evolution.compat_to_json ~from_file:sender ~to_file:target ~k
                 result)
          | `Text ->

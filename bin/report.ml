@@ -5,6 +5,7 @@
 
 module Enforcement = Axml_peer.Enforcement
 module Resilience = Axml_services.Resilience
+module Json = Axml_obs.Json
 module Metrics = Axml_obs.Metrics
 module Diagnostic = Axml_analysis.Diagnostic
 
@@ -38,14 +39,15 @@ let write_file path text =
   output_string oc text;
   close_out oc
 
+(* JSON reports go to stdout on one line; files on disk get the
+   indented layout. *)
+let print_json ppf json = Fmt.pf ppf "%s@." (Json.to_string json)
+
 (* Dump the process-wide metrics registry: Prometheus text format, or
    JSON when the file name ends in .json. *)
 let write_metrics file =
-  let data =
-    if Filename.check_suffix file ".json" then Metrics.to_json Metrics.default
-    else Metrics.to_prometheus Metrics.default
-  in
-  write_file file data
+  if Filename.check_suffix file ".json" then Json.to_file file (Metrics.to_json Metrics.default)
+  else write_file file (Metrics.to_prometheus Metrics.default)
 
 let iso8601 t =
   let tm = Unix.gmtime t in
@@ -54,57 +56,42 @@ let iso8601 t =
     tm.Unix.tm_sec
 
 let min_k_json (m : Enforcement.Pipeline.min_k_stats) =
-  let dist =
-    m.Enforcement.Pipeline.distribution
-    |> List.map (fun (k, n) -> Printf.sprintf "\"%d\": %d" k n)
-    |> String.concat ", "
-  in
-  Printf.sprintf
-    "{ \"measured\": %d, \"distribution\": { %s }, \"over_budget\": %d }"
-    m.Enforcement.Pipeline.measured dist m.Enforcement.Pipeline.unbounded
+  Json.Obj
+    [ ("measured", Json.Int m.Enforcement.Pipeline.measured);
+      ( "distribution",
+        Json.Obj
+          (List.map
+             (fun (k, n) -> (string_of_int k, Json.Int n))
+             m.Enforcement.Pipeline.distribution) );
+      ("over_budget", Json.Int m.Enforcement.Pipeline.unbounded) ]
 
 let stats_json ~sender ~exchange (s : Enforcement.Pipeline.stats) =
   let c = s.Enforcement.Pipeline.cache in
-  let r = s.Enforcement.Pipeline.resilience in
-  Printf.sprintf
-    "{\n\
-    \  \"timestamp\": %s,\n\
-    \  \"sender_schema\": %s,\n\
-    \  \"exchange_schema\": %s,\n\
-    \  \"docs\": %d,\n\
-    \  \"conformed\": %d,\n\
-    \  \"rewritten\": %d,\n\
-    \  \"rewritten_possible\": %d,\n\
-    \  \"rejected\": %d,\n\
-    \  \"attempt_failed\": %d,\n\
-    \  \"faults\": %d,\n\
-    \  \"precluded\": %d,\n\
-    \  \"invocations\": %d,\n\
-    \  \"elapsed_s\": %.6f,\n\
-    \  \"docs_per_s\": %.1f,\n\
-    \  \"cache\": { \"hits\": %d, \"misses\": %d, \"evictions\": %d, \
-     \"entries\": %d },\n\
-    \  \"cache_hit_rate\": %.4f,\n\
-    \  \"resilience\": { \"calls\": %d, \"attempts\": %d, \"retries\": %d, \
-     \"successes\": %d, \"gave_up\": %d, \"timeouts\": %d, \"trips\": %d, \
-     \"short_circuited\": %d },\n\
-    \  \"min_k\": %s\n\
-     }\n"
-    (Metrics.json_string (iso8601 (Unix.gettimeofday ())))
-    (Metrics.json_string sender)
-    (Metrics.json_string exchange)
-    s.Enforcement.Pipeline.docs s.Enforcement.Pipeline.conformed
-    s.Enforcement.Pipeline.rewritten s.Enforcement.Pipeline.rewritten_possible
-    s.Enforcement.Pipeline.rejected s.Enforcement.Pipeline.attempt_failed
-    s.Enforcement.Pipeline.faults s.Enforcement.Pipeline.precluded
-    s.Enforcement.Pipeline.invocations s.Enforcement.Pipeline.elapsed_s
-    s.Enforcement.Pipeline.docs_per_s c.Axml_core.Contract.hits
-    c.Axml_core.Contract.misses c.Axml_core.Contract.evictions
-    c.Axml_core.Contract.entries s.Enforcement.Pipeline.cache_hit_rate
-    r.Resilience.calls r.Resilience.attempts r.Resilience.retries
-    r.Resilience.successes r.Resilience.gave_up r.Resilience.timeouts
-    r.Resilience.trips r.Resilience.short_circuited
-    (min_k_json s.Enforcement.Pipeline.min_k)
+  let int n = Json.Int n in
+  Json.Obj
+    [ ("timestamp", Json.String (iso8601 (Unix.gettimeofday ())));
+      ("sender_schema", Json.String sender);
+      ("exchange_schema", Json.String exchange);
+      ("docs", int s.Enforcement.Pipeline.docs);
+      ("conformed", int s.Enforcement.Pipeline.conformed);
+      ("rewritten", int s.Enforcement.Pipeline.rewritten);
+      ("rewritten_possible", int s.Enforcement.Pipeline.rewritten_possible);
+      ("rejected", int s.Enforcement.Pipeline.rejected);
+      ("attempt_failed", int s.Enforcement.Pipeline.attempt_failed);
+      ("faults", int s.Enforcement.Pipeline.faults);
+      ("precluded", int s.Enforcement.Pipeline.precluded);
+      ("invocations", int s.Enforcement.Pipeline.invocations);
+      ("elapsed_s", Json.Float s.Enforcement.Pipeline.elapsed_s);
+      ("docs_per_s", Json.Float s.Enforcement.Pipeline.docs_per_s);
+      ( "cache",
+        Json.Obj
+          [ ("hits", int c.Axml_core.Contract.hits);
+            ("misses", int c.Axml_core.Contract.misses);
+            ("evictions", int c.Axml_core.Contract.evictions);
+            ("entries", int c.Axml_core.Contract.entries) ] );
+      ("cache_hit_rate", Json.Float s.Enforcement.Pipeline.cache_hit_rate);
+      ("resilience", Resilience.stats_to_json s.Enforcement.Pipeline.resilience);
+      ("min_k", min_k_json s.Enforcement.Pipeline.min_k) ]
 
 (* A usage/input error as a one-diagnostic report: commands running
    under --format json still owe stdout a single valid envelope when
@@ -119,17 +106,19 @@ let error_envelope message =
    (diagnostics + summary + the command's payload), for batch --format
    json. Failures double as diagnostics so the summary counts them. *)
 let outcome_json ~label result =
-  let js = Metrics.json_string in
   match result with
   | Ok (_, report) ->
-    Printf.sprintf {|{"doc":%s,"ok":true,"action":%s,"invocations":%d}|}
-      (js label)
-      (js (action_string report.Enforcement.action))
-      (List.length report.Enforcement.invocations)
+    Json.Obj
+      [ ("doc", Json.String label);
+        ("ok", Json.Bool true);
+        ("action", Json.String (action_string report.Enforcement.action));
+        ("invocations", Json.Int (List.length report.Enforcement.invocations)) ]
   | Error e ->
-    Printf.sprintf {|{"doc":%s,"ok":false,"error":%s,"detail":%s}|} (js label)
-      (js (error_tag e))
-      (js (Fmt.str "%a" Enforcement.pp_error e))
+    Json.Obj
+      [ ("doc", Json.String label);
+        ("ok", Json.Bool false);
+        ("error", Json.String (error_tag e));
+        ("detail", Json.String (Fmt.str "%a" Enforcement.pp_error e)) ]
 
 let batch_json ~sender ~exchange ~outcomes stats =
   let diagnostics =
@@ -144,20 +133,17 @@ let batch_json ~sender ~exchange ~outcomes stats =
                (Fmt.str "%a" Enforcement.pp_error e)))
       outcomes
   in
-  let summary_head = Diagnostic.report_to_json diagnostics in
-  (* splice the payload fields into the envelope object *)
-  let head = String.sub summary_head 0 (String.length summary_head - 1) in
-  Printf.sprintf "%s,\"outcomes\":[%s],\"stats\":%s}" head
-    (String.concat ","
-       (List.map (fun (label, r) -> outcome_json ~label r) outcomes))
-    (String.trim (stats_json ~sender ~exchange stats))
+  Json.Obj
+    (Diagnostic.report_fields diagnostics
+    @ [ ("outcomes", Json.List (List.map (fun (label, r) -> outcome_json ~label r) outcomes));
+        ("stats", stats_json ~sender ~exchange stats) ])
 
 (* Lint diagnostics: one line (plus hint) per finding in text mode with
    a trailing severity summary, or the stable JSON report. *)
 let print_diagnostics ?(ppf = Fmt.stdout) ~format ds =
   let ds = List.sort Diagnostic.compare ds in
   match format with
-  | `Json -> Fmt.pf ppf "%s@." (Diagnostic.report_to_json ds)
+  | `Json -> print_json ppf (Diagnostic.report_to_json ds)
   | `Text ->
     List.iter (fun d -> Fmt.pf ppf "@[<v>%a@]@." Diagnostic.pp d) ds;
     Fmt.pf ppf "%d error(s), %d warning(s), %d hint(s)@."
@@ -184,7 +170,7 @@ let verdict_string = function
 let print_diff ?(ppf = Fmt.stdout) ~format ?from_file ?to_file
     (r : Evolution.report) =
   match format with
-  | `Json -> Fmt.pf ppf "%s@." (Evolution.report_to_json ?from_file ?to_file r)
+  | `Json -> print_json ppf (Evolution.report_to_json ?from_file ?to_file r)
   | `Text ->
     let changed = function
       | Evolution.Both Evolution.Identical -> false
@@ -218,8 +204,7 @@ let print_diff ?(ppf = Fmt.stdout) ~format ?from_file ?to_file
 let print_migration ?(ppf = Fmt.stdout) ~format ?from_file ?to_file
     (g : Evolution.migration) =
   match format with
-  | `Json ->
-    Fmt.pf ppf "%s@." (Evolution.migration_to_json ?from_file ?to_file g)
+  | `Json -> print_json ppf (Evolution.migration_to_json ?from_file ?to_file g)
   | `Text ->
     List.iter
       (fun (a : Evolution.doc_advisory) ->

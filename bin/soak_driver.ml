@@ -281,10 +281,7 @@ let run ~quiet ~spawn ~host ~port ~s0 ~exchange ~exchange_path ~churn ~k
   print_verdict quiet report;
   Option.iter
     (fun path ->
-      let oc = open_out_bin path in
-      output_string oc (Soak.report_to_json report);
-      output_char oc '\n';
-      close_out oc;
+      Axml_obs.Json.to_file path (Soak.report_to_json report);
       say quiet "wrote %s" path)
     out;
   if report.Soak.verdict.Soak.pass then 0 else 1

@@ -94,46 +94,42 @@ let pp ppf d =
   | Some h -> Fmt.pf ppf "@,  hint: %s" h
   | None -> ()
 
-(* JSON rendering reuses the registry's escaper so the two observability
-   surfaces agree on string encoding. *)
-let js = Axml_obs.Metrics.json_string
+module Json = Axml_obs.Json
 
-let subject_json = function
-  | Element l -> Fmt.str {|{"kind":"element","name":%s}|} (js l)
-  | Function f -> Fmt.str {|{"kind":"function","name":%s}|} (js f)
-  | Pattern p -> Fmt.str {|{"kind":"pattern","name":%s}|} (js p)
-  | Root -> {|{"kind":"root"}|}
-  | Schema_pair l -> Fmt.str {|{"kind":"exchange","label":%s}|} (js l)
+let subject_json subject =
+  let named kind key name = Json.Obj [ ("kind", Json.String kind); (key, Json.String name) ] in
+  match subject with
+  | Element l -> named "element" "name" l
+  | Function f -> named "function" "name" f
+  | Pattern p -> named "pattern" "name" p
+  | Root -> Json.Obj [ ("kind", Json.String "root") ]
+  | Schema_pair l -> named "exchange" "label" l
   | Node path ->
-    Fmt.str {|{"kind":"node","path":[%s]}|}
-      (String.concat "," (List.map string_of_int path))
+    Json.Obj
+      [ ("kind", Json.String "node");
+        ("path", Json.List (List.map (fun i -> Json.Int i) path)) ]
 
 let to_json d =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Fmt.str {|{"code":%s,"severity":%s,"subject":%s|} (js d.code)
-       (js (Fmt.str "%a" pp_severity d.severity))
-       (subject_json d.loc.subject));
-  (match d.loc.file with
-  | Some f -> Buffer.add_string b (Fmt.str {|,"file":%s|} (js f))
-  | None -> ());
-  (match d.loc.pos with
-  | Some p ->
-    Buffer.add_string b (Fmt.str {|,"line":%d,"col":%d|} p.line p.col)
-  | None -> ());
-  Buffer.add_string b (Fmt.str {|,"message":%s|} (js d.message));
-  (match d.hint with
-  | Some h -> Buffer.add_string b (Fmt.str {|,"hint":%s|} (js h))
-  | None -> ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.Obj
+    ([ ("code", Json.String d.code);
+       ("severity", Json.String (Fmt.str "%a" pp_severity d.severity));
+       ("subject", subject_json d.loc.subject) ]
+    @ Json.opt "file" (fun f -> Json.String f) d.loc.file
+    @ (match d.loc.pos with
+       | Some p -> [ ("line", Json.Int p.line); ("col", Json.Int p.col) ]
+       | None -> [])
+    @ [ ("message", Json.String d.message) ]
+    @ Json.opt "hint" (fun h -> Json.String h) d.hint)
 
-let report_to_json ds =
-  let ds = List.sort compare ds in
-  Fmt.str
-    {|{"diagnostics":[%s],"summary":{"errors":%d,"warnings":%d,"hints":%d}}|}
-    (String.concat "," (List.map to_json ds))
-    (count Error ds) (count Warning ds) (count Hint ds)
+let report_fields ds =
+  [ ("diagnostics", Json.List (List.map to_json (List.sort compare ds)));
+    ( "summary",
+      Json.Obj
+        [ ("errors", Json.Int (count Error ds));
+          ("warnings", Json.Int (count Warning ds));
+          ("hints", Json.Int (count Hint ds)) ] ) ]
+
+let report_to_json ds = Json.Obj (report_fields ds)
 
 let rules =
   [

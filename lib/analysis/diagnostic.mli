@@ -69,13 +69,18 @@ val exceeds : deny:severity -> t list -> bool
 val pp : t Fmt.t
 (** One line, plus an indented [hint:] line when present. *)
 
-val to_json : t -> string
+val to_json : t -> Axml_obs.Json.t
 (** A JSON object: [code], [severity], [subject] (kind + name/path),
     optional [file]/[line]/[col], [message], optional [hint]. *)
 
-val report_to_json : t list -> string
-(** [{"diagnostics": [...], "summary": {"errors": n, ...}}] — sorted
-    with {!compare}. *)
+val report_fields : t list -> (string * Axml_obs.Json.t) list
+(** The two members every JSON report shares: [diagnostics] (sorted
+    with {!compare}) and [summary] ([{"errors": n, "warnings": n,
+    "hints": n}]). Command envelopes append their payload to these. *)
+
+val report_to_json : t list -> Axml_obs.Json.t
+(** [{"diagnostics": [...], "summary": {...}}]: {!report_fields} as an
+    object. *)
 
 (** {1 Catalog} *)
 

@@ -543,28 +543,18 @@ let migrate ?(k = 1) ?predicate ~v1 ~v2 docs :
 (* ------------------------------------------------------------------ *)
 (* JSON reports: one envelope for diff / migrate / compat              *)
 
-let js = Axml_obs.Metrics.json_string
+module Json = Axml_obs.Json
 
-let summary_json ds =
-  Fmt.str {|{"errors":%d,"warnings":%d,"hints":%d}|} (D.count D.Error ds)
-    (D.count D.Warning ds) (D.count D.Hint ds)
+let str s = Json.String s
+let strings ss = Json.List (List.map str ss)
+let path_json path = Json.List (List.map (fun i -> Json.Int i) path)
 
-let envelope ~command ?from_file ?to_file ~k ~payload ds =
-  let b = Buffer.create 512 in
-  Buffer.add_string b (Fmt.str {|{"command":%s|} (js command));
-  Option.iter
-    (fun f -> Buffer.add_string b (Fmt.str {|,"from":%s|} (js f)))
-    from_file;
-  Option.iter
-    (fun f -> Buffer.add_string b (Fmt.str {|,"to":%s|} (js f)))
-    to_file;
-  Buffer.add_string b (Fmt.str {|,"k":%d|} k);
-  Buffer.add_string b payload;
-  Buffer.add_string b
-    (Fmt.str {|,"diagnostics":[%s],"summary":%s}|}
-       (String.concat "," (List.map D.to_json (List.sort D.compare ds)))
-       (summary_json ds));
-  Buffer.contents b
+let envelope ~command ?from_file ?to_file ~k fields ds =
+  Json.Obj
+    ((("command", str command) :: Json.opt "from" str from_file)
+    @ Json.opt "to" str to_file
+    @ [ ("k", Json.Int k) ]
+    @ fields @ D.report_fields ds)
 
 let presence_change = function
   | Both c -> change_to_string c
@@ -572,101 +562,66 @@ let presence_change = function
   | Only_v2 -> "added"
 
 let label_json ld =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Fmt.str {|{"label":%s,"change":%s|} (js ld.l_label)
-       (js (presence_change ld.l_presence)));
-  if ld.l_new_calls <> [] then
-    Buffer.add_string b
-      (Fmt.str {|,"new_calls":[%s]|}
-         (String.concat "," (List.map js ld.l_new_calls)));
-  Option.iter
-    (fun w ->
-      Buffer.add_string b
-        (Fmt.str {|,"witness":%s|} (js (Fmt.str "%a" pp_word w))))
-    ld.l_witness;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.Obj
+    ([ ("label", str ld.l_label); ("change", str (presence_change ld.l_presence)) ]
+    @ (if ld.l_new_calls = [] then [] else [ ("new_calls", strings ld.l_new_calls) ])
+    @ Json.opt "witness" (fun w -> str (Fmt.str "%a" pp_word w)) ld.l_witness)
 
 let func_json fd =
-  Fmt.str
-    {|{"function":%s,"change":%s,"input":%s,"output":%s,"invocable_v1":%b,"invocable_v2":%b}|}
-    (js fd.f_func)
-    (js (presence_change fd.f_presence))
-    (js (change_to_string fd.f_input))
-    (js (change_to_string fd.f_output))
-    fd.f_invocable_v1 fd.f_invocable_v2
+  Json.Obj
+    [ ("function", str fd.f_func);
+      ("change", str (presence_change fd.f_presence));
+      ("input", str (change_to_string fd.f_input));
+      ("output", str (change_to_string fd.f_output));
+      ("invocable_v1", Json.Bool fd.f_invocable_v1);
+      ("invocable_v2", Json.Bool fd.f_invocable_v2) ]
 
 let verdict_string = function
   | Contract.Safe -> "safe"
   | Contract.Possible_only -> "possible"
   | Contract.Impossible -> "impossible"
 
-let depth_json = function None -> "null" | Some d -> string_of_int d
+let depth_json = function None -> Json.Null | Some d -> Json.Int d
 
 let verdict_json v =
-  Fmt.str {|{"label":%s,"verdict":%s,"safe_at":%s,"possible_at":%s}|}
-    (js v.v_label)
-    (js (verdict_string v.v_verdict))
-    (depth_json v.v_safe_at) (depth_json v.v_possible_at)
+  Json.Obj
+    [ ("label", str v.v_label);
+      ("verdict", str (verdict_string v.v_verdict));
+      ("safe_at", depth_json v.v_safe_at);
+      ("possible_at", depth_json v.v_possible_at) ]
 
 let report_to_json ?from_file ?to_file r =
-  let payload =
-    Fmt.str {|,"labels":[%s],"functions":[%s],"verdicts":[%s],"conflicts":[%s]|}
-      (String.concat "," (List.map label_json r.r_labels))
-      (String.concat "," (List.map func_json r.r_functions))
-      (String.concat "," (List.map verdict_json r.r_verdicts))
-      (String.concat "," (List.map js r.r_conflicts))
-  in
-  envelope ~command:"diff" ?from_file ?to_file ~k:r.r_k ~payload
+  envelope ~command:"diff" ?from_file ?to_file ~k:r.r_k
+    [ ("labels", Json.List (List.map label_json r.r_labels));
+      ("functions", Json.List (List.map func_json r.r_functions));
+      ("verdicts", Json.List (List.map verdict_json r.r_verdicts));
+      ("conflicts", strings r.r_conflicts) ]
     r.r_diagnostics
 
-let call_json (path, name) =
-  Fmt.str {|{"path":[%s],"name":%s}|}
-    (String.concat "," (List.map string_of_int path))
-    (js name)
+let call_json (path, name) = Json.Obj [ ("path", path_json path); ("name", str name) ]
 
 let doc_advisory_json a =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Fmt.str {|{"doc":%s,"advisory":%s|} (js a.a_doc)
-       (js (advisory_string a.a_advisory)));
-  if a.a_calls <> [] then
-    Buffer.add_string b
-      (Fmt.str {|,"calls":[%s]|}
-         (String.concat "," (List.map call_json a.a_calls)));
-  (match a.a_advisory with
-  | Doomed reason ->
-    Buffer.add_string b (Fmt.str {|,"reason":%s|} (js reason))
-  | Conforms | Materialize | Possible -> ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.Obj
+    ([ ("doc", str a.a_doc); ("advisory", str (advisory_string a.a_advisory)) ]
+    @ (if a.a_calls = [] then [] else [ ("calls", Json.List (List.map call_json a.a_calls)) ])
+    @
+    match a.a_advisory with
+    | Doomed reason -> [ ("reason", str reason) ]
+    | Conforms | Materialize | Possible -> [])
 
 let migration_to_json ?from_file ?to_file g =
-  let payload =
-    Fmt.str {|,"documents":[%s],"migratable":%b|}
-      (String.concat "," (List.map doc_advisory_json g.g_advisories))
-      g.g_migratable
-  in
-  envelope ~command:"migrate" ?from_file ?to_file ~k:g.g_k ~payload
+  envelope ~command:"migrate" ?from_file ?to_file ~k:g.g_k
+    [ ("documents", Json.List (List.map doc_advisory_json g.g_advisories));
+      ("migratable", Json.Bool g.g_migratable) ]
     g.g_diagnostics
 
 let compat_to_json ?from_file ?to_file ~k (r : Schema_rewrite.result) =
   let verdict_json (v : Schema_rewrite.label_verdict) =
-    let b = Buffer.create 64 in
-    Buffer.add_string b
-      (Fmt.str {|{"label":%s,"safe":%b|} (js v.Schema_rewrite.label)
-         v.Schema_rewrite.safe);
-    Option.iter
-      (fun why -> Buffer.add_string b (Fmt.str {|,"reason":%s|} (js why)))
-      v.Schema_rewrite.reason;
-    Buffer.add_char b '}';
-    Buffer.contents b
+    Json.Obj
+      ([ ("label", str v.Schema_rewrite.label); ("safe", Json.Bool v.Schema_rewrite.safe) ]
+      @ Json.opt "reason" str v.Schema_rewrite.reason)
   in
-  let payload =
-    Fmt.str {|,"verdicts":[%s],"compatible":%b|}
-      (String.concat ","
-         (List.map verdict_json r.Schema_rewrite.verdicts))
-      r.Schema_rewrite.compatible
-  in
-  envelope ~command:"compat" ?from_file ?to_file ~k ~payload []
+  envelope ~command:"compat" ?from_file ?to_file ~k
+    [ ("verdicts", Json.List (List.map verdict_json r.Schema_rewrite.verdicts));
+      ("compatible", Json.Bool r.Schema_rewrite.compatible) ]
+    []

@@ -172,15 +172,16 @@ val migrate :
     One envelope shared by [axml diff], [axml migrate] and
     [axml compat]: [command], [from], [to], [k], the command's payload
     arrays, [diagnostics] (the {!Diagnostic.to_json} objects) and a
-    severity [summary]. Validated against the test suite's JSON
-    checker. *)
+    severity [summary] ({!Diagnostic.report_fields}). Parsed back by
+    the test suite's independent JSON reader. *)
 
-val report_to_json : ?from_file:string -> ?to_file:string -> report -> string
+val report_to_json :
+  ?from_file:string -> ?to_file:string -> report -> Axml_obs.Json.t
 val migration_to_json :
-  ?from_file:string -> ?to_file:string -> migration -> string
+  ?from_file:string -> ?to_file:string -> migration -> Axml_obs.Json.t
 
 val compat_to_json :
   ?from_file:string -> ?to_file:string -> k:int ->
-  Axml_core.Schema_rewrite.result -> string
+  Axml_core.Schema_rewrite.result -> Axml_obs.Json.t
 (** The same envelope for the Section 6 whole-schema check, so tooling
     consumes all three commands uniformly. *)

@@ -5,6 +5,7 @@
 
 module Peer = Axml_peer.Peer
 module Schema = Axml_schema.Schema
+module Json = Axml_obs.Json
 module Metrics = Axml_obs.Metrics
 
 type t = {
@@ -131,12 +132,12 @@ let dispatch t : Wire.request -> Wire.response = function
   | Lint_exchange { schema_xml } ->
     parse_schema schema_xml @@ fun schema ->
     let diags = Peer.lint_exchange t.peer ~exchange:schema in
-    Report { json = Axml_analysis.Diagnostic.report_to_json diags }
+    Report { json = Json.to_string (Axml_analysis.Diagnostic.report_to_json diags) }
   | Get_metrics { format } ->
     let body =
       match format with
       | Wire.Prometheus -> Metrics.to_prometheus Metrics.default
-      | Wire.Json -> Metrics.to_json Metrics.default
+      | Wire.Json -> Json.to_string (Metrics.to_json Metrics.default)
     in
     Metrics { format; body }
 

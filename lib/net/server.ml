@@ -2,6 +2,7 @@
    protocol sniffed from the first bytes, explicit resource bounds,
    graceful drain on stop. *)
 
+module Json = Axml_obs.Json
 module Metrics = Axml_obs.Metrics
 
 type config = {
@@ -217,8 +218,8 @@ let handle_http t oc (req : Http.request) =
         with
         | Wire.Accepted { as_name; wire_bytes } ->
           respond ~status:200 ~content_type:"application/json"
-            (Fmt.str {|{"stored": %s, "bytes": %d}|}
-               (Metrics.json_string as_name) wire_bytes)
+            (Json.to_string
+               (Json.Obj [ ("stored", Json.String as_name); ("bytes", Json.Int wire_bytes) ]))
         | Wire.Refused { refusals } ->
           respond ~status:422
             (String.concat ""

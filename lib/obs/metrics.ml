@@ -278,24 +278,6 @@ let escape_label_value =
 
 let escape_help = escape_with [ ('\\', "\\\\"); ('\n', "\\n") ]
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 8) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 (* ---------- export ---------- *)
 
 let float_str v =
@@ -351,52 +333,34 @@ let to_prometheus t =
   Buffer.contents buf
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  let add = Buffer.add_string buf in
-  let json_labels labels =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> json_string k ^ ": " ^ json_string v) labels)
-    ^ "}"
+  let labels_json labels =
+    Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) labels)
   in
-  add "{\"metrics\": [";
-  List.iteri
-    (fun i f ->
-      if i > 0 then add ",";
-      add
-        (Printf.sprintf "\n  {\"name\": %s, \"type\": %s, \"help\": %s, \"values\": ["
-           (json_string f.f_name)
-           (json_string (type_name f.f_type))
-           (json_string f.f_help));
-      List.iteri
-        (fun j (labels, child) ->
-          if j > 0 then add ",";
-          add "\n    ";
-          match child with
-          | Counter c ->
-              add
-                (Printf.sprintf "{\"labels\": %s, \"value\": %d}" (json_labels labels)
-                   (Atomic.get c.c_value))
-          | Gauge g ->
-              add
-                (Printf.sprintf "{\"labels\": %s, \"value\": %s}" (json_labels labels)
-                   (float_str (Afloat.get g.g_value)))
-          | Histogram h ->
-              let snap = histogram_snapshot h in
-              let buckets =
-                String.concat ", "
-                  (List.map
-                     (fun (bound, cum) ->
-                       Printf.sprintf "{\"le\": %s, \"count\": %d}" (float_str bound) cum)
-                     snap.buckets
-                  @ [ Printf.sprintf "{\"le\": \"+Inf\", \"count\": %d}" snap.count ])
-              in
-              add
-                (Printf.sprintf
-                   "{\"labels\": %s, \"count\": %d, \"sum\": %s, \"buckets\": [%s]}"
-                   (json_labels labels) snap.count (float_str snap.sum) buckets))
-        (sorted_children f);
-      add "]}")
-    (sorted_families t);
-  add "\n]}\n";
-  Buffer.contents buf
+  let child_json (labels, child) =
+    let labels = ("labels", labels_json labels) in
+    match child with
+    | Counter c -> Json.Obj [ labels; ("value", Json.Int (Atomic.get c.c_value)) ]
+    | Gauge g -> Json.Obj [ labels; ("value", Json.Float (Afloat.get g.g_value)) ]
+    | Histogram h ->
+      let snap = histogram_snapshot h in
+      let bucket le count = Json.Obj [ ("le", le); ("count", Json.Int count) ] in
+      Json.Obj
+        [ labels;
+          ("count", Json.Int snap.count);
+          ("sum", Json.Float snap.sum);
+          ( "buckets",
+            Json.List
+              (List.map (fun (bound, cum) -> bucket (Json.Float bound) cum) snap.buckets
+              @ [ bucket (Json.String "+Inf") snap.count ]) ) ]
+  in
+  Json.Obj
+    [ ( "metrics",
+        Json.List
+          (List.map
+             (fun f ->
+               Json.Obj
+                 [ ("name", Json.String f.f_name);
+                   ("type", Json.String (type_name f.f_type));
+                   ("help", Json.String f.f_help);
+                   ("values", Json.List (List.map child_json (sorted_children f))) ])
+             (sorted_families t)) ) ]

@@ -175,14 +175,15 @@ val to_prometheus : t -> string
     escaped per the spec. Families are sorted by name, children by
     label values. *)
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** The same data as a single JSON object
     [{"metrics": [{"name"; "type"; "help"; "values": [...]}]}]. Counter
-    values are JSON integers; gauge/histogram values are JSON numbers;
+    values are JSON integers; gauge values, histogram sums and bucket
+    bounds are JSON numbers ([null] when not finite, see {!Json});
     histogram children carry ["count"], ["sum"] and a cumulative
     ["buckets"] array whose last entry has ["le": "+Inf"]. *)
 
-(** {1 Escaping helpers} (exposed for tests) *)
+(** {1 Prometheus escaping} (exposed for tests) *)
 
 val escape_label_value : string -> string
 (** Prometheus label-value escaping: backslash, double quote and
@@ -190,7 +191,3 @@ val escape_label_value : string -> string
 
 val escape_help : string -> string
 (** Prometheus HELP-line escaping: backslash and newline. *)
-
-val json_string : string -> string
-(** [json_string s] is [s] as a double-quoted JSON string literal with
-    all mandatory escapes (quotes, backslash, control characters). *)

@@ -1,7 +1,7 @@
-(* Span-based decision tracing: structured events into a bounded ring
-   or a JSONL channel. The Null sink must cost (nearly) nothing: every
-   emission first checks [enabled], and hot call sites guard event
-   construction themselves. *)
+(* Span-based decision tracing: structured events into a bounded ring.
+   The Null sink must cost (nearly) nothing: every emission first
+   checks [enabled], and hot call sites guard event construction
+   themselves. *)
 
 type verdict = Accept | Reject | Fault
 
@@ -113,52 +113,44 @@ let pp_kind ppf = function
 let pp_event ppf e =
   Format.fprintf ppf "#%03d %s%a" e.seq (String.make (2 * e.depth) ' ') pp_kind e.kind
 
-let js = Metrics.json_string
-
-let kind_fields = function
+let kind_fields kind =
+  let str s = Json.String s in
+  let event name fields = ("event", str name) :: fields in
+  match kind with
   | Span_open { name; detail } ->
-      Printf.sprintf "\"event\": \"span_open\", \"name\": %s, \"detail\": %s"
-        (js name) (js detail)
+    event "span_open" [ ("name", str name); ("detail", str detail) ]
   | Span_close { name; elapsed_s } ->
-      Printf.sprintf "\"event\": \"span_close\", \"name\": %s, \"elapsed_s\": %.9g"
-        (js name) elapsed_s
+    event "span_close" [ ("name", str name); ("elapsed_s", Json.Float elapsed_s) ]
   | Cache_query { cache; hit } ->
-      Printf.sprintf "\"event\": \"cache_query\", \"cache\": %s, \"hit\": %b"
-        (js cache) hit
+    event "cache_query" [ ("cache", str cache); ("hit", Json.Bool hit) ]
   | Validation { subject; violations } ->
-      Printf.sprintf "\"event\": \"validation\", \"subject\": %s, \"violations\": %d"
-        (js subject) violations
+    event "validation" [ ("subject", str subject); ("violations", Json.Int violations) ]
   | Fork_choice { fname; choice } ->
-      Printf.sprintf "\"event\": \"fork_choice\", \"fname\": %s, \"choice\": %s"
-        (js fname) (js choice)
+    event "fork_choice" [ ("fname", str fname); ("choice", str choice) ]
   | Attempt { fname; number } ->
-      Printf.sprintf "\"event\": \"attempt\", \"fname\": %s, \"number\": %d"
-        (js fname) number
+    event "attempt" [ ("fname", str fname); ("number", Json.Int number) ]
   | Retry { fname; attempt; backoff_s } ->
-      Printf.sprintf
-        "\"event\": \"retry\", \"fname\": %s, \"attempt\": %d, \"backoff_s\": %.9g"
-        (js fname) attempt backoff_s
+    event "retry"
+      [ ("fname", str fname); ("attempt", Json.Int attempt);
+        ("backoff_s", Json.Float backoff_s) ]
   | Breaker { fname; transition } ->
-      Printf.sprintf "\"event\": \"breaker\", \"fname\": %s, \"transition\": %s"
-        (js fname) (js transition)
+    event "breaker" [ ("fname", str fname); ("transition", str transition) ]
   | Invocation { fname; attempts; ok } ->
-      Printf.sprintf
-        "\"event\": \"invocation\", \"fname\": %s, \"attempts\": %d, \"ok\": %b"
-        (js fname) attempts ok
+    event "invocation"
+      [ ("fname", str fname); ("attempts", Json.Int attempts); ("ok", Json.Bool ok) ]
   | Decision { subject; verdict; detail } ->
-      let v = match verdict with Accept -> "accept" | Reject -> "reject" | Fault -> "fault" in
-      Printf.sprintf
-        "\"event\": \"decision\", \"subject\": %s, \"verdict\": \"%s\", \"detail\": %s"
-        (js subject) v (js detail)
-  | Note s -> Printf.sprintf "\"event\": \"note\", \"text\": %s" (js s)
+    let v = match verdict with Accept -> "accept" | Reject -> "reject" | Fault -> "fault" in
+    event "decision" [ ("subject", str subject); ("verdict", str v); ("detail", str detail) ]
+  | Note s -> event "note" [ ("text", str s) ]
 
 let event_to_json e =
-  Printf.sprintf "{\"seq\": %d, \"t\": %.9f, \"depth\": %d, %s}" e.seq e.time_s
-    e.depth (kind_fields e.kind)
+  Json.Obj
+    (("seq", Json.Int e.seq) :: ("t", Json.Float e.time_s) :: ("depth", Json.Int e.depth)
+    :: kind_fields e.kind)
 
 (* ---------- tracers ---------- *)
 
-type sink = Null | Memory of buffer | Jsonl of out_channel
+type sink = Null | Memory of buffer
 
 type t = {
   mutable sink : sink;
@@ -184,7 +176,7 @@ let set_clock_every t n =
   let rec pow2 p = if p >= n || p lsl 1 <= 0 then p else pow2 (p lsl 1) in
   t.clock_mask <- pow2 1 - 1
 
-let enabled t = match t.sink with Null -> false | Memory _ | Jsonl _ -> true
+let enabled t = match t.sink with Null -> false | Memory _ -> true
 
 (* [Unix.gettimeofday] resolves ~1 us, so sub-microsecond event bursts
    (e.g. cache hits) are indistinguishable whether or not each gets its
@@ -203,17 +195,11 @@ let emit ?(tracer = default) kind =
   | Memory b ->
       let seq = next_seq tracer in
       buffer_push b ~seq ~time_s:tracer.last_time ~depth:tracer.depth kind
-  | Jsonl oc ->
-      let seq = next_seq tracer in
-      output_string oc
-        (event_to_json
-           { seq; time_s = tracer.last_time; depth = tracer.depth; kind });
-      output_char oc '\n'
 
 let with_span ?(tracer = default) ?detail name f =
   match tracer.sink with
   | Null -> f ()
-  | Memory _ | Jsonl _ ->
+  | Memory _ ->
       let detail = match detail with None -> "" | Some d -> d () in
       tracer.last_time <- tracer.clock ();
       emit ~tracer (Span_open { name; detail });

@@ -12,8 +12,8 @@
       branch per site (bench E19 quantifies it).
     - {!Memory}: events accumulate in a bounded ring {!buffer} that
       keeps the most recent [capacity] events (old ones are
-      overwritten). Used by [axml trace] and tests.
-    - {!Jsonl}: each event is written to an [out_channel] as one JSON
+      overwritten). Used by [axml trace] and tests; [axml trace
+      --jsonl] writes the retained events with {!event_to_json}, one
       object per line.
 
     Tracers maintain a current span {e depth} so a renderer can indent
@@ -100,7 +100,6 @@ val buffer_clear : buffer -> unit
 type sink =
   | Null                  (** Drop everything (production default). *)
   | Memory of buffer      (** Ring-buffer the last N events. *)
-  | Jsonl of out_channel  (** One JSON object per line, unflushed. *)
 
 type t
 (** A tracer: a sink plus clock, sequence and depth state. *)
@@ -155,6 +154,6 @@ val pp_kind : Format.formatter -> kind -> unit
 val pp_event : Format.formatter -> event -> unit
 (** [seq], kind and depth-indentation on one line. *)
 
-val event_to_json : event -> string
-(** One JSON object (no trailing newline):
-    [{"seq";"t";"depth";"event";...kind fields}]. *)
+val event_to_json : event -> Json.t
+(** One JSON object, [{"seq";"t";"depth";"event";...kind fields}];
+    {!Json.to_string} renders it as one JSONL line. *)

@@ -144,6 +144,14 @@ let pp_stats ppf s =
     s.calls s.attempts s.retries s.successes s.gave_up s.timeouts s.trips
     s.short_circuited
 
+let stats_to_json s =
+  let module Json = Axml_obs.Json in
+  Json.Obj
+    [ ("calls", Json.Int s.calls); ("attempts", Json.Int s.attempts);
+      ("retries", Json.Int s.retries); ("successes", Json.Int s.successes);
+      ("gave_up", Json.Int s.gave_up); ("timeouts", Json.Int s.timeouts);
+      ("trips", Json.Int s.trips); ("short_circuited", Json.Int s.short_circuited) ]
+
 (* ------------------------------------------------------------------ *)
 (* The guard                                                           *)
 (* ------------------------------------------------------------------ *)

@@ -110,6 +110,9 @@ val diff_stats : before:stats -> stats -> stats
 val pp_stats : stats Fmt.t
 (** One-line human rendering of the counters. *)
 
+val stats_to_json : stats -> Axml_obs.Json.t
+(** The counters as one JSON object, keyed by the field names. *)
+
 (** {1 Guards} *)
 
 type t

@@ -2,6 +2,7 @@
    against a caller-supplied send callback while a coordinator thread
    slices the run into metric windows and grades the result. *)
 
+module Json = Axml_obs.Json
 module Metrics = Axml_obs.Metrics
 module Resilience = Axml_services.Resilience
 module Schema = Axml_schema.Schema
@@ -189,69 +190,59 @@ let grade (cfg : config) ~phases ~(resilience : Resilience.stats)
 
 (* {2 JSON} *)
 
-let js = Metrics.json_string
-let jf v = if Float.is_nan v then "null" else Printf.sprintf "%.9g" v
-
 let breaker_label = function
   | `Closed -> "closed"
   | `Open -> "open"
   | `Half_open -> "half_open"
 
 let report_to_json r =
-  let b = Buffer.create 8192 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let comma_sep f = function
-    | [] -> ()
-    | x :: rest ->
-      f x;
-      List.iter (fun x -> Buffer.add_char b ','; f x) rest
+  let open Json in
+  let phase p =
+    Obj
+      [ ("name", String p.s_name);
+        ("expect_degraded", Bool p.s_expect_degraded);
+        ("requests", Int p.s_requests);
+        ("error_rate", Float p.s_error_rate);
+        ("p50", Float p.s_p50);
+        ("p99", Float p.s_p99);
+        ("p999", Float p.s_p999);
+        ("outcomes", Obj (List.map (fun (o, n) -> (o, Int n)) p.s_outcomes)) ]
   in
-  pr "{\"schema_version\":1,";
-  pr "\"seed\":%d,\"total_s\":%s,\"heap_high_water_words\":%d," r.seed
-    (jf r.total_s) r.heap_high_water_words;
-  let s = r.resilience in
-  pr
-    "\"resilience\":{\"calls\":%d,\"attempts\":%d,\"retries\":%d,\
-     \"successes\":%d,\"gave_up\":%d,\"timeouts\":%d,\"trips\":%d,\
-     \"short_circuited\":%d},"
-    s.Resilience.calls s.Resilience.attempts s.Resilience.retries
-    s.Resilience.successes s.Resilience.gave_up s.Resilience.timeouts
-    s.Resilience.trips s.Resilience.short_circuited;
-  pr "\"verdict\":{\"pass\":%b,\"checks\":[" r.verdict.pass;
-  comma_sep
-    (fun c ->
-      pr "{\"check\":%s,\"ok\":%b,\"detail\":%s}" (js c.check) c.ok
-        (js c.detail))
-    r.verdict.checks;
-  pr "]},\"phases\":[";
-  comma_sep
-    (fun p ->
-      pr
-        "{\"name\":%s,\"expect_degraded\":%b,\"requests\":%d,\
-         \"error_rate\":%s,\"p50\":%s,\"p99\":%s,\"p999\":%s,\"outcomes\":{"
-        (js p.s_name) p.s_expect_degraded p.s_requests (jf p.s_error_rate)
-        (jf p.s_p50) (jf p.s_p99) (jf p.s_p999);
-      comma_sep (fun (o, n) -> pr "%s:%d" (js o) n) p.s_outcomes;
-      pr "}}")
-    r.phases;
-  pr "],\"windows\":[";
-  comma_sep
-    (fun w ->
-      pr
-        "{\"index\":%d,\"start_s\":%s,\"end_s\":%s,\"phase\":%s,\
-         \"requests\":%d,\"rate\":%s,\"p50\":%s,\"p99\":%s,\"p999\":%s,\
-         \"heap_words\":%d,\"trips\":%d,\"retries\":%d,\
-         \"short_circuited\":%d,\"breakers\":{"
-        w.w_index (jf w.w_start_s) (jf w.w_end_s) (js w.w_phase) w.w_requests
-        (jf w.w_rate) (jf w.w_p50) (jf w.w_p99) (jf w.w_p999) w.w_heap_words
-        w.w_trips w.w_retries w.w_short_circuited;
-      comma_sep
-        (fun (name, st) -> pr "%s:%s" (js name) (js (breaker_label st)))
-        w.w_breakers;
-      pr "}}")
-    r.windows;
-  pr "]}";
-  Buffer.contents b
+  let window w =
+    Obj
+      [ ("index", Int w.w_index);
+        ("start_s", Float w.w_start_s);
+        ("end_s", Float w.w_end_s);
+        ("phase", String w.w_phase);
+        ("requests", Int w.w_requests);
+        ("rate", Float w.w_rate);
+        ("p50", Float w.w_p50);
+        ("p99", Float w.w_p99);
+        ("p999", Float w.w_p999);
+        ("heap_words", Int w.w_heap_words);
+        ("trips", Int w.w_trips);
+        ("retries", Int w.w_retries);
+        ("short_circuited", Int w.w_short_circuited);
+        ( "breakers",
+          Obj (List.map (fun (name, st) -> (name, String (breaker_label st))) w.w_breakers) ) ]
+  in
+  Obj
+    [ ("schema_version", Int 1);
+      ("seed", Int r.seed);
+      ("total_s", Float r.total_s);
+      ("heap_high_water_words", Int r.heap_high_water_words);
+      ("resilience", Resilience.stats_to_json r.resilience);
+      ( "verdict",
+        Obj
+          [ ("pass", Bool r.verdict.pass);
+            ( "checks",
+              List
+                (List.map
+                   (fun c ->
+                     Obj [ ("check", String c.check); ("ok", Bool c.ok); ("detail", String c.detail) ])
+                   r.verdict.checks) ) ] );
+      ("phases", List (List.map phase r.phases));
+      ("windows", List (List.map window r.windows)) ]
 
 (* {2 Running} *)
 

@@ -103,9 +103,10 @@ type report = {
   verdict : verdict;
 }
 
-val report_to_json : report -> string
+val report_to_json : report -> Axml_obs.Json.t
 (** The full time series + verdict as one JSON object (the BENCH_SOAK
-    payload; field meanings are documented in BENCHMARKS.md). *)
+    payload; field meanings are documented in BENCHMARKS.md). Rates and
+    quantiles with no data (NaN) or no bound are [null]. *)
 
 (** {1 Running} *)
 

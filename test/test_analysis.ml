@@ -11,6 +11,7 @@ module Symbol = Axml_schema.Symbol
 module Auto = Axml_schema.Auto
 module D = Axml_core.Document
 module Contract = Axml_core.Contract
+module Json = Axml_obs.Json
 module Diagnostic = Axml_analysis.Diagnostic
 module Lint = Axml_analysis.Lint
 module Service = Axml_services.Service
@@ -326,16 +327,18 @@ let test_json_report () =
     @ Lint.lint_contract (doomed_contract ())
   in
   let json = Diagnostic.report_to_json ds in
-  (match Jsonv.explain json with
-   | None -> ()
-   | Some why -> Alcotest.failf "report JSON does not parse: %s" why);
+  let v = Jsonv.parse_exn "report" (Json.to_string json) in
+  check "report reads back as printed" true (Jsonv.equal json v);
   List.iter
     (fun d ->
-      match Jsonv.explain (Diagnostic.to_json d) with
-      | None -> ()
-      | Some why -> Alcotest.failf "diagnostic JSON does not parse: %s" why)
+      let dj = Diagnostic.to_json d in
+      check "diagnostic reads back" true
+        (Jsonv.equal dj (Jsonv.parse_exn "diagnostic" (Json.to_string dj))))
     ds;
-  check "summary present" true (contains json "\"summary\"")
+  Jsonv.check_at "summary counts errors" v [ "summary"; "errors" ]
+    (Json.Int (Diagnostic.count Diagnostic.Error ds));
+  check_int "every diagnostic listed" (List.length ds)
+    (List.length (Jsonv.elements [ "diagnostics" ] v))
 
 let test_rule_catalog () =
   let catalog = List.map (fun (c, _, _) -> c) Diagnostic.rules in
@@ -492,7 +495,7 @@ let prop_lint_never_raises =
       let s = mini_schema top out_f out_g in
       let ds = Lint.lint_schema s in
       (* and its report always renders to valid JSON *)
-      Jsonv.explain (Diagnostic.report_to_json ds) = None)
+      Jsonv.is_valid (Json.to_string (Diagnostic.report_to_json ds)))
 
 let prop_vacuity_matches_automata =
   QCheck.Test.make ~count:300 ~name:"AXM001 agrees with automata emptiness"

@@ -53,12 +53,19 @@ let run_split args =
   Sys.remove err;
   (code, stdout, stderr)
 
+module Json = Axml_obs.Json
+
+let str s = Json.String s
+
+(* stdout of a --format json command: exactly one line holding one JSON
+   envelope with the shared diagnostics and summary members. *)
 let check_json_envelope label s =
-  (match Jsonv.explain s with
-   | None -> ()
-   | Some why -> Alcotest.failf "%s: stdout is not valid JSON: %s" label why);
-  check (label ^ ": has diagnostics") true (contains s "\"diagnostics\"");
-  check (label ^ ": has summary") true (contains s "\"summary\"")
+  check (label ^ ": one line") true
+    (String.index_opt s '\n' = Some (String.length s - 1));
+  let v = Jsonv.parse_exn label s in
+  check (label ^ ": has diagnostics") true (Jsonv.at [ "diagnostics" ] v <> None);
+  check (label ^ ": has summary") true (Jsonv.at [ "summary"; "errors" ] v <> None);
+  v
 
 let dir = Filename.get_temp_dir_name ()
 let path name = Filename.concat dir ("axml_test_" ^ name)
@@ -180,13 +187,13 @@ let test_batch () =
   check "per-doc outcome lines" true (contains out "rewritten, 1 invocation");
   check "batch summary" true (contains out "3 docs");
   check "cache summary" true (contains out "hit rate");
-  let json = read_file json_file in
-  check "json docs" true (contains json "\"docs\": 3");
-  check "json rewritten" true (contains json "\"rewritten\": 3");
-  check "json cache" true (contains json "\"cache\"");
-  check "json hit rate" true (contains json "\"cache_hit_rate\"");
-  check "json faults" true (contains json "\"faults\": 0");
-  check "json resilience" true (contains json "\"resilience\"");
+  let v = Jsonv.parse_exn "stats JSON" (read_file json_file) in
+  Jsonv.check_at "json docs" v [ "docs" ] (Json.Int 3);
+  Jsonv.check_at "json rewritten" v [ "rewritten" ] (Json.Int 3);
+  check "json cache" true (Jsonv.at [ "cache"; "hits" ] v <> None);
+  check "json hit rate" true (Jsonv.at [ "cache_hit_rate" ] v <> None);
+  Jsonv.check_at "json faults" v [ "faults" ] (Json.Int 0);
+  check "json resilience" true (Jsonv.at [ "resilience"; "calls" ] v <> None);
   (* a rejected document fails the batch *)
   let code, out =
     run [ "batch"; "-f"; path "sender.axs"; "-t"; path "strict.axs";
@@ -208,10 +215,10 @@ let test_batch_fault_tolerance () =
   in
   check_int "faults: exit 1" 1 code;
   check "marked as service faults" true (contains out "SERVICE-FAULT");
-  let json = read_file json_file in
-  check "json faults" true (contains json "\"faults\": 3");
-  check "json gave up" true (contains json "\"gave_up\": 1");
-  check "json breaker trip" true (contains json "\"trips\": 1");
+  let v = Jsonv.parse_exn "fault stats JSON" (read_file json_file) in
+  Jsonv.check_at "json faults" v [ "faults" ] (Json.Int 3);
+  Jsonv.check_at "json gave up" v [ "resilience"; "gave_up" ] (Json.Int 1);
+  Jsonv.check_at "json breaker trip" v [ "resilience"; "trips" ] (Json.Int 1);
   (* a flaky service (every 7th call dies) is absorbed by the retries *)
   let json_file = path "flaky_stats.json" in
   let code, _ =
@@ -220,9 +227,9 @@ let test_batch_fault_tolerance () =
          @ List.init 7 (fun _ -> path "doc.xml"))
   in
   check_int "flaky absorbed: exit 0" 0 code;
-  let json = read_file json_file in
-  check "no faults surfaced" true (contains json "\"faults\": 0");
-  check "one retry recorded" true (contains json "\"retries\": 1")
+  let v = Jsonv.parse_exn "flaky stats JSON" (read_file json_file) in
+  Jsonv.check_at "no faults surfaced" v [ "faults" ] (Json.Int 0);
+  Jsonv.check_at "one retry recorded" v [ "resilience"; "retries" ] (Json.Int 1)
 
 let test_batch_stats_json_shape () =
   setup ();
@@ -232,14 +239,15 @@ let test_batch_stats_json_shape () =
           "--stats-json"; json_file; path "doc.xml" ]
   in
   check_int "exit 0" 0 code;
-  let json = read_file json_file in
-  (match Jsonv.explain json with
-   | None -> ()
-   | Some why -> Alcotest.failf "stats JSON does not parse: %s" why);
-  check "names the sender schema" true (contains json "\"sender_schema\"");
-  check "names the exchange schema" true (contains json "\"exchange_schema\"");
-  check "records the schema path" true (contains json (path "exchange.axs"));
-  check "stamps the run" true (contains json "\"timestamp\": \"2")
+  let v = Jsonv.parse_exn "stats JSON" (read_file json_file) in
+  Jsonv.check_at "names the sender schema" v [ "sender_schema" ]
+    (str (path "sender.axs"));
+  Jsonv.check_at "names the exchange schema" v [ "exchange_schema" ]
+    (str (path "exchange.axs"));
+  check "stamps the run" true
+    (match Jsonv.at [ "timestamp" ] v with
+     | Some (Json.String t) -> String.length t > 0 && t.[0] = '2'
+     | _ -> false)
 
 let test_batch_metrics_out () =
   setup ();
@@ -265,12 +273,9 @@ let test_batch_metrics_out () =
           "--metrics-out"; json_file; path "doc.xml" ]
   in
   check_int "json variant: exit 0" 0 code;
-  let json = read_file json_file in
-  (match Jsonv.explain json with
-   | None -> ()
-   | Some why -> Alcotest.failf "metrics JSON does not parse: %s" why);
+  let v = Jsonv.parse_exn "metrics JSON" (read_file json_file) in
   check "execute metrics present" true
-    (contains json "axml_execute_invocations_total")
+    (Jsonv.exists [ "metrics" ] [ "name" ] (str "axml_execute_invocations_total") v)
 
 let test_trace () =
   setup ();
@@ -421,15 +426,14 @@ let test_lint_contract_json () =
           "-t"; path "doomed_target.axs"; path "doomed_doc.xml" ]
   in
   check_int "doomed pair: exit 1" 1 code;
-  (match Jsonv.explain out with
-   | None -> ()
-   | Some why -> Alcotest.failf "lint JSON does not parse: %s" why);
+  let v = Jsonv.parse_exn "lint JSON" out in
   (* contract, schema and document level findings, all in one report *)
   List.iter
-    (fun c -> check (c ^ " reported") true (contains out c))
+    (fun c -> check (c ^ " reported") true (Jsonv.exists [ "diagnostics" ] [ "code" ] (str c) v))
     [ "AXM012"; "AXM020"; "AXM021"; "AXM022"; "AXM023"; "AXM030"; "AXM031" ];
-  check "summary object" true (contains out "\"summary\"");
-  check "files attributed" true (contains out (path "doomed_doc.xml"))
+  check "summary object" true (Jsonv.at [ "summary"; "errors" ] v <> None);
+  check "files attributed" true
+    (Jsonv.exists [ "diagnostics" ] [ "file" ] (str (path "doomed_doc.xml")) v)
 
 let test_lint_deny_thresholds () =
   setup_lint ();
@@ -565,14 +569,17 @@ let test_diff_cli_json () =
           "-t"; path "evo_v2.axs" ]
   in
   check_int "exit 0" 0 code;
-  (match Jsonv.explain out with
-   | None -> ()
-   | Some why -> Alcotest.failf "diff JSON does not parse: %s" why);
+  let v = check_json_envelope "diff JSON" out in
+  Jsonv.check_at "command" v [ "command" ] (str "diff");
   List.iter
-    (fun needle -> check (needle ^ " present") true (contains out needle))
-    [ {|"command":"diff"|}; {|"change":"narrowed"|}; {|"change":"widened"|};
-      {|"new_calls":["Get_Date"]|}; {|"witness":"title.date.temp"|};
-      {|"verdict":"possible"|}; {|"code":"AXM040"|}; {|"summary"|} ]
+    (fun (what, arr, sub, expected) ->
+      check (what ^ " present") true (Jsonv.exists [ arr ] [ sub ] expected v))
+    [ ("narrowed label", "labels", "change", str "narrowed");
+      ("widened label", "labels", "change", str "widened");
+      ("new call", "labels", "new_calls", Json.List [ str "Get_Date" ]);
+      ("witness", "labels", "witness", str "title.date.temp");
+      ("possible verdict", "verdicts", "verdict", str "possible");
+      ("AXM040", "diagnostics", "code", str "AXM040") ]
 
 let test_migrate_cli () =
   setup_evolution ();
@@ -604,14 +611,14 @@ let test_migrate_cli_json () =
           path "evo_sun.xml"; path "evo_tribune.xml"; path "evo_gazette.xml" ]
   in
   check_int "exit 1" 1 code;
-  (match Jsonv.explain out with
-   | None -> ()
-   | Some why -> Alcotest.failf "migrate JSON does not parse: %s" why);
+  let v = check_json_envelope "migrate JSON" out in
+  Jsonv.check_at "command" v [ "command" ] (str "migrate");
   List.iter
-    (fun needle -> check (needle ^ " present") true (contains out needle))
-    [ {|"command":"migrate"|}; {|"advisory":"possible"|};
-      {|"advisory":"materialize"|}; {|"advisory":"doomed"|};
-      {|"migratable":false|}; {|"code":"AXM042"|}; {|"summary"|} ]
+    (fun a ->
+      check (a ^ " advisory") true (Jsonv.exists [ "documents" ] [ "advisory" ] (str a) v))
+    [ "possible"; "materialize"; "doomed" ];
+  Jsonv.check_at "not migratable" v [ "migratable" ] (Json.Bool false);
+  check "AXM042 reported" true (Jsonv.exists [ "diagnostics" ] [ "code" ] (str "AXM042") v)
 
 let test_compat_json () =
   setup_evolution ();
@@ -621,19 +628,18 @@ let test_compat_json () =
           "-t"; path "exchange.axs" ]
   in
   check_int "compatible pair: exit 0" 0 code;
-  (match Jsonv.explain out with
-   | None -> ()
-   | Some why -> Alcotest.failf "compat JSON does not parse: %s" why);
-  check "command tagged" true (contains out {|"command":"compat"|});
-  check "compatible" true (contains out {|"compatible":true|});
-  check "depth recorded" true (contains out {|"k":2|});
+  let v = check_json_envelope "compat JSON" out in
+  Jsonv.check_at "command tagged" v [ "command" ] (str "compat");
+  Jsonv.check_at "compatible" v [ "compatible" ] (Json.Bool true);
+  Jsonv.check_at "depth recorded" v [ "k" ] (Json.Int 2);
   (* the evolved pair is not whole-schema compatible *)
   let code, out =
     run [ "compat"; "--format"; "json"; "-f"; path "evo_sender.axs";
           "-t"; path "evo_v2.axs" ]
   in
   check_int "evolved pair: exit 1" 1 code;
-  check "incompatible" true (contains out {|"compatible":false|})
+  Jsonv.check_at "incompatible" (Jsonv.parse_exn "compat JSON" out) [ "compatible" ]
+    (Json.Bool false)
 
 (* Error paths under --format json: stdout must still carry exactly one
    valid envelope (the error as an AXM000 diagnostic), the human
@@ -644,8 +650,9 @@ let test_json_error_envelopes () =
   let check_error_envelope label args =
     let code, stdout, stderr = run_split args in
     check_int (label ^ ": exit 2") 2 code;
-    check_json_envelope label stdout;
-    check (label ^ ": AXM000 diagnostic") true (contains stdout "AXM000");
+    let v = check_json_envelope label stdout in
+    Jsonv.check_at (label ^ ": AXM000 diagnostic") v [ "diagnostics"; "0"; "code" ]
+      (str "AXM000");
     check (label ^ ": message on stderr") true (contains stderr "error:")
   in
   check_error_envelope "diff"
@@ -668,10 +675,12 @@ let test_batch_json () =
                 "-t"; path "exchange.axs"; path "doc.xml"; path "doc.xml" ]
   in
   check_int "exit 0" 0 code;
-  check_json_envelope "batch ok" stdout;
-  check "outcomes present" true (contains stdout "\"outcomes\"");
-  check "action recorded" true (contains stdout {|"action":"rewritten"|});
-  check "stats embedded" true (contains stdout "\"docs\": 2");
+  (* one envelope on one line: the stats block is no longer spliced in
+     as indented lines after it *)
+  let v = check_json_envelope "batch ok" stdout in
+  check_int "outcomes present" 2 (List.length (Jsonv.elements [ "outcomes" ] v));
+  Jsonv.check_at "action recorded" v [ "outcomes"; "0"; "action" ] (str "rewritten");
+  Jsonv.check_at "stats embedded" v [ "stats"; "docs" ] (Json.Int 2);
   check "outcome lines on stderr" true (contains stderr "rewritten");
   (* an enforcement failure becomes an AXM033 diagnostic and exit 1 *)
   let code, stdout, _ =
@@ -679,9 +688,9 @@ let test_batch_json () =
                 "-t"; path "strict.axs"; path "doc.xml" ]
   in
   check_int "rejection: exit 1" 1 code;
-  check_json_envelope "batch rejected" stdout;
-  check "AXM033 diagnostic" true (contains stdout "AXM033");
-  check "failed outcome" true (contains stdout {|"ok":false|})
+  let v = check_json_envelope "batch rejected" stdout in
+  Jsonv.check_at "AXM033 diagnostic" v [ "diagnostics"; "0"; "code" ] (str "AXM033");
+  Jsonv.check_at "failed outcome" v [ "outcomes"; "0"; "ok" ] (Json.Bool false)
 
 let test_bad_inputs () =
   setup ();
@@ -712,15 +721,15 @@ let test_soak_shape () =
     (code = 0 || code = 1);
   check "printed per-window lines" true (contains out "steady");
   check "printed the verdict" true (contains out "soak ");
-  let json = read_file json_file in
-  (match Jsonv.explain json with
-   | None -> ()
-   | Some why -> Alcotest.failf "BENCH_SOAK.json does not parse: %s" why);
+  let v = Jsonv.parse_exn "BENCH_SOAK.json" (read_file json_file) in
   List.iter
-    (fun key -> check (key ^ " present") true (contains json key))
-    [ "\"schema_version\""; "\"seed\""; "\"windows\""; "\"phases\"";
-      "\"verdict\""; "\"resilience\""; "\"heap_high_water_words\"";
-      "\"p50\""; "\"p99\""; "\"p999\""; "\"breakers\"" ]
+    (fun key -> check (key ^ " present") true (Jsonv.at [ key ] v <> None))
+    [ "schema_version"; "seed"; "windows"; "phases"; "verdict"; "resilience";
+      "heap_high_water_words" ];
+  List.iter
+    (fun key ->
+      check (key ^ " per window") true (Jsonv.at [ "windows"; "0"; key ] v <> None))
+    [ "p50"; "p99"; "p999"; "breakers" ]
 
 let () =
   Alcotest.run "cli"

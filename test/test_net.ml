@@ -659,7 +659,8 @@ let test_http_routes () =
   check "metrics body" true (String.length body > 0);
   let status, body = Client.http ~port ~meth:"GET" ~path:"/metrics.json" () in
   check_int "metrics.json status" 200 status;
-  check "json body" true (String.length body > 0 && body.[0] = '{');
+  let metrics = Jsonv.parse_exn "metrics.json body" body in
+  check "metrics.json lists families" true (Jsonv.elements [ "metrics" ] metrics <> []);
   let status, _ = Client.http ~port ~meth:"GET" ~path:"/nope" () in
   check_int "404" 404 status;
   let good =
@@ -668,10 +669,14 @@ let test_http_routes () =
          [ D.elem "title" [ D.data "t" ]; D.elem "date" [ D.data "d" ];
            D.elem "temp" [ D.data "15" ] ])
   in
-  let status, _ =
+  let status, body =
     Client.http ~port ~meth:"POST" ~path:"/exchange?as=posted" ~body:good ()
   in
   check_int "post accepted" 200 status;
+  let reply = Jsonv.parse_exn "exchange reply" body in
+  Jsonv.check_at "stored name" reply [ "stored" ] (Axml_obs.Json.String "posted");
+  check "stored bytes" true
+    (match Jsonv.at [ "bytes" ] reply with Some (Axml_obs.Json.Int n) -> n > 0 | _ -> false);
   check "stored via HTTP" true (List.mem "posted" (Peer.documents receiver));
   let status, body =
     Client.http ~port ~meth:"POST" ~path:"/exchange"

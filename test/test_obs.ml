@@ -3,6 +3,7 @@
    guarantee that attaching a sink never changes enforcement
    outcomes. *)
 
+module Json = Axml_obs.Json
 module Metrics = Axml_obs.Metrics
 module Trace = Axml_obs.Trace
 module Schema_parser = Axml_schema.Schema_parser
@@ -185,24 +186,95 @@ let test_prometheus_format () =
   check "count line" true (contains out "exp_seconds_count 2");
   check "gauge sample" true (contains out "exp_state 2")
 
+(* The family of [name] in a parsed [Metrics.to_json] dump. *)
+let family json name =
+  match
+    List.find_opt
+      (fun f -> Jsonv.at [ "name" ] f = Some (Json.String name))
+      (Jsonv.elements [ "metrics" ] json)
+  with
+  | Some f -> f
+  | None -> Alcotest.failf "family %s missing" name
+
 let test_json_export_valid () =
-  let out = Metrics.to_json (populated_registry ()) in
-  (match Jsonv.explain out with
-   | None -> ()
-   | Some e -> Alcotest.failf "invalid JSON: %s\n%s" e out);
-  check "metrics array" true (contains out "\"metrics\"");
-  check "counter value" true (contains out "\"value\": 3");
-  check "+Inf spelled as string" true (contains out "\"le\": \"+Inf\"")
+  let json = Metrics.to_json (populated_registry ()) in
+  let v = Jsonv.parse_exn "metrics JSON" (Json.to_string_pretty json) in
+  check "reads back as printed" true (Jsonv.equal json v);
+  Jsonv.check_at "counter value" (family v "exp_total") [ "values"; "0"; "value" ]
+    (Json.Int 3);
+  Jsonv.check_at "counter label survives escaping" (family v "exp_total")
+    [ "values"; "0"; "labels"; "svc" ] (Json.String "we\"ird\\na\nme");
+  Jsonv.check_at "+Inf spelled as string" (family v "exp_seconds")
+    [ "values"; "0"; "buckets"; "2"; "le" ] (Json.String "+Inf")
+
+(* NaN and infinity have no JSON spelling: they must print as null,
+   not as the invalid bare words nan / inf. *)
+let test_json_non_finite () =
+  let r = Metrics.create () in
+  Metrics.set (Metrics.gauge ~registry:r "nf_gauge") Float.nan;
+  Metrics.observe (Metrics.histogram ~registry:r ~buckets:[ 1.0 ] "nf_seconds") infinity;
+  let v = Jsonv.parse_exn "non-finite metrics" (Json.to_string (Metrics.to_json r)) in
+  Jsonv.check_at "nan gauge is null" (family v "nf_gauge") [ "values"; "0"; "value" ]
+    Json.Null;
+  Jsonv.check_at "infinite sum is null" (family v "nf_seconds") [ "values"; "0"; "sum" ]
+    Json.Null
 
 let test_json_string_escaping () =
-  check_str "plain" "\"abc\"" (Metrics.json_string "abc");
-  check_str "quote and backslash" "\"a\\\"b\\\\c\""
-    (Metrics.json_string "a\"b\\c");
-  check_str "newline and tab" "\"a\\nb\\tc\"" (Metrics.json_string "a\nb\tc");
-  check "control chars escaped" true
-    (contains (Metrics.json_string "a\x01b") "\\u0001");
-  check "result is valid JSON" true
-    (Jsonv.is_valid (Metrics.json_string "we\"ird\\\n\x02"))
+  let js s = Json.to_string (Json.String s) in
+  check_str "plain" "\"abc\"" (js "abc");
+  check_str "quote and backslash" "\"a\\\"b\\\\c\"" (js "a\"b\\c");
+  check_str "newline and tab" "\"a\\nb\\tc\"" (js "a\nb\tc");
+  check_str "control chars escaped" "\"a\\u0001b\"" (js "a\x01b");
+  check "result reads back" true
+    (Jsonv.parse (js "we\"ird\\\n\x02") = Json.String "we\"ird\\\n\x02")
+
+(* The reader is strict RFC 8259: the number spellings a lax validator
+   lets through are refused. *)
+let test_reader_strict () =
+  List.iter
+    (fun s -> check (s ^ " rejected") false (Jsonv.is_valid s))
+    [ "01"; "1."; ".5"; "+1"; "nan"; "inf"; "-"; "1e"; "[1,]"; "{\"a\"}"; "\"\x01\"";
+      "1 2"; "" ];
+  List.iter
+    (fun s -> check (s ^ " accepted") true (Jsonv.is_valid s))
+    [ "0"; "-0"; "1.5e-3"; "1E+2"; "[]"; "{}"; " [1, {\"a\": null}] "; "\"\\u00e9\"" ]
+
+(* Printer and reader agree on every value: strings over all 256 bytes,
+   finite floats including subnormals, both layouts. *)
+let gen_json =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 12) in
+  let finite =
+    oneof
+      [ float; map Int64.float_of_bits (map (fun n -> Int64.of_int n) (int_bound 1_000_000));
+        map (fun n -> float_of_int n) int ]
+    >|= fun f -> if Float.is_finite f then f else 0.5
+  in
+  sized_size (0 -- 4)
+  @@ fix (fun self depth ->
+         let leaf =
+           oneof
+             [ return Json.Null; map (fun b -> Json.Bool b) bool;
+               map (fun n -> Json.Int n) int; map (fun f -> Json.Float f) finite;
+               map (fun s -> Json.String s) str ]
+         in
+         if depth = 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun vs -> Json.List vs) (list_size (0 -- 4) (self (depth - 1))));
+               ( 1,
+                 map (fun ms -> Json.Obj ms)
+                   (list_size (0 -- 4) (pair str (self (depth - 1)))) ) ])
+
+let prop_print_parse_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"Jsonv.parse inverts both layouts"
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v ->
+      let line = Json.to_string v in
+      (not (String.contains line '\n'))
+      && Jsonv.equal v (Jsonv.parse line)
+      && Jsonv.equal v (Jsonv.parse (Json.to_string_pretty v)))
 
 (* ---------------- trace ring buffer ---------------- *)
 
@@ -282,9 +354,10 @@ let test_event_json () =
     (fun i kind ->
       let e = { Trace.seq = i; time_s = 0.5; depth = 1; kind } in
       let json = Trace.event_to_json e in
-      match Jsonv.explain json with
-      | None -> ()
-      | Some err -> Alcotest.failf "event %d: %s\n%s" i err json)
+      let line = Json.to_string json in
+      check "one line" false (String.contains line '\n');
+      check (Fmt.str "event %d reads back" i) true
+        (Jsonv.equal json (Jsonv.parse_exn "event" line)))
     kinds
 
 (* ---------------- sink parity ---------------- *)
@@ -377,8 +450,11 @@ let () =
         [ Alcotest.test_case "prometheus text format" `Quick
             test_prometheus_format;
           Alcotest.test_case "json export is valid" `Quick test_json_export_valid;
+          Alcotest.test_case "json non-finite values" `Quick test_json_non_finite;
           Alcotest.test_case "json string escaping" `Quick
-            test_json_string_escaping ] );
+            test_json_string_escaping;
+          Alcotest.test_case "json reader is strict" `Quick test_reader_strict;
+          QCheck_alcotest.to_alcotest prop_print_parse_roundtrip ] );
       ( "trace",
         [ Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
           Alcotest.test_case "span depth and errors" `Quick

@@ -7,6 +7,7 @@ module Schema = Axml_schema.Schema
 module Schema_parser = Axml_schema.Schema_parser
 module D = Axml_core.Document
 module Validate = Axml_core.Validate
+module Json = Axml_obs.Json
 module Metrics = Axml_obs.Metrics
 module Oracle = Axml_services.Oracle
 module Resilience = Axml_services.Resilience
@@ -280,14 +281,15 @@ let test_soak_inprocess () =
     (contains flash_check.Soak.detail "factor");
   check "heap high water recorded" true
     (report.Soak.heap_high_water_words > 0);
-  let json = Soak.report_to_json report in
-  (match Jsonv.explain json with
-   | None -> ()
-   | Some why -> Alcotest.failf "report JSON does not parse: %s" why);
+  let v =
+    Jsonv.parse_exn "soak report" (Json.to_string_pretty (Soak.report_to_json report))
+  in
   List.iter
-    (fun key -> check (key ^ " in JSON") true (contains json key))
-    [ "\"schema_version\""; "\"windows\""; "\"phases\""; "\"verdict\"";
-      "\"resilience\""; "\"heap_high_water_words\""; "\"p999\"" ];
+    (fun path ->
+      check (String.concat "." path ^ " in JSON") true (Jsonv.at path v <> None))
+    [ [ "schema_version" ]; [ "windows"; "0"; "p999" ]; [ "phases" ];
+      [ "verdict"; "pass" ]; [ "resilience"; "trips" ];
+      [ "heap_high_water_words" ] ];
   (* the soak metric families live in the passed registry *)
   let prom = Metrics.to_prometheus registry in
   check "latency family registered" true
@@ -322,6 +324,26 @@ let test_soak_verdict_skips () =
           (contains c.Soak.detail "skipped"))
     report.Soak.verdict.Soak.checks
 
+(* Non-finite rates and quantiles print as null, never as the invalid
+   bare words nan / inf. *)
+let test_soak_json_non_finite () =
+  let window =
+    { Soak.w_index = 0; w_start_s = 0.; w_end_s = 0.1; w_phase = "steady";
+      w_requests = 0; w_p50 = Float.nan; w_p99 = Float.nan; w_p999 = Float.nan;
+      w_rate = infinity; w_heap_words = 0; w_trips = 0; w_retries = 0;
+      w_short_circuited = 0; w_breakers = [] }
+  in
+  let report =
+    { Soak.seed = 1; total_s = 0.1; windows = [ window ]; phases = [];
+      resilience = Resilience.zero_stats; heap_high_water_words = 0;
+      verdict = { Soak.pass = true; checks = [] } }
+  in
+  let v =
+    Jsonv.parse_exn "soak report" (Json.to_string (Soak.report_to_json report))
+  in
+  Jsonv.check_at "infinite rate is null" v [ "windows"; "0"; "rate" ] Json.Null;
+  Jsonv.check_at "empty-window p50 is null" v [ "windows"; "0"; "p50" ] Json.Null
+
 (* ---------------- suite ---------------- *)
 
 let () =
@@ -352,4 +374,6 @@ let () =
       ( "soak",
         [ Alcotest.test_case "in-process soak" `Quick test_soak_inprocess;
           Alcotest.test_case "verdict skip logic" `Quick
-            test_soak_verdict_skips ] ) ]
+            test_soak_verdict_skips;
+          Alcotest.test_case "report json non-finite" `Quick
+            test_soak_json_non_finite ] ) ]
