@@ -637,8 +637,11 @@ let e12 () =
     after.Fork_automaton.states after.Fork_automaton.edges;
   let t =
     measure_ns "e12" (fun () ->
-        Rewriter.materialize_mixed rw ~eager_calls:(String.equal "TimeOut")
-          ~invoker:(Registry.invoker reg) fig2a)
+        let invoker = Registry.invoker reg in
+        Result.map
+          (fun (doc, _) -> Rewriter.materialize rw ~invoker doc)
+          (Rewriter.pre_materialize rw ~eager_calls:(String.equal "TimeOut")
+             ~invoker fig2a))
   in
   Fmt.pr "mixed materialization latency: %a@." pp_ns t
 
@@ -1075,23 +1078,42 @@ let e19 () =
     Unix.gettimeofday () -. t0
   in
   ignore (one_pass Trace.Null);  (* warm-up: caches, minor heap sizing *)
-  let mem_buf = Trace.buffer ~capacity:4096 () in
-  let arms = [| Trace.Null; Trace.Memory mem_buf |] in
   (* interleave the arms — alternating the order each round — and keep
      per-arm minima, so drift (GC state, scheduling, machine load)
      cannot masquerade as sink overhead *)
-  let best = Array.make (Array.length arms) infinity in
-  for round = 1 to passes do
-    let order =
-      if round land 1 = 0 then [ 0; 1 ] else [ 1; 0 ]
-    in
-    List.iter
-      (fun i -> best.(i) <- Float.min best.(i) (one_pass arms.(i)))
-      order
-  done;
-  let null_s = best.(0) and mem_s = best.(1) in
+  let measure () =
+    let mem_buf = Trace.buffer ~capacity:4096 () in
+    let arms = [| Trace.Null; Trace.Memory mem_buf |] in
+    let best = Array.make (Array.length arms) infinity in
+    for round = 1 to passes do
+      let order =
+        if round land 1 = 0 then [ 0; 1 ] else [ 1; 0 ]
+      in
+      List.iter
+        (fun i -> best.(i) <- Float.min best.(i) (one_pass arms.(i)))
+        order
+    done;
+    (best.(0), best.(1), mem_buf)
+  in
+  let gate_pct = 20. in
+  let pct ~null_s arm_s = 100. *. (arm_s -. null_s) /. null_s in
+  (* The gate catches a sink that changes which enforcement walk runs:
+     that costs about +60% on every measurement, while load from other
+     processes (a parallel `dune build @ci`) seldom lasts through
+     three. So an overhead above the gate is measured again, at most
+     twice, before it fails the run. *)
+  let rec settle attempt =
+    let ((null_s, mem_s, _) as m) = measure () in
+    if pct ~null_s mem_s > gate_pct && attempt < 3 then begin
+      Fmt.pr "memory ring : %+.1f%% on attempt %d, measuring again@."
+        (pct ~null_s mem_s) attempt;
+      settle (attempt + 1)
+    end
+    else m
+  in
+  let null_s, mem_s, mem_buf = settle 1 in
   let total = n in
-  let overhead arm_s = 100. *. (arm_s -. null_s) /. null_s in
+  let overhead = pct ~null_s in
   let rate s = float_of_int total /. s in
   Fmt.pr "null sink   : %8.3f s  (%7.0f docs/s)  baseline@." null_s
     (rate null_s);
@@ -1106,7 +1128,15 @@ let e19 () =
       ("memory_docs_per_s", num (rate mem_s));
       ("memory_overhead_pct", num (overhead mem_s));
       ("events_pushed", int (Trace.buffer_pushed mem_buf));
-      ("events_retained", int (List.length (Trace.buffer_events mem_buf))) ]
+      ("events_retained", int (List.length (Trace.buffer_events mem_buf))) ];
+  (* The <5% bar is reported, not gated: measured values sit close to
+     it. *)
+  Fmt.pr "<5%% bar: %s@." (if overhead mem_s < 5. then "met" else "not met");
+  if overhead mem_s > gate_pct then begin
+    Fmt.epr "e19: memory-sink overhead %+.1f%% exceeds the %.0f%% gate@."
+      (overhead mem_s) gate_pct;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* E20: static analysis — lint throughput over synthetic schemas       *)

@@ -204,9 +204,10 @@ let enforce_steps ~config ~compiled ~(invoker : Execute.invoker)
     | Some r -> Resilience.wrap_invoker r invoker
     | None -> invoker
   in
-  (* step (ii) driver, shared by both walks below. The materializer's
-     subtree-sharing walk returns a conforming document physically
-     unchanged, which is how the fused path classifies [Conformed]. *)
+  (* steps (i) and (ii) in one walk: the materializer validates each
+     children word through the dense tables as it goes and returns a
+     conforming document physically unchanged, which is how [Conformed]
+     is classified. *)
   let rewrite doc pre_invocations =
     match Rewriter.materialize ~mode:Rewriter.Safe rw ~invoker doc with
     | Ok (doc', invs) ->
@@ -242,42 +243,17 @@ let enforce_steps ~config ~compiled ~(invoker : Execute.invoker)
             if runtime then Error (Attempt_failed fs) else Error (Rejected fs)
       end
   in
-  if (not (Trace.enabled Trace.default)) && config.eager_calls = None then
-    (* fused fast path: one walk — the materializer validates each
-       children word through the dense tables as it goes, so step (i)
-       needs no separate traversal *)
-    rewrite doc []
-  else begin
-    (* step (i): validation, kept as its own walk so tracers see the
-       violation count and eager pre-materialization only runs on
-       non-instances *)
-    let conforming =
-      if Trace.enabled Trace.default then begin
-        let violations = Validate.document_violations compiled.c_validate doc in
-        Trace.emit
-          (Validation
-             { subject = subject_of doc; violations = List.length violations });
-        violations = []
-      end
-      else Validate.document_conforms compiled.c_validate doc
-    in
-    if conforming then
-      Ok (doc, { action = Conformed; invocations = [] })
-    else begin
-      (* step (ii): rewriting *)
-      let pre =
-        match config.eager_calls with
-        | Some eager ->
-          (match Rewriter.pre_materialize rw ~eager_calls:eager ~invoker doc with
-           | Ok (doc', invs) -> Ok (doc', invs)
-           | Error f -> Error (classify [ f ]))
-        | None -> Ok (doc, [])
-      in
-      match pre with
-      | Error e -> Error e
-      | Ok (doc, pre_invocations) -> rewrite doc pre_invocations
-    end
-  end
+  match config.eager_calls with
+  | None -> rewrite doc []
+  | Some _ when Validate.document_conforms compiled.c_validate doc ->
+    (* eager calls hit real services: never fire them on an instance *)
+    Ok (doc, { action = Conformed; invocations = [] })
+  | Some eager ->
+    (* mixed approach (Section 5): pre-fire the eager calls, then the
+       same walk *)
+    (match Rewriter.pre_materialize rw ~eager_calls:eager ~invoker doc with
+     | Ok (doc', pre_invocations) -> rewrite doc' pre_invocations
+     | Error f -> Error (classify [ f ]))
 
 let enforce_compiled ~config ~compiled ~(invoker : Execute.invoker)
     (doc : Document.t) : (Document.t * report, error) result =

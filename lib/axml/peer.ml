@@ -59,16 +59,10 @@ type provided = {
   p_cost : float;
 }
 
-(* Compiled enforcement artifacts for one direction (parameters or
-   result) of a provided service: the wrapper schema, its validation
-   context, and — built only when a rewrite is actually needed — the
-   rewriter. *)
-type io_compiled = {
-  io_ctx : Validate.ctx;
-  io_rewriter : Rewriter.t Lazy.t;
-}
-
-type serve_compiled = { sc_params : io_compiled; sc_result : io_compiled }
+(* Compiled enforcement artifacts of a provided service: one rewriter
+   per direction, over the peer's schema rooted at a wrapper element
+   whose content is the direction's type. *)
+type serve_compiled = { sc_params : Rewriter.t; sc_result : Rewriter.t }
 
 (* The peer's tunables are the enforcement config itself, applied
    through [configure]; re-exported so [Peer.k] etc. name its fields. *)
@@ -208,10 +202,7 @@ let io_compile t wrapper_name content =
     Schema.with_root (Schema.add_element t.schema wrapper_name content)
       wrapper_name
   in
-  { io_ctx = Validate.ctx ~env:(Schema.env_of_schema s) s;
-    io_rewriter =
-      lazy
-        (Rewriter.create ~k:t.config.k ~s0:s ~target:s ()) }
+  Rewriter.create ~k:t.config.k ~s0:s ~target:s ()
 
 let serve_compiled t (p : provided) =
   match Hashtbl.find_opt t.serve_cache p.p_name with
@@ -255,25 +246,22 @@ let receive_ctx t ~exchange =
 (* ------------------------------------------------------------------ *)
 
 (* Run the three enforcement steps on a forest against one direction's
-   wrapper schema. *)
-let enforce_io t ~wrapper_name ~what ~method_name (io : io_compiled)
+   wrapper schema: the materializer's one walk verifies and rewrites,
+   and hands a conforming forest back physically unchanged. *)
+let enforce_io t ~wrapper_name ~what ~method_name rw
     (forest : Document.forest) : Document.forest =
-  let wrapper = Document.elem wrapper_name forest in
-  if Validate.violations io.io_ctx wrapper = [] then forest
-  else begin
-    match
-      Rewriter.materialize (Lazy.force io.io_rewriter)
-        ~invoker:(Registry.invoker t.registry) wrapper
-    with
-    | Ok (Document.Elem { children; _ }, _) -> children
-    | Ok _ -> raise (Peer_error (what ^ " enforcement changed the wrapper"))
-    | Error fs ->
-      raise
-        (Peer_error
-           (Fmt.str "peer %s: %s of %s rejected: %a" t.name what method_name
-              Fmt.(list ~sep:(any "; ") Rewriter.pp_failure)
-              fs))
-  end
+  match
+    Rewriter.materialize rw ~invoker:(Registry.invoker t.registry)
+      (Document.elem wrapper_name forest)
+  with
+  | Ok (Document.Elem { children; _ }, _) -> children
+  | Ok _ -> raise (Peer_error (what ^ " enforcement changed the wrapper"))
+  | Error fs ->
+    raise
+      (Peer_error
+         (Fmt.str "peer %s: %s of %s rejected: %a" t.name what method_name
+            Fmt.(list ~sep:(any "; ") Rewriter.pp_failure)
+            fs))
 
 (* Serve one call locally, running the Schema Enforcement module on both
    the parameters and the result (Section 7: "before an ActiveXML

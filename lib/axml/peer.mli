@@ -104,7 +104,10 @@ val provided_names : t -> string list
 val serve : t -> method_name:string -> Axml_core.Document.forest ->
   Axml_core.Document.forest
 (** Serve one call locally, running the enforcement module on both the
-    parameters and the result (the "three steps", Section 7).
+    parameters and the result (the "three steps", Section 7): one safe
+    materializer walk per direction, with the peer's registry as
+    invoker. A forest that already conforms comes back physically
+    unchanged, without any invocation.
     @raise Peer_error on rejection. *)
 
 val provided_service : t -> string -> Axml_services.Service.t option

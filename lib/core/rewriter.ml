@@ -401,14 +401,6 @@ let pre_materialize t ~eager_calls ~(invoker : Execute.invoker) doc :
     Error { at = []; reason = Invalid_root_forest { width = List.length forest } }
   | exception Failed f -> Error f
 
-let materialize_mixed ?k t ~eager_calls ~invoker doc =
-  match pre_materialize t ~eager_calls ~invoker doc with
-  | Error f -> Error [ f ]
-  | Ok (doc', pre) ->
-    (match materialize ~mode:Safe ?k t ~invoker doc' with
-     | Ok (doc'', invs) -> Ok (doc'', pre @ invs)
-     | Error fs -> Error fs)
-
 (* ------------------------------------------------------------------ *)
 (* The unified static check                                            *)
 (* ------------------------------------------------------------------ *)

@@ -164,9 +164,6 @@ val pre_materialize :
     answers replace the signature automata, shrinking A_w^k. Eager
     calls hit real services, so their failures come back as typed
     [Error] faults ([Service_failure], or [Invalid_root_forest] when the
-    root call expands to a non-singleton forest) instead of escaping. *)
-
-val materialize_mixed :
-  ?k:int -> t -> eager_calls:(string -> bool) -> invoker:Execute.invoker ->
-  Document.t ->
-  (Document.t * located_invocation list, failure list) result
+    root call expands to a non-singleton forest) instead of escaping.
+    {!materialize} on the result completes the mixed rewriting
+    ([Enforcement] does this for [config.eager_calls]). *)

@@ -141,8 +141,6 @@ let violations ctx (doc : Document.t) : violation list =
   visit [] doc;
   List.rev !acc
 
-let instance_of ctx doc = violations ctx doc = []
-
 (* Boolean twin of [violations]: no paths, no lists, early exit on the
    first offence — the per-document gate of warm enforcement. *)
 let rec conforms ctx (node : Document.t) =

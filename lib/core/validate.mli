@@ -40,8 +40,6 @@ val forest_accepted :
 val violations : ctx -> Document.t -> violation list
 (** All violations, prefix order; [[]] means instance. *)
 
-val instance_of : ctx -> Document.t -> bool
-
 val document_violations : ctx -> Document.t -> violation list
 (** As {!violations}, additionally requiring the schema's distinguished
     root label. *)

@@ -9,7 +9,6 @@ type kind =
   | Span_open of { name : string; detail : string }
   | Span_close of { name : string; elapsed_s : float }
   | Cache_query of { cache : string; hit : bool }
-  | Validation of { subject : string; violations : int }
   | Fork_choice of { fname : string; choice : string }
   | Attempt of { fname : string; number : int }
   | Retry of { fname : string; attempt : int; backoff_s : float }
@@ -89,9 +88,6 @@ let pp_kind ppf = function
       Format.fprintf ppf "< %s (%.1f us)" name (elapsed_s *. 1e6)
   | Cache_query { cache; hit } ->
       Format.fprintf ppf "cache %s: %s" cache (if hit then "hit" else "miss")
-  | Validation { subject; violations } ->
-      if violations = 0 then Format.fprintf ppf "validate %s: conforms" subject
-      else Format.fprintf ppf "validate %s: %d violation(s)" subject violations
   | Fork_choice { fname; choice } ->
       Format.fprintf ppf "fork %s: %s" fname choice
   | Attempt { fname; number } ->
@@ -123,8 +119,6 @@ let kind_fields kind =
     event "span_close" [ ("name", str name); ("elapsed_s", Json.Float elapsed_s) ]
   | Cache_query { cache; hit } ->
     event "cache_query" [ ("cache", str cache); ("hit", Json.Bool hit) ]
-  | Validation { subject; violations } ->
-    event "validation" [ ("subject", str subject); ("violations", Json.Int violations) ]
   | Fork_choice { fname; choice } ->
     event "fork_choice" [ ("fname", str fname); ("choice", str choice) ]
   | Attempt { fname; number } ->

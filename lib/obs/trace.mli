@@ -43,9 +43,6 @@ type kind =
   | Cache_query of { cache : string; hit : bool }
       (** A memoized analysis was looked up ([cache] is ["safe"] or
           ["possible"] for contract word analyses). *)
-  | Validation of { subject : string; violations : int }
-      (** A document was validated; [violations = 0] means it already
-          conformed. *)
   | Fork_choice of { fname : string; choice : string }
       (** During {!Axml_core.Execute.run}, a fork node for function
           [fname] was resolved by [choice] (["keep"] or ["invoke"]).

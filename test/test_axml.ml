@@ -866,6 +866,42 @@ let test_peer_serve_enforces_output () =
   | [ D.Elem { label = "temp"; _ } ] -> ()
   | other -> Alcotest.failf "expected a materialized temp, got %a" D.pp_forest other
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
+(* A provider whose registry can materialize Get_Temp calls, serving an
+   identity [temp -> temp] service. *)
+let echo_provider () =
+  let provider = Peer.create ~name:"newspaper.com" ~schema:schema_star () in
+  Registry.register_all (Peer.registry provider)
+    [ Service.make ~input:(R.sym (Schema.A_label "city"))
+        ~output:(R.sym (Schema.A_label "temp")) "Get_Temp"
+        (Oracle.constant [ D.elem "temp" [ D.data "15" ] ]) ];
+  Peer.provide provider ~name:"Echo" ~input:(R.sym (Schema.A_label "temp"))
+    ~output:(R.sym (Schema.A_label "temp")) (Peer.Compute Fun.id);
+  provider
+
+let test_peer_serve_rejects_params () =
+  let provider = echo_provider () in
+  match
+    Peer.serve provider ~method_name:"Echo" [ D.elem "city" [ D.data "Paris" ] ]
+  with
+  | _ -> Alcotest.fail "unrewritable parameters were served"
+  | exception Peer.Peer_error m ->
+    check ("rejection message: " ^ m) true
+      (contains m "parameters of Echo rejected")
+
+let test_peer_serve_conforming_untouched () =
+  let provider = echo_provider () in
+  let registry = Peer.registry provider in
+  let before = Registry.invocation_count registry in
+  let params = [ D.elem "temp" [ D.data "12" ] ] in
+  let result = Peer.serve provider ~method_name:"Echo" params in
+  check "forest returned physically unchanged" true (result == params);
+  check_int "no registry invocation" before (Registry.invocation_count registry)
+
 let test_peer_send_document () =
   let sender = Peer.create ~name:"newspaper.com" ~schema:schema_star () in
   Registry.register_all (Peer.registry sender)
@@ -1251,6 +1287,10 @@ let () =
       ("peers",
        [ Alcotest.test_case "call through SOAP" `Quick test_peer_call_through_soap;
          Alcotest.test_case "serve enforces output" `Quick test_peer_serve_enforces_output;
+         Alcotest.test_case "serve rejects parameters" `Quick
+           test_peer_serve_rejects_params;
+         Alcotest.test_case "serve leaves conforming io untouched" `Quick
+           test_peer_serve_conforming_untouched;
          Alcotest.test_case "send document" `Quick test_peer_send_document;
          Alcotest.test_case "unknown service fault" `Quick test_peer_unknown_service_fault;
          Alcotest.test_case "version mismatch fault" `Quick test_peer_version_mismatch_fault;

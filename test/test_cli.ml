@@ -286,7 +286,8 @@ let test_trace () =
   in
   check_int "exit 0" 0 code;
   check "header line" true (contains out "trace:");
-  check "validation step" true (contains out "validate newspaper");
+  check "verification outcome" true
+    (contains out "decision newspaper: ACCEPT — safely rewritten");
   check "cache query" true (contains out "cache safe");
   check "fork choice" true (contains out "fork Get_Temp: invoke");
   check "invocation outcome" true (contains out "invoke Get_Temp: ok");

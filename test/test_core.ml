@@ -625,10 +625,15 @@ let test_mixed () =
           ~mode:(Rewriter.Check_mixed
                    { eager_calls = String.equal "TimeOut"; invoker })
           rw fig2a).failures);
-  match Rewriter.materialize_mixed rw ~eager_calls:(String.equal "TimeOut") ~invoker fig2a with
+  let pre, doc =
+    match Rewriter.pre_materialize rw ~eager_calls:(String.equal "TimeOut") ~invoker fig2a with
+    | Error f -> Alcotest.failf "pre-materialization failed: %a" Rewriter.pp_failure f
+    | Ok (doc, pre) -> (pre, doc)
+  in
+  match Rewriter.materialize rw ~invoker doc with
   | Error fs -> Alcotest.failf "failed: %a" Fmt.(list Rewriter.pp_failure) fs
   | Ok (doc, invs) ->
-    check_int "two invocations" 2 (List.length invs);
+    check_int "two invocations" 2 (List.length pre + List.length invs);
     let ctx =
       Validate.ctx ~env:(Schema.env_of_schemas schema_star schema_star3) schema_star3
     in

@@ -9,6 +9,7 @@ module Trace = Axml_obs.Trace
 module Schema_parser = Axml_schema.Schema_parser
 module D = Axml_core.Document
 module Generate = Axml_core.Generate
+module Rewriter = Axml_core.Rewriter
 module Enforcement = Axml_peer.Enforcement
 module Pipeline = Enforcement.Pipeline
 
@@ -340,7 +341,6 @@ let test_event_json () =
     [ Trace.Span_open { name = "enforce"; detail = "doc \"1\"" };
       Trace.Span_close { name = "enforce"; elapsed_s = 1e-4 };
       Trace.Cache_query { cache = "safe"; hit = true };
-      Trace.Validation { subject = "newspaper"; violations = 2 };
       Trace.Fork_choice { fname = "Get_Temp"; choice = "invoke" };
       Trace.Attempt { fname = "f"; number = 1 };
       Trace.Retry { fname = "f"; attempt = 1; backoff_s = 0.01 };
@@ -395,39 +395,97 @@ element newspaper = title.date.temp.(TimeOut | exhibit*)
 
 (* One enforcement run over [seed]-generated documents with honest
    random services, entirely deterministic in [seed]. *)
-let run_batch ~seed sink =
+let run_batch ~config ~seed sink =
   let g = Generate.create ~seed schema_star in
   let docs = List.init 30 (fun _ -> Generate.document g) in
   let oracle = Generate.create ~seed:(seed + 1) schema_star in
   let invoker fname _params = Generate.output_instance oracle fname in
-  let p = Pipeline.create ~s0:schema_star ~exchange:schema_star2 ~invoker () in
+  let p =
+    Pipeline.create ~config ~s0:schema_star ~exchange:schema_star2 ~invoker ()
+  in
   Trace.set_sink Trace.default sink;
   Fun.protect
     ~finally:(fun () -> Trace.set_sink Trace.default Trace.Null)
     (fun () -> fst (Pipeline.enforce_many p docs))
 
+let invocation_equal (a : Rewriter.located_invocation)
+    (b : Rewriter.located_invocation) =
+  a.at = b.at
+  && String.equal a.invocation.inv_name b.invocation.inv_name
+  && List.equal D.equal a.invocation.inv_params b.invocation.inv_params
+
+(* Same document, action and invocation list (name, parameters,
+   position), or the same error with the same failures. *)
 let outcome_equal a b =
   match (a, b) with
   | Ok (d1, r1), Ok (d2, r2) ->
     D.equal d1 d2
     && r1.Enforcement.action = r2.Enforcement.action
-    && List.length r1.Enforcement.invocations
-       = List.length r2.Enforcement.invocations
-  | Error (Enforcement.Rejected _), Error (Enforcement.Rejected _)
-  | Error (Enforcement.Attempt_failed _), Error (Enforcement.Attempt_failed _)
-  | Error (Enforcement.Service_fault _), Error (Enforcement.Service_fault _) ->
-    true
+    && List.equal invocation_equal r1.Enforcement.invocations
+         r2.Enforcement.invocations
+  | Error (Enforcement.Rejected f1), Error (Enforcement.Rejected f2)
+  | Error (Enforcement.Attempt_failed f1), Error (Enforcement.Attempt_failed f2)
+  | Error (Enforcement.Service_fault f1), Error (Enforcement.Service_fault f2) ->
+    f1 = f2
   | _ -> false
+
+(* The default plus the configs that reach eager pre-firing, the
+   possible fallback and deeper rewriting. *)
+let parity_configs =
+  let d = Enforcement.default_config in
+  [ d;
+    { d with k = 2 };
+    { d with fallback_possible = true };
+    { d with eager_calls = Some (String.equal "TimeOut") } ]
 
 let test_sink_parity =
   QCheck.Test.make ~name:"memory sink never changes enforcement outcomes"
     ~count:20
     QCheck.(small_int)
     (fun seed ->
-      let plain = run_batch ~seed Trace.Null in
-      let traced = run_batch ~seed (Trace.Memory (Trace.buffer ~capacity:64 ())) in
-      List.length plain = List.length traced
-      && List.for_all2 outcome_equal plain traced)
+      List.for_all
+        (fun config ->
+          let plain = run_batch ~config ~seed Trace.Null in
+          let traced =
+            run_batch ~config ~seed
+              (Trace.Memory (Trace.buffer ~capacity:64 ()))
+          in
+          List.length plain = List.length traced
+          && List.for_all2 outcome_equal plain traced)
+        parity_configs)
+
+(* With eager calls configured, a document that already conforms is
+   never touched: no eager call fires, traced or not. *)
+let test_eager_skips_instances () =
+  let doc =
+    D.elem "newspaper"
+      [ D.elem "title" [ D.data "The Sun" ];
+        D.elem "date" [ D.data "04/10/2002" ];
+        D.elem "temp" [ D.data "16C" ];
+        D.call "TimeOut" [ D.data "exhibits" ] ]
+  in
+  let config =
+    { Enforcement.default_config with eager_calls = Some (fun _ -> true) }
+  in
+  let calls = ref 0 in
+  let invoker _ _ = incr calls; [] in
+  List.iter
+    (fun sink ->
+      Trace.set_sink Trace.default sink;
+      Fun.protect
+        ~finally:(fun () -> Trace.set_sink Trace.default Trace.Null)
+        (fun () ->
+          match
+            Enforcement.enforce ~config ~s0:schema_star ~exchange:schema_star2
+              ~invoker doc
+          with
+          | Ok (doc', { Enforcement.action = Enforcement.Conformed; invocations = [] })
+            ->
+            check "returned unchanged" true (doc' == doc)
+          | Ok _ -> Alcotest.fail "expected Conformed with no invocations"
+          | Error e -> Alcotest.failf "%a" Enforcement.pp_error e))
+    [ Trace.Null; Trace.Memory (Trace.buffer ()) ];
+  check_int "no invocation" 0 !calls
 
 (* ---------------- suite ---------------- *)
 
@@ -461,4 +519,6 @@ let () =
             test_with_span_depth_and_errors;
           Alcotest.test_case "event json" `Quick test_event_json ] );
       ( "parity",
-        [ QCheck_alcotest.to_alcotest test_sink_parity ] ) ]
+        [ QCheck_alcotest.to_alcotest test_sink_parity;
+          Alcotest.test_case "eager calls skip instances" `Quick
+            test_eager_skips_instances ] ) ]
