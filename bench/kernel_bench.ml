@@ -11,7 +11,9 @@
    symbol ids); the two are property-tested equal in test_regex.ml, so
    this file only measures. Marking runs the full Section 7 lazy game
    (Fork_automaton.build + Product.create + Marking.analyze_lazy) on the
-   paper's newspaper example at growing depth k; subset runs the
+   paper's newspaper example at growing depth k, cold (output automata
+   and target table compiled per decision) and warm (both compiled
+   once, as a contract holds them); subset runs the
    map-side simulation check that lint and evolution depend on.
 
    Run with:  dune exec bench/kernel_bench.exe            (full, ~10 s)
@@ -198,38 +200,75 @@ let membership ~quota =
             ("dense_ns", dense_ns); ("speedup", map_ns /. dense_ns) ] })
     [ ("small", 4); ("medium", 16); ("large", 64) ]
 
+(* [lazy] and [eager] start cold: output automata compiled from the
+   environment and a fresh target table on every decision. [warm] is
+   the production miss: a contract's output automata and target table
+   are compiled once and already filled by earlier words, so only
+   A_w^k, the product nodes and the game are per-decision work. *)
 let marking ~quota ~smoke =
   Fmt.pr "-- marking: lazy game over A_w^k x target (ns / decision)@.";
-  Fmt.pr "%8s %3s %4s %8s %7s %12s %12s@." "size" "k" "|w|" "states" "forks"
-    "lazy" "eager";
+  Fmt.pr "%8s %3s %4s %8s %7s %12s %12s %12s@." "size" "k" "|w|" "states"
+    "forks" "lazy" "warm" "eager";
   List.map
     (fun (label, (env, target_nfa), k, word) ->
-      let build () =
-        let fork = Fork_automaton.build ~env ~k word in
-        Product.create ~fork ~target:target_nfa
+      let cold () =
+        let fork =
+          Fork_automaton.build ~outputs:(Fork_automaton.outputs env) ~k word
+        in
+        Product.create ~fork ~table:(Product.table target_nfa)
       in
-      let fork = Fork_automaton.build ~env ~k word in
-      let s = Fork_automaton.stats fork in
-      let lazy_ns =
+      let outputs = Fork_automaton.outputs env in
+      let table = Product.table target_nfa in
+      let warm () =
+        Product.create ~fork:(Fork_automaton.build ~outputs ~k word) ~table
+      in
+      let warmed = Marking.analyze_lazy (warm ()) in
+      let reference = Marking.analyze_lazy (cold ()) in
+      if warmed.Marking.safe <> reference.Marking.safe
+         || warmed.Marking.stats <> reference.Marking.stats
+      then Fmt.failwith "warm and cold marking disagree on %s" label;
+      let s = Fork_automaton.stats (Fork_automaton.build ~outputs ~k word) in
+      let measure_lazy () =
         measure_ns ~quota (Fmt.str "e25-mark-lazy-%s" label) (fun () ->
-            Marking.analyze_lazy (build ()))
+            Marking.analyze_lazy (cold ()))
+      and measure_warm () =
+        measure_ns ~quota (Fmt.str "e25-mark-warm-%s" label) (fun () ->
+            Marking.analyze_lazy (warm ()))
       in
+      (* The arms run in ABBA order and each keeps its best, so neither
+         always inherits the other's garbage. On a loaded machine a warm
+         arm above the cold one is measured again (at most twice) before
+         the gate at the end of the run sees it. *)
+      let measure () =
+        let l1 = measure_lazy () in
+        let w1 = measure_warm () in
+        let w2 = measure_warm () in
+        let l2 = measure_lazy () in
+        (Float.min l1 l2, Float.min w1 w2)
+      in
+      let rec settle attempt (lazy_ns, warm_ns) =
+        if warm_ns <= lazy_ns || attempt = 2 then (lazy_ns, warm_ns)
+        else
+          let l, w = measure () in
+          settle (attempt + 1) (Float.min lazy_ns l, Float.min warm_ns w)
+      in
+      let lazy_ns, warm_ns = settle 0 (measure ()) in
       let eager_ns =
         if smoke then Float.nan
         else
           measure_ns ~quota (Fmt.str "e25-mark-eager-%s" label) (fun () ->
-              Marking.analyze_eager (build ()))
+              Marking.analyze_eager (cold ()))
       in
-      Fmt.pr "%8s %3d %4d %8d %7d %a  %a@." label k (List.length word)
+      Fmt.pr "%8s %3d %4d %8d %7d %a  %a  %a@." label k (List.length word)
         s.Fork_automaton.states s.Fork_automaton.forks pp_ns lazy_ns pp_ns
-        eager_ns;
+        warm_ns pp_ns eager_ns;
       { label;
         meta =
           ([ ("k", float_of_int k);
              ("word_len", float_of_int (List.length word));
              ("fork_states", float_of_int s.Fork_automaton.states);
              ("forks", float_of_int s.Fork_automaton.forks);
-             ("lazy_ns", lazy_ns) ]
+             ("lazy_ns", lazy_ns); ("warm_ns", warm_ns) ]
           @ if smoke then [] else [ ("eager_ns", eager_ns) ]) })
     [ ("small", newspaper_env, 1, newspaper_word);
       ("medium", feed_env, 2, [ Symbol.Fun "Feed"; Symbol.Fun "Feed" ]);
@@ -284,12 +323,21 @@ let () =
     Json.to_file !out json;
     Fmt.pr "wrote %s@." !out
   end;
-  (* the CI smoke also sanity-gates the kernel's reason to exist: dense
-     membership must never lose to the map representation it replaced *)
+  (* the CI smoke also sanity-gates the kernel's reasons to exist: dense
+     membership must never lose to the map representation it replaced,
+     and a warm decision must never cost more than a cold one *)
   List.iter
     (fun { label; meta } ->
       let speedup = List.assoc "speedup" meta in
       if speedup < 1.0 then
         Fmt.failwith "dense membership slower than map on %s (%.2fx)" label
           speedup)
-    mem
+    mem;
+  List.iter
+    (fun { label; meta } ->
+      let lazy_ns = List.assoc "lazy_ns" meta
+      and warm_ns = List.assoc "warm_ns" meta in
+      if warm_ns > lazy_ns then
+        Fmt.failwith "warm marking slower than cold on %s (%.0f ns > %.0f ns)"
+          label warm_ns lazy_ns)
+    mark

@@ -203,7 +203,8 @@ let e2 () =
     "two fork nodes (q2 for Get_Temp, q3 for TimeOut); copies of the output \
      automata spliced around the function edges";
   let rw = rewriter schema_star2 in
-  let fork = Fork_automaton.build ~env:(Rewriter.env rw) ~k:1 newspaper_word in
+  let outputs = Fork_automaton.outputs (Rewriter.env rw) in
+  let fork = Fork_automaton.build ~outputs ~k:1 newspaper_word in
   let s = Fork_automaton.stats fork in
   Fmt.pr "measured: %d states, %d edges, %d forks@." s.Fork_automaton.states
     s.Fork_automaton.edges s.Fork_automaton.forks;
@@ -214,7 +215,7 @@ let e2 () =
     fork.Fork_automaton.forks;
   let t =
     measure_ns "e2" (fun () ->
-        Fork_automaton.build ~env:(Rewriter.env rw) ~k:1 newspaper_word)
+        Fork_automaton.build ~outputs ~k:1 newspaper_word)
   in
   Fmt.pr "construction latency: %a@." pp_ns t
 
@@ -433,18 +434,19 @@ let e8 () =
   expectation
     "states grow geometrically with k (each round re-expands the F inside \
      F's own output) and linearly with |w|";
-  let env =
-    Rewriter.env (Rewriter.create ~k:1 ~s0:deep_schema ~target:deep_schema ())
+  let outputs =
+    Fork_automaton.outputs
+      (Rewriter.env (Rewriter.create ~k:1 ~s0:deep_schema ~target:deep_schema ()))
   in
   Fmt.pr "-- growing k (|w| = 1):@.";
   Fmt.pr "%4s %10s %10s %10s %14s@." "k" "states" "edges" "forks" "build time";
   List.iter
     (fun k ->
-      let fork = Fork_automaton.build ~env ~k [ Symbol.Fun "F" ] in
+      let fork = Fork_automaton.build ~outputs ~k [ Symbol.Fun "F" ] in
       let s = Fork_automaton.stats fork in
       let t =
         measure_ns (Fmt.str "e8-k%d" k) (fun () ->
-            Fork_automaton.build ~env ~k [ Symbol.Fun "F" ])
+            Fork_automaton.build ~outputs ~k [ Symbol.Fun "F" ])
       in
       Fmt.pr "%4d %10d %10d %10d %a@." k s.Fork_automaton.states
         s.Fork_automaton.edges s.Fork_automaton.forks pp_ns t)
@@ -454,11 +456,11 @@ let e8 () =
   List.iter
     (fun n ->
       let word = List.init n (fun _ -> Symbol.Fun "F") in
-      let fork = Fork_automaton.build ~env ~k:2 word in
+      let fork = Fork_automaton.build ~outputs ~k:2 word in
       let s = Fork_automaton.stats fork in
       let t =
         measure_ns (Fmt.str "e8-w%d" n) (fun () ->
-            Fork_automaton.build ~env ~k:2 word)
+            Fork_automaton.build ~outputs ~k:2 word)
       in
       Fmt.pr "%4d %10d %10d %10d %a@." n s.Fork_automaton.states
         s.Fork_automaton.edges s.Fork_automaton.forks pp_ns t)
@@ -623,13 +625,13 @@ let e12 () =
     | Ok (doc', _) -> doc'
     | Error f -> Fmt.failwith "pre-materialization failed: %a" Rewriter.pp_failure f
   in
-  let env = Rewriter.env rw in
+  let outputs = Fork_automaton.outputs (Rewriter.env rw) in
   let before =
-    Fork_automaton.stats (Fork_automaton.build ~env ~k:1 newspaper_word)
+    Fork_automaton.stats (Fork_automaton.build ~outputs ~k:1 newspaper_word)
   in
   let after =
     Fork_automaton.stats
-      (Fork_automaton.build ~env ~k:1 (D.word (D.children doc')))
+      (Fork_automaton.build ~outputs ~k:1 (D.word (D.children doc')))
   in
   Fmt.pr
     "A_w^1 before: %d states / %d edges; after pre-materialization: %d / %d@."

@@ -5,13 +5,19 @@
    enforcement module pay the automata construction once per distinct
    word instead of once per document.
 
-   Domain safety: all mutable state (the regex memo tables, the FIFO
-   analysis cache and its counters) sits behind [lock], and uncached
-   analyses are computed while holding it, so concurrent callers see
-   each (word, kind) computed exactly once and the counters never
-   tear. The returned analyses carry lazily-extended products that are
-   NOT safe to execute from several domains at once — parallel
-   pipelines give each domain its own [clone] instead (see
+   A miss only builds what depends on the word: the output automata of
+   the functions ([outputs]) are compiled at creation, and the target
+   side of every product over one content model is one shared
+   [Product.table] (in [tables]), determinized lazily across words.
+
+   Domain safety: all mutable state (the regex memo tables, the target
+   tables, the FIFO analysis cache and its counters) sits behind
+   [lock], and uncached analyses are computed while holding it, so
+   concurrent callers see each (word, kind) computed exactly once and
+   the counters never tear. The returned analyses carry lazily-extended
+   products, which also extend the shared target tables, outside the
+   lock: they are NOT safe to execute from several domains at once —
+   parallel pipelines give each domain its own [clone] instead (see
    DESIGN.md). *)
 
 module R = Axml_regex.Regex
@@ -59,9 +65,11 @@ module Dense = Auto.Dfa.Dense
    are interned to small per-contract ids (physical equality first —
    [element_regex]/[input_regex] memoize, so the same regex value comes
    back on every call — structural equality as the slow fallback), and
-   the word goes through the polymorphic hash (one C-level traversal,
-   much cheaper than per-symbol table lookups). A probe therefore costs
-   one hash of the word plus a handful of int compares. *)
+   the word goes through [Symbol.hash_word], which hashes every symbol
+   (a single polymorphic hash of the list stops after about 10 symbols,
+   and 17-symbol words differing in their tails would share a bucket).
+   A probe therefore costs one hash per symbol plus a handful of int
+   compares. *)
 module Key = struct
   type t = { rid : int; k : int; h : int; word : Symbol.t list }
 
@@ -75,7 +83,7 @@ end
 
 let make_key ~rid ~k word =
   let h =
-    (Hashtbl.hash word lxor (rid * 0x9e3779b1) lxor (k * 0x85ebca6b))
+    (Symbol.hash_word word lxor (rid * 0x9e3779b1) lxor (k * 0x85ebca6b))
     land max_int
   in
   { Key.rid; k; h; word }
@@ -99,8 +107,10 @@ type t = {
   lock : Mutex.t;  (* guards every mutable field below *)
   element_regexes : (string, Symbol.t R.t option) Hashtbl.t;
   input_regexes : (string, Symbol.t R.t option) Hashtbl.t;
+  outputs : Fork_automaton.outputs;  (* immutable, shared with clones *)
   mutable regexes : Symbol.t R.t array;  (* interned cache-key regexes *)
   dense : (int, Dense.dense) Hashtbl.t;  (* regex id -> membership tables *)
+  tables : (int, Product.table) Hashtbl.t;  (* regex id -> target subsets *)
   cache : entry Tbl.t;
   order : Key.t Queue.t;  (* insertion order, for FIFO eviction *)
   mutable hits : int;
@@ -116,18 +126,22 @@ let create ?(k = 1) ?predicate ?(cache_capacity = 4096)
     lock = Mutex.create ();
     element_regexes = Hashtbl.create 16;
     input_regexes = Hashtbl.create 16;
+    outputs = Fork_automaton.outputs env;
     regexes = [||];
     dense = Hashtbl.create 16;
+    tables = Hashtbl.create 16;
     cache = Tbl.create 64;
     order = Queue.create ();
     hits = 0; misses = 0; evictions = 0 }
 
 (* A private contract over the same immutable compiled schemas: the
-   merged environment, schema values and (already compiled) content
-   regexes are shared, the analysis cache and counters start fresh.
-   This is what parallel pipelines hand each worker domain, so cached
-   analyses — whose products are extended in place during execution —
-   are never shared across domains. *)
+   merged environment, schema values, output automata and (already
+   compiled) content regexes are shared, the analysis cache and
+   counters start fresh. This is what parallel pipelines hand each
+   worker domain, so cached analyses — whose products, and the target
+   tables behind them, are extended in place during execution — are
+   never shared across domains: the clone gets empty tables of its
+   own. *)
 let clone (t : t) =
   Mutex.protect t.lock (fun () ->
       { t with
@@ -135,6 +149,7 @@ let clone (t : t) =
         element_regexes = Hashtbl.copy t.element_regexes;
         input_regexes = Hashtbl.copy t.input_regexes;
         dense = Hashtbl.copy t.dense;
+        tables = Hashtbl.create 16;
         cache = Tbl.create 64;
         order = Queue.create ();
         hits = 0; misses = 0; evictions = 0 })
@@ -185,9 +200,8 @@ let context_regex t = function
 
 let product ?k t ~target_regex word =
   let k = Option.value k ~default:t.k in
-  let fork = Fork_automaton.build ~env:t.env ~k word in
-  let nfa = Auto.Nfa.glushkov target_regex in
-  Product.create ~fork ~target:nfa
+  let fork = Fork_automaton.build ~outputs:t.outputs ~k word in
+  Product.create ~fork ~table:(Product.table (Auto.Nfa.glushkov target_regex))
 
 (* The id of a content-model regex in the interned key registry. The
    registry is append-only and tiny (one slot per distinct content
@@ -213,6 +227,22 @@ let regex_id t r =
        Array.blit arr 0 bigger 0 n;
        t.regexes <- bigger;
        n)
+
+(* The product the cache computes on a miss: only A_w^k is built for the
+   word; the target side is the contract's table for the content model,
+   shared by every product over it and grown under [t.lock]. Caller
+   holds [t.lock]. *)
+let shared_product t ~target_regex ~k word =
+  let rid = regex_id t target_regex in
+  let table =
+    match Hashtbl.find_opt t.tables rid with
+    | Some tb -> tb
+    | None ->
+      let tb = Product.table (Auto.Nfa.glushkov target_regex) in
+      Hashtbl.add t.tables rid tb;
+      tb
+  in
+  Product.create ~fork:(Fork_automaton.build ~outputs:t.outputs ~k word) ~table
 
 (* The queue mirrors the table exactly (keys are enqueued once, on
    entry creation, and leave only through eviction or [clear]), so the
@@ -289,7 +319,7 @@ let safe_analysis ?k t ~target_regex word =
       Trace.emit (Cache_query { cache = "safe"; hit = false });
     let a =
       Metrics.time h_safe (fun () ->
-          Marking.analyze_lazy (product ~k t ~target_regex word))
+          Marking.analyze_lazy (shared_product t ~target_regex ~k word))
     in
     e.e_safe <- Some a;
     a
@@ -312,7 +342,7 @@ let possible_analysis ?k t ~target_regex word =
       Trace.emit (Cache_query { cache = "possible"; hit = false });
     let a =
       Metrics.time h_possible (fun () ->
-          Possible.analyze (product ~k t ~target_regex word))
+          Possible.analyze (shared_product t ~target_regex ~k word))
     in
     e.e_possible <- Some a;
     a

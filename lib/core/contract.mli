@@ -14,17 +14,27 @@
     its verdict (and its extracted strategy) by hash lookup instead of
     replaying the game.
 
+    What does not depend on the word is compiled once per contract, so
+    a cache miss pays only for the word: every invocable function's
+    output automaton ({!Fork_automaton.outputs}, built at {!create})
+    and, per content model, one {!Product.table} — the target automaton
+    determinized lazily, shared by every product over that model and
+    filled as words need it. The tables belong to their contract.
+
     The cache is bounded ([cache_capacity], FIFO eviction) and counts
     hits, misses and evictions so callers can observe the amortization
     ({!stats}). {!Rewriter} is a thin view over this module;
     [Axml_peer.Enforcement.Pipeline] drives it over document streams.
 
     {b Domain safety.} All mutable contract state (regex memo tables,
-    the analysis cache, the counters) is guarded by an internal mutex,
-    so {!analyze}, {!stats} etc. may be called from several domains
-    concurrently, and each [(word, kind)] analysis is computed at most
-    once. The {e returned} analyses, however, carry products that are
-    extended in place during {!Execute.run} — executing one analysis
+    target tables, the analysis cache, the counters) is guarded by an
+    internal mutex, so {!analyze}, {!stats} etc. may be called from
+    several domains concurrently, and each [(word, kind)] analysis is
+    computed at most once; analyses fill the target tables under that
+    lock. The {e returned} analyses, however, carry products that are
+    extended in place during {!Execute.run} — and extend the contract's
+    target tables with them, outside the lock. Execution therefore
+    stays on one domain per contract: executing analyses of one contract
     from several domains at once is a race. Parallel pipelines give
     each worker domain a private {!clone} instead. *)
 
@@ -44,11 +54,12 @@ val create :
 
 val clone : t -> t
 (** A private contract over the same compiled artifacts: shares the
-    (immutable) merged environment, schemas, [k] and capacity; copies
-    the compiled-regex memo tables; starts with an empty analysis cache
-    and zeroed counters. This is how parallel pipelines give each worker
-    domain its own analyses without recompiling the schemas — see
-    DESIGN.md. *)
+    (immutable) merged environment, schemas, output automata, [k] and
+    capacity; copies the compiled-regex memo tables; starts with empty
+    target tables of its own (its products are extended on its own
+    domain), an empty analysis cache and zeroed counters. This is how
+    parallel pipelines give each worker domain its own analyses without
+    recompiling the schemas — see DESIGN.md. *)
 
 (** {1 Static artifacts} *)
 
@@ -110,7 +121,10 @@ val context_regex :
 val product :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
   Axml_schema.Symbol.t list -> Product.t
-(** A fresh (uncached) product of A_w^k with the target automaton. *)
+(** A fresh (uncached) product of A_w^k with the target automaton, over
+    a private {!Product.table} built for this word alone: independent of
+    the contract's cache and shared tables, it is the reference the
+    cached analyses are tested against. *)
 
 val safe_analysis :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
@@ -222,5 +236,5 @@ val reset_stats : t -> unit
 (** Zero the counters; cached analyses stay resident. *)
 
 val clear : t -> unit
-(** Drop every cached analysis (compiled regexes stay); counters are
-    reset too. *)
+(** Drop every cached analysis (compiled regexes, output automata and
+    target tables stay); counters are reset too. *)

@@ -56,9 +56,9 @@ let possible_costs (pos : Possible.t) ~(cost : fn) : int -> float =
   while not (Queue.is_empty queue) do
     let nid = Queue.take queue in
     if not (Product.subset_is_dead p nid) then
-      Array.iter
-        (fun (eid, tgt) ->
-          let w = edge_weight fork ~cost eid in
+      Array.iteri
+        (fun i tgt ->
+          let w = edge_weight fork ~cost (Product.succ_edge p nid i) in
           let l =
             match Hashtbl.find_opt rev tgt with
             | Some l -> l
@@ -124,7 +124,7 @@ let safe_reachable (m : Marking.t) =
   discover (Product.initial p);
   while not (Queue.is_empty queue) do
     let nid = Queue.take queue in
-    Array.iter (fun (_, tgt) -> discover tgt) (Product.succ p nid)
+    Array.iter discover (Product.succ p nid)
   done;
   List.rev !order
 
@@ -157,8 +157,9 @@ let safe_worst_cost (m : Marking.t) ~(cost : fn) : float option =
           (* group fork options by fork id; plain edges stand alone *)
           let plain = ref [] in
           let pairs : (int, float list ref) Hashtbl.t = Hashtbl.create 4 in
-          Array.iter
-            (fun (eid, tgt) ->
+          Array.iteri
+            (fun i tgt ->
+              let eid = Product.succ_edge p nid i in
               match Fork_automaton.fork_of_edge fork eid with
               | None -> plain := option_value eid tgt :: !plain
               | Some _ ->

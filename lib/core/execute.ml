@@ -152,9 +152,8 @@ let run ?plan ?(fee = fun _ -> 0.) ?validate ?reenforce strategy invoker
     let n = Array.length succs in
     let rec find i =
       if i >= n then assert false
-      else
-        let e, tgt = succs.(i) in
-        if e = eid then tgt else find (i + 1)
+      else if Product.succ_edge p nid i = eid then succs.(i)
+      else find (i + 1)
     in
     find 0
   in
@@ -229,15 +228,18 @@ let run ?plan ?(fee = fun _ -> 0.) ?validate ?reenforce strategy invoker
     | (id, item) :: rest ->
       let sym = Document.symbol item in
       let q = (Product.node p nid).Product.q in
-      let edges = Fork_automaton.out_edges fork q in
-      (* 1. keep moves: follow an edge labeled with this symbol *)
+      (* 1. keep moves: follow an edge labeled with this symbol, in
+         out-edge order *)
       let keep_moves =
-        List.filter
-          (fun eid ->
-            match (Fork_automaton.edge fork eid).Fork_automaton.label with
-            | Some s -> Symbol.equal s sym
-            | None -> false)
-          edges
+        let moves = ref [] in
+        for i = fork.Fork_automaton.out_off.(q + 1) - 1
+            downto fork.Fork_automaton.out_off.(q) do
+          let eid = fork.Fork_automaton.out_edge.(i) in
+          match fork.Fork_automaton.edge_label.(eid) with
+          | Some s when Symbol.equal s sym -> moves := eid :: !moves
+          | Some _ | None -> ()
+        done;
+        !moves
       in
       (* 2. invoke moves: only for function occurrences with a fork here *)
       let invoke_moves =

@@ -15,8 +15,6 @@ module Schema = Axml_schema.Schema
 module Symbol = Axml_schema.Symbol
 module Auto = Axml_schema.Auto
 
-type edge = { src : int; label : Symbol.t option; dst : int }
-
 type fork = {
   fork_node : int;
   fname : string;
@@ -27,64 +25,110 @@ type fork = {
   round : int;          (* 1-based round (rewriting depth) that created the copy *)
 }
 
+(* Edges are columns of parallel arrays indexed by edge id, and the
+   edges leaving node q are out_edge.(out_off.(q) .. out_off.(q+1) - 1)
+   in ascending id order (CSR). The product's expansion loop walks these
+   flat arrays and allocates nothing per edge. *)
 type t = {
   nstates : int;
   start : int;
   final : int;
-  edges : edge array;
-  out : int list array;             (* outgoing edge ids, by source node *)
-  (* CSR twin of [out]: edge ids of node q are
-     out_edge.(out_off.(q) .. out_off.(q+1) - 1), same order. The
-     product's expansion loop walks these flat arrays together with
-     [edge_dst]/[edge_label_id] and allocates nothing per edge. *)
-  out_off : int array;              (* nstates + 1 offsets *)
+  nedges : int;
+  edge_dst : int array;
+  edge_label : Symbol.t option array;  (* None = epsilon *)
+  edge_label_id : int array;           (* dense symbol id, -1 = epsilon *)
+  out_off : int array;                 (* nstates + 1 offsets *)
   out_edge : int array;
-  edge_dst : int array;             (* edge id -> destination node *)
-  edge_label_id : int array;        (* edge id -> dense symbol id, -1 = eps *)
   forks : fork array;
-  forks_at : int list array;        (* fork indices, by fork node *)
-  fork_of_edge : int array;         (* edge id -> fork index, or -1 *)
+  fork_of_edge : int array;            (* edge id -> fork index, or -1 *)
   word_length : int;
 }
 
 type stats = { states : int; edges : int; forks : int }
 
-let stats (t : t) = { states = t.nstates; edges = Array.length t.edges; forks = Array.length t.forks }
+let stats (t : t) = { states = t.nstates; edges = t.nedges; forks = Array.length t.forks }
 
-(* [build ~env ~k w] builds A_w^k. Output types are taken from [env]
-   (the merged sender + exchange schemas, Section 4's assumption that
-   both agree on function definitions). Non-invocable functions and
-   functions with no known signature never fork: their edges stay as
-   plain letters. *)
-let build ~(env : Schema.env) ~k (w : Symbol.t list) =
+(* One invocable function's output automaton, compiled once per
+   environment: the Glushkov NFA of tau_out(f) flattened into edge
+   arrays, in the order [Int_map]/[Sym_map]/[Int_set] iteration visits
+   its transitions (so the copies spliced into A_w^k number their edges
+   exactly as a walk over the maps would). Labels are preallocated and
+   their dense ids precomputed, so a splice only copies arrays. *)
+type output = {
+  o_size : int;
+  o_start : int;
+  o_finals : Auto.Int_set.t;
+  o_src : int array;
+  o_dst : int array;
+  o_label : Symbol.t option array;  (* always [Some _]: Glushkov has no epsilon *)
+  o_label_id : int array;
+  o_nested : bool array;  (* the label is a function that itself forks *)
+}
+
+type outputs = output Schema.String_map.t
+
+(* Compile every invocable function with a non-empty output language.
+   Non-invocable functions and empty output types never fork, so they
+   get no entry. *)
+let outputs (env : Schema.env) : outputs =
+  let nfas =
+    Schema.String_map.filter_map
+      (fun _ (f : Schema.func) ->
+        if not f.Schema.f_invocable then None
+        else
+          let regex = Schema.compile_content env f.Schema.f_output in
+          if R.is_empty_language regex then None
+          else Some (Auto.Nfa.glushkov regex))
+      env.Schema.env_functions
+  in
+  let forks = function
+    | Symbol.Fun g -> Schema.String_map.mem g nfas
+    | Symbol.Label _ | Symbol.Data -> false
+  in
+  Schema.String_map.map
+    (fun (nfa : Auto.Nfa.t) ->
+      let edges =
+        Auto.Int_map.fold
+          (fun src row acc ->
+            Auto.Sym_map.fold
+              (fun sym dsts acc ->
+                Auto.Int_set.fold (fun dst acc -> (src, sym, dst) :: acc) dsts acc)
+              row acc)
+          nfa.Auto.Nfa.delta []
+        |> List.rev |> Array.of_list
+      in
+      { o_size = nfa.Auto.Nfa.size;
+        o_start = nfa.Auto.Nfa.start;
+        o_finals = nfa.Auto.Nfa.finals;
+        o_src = Array.map (fun (s, _, _) -> s) edges;
+        o_dst = Array.map (fun (_, _, d) -> d) edges;
+        o_label = Array.map (fun (_, sym, _) -> Some sym) edges;
+        o_label_id = Array.map (fun (_, sym, _) -> Axml_schema.Sym_id.of_symbol sym) edges;
+        o_nested = Array.map (fun (_, sym, _) -> forks sym) edges })
+    nfas
+
+(* [build ~outputs ~k w] builds A_w^k, splicing copies of the
+   precompiled [outputs] (Section 4's assumption: sender and exchange
+   schemas agree on function definitions, so one merged environment
+   types every call). Functions without an entry never fork: their
+   edges stay as plain letters. *)
+let build ~(outputs : outputs) ~k (w : Symbol.t list) =
   let nstates = ref 0 in
   let fresh () = let s = !nstates in incr nstates; s in
-  let edges : edge Vec.t = Vec.create ~dummy:{ src = 0; label = None; dst = 0 } in
+  let src : int Vec.t = Vec.create ~dummy:0 in
+  let dst : int Vec.t = Vec.create ~dummy:0 in
+  let label : Symbol.t option Vec.t = Vec.create ~dummy:None in
+  let label_id : int Vec.t = Vec.create ~dummy:(-1) in
   let forks : fork Vec.t =
     Vec.create
       ~dummy:{ fork_node = 0; fname = ""; keep_edge = 0; invoke_edge = 0;
                copy_finals = Auto.Int_set.empty; exit_node = 0; round = 0 }
   in
-  let add_edge src label dst = Vec.push edges { src; label; dst } in
-  (* memoized compiled output NFAs per function name *)
-  let output_nfas : (string, Auto.Nfa.t option) Hashtbl.t = Hashtbl.create 8 in
-  let output_nfa fname =
-    match Hashtbl.find_opt output_nfas fname with
-    | Some cached -> cached
-    | None ->
-      let computed =
-        match Schema.String_map.find_opt fname env.Schema.env_functions with
-        | None -> None
-        | Some f ->
-          if not f.Schema.f_invocable then None
-          else begin
-            let regex = Schema.compile_content env f.Schema.f_output in
-            if R.is_empty_language regex then None
-            else Some (Auto.Nfa.glushkov regex)
-          end
-      in
-      Hashtbl.add output_nfas fname computed;
-      computed
+  let add_edge s l lid d =
+    ignore (Vec.push src s);
+    ignore (Vec.push dst d);
+    ignore (Vec.push label_id lid);
+    Vec.push label l
   in
   (* the base word automaton *)
   let start = fresh () in
@@ -93,10 +137,12 @@ let build ~(env : Schema.env) ~k (w : Symbol.t list) =
     List.fold_left
       (fun prev sym ->
         let next = fresh () in
-        let eid = add_edge prev (Some sym) next in
+        let eid =
+          add_edge prev (Some sym) (Axml_schema.Sym_id.of_symbol sym) next
+        in
         (match sym with
          | Symbol.Fun fname ->
-           if Option.is_some (output_nfa fname) then untreated := eid :: !untreated
+           if Schema.String_map.mem fname outputs then untreated := eid :: !untreated
          | Symbol.Label _ | Symbol.Data -> ());
         next)
       start w
@@ -107,94 +153,58 @@ let build ~(env : Schema.env) ~k (w : Symbol.t list) =
     untreated := [];
     List.iter
       (fun keep_eid ->
-        let e = Vec.get edges keep_eid in
         let fname =
-          match e.label with
+          match Vec.get label keep_eid with
           | Some (Symbol.Fun f) -> f
           | Some (Symbol.Label _ | Symbol.Data) | None -> assert false
         in
-        match output_nfa fname with
-        | None -> ()
-        | Some nfa ->
-          let offset = !nstates in
-          for _ = 1 to nfa.Auto.Nfa.size do ignore (fresh ()) done;
-          (* copy the (epsilon-free) Glushkov edges *)
-          Auto.Int_map.iter
-            (fun src row ->
-              Auto.Sym_map.iter
-                (fun sym dsts ->
-                  Auto.Int_set.iter
-                    (fun dst ->
-                      let eid = add_edge (offset + src) (Some sym) (offset + dst) in
-                      (match sym with
-                       | Symbol.Fun g ->
-                         if round < k && Option.is_some (output_nfa g) then
-                           untreated := eid :: !untreated
-                       | Symbol.Label _ | Symbol.Data -> ());
-                      ())
-                    dsts)
-                row)
-            nfa.Auto.Nfa.delta;
-          let invoke_eid = add_edge e.src None (offset + nfa.Auto.Nfa.start) in
-          let copy_finals =
-            Auto.Int_set.map (fun q -> offset + q) nfa.Auto.Nfa.finals
+        let fork_node = Vec.get src keep_eid and exit_node = Vec.get dst keep_eid in
+        let o = Schema.String_map.find fname outputs in
+        let offset = !nstates in
+        nstates := offset + o.o_size;
+        (* copy the (epsilon-free) Glushkov edges *)
+        for i = 0 to Array.length o.o_src - 1 do
+          let eid =
+            add_edge (offset + o.o_src.(i)) o.o_label.(i) o.o_label_id.(i)
+              (offset + o.o_dst.(i))
           in
-          Auto.Int_set.iter
-            (fun qf -> ignore (add_edge qf None e.dst))
-            copy_finals;
-          ignore
-            (Vec.push forks
-               { fork_node = e.src; fname; keep_edge = keep_eid;
-                 invoke_edge = invoke_eid; copy_finals; exit_node = e.dst; round }))
+          if round < k && o.o_nested.(i) then untreated := eid :: !untreated
+        done;
+        let invoke_edge = add_edge fork_node None (-1) (offset + o.o_start) in
+        let copy_finals = Auto.Int_set.map (fun q -> offset + q) o.o_finals in
+        Auto.Int_set.iter
+          (fun qf -> ignore (add_edge qf None (-1) exit_node))
+          copy_finals;
+        ignore
+          (Vec.push forks
+             { fork_node; fname; keep_edge = keep_eid; invoke_edge; copy_finals;
+               exit_node; round }))
       batch
   done;
   let nstates = !nstates in
-  let edges = Array.init (Vec.length edges) (Vec.get edges) in
-  let out = Array.make nstates [] in
-  Array.iteri (fun eid e -> out.(e.src) <- eid :: out.(e.src)) edges;
-  Array.iteri (fun s lst -> out.(s) <- List.rev lst) out;
-  (* flatten [out] into CSR form and precompute per-edge dense data *)
-  let nedges = Array.length edges in
+  let nedges = Vec.length src in
+  let edge_src = Vec.to_array src in
+  (* counting sort of the edge ids by source: CSR offsets, then ids *)
   let out_off = Array.make (nstates + 1) 0 in
-  Array.iter (fun e -> out_off.(e.src + 1) <- out_off.(e.src + 1) + 1) edges;
+  Array.iter (fun s -> out_off.(s + 1) <- out_off.(s + 1) + 1) edge_src;
   for s = 1 to nstates do out_off.(s) <- out_off.(s) + out_off.(s - 1) done;
-  let out_edge = Array.make (max 1 nedges) 0 in
+  let out_edge = Array.make nedges 0 in
   let cursor = Array.copy out_off in
   Array.iteri
-    (fun s lst ->
-      List.iter
-        (fun eid ->
-          out_edge.(cursor.(s)) <- eid;
-          cursor.(s) <- cursor.(s) + 1)
-        lst)
-    out;
-  let edge_dst = Array.make (max 1 nedges) 0 in
-  let edge_label_id = Array.make (max 1 nedges) (-1) in
-  Array.iteri
-    (fun eid e ->
-      edge_dst.(eid) <- e.dst;
-      edge_label_id.(eid) <-
-        (match e.label with
-         | None -> -1
-         | Some sym -> Axml_schema.Sym_id.of_symbol sym))
-    edges;
-  let forks = Array.init (Vec.length forks) (Vec.get forks) in
-  let forks_at = Array.make nstates [] in
-  let fork_of_edge = Array.make (Array.length edges) (-1) in
+    (fun eid s ->
+      out_edge.(cursor.(s)) <- eid;
+      cursor.(s) <- cursor.(s) + 1)
+    edge_src;
+  let forks = Vec.to_array forks in
+  let fork_of_edge = Array.make nedges (-1) in
   Array.iteri
     (fun fid f ->
-      forks_at.(f.fork_node) <- fid :: forks_at.(f.fork_node);
       fork_of_edge.(f.keep_edge) <- fid;
       fork_of_edge.(f.invoke_edge) <- fid)
     forks;
-  { nstates; start; final; edges; out; out_off; out_edge; edge_dst;
-    edge_label_id; forks; forks_at; fork_of_edge;
-    word_length = List.length w }
-
-(* Edge ids leaving [node]. *)
-let out_edges (t : t) node = t.out.(node)
-
-let edge (t : t) eid = t.edges.(eid)
+  { nstates; start; final; nedges; edge_dst = Vec.to_array dst;
+    edge_label = Vec.to_array label; edge_label_id = Vec.to_array label_id;
+    out_off; out_edge; forks; fork_of_edge; word_length = List.length w }
 
 let fork_of_edge (t : t) eid =
   let fid = t.fork_of_edge.(eid) in
@@ -202,11 +212,16 @@ let fork_of_edge (t : t) eid =
 
 (* The exit epsilon-edge of [fork] leaving [node] (a copy final). *)
 let exit_edge (t : t) (f : fork) node =
-  List.find_opt
-    (fun eid ->
-      let e = t.edges.(eid) in
-      e.label = None && e.dst = f.exit_node && t.fork_of_edge.(eid) < 0)
-    t.out.(node)
+  let rec find i =
+    if i >= t.out_off.(node + 1) then None
+    else
+      let eid = t.out_edge.(i) in
+      if Option.is_none t.edge_label.(eid) && t.edge_dst.(eid) = f.exit_node
+         && t.fork_of_edge.(eid) < 0
+      then Some eid
+      else find (i + 1)
+  in
+  find t.out_off.(node)
 
 let pp ppf (t : t) =
   let s = stats t in

@@ -5,13 +5,11 @@
     Construction: start from the linear automaton accepting [w]; for [k]
     rounds, around every untreated edge labeled with an invocable
     function [f], splice a fresh copy of the Glushkov automaton of
-    [tau_out f], linked by epsilon moves. The edge's source becomes a
+    [tau_out f] (compiled once, see {!outputs}), linked by epsilon
+    moves. The edge's source becomes a
     {e fork node}: keeping the function edge means "do not invoke f
     here"; the epsilon edge into the copy means "invoke f, and the
     adversary (the service) picks a word of its output type". *)
-
-type edge = { src : int; label : Axml_schema.Symbol.t option; dst : int }
-(** [label = None] is an epsilon move. *)
 
 type fork = {
   fork_node : int;
@@ -28,30 +26,41 @@ type t = {
   nstates : int;
   start : int;
   final : int;
-  edges : edge array;
-  out : int list array;
+  nedges : int;
+  edge_dst : int array;   (** edge id -> destination node *)
+  edge_label : Axml_schema.Symbol.t option array;
+    (** edge id -> label, [None] = epsilon move *)
+  edge_label_id : int array;  (** edge id -> dense symbol id, [-1] = epsilon *)
   out_off : int array;
     (** CSR offsets: node [q]'s edge ids are
-        [out_edge.(out_off.(q) .. out_off.(q+1) - 1)], in [out] order *)
+        [out_edge.(out_off.(q) .. out_off.(q+1) - 1)], ascending *)
   out_edge : int array;
-  edge_dst : int array;       (** edge id -> destination node *)
-  edge_label_id : int array;  (** edge id -> dense symbol id, [-1] = epsilon *)
   forks : fork array;
-  forks_at : int list array;
   fork_of_edge : int array;  (** edge id -> fork index, or -1 *)
   word_length : int;
 }
 
 type stats = { states : int; edges : int; forks : int }
 
-val build : env:Axml_schema.Schema.env -> k:int -> Axml_schema.Symbol.t list -> t
-(** Output types come from [env] (the merged sender + exchange schemas).
-    Non-invocable functions, unknown functions and empty output
-    languages never fork. *)
+type outputs
+(** Every invocable function's output automaton (the Glushkov NFA of
+    [tau_out f]), compiled once per environment into flat edge arrays
+    with precomputed dense symbol ids. Immutable: one value may be
+    shared by any number of builds, across domains. *)
+
+val outputs : Axml_schema.Schema.env -> outputs
+(** Compile the output types of [env] (the merged sender + exchange
+    schemas). Non-invocable functions and empty output languages get no
+    automaton: they never fork.
+    @raise Axml_schema.Schema.Schema_error when an output type does not
+    compile against [env]. *)
+
+val build : outputs:outputs -> k:int -> Axml_schema.Symbol.t list -> t
+(** [build ~outputs ~k w] builds A_w^k by splicing copies of [outputs].
+    Only this part depends on the word; functions without an output
+    automaton (non-invocable, unknown, empty output) never fork. *)
 
 val stats : t -> stats
-val out_edges : t -> int -> int list
-val edge : t -> int -> edge
 val fork_of_edge : t -> int -> fork option
 val exit_edge : t -> fork -> int -> int option
 (** The exit epsilon-edge of a fork's copy leaving a given copy-final. *)

@@ -63,8 +63,7 @@ type builder = {
   pair_owner : int Vec.t;  (* pair id -> owning (fork) node *)
   pair_keep : Bitvec.t;    (* keep half marked? *)
   pair_invoke : Bitvec.t;  (* invoke half marked? *)
-  pair_ids : (int, int) Hashtbl.t;  (* node * nforks + fork id -> pair id *)
-  nforks : int;
+  last_pair : int array;   (* fork id -> its most recent pair id, -1 = none *)
   work : int Queue.t;      (* freshly marked nodes to propagate *)
   mutable nmarked : int;
 }
@@ -79,8 +78,7 @@ let new_builder p = {
   pair_owner = Vec.create ~dummy:(-1);
   pair_keep = Bitvec.create ();
   pair_invoke = Bitvec.create ();
-  pair_ids = Hashtbl.create 64;
-  nforks = Array.length (Product.fork p).Fork_automaton.forks;
+  last_pair = Array.make (Array.length (Product.fork p).Fork_automaton.forks) (-1);
   work = Queue.create ();
   nmarked = 0;
 }
@@ -132,33 +130,38 @@ let register_edge b pred kind tgt =
   Vec.set b.rev_head tgt j;
   if Bitvec.get b.marks tgt then apply_rule b pred kind
 
+(* The pair of fork [fid] at node [nid]. A node is expanded at most
+   once, so both halves of its pair are met in the same expansion: the
+   fork's most recent pair is this node's exactly when it is owned by
+   [nid]. *)
 let pair_id b nid fid =
-  let key = (nid * b.nforks) + fid in
-  match Hashtbl.find_opt b.pair_ids key with
-  | Some pid -> pid
-  | None ->
+  let last = b.last_pair.(fid) in
+  if last >= 0 && Vec.get b.pair_owner last = nid then last
+  else begin
     let pid = Vec.push b.pair_owner nid in
-    Hashtbl.add b.pair_ids key pid;
+    b.last_pair.(fid) <- pid;
     pid
+  end
 
 (* Expand one node: compute successors and register reverse edges with
    their game kinds. *)
 let expand b nid =
   let fork = Product.fork b.p in
-  Array.iter
-    (fun (eid, tgt) ->
-      let fid = fork.Fork_automaton.fork_of_edge.(eid) in
-      let kind =
-        if fid < 0 then k_plain
-        else begin
-          let pid = pair_id b nid fid in
-          if eid = fork.Fork_automaton.forks.(fid).Fork_automaton.keep_edge
-          then k_keep pid
-          else k_invoke pid
-        end
-      in
-      register_edge b nid kind tgt)
-    (Product.succ b.p nid)
+  let succs = Product.succ b.p nid in
+  for i = 0 to Array.length succs - 1 do
+    let eid = Product.succ_edge b.p nid i in
+    let fid = fork.Fork_automaton.fork_of_edge.(eid) in
+    let kind =
+      if fid < 0 then k_plain
+      else begin
+        let pid = pair_id b nid fid in
+        if eid = fork.Fork_automaton.forks.(fid).Fork_automaton.keep_edge
+        then k_keep pid
+        else k_invoke pid
+      end
+    in
+    register_edge b nid kind succs.(i)
+  done
 
 let finish b ~explored ~pruned =
   let discovered = Product.node_count b.p in
@@ -189,7 +192,7 @@ let analyze_eager p =
     let nid = Queue.take frontier in
     incr explored;
     expand b nid;
-    Array.iter (fun (_, tgt) -> discover tgt) (Product.succ p nid)
+    Array.iter discover (Product.succ p nid)
   done;
   finish b ~explored:!explored ~pruned:0
 
@@ -225,7 +228,7 @@ let analyze_lazy p =
        else begin
          incr explored;
          expand b nid;
-         Array.iter (fun (_, tgt) -> discover tgt) (Product.succ p nid)
+         Array.iter discover (Product.succ p nid)
        end
      done
    with Exit -> ());

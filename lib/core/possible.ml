@@ -45,7 +45,7 @@ let analyze p =
     (* skip expanding dead subsets: nothing reachable from them accepts *)
     if not (Product.subset_is_dead p nid) then
       Array.iter
-        (fun (_, tgt) ->
+        (fun tgt ->
           Vec.ensure rev_head (tgt + 1);
           let j = Vec.push rev_pred nid in
           ignore (Vec.push rev_next (Vec.get rev_head tgt));

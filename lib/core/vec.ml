@@ -54,3 +54,5 @@ let fold f acc v =
   !acc
 
 let to_list v = List.init v.len (fun i -> v.data.(i))
+
+let to_array v = Array.sub v.data 0 v.len

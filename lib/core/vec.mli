@@ -18,3 +18,5 @@ val ensure : 'a t -> int -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val to_list : 'a t -> 'a list
+val to_array : 'a t -> 'a array
+(** A fresh array of the current elements. *)

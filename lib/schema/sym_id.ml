@@ -32,12 +32,3 @@ let to_symbol id =
   end
 
 let of_word w = Array.of_list (List.map of_symbol w)
-
-(* A cheap, collision-stable hash for children words: folds the dense
-   ids, so hashing a word costs one interner hit per symbol instead of
-   a structural traversal of strings. *)
-let hash_word w =
-  List.fold_left
-    (fun h sym -> (h * 0x01000193) lxor of_symbol sym)
-    0x811c9dc5 w
-  land max_int

@@ -17,7 +17,3 @@ val to_symbol : int -> Symbol.t
     @raise Invalid_argument on an id never handed out. *)
 
 val of_word : Symbol.t list -> int array
-
-val hash_word : Symbol.t list -> int
-(** Non-negative hash of a children word via its dense ids — one
-    interner hit per symbol, no structural string traversal. *)

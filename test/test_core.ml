@@ -111,7 +111,8 @@ let contract_regex c label =
 let test_fork_automaton_shape () =
   let rw = rewriter schema_star2 in
   let fork =
-    Fork_automaton.build ~env:(Rewriter.env rw) ~k:1 newspaper_word
+    Fork_automaton.build ~outputs:(Fork_automaton.outputs (Rewriter.env rw)) ~k:1
+      newspaper_word
   in
   let stats = Fork_automaton.stats fork in
   (* base: 5 states; Get_Temp output "temp" Glushkov: 2 states;
@@ -761,15 +762,17 @@ let gen_mini_content : Schema.content QCheck.Gen.t =
   in
   gen 4
 
+let gen_mini_word =
+  QCheck.Gen.(
+    list_size (int_bound 3)
+      (oneofl [ Symbol.Label "a"; Symbol.Label "b"; Symbol.Fun "f"; Symbol.Fun "g" ]))
+
 let gen_mini_setup =
   let open QCheck.Gen in
   let* out_f = gen_mini_content in
   let* out_g = gen_mini_content in
   let* target = gen_mini_content in
-  let* word =
-    list_size (int_bound 3)
-      (oneofl [ Symbol.Label "a"; Symbol.Label "b"; Symbol.Fun "f"; Symbol.Fun "g" ])
-  in
+  let* word = gen_mini_word in
   let* k = int_range 0 2 in
   return (out_f, out_g, target, word, k)
 
@@ -780,6 +783,12 @@ let mini_schema out_f out_g =
   let s = Schema.add_function s (Schema.func "f" ~input:R.epsilon ~output:out_f) in
   let s = Schema.add_function s (Schema.func "g" ~input:R.epsilon ~output:out_g) in
   s
+
+(* The document item standing for one symbol of a word. *)
+let mini_item = function
+  | Symbol.Label l -> D.elem l [ D.data "v" ]
+  | Symbol.Fun f -> D.call f []
+  | Symbol.Data -> D.data "v"
 
 let print_mini (out_f, out_g, target, word, k) =
   Fmt.str "f:()->%a; g:()->%a; target=%a; w=%a; k=%d"
@@ -854,21 +863,9 @@ let prop_safe_execution_robust =
       let invoker fname _params =
         let outs = outputs fname in
         let o = List.nth outs (Random.State.int rng (List.length outs)) in
-        List.map
-          (function
-            | Symbol.Label l -> D.elem l [ D.data "v" ]
-            | Symbol.Fun f -> D.call f []
-            | Symbol.Data -> D.data "v")
-          o
+        List.map mini_item o
       in
-      let items =
-        List.map
-          (function
-            | Symbol.Label l -> D.elem l [ D.data "v" ]
-            | Symbol.Fun f -> D.call f []
-            | Symbol.Data -> D.data "v")
-          word
-      in
+      let items = List.map mini_item word in
       match Execute.run (Execute.Follow_safe analysis) invoker items with
       | Error _ -> QCheck.Test.fail_report "safe execution failed"
       | Ok outcome ->
@@ -1552,6 +1549,184 @@ let test_contract_k_no_alias () =
   check "minimal safe depth is 2" true (m.Contract.safe_at = Some 2);
   check "minimal possible depth is 2" true (m.Contract.possible_at = Some 2)
 
+(* ------------------------------------------------------------------ *)
+(* Shared target tables: parity with private tables, clone isolation   *)
+(* ------------------------------------------------------------------ *)
+
+(* A deterministic invoker: the i-th call of a run answers with the
+   (i mod n)-th word of the function's (finite) output language, so two
+   runs making the same calls see the same answers. *)
+let mini_invoker env =
+  let calls = ref 0 in
+  fun fname _params ->
+    let outs =
+      match Schema.String_map.find_opt fname env.Schema.env_functions with
+      | None -> [ [] ]
+      | Some func ->
+        Exhaustive.enum_language (Schema.compile_content env func.Schema.f_output)
+    in
+    incr calls;
+    List.map mini_item (List.nth outs (!calls mod List.length outs))
+
+let outcome_view = function
+  | Ok (o : Execute.outcome) ->
+    Ok (o.Execute.materialized,
+        List.map (fun (i : Execute.invocation) -> i.Execute.inv_name) o.Execute.invocations)
+  | Error f -> Error (Fmt.str "%a" Execute.pp_failure f)
+
+(* The first [n] product nodes seen independently of the table's subset
+   numbering: A_w^k state, sink bit, accepting bit. *)
+let node_views p n =
+  List.init n (fun nid ->
+      ((Product.node p nid).Product.q, Product.subset_is_dead p nid,
+       Product.subset_accepting p nid))
+
+let marked_set (m : Marking.t) =
+  List.filter (Marking.is_marked m) (List.init m.Marking.stats.Marking.discovered_nodes Fun.id)
+
+let live_set (a : Possible.t) =
+  List.filter (Possible.is_live a) (List.init a.Possible.stats.Possible.discovered_nodes Fun.id)
+
+(* Verdicts and execution of one word: the contract's cached analyses
+   when [fresh] is false, analyses over a private table otherwise. *)
+let run_word ~fresh c env ~target_regex word =
+  let safe =
+    if fresh then Marking.analyze_lazy (Contract.product c ~target_regex word)
+    else Contract.safe_analysis c ~target_regex word
+  in
+  let possible =
+    if fresh then Possible.analyze (Contract.product c ~target_regex word)
+    else Contract.possible_analysis c ~target_regex word
+  in
+  let strategy =
+    if safe.Marking.safe then Some (Execute.Follow_safe safe)
+    else if possible.Possible.possible then Some (Execute.Follow_possible possible)
+    else None
+  in
+  let outcome =
+    Option.map
+      (fun st ->
+        outcome_view (Execute.run st (mini_invoker env) (List.map mini_item word)))
+      strategy
+  in
+  (safe, possible, outcome)
+
+let gen_shared_setup =
+  let open QCheck.Gen in
+  let* out_f = gen_mini_content in
+  let* out_g = gen_mini_content in
+  let* target = gen_mini_content in
+  let* words = list_size (int_range 1 6) gen_mini_word in
+  let* k = int_range 1 3 in
+  return (out_f, out_g, target, words, k)
+
+let print_shared (out_f, out_g, target, words, k) =
+  Fmt.str "f:()->%a; g:()->%a; target=%a; words=[%a]; k=%d"
+    Schema.pp_content out_f Schema.pp_content out_g Schema.pp_content target
+    Fmt.(list ~sep:(any "; ") (list ~sep:(any ".") Symbol.pp)) words k
+
+(* One contract analyzes every word in turn, so its target table is warm
+   from the earlier words (and the analyses of repeated words come from
+   its cache); each must equal an analysis over a table built for that
+   word alone: same verdicts, node for node the same marked and live
+   sets, the same statistics and the same execution. *)
+let prop_shared_table_parity =
+  QCheck.Test.make ~count:100
+    ~name:"shared target tables match private ones, word by word"
+    (QCheck.make ~print:print_shared gen_shared_setup)
+    (fun (out_f, out_g, target, words, k) ->
+      let s = mini_schema out_f out_g in
+      let env = Schema.env_of_schema s in
+      let target_regex = Schema.compile_content env target in
+      let c = Contract.create ~k ~s0:s ~target:s () in
+      List.iter
+        (fun word ->
+          let shared_safe, shared_possible, shared_outcome =
+            run_word ~fresh:false c env ~target_regex word
+          in
+          let ref_safe, ref_possible, ref_outcome =
+            run_word ~fresh:true c env ~target_regex word
+          in
+          let pw = Fmt.(list ~sep:(any ".") Symbol.pp) in
+          let ms = shared_safe.Marking.stats and mr = ref_safe.Marking.stats in
+          if shared_safe.Marking.safe <> ref_safe.Marking.safe || ms <> mr then
+            QCheck.Test.fail_reportf "%a: marking verdict or stats differ" pw word;
+          if marked_set shared_safe <> marked_set ref_safe
+             || node_views shared_safe.Marking.product ms.Marking.discovered_nodes
+                <> node_views ref_safe.Marking.product mr.Marking.discovered_nodes
+          then QCheck.Test.fail_reportf "%a: marked nodes differ" pw word;
+          let ps = shared_possible.Possible.stats
+          and pr = ref_possible.Possible.stats in
+          if shared_possible.Possible.possible <> ref_possible.Possible.possible
+             || ps <> pr
+          then QCheck.Test.fail_reportf "%a: possible verdict or stats differ" pw word;
+          if live_set shared_possible <> live_set ref_possible
+             || node_views shared_possible.Possible.product ps.Possible.discovered_nodes
+                <> node_views ref_possible.Possible.product pr.Possible.discovered_nodes
+          then QCheck.Test.fail_reportf "%a: live nodes differ" pw word;
+          if shared_outcome <> ref_outcome then
+            QCheck.Test.fail_reportf "%a: execution outcomes differ" pw word)
+        words;
+      true)
+
+(* Tables belong to one contract: a clone owns fresh ones. The parent
+   is warmed on one word list and cloned; then the clone analyzes and
+   executes a second list on another domain while the parent does the
+   same on this one. Each side must answer exactly like a sequential
+   run on a fresh contract with the same history — down to the raw
+   subset ids of every product node, which number a table's subsets in
+   first-seen order and so tell a fresh table from a warm or shared
+   one. *)
+let prop_clone_isolation =
+  QCheck.Test.make ~count:40
+    ~name:"a clone on another domain answers like a sequential run"
+    (QCheck.make
+       ~print:(fun (setup, words_b) ->
+         Fmt.str "%s; warm-up words=[%a]" (print_shared setup)
+           Fmt.(list ~sep:(any "; ") (list ~sep:(any ".") Symbol.pp)) words_b)
+       QCheck.Gen.(pair gen_shared_setup (list_size (int_range 1 6) gen_mini_word)))
+    (fun ((out_f, out_g, target, words, k), warm_up) ->
+      let s = mini_schema out_f out_g in
+      let env = Schema.env_of_schema s in
+      let target_regex = Schema.compile_content env target in
+      let nodes p n = List.init n (Product.node p) in
+      let answers c words =
+        List.map
+          (fun word ->
+            let safe, possible, outcome = run_word ~fresh:false c env ~target_regex word in
+            ( safe.Marking.safe, possible.Possible.possible, outcome,
+              nodes safe.Marking.product safe.Marking.stats.Marking.discovered_nodes,
+              nodes possible.Possible.product
+                possible.Possible.stats.Possible.discovered_nodes ))
+          words
+      in
+      let fresh () = Contract.create ~k ~s0:s ~target:s () in
+      let expected_clone = answers (fresh ()) words in
+      let expected_parent =
+        let c = fresh () in
+        ignore (answers c warm_up);
+        answers c words
+      in
+      let parent = fresh () in
+      ignore (answers parent warm_up);
+      let clone = Contract.clone parent in
+      let on_clone = Domain.spawn (fun () -> answers clone words) in
+      let got_parent = answers parent words in
+      let got_clone = Domain.join on_clone in
+      if got_clone <> expected_clone then QCheck.Test.fail_report "clone answers differ";
+      if got_parent <> expected_parent then QCheck.Test.fail_report "parent answers differ";
+      true)
+
+(* Long children words (feeds of up to 17 items) must not share cache
+   buckets because they agree on their first 10 symbols. *)
+let test_key_hash_whole_word () =
+  let prefix = List.init 12 (fun i -> Symbol.Label (Printf.sprintf "item%d" i)) in
+  let w1 = prefix @ [ Symbol.Label "entry" ]
+  and w2 = prefix @ [ Symbol.Fun "Fetch" ] in
+  check "the polymorphic hash stops before the difference" true
+    (Hashtbl.hash w1 = Hashtbl.hash w2);
+  check "the word hash sees it" true (Symbol.hash_word w1 <> Symbol.hash_word w2)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_engines_match_reference;
@@ -1565,7 +1740,9 @@ let qcheck_tests =
       prop_contract_cache_transparent;
       prop_contract_check_parity;
       prop_cache_fifo_model;
-      prop_cache_domain_safe
+      prop_cache_domain_safe;
+      prop_shared_table_parity;
+      prop_clone_isolation
     ]
 
 let () =
@@ -1636,7 +1813,9 @@ let () =
          Alcotest.test_case "unified check report" `Quick test_unified_check_report;
          Alcotest.test_case "mixed check mode" `Quick test_check_mixed_mode;
          Alcotest.test_case "shared contract" `Quick test_shared_contract;
-         Alcotest.test_case "no aliasing across k" `Quick test_contract_k_no_alias
+         Alcotest.test_case "no aliasing across k" `Quick test_contract_k_no_alias;
+         Alcotest.test_case "cache key hashes the whole word" `Quick
+           test_key_hash_whole_word
        ]);
       ("properties", qcheck_tests)
     ]
