@@ -169,6 +169,19 @@ let rows_json rows =
          (label, Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) meta)))
        rows)
 
+(* [measure ()] times a baseline arm and a candidate arm. On a loaded
+   machine a candidate slower than its baseline is measured again (at
+   most twice), each arm keeping its best, before the gates at the end
+   of the run see it. *)
+let settle measure =
+  let rec go attempt (base_ns, cand_ns) =
+    if cand_ns <= base_ns || attempt = 2 then (base_ns, cand_ns)
+    else
+      let b, c = measure () in
+      go (attempt + 1) (Float.min base_ns b, Float.min cand_ns c)
+  in
+  go 0 (measure ())
+
 let membership ~quota =
   Fmt.pr "-- membership: map DFA vs dense tables (ns / word)@.";
   Fmt.pr "%8s %7s %6s %5s %12s %12s %9s@." "size" "states" "width" "|w|"
@@ -181,13 +194,12 @@ let membership ~quota =
       let ids = Sym_id.of_word word in
       assert (Auto.Dfa.accepts dfa word);
       assert (Auto.Dfa.Dense.accepts_ids dense ids);
-      let map_ns =
-        measure_ns ~quota (Fmt.str "e25-mem-map-%s" label) (fun () ->
-            Auto.Dfa.accepts dfa word)
-      in
-      let dense_ns =
-        measure_ns ~quota (Fmt.str "e25-mem-dense-%s" label) (fun () ->
-            Auto.Dfa.Dense.accepts_ids dense ids)
+      let map_ns, dense_ns =
+        settle (fun () ->
+            ( measure_ns ~quota (Fmt.str "e25-mem-map-%s" label) (fun () ->
+                  Auto.Dfa.accepts dfa word),
+              measure_ns ~quota (Fmt.str "e25-mem-dense-%s" label) (fun () ->
+                  Auto.Dfa.Dense.accepts_ids dense ids) ))
       in
       let states = float_of_int (Auto.Dfa.Dense.size dense) in
       let width = float_of_int (Auto.Dfa.Dense.width dense) in
@@ -236,23 +248,15 @@ let marking ~quota ~smoke =
             Marking.analyze_lazy (warm ()))
       in
       (* The arms run in ABBA order and each keeps its best, so neither
-         always inherits the other's garbage. On a loaded machine a warm
-         arm above the cold one is measured again (at most twice) before
-         the gate at the end of the run sees it. *)
-      let measure () =
-        let l1 = measure_lazy () in
-        let w1 = measure_warm () in
-        let w2 = measure_warm () in
-        let l2 = measure_lazy () in
-        (Float.min l1 l2, Float.min w1 w2)
+         always inherits the other's garbage. *)
+      let lazy_ns, warm_ns =
+        settle (fun () ->
+            let l1 = measure_lazy () in
+            let w1 = measure_warm () in
+            let w2 = measure_warm () in
+            let l2 = measure_lazy () in
+            (Float.min l1 l2, Float.min w1 w2))
       in
-      let rec settle attempt (lazy_ns, warm_ns) =
-        if warm_ns <= lazy_ns || attempt = 2 then (lazy_ns, warm_ns)
-        else
-          let l, w = measure () in
-          settle (attempt + 1) (Float.min lazy_ns l, Float.min warm_ns w)
-      in
-      let lazy_ns, warm_ns = settle 0 (measure ()) in
       let eager_ns =
         if smoke then Float.nan
         else

@@ -1019,7 +1019,10 @@ let compat_cmd =
           | None, Some r -> r
           | None, None -> fail "no root label: pass --root or declare one in the schema"
         in
-        let result = Schema_rewrite.check ~k ~s0 ~root ~target:exchange () in
+        let result =
+          Schema_rewrite.check ~root
+            (Axml_core.Contract.create ~k ~s0 ~target:exchange ())
+        in
         (match format with
          | `Json ->
            Report.print_json Fmt.stdout
@@ -1028,11 +1031,10 @@ let compat_cmd =
          | `Text ->
            List.iter
              (fun (v : Schema_rewrite.label_verdict) ->
-               Fmt.pr "%-24s %s%s@." v.Schema_rewrite.label
-                 (if v.Schema_rewrite.safe then "ok" else "FAIL")
-                 (match v.Schema_rewrite.reason with
-                  | Some r when not v.Schema_rewrite.safe -> ": " ^ r
-                  | _ -> ""))
+               Fmt.pr "%-24s %s@." v.Schema_rewrite.v_label
+                 (match v.Schema_rewrite.v_reason with
+                  | None -> "ok"
+                  | Some r -> "FAIL: " ^ r))
              result.Schema_rewrite.verdicts;
            if result.Schema_rewrite.compatible then
              Fmt.pr "COMPATIBLE: every document of the sender schema safely \

@@ -93,11 +93,12 @@ type func_diff = {
   f_invocable_v2 : bool;
 }
 
-type verdict_lift = {
+type verdict_lift = Schema_rewrite.label_verdict = {
   v_label : string;
   v_verdict : Contract.verdict;
   v_safe_at : int option;
   v_possible_at : int option;
+  v_reason : string option;
 }
 
 type report = {
@@ -332,76 +333,23 @@ let diff ?(k = 1) ?predicate ?from_file
         | _ -> None)
       funcs
   in
-  (* The verdict lift (Section 6 against the pair): one batched contract
-     carrying a fresh invocable g_l per lifted label — the g's are
-     mutually invisible (no content mentions them), so they share the
-     merge, the compiled regexes and the analysis cache. *)
+  (* The verdict lift: Section 6 against the pair, on its own contract,
+     for the reachable labels both versions declare. *)
   let verdicts, lift_ds =
     match v1.Schema.root with
     | None -> ([], [])
-    | Some _ when conflicts <> [] -> ([], [])
     | Some root ->
-      let lift_labels =
-        List.filter
-          (fun l ->
-            Schema.find_element v1 l <> None
-            && Schema.find_element v2 l <> None)
-          (Schema_rewrite.reachable_labels env1 v1 root)
-      in
-      let taken = ref Schema.String_set.empty in
-      let fresh base =
-        let rec go i =
-          let candidate = Fmt.str "%s#%d" base i in
-          if
-            Schema.String_map.mem candidate env1.Schema.env_functions
-            || Schema.String_map.mem candidate env2.Schema.env_functions
-            || Schema.String_set.mem candidate !taken
-          then go (i + 1)
-          else begin
-            taken := Schema.String_set.add candidate !taken;
-            candidate
-          end
-        in
-        go 0
-      in
-      let s0', gnames =
-        List.fold_left
-          (fun (s, gs) l ->
-            match Schema.find_element v1 l with
-            | None -> (s, gs)
-            | Some content ->
-              let g = fresh ("g_" ^ l) in
-              ( Schema.add_function s
-                  (Schema.func g ~input:R.epsilon ~output:content),
-                (l, g) :: gs ))
-          (v1, []) lift_labels
-      in
-      (match Contract.create ~k:(k + 1) ?predicate ~s0:s0' ~target:v2 () with
+      (* a signature conflict (see [conflicts]) fails the merge *)
+      (match Contract.create ~k ?predicate ~s0:v1 ~target:v2 () with
        | exception Schema.Schema_error _ -> ([], [])
        | contract ->
-         let lift (l, g) =
-           match Contract.element_regex contract l with
-           | None -> None
-           | Some target_regex ->
-             let m =
-               Contract.minimal_k ~max_k:(k + 1) contract ~target_regex
-                 [ Symbol.Fun g ]
-             in
-             (* the synthetic call pays one depth level: contract depth d
-                answers the user's question at depth d - 1 *)
-             let user d = max 0 (d - 1) in
-             let verdict =
-               match (m.Contract.safe_at, m.Contract.possible_at) with
-               | Some _, _ -> Contract.Safe
-               | None, Some _ -> Contract.Possible_only
-               | None, None -> Contract.Impossible
-             in
-             Some
-               { v_label = l; v_verdict = verdict;
-                 v_safe_at = Option.map user m.Contract.safe_at;
-                 v_possible_at = Option.map user m.Contract.possible_at }
+         let verdicts =
+           List.filter
+             (fun v ->
+               Schema.find_element v1 v.v_label <> None
+               && Schema.find_element v2 v.v_label <> None)
+             (Schema_rewrite.check contract ~root).Schema_rewrite.verdicts
          in
-         let verdicts = List.filter_map lift (List.rev gnames) in
          let ds =
            List.filter_map
              (fun v ->
@@ -616,10 +564,10 @@ let migration_to_json ?from_file ?to_file g =
     g.g_diagnostics
 
 let compat_to_json ?from_file ?to_file ~k (r : Schema_rewrite.result) =
-  let verdict_json (v : Schema_rewrite.label_verdict) =
+  let verdict_json v =
     Json.Obj
-      ([ ("label", str v.Schema_rewrite.label); ("safe", Json.Bool v.Schema_rewrite.safe) ]
-      @ Json.opt "reason" str v.Schema_rewrite.reason)
+      ([ ("label", str v.v_label); ("safe", Json.Bool (v.v_verdict = Contract.Safe)) ]
+      @ Json.opt "reason" str v.v_reason)
   in
   envelope ~command:"compat" ?from_file ?to_file ~k
     [ ("verdicts", Json.List (List.map verdict_json r.Schema_rewrite.verdicts));

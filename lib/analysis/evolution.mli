@@ -19,12 +19,13 @@
       compared the same way.
     - {b verdict lift} ({!diff}): a narrowing at one label can flip
       the {e contract-level} verdict of an ancestor. The paper's
-      Section 6 reduction is replayed against the pair: for each label
-      [l] of v1, a fresh invocable function [g_l] with output
-      [tau_1(l)] is added to v1 and the word [g_l] is analyzed against
-      v2's model of [l] at depth k+1. Under v1 → v1 every label is
-      trivially safe, so any non-[Safe] verdict is a regression
-      introduced by the evolution (AXM041).
+      Section 6 reduction ({!Axml_core.Schema_rewrite.check}) runs on
+      the pair's contract (v1 as sender, v2 as target): for each
+      reachable label [l] of v1, a representative call with output
+      [tau_1(l)] is analyzed against v2's model of [l] with one extra
+      depth level. Under v1 → v1 every label is trivially safe, so any
+      non-[Safe] verdict is a regression introduced by the evolution
+      (AXM041).
     - {b migration advisory} ({!migrate}): for each archived document,
       whether it already conforms to v2, rewrites safely after
       materializing a named set of calls, rewrites only possibly, or
@@ -81,16 +82,17 @@ type func_diff = {
   f_invocable_v2 : bool;
 }
 
-(** The Section 6 reduction replayed per label: the contract-level
-    verdict of exchanging v1-documents of this type under v2. *)
-type verdict_lift = {
+(** The Section 6 verdict of exchanging v1-documents of one type under
+    v2 ({!Axml_core.Schema_rewrite.check} on the pair's contract).
+    [v_safe_at] is the smallest rewriting depth at which the type is
+    safe under v2 ([Some 0]: safe with no materialization headroom);
+    [None] when not safe even at the configured [k]. *)
+type verdict_lift = Axml_core.Schema_rewrite.label_verdict = {
   v_label : string;
   v_verdict : Axml_core.Contract.verdict;
   v_safe_at : int option;
-      (** smallest rewriting depth at which the type is safe under v2
-          ([Some 0]: already safe with no materialization headroom);
-          [None] when not safe even at the configured [k] *)
   v_possible_at : int option;
+  v_reason : string option;
 }
 
 type report = {

@@ -568,24 +568,20 @@ let lint_contract c =
     match s0.Schema.root with
     | None -> []
     | Some root ->
-      let result =
-        Schema_rewrite.check ~k:(Contract.k c) ~predicate:env.Schema.predicate
-          ~s0 ~root ~target ()
-      in
       List.filter_map
         (fun (v : Schema_rewrite.label_verdict) ->
-          if v.Schema_rewrite.safe then None
+          if v.Schema_rewrite.v_verdict = Contract.Safe then None
           else
             Some
               (D.make ~code:"AXM020" ~severity:D.Error
-                 (D.Schema_pair v.Schema_rewrite.label)
+                 (D.Schema_pair v.Schema_rewrite.v_label)
                  (Fmt.str
                     "documents of this type cannot all be safely \
                      exchanged%a"
                     Fmt.(
                       option (fun ppf r -> Fmt.pf ppf ": %s" r))
-                    v.Schema_rewrite.reason)))
-        result.Schema_rewrite.verdicts
+                    v.Schema_rewrite.v_reason)))
+        (Schema_rewrite.check c ~root).Schema_rewrite.verdicts
   in
   List.concat_map per_function (Schema.String_map.bindings env.Schema.env_functions)
   @ per_label

@@ -21,8 +21,10 @@
       element labels through their content models — at a nesting depth
       exceeding the contract's configured k, so even a successful
       materialization may return a forest the receiver refuses) — and
-      per-label schema-compatibility verdicts through [Schema_rewrite]
-      (AXM020). The word analyses behind AXM021 run through
+      per-label schema-compatibility verdicts of [Schema_rewrite.check]
+      on the contract itself (AXM020), which run outside its analysis
+      cache and leave its counters as they were. The word analyses
+      behind AXM021 run through
       [Contract.is_safe]/[is_possible] and are therefore memoized in
       the contract's existing analysis cache;
     - {b document level} ({!lint_document}): calls to undeclared

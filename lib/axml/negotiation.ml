@@ -6,6 +6,7 @@
    Section 6). *)
 
 module Schema = Axml_schema.Schema
+module Contract = Axml_core.Contract
 module Schema_rewrite = Axml_core.Schema_rewrite
 
 type proposal = {
@@ -32,13 +33,16 @@ let negotiate ?k ?predicate ~(s0 : Schema.t) ~root
     | [] -> Error (List.rev rejected)
     | p :: rest ->
       let result =
-        Schema_rewrite.check ?k ?predicate ~s0 ~root ~target:p.schema ()
+        Schema_rewrite.check ~root
+          (Contract.create ?k ?predicate ~s0 ~target:p.schema ())
       in
       if result.Schema_rewrite.compatible then
         Ok { chosen = p; rejected = List.rev rejected }
       else
         let bad =
-          List.filter (fun v -> not v.Schema_rewrite.safe) result.Schema_rewrite.verdicts
+          List.filter
+            (fun v -> v.Schema_rewrite.v_verdict <> Contract.Safe)
+            result.Schema_rewrite.verdicts
         in
         go ({ proposal = p.name; verdicts = bad } :: rejected) rest
   in
@@ -49,6 +53,6 @@ let pp_rejection ppf r =
     Fmt.(
       list ~sep:(any "; ")
         (fun ppf (v : Schema_rewrite.label_verdict) ->
-          Fmt.pf ppf "%s (%s)" v.Schema_rewrite.label
-            (Option.value ~default:"?" v.Schema_rewrite.reason)))
+          Fmt.pf ppf "%s (%s)" v.Schema_rewrite.v_label
+            (Option.value ~default:"?" v.Schema_rewrite.v_reason)))
     r.verdicts

@@ -85,7 +85,6 @@ type t = {
   registry : Registry.t;      (* remote services this peer can invoke *)
   provided : (string, provided) Hashtbl.t;
   mutable config : config;
-  mutable trusted_peers : string list;
   (* compiled-artifact caches, all validated against [generation] *)
   mutable generation : int;
   mutable send_pipelines : (Schema.t * int * Enforcement.Pipeline.t) list;
@@ -100,7 +99,6 @@ let create ~name ~schema () = {
   registry = Registry.create ~principal:name ();
   provided = Hashtbl.create 8;
   config = default_config;
-  trusted_peers = [];
   generation = 0;
   send_pipelines = [];
   recv_ctxs = [];

@@ -53,9 +53,6 @@ let h_analysis kind =
 let h_safe = h_analysis "safe"
 let h_possible = h_analysis "possible"
 
-module Sym_id = Axml_schema.Sym_id
-module Dense = Auto.Dfa.Dense
-
 (* Analyses are memoized by (content-model regex, word, depth): the
    same word can be unsafe at k=1 and safe at k=2, so verdicts at
    different depths must never alias.
@@ -109,7 +106,6 @@ type t = {
   input_regexes : (string, Symbol.t R.t option) Hashtbl.t;
   outputs : Fork_automaton.outputs;  (* immutable, shared with clones *)
   mutable regexes : Symbol.t R.t array;  (* interned cache-key regexes *)
-  dense : (int, Dense.dense) Hashtbl.t;  (* regex id -> membership tables *)
   tables : (int, Product.table) Hashtbl.t;  (* regex id -> target subsets *)
   cache : entry Tbl.t;
   order : Key.t Queue.t;  (* insertion order, for FIFO eviction *)
@@ -128,7 +124,6 @@ let create ?(k = 1) ?predicate ?(cache_capacity = 4096)
     input_regexes = Hashtbl.create 16;
     outputs = Fork_automaton.outputs env;
     regexes = [||];
-    dense = Hashtbl.create 16;
     tables = Hashtbl.create 16;
     cache = Tbl.create 64;
     order = Queue.create ();
@@ -148,7 +143,6 @@ let clone (t : t) =
         lock = Mutex.create ();
         element_regexes = Hashtbl.copy t.element_regexes;
         input_regexes = Hashtbl.copy t.input_regexes;
-        dense = Hashtbl.copy t.dense;
         tables = Hashtbl.create 16;
         cache = Tbl.create 64;
         order = Queue.create ();
@@ -264,38 +258,6 @@ let entry t ~target_regex ~k word =
     Queue.push key t.order;
     e
 
-(* Dense id of one child without building a Symbol.t. *)
-let child_sym_id = function
-  | Document.Elem { label; _ } -> Sym_id.of_label label
-  | Document.Data _ -> Sym_id.data
-  | Document.Call { name; _ } -> Sym_id.of_fun name
-
-(* Membership of a children forest in [target_regex], stepped through
-   compiled dense tables memoized per interned regex id. Acceptance
-   means the identity rewriting (keep every child, invoke nothing)
-   already lands in the target language: the word is trivially both
-   safely and possibly rewritable at every depth, and the keep-first
-   [Execute] walk returns it unchanged. Hot paths use this to bypass the game
-   analyses entirely for already-conforming words. *)
-let children_accepted t ~target_regex (children : Document.forest) =
-  Mutex.protect t.lock @@ fun () ->
-  let rid = regex_id t target_regex in
-  let d =
-    match Hashtbl.find_opt t.dense rid with
-    | Some d -> d
-    | None ->
-      let d =
-        Dense.compile ~sym_id:Sym_id.of_symbol (Auto.Dfa.of_regex target_regex)
-      in
-      Hashtbl.add t.dense rid d;
-      d
-  in
-  let rec run s = function
-    | [] -> Dense.is_final d s
-    | c :: rest -> s >= 0 && run (Dense.step_id d s (child_sym_id c)) rest
-  in
-  run (Dense.start d) children
-
 (* Uncached analyses are computed while still holding [t.lock]: slower
    under contention than a compute-outside-retry scheme, but it keeps
    the counters exact (each (word, kind) is computed at most once
@@ -381,25 +343,58 @@ type minimal = { safe_at : int option; possible_at : int option }
 (* Player options only grow with the depth (A_w^{k+1} contains every
    strategy of A_w^k; the adversary's choices are fixed by the output
    types), so safety and possibility are monotone in k and the first
-   depth that answers "yes" is the minimum. k=0 is a legal start: the
-   fork automaton degenerates to the linear word automaton, so
-   [safe_at = Some 0] means the word already conforms extensionally. *)
-let minimal_k ?max_k t ~target_regex word =
-  let max_k = match max_k with Some m -> max 0 m | None -> t.k in
+   depth that answers "yes" is the minimum. *)
+let search ~max_k ~possible ~safe =
   let rec find pred k =
     if k > max_k then None
     else if pred k then Some k
     else find pred (k + 1)
   in
-  let possible_at = find (fun k -> is_possible ~k t ~target_regex word) 0 in
+  let possible_at = find possible 0 in
   let safe_at =
     (* Safe implies possible, so the safe search can start where the
        possible one succeeded — and is hopeless if nothing is possible. *)
     match possible_at with
     | None -> None
-    | Some p -> find (fun k -> is_safe ~k t ~target_regex word) p
+    | Some p -> find safe p
   in
   { safe_at; possible_at }
+
+(* k=0 is a legal start: the fork automaton degenerates to the linear
+   word automaton, so [safe_at = Some 0] means the word already
+   conforms extensionally. *)
+let minimal_k ?max_k t ~target_regex word =
+  let max_k = match max_k with Some m -> max 0 m | None -> t.k in
+  search ~max_k
+    ~possible:(fun k -> is_possible ~k t ~target_regex word)
+    ~safe:(fun k -> is_safe ~k t ~target_regex word)
+
+(* The Section 6 reduction for one sender content model: every children
+   word of [content] rewrites safely at depth d iff the single call g
+   with tau_out(g) = [content] does at depth d + 1, the extra level
+   paying for g itself. g lives only in this function's private
+   outputs: its name is longer than every function of the environment,
+   so no content model, wildcard or pattern can mention it. Products
+   run on a private table, outside the analysis cache and its
+   counters. *)
+let representative_minimal_k t ~target_regex content =
+  let longest =
+    Schema.String_map.fold
+      (fun f _ n -> max n (String.length f))
+      t.env.Schema.env_functions 0
+  in
+  let g = String.make (longest + 1) '#' in
+  let outputs =
+    Fork_automaton.add_output t.outputs g (Schema.compile_content t.env content)
+  in
+  let table = Product.table (Auto.Nfa.glushkov target_regex) in
+  let product d =
+    Product.create ~table
+      ~fork:(Fork_automaton.build ~outputs ~k:(d + 1) [ Symbol.Fun g ])
+  in
+  search ~max_k:t.k
+    ~possible:(fun d -> (Possible.analyze (product d)).Possible.possible)
+    ~safe:(fun d -> (Marking.analyze_lazy (product d)).Marking.safe)
 
 (* ------------------------------------------------------------------ *)
 (* Cache accounting                                                    *)

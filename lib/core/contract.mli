@@ -153,16 +153,6 @@ val is_possible :
     of [w] land in the target language? The verdict of
     {!possible_analysis}, cached alike. *)
 
-val children_accepted :
-  t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
-  Document.forest -> bool
-(** [children_accepted c ~target_regex children]: is the children word
-    already in the target language as it stands? Stepped through
-    compiled dense tables (memoized per content model), allocating
-    nothing. Acceptance implies the word is safely and possibly
-    rewritable at every depth — the identity rewriting wins — so hot
-    paths use this to skip the game analyses for conforming words. *)
-
 (** {1 Verdicts} *)
 
 type verdict =
@@ -204,6 +194,21 @@ val minimal_k :
     conforms without any materialization; every answer is served
     through the (k-keyed) analysis cache, so the search piggybacks on
     enforcement's own queries. *)
+
+val representative_minimal_k :
+  t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
+  Axml_schema.Schema.content -> minimal
+(** The Section 6 reduction for one sender content model: the smallest
+    depths, searched as in {!minimal_k} up to the contract's depth, at
+    which {e every} children word of [content] (compiled in the
+    contract's environment) rewrites safely (resp. possibly) into
+    [target_regex]. Depth d is answered by the
+    single representative call [g] with output type [content], analyzed
+    at fork depth d + 1 — one level pays for [g]. [g] exists only in a
+    private copy of the contract's output automata, under a name no
+    function of the environment has, so wildcards and patterns of
+    either schema never match it. Uncached: the products use a private
+    {!Product.table}, and {!stats} does not move. *)
 
 (** {1 Cache accounting} *)
 

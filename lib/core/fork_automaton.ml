@@ -67,6 +67,32 @@ type output = {
 
 type outputs = output Schema.String_map.t
 
+(* Flatten one output NFA; [forks sym] says whether a label is a
+   function that itself forks. *)
+let output ~forks (nfa : Auto.Nfa.t) =
+  let edges =
+    Auto.Int_map.fold
+      (fun src row acc ->
+        Auto.Sym_map.fold
+          (fun sym dsts acc ->
+            Auto.Int_set.fold (fun dst acc -> (src, sym, dst) :: acc) dsts acc)
+          row acc)
+      nfa.Auto.Nfa.delta []
+    |> List.rev |> Array.of_list
+  in
+  { o_size = nfa.Auto.Nfa.size;
+    o_start = nfa.Auto.Nfa.start;
+    o_finals = nfa.Auto.Nfa.finals;
+    o_src = Array.map (fun (s, _, _) -> s) edges;
+    o_dst = Array.map (fun (_, _, d) -> d) edges;
+    o_label = Array.map (fun (_, sym, _) -> Some sym) edges;
+    o_label_id = Array.map (fun (_, sym, _) -> Axml_schema.Sym_id.of_symbol sym) edges;
+    o_nested = Array.map (fun (_, sym, _) -> forks sym) edges }
+
+let forks_in map = function
+  | Symbol.Fun g -> Schema.String_map.mem g map
+  | Symbol.Label _ | Symbol.Data -> false
+
 (* Compile every invocable function with a non-empty output language.
    Non-invocable functions and empty output types never fork, so they
    get no entry. *)
@@ -81,31 +107,14 @@ let outputs (env : Schema.env) : outputs =
           else Some (Auto.Nfa.glushkov regex))
       env.Schema.env_functions
   in
-  let forks = function
-    | Symbol.Fun g -> Schema.String_map.mem g nfas
-    | Symbol.Label _ | Symbol.Data -> false
-  in
-  Schema.String_map.map
-    (fun (nfa : Auto.Nfa.t) ->
-      let edges =
-        Auto.Int_map.fold
-          (fun src row acc ->
-            Auto.Sym_map.fold
-              (fun sym dsts acc ->
-                Auto.Int_set.fold (fun dst acc -> (src, sym, dst) :: acc) dsts acc)
-              row acc)
-          nfa.Auto.Nfa.delta []
-        |> List.rev |> Array.of_list
-      in
-      { o_size = nfa.Auto.Nfa.size;
-        o_start = nfa.Auto.Nfa.start;
-        o_finals = nfa.Auto.Nfa.finals;
-        o_src = Array.map (fun (s, _, _) -> s) edges;
-        o_dst = Array.map (fun (_, _, d) -> d) edges;
-        o_label = Array.map (fun (_, sym, _) -> Some sym) edges;
-        o_label_id = Array.map (fun (_, sym, _) -> Axml_schema.Sym_id.of_symbol sym) edges;
-        o_nested = Array.map (fun (_, sym, _) -> forks sym) edges })
-    nfas
+  Schema.String_map.map (output ~forks:(forks_in nfas)) nfas
+
+let add_output (outputs : outputs) name regex =
+  if R.is_empty_language regex then outputs
+  else
+    Schema.String_map.add name
+      (output ~forks:(forks_in outputs) (Auto.Nfa.glushkov regex))
+      outputs
 
 (* [build ~outputs ~k w] builds A_w^k, splicing copies of the
    precompiled [outputs] (Section 4's assumption: sender and exchange

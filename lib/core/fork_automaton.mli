@@ -55,6 +55,15 @@ val outputs : Axml_schema.Schema.env -> outputs
     @raise Axml_schema.Schema.Schema_error when an output type does not
     compile against [env]. *)
 
+val add_output :
+  outputs -> string -> Axml_schema.Symbol.t Axml_regex.Regex.t -> outputs
+(** [add_output outputs g r]: [outputs] plus an invocable [g] whose
+    output language is [r] (no entry when [r] is empty). Calls inside
+    [r] fork as they do in [outputs]; [g] should be a name no output
+    mentions. This is how the Section 6 reduction gives its
+    representative call an output without declaring it in any schema
+    ({!Contract.representative_minimal_k}). *)
+
 val build : outputs:outputs -> k:int -> Axml_schema.Symbol.t list -> t
 (** [build ~outputs ~k w] builds A_w^k by splicing copies of [outputs].
     Only this part depends on the word; functions without an output

@@ -1,23 +1,25 @@
-(* Schema-to-schema safe rewriting (Section 6): can EVERY document of the
-   sender schema [s0] (rooted at [root]) be safely rewritten into the
-   exchange schema [target]?
+(* Schema-to-schema safe rewriting (Section 6): can EVERY document of a
+   contract's sender schema (rooted at [root]) be safely rewritten into
+   its exchange schema?
 
    The paper's reduction: testing that all elements of type [l] rewrite
    safely is the same as testing that the single-function word [g_l] —
-   where [g_l] is a fresh invocable function whose output type is
-   tau_0(l) — rewrites safely, with one extra depth level to pay for the
-   synthetic call. The adversary's expansion of [g_l] enumerates exactly
-   the children words an instance of [l] may have. One test per label of
-   [s0] reachable from the root suffices. *)
+   where [g_l] is an invocable function whose output type is tau_0(l) —
+   rewrites safely, with one extra depth level to pay for the call. The
+   adversary's expansion of [g_l] enumerates exactly the children words
+   an instance of [l] may have. One test per label of s0 reachable from
+   the root suffices; [Contract.representative_minimal_k] runs it on
+   the contract's own environment, so [g_l] is never declared in a
+   schema and no wildcard or pattern can match it. *)
 
-module R = Axml_regex.Regex
 module Schema = Axml_schema.Schema
-module Symbol = Axml_schema.Symbol
 
 type label_verdict = {
-  label : string;
-  safe : bool;
-  reason : string option;
+  v_label : string;
+  v_verdict : Contract.verdict;
+  v_safe_at : int option;
+  v_possible_at : int option;
+  v_reason : string option;
 }
 
 type result = {
@@ -81,59 +83,40 @@ let reachable_labels env (s0 : Schema.t) root =
   done;
   Schema.String_set.elements !seen_labels
 
-(* A fresh name that collides with nothing declared. *)
-let fresh_name env base =
-  let rec go i =
-    let candidate = Fmt.str "%s#%d" base i in
-    if Schema.String_map.mem candidate env.Schema.env_functions then go (i + 1)
-    else candidate
+let check contract ~root : result =
+  let s0 = Contract.s0 contract in
+  let unsafe label reason =
+    { v_label = label; v_verdict = Contract.Impossible; v_safe_at = None;
+      v_possible_at = None; v_reason = Some reason }
   in
-  go 0
-
-let check ?(k = 1) ?predicate ~(s0 : Schema.t)
-    ~root ~(target : Schema.t) () : result =
-  (* one merged environment for the whole check: [verdict_of_label] only
-     needs it for fresh-name collision avoidance, so recompiling it per
-     label (as each verdict used to) was pure waste *)
-  let env = Schema.env_of_schemas ?predicate s0 target in
   let verdict_of_label label =
-    match Schema.find_element s0 label with
-    | None ->
-      { label; safe = false;
-        reason = Some (Fmt.str "label %S is not declared by the sender schema" label) }
-    | Some content0 ->
-      (match Schema.find_element target label with
-       | None ->
-         { label; safe = false;
-           reason =
-             Some (Fmt.str "label %S is not part of the exchange schema" label) }
-       | Some _ ->
-         (* extend s0 with the representative function g_label *)
-         let gname = fresh_name env ("g_" ^ label) in
-         let g = Schema.func gname ~input:Axml_regex.Regex.epsilon ~output:content0 in
-         let s0' = Schema.add_function s0 g in
-         let contract =
-           Contract.create ~k:(k + 1) ?predicate ~s0:s0' ~target ()
-         in
-         (match Contract.element_regex contract label with
-          | None ->
-            { label; safe = false;
-              reason = Some "exchange schema content model missing" }
-          | Some target_regex ->
-            let word = [ Symbol.Fun gname ] in
-            if Contract.is_safe contract ~target_regex word then
-              { label; safe = true; reason = None }
-            else
-              { label; safe = false;
-                reason =
-                  Some
-                    (Fmt.str
-                       "some children word of <%s> allowed by the sender schema \
-                        cannot be safely rewritten" label) }))
+    match (Schema.find_element s0 label, Contract.element_regex contract label) with
+    | None, _ ->
+      unsafe label (Fmt.str "label %S is not declared by the sender schema" label)
+    | Some _, None ->
+      unsafe label (Fmt.str "label %S is not part of the exchange schema" label)
+    | Some content0, Some target_regex ->
+      let m = Contract.representative_minimal_k contract ~target_regex content0 in
+      let verdict =
+        match (m.Contract.safe_at, m.Contract.possible_at) with
+        | Some _, _ -> Contract.Safe
+        | None, Some _ -> Contract.Possible_only
+        | None, None -> Contract.Impossible
+      in
+      { v_label = label; v_verdict = verdict; v_safe_at = m.Contract.safe_at;
+        v_possible_at = m.Contract.possible_at;
+        v_reason =
+          (if verdict = Contract.Safe then None
+           else
+             Some
+               (Fmt.str
+                  "some children word of <%s> allowed by the sender schema \
+                   cannot be safely rewritten" label)) }
   in
-  let labels = reachable_labels env s0 root in
-  let verdicts = List.map verdict_of_label labels in
-  { compatible = List.for_all (fun v -> v.safe) verdicts; verdicts }
+  let verdicts =
+    List.map verdict_of_label (reachable_labels (Contract.env contract) s0 root)
+  in
+  { compatible = List.for_all (fun v -> v.v_verdict = Contract.Safe) verdicts;
+    verdicts }
 
-let compatible ?k ?predicate ~s0 ~root ~target () =
-  (check ?k ?predicate ~s0 ~root ~target ()).compatible
+let compatible contract ~root = (check contract ~root).compatible

@@ -1,16 +1,26 @@
 (** Schema-to-schema safe rewriting (Section 6): can EVERY document of
-    the sender schema, rooted at a given label, be safely rewritten into
-    the exchange schema?
+    a contract's sender schema, rooted at a given label, be safely
+    rewritten into its exchange schema?
 
     Implements the paper's reduction: testing all elements of type [l]
-    is the same as testing the single-function word [g_l] — a fresh
+    is the same as testing the single-function word [g_l] — an
     invocable function whose output type is [tau_0 l] — with one extra
-    depth level; one test per label reachable from the root. *)
+    depth level; one test per label reachable from the root. The test
+    is {!Contract.representative_minimal_k}: [g_l] exists only on the
+    fork-automaton side, never in a schema, so the exchange schema's
+    wildcards and patterns cannot accept it. The contract fixes the
+    depth [k] and the pattern predicates. *)
 
 type label_verdict = {
-  label : string;
-  safe : bool;
-  reason : string option;  (** when not safe *)
+  v_label : string;
+  v_verdict : Contract.verdict;
+      (** [Safe] at the contract's depth, else the best a rewriting can
+          do there *)
+  v_safe_at : int option;
+      (** smallest depth at which every document of the label rewrites
+          safely; [None] if none up to the contract's depth *)
+  v_possible_at : int option;  (** the same for possible rewriting *)
+  v_reason : string option;  (** when not safe *)
 }
 
 type result = {
@@ -23,12 +33,9 @@ val reachable_labels :
 (** Labels reachable from the root through content models and through
     the input/output types of the functions and patterns they mention. *)
 
-val check :
-  ?k:int -> ?predicate:(string -> string -> bool) ->
-  s0:Axml_schema.Schema.t -> root:string ->
-  target:Axml_schema.Schema.t -> unit -> result
+val check : Contract.t -> root:string -> result
+(** One verdict per label of the sender schema reachable from [root].
+    Leaves the contract's analysis cache and {!Contract.stats}
+    untouched. *)
 
-val compatible :
-  ?k:int -> ?predicate:(string -> string -> bool) ->
-  s0:Axml_schema.Schema.t -> root:string ->
-  target:Axml_schema.Schema.t -> unit -> bool
+val compatible : Contract.t -> root:string -> bool

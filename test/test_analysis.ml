@@ -229,6 +229,24 @@ function F : #data -> (a | b)
   check "warning severity" true
     (severity_of "AXM021" ds = Some Diagnostic.Warning)
 
+(* AXM020 must see through wildcards and patterns of the target: the
+   Section 6 representative of r is not a function they match *)
+let test_contract_wildcard_target () =
+  List.iter
+    (fun (name, s0, target) ->
+      let ds =
+        Lint.lint_contract
+          (Contract.create ~s0:(Section6_fixtures.parse s0)
+             ~target:(Section6_fixtures.parse target) ())
+      in
+      check (name ^ ": AXM020 on r") true
+        (List.exists
+           (fun (d : Diagnostic.t) ->
+             d.Diagnostic.code = "AXM020"
+             && d.Diagnostic.loc.Diagnostic.subject = Diagnostic.Schema_pair "r")
+           ds))
+    Section6_fixtures.pairs
+
 let test_contract_clean () =
   (* identical schemas: every document already conforms *)
   let s = parse_schema clean_text in
@@ -535,6 +553,8 @@ let () =
        [ Alcotest.test_case "doomed contract" `Quick test_contract_doomed;
          Alcotest.test_case "never-safe warning" `Quick test_contract_never_safe_warning;
          Alcotest.test_case "clean contract" `Quick test_contract_clean;
+         Alcotest.test_case "wildcard or pattern target (AXM020)" `Quick
+           test_contract_wildcard_target;
          Alcotest.test_case "depth gap (AXM032)" `Quick test_contract_depth_gap;
          Alcotest.test_case "unbounded depth (AXM032)" `Quick
            test_contract_depth_unbounded

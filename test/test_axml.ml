@@ -1007,9 +1007,21 @@ let test_negotiation_no_agreement () =
          (fun r ->
            List.exists
              (fun (v : Axml_core.Schema_rewrite.label_verdict) ->
-               v.Axml_core.Schema_rewrite.label = "newspaper")
+               v.Axml_core.Schema_rewrite.v_label = "newspaper")
              r.Negotiation.verdicts)
          rejections)
+
+let test_negotiation_wildcard_target () =
+  List.iter
+    (fun (name, s0, target) ->
+      match
+        Negotiation.negotiate ~s0:(Section6_fixtures.parse s0) ~root:"r"
+          [ { Negotiation.name; schema = Section6_fixtures.parse target } ]
+      with
+      | Ok _ -> Alcotest.failf "%s: proposal accepted" name
+      | Error rejections ->
+        check_int (name ^ ": one rejection") 1 (List.length rejections))
+    Section6_fixtures.pairs
 
 (* ------------------------------------------------------------------ *)
 (* XML Schema_int roundtrip on random schemas                          *)
@@ -1281,7 +1293,9 @@ let () =
        ]);
       ("negotiation",
        [ Alcotest.test_case "first fit" `Quick test_negotiation_first_fit;
-         Alcotest.test_case "no agreement" `Quick test_negotiation_no_agreement
+         Alcotest.test_case "no agreement" `Quick test_negotiation_no_agreement;
+         Alcotest.test_case "wildcard or pattern target rejected" `Quick
+           test_negotiation_wildcard_target
        ]);
       ("properties", axml_qcheck);
       ("peers",

@@ -326,6 +326,18 @@ let test_compat () =
   check_int "incompatible: exit 1" 1 code;
   check "culprit reported" true (contains out "newspaper")
 
+let test_compat_wildcard_target () =
+  List.iteri
+    (fun i (name, s0, target) ->
+      let f = path (Fmt.str "s6_sender_%d.axs" i) in
+      let t = path (Fmt.str "s6_target_%d.axs" i) in
+      write_file f s0;
+      write_file t target;
+      let code, out = run [ "compat"; "-f"; f; "-t"; t ] in
+      check_int (name ^ ": exit 1") 1 code;
+      check (name ^ ": says incompatible") true (contains out "INCOMPATIBLE"))
+    Section6_fixtures.pairs
+
 let test_schema_convert () =
   setup ();
   let xml_file = path "schema.xml" in
@@ -746,6 +758,8 @@ let () =
          Alcotest.test_case "batch metrics out" `Quick test_batch_metrics_out;
          Alcotest.test_case "trace" `Quick test_trace;
          Alcotest.test_case "compat" `Quick test_compat;
+         Alcotest.test_case "compat wildcard target" `Quick
+           test_compat_wildcard_target;
          Alcotest.test_case "lint schema" `Quick test_lint_schema;
          Alcotest.test_case "lint contract json" `Quick test_lint_contract_json;
          Alcotest.test_case "lint deny thresholds" `Quick test_lint_deny_thresholds;

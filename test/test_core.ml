@@ -645,27 +645,70 @@ let test_mixed () =
 (* Schema-to-schema rewriting (Section 6)                              *)
 (* ------------------------------------------------------------------ *)
 
+let compat s0 target =
+  Schema_rewrite.compatible ~root:"newspaper" (Contract.create ~s0 ~target ())
+
 let test_schema_rewriting () =
-  check "(*) into (**)" true
-    (Schema_rewrite.compatible ~s0:schema_star ~root:"newspaper" ~target:schema_star2 ());
-  check "(*) into (***)" false
-    (Schema_rewrite.compatible ~s0:schema_star ~root:"newspaper" ~target:schema_star3 ());
-  check "(**) into (*): instance containment" true
-    (Schema_rewrite.compatible ~s0:schema_star2 ~root:"newspaper" ~target:schema_star ());
+  check "(*) into (**)" true (compat schema_star schema_star2);
+  check "(*) into (***)" false (compat schema_star schema_star3);
+  check "(**) into (*): instance containment" true (compat schema_star2 schema_star);
   (* identity is always compatible *)
-  check "identity" true
-    (Schema_rewrite.compatible ~s0:schema_star ~root:"newspaper" ~target:schema_star ())
+  check "identity" true (compat schema_star schema_star)
 
 let test_schema_rewriting_verdicts () =
   let result =
-    Schema_rewrite.check ~s0:schema_star ~root:"newspaper" ~target:schema_star3 ()
+    Schema_rewrite.check ~root:"newspaper"
+      (Contract.create ~s0:schema_star ~target:schema_star3 ())
   in
   check "incompatible" false result.Schema_rewrite.compatible;
   let bad =
-    List.filter (fun v -> not v.Schema_rewrite.safe) result.Schema_rewrite.verdicts
+    List.filter
+      (fun v -> v.Schema_rewrite.v_verdict <> Contract.Safe)
+      result.Schema_rewrite.verdicts
   in
   check "newspaper is the culprit" true
-    (List.exists (fun v -> v.Schema_rewrite.label = "newspaper") bad)
+    (List.exists (fun v -> v.Schema_rewrite.v_label = "newspaper") bad)
+
+(* The representative call of a label is no function of either schema:
+   the exchange schema's wildcards and patterns must not accept it. *)
+let test_schema_rewriting_representative_hidden () =
+  List.iter
+    (fun (name, s0, target) ->
+      let c =
+        Contract.create ~s0:(Section6_fixtures.parse s0)
+          ~target:(Section6_fixtures.parse target) ()
+      in
+      let result = Schema_rewrite.check c ~root:"r" in
+      check (name ^ ": not compatible") false result.Schema_rewrite.compatible;
+      check (name ^ ": r is not safe") true
+        (List.exists
+           (fun v ->
+             v.Schema_rewrite.v_label = "r"
+             && v.Schema_rewrite.v_verdict <> Contract.Safe)
+           result.Schema_rewrite.verdicts))
+    Section6_fixtures.pairs;
+  (* nor can the sender's own #anyfun list it: the representative of
+     r = #anyfun is F alone, which one rewriting level materializes *)
+  let s0 =
+    Section6_fixtures.parse
+      "root r\nelement r = #anyfun\nelement a = #data\nfunction F : () -> a"
+  in
+  let target =
+    Section6_fixtures.parse
+      "root r\nelement r = a\nelement a = #data\nfunction F : () -> a"
+  in
+  check "sender #anyfun: compatible at k = 1" true
+    (Schema_rewrite.compatible (Contract.create ~s0 ~target ()) ~root:"r")
+
+(* The reduction runs outside the analysis cache: linting a live
+   contract leaves its counters and entries as enforcement left them. *)
+let test_schema_rewriting_leaves_stats () =
+  let c = Contract.create ~s0:schema_star ~target:schema_star2 () in
+  ignore (Contract.analyze c ~context:(Contract.Element "newspaper") newspaper_word);
+  let before = Contract.stats c in
+  check "enforcement used the cache" true (before.Contract.misses > 0);
+  ignore (Schema_rewrite.check c ~root:"newspaper");
+  check "stats unchanged" true (Contract.stats c = before)
 
 (* ------------------------------------------------------------------ *)
 (* Validation and generation                                           *)
@@ -746,9 +789,9 @@ module Exhaustive = Axml_core.Exhaustive
 let mini_atoms =
   [ Schema.A_label "a"; Schema.A_label "b"; Schema.A_fun "f"; Schema.A_fun "g" ]
 
-let gen_mini_content : Schema.content QCheck.Gen.t =
+let gen_content atoms : Schema.content QCheck.Gen.t =
   let open QCheck.Gen in
-  let atom = map R.sym (oneofl mini_atoms) in
+  let atom = map R.sym (oneofl atoms) in
   let rec gen n =
     if n <= 0 then atom
     else
@@ -761,6 +804,8 @@ let gen_mini_content : Schema.content QCheck.Gen.t =
         ]
   in
   gen 4
+
+let gen_mini_content = gen_content mini_atoms
 
 let gen_mini_word =
   QCheck.Gen.(
@@ -1152,34 +1197,44 @@ let gen_mini_content_arb =
   QCheck.make ~print:(Fmt.str "%a" Schema.pp_content) gen_mini_content
 
 (* Schema-level compatibility is sound: when the schemas pass the
-   Section 6 test, every randomly generated instance of the sender
-   schema is safely rewritable (and materializes into an instance of the
-   target). *)
+   Section 6 test at k, every randomly generated instance of the sender
+   schema is safely rewritable at k. Either model of r may use #any,
+   #anyfun and the pattern P, none of which may match the test's
+   representative call. *)
+let gen_wild_content_arb =
+  QCheck.make ~print:(Fmt.str "%a" Schema.pp_content)
+    (gen_content
+       (mini_atoms @ [ Schema.A_any_element; Schema.A_any_fun; Schema.A_pattern "P" ]))
+
 let prop_schema_compat_sound =
-  QCheck.Test.make ~count:50
+  QCheck.Test.make ~count:100
     ~name:"schema compatibility implies every instance rewrites safely"
-    QCheck.(pair (pair gen_mini_content_arb gen_mini_content_arb) small_int)
-    (fun ((content0, content1), seed) ->
+    QCheck.(triple (pair gen_wild_content_arb gen_wild_content_arb) (int_range 0 2) small_int)
+    (fun ((content0, content1), k, seed) ->
       let make_schema root_content =
-        let s = mini_schema_base () in
+        let s =
+          Schema.add_pattern (mini_schema_base ())
+            (Schema.pattern "P" ~input:R.epsilon ~output:(R.sym (Schema.A_label "a")))
+        in
         Schema.with_root (Schema.add_element s "r" root_content) "r"
       in
       let s0 = make_schema content0 in
       let target = make_schema content1 in
-      let compatible =
-        Schema_rewrite.compatible ~k:1 ~s0 ~root:"r" ~target ()
-      in
-      QCheck.assume compatible;
-      let g = Generate.create ~seed ~max_depth:16 s0 in
-      match Generate.document g with
-      | exception Generate.Generation_failed _ -> true
-      | doc ->
-        let rw = Rewriter.create ~k:1 ~s0 ~target () in
-        match (Rewriter.check rw doc).failures with
-        | [] -> true
-        | fs ->
-          QCheck.Test.fail_reportf "doc %a not safe: %a" D.pp doc
-            Fmt.(list Rewriter.pp_failure) fs)
+      QCheck.assume
+        (Schema_rewrite.compatible ~root:"r" (Contract.create ~k ~s0 ~target ()));
+      let rw = Rewriter.create ~k ~s0 ~target () in
+      List.for_all
+        (fun i ->
+          let g = Generate.create ~seed:(seed + (1000 * i)) ~max_depth:16 s0 in
+          match Generate.document g with
+          | exception Generate.Generation_failed _ -> true
+          | doc ->
+            (match (Rewriter.check ~mode:Rewriter.Check_safe rw doc).failures with
+             | [] -> true
+             | fs ->
+               QCheck.Test.fail_reportf "doc %a not safe at k=%d: %a" D.pp doc k
+                 Fmt.(list Rewriter.pp_failure) fs))
+        [ 0; 1; 2; 3 ])
 
 (* End-to-end tree-level soundness: whenever the static check passes,
    materializing a random instance with honest random services succeeds
@@ -1784,7 +1839,11 @@ let () =
       ("mixed", [ Alcotest.test_case "mixed approach" `Quick test_mixed ]);
       ("schema-rewriting",
        [ Alcotest.test_case "compatibility verdicts" `Quick test_schema_rewriting;
-         Alcotest.test_case "per-label report" `Quick test_schema_rewriting_verdicts
+         Alcotest.test_case "per-label report" `Quick test_schema_rewriting_verdicts;
+         Alcotest.test_case "representative matches no wildcard or pattern" `Quick
+           test_schema_rewriting_representative_hidden;
+         Alcotest.test_case "cache counters untouched" `Quick
+           test_schema_rewriting_leaves_stats
        ]);
       ("validation",
        [ Alcotest.test_case "violations" `Quick test_validate_violations;

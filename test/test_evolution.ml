@@ -198,6 +198,18 @@ element b = #data
   let v = verdict_of r "r" in
   check "impossible" true (v.Evolution.v_verdict = Contract.Impossible)
 
+let test_verdict_wildcard_target () =
+  (* a wildcard or pattern in v2's model of r must not accept the
+     representative of v1's r: the only v1 document, <r><a/></r>, has no
+     rewriting into v2 *)
+  List.iter
+    (fun (name, v1, v2) ->
+      let r = diff (Section6_fixtures.parse v1) (Section6_fixtures.parse v2) in
+      check (name ^ ": r not safe") true
+        ((verdict_of r "r").Evolution.v_verdict <> Contract.Safe);
+      check (name ^ ": AXM041 fires") true (has "AXM041" r.Evolution.r_diagnostics))
+    Section6_fixtures.pairs
+
 let test_verdict_depth_threshold () =
   (* materializing F (output a) saves documents that kept the call:
      the narrowed v2 drops the F alternative, so safety needs one
@@ -479,8 +491,8 @@ let test_json_reports () =
   Jsonv.check_at "not migratable" v [ "migratable" ] (Axml_obs.Json.Bool false);
   check "summary present" true (Jsonv.at [ "summary" ] v <> None);
   let result =
-    Axml_core.Schema_rewrite.check ~s0:(parse_schema v1_text) ~root:"r"
-      ~target:(parse_schema v1_text) ()
+    Axml_core.Schema_rewrite.check ~root:"r"
+      (Contract.create ~s0:(parse_schema v1_text) ~target:(parse_schema v1_text) ())
   in
   let v =
     parse "compat JSON" (Evolution.compat_to_json ~from_file:"a" ~to_file:"b" ~k:1 result)
@@ -653,6 +665,8 @@ let () =
            test_verdict_regression_impossible;
          Alcotest.test_case "verdict depth threshold" `Quick
            test_verdict_depth_threshold;
+         Alcotest.test_case "verdict under a wildcard or pattern target (AXM041)"
+           `Quick test_verdict_wildcard_target;
          Alcotest.test_case "widening accepts calls (AXM043)" `Quick
            test_widening_accepts_calls;
          Alcotest.test_case "signature change (AXM044)" `Quick
