@@ -3,7 +3,7 @@
    Measures the three inner loops the dense kernel rebuilt — DFA
    membership, the marking game, and language inclusion — on small /
    medium / large automata, so a kernel regression is caught here
-   per-PR instead of showing up end-to-end in E17.
+   per-change instead of showing up end-to-end in the ledger.
 
    Membership pits the functional-map DFA (`Auto.Dfa.accepts`, string
    labels, balanced-tree dispatch) against the compiled dense tables
@@ -12,8 +12,9 @@
    this file only measures. Marking runs the full Section 7 lazy game
    (Fork_automaton.build + Product.create + Marking.analyze_lazy) on the
    paper's newspaper example at growing depth k, cold (output automata
-   and target table compiled per decision) and warm (both compiled
-   once, as a contract holds them); subset runs the
+   and target DFA compiled per decision, the DFA by Validate.compile)
+   and warm (both compiled once, as a contract holds them); subset runs
+   the
    map-side simulation check that lint and evolution depend on.
 
    Run with:  dune exec bench/kernel_bench.exe            (full, ~10 s)
@@ -34,6 +35,7 @@ module D = Axml_core.Document
 module Fork_automaton = Axml_core.Fork_automaton
 module Product = Axml_core.Product
 module Marking = Axml_core.Marking
+module Validate = Axml_core.Validate
 
 let measure_ns ?(quota = 0.25) name (f : unit -> 'a) : float =
   let test =
@@ -149,7 +151,7 @@ let env_of sender target root =
     | Some c -> c
     | None -> Fmt.failwith "fixture schema lost its root element"
   in
-  (env, Auto.Nfa.glushkov (Schema.compile_content env content))
+  (env, Schema.compile_content env content)
 
 let newspaper_env = env_of schema_sender schema_target "newspaper"
 let feed_env = env_of schema_feed_sender schema_feed_target "doc"
@@ -213,26 +215,26 @@ let membership ~quota =
     [ ("small", 4); ("medium", 16); ("large", 64) ]
 
 (* [lazy] and [eager] start cold: output automata compiled from the
-   environment and a fresh target table on every decision. [warm] is
-   the production miss: a contract's output automata and target table
-   are compiled once and already filled by earlier words, so only
-   A_w^k, the product nodes and the game are per-decision work. *)
+   environment and the target determinized ([Validate.compile]) on every
+   decision. [warm] is the production miss: a contract's output automata
+   and target model are compiled once, so only A_w^k, the product nodes
+   and the game are per-decision work. *)
 let marking ~quota ~smoke =
   Fmt.pr "-- marking: lazy game over A_w^k x target (ns / decision)@.";
   Fmt.pr "%8s %3s %4s %8s %7s %12s %12s %12s@." "size" "k" "|w|" "states"
     "forks" "lazy" "warm" "eager";
   List.map
-    (fun (label, (env, target_nfa), k, word) ->
+    (fun (label, (env, target_regex), k, word) ->
       let cold () =
         let fork =
           Fork_automaton.build ~outputs:(Fork_automaton.outputs env) ~k word
         in
-        Product.create ~fork ~table:(Product.table target_nfa)
+        Product.create ~fork ~dfa:(Validate.compile target_regex).Validate.dfa
       in
       let outputs = Fork_automaton.outputs env in
-      let table = Product.table target_nfa in
+      let dfa = (Validate.compile target_regex).Validate.dfa in
       let warm () =
-        Product.create ~fork:(Fork_automaton.build ~outputs ~k word) ~table
+        Product.create ~fork:(Fork_automaton.build ~outputs ~k word) ~dfa
       in
       let warmed = Marking.analyze_lazy (warm ()) in
       let reference = Marking.analyze_lazy (cold ()) in

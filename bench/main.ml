@@ -800,7 +800,7 @@ function H : () -> a
 (* E16 (Section 3): how restrictive is left-to-right?                  *)
 (* ------------------------------------------------------------------ *)
 
-module Exhaustive = Axml_core.Exhaustive
+module Exhaustive = Axml_oracle.Exhaustive
 
 let e16 () =
   section "e16" "Section 3: the cost of the left-to-right restriction";
@@ -883,68 +883,7 @@ function g : () -> (b | c)
     trials !ltr_safe !arb_safe !gap
     (100. *. float_of_int !gap /. float_of_int trials)
 
-(* ------------------------------------------------------------------ *)
-(* E17 (Section 7): cold vs warm-contract enforcement throughput       *)
-(* ------------------------------------------------------------------ *)
-
 module Pipeline = Enforcement.Pipeline
-
-let e17 () =
-  section "e17" "Section 7: cold vs warm-contract enforcement throughput";
-  expectation
-    "the enforcement module guards a path, not a document: compiling the \
-     (s0, exchange) contract once and memoizing the word analyses should \
-     dominate per-document recompilation on a stream";
-  let n = 1000 in
-  let g = Generate.create ~seed:2003 schema_star in
-  let docs = List.init n (fun _ -> Generate.document g) in
-  let invoker = Registry.invoker (example_registry ()) in
-  (* cold: the schema pair is compiled from scratch for every document.
-     Wall clock, not [Sys.time]: CPU time is quantized at ~10 ms (see
-     the note in e19) and blind to any service wait, and the warm arm
-     below reports wall-clock [elapsed_s] — the ratio must compare like
-     with like. *)
-  let cold_failures = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun doc ->
-      match
-        Enforcement.enforce ~s0:schema_star ~exchange:schema_star2 ~invoker doc
-      with
-      | Ok _ -> ()
-      | Error _ -> incr cold_failures)
-    docs;
-  let cold_s = Unix.gettimeofday () -. t0 in
-  (* warm: one pipeline, one contract, one memo table for the stream *)
-  let p =
-    Pipeline.create ~s0:schema_star ~exchange:schema_star2 ~invoker ()
-  in
-  let results, stats = Pipeline.enforce_many p docs in
-  let warm_failures =
-    List.length (List.filter Result.is_error results)
-  in
-  let warm_s = stats.Pipeline.elapsed_s in
-  let cold_rate = float_of_int n /. cold_s in
-  let speedup = cold_s /. warm_s in
-  Fmt.pr "cold (per-document compile): %8.3f s  (%7.0f docs/s), %d failure(s)@."
-    cold_s cold_rate !cold_failures;
-  Fmt.pr "warm (one pipeline):         %8.3f s  (%7.0f docs/s), %d failure(s)@."
-    warm_s stats.Pipeline.docs_per_s warm_failures;
-  Fmt.pr "speedup: %.1fx@." speedup;
-  Fmt.pr "contract cache: %a@." Contract.pp_stats stats.Pipeline.cache;
-  let c = stats.Pipeline.cache in
-  write_artifact "e17"
-    [ ("docs", int n); ("cold_s", num cold_s); ("warm_s", num warm_s);
-      ("cold_docs_per_s", num cold_rate);
-      ("warm_docs_per_s", num stats.Pipeline.docs_per_s);
-      ("speedup", num speedup); ("cold_failures", int !cold_failures);
-      ("warm_failures", int warm_failures);
-      ( "cache",
-        Json.Obj
-          [ ("hits", int c.Contract.hits); ("misses", int c.Contract.misses);
-            ("evictions", int c.Contract.evictions);
-            ("entries", int c.Contract.entries) ] );
-      ("cache_hit_rate", num stats.Pipeline.cache_hit_rate) ]
 
 (* ------------------------------------------------------------------ *)
 (* E18: fault-tolerant batch enforcement under misbehaving services    *)
@@ -1345,113 +1284,6 @@ let e21 () =
                if jobs = 4 then base_s /. elapsed batch else acc)
              0. arms) );
       ( "all_outputs_identical",
-        Json.Bool (List.for_all (fun (_, _, identical) -> identical) arms) ) ]
-
-(* ------------------------------------------------------------------ *)
-(* E22: networked vs in-process exchange on a 1k-doc stream            *)
-(* ------------------------------------------------------------------ *)
-
-module Server = Axml_net.Server
-module Endpoint = Axml_net.Endpoint
-module Client = Axml_net.Client
-
-let e22 () =
-  section "e22" "networked vs in-process exchange: 1k-doc stream over loopback";
-  expectation
-    "the endpoint layer adds framing, a socket round-trip and one XML \
-     re-parse per document on top of the identical enforcement path, so \
-     over loopback the networked stream should stay within a small \
-     constant factor of in-process — with verdicts byte-identical — and \
-     sharding the stream over 2 and 4 connections should hold throughput \
-     steady (client and server share this process's runtime lock, so the \
-     arms measure protocol pipelining, not parallel speedup)";
-  let n = 1000 in
-  let g = Generate.create ~seed:2003 schema_star in
-  let docs = Array.init n (fun i -> (Printf.sprintf "doc-%d" i, Generate.document g)) in
-  let make_sender () =
-    let p = Peer.create ~name:"newspaper.com" ~schema:schema_star () in
-    Registry.register_all (Peer.registry p) (example_services ());
-    p
-  in
-  let render = function
-    | Ok (o : Peer.exchange_outcome) ->
-      Printf.sprintf "ok %d %s" o.Peer.wire_bytes
-        (Syntax.to_xml_string ~pretty:false o.Peer.sent)
-    | Error e -> Fmt.str "refused %a" Enforcement.pp_error e
-  in
-  (* in-process reference: one sender, one receiver, same stream *)
-  let reference = Array.make n "" in
-  let in_process_s =
-    let sender = make_sender () in
-    let receiver = Peer.create ~name:"reader" ~schema:schema_star2 () in
-    let t0 = Unix.gettimeofday () in
-    Array.iteri
-      (fun i (as_name, doc) ->
-        reference.(i) <-
-          render (Peer.send sender ~receiver ~exchange:schema_star2 ~as_name doc))
-      docs;
-    Unix.gettimeofday () -. t0
-  in
-  let accepted =
-    Array.fold_left
-      (fun acc v -> if String.length v > 2 && String.sub v 0 2 = "ok" then acc + 1 else acc)
-      0 reference
-  in
-  Fmt.pr "in-process: %8.3f s  (%7.0f docs/s)  %d/%d accepted@."
-    in_process_s (float_of_int n /. in_process_s) accepted n;
-  (* networked arms: the same stream sharded over C connections, each
-     with its own client and sender peer (senders enforce locally;
-     pipelines are per-peer, so threads never share compiled state) *)
-  let networked connections =
-    let receiver = Peer.create ~name:"reader" ~schema:schema_star2 () in
-    let server = Server.start (Endpoint.create receiver) in
-    let got = Array.make n "" in
-    let worker tid () =
-      let sender = make_sender () in
-      let client = Client.connect ~port:(Server.port server) () in
-      let i = ref tid in
-      while !i < n do
-        let as_name, doc = docs.(!i) in
-        got.(!i) <-
-          render (Client.send client ~sender ~exchange:schema_star2 ~as_name doc);
-        i := !i + connections
-      done;
-      Client.close client
-    in
-    let t0 = Unix.gettimeofday () in
-    let ts = List.init connections (fun tid -> Thread.create (worker tid) ()) in
-    List.iter Thread.join ts;
-    let elapsed = Unix.gettimeofday () -. t0 in
-    Server.stop server;
-    (elapsed, got = reference)
-  in
-  let arms =
-    List.map
-      (fun connections ->
-        let elapsed, identical = networked connections in
-        Fmt.pr
-          "%d connection%s: %8.3f s  (%7.0f docs/s)  %.2fx in-process  %s@."
-          connections (if connections = 1 then " " else "s")
-          elapsed (float_of_int n /. elapsed) (elapsed /. in_process_s)
-          (if identical then "verdicts = in-process" else "VERDICT MISMATCH");
-        (connections, elapsed, identical))
-      [ 1; 2; 4 ]
-  in
-  write_artifact "e22"
-    [ ("docs", int n); ("accepted", int accepted);
-      ("in_process_s", num in_process_s);
-      ("in_process_docs_per_s", num (float_of_int n /. in_process_s));
-      ( "arms",
-        Json.List
-          (List.map
-             (fun (connections, elapsed, identical) ->
-               Json.Obj
-                 [ ("connections", int connections); ("elapsed_s", num elapsed);
-                   ("docs_per_s", num (float_of_int n /. elapsed));
-                   ("overhead_vs_in_process", num (elapsed /. in_process_s));
-                   ("identical", Json.Bool identical) ])
-             arms) );
-      ( "all_verdicts_identical",
         Json.Bool (List.for_all (fun (_, _, identical) -> identical) arms) ) ]
 
 (* ------------------------------------------------------------------ *)
@@ -1898,8 +1730,8 @@ let experiments =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
     ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
-    ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20); ("e21", e21);
-    ("e22", e22); ("e23", e23); ("e24", e24); ("soak", esoak) ]
+    ("e18", e18); ("e19", e19); ("e20", e20); ("e21", e21); ("e23", e23);
+    ("e24", e24); ("soak", esoak) ]
 
 let () =
   let selected =

@@ -67,13 +67,14 @@ let pp_change ppf c = Fmt.string ppf (change_to_string c)
 (* The product construction completes both automata over the union
    alphabet, so inclusion is sound across models mentioning different
    symbols. *)
-let classify r1 r2 =
-  let d1 = Auto.Dfa.of_regex r1 and d2 = Auto.Dfa.of_regex r2 in
+let classify_dfas d1 d2 =
   match (Auto.Dfa.subset d1 d2, Auto.Dfa.subset d2 d1) with
   | true, true -> Identical
   | true, false -> Widened
   | false, true -> Narrowed
   | false, false -> Incompatible
+
+let classify r1 r2 = classify_dfas (Auto.Dfa.of_regex r1) (Auto.Dfa.of_regex r2)
 
 type presence = Both of change | Only_v1 | Only_v2
 
@@ -180,7 +181,8 @@ let diff ?(k = 1) ?predicate ?from_file
       (match (Schema.compile_content env1 c1, Schema.compile_content env2 c2) with
        | exception Schema.Schema_error _ -> None
        | r1, r2 ->
-         let change = classify r1 r2 in
+         let d1 = Auto.Dfa.of_regex r1 and d2 = Auto.Dfa.of_regex r2 in
+         let change = classify_dfas d1 d2 in
          Metrics.inc (labels_total (change_to_string change));
          let new_calls =
            let old_calls = fun_names r1 in
@@ -188,9 +190,7 @@ let diff ?(k = 1) ?predicate ?from_file
          in
          let witness =
            match change with
-           | Narrowed | Incompatible ->
-             Auto.Dfa.separating_word (Auto.Dfa.of_regex r1)
-               (Auto.Dfa.of_regex r2)
+           | Narrowed | Incompatible -> Auto.Dfa.separating_word d1 d2
            | Identical | Widened -> None
          in
          let file, pos = at_new l in
@@ -440,13 +440,13 @@ let migrate ?(k = 1) ?predicate ~v1 ~v2 docs :
   instrumented "migrate" @@ fun () ->
   let contract = Contract.create ~k ?predicate ~s0:v1 ~target:v2 () in
   let rw = Rewriter.of_contract contract in
-  (* validate against v2 in the merged environment, so calls declared
-     only by v1 do not read as unknown functions *)
-  let vctx = Validate.ctx ~env:(Contract.env contract) v2 in
   let advise (name, doc) =
     let calls = must_materialize contract doc in
     let advisory, ds =
-      if Validate.document_violations vctx doc = [] then (Conforms, [])
+      (* the contract's ctx validates against v2 in the merged
+         environment, so calls declared only by v1 are not unknown *)
+      if Validate.document_violations (Contract.ctx contract) doc = [] then
+        (Conforms, [])
       else if (Rewriter.check ~mode:Rewriter.Check_safe rw doc).Rewriter.ok
       then (Materialize, [])
       else

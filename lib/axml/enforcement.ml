@@ -146,7 +146,6 @@ let pp_error ppf = function
    instead of once per document. *)
 type compiled = {
   c_rewriter : Rewriter.t;
-  c_validate : Validate.ctx;
   c_lint : Diagnostic.t list Lazy.t;
     (* contract-level diagnostics, computed once per compiled path on
        first use (lint gate or [Pipeline.lint]) *)
@@ -154,9 +153,6 @@ type compiled = {
 
 let of_rewriter rw =
   { c_rewriter = rw;
-    c_validate =
-      Validate.ctx ~env:(Rewriter.env rw)
-        (Contract.target (Rewriter.contract rw));
     c_lint = lazy (Lint.lint_contract (Rewriter.contract rw)) }
 
 let compile ?predicate ~config ~s0 ~exchange () =
@@ -245,7 +241,7 @@ let enforce_steps ~config ~compiled ~(invoker : Execute.invoker)
   in
   match config.eager_calls with
   | None -> rewrite doc []
-  | Some _ when Validate.document_conforms compiled.c_validate doc ->
+  | Some _ when Validate.document_conforms (Contract.ctx rw) doc ->
     (* eager calls hit real services: never fire them on an instance *)
     Ok (doc, { action = Conformed; invocations = [] })
   | Some eager ->

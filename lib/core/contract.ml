@@ -6,24 +6,21 @@
    word instead of once per document.
 
    A miss only builds what depends on the word: the output automata of
-   the functions ([outputs]) are compiled at creation, and the target
-   side of every product over one content model is one shared
-   [Product.table] (in [tables]), determinized lazily across words.
+   the functions ([outputs]) and the target's DFA of every content model
+   ([ctx], one [Validate.ctx]) are compiled at creation and never
+   change afterwards.
 
-   Domain safety: all mutable state (the regex memo tables, the target
-   tables, the FIFO analysis cache and its counters) sits behind
-   [lock], and uncached analyses are computed while holding it, so
-   concurrent callers see each (word, kind) computed exactly once and
-   the counters never tear. The returned analyses carry lazily-extended
-   products, which also extend the shared target tables, outside the
-   lock: they are NOT safe to execute from several domains at once —
-   parallel pipelines give each domain its own [clone] instead (see
-   DESIGN.md). *)
+   Domain safety: the mutable state (the regex registry, the FIFO
+   analysis cache and its counters) sits behind [lock], and uncached
+   analyses are computed while holding it, so concurrent callers see
+   each (word, kind) computed exactly once and the counters never tear.
+   The returned analyses carry lazily-extended products: they are NOT
+   safe to execute from several domains at once — parallel pipelines
+   give each domain its own [clone] instead (see DESIGN.md). *)
 
 module R = Axml_regex.Regex
 module Schema = Axml_schema.Schema
 module Symbol = Axml_schema.Symbol
-module Auto = Axml_schema.Auto
 module Metrics = Axml_obs.Metrics
 module Trace = Axml_obs.Trace
 
@@ -60,8 +57,9 @@ let h_possible = h_analysis "possible"
    The cache-hit path is the hottest line of warm enforcement, so the
    key avoids touching the regex tree entirely: content-model regexes
    are interned to small per-contract ids (physical equality first —
-   [element_regex]/[input_regex] memoize, so the same regex value comes
-   back on every call — structural equality as the slow fallback), and
+   [element_regex]/[input_regex] read the contract's ctx, so the same
+   regex value comes back on every call — structural equality as the
+   slow fallback), and
    the word goes through [Symbol.hash_word], which hashes every symbol
    (a single polymorphic hash of the list stops after about 10 symbols,
    and 17-symbol words differing in their tails would share a bucket).
@@ -101,12 +99,10 @@ type t = {
   target : Schema.t;
   k : int;
   capacity : int;
-  lock : Mutex.t;  (* guards every mutable field below *)
-  element_regexes : (string, Symbol.t R.t option) Hashtbl.t;
-  input_regexes : (string, Symbol.t R.t option) Hashtbl.t;
+  ctx : Validate.ctx;  (* the target's compiled content models; immutable *)
   outputs : Fork_automaton.outputs;  (* immutable, shared with clones *)
-  mutable regexes : Symbol.t R.t array;  (* interned cache-key regexes *)
-  tables : (int, Product.table) Hashtbl.t;  (* regex id -> target subsets *)
+  lock : Mutex.t;  (* guards every mutable field below *)
+  mutable models : Validate.model array;  (* regex id -> compiled model *)
   cache : entry Tbl.t;
   order : Key.t Queue.t;  (* insertion order, for FIFO eviction *)
   mutable hits : int;
@@ -117,33 +113,28 @@ type t = {
 let create ?(k = 1) ?predicate ?(cache_capacity = 4096)
     ~s0 ~target () =
   let env = Schema.env_of_schemas ?predicate s0 target in
+  let ctx = Validate.ctx ~env target in
   { env; s0; target; k;
     capacity = max 1 cache_capacity;
-    lock = Mutex.create ();
-    element_regexes = Hashtbl.create 16;
-    input_regexes = Hashtbl.create 16;
+    ctx;
     outputs = Fork_automaton.outputs env;
-    regexes = [||];
-    tables = Hashtbl.create 16;
+    lock = Mutex.create ();
+    models = Array.of_list (Validate.models ctx);
     cache = Tbl.create 64;
     order = Queue.create ();
     hits = 0; misses = 0; evictions = 0 }
 
 (* A private contract over the same immutable compiled schemas: the
-   merged environment, schema values, output automata and (already
-   compiled) content regexes are shared, the analysis cache and
-   counters start fresh. This is what parallel pipelines hand each
-   worker domain, so cached analyses — whose products, and the target
-   tables behind them, are extended in place during execution — are
-   never shared across domains: the clone gets empty tables of its
-   own. *)
+   merged environment, the ctx, the output automata and the regex
+   registry are shared, the analysis cache and counters start fresh.
+   This is what parallel pipelines hand each worker domain, so cached
+   analyses — whose products are extended in place during execution —
+   are never shared across domains. The registry array is replaced, never
+   written, when it grows, so sharing it is safe. *)
 let clone (t : t) =
   Mutex.protect t.lock (fun () ->
       { t with
         lock = Mutex.create ();
-        element_regexes = Hashtbl.copy t.element_regexes;
-        input_regexes = Hashtbl.copy t.input_regexes;
-        tables = Hashtbl.create 16;
         cache = Tbl.create 64;
         order = Queue.create ();
         hits = 0; misses = 0; evictions = 0 })
@@ -157,24 +148,10 @@ let k t = t.k
 (* Static artifacts                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let memo lock table key compute =
-  Mutex.protect lock (fun () ->
-      match Hashtbl.find_opt table key with
-      | Some v -> v
-      | None ->
-        let v = compute () in
-        Hashtbl.add table key v;
-        v)
-
-let element_regex t label =
-  memo t.lock t.element_regexes label (fun () ->
-      Option.map (Schema.compile_content t.env) (Schema.find_element t.target label))
-
-let input_regex t fname =
-  memo t.lock t.input_regexes fname (fun () ->
-      Option.map
-        (fun (f : Schema.func) -> Schema.compile_content t.env f.Schema.f_input)
-        (Schema.String_map.find_opt fname t.env.Schema.env_functions))
+let ctx t = t.ctx
+let regex m = (m : Validate.model).regex
+let element_regex t label = Option.map regex (Validate.element_model t.ctx label)
+let input_regex t fname = Option.map regex (Validate.input_model t.ctx fname)
 
 type context = Element of string | Input of string
 
@@ -192,58 +169,43 @@ let context_regex t = function
 (* The analysis cache                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let product ?k t ~target_regex word =
-  let k = Option.value k ~default:t.k in
-  let fork = Fork_automaton.build ~outputs:t.outputs ~k word in
-  Product.create ~fork ~table:(Product.table (Auto.Nfa.glushkov target_regex))
-
-(* The id of a content-model regex in the interned key registry. The
-   registry is append-only and tiny (one slot per distinct content
-   model), and growth replaces the array rather than mutating it, so a
-   clone sharing the parent's array never observes a write. Caller
-   holds [t.lock]. *)
-let regex_id t r =
-  let arr = t.regexes in
+(* The id of a content-model regex in the key registry ([t.models.(id)]
+   is its compiled model). The registry starts with every model of the ctx and
+   grows by one [Validate.compile] per regex no schema declares; growth
+   replaces the array rather than mutating it, so a clone sharing the
+   parent's array never observes a write. Caller holds [t.lock]. *)
+let model_id t r =
+  let arr = t.models in
   let n = Array.length arr in
-  let rec phys i = if i >= n then -1 else if arr.(i) == r then i else phys (i + 1) in
-  match phys 0 with
+  let rec find eq i =
+    if i >= n then -1 else if eq (regex arr.(i)) r then i else find eq (i + 1)
+  in
+  match find ( == ) 0 with
   | id when id >= 0 -> id
   | _ ->
-    let rec structural i =
-      if i >= n then -1
-      else if R.equal Symbol.equal arr.(i) r then i
-      else structural (i + 1)
-    in
-    (match structural 0 with
+    (match find (R.equal Symbol.equal) 0 with
      | id when id >= 0 -> id
      | _ ->
-       let bigger = Array.make (n + 1) r in
-       Array.blit arr 0 bigger 0 n;
-       t.regexes <- bigger;
+       t.models <- Array.append arr [| Validate.compile r |];
        n)
 
-(* The product the cache computes on a miss: only A_w^k is built for the
-   word; the target side is the contract's table for the content model,
-   shared by every product over it and grown under [t.lock]. Caller
-   holds [t.lock]. *)
-let shared_product t ~target_regex ~k word =
-  let rid = regex_id t target_regex in
-  let table =
-    match Hashtbl.find_opt t.tables rid with
-    | Some tb -> tb
-    | None ->
-      let tb = Product.table (Auto.Nfa.glushkov target_regex) in
-      Hashtbl.add t.tables rid tb;
-      tb
-  in
-  Product.create ~fork:(Fork_automaton.build ~outputs:t.outputs ~k word) ~table
+let model t r = Mutex.protect t.lock (fun () -> t.models.(model_id t r))
+
+(* Only A_w^k is built for the word; the target side is the model's
+   read-only DFA. *)
+let product_over t (m : Validate.model) ~k word =
+  Product.create ~fork:(Fork_automaton.build ~outputs:t.outputs ~k word)
+    ~dfa:m.Validate.dfa
+
+let product ?k t ~target_regex word =
+  product_over t (model t target_regex) ~k:(Option.value k ~default:t.k) word
 
 (* The queue mirrors the table exactly (keys are enqueued once, on
    entry creation, and leave only through eviction or [clear]), so the
    queue front is always the oldest resident entry. Caller holds
    [t.lock]. *)
-let entry t ~target_regex ~k word =
-  let key = make_key ~rid:(regex_id t target_regex) ~k word in
+let entry t ~rid ~k word =
+  let key = make_key ~rid ~k word in
   match Tbl.find_opt t.cache key with
   | Some e -> e
   | None ->
@@ -266,7 +228,8 @@ let entry t ~target_regex ~k word =
 let safe_analysis ?k t ~target_regex word =
   let k = Option.value k ~default:t.k in
   Mutex.protect t.lock @@ fun () ->
-  let e = entry t ~target_regex ~k word in
+  let rid = model_id t target_regex in
+  let e = entry t ~rid ~k word in
   match e.e_safe with
   | Some a ->
     t.hits <- t.hits + 1;
@@ -281,7 +244,7 @@ let safe_analysis ?k t ~target_regex word =
       Trace.emit (Cache_query { cache = "safe"; hit = false });
     let a =
       Metrics.time h_safe (fun () ->
-          Marking.analyze_lazy (shared_product t ~target_regex ~k word))
+          Marking.analyze_lazy (product_over t t.models.(rid) ~k word))
     in
     e.e_safe <- Some a;
     a
@@ -289,7 +252,8 @@ let safe_analysis ?k t ~target_regex word =
 let possible_analysis ?k t ~target_regex word =
   let k = Option.value k ~default:t.k in
   Mutex.protect t.lock @@ fun () ->
-  let e = entry t ~target_regex ~k word in
+  let rid = model_id t target_regex in
+  let e = entry t ~rid ~k word in
   match e.e_possible with
   | Some a ->
     t.hits <- t.hits + 1;
@@ -304,7 +268,7 @@ let possible_analysis ?k t ~target_regex word =
       Trace.emit (Cache_query { cache = "possible"; hit = false });
     let a =
       Metrics.time h_possible (fun () ->
-          Possible.analyze (shared_product t ~target_regex ~k word))
+          Possible.analyze (product_over t t.models.(rid) ~k word))
     in
     e.e_possible <- Some a;
     a
@@ -375,8 +339,7 @@ let minimal_k ?max_k t ~target_regex word =
    paying for g itself. g lives only in this function's private
    outputs: its name is longer than every function of the environment,
    so no content model, wildcard or pattern can mention it. Products
-   run on a private table, outside the analysis cache and its
-   counters. *)
+   run outside the analysis cache and its counters. *)
 let representative_minimal_k t ~target_regex content =
   let longest =
     Schema.String_map.fold
@@ -387,9 +350,9 @@ let representative_minimal_k t ~target_regex content =
   let outputs =
     Fork_automaton.add_output t.outputs g (Schema.compile_content t.env content)
   in
-  let table = Product.table (Auto.Nfa.glushkov target_regex) in
+  let dfa = (model t target_regex).Validate.dfa in
   let product d =
-    Product.create ~table
+    Product.create ~dfa
       ~fork:(Fork_automaton.build ~outputs ~k:(d + 1) [ Symbol.Fun g ])
   in
   search ~max_k:t.k

@@ -14,29 +14,28 @@
     its verdict (and its extracted strategy) by hash lookup instead of
     replaying the game.
 
-    What does not depend on the word is compiled once per contract, so
+    What does not depend on the word is compiled once, at {!create}, so
     a cache miss pays only for the word: every invocable function's
-    output automaton ({!Fork_automaton.outputs}, built at {!create})
-    and, per content model, one {!Product.table} — the target automaton
-    determinized lazily, shared by every product over that model and
-    filled as words need it. The tables belong to their contract.
+    output automaton ({!Fork_automaton.outputs}) and one {!Validate.ctx}
+    of the target — each content model determinized once into a
+    read-only DFA that validation, the rewriter and every product over
+    the model ({!Product.create}) step.
 
     The cache is bounded ([cache_capacity], FIFO eviction) and counts
     hits, misses and evictions so callers can observe the amortization
     ({!stats}). {!Rewriter} is a thin view over this module;
     [Axml_peer.Enforcement.Pipeline] drives it over document streams.
 
-    {b Domain safety.} All mutable contract state (regex memo tables,
-    target tables, the analysis cache, the counters) is guarded by an
-    internal mutex, so {!analyze}, {!stats} etc. may be called from
-    several domains concurrently, and each [(word, kind)] analysis is
-    computed at most once; analyses fill the target tables under that
-    lock. The {e returned} analyses, however, carry products that are
-    extended in place during {!Execute.run} — and extend the contract's
-    target tables with them, outside the lock. Execution therefore
-    stays on one domain per contract: executing analyses of one contract
-    from several domains at once is a race. Parallel pipelines give
-    each worker domain a private {!clone} instead. *)
+    {b Domain safety.} The compiled artifacts never change after
+    {!create}. The mutable contract state (the regex registry, the
+    analysis cache, the counters) is guarded by an internal mutex, so
+    {!analyze}, {!stats} etc. may be called from several domains
+    concurrently, and each [(word, kind)] analysis is computed at most
+    once. The {e returned} analyses, however, carry products that are
+    extended in place during {!Execute.run}. Execution therefore stays
+    on one domain per contract: executing analyses of one contract from
+    several domains at once is a race. Parallel pipelines give each
+    worker domain a private {!clone} instead. *)
 
 type t
 
@@ -48,18 +47,21 @@ val create :
     agreed [target] schema. [k] is the rewriting depth (Definition 7,
     default 1); [predicate] answers function-pattern predicates;
     [cache_capacity] bounds the analysis memo table (default 4096
-    entries, clamped to at least 1).
+    entries, clamped to at least 1). Every content model of [target]
+    and every input and output type of the merged environment is
+    compiled here, so [predicate] is called here for each function
+    pattern of [target].
     @raise Axml_schema.Schema.Schema_error when [s0] and [target]
-    disagree on a common function signature. *)
+    disagree on a common function signature, or a content model does
+    not compile against the merged environment. *)
 
 val clone : t -> t
 (** A private contract over the same compiled artifacts: shares the
-    (immutable) merged environment, schemas, output automata, [k] and
-    capacity; copies the compiled-regex memo tables; starts with empty
-    target tables of its own (its products are extended on its own
-    domain), an empty analysis cache and zeroed counters. This is how
-    parallel pipelines give each worker domain its own analyses without
-    recompiling the schemas — see DESIGN.md. *)
+    (immutable) merged environment, schemas, {!ctx}, output automata,
+    [k] and capacity, and copies nothing; starts with an empty analysis
+    cache and zeroed counters, so its products are extended on its own
+    domain. This is how parallel pipelines give each worker domain its
+    own analyses without recompiling the schemas — see DESIGN.md. *)
 
 (** {1 Static artifacts} *)
 
@@ -76,9 +78,14 @@ val target : t -> Axml_schema.Schema.t
 val k : t -> int
 (** The rewriting depth bound (Definition 7). *)
 
+val ctx : t -> Validate.ctx
+(** The compiled target schema, over the merged environment: one model
+    per content model, input and output type. Read-only, so any domain
+    may validate with it. *)
+
 val element_regex : t -> string -> Axml_schema.Symbol.t Axml_regex.Regex.t option
-(** Compiled content model of a label in the {e target} schema
-    (compiled once per contract). *)
+(** Compiled content model of a label in the {e target} schema, read
+    from {!ctx}. *)
 
 val input_regex : t -> string -> Axml_schema.Symbol.t Axml_regex.Regex.t option
 (** Compiled input type of a function, from the merged environment. *)
@@ -116,15 +123,18 @@ val context_regex :
     {!minimal_k}); omitted, the contract's [k] applies. The returned
     analyses carry the winning strategy; they are safe to hand to
     {!Execute.run} (the underlying product is extended on demand,
-    never invalidated). *)
+    never invalidated).
+
+    A [target_regex] taken from {!ctx} is analyzed against the ctx's
+    model; any other regex is compiled once per contract, by
+    {!Validate.compile}, on first use. *)
 
 val product :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
   Axml_schema.Symbol.t list -> Product.t
-(** A fresh (uncached) product of A_w^k with the target automaton, over
-    a private {!Product.table} built for this word alone: independent of
-    the contract's cache and shared tables, it is the reference the
-    cached analyses are tested against. *)
+(** A fresh (uncached) product of A_w^k with the target's DFA:
+    independent of the contract's cache, it is the reference the cached
+    analyses are tested against. *)
 
 val safe_analysis :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
@@ -207,8 +217,7 @@ val representative_minimal_k :
     at fork depth d + 1 — one level pays for [g]. [g] exists only in a
     private copy of the contract's output automata, under a name no
     function of the environment has, so wildcards and patterns of
-    either schema never match it. Uncached: the products use a private
-    {!Product.table}, and {!stats} does not move. *)
+    either schema never match it. Uncached: {!stats} does not move. *)
 
 (** {1 Cache accounting} *)
 
@@ -241,5 +250,5 @@ val reset_stats : t -> unit
 (** Zero the counters; cached analyses stay resident. *)
 
 val clear : t -> unit
-(** Drop every cached analysis (compiled regexes, output automata and
-    target tables stay); counters are reset too. *)
+(** Drop every cached analysis (the compiled artifacts stay); counters
+    are reset too. *)

@@ -2,47 +2,35 @@
     built on the fly.
 
     Instead of materializing the complete deterministic complement of
-    the target schema (Figure 3, step c), the right-hand component is
-    the {e subset} of target-NFA states reached so far — determinization
-    on demand. Every decision the complement DFA would make is available
-    locally:
-    - the empty subset is exactly the complement's accepting {e sink}
-      (the first pruning idea of Section 7 / Figure 12);
-    - "complement-accepting" = the subset contains no final state;
-    - "target-accepting" (for possible rewriting, Figure 9) = it does.
+    the target schema (Figure 3, step c), the right-hand component is a
+    state of the target's DFA — the subset construction of its Glushkov
+    automaton, compiled once per content model by {!Validate.compile}
+    (a {!Contract} holds one per content model). Every decision the
+    complement DFA would make is available locally:
+    - the reject state [-1] (the empty subset) is exactly the
+      complement's accepting {e sink} (the first pruning idea of
+      Section 7 / Figure 12);
+    - "complement-accepting" = the state is not final;
+    - "target-accepting" (for possible rewriting, Figure 9) = it is.
 
     Both the eager algorithm of Figure 3 and the lazy variant of
     Section 7 drive this same structure; so does Figure 9's possible
     rewriting.
 
-    The subset side does not depend on the analyzed word, so it is
-    split off into a {!table}: the interned subsets of one target NFA,
-    their memoized moves (one row per subset, indexed by dense symbol
-    id) and an accepting bit per subset. Every product over the same
-    content model can share one table, and then pays each
-    determinization step once. Products extend their table in place,
-    so a table is single-domain: whoever shares it must serialize the
-    products that use it (a {!Contract} fills its tables under its lock
-    during analysis and keeps execution on one domain). *)
-
-type table
-(** The lazily determinized target automaton: subsets of target-NFA
-    states, interned, with memoized moves. Grows monotonically. *)
-
-val table : Axml_schema.Auto.Nfa.t -> table
-(** A fresh table over a target NFA (a Glushkov automaton of the
-    content model), holding only the empty subset and the start
-    closure. *)
+    The DFA is read-only and may be shared by any number of products,
+    on any domain. A product itself grows in place as {!succ}
+    discovers nodes, so one product belongs to one domain. *)
 
 type node = { q : int; subset : int }
-(** [q] is an A_w^k state; [subset] the id of a set of target states,
-    interned in the product's table. *)
+(** [q] is an A_w^k state; [subset] a state of the target DFA, [-1] for
+    the empty subset. *)
 
 type t
 
-val create : fork:Fork_automaton.t -> table:table -> t
-(** The product of [fork] with the automaton of [table]: only its
-    initial node exists until {!succ} discovers more. *)
+val create : fork:Fork_automaton.t -> dfa:Axml_schema.Auto.Dfa.Dense.dense -> t
+(** The product of [fork] with the target DFA (a {!Validate.model}'s
+    [dfa]): only its initial node exists until {!succ} discovers
+    more. *)
 
 val initial : t -> int
 val node : t -> int -> node

@@ -28,67 +28,33 @@
    rewriting — but its children may still embed calls the target
    forbids, which is exactly the k=1 enforcement gap k>1 closes). *)
 
-module R = Axml_regex.Regex
 module Schema = Axml_schema.Schema
 module Symbol = Axml_schema.Symbol
-module Auto = Axml_schema.Auto
-module Sym_id = Axml_schema.Sym_id
-module Dense = Auto.Dfa.Dense
 
-type t = {
-  contract : Contract.t;
-  (* validation context over the merged environment, used to identify
-     which cached service result broke its declared output type when a
-     safe walk fails (see [Execute.run]'s [validate]) *)
-  output_ctx : Validate.ctx Lazy.t;
-  (* rewriter-local twins of the contract's content-model memos, each
-     entry pairing the regex with its dense membership tables. A
-     rewriter is single-domain by construction (parallel pipelines give
-     every worker domain its own clone), so these tables need no lock —
-     the per-node lookups of the tree walks stay mutex-free. *)
-  element_entries : (string, (Symbol.t R.t * Dense.dense) option) Hashtbl.t;
-  input_entries : (string, (Symbol.t R.t * Dense.dense) option) Hashtbl.t;
-}
+(* A rewriter is its contract: every compiled artifact it reads (the
+   target's content models, their DFAs, the output types a cached
+   service result is re-validated against) sits in [Contract.ctx],
+   which never changes, so the per-node lookups of the tree walks take
+   no lock. *)
+type t = Contract.t
 
-let of_contract contract =
-  { contract;
-    output_ctx =
-      lazy (Validate.ctx ~env:(Contract.env contract) (Contract.target contract));
-    element_entries = Hashtbl.create 16;
-    input_entries = Hashtbl.create 16 }
+let of_contract contract = contract
 
 let create ?(k = 1) ?predicate ~s0 ~target () =
   of_contract (Contract.create ~k ?predicate ~s0 ~target ())
 
-let contract t = t.contract
+let contract t = t
 
+(* used to identify which cached service result broke its declared
+   output type when a safe walk fails (see [Execute.run]'s [validate]) *)
 let output_ok t fname forest =
-  Validate.output_instance (Lazy.force t.output_ctx) fname forest = []
+  Validate.output_instance (Contract.ctx t) fname forest = []
 
-let env t = Contract.env t.contract
-let element_regex t label = Contract.element_regex t.contract label
-let input_regex t fname = Contract.input_regex t.contract fname
-
-(* (regex, dense tables) of a content model, memoized locally: one
-   unlocked string lookup on the hot path. *)
-let memo_entry table fetch key =
-  match Hashtbl.find_opt table key with
-  | Some e -> e
-  | None ->
-    let e =
-      Option.map
-        (fun r ->
-          (r, Dense.compile ~sym_id:Sym_id.of_symbol (Auto.Dfa.of_regex r)))
-        (fetch key)
-    in
-    Hashtbl.add table key e;
-    e
-
-let element_entry t label =
-  memo_entry t.element_entries (Contract.element_regex t.contract) label
-
-let input_entry t fname =
-  memo_entry t.input_entries (Contract.input_regex t.contract) fname
+let env = Contract.env
+let element_regex = Contract.element_regex
+let input_regex = Contract.input_regex
+let element_model t label = Validate.element_model (Contract.ctx t) label
+let input_model t fname = Validate.input_model (Contract.ctx t) fname
 
 (* ------------------------------------------------------------------ *)
 (* Tree-level verdicts                                                 *)
@@ -162,7 +128,7 @@ let failure_is_fault f = reason_is_fault f.reason
 type mode = Safe | Possible_mode
 
 let root_failures t doc =
-  match (Contract.target t.contract).Schema.root, (doc : Document.t) with
+  match (Contract.target t).Schema.root, (doc : Document.t) with
   | Some expected, Document.Elem { label; _ } when not (String.equal label expected) ->
     [ { at = []; reason = Root_mismatch { expected; found = label } } ]
   | Some expected, (Document.Data _ | Document.Call _) ->
@@ -178,27 +144,27 @@ let collect_failures ?k mode t (doc : Document.t) : failure list =
     (match node with
      | Document.Data _ -> ()
      | Document.Elem { label; children } ->
-       (match element_entry t label with
+       (match element_model t label with
         | None -> push (List.rev path) (Unknown_element label)
-        | Some (regex, dense) -> check_word path ~fn:false label regex dense children)
+        | Some m -> check_word path ~fn:false label m children)
      | Document.Call { name; params } ->
-       (match input_entry t name with
+       (match input_model t name with
         | None -> push (List.rev path) (Unknown_function name)
-        | Some (regex, dense) -> check_word path ~fn:true name regex dense params));
+        | Some m -> check_word path ~fn:true name m params));
     List.iteri (fun i child -> visit (i :: path) child) (Document.children node)
-  and check_word path ~fn name regex dense forest =
+  and check_word path ~fn name { Validate.regex; dfa } forest =
     (* already-conforming words are trivially rewritable (identity): the
        dense membership test skips the analysis cache round-trip, and
        the context string only materializes for an actual failure *)
-    if not (Validate.forest_accepted dense forest) then begin
+    if not (Validate.forest_accepted dfa forest) then begin
       let context = if fn then name ^ "()" else "<" ^ name ^ ">" in
       let word = Document.word forest in
       match mode with
       | Safe ->
-        if not (Contract.is_safe ?k t.contract ~target_regex:regex word) then
+        if not (Contract.is_safe ?k t ~target_regex:regex word) then
           push (List.rev path) (Unsafe_word { context; word })
       | Possible_mode ->
-        if not (Contract.is_possible ?k t.contract ~target_regex:regex word)
+        if not (Contract.is_possible ?k t ~target_regex:regex word)
         then push (List.rev path) (Impossible_word { context; word })
     end
   in
@@ -233,7 +199,7 @@ let () =
    spliced as-is (footnote 5). *)
 let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document.t) :
     (Document.t * located_invocation list, failure list) result =
-  let top_k = max 0 (Option.value k ~default:(Contract.k t.contract)) in
+  let top_k = max 0 (Option.value k ~default:(Contract.k t)) in
   match root_failures t doc with
   | _ :: _ as fs -> Error fs
   | [] ->
@@ -242,16 +208,16 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
     match node with
     | Document.Data _ -> node
     | Document.Elem { label; children } ->
-      (match element_entry t label with
+      (match element_model t label with
        | None -> raise (Failed { at = List.rev path; reason = Unknown_element label })
-       | Some (regex, dense) ->
-         let children' = forest depth path ~fn:false label regex dense children in
+       | Some m ->
+         let children' = forest depth path ~fn:false label m children in
          if children' == children then node else Document.elem label children')
     | Document.Call { name; params } ->
-      (match input_entry t name with
+      (match input_model t name with
        | None -> raise (Failed { at = List.rev path; reason = Unknown_function name })
-       | Some (regex, dense) ->
-         let params' = forest depth path ~fn:true name regex dense params in
+       | Some m ->
+         let params' = forest depth path ~fn:true name m params in
          if params' == params then node else Document.call name params')
   (* materialize each child in place, preserving physical identity when
      nothing underneath changed so untouched subtrees are not rebuilt *)
@@ -262,7 +228,7 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
       let c' = interior depth (i :: path) c in
       let rest' = interiors depth path (i + 1) rest in
       if c' == c && rest' == rest then children else c' :: rest'
-  and forest depth path ~fn name regex dense (children : Document.forest) :
+  and forest depth path ~fn name { Validate.regex; dfa } (children : Document.forest) :
       Document.forest =
     (* deepest-first: materialize interiors (and hence parameters of
        function children) before rewriting this children word *)
@@ -270,7 +236,7 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
     (* fast path: a children word already in the target language needs
        no game and no walk — the keep-first [Execute] walk would return it
        unchanged with zero invocations, so return it directly *)
-    if Validate.forest_accepted dense children then children
+    if Validate.forest_accepted dfa children then children
     else begin
     let context = if fn then name ^ "()" else "<" ^ name ^ ">" in
     let word = Document.word children in
@@ -278,14 +244,14 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
       match mode with
       | Safe ->
         let analysis =
-          Contract.safe_analysis ~k:depth t.contract ~target_regex:regex word
+          Contract.safe_analysis ~k:depth t ~target_regex:regex word
         in
         if not analysis.Marking.safe then
           raise (Failed { at = List.rev path; reason = Unsafe_word { context; word } });
         Execute.Follow_safe analysis
       | Possible_mode ->
         let analysis =
-          Contract.possible_analysis ~k:depth t.contract ~target_regex:regex word
+          Contract.possible_analysis ~k:depth t ~target_regex:regex word
         in
         if not analysis.Possible.possible then
           raise
@@ -351,7 +317,7 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
 let pre_materialize t ~eager_calls ~(invoker : Execute.invoker) doc :
     (Document.t * located_invocation list, failure) result =
   let invocations = ref [] in
-  let budget = ref (max 1 (Contract.k t.contract * 64)) in
+  let budget = ref (max 1 (Contract.k t * 64)) in
   let env = env t in
   let rec node_forest path (node : Document.t) : Document.forest =
     match node with
@@ -439,7 +405,7 @@ let check ?(mode = Check_safe) ?k t doc =
   let mode_name = check_mode_name mode in
   Axml_obs.Trace.with_span "rewriter.check" ~detail:(fun () -> mode_name)
   @@ fun () ->
-  let before = Contract.stats t.contract in
+  let before = Contract.stats t in
   let failures =
     match mode with
     | Check_safe -> collect_failures ?k Safe t doc
@@ -453,7 +419,7 @@ let check ?(mode = Check_safe) ?k t doc =
   Axml_obs.Metrics.inc (List.assoc (mode_name, ok) m_checks_table);
   { ok;
     failures;
-    cache = Contract.diff_stats ~before (Contract.stats t.contract) }
+    cache = Contract.diff_stats ~before (Contract.stats t) }
 
 (* ------------------------------------------------------------------ *)
 (* Document-level minimal-k                                            *)
@@ -493,7 +459,7 @@ let minimal_k ?max_k t (doc : Document.t) =
       List.iter visit (Document.children node)
     and word regex forest =
       let m =
-        Contract.minimal_k ?max_k t.contract ~target_regex:regex
+        Contract.minimal_k ?max_k t ~target_regex:regex
           (Document.word forest)
       in
       join safe_k m.Contract.safe_at;

@@ -3,12 +3,13 @@
     [target], decide safe / possible rewritability and materialize the
     document accordingly.
 
-    A rewriter is a thin view over a compiled {!Contract}: all
-    word-level analyses go through the contract's memo table, so the
-    same children word is analyzed once per contract, not once per
-    occurrence. Build the contract yourself ({!Contract.create} +
-    {!of_contract}) to share it across rewriters, enforcement pipelines
-    and batches; or let {!create} build a private one.
+    A rewriter is a compiled {!Contract}: all word-level analyses go
+    through the contract's memo table, so the same children word is
+    analyzed once per contract, not once per occurrence, and every
+    content model is stepped through the contract's one {!Validate.ctx}.
+    Build the contract yourself ({!Contract.create} + {!of_contract}) to
+    share it across enforcement pipelines and batches; or let {!create}
+    build a private one.
 
     The tree algorithm follows Section 4: parameters of function nodes
     are rewritten against their [tau_in] before the function may fire
@@ -19,19 +20,18 @@
     re-enforced at depth k-r — at depth 1 returned forests are spliced
     in as-is (footnote 5). *)
 
-type t
+type t = Contract.t
 
 val create :
   ?k:int -> ?predicate:(string -> string -> bool) ->
   s0:Axml_schema.Schema.t -> target:Axml_schema.Schema.t -> unit -> t
 (** [k] is the rewriting depth (Definition 7, default 1); [predicate]
-    answers function-pattern predicates. Compiles a private contract.
-    @raise Axml_schema.Schema.Schema_error when [s0] and [target]
-    disagree on a common function signature. *)
+    answers function-pattern predicates. Compiles a private contract
+    ({!Contract.create}, which calls [predicate]).
+    @raise Axml_schema.Schema.Schema_error as {!Contract.create}. *)
 
 val of_contract : Contract.t -> t
-(** View an existing compiled contract as a rewriter (shares its
-    analysis cache). *)
+(** The contract itself, as a rewriter. *)
 
 val contract : t -> Contract.t
 

@@ -3,9 +3,10 @@
    label's content model and every function node's parameter word is in
    the language of its input type.
 
-   A [ctx] caches the compiled DFA of every content model so repeated
-   validations (the enforcement module validates every exchanged
-   document) cost one automaton construction per type. *)
+   A [ctx] is the one compiled form of a schema: every content model,
+   input type and output type is determinized once, at creation, into a
+   [model] (the regex and its dense DFA) that validation, the rewriting
+   games and enforcement all step. *)
 
 module R = Axml_regex.Regex
 module Schema = Axml_schema.Schema
@@ -39,65 +40,48 @@ let pp_violation ppf v =
 module Dense = Auto.Dfa.Dense
 module Sym_id = Axml_schema.Sym_id
 
+type model = { regex : Symbol.t R.t; dfa : Dense.dense }
+
+(* The one determinization of a content model: the Glushkov automaton's
+   subset construction, frozen into dense tables. *)
+let compile regex =
+  { regex; dfa = Dense.compile ~sym_id:Sym_id.of_symbol (Auto.Dfa.of_regex regex) }
+
+(* Filled once, by [ctx], and only read afterwards: a ctx may be shared
+   by any number of domains. *)
 type ctx = {
   env : Schema.env;
   schema : Schema.t;
-  element_dfas : (string, Auto.Dfa.t option) Hashtbl.t;
-  input_dfas : (string, Auto.Dfa.t option) Hashtbl.t;
-  output_dfas : (string, Auto.Dfa.t option) Hashtbl.t;
-  (* dense twins of the tables above, compiled on first use: the inner
-     validation loop steps these and allocates nothing per node *)
-  element_dense : (string, Dense.dense option) Hashtbl.t;
-  input_dense : (string, Dense.dense option) Hashtbl.t;
+  elements : (string, model) Hashtbl.t;
+  inputs : (string, model) Hashtbl.t;
+  outputs : (string, model) Hashtbl.t;
 }
 
+(* Input/output types come from the environment: the validating peer
+   knows the WSDL of every function, including ones declared only by the
+   other party's schema. *)
 let ctx ?env schema =
   let env = match env with Some e -> e | None -> Schema.env_of_schema schema in
+  let table bindings content =
+    let tbl = Hashtbl.create 16 in
+    List.iter
+      (fun (name, x) ->
+        Hashtbl.replace tbl name (compile (Schema.compile_content env (content x))))
+      bindings;
+    tbl
+  in
+  let functions = Schema.String_map.bindings env.Schema.env_functions in
   { env; schema;
-    element_dfas = Hashtbl.create 16;
-    input_dfas = Hashtbl.create 16;
-    output_dfas = Hashtbl.create 16;
-    element_dense = Hashtbl.create 16;
-    input_dense = Hashtbl.create 16 }
+    elements = table (Schema.String_map.bindings schema.Schema.elements) Fun.id;
+    inputs = table functions (fun (f : Schema.func) -> f.Schema.f_input);
+    outputs = table functions (fun (f : Schema.func) -> f.Schema.f_output) }
 
-let memo table key compute =
-  match Hashtbl.find_opt table key with
-  | Some v -> v
-  | None ->
-    let v = compute () in
-    Hashtbl.add table key v;
-    v
+let element_model ctx label = Hashtbl.find_opt ctx.elements label
+let input_model ctx fname = Hashtbl.find_opt ctx.inputs fname
 
-let element_dfa ctx label =
-  memo ctx.element_dfas label (fun () ->
-      Option.map
-        (fun c -> Auto.Dfa.of_regex (Schema.compile_content ctx.env c))
-        (Schema.find_element ctx.schema label))
-
-(* Input/output types are looked up in the environment: the validating
-   peer knows the WSDL of every function, including ones declared only by
-   the other party's schema. *)
-let input_dfa ctx fname =
-  memo ctx.input_dfas fname (fun () ->
-      Option.map
-        (fun (f : Schema.func) ->
-          Auto.Dfa.of_regex (Schema.compile_content ctx.env f.Schema.f_input))
-        (Schema.String_map.find_opt fname ctx.env.Schema.env_functions))
-
-let output_dfa ctx fname =
-  memo ctx.output_dfas fname (fun () ->
-      Option.map
-        (fun (f : Schema.func) ->
-          Auto.Dfa.of_regex (Schema.compile_content ctx.env f.Schema.f_output))
-        (Schema.String_map.find_opt fname ctx.env.Schema.env_functions))
-
-let element_dense ctx label =
-  memo ctx.element_dense label (fun () ->
-      Option.map (Dense.compile ~sym_id:Sym_id.of_symbol) (element_dfa ctx label))
-
-let input_dense ctx fname =
-  memo ctx.input_dense fname (fun () ->
-      Option.map (Dense.compile ~sym_id:Sym_id.of_symbol) (input_dfa ctx fname))
+let models ctx =
+  Hashtbl.fold (fun _ m acc -> m :: acc) ctx.elements
+    (Hashtbl.fold (fun _ m acc -> m :: acc) ctx.inputs [])
 
 (* Dense id of one child, without building a Symbol.t. *)
 let child_id = function
@@ -123,17 +107,17 @@ let violations ctx (doc : Document.t) : violation list =
     (match node with
      | Document.Data _ -> ()
      | Document.Elem { label; children } ->
-       (match element_dense ctx label with
+       (match element_model ctx label with
         | None -> push (List.rev path) (Unknown_label label)
-        | Some dense ->
-          if not (forest_accepted dense children) then
+        | Some m ->
+          if not (forest_accepted m.dfa children) then
             let word = Document.word children in
             push (List.rev path) (Content_mismatch { label; word }))
      | Document.Call { name; params } ->
-       (match input_dense ctx name with
+       (match input_model ctx name with
         | None -> push (List.rev path) (Unknown_function name)
-        | Some dense ->
-          if not (forest_accepted dense params) then
+        | Some m ->
+          if not (forest_accepted m.dfa params) then
             let word = Document.word params in
             push (List.rev path) (Input_mismatch { fname = name; word })));
     List.iteri (fun i child -> visit (i :: path) child) (Document.children node)
@@ -147,13 +131,13 @@ let rec conforms ctx (node : Document.t) =
   (match node with
    | Document.Data _ -> true
    | Document.Elem { label; children } ->
-     (match element_dense ctx label with
+     (match element_model ctx label with
       | None -> false
-      | Some dense -> forest_accepted dense children)
+      | Some m -> forest_accepted m.dfa children)
    | Document.Call { name; params } ->
-     (match input_dense ctx name with
+     (match input_model ctx name with
       | None -> false
-      | Some dense -> forest_accepted dense params))
+      | Some m -> forest_accepted m.dfa params))
   && List.for_all (conforms ctx) (Document.children node)
 
 (* As [violations], additionally requiring the schema's distinguished
@@ -179,30 +163,22 @@ let document_conforms ctx (doc : Document.t) =
 
 (* Output-instance check (Definition 3, second part): the forest a
    service returned, against its declared output type. *)
-let output_instance ctx fname (forest : Document.forest) : violation list =
-  match output_dfa ctx fname with
+let instance table ~mismatch ctx fname (forest : Document.forest) =
+  match Hashtbl.find_opt table fname with
   | None -> [ { at = []; kind = Unknown_function fname } ]
-  | Some dfa ->
-    let word = Document.word forest in
+  | Some m ->
     let word_ok =
-      if Auto.Dfa.accepts dfa word then []
-      else [ { at = []; kind = Content_mismatch { label = fname ^ "() output"; word } } ]
+      if forest_accepted m.dfa forest then []
+      else [ { at = []; kind = mismatch (Document.word forest) } ]
     in
     word_ok
     @ List.concat (List.mapi (fun i tree ->
           List.map (fun v -> { v with at = i :: v.at }) (violations ctx tree))
         forest)
 
-let input_instance ctx fname (forest : Document.forest) : violation list =
-  match input_dfa ctx fname with
-  | None -> [ { at = []; kind = Unknown_function fname } ]
-  | Some dfa ->
-    let word = Document.word forest in
-    let word_ok =
-      if Auto.Dfa.accepts dfa word then []
-      else [ { at = []; kind = Input_mismatch { fname; word } } ]
-    in
-    word_ok
-    @ List.concat (List.mapi (fun i tree ->
-          List.map (fun v -> { v with at = i :: v.at }) (violations ctx tree))
-        forest)
+let output_instance ctx fname =
+  instance ctx.outputs ctx fname ~mismatch:(fun word ->
+      Content_mismatch { label = fname ^ "() output"; word })
+
+let input_instance ctx fname =
+  instance ctx.inputs ctx fname ~mismatch:(fun word -> Input_mismatch { fname; word })

@@ -3,9 +3,12 @@
     content model and every function node's parameter word belongs to
     its input type.
 
-    A {!ctx} caches the compiled DFA of every content model, so repeated
-    validations (the enforcement module validates every exchanged
-    document) cost one automaton construction per type. *)
+    A {!ctx} is the one compiled form of a schema: at creation every
+    content model of the schema and every input and output type of its
+    environment is determinized once into a {!model}, and the ctx never
+    changes after that, so any number of domains may share it. A
+    {!Contract} holds the ctx of its target schema; validation, the
+    rewriting games of {!Product} and enforcement all step its tables. *)
 
 type violation_kind =
   | Unknown_label of string
@@ -19,17 +22,36 @@ type violation = { at : Document.path; kind : violation_kind }
 val pp_violation_kind : violation_kind Fmt.t
 val pp_violation : violation Fmt.t
 
+type model = {
+  regex : Axml_schema.Symbol.t Axml_regex.Regex.t;
+  dfa : Axml_schema.Auto.Dfa.Dense.dense;
+      (** the subset construction of the regex's Glushkov automaton,
+          frozen over {!Axml_schema.Sym_id}; state [-1] rejects *)
+}
+(** A compiled content model. *)
+
+val compile : Axml_schema.Symbol.t Axml_regex.Regex.t -> model
+(** Determinize one content model. A {!ctx} builds every model with
+    it, and so does a {!Contract} for a regex no schema declares. *)
+
 type ctx
 
 val ctx : ?env:Axml_schema.Schema.env -> Axml_schema.Schema.t -> ctx
-(** Validation context for one schema. Input/output types of functions
-    are looked up in [env] (default: the schema's own environment), so a
-    peer may validate documents embedding calls declared only by the
-    other party's WSDL. *)
+(** Compile the schema. Input/output types of functions are looked up
+    in [env] (default: the schema's own environment), so a peer may
+    validate documents embedding calls declared only by the other
+    party's WSDL.
+    @raise Axml_schema.Schema.Schema_error when a content model does not
+    compile against [env]. [env]'s pattern predicates are called here. *)
 
-val element_dfa : ctx -> string -> Axml_schema.Auto.Dfa.t option
-val input_dfa : ctx -> string -> Axml_schema.Auto.Dfa.t option
-val output_dfa : ctx -> string -> Axml_schema.Auto.Dfa.t option
+val element_model : ctx -> string -> model option
+(** The content model of a label of the schema. *)
+
+val input_model : ctx -> string -> model option
+(** The input type of a function of the environment. *)
+
+val models : ctx -> model list
+(** Every element and input model of the ctx. *)
 
 val forest_accepted :
   Axml_schema.Auto.Dfa.Dense.dense -> Document.forest -> bool

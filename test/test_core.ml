@@ -783,7 +783,7 @@ let test_lazy_explores_less () =
 (* Brute-force reference for star-free signatures                      *)
 (* ------------------------------------------------------------------ *)
 
-module Exhaustive = Axml_core.Exhaustive
+module Exhaustive = Axml_oracle.Exhaustive
 
 (* Random star-free content models over two labels and two functions. *)
 let mini_atoms =
@@ -1605,7 +1605,7 @@ let test_contract_k_no_alias () =
   check "minimal possible depth is 2" true (m.Contract.possible_at = Some 2)
 
 (* ------------------------------------------------------------------ *)
-(* Shared target tables: parity with private tables, clone isolation   *)
+(* Cached analyses vs fresh ones, clones and shared contracts          *)
 (* ------------------------------------------------------------------ *)
 
 (* A deterministic invoker: the i-th call of a run answers with the
@@ -1629,8 +1629,8 @@ let outcome_view = function
         List.map (fun (i : Execute.invocation) -> i.Execute.inv_name) o.Execute.invocations)
   | Error f -> Error (Fmt.str "%a" Execute.pp_failure f)
 
-(* The first [n] product nodes seen independently of the table's subset
-   numbering: A_w^k state, sink bit, accepting bit. *)
+(* The first [n] product nodes seen independently of the target DFA's
+   state numbering: A_w^k state, sink bit, accepting bit. *)
 let node_views p n =
   List.init n (fun nid ->
       ((Product.node p nid).Product.q, Product.subset_is_dead p nid,
@@ -1643,7 +1643,8 @@ let live_set (a : Possible.t) =
   List.filter (Possible.is_live a) (List.init a.Possible.stats.Possible.discovered_nodes Fun.id)
 
 (* Verdicts and execution of one word: the contract's cached analyses
-   when [fresh] is false, analyses over a private table otherwise. *)
+   when [fresh] is false, analyses of a fresh uncached product
+   otherwise. *)
 let run_word ~fresh c env ~target_regex word =
   let safe =
     if fresh then Marking.analyze_lazy (Contract.product c ~target_regex word)
@@ -1680,14 +1681,14 @@ let print_shared (out_f, out_g, target, words, k) =
     Schema.pp_content out_f Schema.pp_content out_g Schema.pp_content target
     Fmt.(list ~sep:(any "; ") (list ~sep:(any ".") Symbol.pp)) words k
 
-(* One contract analyzes every word in turn, so its target table is warm
-   from the earlier words (and the analyses of repeated words come from
-   its cache); each must equal an analysis over a table built for that
-   word alone: same verdicts, node for node the same marked and live
-   sets, the same statistics and the same execution. *)
-let prop_shared_table_parity =
+(* One contract analyzes every word in turn, so the analyses of repeated
+   words come from its cache; each must equal an analysis of a fresh
+   product built for that word alone: same verdicts, node for node the
+   same marked and live sets, the same statistics and the same
+   execution. *)
+let prop_cached_fresh_parity =
   QCheck.Test.make ~count:100
-    ~name:"shared target tables match private ones, word by word"
+    ~name:"cached analyses equal fresh ones, node for node"
     (QCheck.make ~print:print_shared gen_shared_setup)
     (fun (out_f, out_g, target, words, k) ->
       let s = mini_schema out_f out_g in
@@ -1724,14 +1725,13 @@ let prop_shared_table_parity =
         words;
       true)
 
-(* Tables belong to one contract: a clone owns fresh ones. The parent
-   is warmed on one word list and cloned; then the clone analyzes and
-   executes a second list on another domain while the parent does the
-   same on this one. Each side must answer exactly like a sequential
-   run on a fresh contract with the same history — down to the raw
-   subset ids of every product node, which number a table's subsets in
-   first-seen order and so tell a fresh table from a warm or shared
-   one. *)
+(* Cached analyses belong to one contract: a clone starts with an empty
+   cache over the same compiled artifacts. The parent is warmed on one
+   word list and cloned; then the clone analyzes and executes a second
+   list on another domain while the parent does the same on this one.
+   Each side must answer exactly like a sequential run on a fresh
+   contract with the same history, node for node: down to the raw
+   target-DFA state of every product node. *)
 let prop_clone_isolation =
   QCheck.Test.make ~count:40
     ~name:"a clone on another domain answers like a sequential run"
@@ -1774,6 +1774,48 @@ let prop_clone_isolation =
 
 (* Long children words (feeds of up to 17 items) must not share cache
    buckets because they agree on their first 10 symbols. *)
+(* The compiled artifacts of a contract never change after [create], so
+   any number of domains may read them: four domains share one contract
+   and run the static check (both modes) and validation against its ctx
+   over the same generated documents. Each must give the answers of a
+   sequential run on a fresh contract. *)
+let prop_shared_contract_domains =
+  QCheck.Test.make ~count:20
+    ~name:"four domains sharing one contract answer like a sequential run"
+    QCheck.(pair (int_range 0 10_000) (oneofl [ schema_star2; schema_star3 ]))
+    (fun (seed, target) ->
+      let docs =
+        List.concat
+          (List.mapi
+             (fun i s ->
+               let g = Generate.create ~seed:(seed + i) s in
+               List.init 4 (fun _ -> Generate.document g))
+             [ schema_star; schema_star2; schema_star3 ])
+      in
+      let answers c =
+        let rw = Rewriter.of_contract c in
+        List.map
+          (fun doc ->
+            let verdict mode =
+              let r = Rewriter.check ~mode rw doc in
+              (r.Rewriter.ok, r.Rewriter.failures)
+            in
+            ( verdict Rewriter.Check_safe,
+              verdict Rewriter.Check_possible,
+              Validate.document_violations (Contract.ctx c) doc ))
+          docs
+      in
+      let expected = answers (Contract.create ~s0:schema_star ~target ()) in
+      let shared = Contract.create ~s0:schema_star ~target () in
+      let domains = Array.init 4 (fun _ -> Domain.spawn (fun () -> answers shared)) in
+      let got = Array.map Domain.join domains in
+      Array.iteri
+        (fun i answers ->
+          if answers <> expected then
+            QCheck.Test.fail_reportf "domain %d differs from the sequential run" i)
+        got;
+      true)
+
 let test_key_hash_whole_word () =
   let prefix = List.init 12 (fun i -> Symbol.Label (Printf.sprintf "item%d" i)) in
   let w1 = prefix @ [ Symbol.Label "entry" ]
@@ -1796,8 +1838,9 @@ let qcheck_tests =
       prop_contract_check_parity;
       prop_cache_fifo_model;
       prop_cache_domain_safe;
-      prop_shared_table_parity;
-      prop_clone_isolation
+      prop_cached_fresh_parity;
+      prop_clone_isolation;
+      prop_shared_contract_domains
     ]
 
 let () =
