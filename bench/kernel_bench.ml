@@ -13,9 +13,12 @@
    (Fork_automaton.build + Product.create + Marking.analyze_lazy) on the
    paper's newspaper example at growing depth k, cold (output automata
    and target DFA compiled per decision, the DFA by Validate.compile)
-   and warm (both compiled once, as a contract holds them); subset runs
-   the
-   map-side simulation check that lint and evolution depend on.
+   and warm (both compiled once, as a contract holds them); the win
+   tables answer the same newspaper question at k = 1..3 as one pass
+   over a contract's filled tables, timed against the warm marking
+   game, with the winning sets each content model interned; subset
+   runs the map-side simulation check that lint and evolution depend
+   on.
 
    Run with:  dune exec bench/kernel_bench.exe            (full, ~10 s)
               dune exec bench/kernel_bench.exe -- --smoke (CI, ~2 s)
@@ -36,6 +39,7 @@ module Fork_automaton = Axml_core.Fork_automaton
 module Product = Axml_core.Product
 module Marking = Axml_core.Marking
 module Validate = Axml_core.Validate
+module Contract = Axml_core.Contract
 
 let measure_ns ?(quota = 0.25) name (f : unit -> 'a) : float =
   let test =
@@ -121,6 +125,14 @@ let schema_target =
     ({|
 root newspaper
 element newspaper = title.date.temp.exhibit*
+|} ^ common)
+
+(* The exchange schema (**) of the paper: TimeOut may stay a call. *)
+let schema_target_timeout =
+  parse_schema
+    ({|
+root newspaper
+element newspaper = title.date.temp.(TimeOut | exhibit*)
 |} ^ common)
 
 let newspaper_word =
@@ -281,6 +293,62 @@ let marking ~quota ~smoke =
       ("large", feed_env, 3,
        [ Symbol.Fun "Feed"; Symbol.Fun "Feed"; Symbol.Fun "Feed" ]) ]
 
+(* The production verdict: one right-to-left pass over a contract's
+   win tables (filled by the first call), against the warm lazy marking
+   game it replaced (A_w^k built over the contract's output automata
+   and target DFA), into the exhibit-only target (unsafe: TimeOut may
+   return a performance) and into the paper's (**) target (safe).
+   [sets] counts the winning sets each content model interned, the
+   quantity that decides whether the tables stay small. *)
+let win_tables ~quota =
+  Fmt.pr "-- win tables: one-pass verdict vs warm lazy marking (ns / decision)@.";
+  Fmt.pr "%8s %3s %4s %8s %12s %12s %9s  %s@." "target" "k" "|w|" "verdict" "marking"
+    "table" "speedup" "sets per content model";
+  List.concat_map
+    (fun (name, target) ->
+      List.map
+        (fun k ->
+          let c = Contract.create ~k ~s0:schema_sender ~target () in
+          let regex label =
+            match Contract.element_regex c label with
+            | Some r -> r
+            | None -> Fmt.failwith "fixture schema lost %s" label
+          in
+          let target_regex = regex "newspaper" in
+          let table = Contract.is_safe c ~target_regex newspaper_word in
+          let marking () =
+            Marking.analyze_lazy (Contract.product c ~target_regex newspaper_word)
+          in
+          if table <> (marking ()).Marking.safe then
+            Fmt.failwith "win tables and marking disagree on %s at k = %d" name k;
+          let marking_ns, table_ns =
+            settle (fun () ->
+                ( measure_ns ~quota (Fmt.str "e25-win-marking-%s-k%d" name k) marking,
+                  measure_ns ~quota (Fmt.str "e25-win-table-%s-k%d" name k) (fun () ->
+                      Contract.is_safe c ~target_regex newspaper_word) ))
+          in
+          let sets =
+            List.map
+              (fun (label, _) -> (label, Contract.sets c ~target_regex:(regex label)))
+              (Schema.String_map.bindings target.Schema.elements)
+          in
+          Fmt.pr "%8s %3d %4d %8s %a  %a  %8.1fx  %a@." name k
+            (List.length newspaper_word)
+            (if table then "safe" else "unsafe")
+            pp_ns marking_ns pp_ns table_ns (marking_ns /. table_ns)
+            Fmt.(list ~sep:(any " ") (pair ~sep:(any "=") string int))
+            sets;
+          { label = Fmt.str "%s-k%d" name k;
+            meta =
+              [ ("k", float_of_int k);
+                ("word_len", float_of_int (List.length newspaper_word));
+                ("safe", if table then 1. else 0.);
+                ("marking_ns", marking_ns); ("table_ns", table_ns);
+                ("speedup", marking_ns /. table_ns) ]
+              @ List.map (fun (label, n) -> ("sets_" ^ label, float_of_int n)) sets })
+        [ 1; 2; 3 ])
+    [ ("exhibits", schema_target); ("timeout", schema_target_timeout) ]
+
 let subset ~quota =
   Fmt.pr "-- subset: map-side language inclusion (ns / check)@.";
   Fmt.pr "%8s %7s %12s@." "size" "states" "ns";
@@ -314,16 +382,17 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let quota = if !smoke then 0.05 else 0.25 in
-  Fmt.pr "E25  automata kernel: membership / marking / subset%s@."
+  Fmt.pr "E25  automata kernel: membership / marking / win tables / subset%s@."
     (if !smoke then " (smoke)" else "");
   let mem = membership ~quota in
   let mark = marking ~quota ~smoke:!smoke in
+  let win = win_tables ~quota in
   let sub = subset ~quota in
   let json =
     Json.Obj
       [ ("experiment", Json.String "e25"); ("smoke", Json.Bool !smoke);
         ("membership", rows_json mem); ("marking", rows_json mark);
-        ("subset", rows_json sub) ]
+        ("win_tables", rows_json win); ("subset", rows_json sub) ]
   in
   if !out <> "-" then begin
     Json.to_file !out json;
@@ -331,7 +400,8 @@ let () =
   end;
   (* the CI smoke also sanity-gates the kernel's reasons to exist: dense
      membership must never lose to the map representation it replaced,
-     and a warm decision must never cost more than a cold one *)
+     and a warm decision must never cost more than a cold one; the win
+     tables' verdicts equal marking's (checked in [win_tables]) *)
   List.iter
     (fun { label; meta } ->
       let speedup = List.assoc "speedup" meta in

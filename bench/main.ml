@@ -158,9 +158,9 @@ let rewriter target = Rewriter.create ~s0:schema_star ~target ()
 let contract target = Contract.create ~s0:schema_star ~target ()
 let newspaper_regex c = Option.get (Contract.element_regex c "newspaper")
 
-(* Uncached analyses on a fresh product per call: what a contract-cache
-   miss costs. Timing [Contract.safe_analysis] instead would measure a
-   hash hit after the first iteration. *)
+(* The Figure 3/9/12 reference engines on a fresh product per call. A
+   contract answers the same questions from its win tables
+   ([Contract.is_safe]), which after the first call are lookups. *)
 let fresh_eager c ~target_regex word =
   Marking.analyze_eager (Contract.product c ~target_regex word)
 
@@ -228,7 +228,7 @@ let e3 () =
   expectation "SAFE; the extracted sequence invokes Get_Temp and keeps TimeOut";
   let c = contract schema_star2 in
   let regex = newspaper_regex c in
-  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
+  let analysis = fresh_lazy c ~target_regex:regex newspaper_word in
   Fmt.pr "verdict: %s@." (if analysis.Marking.safe then "SAFE" else "UNSAFE");
   Fmt.pr "product: %d nodes discovered, %d marked@."
     analysis.Marking.stats.Marking.discovered_nodes
@@ -259,7 +259,7 @@ let e4 () =
      may come back)";
   let c = contract schema_star3 in
   let regex = newspaper_regex c in
-  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
+  let analysis = fresh_lazy c ~target_regex:regex newspaper_word in
   Fmt.pr "verdict: %s@." (if analysis.Marking.safe then "SAFE" else "UNSAFE");
   Fmt.pr "product: %d nodes discovered, %d marked, %d pruned@."
     analysis.Marking.stats.Marking.discovered_nodes
@@ -281,7 +281,7 @@ let e5 () =
      backtracking) when it returns a performance";
   let c = contract schema_star3 in
   let regex = newspaper_regex c in
-  let analysis = Contract.possible_analysis c ~target_regex:regex newspaper_word in
+  let analysis = fresh_possible c ~target_regex:regex newspaper_word in
   Fmt.pr "verdict: %s@."
     (if analysis.Possible.possible then "POSSIBLE" else "IMPOSSIBLE");
   Fmt.pr "product: %d nodes, %d live@."
@@ -297,7 +297,7 @@ let e5 () =
               (R.alt (R.sym (Schema.A_label "exhibit"))
                  (R.sym (Schema.A_label "performance"))))
          behaviour);
-    let analysis = Contract.possible_analysis c ~target_regex:regex newspaper_word in
+    let analysis = fresh_possible c ~target_regex:regex newspaper_word in
     Execute.run (Execute.Follow_possible analysis) (Registry.invoker reg)
       (D.children fig2a)
   in
@@ -744,11 +744,11 @@ let e15 () =
   let fee = function "Get_Temp" -> 0.1 | "TimeOut" -> 1.0 | _ -> 5.0 in
   let c = contract schema_star2 in
   let regex = newspaper_regex c in
-  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
+  let analysis = fresh_lazy c ~target_regex:regex newspaper_word in
   (match Cost.safe_worst_cost analysis ~cost:fee with
    | Some c -> Fmt.pr "newspaper -> (**): guaranteed worst-case fee %.2f@." c
    | None -> Fmt.pr "UNEXPECTED: unsafe@.");
-  let poss = Contract.possible_analysis c ~target_regex:regex newspaper_word in
+  let poss = fresh_possible c ~target_regex:regex newspaper_word in
   (match Cost.possible_min_cost poss ~cost:fee with
    | Some c -> Fmt.pr "newspaper -> (**): optimistic minimal fee %.2f@." c
    | None -> Fmt.pr "UNEXPECTED: impossible@.");
@@ -778,17 +778,16 @@ function H : () -> a
     List.fold_left (fun acc i -> acc +. tfee i.Execute.inv_name) 0.
       outcome.Execute.invocations
   in
-  let analysis = Contract.safe_analysis c ~target_regex:regex word in
+  let analysis = fresh_lazy c ~target_regex:regex word in
   (match Execute.run (Execute.Follow_safe analysis) invoker items with
    | Ok o -> Fmt.pr "tradeoff case, greedy keep-first execution: fee %.1f@." (total o)
    | Error _ -> Fmt.pr "greedy execution failed@.");
-  let poss = Contract.possible_analysis c ~target_regex:regex word in
+  let poss = fresh_possible c ~target_regex:regex word in
   let plan = Cost.possible_costs poss ~cost:tfee in
   (match Execute.run ~plan ~fee:tfee (Execute.Follow_possible poss) invoker items with
    | Ok o -> Fmt.pr "tradeoff case, cost-guided execution   : fee %.1f@." (total o)
    | Error _ -> Fmt.pr "guided execution failed@.");
-  (* a fresh product per iteration: the cached [possible_analysis]
-     would time a hash hit, not the analysis *)
+  (* a fresh product per iteration: the plan needs the product's nodes *)
   let t_plan =
     measure_ns "e15-plan" (fun () ->
         Cost.possible_costs (fresh_possible c ~target_regex:regex word)

@@ -382,7 +382,7 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:"Enforce an exchange schema over a stream of documents through \
-             one compiled pipeline (shared contract-analysis cache and \
+             one compiled pipeline (shared contract win tables and \
              retry/timeout/circuit-breaker guard), reporting per-document \
              outcomes and batch statistics. With $(b,--jobs) N the batch \
              is sharded across N domains.")

@@ -527,7 +527,7 @@ let lint_contract c =
                  content model";
             ]
           else
-            (* Witness check, through the contract's memoized analyses:
+            (* Witness check, through the contract's win tables:
                wherever the sender admits a document whose children are
                the lone call, must that minimal document be refused? *)
             let lone_call_contexts =

@@ -25,8 +25,8 @@
       on the contract itself (AXM020), which run outside its analysis
       cache and leave its counters as they were. The word analyses
       behind AXM021 run through
-      [Contract.is_safe]/[is_possible] and are therefore memoized in
-      the contract's existing analysis cache;
+      [Contract.is_safe]/[is_possible] and therefore fill the
+      contract's existing win tables;
     - {b document level} ({!lint_document}): calls to undeclared
       functions (AXM030) and calls that can neither remain in nor
       materialize into their context's content model (AXM031).

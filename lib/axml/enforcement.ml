@@ -330,7 +330,7 @@ module Pipeline = struct
     mutable p_clones : compiled array;
       (* per-worker-domain compiled artifacts for parallel batches
          (worker 0 reuses [p_compiled]); grown on demand, kept across
-         batches so clone caches stay warm *)
+         batches *)
     mutable p_docs : int;
     mutable p_conformed : int;
     mutable p_rewritten : int;
@@ -497,8 +497,8 @@ module Pipeline = struct
 
   (* The minimal-k search (opt-in): how deep does this document
      actually need the rewriter to go? Every per-word query runs
-     through the k-keyed analysis cache, so a stream of similar
-     documents pays the sub-k analyses once. Main-domain only — the
+     over the win tables of its depth, so a stream of similar
+     documents pays the sub-k table fills once. Main-domain only — the
      histogram fields are plain mutable state. *)
   let observe_min_k t doc =
     if t.p_config.track_min_k then begin
@@ -570,10 +570,11 @@ module Pipeline = struct
         Resilience.diff_stats ~before:before.resilience after.resilience;
       min_k = diff_min_k ~before:before.min_k after.min_k }
 
-  (* Grow the clone pool to at least [n] private compiled artifacts.
-     Each clone shares the immutable compiled schemas but owns its
-     analysis cache, products and validation memos, so a worker domain
-     never mutates state another domain reads (see DESIGN.md). *)
+  (* Grow the clone pool to at least [n] compiled artifacts. Each clone
+     shares the compiled schemas and the win tables but owns its
+     counters and its lazily built contract lint, so a worker domain
+     never forces or counts on state another domain reads (see
+     DESIGN.md). *)
   let ensure_clones t n =
     let have = Array.length t.p_clones in
     if n > have then

@@ -46,7 +46,7 @@ type config = {
         {!Pipeline.stats}, the [axml_enforce_min_k_total] metric and
         trace notes — a capacity-planning signal ("would k=1 have been
         enough for this traffic?"). Off by default: the search costs
-        extra (cached) analyses at depths below [k]. *)
+        extra analyses at depths below [k]. *)
 }
 
 val default_config : config
@@ -94,9 +94,9 @@ val enforce :
 (** {1 Batch enforcement}
 
     A pipeline owns every per-path artifact — the compiled exchange
-    contract (with its analysis memo table) and the validation context —
+    contract (with its win tables) and the validation context —
     plus running counters, so peer-to-peer exchange pays the static
-    analysis once per distinct children word instead of once per
+    analysis once per new table entry instead of once per
     document. *)
 
 module Pipeline : sig
@@ -112,7 +112,7 @@ module Pipeline : sig
   val of_contract :
     ?config:config -> invoker:Axml_core.Execute.invoker ->
     Axml_core.Contract.t -> t
-  (** Drive an existing contract (shares its analysis cache);
+  (** Drive an existing contract (shares its win tables);
       [config.k] is ignored — the contract fixes it. *)
 
   val contract : t -> Axml_core.Contract.t
@@ -153,7 +153,7 @@ module Pipeline : sig
           [Axml_obs.Metrics] clock); for a batch this is the whole
           call's wall time, not the per-domain sum *)
     docs_per_s : float;
-    cache : Axml_core.Contract.stats;  (** contract-cache activity *)
+    cache : Axml_core.Contract.stats;  (** contract win-table activity *)
     cache_hit_rate : float;
     resilience : Axml_services.Resilience.stats;
       (** retry/breaker activity of [config.resilience] over the same
@@ -177,8 +177,9 @@ module Pipeline : sig
       order — for deterministic services the result list is the one a
       per-document {!enforce} loop returns. The returned stats cover
       exactly this batch, and [elapsed_s] its whole wall time. Clones
-      persist on the pipeline, so repeated batches keep their analysis
-      caches warm; {!stats} reports the shared cache plus all clones.
+      share the contract's win tables and count on their own; they
+      persist on the pipeline, and {!stats} reports the shared
+      contract's counters plus all clones'.
       The pipeline's invoker (and [config.resilience] guard) are shared
       across workers — the invoker must be thread-safe, and a circuit
       breaker opened by one domain short-circuits the others. *)

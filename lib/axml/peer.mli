@@ -68,7 +68,7 @@ val exchange_pipeline :
 (** The peer's sender-side enforcement pipeline for an exchange schema:
     compiled on first use and cached while the peer's schema,
     enforcement config and the [exchange] schema value all stay
-    unchanged (so its contract-analysis cache and counters persist
+    unchanged (so its contract's win tables and counters persist
     across {!send}s of the same agreement). Its
     {!Enforcement.Pipeline.config} is the peer's {!current_config}. *)
 

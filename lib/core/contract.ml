@@ -1,22 +1,19 @@
 (* A compiled exchange contract (see contract.mli): the schema-derived
-   artifacts for a fixed (s0, target, k) triple, plus a
-   bounded memo table from (content-model regex, children word) to the
-   safe/possible analyses — the amortization that lets a peer's
-   enforcement module pay the automata construction once per distinct
-   word instead of once per document.
+   artifacts for a fixed (s0, target, k) triple, plus the winning-set
+   tables ([Win]) that answer every word-level analysis in one
+   right-to-left pass over the word.
 
-   A miss only builds what depends on the word: the output automata of
-   the functions ([outputs]) and the target's DFA of every content model
-   ([ctx], one [Validate.ctx]) are compiled at creation and never
-   change afterwards.
+   Nothing here is compiled per word: the output automata ([outputs],
+   [win]) and the target's DFA of every content model ([ctx], one
+   [Validate.ctx]) are built at creation, and the tables fill lazily,
+   one entry per new (winning set, letter) or (function, exit set), so
+   their size depends on the content models and the depth, not on how
+   many distinct words a stream carries.
 
-   Domain safety: the mutable state (the regex registry, the FIFO
-   analysis cache and its counters) sits behind [lock], and uncached
-   analyses are computed while holding it, so concurrent callers see
-   each (word, kind) computed exactly once and the counters never tear.
-   The returned analyses carry lazily-extended products: they are NOT
-   safe to execute from several domains at once — parallel pipelines
-   give each domain its own [clone] instead (see DESIGN.md). *)
+   Domain safety: the tables fill under [Win]'s lock and publish
+   immutably, and the registry of content models grows under
+   [registry_lock] by replacement, so lookups take no lock and clones
+   share everything but their counters. *)
 
 module R = Axml_regex.Regex
 module Schema = Axml_schema.Schema
@@ -25,10 +22,10 @@ module Metrics = Axml_obs.Metrics
 module Trace = Axml_obs.Trace
 
 (* Process-wide registry children; per-contract windows stay in the
-   mutable [t] fields below and [stats] keeps serving them. *)
+   counters of [t] below and [stats] keeps serving them. *)
 let m_analyses kind result =
   Metrics.counter
-    ~help:"Word-level analyses, by kind and memo-table outcome"
+    ~help:"Word-level analyses, by kind; a miss filled at least one win-table entry"
     ~labels:[ ("kind", kind); ("result", result) ]
     "axml_contract_analyses_total"
 
@@ -37,107 +34,49 @@ let m_safe_miss = m_analyses "safe" "miss"
 let m_possible_hit = m_analyses "possible" "hit"
 let m_possible_miss = m_analyses "possible" "miss"
 
-let m_evictions =
-  Metrics.counter ~help:"Analysis-cache entries evicted (FIFO, capacity hit)"
-    "axml_contract_cache_evictions_total"
-
 let h_analysis kind =
   Metrics.histogram
-    ~help:"Seconds to compute one uncached word-level analysis"
+    ~help:"Seconds one word-level analysis spent filling win-table entries (misses only)"
     ~labels:[ ("kind", kind) ]
     "axml_contract_analysis_seconds"
 
 let h_safe = h_analysis "safe"
 let h_possible = h_analysis "possible"
 
-(* Analyses are memoized by (content-model regex, word, depth): the
-   same word can be unsafe at k=1 and safe at k=2, so verdicts at
-   different depths must never alias.
-
-   The cache-hit path is the hottest line of warm enforcement, so the
-   key avoids touching the regex tree entirely: content-model regexes
-   are interned to small per-contract ids (physical equality first —
-   [element_regex]/[input_regex] read the contract's ctx, so the same
-   regex value comes back on every call — structural equality as the
-   slow fallback), and
-   the word goes through [Symbol.hash_word], which hashes every symbol
-   (a single polymorphic hash of the list stops after about 10 symbols,
-   and 17-symbol words differing in their tails would share a bucket).
-   A probe therefore costs one hash per symbol plus a handful of int
-   compares. *)
-module Key = struct
-  type t = { rid : int; k : int; h : int; word : Symbol.t list }
-
-  let equal a b =
-    a.h = b.h && a.rid = b.rid && a.k = b.k
-    && (try List.for_all2 Symbol.equal a.word b.word
-        with Invalid_argument _ -> false)
-
-  let hash a = a.h
-end
-
-let make_key ~rid ~k word =
-  let h =
-    (Symbol.hash_word word lxor (rid * 0x9e3779b1) lxor (k * 0x85ebca6b))
-    land max_int
-  in
-  { Key.rid; k; h; word }
-
-module Tbl = Hashtbl.Make (Key)
-
-(* Both analyses of one word share the cache slot: a word that was
-   checked safe and then (because unsafe) checked possible costs one
-   entry. *)
-type entry = {
-  mutable e_safe : Marking.t option;
-  mutable e_possible : Possible.t option;
-}
-
 type t = {
   env : Schema.env;
   s0 : Schema.t;
   target : Schema.t;
   k : int;
-  capacity : int;
   ctx : Validate.ctx;  (* the target's compiled content models; immutable *)
   outputs : Fork_automaton.outputs;  (* immutable, shared with clones *)
-  lock : Mutex.t;  (* guards every mutable field below *)
-  mutable models : Validate.model array;  (* regex id -> compiled model *)
-  cache : entry Tbl.t;
-  order : Key.t Queue.t;  (* insertion order, for FIFO eviction *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
+  win : Win.t;  (* shared with clones *)
+  (* content model -> its tables: every model of the ctx, then one per
+     regex no schema declares; replaced, never written, when it grows *)
+  models : (Validate.model * Win.table) array Atomic.t;
+  registry_lock : Mutex.t;
+  hits : int Atomic.t;
+  misses : int Atomic.t;
+  entries : int Atomic.t;
 }
 
-let create ?(k = 1) ?predicate ?(cache_capacity = 4096)
-    ~s0 ~target () =
+let create ?(k = 1) ?predicate ~s0 ~target () =
   let env = Schema.env_of_schemas ?predicate s0 target in
   let ctx = Validate.ctx ~env target in
-  { env; s0; target; k;
-    capacity = max 1 cache_capacity;
-    ctx;
-    outputs = Fork_automaton.outputs env;
-    lock = Mutex.create ();
-    models = Array.of_list (Validate.models ctx);
-    cache = Tbl.create 64;
-    order = Queue.create ();
-    hits = 0; misses = 0; evictions = 0 }
+  let outputs = Fork_automaton.outputs env in
+  let win = Win.create outputs in
+  { env; s0; target; k; ctx; outputs; win;
+    models =
+      Atomic.make
+        (Array.of_list
+           (List.map (fun m -> (m, Win.table win m.Validate.dfa)) (Validate.models ctx)));
+    registry_lock = Mutex.create ();
+    hits = Atomic.make 0; misses = Atomic.make 0; entries = Atomic.make 0 }
 
-(* A private contract over the same immutable compiled schemas: the
-   merged environment, the ctx, the output automata and the regex
-   registry are shared, the analysis cache and counters start fresh.
-   This is what parallel pipelines hand each worker domain, so cached
-   analyses — whose products are extended in place during execution —
-   are never shared across domains. The registry array is replaced, never
-   written, when it grows, so sharing it is safe. *)
+(* A contract over the same compiled schemas and the same tables, with
+   counters of its own. *)
 let clone (t : t) =
-  Mutex.protect t.lock (fun () ->
-      { t with
-        lock = Mutex.create ();
-        cache = Tbl.create 64;
-        order = Queue.create ();
-        hits = 0; misses = 0; evictions = 0 })
+  { t with hits = Atomic.make 0; misses = Atomic.make 0; entries = Atomic.make 0 }
 
 let env t = t.env
 let s0 t = t.s0
@@ -166,118 +105,74 @@ let context_regex t = function
   | Input f -> input_regex t f
 
 (* ------------------------------------------------------------------ *)
-(* The analysis cache                                                  *)
+(* Analyses                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The id of a content-model regex in the key registry ([t.models.(id)]
-   is its compiled model). The registry starts with every model of the ctx and
-   grows by one [Validate.compile] per regex no schema declares; growth
-   replaces the array rather than mutating it, so a clone sharing the
-   parent's array never observes a write. Caller holds [t.lock]. *)
-let model_id t r =
-  let arr = t.models in
-  let n = Array.length arr in
-  let rec find eq i =
-    if i >= n then -1 else if eq (regex arr.(i)) r then i else find eq (i + 1)
-  in
-  match find ( == ) 0 with
-  | id when id >= 0 -> id
-  | _ ->
-    (match find (R.equal Symbol.equal) 0 with
-     | id when id >= 0 -> id
-     | _ ->
-       t.models <- Array.append arr [| Validate.compile r |];
-       n)
+(* The model and tables of a content-model regex: physical equality
+   first ([element_regex]/[input_regex] read the ctx, so the same regex
+   value comes back on every call), structural equality as the slow
+   fallback, and one [Validate.compile] for a regex no schema
+   declares. *)
+let rec find eq arr r i =
+  if i >= Array.length arr then None
+  else if eq (regex (fst arr.(i))) r then Some arr.(i)
+  else find eq arr r (i + 1)
 
-let model t r = Mutex.protect t.lock (fun () -> t.models.(model_id t r))
+let structural = R.equal Symbol.equal
 
-(* Only A_w^k is built for the word; the target side is the model's
-   read-only DFA. *)
-let product_over t (m : Validate.model) ~k word =
-  Product.create ~fork:(Fork_automaton.build ~outputs:t.outputs ~k word)
-    ~dfa:m.Validate.dfa
-
-let product ?k t ~target_regex word =
-  product_over t (model t target_regex) ~k:(Option.value k ~default:t.k) word
-
-(* The queue mirrors the table exactly (keys are enqueued once, on
-   entry creation, and leave only through eviction or [clear]), so the
-   queue front is always the oldest resident entry. Caller holds
-   [t.lock]. *)
-let entry t ~rid ~k word =
-  let key = make_key ~rid ~k word in
-  match Tbl.find_opt t.cache key with
+let registered t r =
+  let arr = Atomic.get t.models in
+  match find ( == ) arr r 0 with
   | Some e -> e
   | None ->
-    if Tbl.length t.cache >= t.capacity then begin
-      let oldest = Queue.pop t.order in
-      Tbl.remove t.cache oldest;
-      t.evictions <- t.evictions + 1;
-      Metrics.inc m_evictions
-    end;
-    let e = { e_safe = None; e_possible = None } in
-    Tbl.add t.cache key e;
-    Queue.push key t.order;
-    e
+    match find structural arr r 0 with
+    | Some e -> e
+    | None ->
+      Mutex.protect t.registry_lock (fun () ->
+          let arr = Atomic.get t.models in
+          match find structural arr r 0 with
+          | Some e -> e
+          | None ->
+            let m = Validate.compile r in
+            let e = (m, Win.table t.win m.Validate.dfa) in
+            Atomic.set t.models (Array.append arr [| e |]);
+            e)
 
-(* Uncached analyses are computed while still holding [t.lock]: slower
-   under contention than a compute-outside-retry scheme, but it keeps
-   the counters exact (each (word, kind) is computed at most once
-   process-wide), which the qcheck reference model relies on. Parallel
-   pipelines avoid the contention entirely by running on [clone]s. *)
-let safe_analysis ?k t ~target_regex word =
+(* A_w^k against the model's read-only DFA: the Figure 3/9/12
+   reference engines run on it. *)
+let product ?k t ~target_regex word =
+  Product.create
+    ~fork:(Fork_automaton.build ~outputs:t.outputs ~k:(Option.value k ~default:t.k) word)
+    ~dfa:(fst (registered t target_regex)).Validate.dfa
+
+let analysis kind ?k t ~target_regex word =
   let k = Option.value k ~default:t.k in
-  Mutex.protect t.lock @@ fun () ->
-  let rid = model_id t target_regex in
-  let e = entry t ~rid ~k word in
-  match e.e_safe with
-  | Some a ->
-    t.hits <- t.hits + 1;
-    Metrics.inc m_safe_hit;
-    if Trace.enabled Trace.default then
-      Trace.emit (Cache_query { cache = "safe"; hit = true });
-    a
-  | None ->
-    t.misses <- t.misses + 1;
-    Metrics.inc m_safe_miss;
-    if Trace.enabled Trace.default then
-      Trace.emit (Cache_query { cache = "safe"; hit = false });
-    let a =
-      Metrics.time h_safe (fun () ->
-          Marking.analyze_lazy (product_over t t.models.(rid) ~k word))
-    in
-    e.e_safe <- Some a;
-    a
+  let r = Win.solve (snd (registered t target_regex)) kind ~budget:k word in
+  let hit = Win.fills r = 0 in
+  if hit then begin
+    Atomic.incr t.hits;
+    Metrics.inc (match kind with Win.Safe -> m_safe_hit | Win.Possible -> m_possible_hit)
+  end
+  else begin
+    Atomic.incr t.misses;
+    ignore (Atomic.fetch_and_add t.entries (Win.fills r));
+    Metrics.inc (match kind with Win.Safe -> m_safe_miss | Win.Possible -> m_possible_miss);
+    Metrics.observe
+      (match kind with Win.Safe -> h_safe | Win.Possible -> h_possible)
+      (Win.fill_seconds r)
+  end;
+  if Trace.enabled Trace.default then
+    Trace.emit
+      (Cache_query
+         { cache = (match kind with Win.Safe -> "safe" | Win.Possible -> "possible"); hit });
+  r
 
-let possible_analysis ?k t ~target_regex word =
-  let k = Option.value k ~default:t.k in
-  Mutex.protect t.lock @@ fun () ->
-  let rid = model_id t target_regex in
-  let e = entry t ~rid ~k word in
-  match e.e_possible with
-  | Some a ->
-    t.hits <- t.hits + 1;
-    Metrics.inc m_possible_hit;
-    if Trace.enabled Trace.default then
-      Trace.emit (Cache_query { cache = "possible"; hit = true });
-    a
-  | None ->
-    t.misses <- t.misses + 1;
-    Metrics.inc m_possible_miss;
-    if Trace.enabled Trace.default then
-      Trace.emit (Cache_query { cache = "possible"; hit = false });
-    let a =
-      Metrics.time h_possible (fun () ->
-          Possible.analyze (product_over t t.models.(rid) ~k word))
-    in
-    e.e_possible <- Some a;
-    a
+let safe_run ?k t ~target_regex word = analysis Win.Safe ?k t ~target_regex word
+let possible_run ?k t ~target_regex word = analysis Win.Possible ?k t ~target_regex word
+let is_safe ?k t ~target_regex word = Win.ok (safe_run ?k t ~target_regex word)
+let is_possible ?k t ~target_regex word = Win.ok (possible_run ?k t ~target_regex word)
 
-let is_safe ?k t ~target_regex word =
-  (safe_analysis ?k t ~target_regex word).Marking.safe
-
-let is_possible ?k t ~target_regex word =
-  (possible_analysis ?k t ~target_regex word).Possible.possible
+let sets t ~target_regex = Win.set_count (snd (registered t target_regex))
 
 (* ------------------------------------------------------------------ *)
 (* Verdicts                                                            *)
@@ -339,7 +234,7 @@ let minimal_k ?max_k t ~target_regex word =
    paying for g itself. g lives only in this function's private
    outputs: its name is longer than every function of the environment,
    so no content model, wildcard or pattern can mention it. Products
-   run outside the analysis cache and its counters. *)
+   run outside the win tables and their counters. *)
 let representative_minimal_k t ~target_regex content =
   let longest =
     Schema.String_map.fold
@@ -350,7 +245,7 @@ let representative_minimal_k t ~target_regex content =
   let outputs =
     Fork_automaton.add_output t.outputs g (Schema.compile_content t.env content)
   in
-  let dfa = (model t target_regex).Validate.dfa in
+  let dfa = (fst (registered t target_regex)).Validate.dfa in
   let product d =
     Product.create ~dfa
       ~fork:(Fork_automaton.build ~outputs ~k:(d + 1) [ Symbol.Fun g ])
@@ -360,15 +255,14 @@ let representative_minimal_k t ~target_regex content =
     ~safe:(fun d -> (Marking.analyze_lazy (product d)).Marking.safe)
 
 (* ------------------------------------------------------------------ *)
-(* Cache accounting                                                    *)
+(* Table accounting                                                    *)
 (* ------------------------------------------------------------------ *)
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
 let stats (t : t) =
-  Mutex.protect t.lock (fun () ->
-      { hits = t.hits; misses = t.misses; evictions = t.evictions;
-        entries = Tbl.length t.cache })
+  { hits = Atomic.get t.hits; misses = Atomic.get t.misses; evictions = 0;
+    entries = Atomic.get t.entries }
 
 let add_stats a b =
   { hits = a.hits + b.hits;
@@ -387,19 +281,9 @@ let diff_stats ~before after =
     entries = after.entries }
 
 let pp_stats ppf s =
-  Fmt.pf ppf "%d hits / %d misses (%.1f%% hit rate), %d entries, %d evicted"
-    s.hits s.misses (100. *. hit_rate s) s.entries s.evictions
+  Fmt.pf ppf "%d hits / %d misses (%.1f%% hit rate), %d entries"
+    s.hits s.misses (100. *. hit_rate s) s.entries
 
 let reset_stats (t : t) =
-  Mutex.protect t.lock (fun () ->
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0)
-
-let clear (t : t) =
-  Mutex.protect t.lock (fun () ->
-      Tbl.reset t.cache;
-      Queue.clear t.order;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0)
+  Atomic.set t.hits 0;
+  Atomic.set t.misses 0

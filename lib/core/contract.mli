@@ -4,64 +4,52 @@
 
     The Schema Enforcement module sits on a peer's communication path
     (Section 7): the same pair of schemas is enforced against a whole
-    stream of documents. All the static-analysis machinery — the merged
-    environment, the compiled content-model regexes, the Glushkov
-    automata and the marking/reachability analyses of Figures 3 and 9 —
-    depends only on the contract and the children {e word} under
-    analysis, never on the rest of the document. A contract therefore
-    memoizes analyses by [(content model, word)]: the second document
-    whose <newspaper> children form [title.date.Get_Temp.TimeOut] gets
-    its verdict (and its extracted strategy) by hash lookup instead of
-    replaying the game.
+    stream of documents. Everything the rewriting games of Figures 3
+    and 9 need that does not depend on the word is compiled at
+    {!create}: the merged environment, every invocable function's
+    output automaton ({!Fork_automaton.outputs}) and one
+    {!Validate.ctx} of the target — each content model determinized
+    once into a read-only DFA that validation, the rewriter and the
+    analyses step.
 
-    What does not depend on the word is compiled once, at {!create}, so
-    a cache miss pays only for the word: every invocable function's
-    output automaton ({!Fork_automaton.outputs}) and one {!Validate.ctx}
-    of the target — each content model determinized once into a
-    read-only DFA that validation, the rewriter and every product over
-    the model ({!Product.create}) step.
-
-    The cache is bounded ([cache_capacity], FIFO eviction) and counts
-    hits, misses and evictions so callers can observe the amortization
-    ({!stats}). {!Rewriter} is a thin view over this module;
+    Word-level analyses are answered by winning-set tables ({!Win}),
+    one set of tables per content model: a verdict is one right-to-left
+    pass over the word, [|w|] table lookups, and the same pass yields
+    the strategy {!Execute} follows. The tables fill lazily, an entry
+    per new (winning set, letter) or (function, exit set) at a depth,
+    so their size is bounded by the content model and the depth, not
+    by the number of distinct words; there is no per-word cache and
+    nothing is ever evicted. The counters ({!stats}) say how often an
+    analysis had to fill an entry (a miss) or found every entry filled
+    (a hit). {!Rewriter} is a thin view over this module;
     [Axml_peer.Enforcement.Pipeline] drives it over document streams.
 
     {b Domain safety.} The compiled artifacts never change after
-    {!create}. The mutable contract state (the regex registry, the
-    analysis cache, the counters) is guarded by an internal mutex, so
-    {!analyze}, {!stats} etc. may be called from several domains
-    concurrently, and each [(word, kind)] analysis is computed at most
-    once. The {e returned} analyses, however, carry products that are
-    extended in place during {!Execute.run}. Execution therefore stays
-    on one domain per contract: executing analyses of one contract from
-    several domains at once is a race. Parallel pipelines give each
-    worker domain a private {!clone} instead. *)
+    {!create}; table entries are filled under a lock and published
+    immutably, so lookups take no lock and any number of domains may
+    analyze, execute and read {!stats} on one contract concurrently. A
+    {!clone} shares the tables and counts on its own. *)
 
 type t
 
 val create :
   ?k:int -> ?predicate:(string -> string -> bool) ->
-  ?cache_capacity:int ->
   s0:Axml_schema.Schema.t -> target:Axml_schema.Schema.t -> unit -> t
 (** Compile the contract for exchanging documents of [s0] under the
     agreed [target] schema. [k] is the rewriting depth (Definition 7,
-    default 1); [predicate] answers function-pattern predicates;
-    [cache_capacity] bounds the analysis memo table (default 4096
-    entries, clamped to at least 1). Every content model of [target]
-    and every input and output type of the merged environment is
-    compiled here, so [predicate] is called here for each function
-    pattern of [target].
+    default 1); [predicate] answers function-pattern predicates. Every
+    content model of [target] and every input and output type of the
+    merged environment is compiled here, so [predicate] is called here
+    for each function pattern of [target].
     @raise Axml_schema.Schema.Schema_error when [s0] and [target]
     disagree on a common function signature, or a content model does
-    not compile against the merged environment. *)
+    not compile against [env]. *)
 
 val clone : t -> t
-(** A private contract over the same compiled artifacts: shares the
-    (immutable) merged environment, schemas, {!ctx}, output automata,
-    [k] and capacity, and copies nothing; starts with an empty analysis
-    cache and zeroed counters, so its products are extended on its own
-    domain. This is how parallel pipelines give each worker domain its
-    own analyses without recompiling the schemas — see DESIGN.md. *)
+(** The same contract with counters of its own: it shares the merged
+    environment, schemas, {!ctx}, output automata, [k] and the win
+    tables, and copies nothing. Parallel pipelines give each worker
+    domain a clone so that each reports its own {!stats}. *)
 
 (** {1 Static artifacts} *)
 
@@ -113,55 +101,54 @@ val context_regex :
     [Input]. [None] when the target schema / environment does not
     declare it. *)
 
-(** {1 Cached analyses}
+(** {1 Analyses}
 
-    Keyed by [(content-model regex, word, k)]: two contexts sharing a
-    content model share their analyses, and verdicts computed at
-    different rewriting depths never alias. Every analysis entry point
-    takes an optional [?k] overriding the contract's configured depth
-    for that one query (used by the depth-threading rewriter and by
-    {!minimal_k}); omitted, the contract's [k] applies. The returned
-    analyses carry the winning strategy; they are safe to hand to
-    {!Execute.run} (the underlying product is extended on demand,
-    never invalidated).
+    Every analysis entry point takes an optional [?k] overriding the
+    contract's configured depth for that one query (used by the
+    depth-threading rewriter and by {!minimal_k}); omitted, the
+    contract's [k] applies. Tables are kept per content model and depth,
+    so verdicts at different depths never alias. A [target_regex] taken
+    from {!ctx} is analyzed against the ctx's model; any other regex is
+    compiled once per contract, by {!Validate.compile}, on first
+    use. *)
 
-    A [target_regex] taken from {!ctx} is analyzed against the ctx's
-    model; any other regex is compiled once per contract, by
-    {!Validate.compile}, on first use. *)
-
-val product :
+val safe_run :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
-  Axml_schema.Symbol.t list -> Product.t
-(** A fresh (uncached) product of A_w^k with the target's DFA:
-    independent of the contract's cache, it is the reference the cached
-    analyses are tested against. *)
+  Axml_schema.Symbol.t list -> Win.run
+(** The safe game of Figure 3 for [word] against [target_regex], solved
+    by one pass over the win tables: its verdict is {!Win.ok}, and
+    [Execute.Follow_table] follows it. Counted in {!stats}. *)
 
-val safe_analysis :
+val possible_run :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
-  Axml_schema.Symbol.t list -> Marking.t
-(** The marking game of Figure 3 for [word] against [target_regex],
-    memoized, built by the pruned on-the-fly exploration of Section 7
-    ({!Marking.analyze_lazy}; {!Marking.analyze_eager} on a fresh
-    {!product} is the literal Figure 3 reference). *)
-
-val possible_analysis :
-  ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
-  Axml_schema.Symbol.t list -> Possible.t
-(** The reachability analysis of Figure 9, memoized. *)
+  Axml_schema.Symbol.t list -> Win.run
+(** The possible game of Figure 9, likewise. *)
 
 val is_safe :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
   Axml_schema.Symbol.t list -> bool
 (** [is_safe c ~target_regex w]: does a safe rewriting of [w] into the
-    target language exist? The verdict of {!safe_analysis}, cached
-    alike. *)
+    target language exist? The verdict of {!safe_run}. *)
 
 val is_possible :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
   Axml_schema.Symbol.t list -> bool
 (** [is_possible c ~target_regex w]: can {e some} run of a rewriting
     of [w] land in the target language? The verdict of
-    {!possible_analysis}, cached alike. *)
+    {!possible_run}. *)
+
+val product :
+  ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
+  Axml_schema.Symbol.t list -> Product.t
+(** A fresh product of A_w^k with the target's DFA, outside the tables
+    and their counters: the input of the Figure 3/9/12 reference
+    engines ({!Marking.analyze_eager}, {!Marking.analyze_lazy},
+    {!Possible.analyze}) that the tables are tested against, and of
+    the cost planning of {!Cost}. *)
+
+val sets : t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t -> int
+(** The winning sets interned so far for a content model, over every
+    depth and both games. *)
 
 (** {1 Verdicts} *)
 
@@ -201,9 +188,8 @@ val minimal_k :
     grow with k while the adversary's are fixed, so a word safe at k
     is safe at every k' ≥ k (possibility likewise — qcheck-verified in
     the test suite). [safe_at = Some 0] means the word already
-    conforms without any materialization; every answer is served
-    through the (k-keyed) analysis cache, so the search piggybacks on
-    enforcement's own queries. *)
+    conforms without any materialization; every answer is a pass over
+    the win tables of its depth. *)
 
 val representative_minimal_k :
   t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
@@ -217,27 +203,28 @@ val representative_minimal_k :
     at fork depth d + 1 — one level pays for [g]. [g] exists only in a
     private copy of the contract's output automata, under a name no
     function of the environment has, so wildcards and patterns of
-    either schema never match it. Uncached: {!stats} does not move. *)
+    either schema never match it. Answered on products, outside the
+    win tables: {!stats} does not move. *)
 
-(** {1 Cache accounting} *)
+(** {1 Table accounting} *)
 
 type stats = {
-  hits : int;       (** analyses answered from the memo table *)
-  misses : int;     (** analyses actually computed *)
-  evictions : int;  (** entries dropped to respect [cache_capacity] *)
-  entries : int;    (** entries currently resident *)
+  hits : int;       (** analyses answered from filled entries *)
+  misses : int;     (** analyses that filled at least one entry *)
+  evictions : int;  (** always 0: table entries are never evicted *)
+  entries : int;    (** table entries this contract filled *)
 }
 
 val stats : t -> stats
-(** A snapshot of this contract's cache counters since creation (or
-    the last {!reset_stats}). The process-wide aggregates live in the
-    [Axml_obs] metrics registry. *)
+(** A snapshot of this contract's counters since creation (or the last
+    {!reset_stats}). The process-wide aggregates live in the [Axml_obs]
+    metrics registry. *)
 
 val hit_rate : stats -> float
-(** [hits / (hits + misses)]; [0.] before any lookup. *)
+(** [hits / (hits + misses)]; [0.] before any analysis. *)
 
 val diff_stats : before:stats -> stats -> stats
-(** Counter deltas ([entries] is the later absolute value): the cache
+(** Counter deltas ([entries] is the later absolute value): the table
     activity between two {!stats} snapshots. *)
 
 val add_stats : stats -> stats -> stats
@@ -247,8 +234,4 @@ val add_stats : stats -> stats -> stats
 val pp_stats : stats Fmt.t
 
 val reset_stats : t -> unit
-(** Zero the counters; cached analyses stay resident. *)
-
-val clear : t -> unit
-(** Drop every cached analysis (the compiled artifacts stay); counters
-    are reset too. *)
+(** Zero [hits] and [misses]; the tables and [entries] stay. *)

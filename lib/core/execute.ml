@@ -2,10 +2,13 @@
    Figure 3 and steps 7-10 of Figure 9).
 
    The materializer walks the concrete children forest left-to-right
-   while tracking the corresponding product node. At every function
-   occurrence the strategy decides between the two fork options:
-     - SAFE mode follows only unmarked nodes; the game guarantees the
-       walk cannot get stuck, whatever the services return;
+   while tracking the corresponding node of the solved game: a
+   (position, target-DFA state) pair of a win-table run, or a product
+   node of the reference engines. At every function occurrence the
+   strategy decides between the two fork options:
+     - SAFE mode follows only winning (unmarked) nodes; the game
+       guarantees the walk cannot get stuck, whatever the services
+       return;
      - POSSIBLE mode follows only live nodes and *backtracks* when a
        call's actual return value leaves every live path (Figure 9c).
    A call is invoked at most once per occurrence: its result is cached,
@@ -72,6 +75,7 @@ type invocation = {
 }
 
 type strategy =
+  | Follow_table of Win.run
   | Follow_safe of Marking.t
   | Follow_possible of Possible.t
 
@@ -103,13 +107,101 @@ type outcome = {
   invocations : invocation list;
 }
 
-let product_of = function
-  | Follow_safe m -> m.Marking.product
-  | Follow_possible pos -> pos.Possible.product
+(* What the walk needs of a strategy, over its own nodes: product
+   nodes for the reference engines, (position, DFA state) pairs for the
+   win tables. For an item of symbol [sym] at node [n],
+   [exists_keep n sym f] applies [f] to each keep move's target in edge
+   order until one succeeds, and [exists_fork n sym f] applies
+   [f callee start] to each invoke option among those edges; [stop
+   ~enter n] says [n] ends the copy [enter] started, and [leave n]
+   returns from it. *)
+type 'n game = {
+  good : 'n -> bool;
+  has_fork : 'n -> Symbol.t -> bool;
+  exists_keep : 'n -> Symbol.t -> ('n -> bool) -> bool;
+  exists_fork : 'n -> Symbol.t -> (string -> 'n -> bool) -> bool;
+  stop : enter:'n -> 'n -> bool;
+  leave : 'n -> 'n option;
+  complete : 'n -> bool;
+  accepting : 'n -> bool;
+}
 
-let good_of = function
-  | Follow_safe m -> fun nid -> not (Marking.is_marked m nid)
-  | Follow_possible pos -> fun nid -> Possible.is_live pos nid
+let table_game =
+  { good = Win.good;
+    has_fork = Win.has_fork;
+    exists_keep = Win.exists_keep;
+    exists_fork = Win.exists_fork;
+    stop = Win.copy_done;
+    leave = Win.leave;
+    complete = Win.complete;
+    accepting = Win.accepting }
+
+let product_game p good =
+  let fork = Product.fork p in
+  let q_of nid = (Product.node p nid).Product.q in
+  let step nid eid =
+    let succs = Product.succ p nid in
+    let n = Array.length succs in
+    let rec find i =
+      if i >= n then assert false
+      else if Product.succ_edge p nid i = eid then succs.(i)
+      else find (i + 1)
+    in
+    find 0
+  in
+  (* the fork whose copy starts or ends at an A_w^k state, -1 *)
+  let copy_fork = Array.make fork.Fork_automaton.nstates (-1) in
+  Array.iteri
+    (fun fid (f : Fork_automaton.fork) ->
+      copy_fork.(fork.Fork_automaton.edge_dst.(f.Fork_automaton.invoke_edge)) <- fid;
+      Auto.Int_set.iter (fun q -> copy_fork.(q) <- fid) f.Fork_automaton.copy_finals)
+    fork.Fork_automaton.forks;
+  (* the edges leaving [nid] labeled [sym], in out-edge order *)
+  let exists_edge nid sym visit =
+    let q = q_of nid in
+    let last = fork.Fork_automaton.out_off.(q + 1) - 1 in
+    let rec go i =
+      i <= last
+      && begin
+        let eid = fork.Fork_automaton.out_edge.(i) in
+        (match fork.Fork_automaton.edge_label.(eid) with
+         | Some s -> Symbol.equal s sym && visit eid
+         | None -> false)
+        || go (i + 1)
+      end
+    in
+    go fork.Fork_automaton.out_off.(q)
+  in
+  (* the fork whose keep option is [eid] *)
+  let keep_fork eid =
+    match Fork_automaton.fork_of_edge fork eid with
+    | Some f when eid = f.Fork_automaton.keep_edge -> Some f
+    | Some _ | None -> None
+  in
+  { good;
+    has_fork = (fun nid sym -> exists_edge nid sym (fun eid -> keep_fork eid <> None));
+    exists_keep = (fun nid sym f -> exists_edge nid sym (fun eid -> f (step nid eid)));
+    exists_fork =
+      (fun nid sym f ->
+        exists_edge nid sym (fun eid ->
+            match keep_fork eid with
+            | Some fk ->
+              f fk.Fork_automaton.fname (step nid fk.Fork_automaton.invoke_edge)
+            | None -> false));
+    stop =
+      (fun ~enter nid ->
+        Auto.Int_set.mem (q_of nid)
+          fork.Fork_automaton.forks.(copy_fork.(q_of enter)).Fork_automaton.copy_finals);
+    leave =
+      (fun nid ->
+        let q = q_of nid in
+        let fid = copy_fork.(q) in
+        if fid < 0 then None
+        else
+          Option.map (step nid)
+            (Fork_automaton.exit_edge fork fork.Fork_automaton.forks.(fid) q));
+    complete = (fun nid -> q_of nid = fork.Fork_automaton.final);
+    accepting = Product.good_accepting p }
 
 (* [run strategy invoker items] materializes the forest [items].
 
@@ -134,9 +226,6 @@ let good_of = function
    (the paper's footnote-5 behaviour, correct only at k = 1). *)
 let run ?plan ?(fee = fun _ -> 0.) ?validate ?reenforce strategy invoker
     (items : Document.forest) : (outcome, failure) result =
-  let p = product_of strategy in
-  let good = good_of strategy in
-  let fork = Product.fork p in
   let invocations = ref [] in
   let service_error = ref None in
   let reenforce_refused = ref None in
@@ -146,16 +235,6 @@ let run ?plan ?(fee = fun _ -> 0.) ?validate ?reenforce strategy invoker
   let counter = ref 0 in
   let wrap forest =
     List.map (fun d -> incr counter; (!counter, d)) forest
-  in
-  let step nid eid =
-    let succs = Product.succ p nid in
-    let n = Array.length succs in
-    let rec find i =
-      if i >= n then assert false
-      else if Product.succ_edge p nid i = eid then succs.(i)
-      else find (i + 1)
-    in
-    find 0
   in
   let record_error fname attempts cause =
     if !service_error = None then
@@ -219,123 +298,102 @@ let run ?plan ?(fee = fun _ -> 0.) ?validate ?reenforce strategy invoker
       Hashtbl.add cache id r;
       r
   in
-  (* [process items nid stop k]: consume [items] from product node [nid];
-     when exhausted, require [stop q] and call [k emitted nid_end].
-     Returns true as soon as one alternative succeeds. *)
-  let rec process items nid stop k =
-    match items with
-    | [] -> stop (Product.node p nid).Product.q && k [] nid
-    | (id, item) :: rest ->
-      let sym = Document.symbol item in
-      let q = (Product.node p nid).Product.q in
-      (* 1. keep moves: follow an edge labeled with this symbol, in
-         out-edge order *)
-      let keep_moves =
-        let moves = ref [] in
-        for i = fork.Fork_automaton.out_off.(q + 1) - 1
-            downto fork.Fork_automaton.out_off.(q) do
-          let eid = fork.Fork_automaton.out_edge.(i) in
-          match fork.Fork_automaton.edge_label.(eid) with
-          | Some s when Symbol.equal s sym -> moves := eid :: !moves
-          | Some _ | None -> ()
-        done;
-        !moves
-      in
-      (* 2. invoke moves: only for function occurrences with a fork here *)
-      let invoke_moves =
-        match sym with
-        | Symbol.Fun _ ->
-          List.filter_map
-            (fun eid ->
-              match Fork_automaton.fork_of_edge fork eid with
-              | Some f when eid = f.Fork_automaton.keep_edge -> Some f
-              | Some _ | None -> None)
-            keep_moves
-        | Symbol.Label _ | Symbol.Data -> []
-      in
-      (* fork-choice accounting only where a genuine choice exists *)
-      let at_fork = invoke_moves <> [] in
-      let try_keep eid =
-        if at_fork then begin
-          Metrics.inc m_fork_keep;
+  (* [walk game initial plan] runs the one materialization walk over
+     the strategy's nodes: [process items n stop k] consumes [items]
+     from node [n]; when they are exhausted it requires [stop n] and
+     calls [k emitted n_end]. It returns true as soon as one
+     alternative succeeds. *)
+  let walk : type n. n game -> n -> (n -> float) option -> bool * Document.forest option =
+   fun g initial plan ->
+    let rec process items n stop k =
+      match items with
+      | [] -> stop n && k [] n
+      | (id, item) :: rest ->
+        let sym = Document.symbol item in
+        (* fork-choice accounting only where a genuine choice exists *)
+        let at_fork = g.has_fork n sym in
+        let try_keep tgt =
+          if at_fork then begin
+            Metrics.inc m_fork_keep;
+            if Trace.enabled Trace.default then
+              let fname =
+                match sym with Symbol.Fun f -> f | _ -> Symbol.to_string sym
+              in
+              Trace.emit (Fork_choice { fname; choice = "keep" })
+          end;
+          g.good tgt
+          && process rest tgt stop (fun emitted n' -> k (item :: emitted) n')
+        in
+        let try_invoke callee enter =
+          Metrics.inc m_fork_invoke;
           if Trace.enabled Trace.default then
-            let fname =
-              match sym with Symbol.Fun f -> f | _ -> Symbol.to_string sym
-            in
-            Trace.emit (Fork_choice { fname; choice = "keep" })
-        end;
-        let tgt = step nid eid in
-        good tgt
-        && process rest tgt stop (fun emitted nid' -> k (item :: emitted) nid')
-      in
-      let try_invoke (f : Fork_automaton.fork) =
-        Metrics.inc m_fork_invoke;
-        if Trace.enabled Trace.default then
-          Trace.emit
-            (Fork_choice { fname = f.Fork_automaton.fname; choice = "invoke" });
-        let invoke_tgt = step nid f.Fork_automaton.invoke_edge in
-        good invoke_tgt
-        && begin
-          let params = Document.children item in
-          match invoke_once id f.Fork_automaton.fname params with
-          | Error () -> false  (* the service is down: this option is out *)
-          | Ok wrapped ->
-            let in_copy q = Auto.Int_set.mem q f.Fork_automaton.copy_finals in
-            process wrapped invoke_tgt in_copy (fun inner nid_end ->
-                let q_end = (Product.node p nid_end).Product.q in
-                match Fork_automaton.exit_edge fork f q_end with
-                | None -> false
-                | Some exit_eid ->
-                  let exit_tgt = step nid_end exit_eid in
-                  good exit_tgt
-                  && process rest exit_tgt stop (fun emitted nid' ->
-                         k (inner @ emitted) nid'))
-        end
-      in
-      (match plan with
-       | None ->
-         (* default greedy order: prefer not invoking — fewer side
-            effects, and free *)
-         List.exists try_keep keep_moves
-         || List.exists try_invoke invoke_moves
-       | Some estimate ->
-         (* cost-guided order: cheapest estimated remainder first *)
-         let candidates =
-           List.map
-             (fun eid -> (estimate (step nid eid), `Keep eid))
-             keep_moves
-           @ List.map
-               (fun (f : Fork_automaton.fork) ->
-                 ( fee f.Fork_automaton.fname
-                   +. estimate (step nid f.Fork_automaton.invoke_edge),
-                   `Invoke f ))
-               invoke_moves
-         in
-         let ordered =
-           List.sort (fun (c1, _) (c2, _) -> Float.compare c1 c2) candidates
-         in
-         List.exists
-           (fun (_, move) ->
-             match move with
-             | `Keep eid -> try_keep eid
-             | `Invoke f -> try_invoke f)
-           ordered)
+            Trace.emit (Fork_choice { fname = callee; choice = "invoke" });
+          g.good enter
+          && begin
+            let params = Document.children item in
+            match invoke_once id callee params with
+            | Error () -> false  (* the service is down: this option is out *)
+            | Ok wrapped ->
+              process wrapped enter (g.stop ~enter) (fun inner n_end ->
+                  match g.leave n_end with
+                  | None -> false
+                  | Some exit ->
+                    g.good exit
+                    && process rest exit stop (fun emitted n' ->
+                           k (inner @ emitted) n'))
+          end
+        in
+        (match plan with
+         | None ->
+           (* default greedy order: prefer not invoking — fewer side
+              effects, and free *)
+           g.exists_keep n sym try_keep || g.exists_fork n sym try_invoke
+         | Some estimate ->
+           (* cost-guided order: cheapest estimated remainder first *)
+           let candidates = ref [] in
+           let collect c = candidates := c :: !candidates; false in
+           ignore (g.exists_keep n sym (fun tgt -> collect (estimate tgt, `Keep tgt)));
+           ignore
+             (g.exists_fork n sym (fun callee enter ->
+                  collect (fee callee +. estimate enter, `Invoke (callee, enter))));
+           let ordered =
+             List.stable_sort (fun (c1, _) (c2, _) -> Float.compare c1 c2)
+               (List.rev !candidates)
+           in
+           List.exists
+             (fun (_, move) ->
+               match move with
+               | `Keep tgt -> try_keep tgt
+               | `Invoke (callee, enter) -> try_invoke callee enter)
+             ordered)
+    in
+    let result = ref None in
+    let ok =
+      g.good initial
+      && process (wrap items) initial g.complete (fun emitted n ->
+             if g.accepting n then begin
+               result := Some emitted;
+               true
+             end
+             else false)
+    in
+    (ok, !result)
   in
-  let result = ref None in
-  let top_stop q = q = fork.Fork_automaton.final in
-  let initial = Product.initial p in
-  let ok =
-    good initial
-    && process (wrap items) initial top_stop (fun emitted nid ->
-           if Product.good_accepting p nid then begin
-             result := Some emitted;
-             true
-           end
-           else false)
+  let (ok, result), possible =
+    match strategy with
+    | Follow_table r -> (walk table_game (Win.initial r) None, Win.kind r = Win.Possible)
+    | Follow_safe m ->
+      let p = m.Marking.product in
+      ( walk (product_game p (fun nid -> not (Marking.is_marked m nid))) (Product.initial p)
+          plan,
+        false )
+    | Follow_possible pos ->
+      let p = pos.Possible.product in
+      (walk (product_game p (Possible.is_live pos)) (Product.initial p) plan, true)
   in
   if ok then begin
     Metrics.inc m_runs_ok;
-    match !result with
+    match result with
     | Some materialized -> Ok { materialized; invocations = List.rev !invocations }
     | None -> Error (Invariant_violation "walk accepted without a result")
   end
@@ -348,9 +406,8 @@ let run ?plan ?(fee = fun _ -> 0.) ?validate ?reenforce strategy invoker
          match !reenforce_refused with
          | Some f -> f  (* a result no remaining budget could rewrite *)
          | None ->
-         match strategy with
-         | Follow_possible _ -> No_possible_path
-         | Follow_safe _ ->
+         if possible then No_possible_path
+         else begin
            (* A safe verdict cannot fail unless a service broke its
               contract: find the offending invocation by re-validating
               every cached result against its declared output type. *)
@@ -376,5 +433,6 @@ let run ?plan ?(fee = fun _ -> 0.) ?validate ?reenforce strategy invoker
                | inv :: _ -> Ill_typed_output inv
                | [] ->
                  Invariant_violation
-                   "safe walk failed before any service was invoked")))
+                   "safe walk failed before any service was invoked"))
+         end)
   end

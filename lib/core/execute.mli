@@ -2,12 +2,24 @@
     of Figure 3 and 7-10 of Figure 9).
 
     The materializer walks the concrete children forest left-to-right,
-    tracking the corresponding product node. At every function
-    occurrence the strategy decides between the fork options:
-    - {!Follow_safe} follows only unmarked nodes; the game guarantees
-      the walk cannot get stuck, whatever honest services return;
-    - {!Follow_possible} follows only live nodes and backtracks when a
-      call's actual return leaves every live path.
+    tracking the corresponding node of the solved game. At every
+    function occurrence the strategy decides between the fork options:
+    - {!Follow_table} follows a win-table analysis ({!Contract.safe_run},
+      {!Contract.possible_run}): a node is a position in the word or in
+      an invoked copy of an output automaton with a target-DFA state,
+      and it is good iff the state is in the position's winning set.
+      This is the production strategy;
+    - {!Follow_safe} follows the unmarked nodes of a {!Marking} game and
+      {!Follow_possible} the live nodes of a {!Possible} analysis, over
+      a product: the Figure 3/9 reference strategies, and the only ones
+      a cost plan ({!Cost}) can guide.
+
+    Safe strategies cannot get stuck whatever honest services return;
+    possible ones backtrack when a call's actual return leaves every
+    live path. All three run the same walk and try moves in the same
+    order (keep first, then invoke, in edge order), so a table strategy
+    and the product strategy of the same game make the same calls and
+    materialize the same forest.
 
     A call fires at most once per occurrence: results are cached, so
     backtracking re-examines recorded outputs instead of re-firing side
@@ -36,6 +48,7 @@ type invocation = {
 }
 
 type strategy =
+  | Follow_table of Win.run  (** safe or possible, as the run was solved *)
   | Follow_safe of Marking.t
   | Follow_possible of Possible.t
 
@@ -78,7 +91,8 @@ val run :
     invocation fees (e.g. [Cost.possible_costs]); alternatives are then
     tried cheapest first — the cost minimization of Figure 3 step 23 /
     Figure 9 step (d) — instead of the default keep-first greedy order.
-    [fee] prices an invoke option's immediate cost.
+    [fee] prices an invoke option's immediate cost. Both apply to the
+    product strategies; a {!Follow_table} walk ignores them.
 
     [validate fname forest] decides whether [forest] is an output
     instance of [fname]'s declared type (e.g. via

@@ -109,6 +109,8 @@ let outputs (env : Schema.env) : outputs =
   in
   Schema.String_map.map (output ~forks:(forks_in nfas)) nfas
 
+let bindings (outputs : outputs) = Schema.String_map.bindings outputs
+
 let add_output (outputs : outputs) name regex =
   if R.is_empty_language regex then outputs
   else

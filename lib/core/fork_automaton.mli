@@ -42,11 +42,28 @@ type t = {
 
 type stats = { states : int; edges : int; forks : int }
 
+type output = private {
+  o_size : int;    (** Glushkov states (positions), the start included *)
+  o_start : int;
+  o_finals : Axml_schema.Auto.Int_set.t;
+  o_src : int array;  (** edge -> source position *)
+  o_dst : int array;  (** edge -> destination position *)
+  o_label : Axml_schema.Symbol.t option array;  (** always [Some _] *)
+  o_label_id : int array;  (** edge -> dense symbol id *)
+  o_nested : bool array;   (** the label is a function that itself forks *)
+}
+(** One function's output automaton. Edges are numbered in the order
+    {!build} splices them into A_w^k, so the edges of one position, in
+    ascending number, are the order a walk over a copy tries them. *)
+
 type outputs
 (** Every invocable function's output automaton (the Glushkov NFA of
     [tau_out f]), compiled once per environment into flat edge arrays
     with precomputed dense symbol ids. Immutable: one value may be
     shared by any number of builds, across domains. *)
+
+val bindings : outputs -> (string * output) list
+(** Every compiled output automaton, by function name. *)
 
 val outputs : Axml_schema.Schema.env -> outputs
 (** Compile the output types of [env] (the merged sender + exchange

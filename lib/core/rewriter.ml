@@ -5,10 +5,10 @@
 
    Since the analysis of a children word depends only on the contract
    (schemas, k) and the word itself, the engine is a thin view
-   over [Contract]: every word-level question goes through the
-   contract's memo table, so repeated words — across the nodes of one
-   document or across a stream of documents against the same schema
-   pair — are answered by lookup.
+   over [Contract]: every word-level question is one pass over the
+   contract's win tables, whose entries any word — across the nodes of
+   one document or across a stream of documents against the same
+   schema pair — shares.
 
    Tree algorithm (Section 4): parameters of function nodes are handled
    before the functions themselves (the recursion below materializes a
@@ -154,7 +154,7 @@ let collect_failures ?k mode t (doc : Document.t) : failure list =
     List.iteri (fun i child -> visit (i :: path) child) (Document.children node)
   and check_word path ~fn name { Validate.regex; dfa } forest =
     (* already-conforming words are trivially rewritable (identity): the
-       dense membership test skips the analysis cache round-trip, and
+       dense membership test skips the win-table pass, and
        the context string only materializes for an actual failure *)
     if not (Validate.forest_accepted dfa forest) then begin
       let context = if fn then name ^ "()" else "<" ^ name ^ ">" in
@@ -243,20 +243,16 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
     let strategy =
       match mode with
       | Safe ->
-        let analysis =
-          Contract.safe_analysis ~k:depth t ~target_regex:regex word
-        in
-        if not analysis.Marking.safe then
+        let run = Contract.safe_run ~k:depth t ~target_regex:regex word in
+        if not (Win.ok run) then
           raise (Failed { at = List.rev path; reason = Unsafe_word { context; word } });
-        Execute.Follow_safe analysis
+        Execute.Follow_table run
       | Possible_mode ->
-        let analysis =
-          Contract.possible_analysis ~k:depth t ~target_regex:regex word
-        in
-        if not analysis.Possible.possible then
+        let run = Contract.possible_run ~k:depth t ~target_regex:regex word in
+        if not (Win.ok run) then
           raise
             (Failed { at = List.rev path; reason = Impossible_word { context; word } });
-        Execute.Follow_possible analysis
+        Execute.Follow_table run
     in
     (* The k-bounded hook: rewrite each returned node against the
        remaining budget. A non-fault [Failed] from the nested walk is
@@ -433,8 +429,8 @@ exception Hopeless
    k, so the document's minimum is the max over its words' minima
    (monotonicity makes the per-word minima well-defined). Unknown
    labels/functions and a root mismatch can never become rewritable at
-   any depth, so they answer None/None. Every per-word query goes
-   through the k-keyed analysis cache. *)
+   any depth, so they answer None/None. Every per-word query is a pass
+   over the win tables of its depth. *)
 let minimal_k ?max_k t (doc : Document.t) =
   if root_failures t doc <> [] then { safe_k = None; possible_k = None }
   else begin

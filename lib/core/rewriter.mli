@@ -3,10 +3,9 @@
     [target], decide safe / possible rewritability and materialize the
     document accordingly.
 
-    A rewriter is a compiled {!Contract}: all word-level analyses go
-    through the contract's memo table, so the same children word is
-    analyzed once per contract, not once per occurrence, and every
-    content model is stepped through the contract's one {!Validate.ctx}.
+    A rewriter is a compiled {!Contract}: every word-level analysis is
+    one pass over the contract's win tables ({!Win}), and every content
+    model is stepped through the contract's one {!Validate.ctx}.
     Build the contract yourself ({!Contract.create} + {!of_contract}) to
     share it across enforcement pipelines and batches; or let {!create}
     build a private one.
@@ -87,7 +86,7 @@ type mode = Safe | Possible_mode
 (** {2 The static check}
 
     Pick the mode, get a structured report (verdict, failures, and the
-    contract-cache activity the check caused). Word-level questions go
+    win-table activity the check caused). Word-level questions go
     to the {!Contract} entry points on {!contract}. *)
 
 type check_mode =
@@ -103,7 +102,7 @@ type check_mode =
 type check_report = {
   ok : bool;                 (** [failures = []] *)
   failures : failure list;   (** prefix order *)
-  cache : Contract.stats;    (** cache activity during this check
+  cache : Contract.stats;    (** win-table activity during this check
                                  (deltas; [entries] is absolute) *)
 }
 
@@ -111,7 +110,7 @@ val check : ?mode:check_mode -> ?k:int -> t -> Document.t -> check_report
 (** Static check, no invocation (except the eager calls of
     [Check_mixed]). Default mode is [Check_safe]; [?k] overrides the
     contract's rewriting depth for this one check (verdicts at
-    different depths are cached separately and never alias). *)
+    different depths use separate tables and never alias). *)
 
 (** {1 Materialization} *)
 

@@ -35,7 +35,7 @@ val reachable_labels :
 
 val check : Contract.t -> root:string -> result
 (** One verdict per label of the sender schema reachable from [root].
-    Leaves the contract's analysis cache and {!Contract.stats}
+    Leaves the contract's win tables and {!Contract.stats}
     untouched. *)
 
 val compatible : Contract.t -> root:string -> bool

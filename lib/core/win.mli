@@ -1,0 +1,100 @@
+(** Winning-set tables: the safe (Figure 3) and possible (Figure 9)
+    rewriting games, solved per content model and depth instead of per
+    children word.
+
+    For a target DFA and depth b, a right-to-left pass over a word
+    [w_1 .. w_n] computes the sets of DFA states from which the rest of
+    the word wins: [S_n] is the final states and
+    [S_i = pre_{w_i}(S_{i+1}) ∪ Inv^b_{w_i}(S_{i+1})], where
+    [Inv^b_f(S)] — empty unless [f] forks and [b ≥ 1] — is a fixpoint
+    over the Glushkov positions of [tau_out f] with exit set [S]. Each
+    step is a table entry, filled on first use and read without a lock
+    afterwards. The verdict is "the DFA's start state is in [S_0]", and
+    the same sets are the strategy: {!Execute} walks (position, DFA
+    state) pairs and keeps a node iff its state is in its position's
+    set. The verdicts and walks are those of {!Marking} / {!Possible}
+    on A_w^b (property-tested).
+
+    {b Domain safety.} Entries are filled under one lock per {!t} and
+    published immutably, so any number of domains may share the tables
+    of a {!t}: lookups take no lock, and every entry is filled once. *)
+
+type kind = Safe | Possible
+
+type t
+(** The word-independent part: every forking function's output
+    automaton, indexed by Glushkov position, and the lock that guards
+    every table built on it. *)
+
+val create : Fork_automaton.outputs -> t
+
+type table
+(** The tables of one content model: its interned winning sets and
+    one game per (kind, depth), all filled lazily. *)
+
+val table : t -> Axml_schema.Auto.Dfa.Dense.dense -> table
+(** Empty tables over a target DFA (a {!Validate.model}'s [dfa]). *)
+
+val set_count : table -> int
+(** Winning sets interned so far (the empty set and the final states
+    included). *)
+
+(** {1 Analyses} *)
+
+type run
+(** One word solved at one depth: its sets [S_0 .. S_n]. *)
+
+val solve : table -> kind -> budget:int -> Axml_schema.Symbol.t list -> run
+(** The right-to-left pass at depth [budget], filling any entry it
+    misses. *)
+
+val ok : run -> bool
+(** The verdict: safe (resp. possible) rewriting exists. *)
+
+val kind : run -> kind
+
+val fills : run -> int
+(** Entries this pass filled (0: answered from filled entries). *)
+
+val fill_seconds : run -> float
+(** Wall time this pass spent filling entries, lock waits included. *)
+
+(** {1 The strategy}
+
+    A node is a position in the word, or in an invoked copy of an
+    output automaton, with the DFA state the materialized prefix
+    reaches. Moves are offered in the order A_w^k orders its edges, so
+    a walk that tries them in order makes the choices a walk over the
+    product makes. *)
+
+type node
+
+val initial : run -> node
+val good : node -> bool
+(** The node's state is in its position's winning set. *)
+
+val exists_keep : node -> Axml_schema.Symbol.t -> (node -> bool) -> bool
+(** [exists_keep n sym f]: [f] on the target of each keep move for an
+    item of symbol [sym], in edge order, until one answers [true]. *)
+
+val has_fork : node -> Axml_schema.Symbol.t -> bool
+(** Is one of those edges a fork (an invocable call within the
+    remaining depth)? *)
+
+val exists_fork : node -> Axml_schema.Symbol.t -> (string -> node -> bool) -> bool
+(** [exists_fork n sym f]: [f callee start] for each fork among those
+    edges, in edge order — the function to call and the start of its
+    copy — until one answers [true]. *)
+
+val copy_done : enter:node -> node -> bool
+(** [copy_done ~enter n]: [n] is at a final position of the copy that
+    [enter] started. *)
+
+val leave : node -> node option
+(** Leave a copy from a final position, back to where it was invoked. *)
+
+val complete : node -> bool
+(** The whole word has been read. *)
+
+val accepting : node -> bool
+(** The node's DFA state is final. *)

@@ -41,8 +41,8 @@ type kind =
   | Span_close of { name : string; elapsed_s : float }
       (** The matching phase ended, [elapsed_s] after it opened. *)
   | Cache_query of { cache : string; hit : bool }
-      (** A memoized analysis was looked up ([cache] is ["safe"] or
-          ["possible"] for contract word analyses). *)
+      (** A contract word analysis ran ([cache] is ["safe"] or
+          ["possible"]); [hit] when it filled no win-table entry. *)
   | Fork_choice of { fname : string; choice : string }
       (** During {!Axml_core.Execute.run}, a fork node for function
           [fname] was resolved by [choice] (["keep"] or ["invoke"]).

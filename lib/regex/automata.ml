@@ -698,6 +698,11 @@ module Make (Sym : SYMBOL) = struct
         s >= 0
         && Char.code (Bytes.get d.accept (s / 8)) land (1 lsl (s mod 8)) <> 0
 
+      let columns d = d.cols
+
+      let step_column d s col =
+        if s < 0 || col < 0 then -1 else d.trans.((s * d.width) + col)
+
       (* One step by dense symbol id; [-1] (reject) is absorbing. *)
       let step_id d s id =
         if s < 0 then -1

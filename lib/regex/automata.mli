@@ -153,6 +153,16 @@ module Make (Sym : SYMBOL) : sig
       val width : dense -> int
       val is_final : dense -> int -> bool
 
+      val columns : dense -> int array
+      (** Dense symbol id -> column, [-1] outside the DFA's alphabet;
+          ids past the end are outside it too. Symbols of one column
+          step every state alike. The array belongs to the DFA: do not
+          mutate it. *)
+
+      val step_column : dense -> int -> int -> int
+      (** [step_column d state col]: one transition by column; [-1] for
+          the reject state or column [-1]. *)
+
       val step_id : dense -> int -> int -> int
       (** [step_id d state id]: one transition by dense symbol id.
           Unknown symbols and missing transitions yield [-1]. *)

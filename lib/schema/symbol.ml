@@ -26,9 +26,3 @@ let pp ppf = function
   | Data -> Fmt.string ppf "#data"
 
 let to_string = Fmt.to_to_string pp
-
-(* Every symbol counts: one polymorphic [Hashtbl.hash] of the list would
-   stop after 10 meaningful values, about 10 symbols, so long words
-   differing only in their tails would collide. *)
-let hash_word w =
-  List.fold_left (fun h sym -> (h * 31) + Hashtbl.hash sym) 0 w land max_int

@@ -12,7 +12,3 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : t Fmt.t
 val to_string : t -> string
-
-val hash_word : t list -> int
-(** A non-negative hash of a whole children word: every symbol
-    contributes, where [Hashtbl.hash] stops after about 10. *)

@@ -5,7 +5,10 @@
 
    - Cross-checking: the automata-based engines (Marking, Possible) are
      property-tested against [safe] / [possible] below on random
-     star-free instances.
+     star-free instances. [safe] lets the player see a whole output
+     word before deciding on the calls inside it, where Marking only
+     knows the Glushkov position the adversary chose; the two agree at
+     k <= 1 (see exhaustive.mli), [possible] at every k.
 
    - Exploring the paper's left-to-right restriction (Section 3): the
      paper notes that "one can miss a successful rewriting that is not

@@ -20,7 +20,7 @@ module Validate = Axml_core.Validate
 module Generate = Axml_core.Generate
 module Schema_rewrite = Axml_core.Schema_rewrite
 module Fork_automaton = Axml_core.Fork_automaton
-module Product = Axml_core.Product
+module Win = Axml_core.Win
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -129,14 +129,14 @@ let test_fork_automaton_shape () =
 let test_safe_into_star2 () =
   let c = contract schema_star2 in
   let regex = contract_regex c "newspaper" in
-  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
-  check "safe" true analysis.Marking.safe;
+  let analysis = Contract.safe_run c ~target_regex:regex newspaper_word in
+  check "safe" true (Win.ok analysis);
   let items =
     [ D.elem "title" [ D.data "t" ]; D.elem "date" [ D.data "d" ];
       D.call "Get_Temp" [ D.elem "city" [ D.data "Paris" ] ];
       D.call "TimeOut" [ D.data "exhibits" ] ]
   in
-  match Execute.run (Execute.Follow_safe analysis) (honest_invoker ?timeout_returns:None) items with
+  match Execute.run (Execute.Follow_table analysis) (honest_invoker ?timeout_returns:None) items with
   | Error e -> Alcotest.failf "safe execution failed: %a" Execute.pp_failure e
   | Ok outcome ->
     let names = List.map (fun i -> i.Execute.inv_name) outcome.Execute.invocations in
@@ -166,15 +166,15 @@ let test_unsafe_into_star3 () =
 let test_possible_into_star3 () =
   let c = contract schema_star3 in
   let regex = contract_regex c "newspaper" in
-  let analysis = Contract.possible_analysis c ~target_regex:regex newspaper_word in
-  check "possible" true analysis.Possible.possible;
+  let analysis = Contract.possible_run c ~target_regex:regex newspaper_word in
+  check "possible" true (Win.ok analysis);
   let items =
     [ D.elem "title" [ D.data "t" ]; D.elem "date" [ D.data "d" ];
       D.call "Get_Temp" [ D.elem "city" [ D.data "Paris" ] ];
       D.call "TimeOut" [ D.data "exhibits" ] ]
   in
   (* TimeOut returns only exhibits: the attempt succeeds, both invoked *)
-  (match Execute.run (Execute.Follow_possible analysis)
+  (match Execute.run (Execute.Follow_table analysis)
            (honest_invoker ~timeout_returns:`Exhibits) items with
    | Error e -> Alcotest.failf "expected success, got %a" Execute.pp_failure e
    | Ok outcome ->
@@ -183,8 +183,8 @@ let test_possible_into_star3 () =
      in
      Alcotest.(check (list string)) "both invoked" [ "Get_Temp"; "TimeOut" ] names);
   (* TimeOut returns a performance: the attempt fails (Figure 9c) *)
-  let analysis = Contract.possible_analysis c ~target_regex:regex newspaper_word in
-  (match Execute.run (Execute.Follow_possible analysis)
+  let analysis = Contract.possible_run c ~target_regex:regex newspaper_word in
+  (match Execute.run (Execute.Follow_table analysis)
            (honest_invoker ~timeout_returns:`Performance) items with
    | Error Execute.No_possible_path -> ()
    | Error e -> Alcotest.failf "expected No_possible_path, got %a" Execute.pp_failure e
@@ -194,14 +194,14 @@ let test_possible_into_star3 () =
 let test_already_instance () =
   let c = contract schema_star in
   let regex = contract_regex c "newspaper" in
-  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
-  check "safe" true analysis.Marking.safe;
+  let analysis = Contract.safe_run c ~target_regex:regex newspaper_word in
+  check "safe" true (Win.ok analysis);
   let items =
     [ D.elem "title" [ D.data "t" ]; D.elem "date" [ D.data "d" ];
       D.call "Get_Temp" [ D.elem "city" [ D.data "Paris" ] ];
       D.call "TimeOut" [ D.data "exhibits" ] ]
   in
-  match Execute.run (Execute.Follow_safe analysis)
+  match Execute.run (Execute.Follow_table analysis)
           (fun name _ -> Alcotest.failf "unexpected call to %s" name) items with
   | Error e -> Alcotest.failf "execution failed: %a" Execute.pp_failure e
   | Ok outcome -> check_int "no invocations" 0 (List.length outcome.Execute.invocations)
@@ -400,12 +400,12 @@ let test_invocation_failed_attempts () =
 let test_zero_invocation_invariant () =
   let c = contract schema_star2 in
   let regex = contract_regex c "newspaper" in
-  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
+  let analysis = Contract.safe_run c ~target_regex:regex newspaper_word in
   (* items that do not spell the analyzed word: the walk dies without
      invoking anything *)
   let items = [ D.elem "date" [ D.data "d" ] ] in
   match
-    Execute.run (Execute.Follow_safe analysis)
+    Execute.run (Execute.Follow_table analysis)
       (fun name _ -> Alcotest.failf "unexpected call to %s" name)
       items
   with
@@ -435,14 +435,14 @@ let test_depth_k () =
   let c2 = Contract.create ~k:2 ~s0:exhibits_schema ~target:exhibits_schema () in
   check "k=2 safe" true (Contract.is_safe c2 ~target_regex:(target c2) word);
   (* execution at k=2: Get_Exhibits returns three Get_Exhibit calls *)
-  let analysis = Contract.safe_analysis c2 ~target_regex:(target c2) word in
+  let analysis = Contract.safe_run c2 ~target_regex:(target c2) word in
   let invoker name _ =
     match name with
     | "Get_Exhibits" -> List.init 3 (fun _ -> D.call "Get_Exhibit" [])
     | "Get_Exhibit" -> [ D.elem "exhibit" [ D.data "e" ] ]
     | other -> Alcotest.failf "unexpected %s" other
   in
-  match Execute.run (Execute.Follow_safe analysis) invoker [ D.call "Get_Exhibits" [] ] with
+  match Execute.run (Execute.Follow_table analysis) invoker [ D.call "Get_Exhibits" [] ] with
   | Error e -> Alcotest.failf "execution failed: %a" Execute.pp_failure e
   | Ok outcome ->
     check_int "four invocations" 4 (List.length outcome.Execute.invocations);
@@ -586,11 +586,11 @@ function F : #data -> a
        [ Symbol.Label "a"; Symbol.Label "b" ]);
   (* a function is not an element: must be invoked *)
   let analysis =
-    Contract.safe_analysis c ~target_regex:regex [ Symbol.Fun "F" ]
+    Contract.safe_run c ~target_regex:regex [ Symbol.Fun "F" ]
   in
-  check "function must be invoked" true analysis.Marking.safe;
+  check "function must be invoked" true (Win.ok analysis);
   let outcome =
-    Execute.run (Execute.Follow_safe analysis)
+    Execute.run (Execute.Follow_table analysis)
       (fun _ _ -> [ D.elem "a" [ D.data "x" ] ])
       [ D.call "F" [ D.data "p" ] ]
   in
@@ -862,14 +862,14 @@ let prop_engines_match_reference =
       let c = Contract.create ~k ~s0:s ~target:s () in
       let a_eager, a_lazy = eager_and_lazy c ~target_regex word in
       let eager_safe = a_eager.Marking.safe and lazy_safe = a_lazy.Marking.safe in
-      let contract_safe = (Contract.safe_analysis c ~target_regex word).Marking.safe in
+      let contract_safe = Contract.is_safe c ~target_regex word in
       let possible = Contract.is_possible c ~target_regex word in
       if eager_safe <> ref_safe then
         QCheck.Test.fail_reportf "eager safe=%b but reference=%b" eager_safe ref_safe;
       if lazy_safe <> ref_safe then
         QCheck.Test.fail_reportf "lazy safe=%b but reference=%b" lazy_safe ref_safe;
       if contract_safe <> eager_safe then
-        QCheck.Test.fail_reportf "Contract.safe_analysis safe=%b but eager=%b"
+        QCheck.Test.fail_reportf "Contract.is_safe=%b but eager=%b"
           contract_safe eager_safe;
       if possible <> ref_possible then
         QCheck.Test.fail_reportf "possible=%b but reference=%b" possible ref_possible;
@@ -896,8 +896,8 @@ let prop_safe_execution_robust =
       let env = Schema.env_of_schema s in
       let target_regex = Schema.compile_content env target in
       let c = Contract.create ~k ~s0:s ~target:s () in
-      let analysis = Contract.safe_analysis c ~target_regex word in
-      QCheck.assume analysis.Marking.safe;
+      let analysis = Contract.safe_run c ~target_regex word in
+      QCheck.assume (Win.ok analysis);
       let rng = Random.State.make [| seed |] in
       let outputs fname =
         match Schema.String_map.find_opt fname env.Schema.env_functions with
@@ -911,7 +911,7 @@ let prop_safe_execution_robust =
         List.map mini_item o
       in
       let items = List.map mini_item word in
-      match Execute.run (Execute.Follow_safe analysis) invoker items with
+      match Execute.run (Execute.Follow_table analysis) invoker items with
       | Error _ -> QCheck.Test.fail_report "safe execution failed"
       | Ok outcome ->
         let final_word = D.word outcome.Execute.materialized in
@@ -1016,6 +1016,13 @@ let prop_k_monotone =
 
 module Cost = Axml_core.Cost
 
+(* Cost planning runs on the reference engines' products. *)
+let ref_safe c ~target_regex word =
+  Marking.analyze_lazy (Contract.product c ~target_regex word)
+
+let ref_possible c ~target_regex word =
+  Possible.analyze (Contract.product c ~target_regex word)
+
 let example_fee = function
   | "Get_Temp" -> 0.1
   | "TimeOut" -> 1.0
@@ -1025,7 +1032,7 @@ let test_cost_safe_worst () =
   (* into schema 2: the strategy invokes Get_Temp and keeps TimeOut *)
   let c = contract schema_star2 in
   let regex = contract_regex c "newspaper" in
-  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
+  let analysis = ref_safe c ~target_regex:regex newspaper_word in
   (match Cost.safe_worst_cost analysis ~cost:example_fee with
    | Some c -> Alcotest.(check (float 1e-9)) "worst fee" 0.1 c
    | None -> Alcotest.fail "expected a bound");
@@ -1036,21 +1043,21 @@ let test_cost_safe_worst () =
   (* into schema 1: already an instance, zero cost *)
   let c1 = contract schema_star in
   let regex1 = contract_regex c1 "newspaper" in
-  let analysis1 = Contract.safe_analysis c1 ~target_regex:regex1 newspaper_word in
+  let analysis1 = ref_safe c1 ~target_regex:regex1 newspaper_word in
   (match Cost.safe_worst_cost analysis1 ~cost:example_fee with
    | Some c -> Alcotest.(check (float 1e-9)) "free" 0.0 c
    | None -> Alcotest.fail "expected a bound");
   (* into schema 3: not safe at all *)
   let c3 = contract schema_star3 in
   let regex3 = contract_regex c3 "newspaper" in
-  let analysis3 = Contract.safe_analysis c3 ~target_regex:regex3 newspaper_word in
+  let analysis3 = ref_safe c3 ~target_regex:regex3 newspaper_word in
   check "unsafe has no bound" true
     (Cost.safe_worst_cost analysis3 ~cost:example_fee = None)
 
 let test_cost_possible_min () =
   let c3 = contract schema_star3 in
   let regex3 = contract_regex c3 "newspaper" in
-  let analysis = Contract.possible_analysis c3 ~target_regex:regex3 newspaper_word in
+  let analysis = ref_possible c3 ~target_regex:regex3 newspaper_word in
   (* the only hopeful path invokes both functions: 0.1 + 1.0 *)
   (match Cost.possible_min_cost analysis ~cost:example_fee with
    | Some c -> Alcotest.(check (float 1e-9)) "both fees" 1.1 c
@@ -1058,7 +1065,7 @@ let test_cost_possible_min () =
   (* into schema 2 the cheap path only invokes Get_Temp *)
   let c2 = contract schema_star2 in
   let regex2 = contract_regex c2 "newspaper" in
-  let analysis2 = Contract.possible_analysis c2 ~target_regex:regex2 newspaper_word in
+  let analysis2 = ref_possible c2 ~target_regex:regex2 newspaper_word in
   (match Cost.possible_min_cost analysis2 ~cost:example_fee with
    | Some c -> Alcotest.(check (float 1e-9)) "cheap path" 0.1 c
    | None -> Alcotest.fail "expected a cost")
@@ -1078,13 +1085,13 @@ function G : () -> a
   in
   let c = Contract.create ~k:2 ~s0:s ~target:s () in
   let target = R.star (R.sym (Symbol.Label "a")) in
-  let analysis = Contract.safe_analysis c ~target_regex:target [ Symbol.Fun "F" ] in
+  let analysis = ref_safe c ~target_regex:target [ Symbol.Fun "F" ] in
   check "safe" true analysis.Marking.safe;
   (match Cost.safe_worst_cost analysis ~cost:(fun _ -> 1.) with
    | Some c -> check "unbounded worst case" true (c = Float.infinity)
    | None -> Alcotest.fail "expected a (infinite) bound");
   (* the optimistic cost is finite: F may return zero handles *)
-  let poss = Contract.possible_analysis c ~target_regex:target [ Symbol.Fun "F" ] in
+  let poss = ref_possible c ~target_regex:target [ Symbol.Fun "F" ] in
   (match Cost.possible_min_cost poss ~cost:(fun _ -> 1.) with
    | Some c -> Alcotest.(check (float 1e-9)) "one call suffices optimistically" 1.0 c
    | None -> Alcotest.fail "expected a cost")
@@ -1093,11 +1100,11 @@ let test_cost_keep_is_free () =
   (* when the target accepts the function symbol, keeping it costs 0 *)
   let c = contract schema_star in
   let regex = contract_regex c "newspaper" in
-  let analysis = Contract.safe_analysis c ~target_regex:regex newspaper_word in
+  let analysis = ref_safe c ~target_regex:regex newspaper_word in
   (match Cost.safe_worst_cost analysis ~cost:example_fee with
    | Some c -> Alcotest.(check (float 1e-9)) "free" 0.0 c
    | None -> Alcotest.fail "expected a bound");
-  let poss = Contract.possible_analysis c ~target_regex:regex newspaper_word in
+  let poss = ref_possible c ~target_regex:regex newspaper_word in
   match Cost.possible_min_cost poss ~cost:example_fee with
   | Some c -> Alcotest.(check (float 1e-9)) "free" 0.0 c
   | None -> Alcotest.fail "expected a cost"
@@ -1134,7 +1141,7 @@ let test_cost_guided_execution () =
   let c = Contract.create ~k:1 ~s0:tradeoff_schema ~target:tradeoff_schema () in
   let regex = contract_regex c "doc" in
   let word = D.word tradeoff_items in
-  let analysis = Contract.safe_analysis c ~target_regex:regex word in
+  let analysis = ref_safe c ~target_regex:regex word in
   check "safe" true analysis.Marking.safe;
   (* the best strategy only ever pays for F *)
   (match Cost.safe_worst_cost analysis ~cost:tradeoff_fee with
@@ -1145,7 +1152,7 @@ let test_cost_guided_execution () =
    | Ok outcome -> Alcotest.(check (float 1e-9)) "greedy pays 10" 10.0 (total_fee outcome)
    | Error e -> Alcotest.failf "execution failed: %a" Execute.pp_failure e);
   (* the cost-guided order follows the optimal plan *)
-  let poss = Contract.possible_analysis c ~target_regex:regex word in
+  let poss = ref_possible c ~target_regex:regex word in
   (match Cost.possible_min_cost poss ~cost:tradeoff_fee with
    | Some c -> Alcotest.(check (float 1e-9)) "optimal plan" 1.0 c
    | None -> Alcotest.fail "expected a cost");
@@ -1166,11 +1173,11 @@ let prop_safe_worst_at_least_possible_min =
       let env = Schema.env_of_schema s in
       let target_regex = Schema.compile_content env target in
       let c = Contract.create ~k ~s0:s ~target:s () in
-      let analysis = Contract.safe_analysis c ~target_regex word in
+      let analysis = ref_safe c ~target_regex word in
       QCheck.assume analysis.Marking.safe;
       let fee = function "f" -> 1.0 | "g" -> 3.0 | _ -> 10.0 in
       let worst = Cost.safe_worst_cost analysis ~cost:fee in
-      let poss = Contract.possible_analysis c ~target_regex word in
+      let poss = ref_possible c ~target_regex word in
       let best = Cost.possible_min_cost poss ~cost:fee in
       match worst, best with
       | Some w, Some b -> b <= w +. 1e-9
@@ -1272,7 +1279,7 @@ let prop_tree_materialization_sound =
                 Fmt.(list Validate.pp_violation) vs)))
 
 (* ------------------------------------------------------------------ *)
-(* Compiled contracts: memo table, counters, eviction                  *)
+(* Compiled contracts: verdicts, counters, shared tables              *)
 (* ------------------------------------------------------------------ *)
 
 let test_contract_verdicts () =
@@ -1308,16 +1315,19 @@ let test_contract_counters () =
   let s0 = Contract.stats c in
   check_int "fresh: no hits" 0 s0.Contract.hits;
   check_int "fresh: no misses" 0 s0.Contract.misses;
-  (* unsafe-but-possible word: analyze computes safe AND possible *)
+  (* unsafe-but-possible word: analyze solves the safe AND the possible
+     game, and each fills table entries the first time *)
   ignore (Contract.analyze c ~context:(Contract.Element "newspaper") newspaper_word);
   let s1 = Contract.stats c in
   check_int "cold analyze: 2 misses" 2 s1.Contract.misses;
   check_int "cold analyze: 0 hits" 0 s1.Contract.hits;
-  check_int "both analyses share one slot" 1 s1.Contract.entries;
+  check "cold analyze filled entries" true (s1.Contract.entries > 0);
+  check_int "nothing is evicted" 0 s1.Contract.evictions;
   ignore (Contract.analyze c ~context:(Contract.Element "newspaper") newspaper_word);
   let s2 = Contract.stats c in
   check_int "warm analyze: 2 hits" 2 s2.Contract.hits;
   check_int "warm analyze: no new miss" 2 s2.Contract.misses;
+  check_int "warm analyze: no new entry" s1.Contract.entries s2.Contract.entries;
   check "hit rate" true (Contract.hit_rate s2 = 0.5);
   let d = Contract.diff_stats ~before:s1 s2 in
   check_int "diff hits" 2 d.Contract.hits;
@@ -1325,41 +1335,30 @@ let test_contract_counters () =
   Contract.reset_stats c;
   let s3 = Contract.stats c in
   check_int "reset zeroes hits" 0 s3.Contract.hits;
-  check_int "reset keeps entries" 1 s3.Contract.entries;
+  check_int "reset zeroes misses" 0 s3.Contract.misses;
+  check_int "reset keeps entries" s1.Contract.entries s3.Contract.entries;
   ignore (Contract.analyze c ~context:(Contract.Element "newspaper") newspaper_word);
-  check_int "entries survive reset" 2 (Contract.stats c).Contract.hits;
-  Contract.clear c;
-  check_int "clear drops entries" 0 (Contract.stats c).Contract.entries;
-  ignore (Contract.analyze c ~context:(Contract.Element "newspaper") newspaper_word);
-  check_int "cleared cache recomputes" 2 (Contract.stats c).Contract.misses
-
-let test_contract_eviction () =
-  let c =
-    Contract.create ~cache_capacity:1 ~s0:schema_star ~target:schema_star2 ()
-  in
-  let regex = contract_regex c "newspaper" in
-  let w1 = newspaper_word and w2 = [ Symbol.Label "title" ] in
-  ignore (Contract.is_safe c ~target_regex:regex w1);
-  ignore (Contract.is_safe c ~target_regex:regex w2);  (* evicts w1 (FIFO) *)
-  ignore (Contract.is_safe c ~target_regex:regex w1);  (* miss again, evicts w2 *)
-  let s = Contract.stats c in
-  check_int "no hits" 0 s.Contract.hits;
-  check_int "three misses" 3 s.Contract.misses;
-  check_int "two evictions" 2 s.Contract.evictions;
-  check_int "bounded residency" 1 s.Contract.entries
+  check_int "tables survive reset" 2 (Contract.stats c).Contract.hits
 
 let test_word_analyses_cached () =
   let c = contract schema_star2 in
   let regex = contract_regex c "newspaper" in
-  let a1 = Contract.safe_analysis c ~target_regex:regex newspaper_word in
-  let a2 = Contract.safe_analysis c ~target_regex:regex newspaper_word in
-  check "same analysis object returned" true (a1 == a2);
+  let r1 = Contract.safe_run c ~target_regex:regex newspaper_word in
+  check "a first fill is a miss" true (Win.fills r1 > 0);
+  check_int "miss recorded" 1 (Contract.stats c).Contract.misses;
+  let r2 = Contract.safe_run c ~target_regex:regex newspaper_word in
+  check_int "a repeated word fills nothing" 0 (Win.fills r2);
   check_int "hit recorded" 1 (Contract.stats c).Contract.hits;
   check "is_safe agrees" true (Contract.is_safe c ~target_regex:regex newspaper_word);
-  let p1 = Contract.possible_analysis c ~target_regex:regex newspaper_word in
-  let p2 = Contract.possible_analysis c ~target_regex:regex newspaper_word in
-  check "possible analysis cached too" true (p1 == p2);
-  check_int "possible hit recorded" 3 (Contract.stats c).Contract.hits
+  ignore (Contract.possible_run c ~target_regex:regex newspaper_word);
+  let p2 = Contract.possible_run c ~target_regex:regex newspaper_word in
+  check_int "possible repeat fills nothing" 0 (Win.fills p2);
+  check_int "possible hit recorded" 3 (Contract.stats c).Contract.hits;
+  (* a word never analyzed whose steps are all filled is a hit too: the
+     tables are shared by every word, not keyed by one *)
+  check "a lone TimeOut is unsafe" false
+    (Contract.is_safe c ~target_regex:regex [ Symbol.Fun "TimeOut" ]);
+  check_int "new word, filled steps: a hit" 4 (Contract.stats c).Contract.hits
 
 let test_unified_check_report () =
   let rw = rewriter schema_star2 in
@@ -1454,127 +1453,6 @@ let prop_contract_check_parity =
             Contract.pp_stats warm.Rewriter.cache;
         true)
 
-(* ------------------------------------------------------------------ *)
-(* Analysis-cache accounting: FIFO reference model, domain safety      *)
-(* ------------------------------------------------------------------ *)
-
-(* One declared element [a = #data]; the analyzed words are a^i, so a
-   word is identified by its length and the target regex [star a]
-   accepts everything — the analyses themselves are trivial, the cache
-   bookkeeping is the subject. *)
-let cache_schema =
-  Schema.with_root
-    (Schema.add_element Schema.empty "a" (R.sym Schema.A_data))
-    "a"
-
-let cache_regex = R.star (R.sym (Symbol.Label "a"))
-let cache_word len = List.init len (fun _ -> Symbol.Label "a")
-
-let run_cache_op c = function
-  | len, `Safe -> ignore (Contract.safe_analysis c ~target_regex:cache_regex (cache_word len))
-  | len, `Possible ->
-    ignore (Contract.possible_analysis c ~target_regex:cache_regex (cache_word len))
-
-(* Exact sequential reference: a FIFO of resident keys, each holding
-   the set of kinds already computed (both kinds of one word share the
-   slot, as in the implementation). *)
-let cache_reference ~capacity ops =
-  let resident = ref [] in  (* oldest first: (len, kinds) *)
-  let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
-  List.iter
-    (fun (len, kind) ->
-      match List.assoc_opt len !resident with
-      | Some kinds when List.mem kind !kinds -> incr hits
-      | Some kinds -> incr misses; kinds := kind :: !kinds
-      | None ->
-        incr misses;
-        if List.length !resident >= capacity then begin
-          resident := List.tl !resident;
-          incr evictions
-        end;
-        resident := !resident @ [ (len, ref [ kind ]) ])
-    ops;
-  (!hits, !misses, !evictions, List.length !resident)
-
-let arb_cache_ops =
-  QCheck.(
-    pair
-      (int_range 1 4)  (* capacity *)
-      (small_list (pair (int_range 0 5) (oneofl [ `Safe; `Possible ]))))
-
-let prop_cache_fifo_model =
-  QCheck.Test.make ~count:300
-    ~name:"cache counters match the FIFO reference model (sequential)"
-    arb_cache_ops
-    (fun (capacity, ops) ->
-      let c =
-        Contract.create ~cache_capacity:capacity ~s0:cache_schema
-          ~target:cache_schema ()
-      in
-      List.iter
-        (fun op ->
-          run_cache_op c op;
-          (* residency never exceeds capacity, at any point *)
-          if (Contract.stats c).Contract.entries > capacity then
-            QCheck.Test.fail_reportf "residency exceeded capacity %d: %a"
-              capacity Contract.pp_stats (Contract.stats c))
-        ops;
-      let st = Contract.stats c in
-      let hits, misses, evictions, entries = cache_reference ~capacity ops in
-      if st.Contract.hits <> hits || st.Contract.misses <> misses
-         || st.Contract.evictions <> evictions || st.Contract.entries <> entries
-      then
-        QCheck.Test.fail_reportf
-          "model (%d/%d/%d/%d) <> cache %a (capacity %d)" hits misses
-          evictions entries Contract.pp_stats st capacity;
-      (* entry creations - residents = evictions, so the eviction count
-         is never below the distinct-words floor *)
-      if st.Contract.evictions
-         < max 0
-             (List.length (List.sort_uniq compare (List.map fst ops)) - capacity)
-      then QCheck.Test.fail_reportf "too few evictions: %a" Contract.pp_stats st;
-      true)
-
-(* Concurrent access: [jobs] domains replay the same op list against
-   one shared contract. With capacity >= distinct words nothing is
-   ever evicted, and because uncached analyses are computed under the
-   cache lock, each (word, kind) is computed exactly once process-wide
-   — so the counters are deterministic even under interleaving. *)
-let prop_cache_domain_safe =
-  QCheck.Test.make ~count:60
-    ~name:"cache counters stay exact under concurrent domains"
-    QCheck.(
-      pair (oneofl [ 2; 4 ])
-        (small_list (pair (int_range 0 5) (oneofl [ `Safe; `Possible ]))))
-    (fun (jobs, ops) ->
-      let c =
-        Contract.create ~cache_capacity:64 ~s0:cache_schema
-          ~target:cache_schema ()
-      in
-      let domains =
-        Array.init jobs (fun _ ->
-            Domain.spawn (fun () -> List.iter (run_cache_op c) ops))
-      in
-      Array.iter Domain.join domains;
-      let st = Contract.stats c in
-      let distinct_words =
-        List.length (List.sort_uniq compare (List.map fst ops))
-      in
-      let distinct_pairs = List.length (List.sort_uniq compare ops) in
-      let total = jobs * List.length ops in
-      if st.Contract.evictions <> 0 then
-        QCheck.Test.fail_reportf "unexpected evictions: %a" Contract.pp_stats st;
-      if st.Contract.entries <> distinct_words then
-        QCheck.Test.fail_reportf "expected %d entries: %a" distinct_words
-          Contract.pp_stats st;
-      if st.Contract.misses <> distinct_pairs then
-        QCheck.Test.fail_reportf "expected %d misses (one per (word, kind)): %a"
-          distinct_pairs Contract.pp_stats st;
-      if st.Contract.hits <> total - distinct_pairs then
-        QCheck.Test.fail_reportf "expected %d hits: %a" (total - distinct_pairs)
-          Contract.pp_stats st;
-      true)
-
 (* Verdicts computed at different depths through one contract must
    never alias in the analysis cache: f needs two levels (its output is
    the call g, whose output is an a), so the k=1 and k=2 answers
@@ -1605,14 +1483,14 @@ let test_contract_k_no_alias () =
   check "minimal possible depth is 2" true (m.Contract.possible_at = Some 2)
 
 (* ------------------------------------------------------------------ *)
-(* Cached analyses vs fresh ones, clones and shared contracts          *)
+(* Win tables vs the reference engines, clones and shared contracts    *)
 (* ------------------------------------------------------------------ *)
 
 (* A deterministic invoker: the i-th call of a run answers with the
-   (i mod n)-th word of the function's (finite) output language, so two
-   runs making the same calls see the same answers. *)
-let mini_invoker env =
-  let calls = ref 0 in
+   ((seed + i) mod n)-th word of the function's (finite) output
+   language, so two runs making the same calls see the same answers. *)
+let mini_invoker ?(seed = 0) env =
+  let calls = ref seed in
   fun fname _params ->
     let outs =
       match Schema.String_map.find_opt fname env.Schema.env_functions with
@@ -1629,43 +1507,19 @@ let outcome_view = function
         List.map (fun (i : Execute.invocation) -> i.Execute.inv_name) o.Execute.invocations)
   | Error f -> Error (Fmt.str "%a" Execute.pp_failure f)
 
-(* The first [n] product nodes seen independently of the target DFA's
-   state numbering: A_w^k state, sink bit, accepting bit. *)
-let node_views p n =
-  List.init n (fun nid ->
-      ((Product.node p nid).Product.q, Product.subset_is_dead p nid,
-       Product.subset_accepting p nid))
-
-let marked_set (m : Marking.t) =
-  List.filter (Marking.is_marked m) (List.init m.Marking.stats.Marking.discovered_nodes Fun.id)
-
-let live_set (a : Possible.t) =
-  List.filter (Possible.is_live a) (List.init a.Possible.stats.Possible.discovered_nodes Fun.id)
-
-(* Verdicts and execution of one word: the contract's cached analyses
-   when [fresh] is false, analyses of a fresh uncached product
-   otherwise. *)
-let run_word ~fresh c env ~target_regex word =
-  let safe =
-    if fresh then Marking.analyze_lazy (Contract.product c ~target_regex word)
-    else Contract.safe_analysis c ~target_regex word
-  in
-  let possible =
-    if fresh then Possible.analyze (Contract.product c ~target_regex word)
-    else Contract.possible_analysis c ~target_regex word
-  in
-  let strategy =
-    if safe.Marking.safe then Some (Execute.Follow_safe safe)
-    else if possible.Possible.possible then Some (Execute.Follow_possible possible)
+(* Verdicts and execution of one word through the contract's win
+   tables: the safe strategy when there is one, else the possible
+   one. *)
+let run_word c env ~target_regex word =
+  let safe = Contract.safe_run c ~target_regex word in
+  let possible = Contract.possible_run c ~target_regex word in
+  let outcome =
+    if Win.ok safe || Win.ok possible then
+      let st = Execute.Follow_table (if Win.ok safe then safe else possible) in
+      Some (outcome_view (Execute.run st (mini_invoker env) (List.map mini_item word)))
     else None
   in
-  let outcome =
-    Option.map
-      (fun st ->
-        outcome_view (Execute.run st (mini_invoker env) (List.map mini_item word)))
-      strategy
-  in
-  (safe, possible, outcome)
+  (Win.ok safe, Win.ok possible, outcome)
 
 let gen_shared_setup =
   let open QCheck.Gen in
@@ -1681,57 +1535,123 @@ let print_shared (out_f, out_g, target, words, k) =
     Schema.pp_content out_f Schema.pp_content out_g Schema.pp_content target
     Fmt.(list ~sep:(any "; ") (list ~sep:(any ".") Symbol.pp)) words k
 
-(* One contract analyzes every word in turn, so the analyses of repeated
-   words come from its cache; each must equal an analysis of a fresh
-   product built for that word alone: same verdicts, node for node the
-   same marked and live sets, the same statistics and the same
-   execution. *)
-let prop_cached_fresh_parity =
-  QCheck.Test.make ~count:100
-    ~name:"cached analyses equal fresh ones, node for node"
-    (QCheck.make ~print:print_shared gen_shared_setup)
-    (fun (out_f, out_g, target, words, k) ->
+let gen_parity_setup =
+  let open QCheck.Gen in
+  let* out_f = gen_mini_content in
+  let* out_g = gen_mini_content in
+  let* target = gen_mini_content in
+  let* words = list_size (int_range 1 3) gen_mini_word in
+  let* k = int_range 0 3 in
+  let* seed = small_nat in
+  return ((out_f, out_g, target, words, k), seed)
+
+(* One contract answers every word of the list from its (shared,
+   growing) tables. Each verdict must equal the reference engines on a
+   fresh product — lazy and eager marking for safe, Figure 9's
+   reachability for possible — and the brute-force game where it plays
+   the same game: possible at every k, safe at k <= 1 (see
+   test_marking_exhaustive_divergence). Each walk over the tables must
+   make the same calls and materialize the same forest as the walk
+   over the reference product, against the same scripted services. *)
+let prop_table_parity =
+  QCheck.Test.make ~count:1000
+    ~name:"win tables match marking, possible and the brute-force game"
+    (QCheck.make
+       ~print:(fun (setup, seed) -> Fmt.str "%s; seed=%d" (print_shared setup) seed)
+       gen_parity_setup)
+    (fun ((out_f, out_g, target, words, k), seed) ->
       let s = mini_schema out_f out_g in
       let env = Schema.env_of_schema s in
       let target_regex = Schema.compile_content env target in
+      let outputs = Exhaustive.outputs_of_env env in
+      let target_dfa =
+        Auto.Dfa.complete
+          ~alphabet:
+            (Auto.Sym_set.of_list
+               [ Symbol.Label "a"; Symbol.Label "b"; Symbol.Fun "f"; Symbol.Fun "g";
+                 Symbol.Data ])
+          (Auto.Dfa.of_regex target_regex)
+      in
       let c = Contract.create ~k ~s0:s ~target:s () in
+      let pw = Fmt.(list ~sep:(any ".") Symbol.pp) in
       List.iter
         (fun word ->
-          let shared_safe, shared_possible, shared_outcome =
-            run_word ~fresh:false c env ~target_regex word
+          let safe = Contract.safe_run c ~target_regex word in
+          let possible = Contract.possible_run c ~target_regex word in
+          let product () = Contract.product c ~target_regex word in
+          let lazy_ = Marking.analyze_lazy (product ()) in
+          let eager = Marking.analyze_eager (product ()) in
+          let live = Possible.analyze (product ()) in
+          if Win.ok safe <> lazy_.Marking.safe || Win.ok safe <> eager.Marking.safe then
+            QCheck.Test.fail_reportf "%a: table safe=%b, lazy=%b, eager=%b" pw word
+              (Win.ok safe) lazy_.Marking.safe eager.Marking.safe;
+          if Win.ok possible <> live.Possible.possible then
+            QCheck.Test.fail_reportf "%a: table possible=%b, Figure 9=%b" pw word
+              (Win.ok possible) live.Possible.possible;
+          if k <= 1 && Win.ok safe <> Exhaustive.safe ~outputs ~target_dfa ~k word then
+            QCheck.Test.fail_reportf "%a: table safe=%b, brute force disagrees" pw word
+              (Win.ok safe);
+          if Win.ok possible <> Exhaustive.possible ~outputs ~target_dfa ~k word then
+            QCheck.Test.fail_reportf "%a: table possible=%b, brute force disagrees" pw
+              word (Win.ok possible);
+          let walk st =
+            outcome_view
+              (Execute.run st (mini_invoker ~seed env) (List.map mini_item word))
           in
-          let ref_safe, ref_possible, ref_outcome =
-            run_word ~fresh:true c env ~target_regex word
-          in
-          let pw = Fmt.(list ~sep:(any ".") Symbol.pp) in
-          let ms = shared_safe.Marking.stats and mr = ref_safe.Marking.stats in
-          if shared_safe.Marking.safe <> ref_safe.Marking.safe || ms <> mr then
-            QCheck.Test.fail_reportf "%a: marking verdict or stats differ" pw word;
-          if marked_set shared_safe <> marked_set ref_safe
-             || node_views shared_safe.Marking.product ms.Marking.discovered_nodes
-                <> node_views ref_safe.Marking.product mr.Marking.discovered_nodes
-          then QCheck.Test.fail_reportf "%a: marked nodes differ" pw word;
-          let ps = shared_possible.Possible.stats
-          and pr = ref_possible.Possible.stats in
-          if shared_possible.Possible.possible <> ref_possible.Possible.possible
-             || ps <> pr
-          then QCheck.Test.fail_reportf "%a: possible verdict or stats differ" pw word;
-          if live_set shared_possible <> live_set ref_possible
-             || node_views shared_possible.Possible.product ps.Possible.discovered_nodes
-                <> node_views ref_possible.Possible.product pr.Possible.discovered_nodes
-          then QCheck.Test.fail_reportf "%a: live nodes differ" pw word;
-          if shared_outcome <> ref_outcome then
-            QCheck.Test.fail_reportf "%a: execution outcomes differ" pw word)
+          if Win.ok safe
+             && walk (Execute.Follow_table safe) <> walk (Execute.Follow_safe lazy_)
+          then QCheck.Test.fail_reportf "%a: safe walks differ" pw word;
+          if Win.ok possible
+             && walk (Execute.Follow_table possible) <> walk (Execute.Follow_possible live)
+          then QCheck.Test.fail_reportf "%a: possible walks differ" pw word)
         words;
       true)
 
-(* Cached analyses belong to one contract: a clone starts with an empty
-   cache over the same compiled artifacts. The parent is warmed on one
-   word list and cloned; then the clone analyzes and executes a second
-   list on another domain while the parent does the same on this one.
-   Each side must answer exactly like a sequential run on a fresh
-   contract with the same history, node for node: down to the raw
-   target-DFA state of every product node. *)
+(* Marking and Exhaustive play different games at k >= 2. Inside a
+   service output, Marking's player decides keep-or-invoke on a nested
+   call knowing which Glushkov position the adversary chose, but not
+   the letters after it; Exhaustive's player sees the whole output word
+   first. With target b.a | g.b, out_g = b and w = f (which must be
+   invoked), out_f = g.(a|b) has one g position followed by either
+   letter: keeping g loses to a, invoking it loses to b, so Marking
+   says unsafe while the full-knowledge game wins. Spelled g.a | g.b,
+   the position already tells which letter follows, and both say safe.
+   At k = 1 the nested g cannot be invoked, and both games agree. The
+   tables follow Marking. *)
+let test_marking_exhaustive_divergence () =
+  let a = R.sym (Schema.A_label "a") and b = R.sym (Schema.A_label "b") in
+  let g = R.sym (Schema.A_fun "g") in
+  let target_regex =
+    R.alt
+      (R.seq (R.sym (Symbol.Label "b")) (R.sym (Symbol.Label "a")))
+      (R.seq (R.sym (Symbol.Fun "g")) (R.sym (Symbol.Label "b")))
+  in
+  let word = [ Symbol.Fun "f" ] in
+  List.iter
+    (fun (spelling, out_f, marking_safe_from) ->
+      let s = mini_schema out_f b in
+      let outputs = Exhaustive.outputs_of_env (Schema.env_of_schema s) in
+      let target_dfa = Auto.Dfa.of_regex target_regex in
+      for k = 1 to 3 do
+        let c = Contract.create ~k ~s0:s ~target:s () in
+        let expected = k >= marking_safe_from in
+        let name what = Fmt.str "%s, k=%d: %s" spelling k what in
+        check (name "lazy marking") expected
+          (Marking.analyze_lazy (Contract.product c ~target_regex word)).Marking.safe;
+        check (name "eager marking") expected
+          (Marking.analyze_eager (Contract.product c ~target_regex word)).Marking.safe;
+        check (name "win tables") expected (Contract.is_safe c ~target_regex word);
+        check (name "full-knowledge game") (k >= 2)
+          (Exhaustive.safe ~outputs ~target_dfa ~k word)
+      done)
+    [ ("g.(a|b)", R.seq g (R.alt a b), max_int);
+      ("g.a | g.b", R.alt (R.seq g a) (R.seq g b), 2) ]
+
+(* A clone shares its parent's tables. The parent is warmed on one word
+   list and cloned; then the clone analyzes and executes a second list
+   on another domain while the parent does the same on this one. Each
+   side must answer exactly like a sequential run on a fresh
+   contract. *)
 let prop_clone_isolation =
   QCheck.Test.make ~count:40
     ~name:"a clone on another domain answers like a sequential run"
@@ -1744,46 +1664,34 @@ let prop_clone_isolation =
       let s = mini_schema out_f out_g in
       let env = Schema.env_of_schema s in
       let target_regex = Schema.compile_content env target in
-      let nodes p n = List.init n (Product.node p) in
-      let answers c words =
-        List.map
-          (fun word ->
-            let safe, possible, outcome = run_word ~fresh:false c env ~target_regex word in
-            ( safe.Marking.safe, possible.Possible.possible, outcome,
-              nodes safe.Marking.product safe.Marking.stats.Marking.discovered_nodes,
-              nodes possible.Possible.product
-                possible.Possible.stats.Possible.discovered_nodes ))
-          words
-      in
+      let answers c words = List.map (run_word c env ~target_regex) words in
       let fresh () = Contract.create ~k ~s0:s ~target:s () in
-      let expected_clone = answers (fresh ()) words in
-      let expected_parent =
-        let c = fresh () in
-        ignore (answers c warm_up);
-        answers c words
-      in
+      let expected = answers (fresh ()) words in
       let parent = fresh () in
       ignore (answers parent warm_up);
       let clone = Contract.clone parent in
       let on_clone = Domain.spawn (fun () -> answers clone words) in
       let got_parent = answers parent words in
       let got_clone = Domain.join on_clone in
-      if got_clone <> expected_clone then QCheck.Test.fail_report "clone answers differ";
-      if got_parent <> expected_parent then QCheck.Test.fail_report "parent answers differ";
+      if got_clone <> expected then QCheck.Test.fail_report "clone answers differ";
+      if got_parent <> expected then QCheck.Test.fail_report "parent answers differ";
+      if (Contract.stats clone).Contract.hits + (Contract.stats clone).Contract.misses
+         <> 2 * List.length words
+      then QCheck.Test.fail_report "the clone did not count its own analyses";
       true)
 
-(* Long children words (feeds of up to 17 items) must not share cache
-   buckets because they agree on their first 10 symbols. *)
-(* The compiled artifacts of a contract never change after [create], so
-   any number of domains may read them: four domains share one contract
-   and run the static check (both modes) and validation against its ctx
-   over the same generated documents. Each must give the answers of a
-   sequential run on a fresh contract. *)
+(* The compiled artifacts never change after [create] and the tables
+   publish immutably, so any number of domains may share one contract:
+   four domains run the static check (both modes), validation against
+   its ctx and materialization against scripted services over the same
+   generated documents. Each must give the answers of a sequential run
+   on a fresh contract. *)
 let prop_shared_contract_domains =
   QCheck.Test.make ~count:20
     ~name:"four domains sharing one contract answer like a sequential run"
-    QCheck.(pair (int_range 0 10_000) (oneofl [ schema_star2; schema_star3 ]))
-    (fun (seed, target) ->
+    QCheck.(
+      triple (int_range 0 10_000) (oneofl [ schema_star2; schema_star3 ]) (int_range 1 2))
+    (fun (seed, target, k) ->
       let docs =
         List.concat
           (List.mapi
@@ -1800,13 +1708,29 @@ let prop_shared_contract_domains =
               let r = Rewriter.check ~mode rw doc in
               (r.Rewriter.ok, r.Rewriter.failures)
             in
+            let materialized mode =
+              match
+                Rewriter.materialize ~mode rw
+                  ~invoker:(honest_invoker ~timeout_returns:`Exhibits) doc
+              with
+              | Ok (doc', invs) ->
+                Ok
+                  ( doc',
+                    List.map
+                      (fun (i : Rewriter.located_invocation) ->
+                        (i.Rewriter.at, i.Rewriter.invocation.Execute.inv_name))
+                      invs )
+              | Error fs -> Error fs
+            in
             ( verdict Rewriter.Check_safe,
               verdict Rewriter.Check_possible,
-              Validate.document_violations (Contract.ctx c) doc ))
+              Validate.document_violations (Contract.ctx c) doc,
+              materialized Rewriter.Safe,
+              materialized Rewriter.Possible_mode ))
           docs
       in
-      let expected = answers (Contract.create ~s0:schema_star ~target ()) in
-      let shared = Contract.create ~s0:schema_star ~target () in
+      let expected = answers (Contract.create ~k ~s0:schema_star ~target ()) in
+      let shared = Contract.create ~k ~s0:schema_star ~target () in
       let domains = Array.init 4 (fun _ -> Domain.spawn (fun () -> answers shared)) in
       let got = Array.map Domain.join domains in
       Array.iteri
@@ -1816,13 +1740,144 @@ let prop_shared_contract_domains =
         got;
       true)
 
-let test_key_hash_whole_word () =
-  let prefix = List.init 12 (fun i -> Symbol.Label (Printf.sprintf "item%d" i)) in
-  let w1 = prefix @ [ Symbol.Label "entry" ]
-  and w2 = prefix @ [ Symbol.Fun "Fetch" ] in
-  check "the polymorphic hash stops before the difference" true
-    (Hashtbl.hash w1 = Hashtbl.hash w2);
-  check "the word hash sees it" true (Symbol.hash_word w1 <> Symbol.hash_word w2)
+(* ------------------------------------------------------------------ *)
+(* Win tables: fills and hits, bounded size, domain safety             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every analysis of [ops] (word index, kind) against one contract: a
+   miss iff it filled entries, and an analysis seen before is a hit. *)
+let analyze_op c ~target_regex words (i, kind) =
+  let word = List.nth words (i mod List.length words) in
+  match kind with
+  | `Safe -> Contract.is_safe c ~target_regex word
+  | `Possible -> Contract.is_possible c ~target_regex word
+
+let gen_table_ops =
+  let open QCheck.Gen in
+  pair gen_shared_setup (list_size (int_range 1 20) (pair (int_bound 5) (oneofl [ `Safe; `Possible ])))
+
+let print_table_ops (setup, ops) =
+  Fmt.str "%s; ops=[%a]" (print_shared setup)
+    Fmt.(list ~sep:(any "; ")
+           (pair ~sep:(any ":") int
+              (using (function `Safe -> "safe" | `Possible -> "possible") string)))
+    ops
+
+let prop_table_counters =
+  QCheck.Test.make ~count:300
+    ~name:"win-table counters: a fill is a miss, a repeat is a hit"
+    (QCheck.make ~print:print_table_ops gen_table_ops)
+    (fun ((out_f, out_g, target, words, k), ops) ->
+      let s = mini_schema out_f out_g in
+      let env = Schema.env_of_schema s in
+      let target_regex = Schema.compile_content env target in
+      let c = Contract.create ~k ~s0:s ~target:s () in
+      let seen = Hashtbl.create 8 in
+      List.iter
+        (fun ((i, _) as op) ->
+          let before = Contract.stats c in
+          ignore (analyze_op c ~target_regex words op);
+          let after = Contract.stats c in
+          let filled = after.Contract.entries - before.Contract.entries in
+          let missed = after.Contract.misses - before.Contract.misses in
+          let hit = after.Contract.hits - before.Contract.hits in
+          if missed + hit <> 1 then QCheck.Test.fail_report "one analysis, one count";
+          if (missed = 1) <> (filled > 0) then
+            QCheck.Test.fail_reportf "miss=%d but %d entries filled" missed filled;
+          let key = (i mod List.length words, snd op) in
+          if Hashtbl.mem seen key && hit <> 1 then
+            QCheck.Test.fail_report "a repeated analysis missed";
+          Hashtbl.replace seen key ())
+        ops;
+      let st = Contract.stats c in
+      st.Contract.evictions = 0 && st.Contract.misses <= st.Contract.entries)
+
+(* The ledger's batch-diverse pair: feeds whose entries the sender may
+   ship as Fetch / Expand calls, into a fully extensional feed. *)
+let feed_functions = {|
+element head = #data
+element entry = title.(Price | price)
+element title = #data
+element price = #data
+function Fetch : #data -> entry*
+function Expand : #data -> (entry | Fetch)*
+function Price : title -> price
+|}
+
+let feed_sender =
+  parse_schema ("root feed\nelement feed = head.(entry | Fetch | Expand)*\n" ^ feed_functions)
+
+let feed_exchange =
+  parse_schema ("root feed\nelement feed = head.entry*\n" ^ feed_functions)
+
+(* 20k distinct root words head.x_1...x_n, x_i in {entry, Fetch, Expand}:
+   a word cache would hold one entry per word, the tables hold one per
+   (winning set, letter) and (function, exit set). The feed target
+   head.entry* has 3 DFA states, so at most 2^3 = 8 winning sets; with
+   2 letters in its alphabet and 3 forking functions there are 5
+   letter classes, and 2 games at 2 depths (the top and the nested
+   level) fill at most 2 * 2 * 8 * (5 + 3) = 256 entries. *)
+let test_table_size_bounded () =
+  let c = Contract.create ~k:2 ~s0:feed_sender ~target:feed_exchange () in
+  let regex = contract_regex c "feed" in
+  let letters = [ Symbol.Label "entry"; Symbol.Fun "Fetch"; Symbol.Fun "Expand" ] in
+  let rec words n =
+    if n = 0 then [ [] ]
+    else List.concat_map (fun w -> List.map (fun l -> l :: w) letters) (words (n - 1))
+  in
+  let distinct =
+    List.concat_map (fun n -> words n) (List.init 10 Fun.id)
+    |> List.filteri (fun i _ -> i < 20_000)
+    |> List.map (fun w -> Symbol.Label "head" :: w)
+  in
+  check_int "20k distinct words" 20_000 (List.length (List.sort_uniq compare distinct));
+  let safe = ref 0 in
+  List.iter
+    (fun w ->
+      if Contract.is_safe c ~target_regex:regex w then incr safe;
+      ignore (Contract.is_possible c ~target_regex:regex w))
+    distinct;
+  let st = Contract.stats c in
+  check "at most 8 winning sets" true (Contract.sets c ~target_regex:regex <= 8);
+  check "entries stay below the bound" true (st.Contract.entries <= 256);
+  check "misses never exceed fills" true (st.Contract.misses <= st.Contract.entries);
+  check_int "every analysis counted" 40_000 (st.Contract.hits + st.Contract.misses);
+  (* Fetch and Expand can only return entries and further calls, so
+     every feed rewrites safely at depth 2 *)
+  check_int "every feed is safe" 20_000 !safe
+
+(* Concurrent access: [jobs] domains replay the same analyses against
+   one shared contract. Each table entry is filled once, under the
+   lock, whichever domain needs it first, so the entries filled equal a
+   sequential run's, every analysis is counted once, and no analysis
+   misses without filling an entry. *)
+let prop_cache_domain_safe =
+  QCheck.Test.make ~count:60
+    ~name:"cache counters stay exact under concurrent domains"
+    (QCheck.make
+       ~print:(fun (jobs, x) -> Fmt.str "jobs=%d; %s" jobs (print_table_ops x))
+       QCheck.Gen.(pair (oneofl [ 2; 4 ]) gen_table_ops))
+    (fun (jobs, ((out_f, out_g, target, words, k), ops)) ->
+      let s = mini_schema out_f out_g in
+      let env = Schema.env_of_schema s in
+      let target_regex = Schema.compile_content env target in
+      let replay c = List.map (analyze_op c ~target_regex words) ops in
+      let sequential = Contract.create ~k ~s0:s ~target:s () in
+      let expected = replay sequential in
+      let c = Contract.create ~k ~s0:s ~target:s () in
+      let domains = Array.init jobs (fun _ -> Domain.spawn (fun () -> replay c)) in
+      let got = Array.map Domain.join domains in
+      let st = Contract.stats c and seq = Contract.stats sequential in
+      if Array.exists (fun g -> g <> expected) got then
+        QCheck.Test.fail_report "a domain's verdicts differ from the sequential run";
+      if st.Contract.entries <> seq.Contract.entries then
+        QCheck.Test.fail_reportf "entries %d, sequential %d" st.Contract.entries
+          seq.Contract.entries;
+      if st.Contract.hits + st.Contract.misses <> jobs * List.length ops then
+        QCheck.Test.fail_reportf "lost counts: %a" Contract.pp_stats st;
+      if st.Contract.misses > st.Contract.entries then
+        QCheck.Test.fail_reportf "a miss without a fill: %a" Contract.pp_stats st;
+      true)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -1836,9 +1891,9 @@ let qcheck_tests =
       prop_tree_materialization_sound;
       prop_contract_cache_transparent;
       prop_contract_check_parity;
-      prop_cache_fifo_model;
+      prop_table_counters;
       prop_cache_domain_safe;
-      prop_cached_fresh_parity;
+      prop_table_parity;
       prop_clone_isolation;
       prop_shared_contract_domains
     ]
@@ -1894,7 +1949,10 @@ let () =
          Alcotest.test_case "generated outputs validate" `Quick test_generated_outputs_validate
        ]);
       ("left-to-right",
-       [ Alcotest.test_case "restriction witness" `Quick test_ltr_restriction_witness ]);
+       [ Alcotest.test_case "restriction witness" `Quick test_ltr_restriction_witness;
+         Alcotest.test_case "marking vs full-knowledge game" `Quick
+           test_marking_exhaustive_divergence
+       ]);
       ("cost",
        [ Alcotest.test_case "safe worst-case fee" `Quick test_cost_safe_worst;
          Alcotest.test_case "possible minimal fee" `Quick test_cost_possible_min;
@@ -1910,14 +1968,13 @@ let () =
        [ Alcotest.test_case "verdicts" `Quick test_contract_verdicts;
          Alcotest.test_case "unknown contexts" `Quick test_contract_unknown_context;
          Alcotest.test_case "hit/miss counters" `Quick test_contract_counters;
-         Alcotest.test_case "FIFO eviction" `Quick test_contract_eviction;
          Alcotest.test_case "word shims are cached" `Quick test_word_analyses_cached;
          Alcotest.test_case "unified check report" `Quick test_unified_check_report;
          Alcotest.test_case "mixed check mode" `Quick test_check_mixed_mode;
          Alcotest.test_case "shared contract" `Quick test_shared_contract;
          Alcotest.test_case "no aliasing across k" `Quick test_contract_k_no_alias;
-         Alcotest.test_case "cache key hashes the whole word" `Quick
-           test_key_hash_whole_word
+         Alcotest.test_case "table size bounded over 20k feed words" `Quick
+           test_table_size_bounded
        ]);
       ("properties", qcheck_tests)
     ]
