@@ -19,11 +19,12 @@ module Auto = Axml_schema.Auto
 module D = Axml_core.Document
 module Contract = Axml_core.Contract
 module Rewriter = Axml_core.Rewriter
-module Marking = Axml_core.Marking
-module Possible = Axml_core.Possible
+module Marking = Axml_oracle.Marking
+module Possible = Axml_oracle.Possible
+module Reference = Axml_oracle.Reference
 module Execute = Axml_core.Execute
 module Generate = Axml_core.Generate
-module Fork_automaton = Axml_core.Fork_automaton
+module Fork_automaton = Axml_oracle.Fork_automaton
 module Schema_rewrite = Axml_core.Schema_rewrite
 module Service = Axml_services.Service
 module Registry = Axml_services.Registry
@@ -162,13 +163,13 @@ let newspaper_regex c = Option.get (Contract.element_regex c "newspaper")
    contract answers the same questions from its win tables
    ([Contract.is_safe]), which after the first call are lookups. *)
 let fresh_eager c ~target_regex word =
-  Marking.analyze_eager (Contract.product c ~target_regex word)
+  Marking.analyze_eager (Reference.product c ~target_regex word)
 
 let fresh_lazy c ~target_regex word =
-  Marking.analyze_lazy (Contract.product c ~target_regex word)
+  Marking.analyze_lazy (Reference.product c ~target_regex word)
 
 let fresh_possible c ~target_regex word =
-  Possible.analyze (Contract.product c ~target_regex word)
+  Possible.analyze (Reference.product c ~target_regex word)
 
 (* ------------------------------------------------------------------ *)
 (* E1 (Figure 2): the document before / after the Get_Temp call        *)
@@ -235,7 +236,7 @@ let e3 () =
     analysis.Marking.stats.Marking.marked_nodes;
   let reg = example_registry () in
   (match
-     Execute.run (Execute.Follow_safe analysis) (Registry.invoker reg)
+     Reference.follow_safe analysis (Registry.invoker reg)
        (D.children fig2a)
    with
    | Ok outcome ->
@@ -298,7 +299,7 @@ let e5 () =
                  (R.sym (Schema.A_label "performance"))))
          behaviour);
     let analysis = fresh_possible c ~target_regex:regex newspaper_word in
-    Execute.run (Execute.Follow_possible analysis) (Registry.invoker reg)
+    Reference.follow_possible analysis (Registry.invoker reg)
       (D.children fig2a)
   in
   let exhibits =
@@ -732,7 +733,7 @@ let e14 () =
 (* E15 (Fig. 3 step 23 / Fig. 9 step d): cost-minimal rewriting plans  *)
 (* ------------------------------------------------------------------ *)
 
-module Cost = Axml_core.Cost
+module Cost = Axml_oracle.Cost
 
 let e15 () =
   section "e15"
@@ -779,12 +780,12 @@ function H : () -> a
       outcome.Execute.invocations
   in
   let analysis = fresh_lazy c ~target_regex:regex word in
-  (match Execute.run (Execute.Follow_safe analysis) invoker items with
+  (match Reference.follow_safe analysis invoker items with
    | Ok o -> Fmt.pr "tradeoff case, greedy keep-first execution: fee %.1f@." (total o)
    | Error _ -> Fmt.pr "greedy execution failed@.");
   let poss = fresh_possible c ~target_regex:regex word in
   let plan = Cost.possible_costs poss ~cost:tfee in
-  (match Execute.run ~plan ~fee:tfee (Execute.Follow_possible poss) invoker items with
+  (match Reference.follow_possible ~plan ~fee:tfee poss invoker items with
    | Ok o -> Fmt.pr "tradeoff case, cost-guided execution   : fee %.1f@." (total o)
    | Error _ -> Fmt.pr "guided execution failed@.");
   (* a fresh product per iteration: the plan needs the product's nodes *)

@@ -141,7 +141,7 @@ let rules =
     ("AXM011", Error, "element admits no finite document (cyclic without base case)");
     ("AXM012", Warning, "function or pattern is declared but never referenced");
     ("AXM014", Hint, "schema declares no root");
-    ("AXM020", Error, "sender document type cannot be safely exchanged at this label");
+    ("AXM020", Error, "sender document type has no safe left-to-right rewriting strategy here");
     ("AXM021", Error, "function can never be safely rewritten in any context it occurs in");
     ("AXM022", Hint, "function is absent from the target schema and must always materialize");
     ("AXM023", Warning, "invocable function never occurs in a sender document");
@@ -157,7 +157,7 @@ let rules =
       "schema evolution narrowed (or removed) a label's content model" );
     ( "AXM041",
       Warning,
-      "schema evolution regressed a label's contract-level verdict" );
+      "schema evolution regressed a label's left-to-right (no look-ahead) verdict" );
     ("AXM042", Error, "archived document cannot migrate to the new schema");
     ( "AXM043",
       Warning,

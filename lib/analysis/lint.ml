@@ -576,8 +576,7 @@ let lint_contract c =
               (D.make ~code:"AXM020" ~severity:D.Error
                  (D.Schema_pair v.Schema_rewrite.v_label)
                  (Fmt.str
-                    "documents of this type cannot all be safely \
-                     exchanged%a"
+                    "this type has no safe rewriting strategy%a"
                     Fmt.(
                       option (fun ppf r -> Fmt.pf ppf ": %s" r))
                     v.Schema_rewrite.v_reason)))

@@ -3,8 +3,8 @@
    tables ([Win]) that answer every word-level analysis in one
    right-to-left pass over the word.
 
-   Nothing here is compiled per word: the output automata ([outputs],
-   [win]) and the target's DFA of every content model ([ctx], one
+   Nothing here is compiled per word: the output automata ([win]) and
+   the target's DFA of every content model ([ctx], one
    [Validate.ctx]) are built at creation, and the tables fill lazily,
    one entry per new (winning set, letter) or (function, exit set), so
    their size depends on the content models and the depth, not on how
@@ -49,7 +49,6 @@ type t = {
   target : Schema.t;
   k : int;
   ctx : Validate.ctx;  (* the target's compiled content models; immutable *)
-  outputs : Fork_automaton.outputs;  (* immutable, shared with clones *)
   win : Win.t;  (* shared with clones *)
   (* content model -> its tables: every model of the ctx, then one per
      regex no schema declares; replaced, never written, when it grows *)
@@ -63,9 +62,8 @@ type t = {
 let create ?(k = 1) ?predicate ~s0 ~target () =
   let env = Schema.env_of_schemas ?predicate s0 target in
   let ctx = Validate.ctx ~env target in
-  let outputs = Fork_automaton.outputs env in
-  let win = Win.create outputs in
-  { env; s0; target; k; ctx; outputs; win;
+  let win = Win.create env in
+  { env; s0; target; k; ctx; win;
     models =
       Atomic.make
         (Array.of_list
@@ -137,13 +135,6 @@ let registered t r =
             let e = (m, Win.table t.win m.Validate.dfa) in
             Atomic.set t.models (Array.append arr [| e |]);
             e)
-
-(* A_w^k against the model's read-only DFA: the Figure 3/9/12
-   reference engines run on it. *)
-let product ?k t ~target_regex word =
-  Product.create
-    ~fork:(Fork_automaton.build ~outputs:t.outputs ~k:(Option.value k ~default:t.k) word)
-    ~dfa:(fst (registered t target_regex)).Validate.dfa
 
 let analysis kind ?k t ~target_regex word =
   let k = Option.value k ~default:t.k in
@@ -228,31 +219,17 @@ let minimal_k ?max_k t ~target_regex word =
     ~possible:(fun k -> is_possible ~k t ~target_regex word)
     ~safe:(fun k -> is_safe ~k t ~target_regex word)
 
-(* The Section 6 reduction for one sender content model: every children
-   word of [content] rewrites safely at depth d iff the single call g
-   with tau_out(g) = [content] does at depth d + 1, the extra level
-   paying for g itself. g lives only in this function's private
-   outputs: its name is longer than every function of the environment,
-   so no content model, wildcard or pattern can mention it. Products
-   run outside the win tables and their counters. *)
-let representative_minimal_k t ~target_regex content =
-  let longest =
-    Schema.String_map.fold
-      (fun f _ n -> max n (String.length f))
-      t.env.Schema.env_functions 0
-  in
-  let g = String.make (longest + 1) '#' in
-  let outputs =
-    Fork_automaton.add_output t.outputs g (Schema.compile_content t.env content)
-  in
-  let dfa = (fst (registered t target_regex)).Validate.dfa in
-  let product d =
-    Product.create ~dfa
-      ~fork:(Fork_automaton.build ~outputs ~k:(d + 1) [ Symbol.Fun g ])
-  in
-  search ~max_k:t.k
-    ~possible:(fun d -> (Possible.analyze (product d)).Possible.possible)
-    ~safe:(fun d -> (Marking.analyze_lazy (product d)).Marking.safe)
+(* Section 6: every children word of [content] rewrites safely at depth
+   d iff the call g_l with output [content] does at depth d + 1. An
+   empty [content] has no document, so every one of them conforms. *)
+let content_minimal_k t ~target_regex content =
+  let regex = Schema.compile_content t.env content in
+  if R.is_empty_language regex then { safe_at = Some 0; possible_at = Some 0 }
+  else
+    let a = Win.automaton t.win regex and tb = snd (registered t target_regex) in
+    search ~max_k:t.k
+      ~possible:(fun d -> Win.every_word tb Win.Possible ~budget:(d + 1) a)
+      ~safe:(fun d -> Win.every_word tb Win.Safe ~budget:(d + 1) a)
 
 (* ------------------------------------------------------------------ *)
 (* Table accounting                                                    *)

@@ -7,7 +7,7 @@
     stream of documents. Everything the rewriting games of Figures 3
     and 9 need that does not depend on the word is compiled at
     {!create}: the merged environment, every invocable function's
-    output automaton ({!Fork_automaton.outputs}) and one
+    output automaton ({!Win.create}) and one
     {!Validate.ctx} of the target — each content model determinized
     once into a read-only DFA that validation, the rewriter and the
     analyses step.
@@ -117,7 +117,7 @@ val safe_run :
   Axml_schema.Symbol.t list -> Win.run
 (** The safe game of Figure 3 for [word] against [target_regex], solved
     by one pass over the win tables: its verdict is {!Win.ok}, and
-    [Execute.Follow_table] follows it. Counted in {!stats}. *)
+    [Execute.run] follows it. Counted in {!stats}. *)
 
 val possible_run :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
@@ -136,15 +136,6 @@ val is_possible :
 (** [is_possible c ~target_regex w]: can {e some} run of a rewriting
     of [w] land in the target language? The verdict of
     {!possible_run}. *)
-
-val product :
-  ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
-  Axml_schema.Symbol.t list -> Product.t
-(** A fresh product of A_w^k with the target's DFA, outside the tables
-    and their counters: the input of the Figure 3/9/12 reference
-    engines ({!Marking.analyze_eager}, {!Marking.analyze_lazy},
-    {!Possible.analyze}) that the tables are tested against, and of
-    the cost planning of {!Cost}. *)
 
 val sets : t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t -> int
 (** The winning sets interned so far for a content model, over every
@@ -191,20 +182,20 @@ val minimal_k :
     conforms without any materialization; every answer is a pass over
     the win tables of its depth. *)
 
-val representative_minimal_k :
+val content_minimal_k :
   t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
   Axml_schema.Schema.content -> minimal
 (** The Section 6 reduction for one sender content model: the smallest
     depths, searched as in {!minimal_k} up to the contract's depth, at
-    which {e every} children word of [content] (compiled in the
+    which the call [g_l] with output [content] (compiled in the
     contract's environment) rewrites safely (resp. possibly) into
-    [target_regex]. Depth d is answered by the
-    single representative call [g] with output type [content], analyzed
-    at fork depth d + 1 — one level pays for [g]. [g] exists only in a
-    private copy of the contract's output automata, under a name no
-    function of the environment has, so wildcards and patterns of
-    either schema never match it. Answered on products, outside the
-    win tables: {!stats} does not move. *)
+    [target_regex] at depth d + 1 ({!Win.every_word}). [g_l] is an
+    automaton of the tables, never a function of a schema, so no
+    wildcard or pattern matches it. The game has no look-ahead: each
+    call is decided before the items after it are known, so a label can
+    fail although each of its documents alone rewrites safely. An empty
+    [content] is vacuously safe at depth 0. May fill shared table
+    entries; never moves {!stats}. *)
 
 (** {1 Table accounting} *)
 

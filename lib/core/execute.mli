@@ -3,23 +3,20 @@
 
     The materializer walks the concrete children forest left-to-right,
     tracking the corresponding node of the solved game. At every
-    function occurrence the strategy decides between the fork options:
-    - {!Follow_table} follows a win-table analysis ({!Contract.safe_run},
-      {!Contract.possible_run}): a node is a position in the word or in
-      an invoked copy of an output automaton with a target-DFA state,
-      and it is good iff the state is in the position's winning set.
-      This is the production strategy;
-    - {!Follow_safe} follows the unmarked nodes of a {!Marking} game and
-      {!Follow_possible} the live nodes of a {!Possible} analysis, over
-      a product: the Figure 3/9 reference strategies, and the only ones
-      a cost plan ({!Cost}) can guide.
+    function occurrence the strategy decides between the fork options.
+    {!run} follows a win-table analysis ({!Contract.safe_run},
+    {!Contract.possible_run}): a node is a position in the word or in
+    an invoked copy of an output automaton with a target-DFA state, and
+    it is good iff the state is in the position's winning set. The walk
+    itself, {!walk}, is written once over any {!game}; the test oracle
+    runs the paper's Figure 3/9 product strategies, and cost-guided
+    ones, through it.
 
     Safe strategies cannot get stuck whatever honest services return;
     possible ones backtrack when a call's actual return leaves every
-    live path. All three run the same walk and try moves in the same
-    order (keep first, then invoke, in edge order), so a table strategy
-    and the product strategy of the same game make the same calls and
-    materialize the same forest.
+    live path. A table walk tries moves keep first, then invoke, in
+    edge order, as the product strategies of the same game do, so both
+    make the same calls and materialize the same forest.
 
     A call fires at most once per occurrence: results are cached, so
     backtracking re-examines recorded outputs instead of re-firing side
@@ -47,11 +44,6 @@ type invocation = {
   inv_result : Document.forest;
 }
 
-type strategy =
-  | Follow_table of Win.run  (** safe or possible, as the run was solved *)
-  | Follow_safe of Marking.t
-  | Follow_possible of Possible.t
-
 type failure =
   | Ill_typed_output of invocation
       (** a service broke its WSDL contract during a safe execution; the
@@ -77,22 +69,39 @@ type outcome = {
   invocations : invocation list;  (** chronological *)
 }
 
-val run :
-  ?plan:(int -> float) -> ?fee:(string -> float) ->
+type 'n game = {
+  good : 'n -> bool;
+  has_fork : 'n -> Axml_schema.Symbol.t -> bool;
+  moves :
+    'n -> Axml_schema.Symbol.t -> keep:('n -> bool) ->
+    invoke:(string -> 'n -> bool) -> bool;
+  leave : 'n -> 'n option;
+  accepting : 'n -> bool;
+}
+(** A solved game as the walk sees it, over nodes of its own: the
+    fields play the roles of {!Win.good}, {!Win.has_fork},
+    {!Win.moves} (in the strategy's order), {!Win.leave} and
+    {!Win.accepting}. *)
+
+val walk :
   ?validate:(string -> Document.forest -> bool) ->
   ?reenforce:(string -> Document.forest -> Document.forest option) ->
-  strategy -> invoker -> Document.forest -> (outcome, failure) result
-(** [Error No_possible_path] means a possible-rewriting attempt failed
+  possible:bool -> 'n game -> 'n -> invoker -> Document.forest ->
+  (outcome, failure) result
+(** [walk ~possible game initial] is {!run} over any game; [possible]
+    says it is Figure 9's, whose walks may die on actual answers. *)
+
+val run :
+  ?validate:(string -> Document.forest -> bool) ->
+  ?reenforce:(string -> Document.forest -> Document.forest option) ->
+  Win.run -> invoker -> Document.forest -> (outcome, failure) result
+(** [run r invoker items] follows the safe or possible strategy of [r],
+    as it was solved.
+
+    [Error No_possible_path] means a possible-rewriting attempt failed
     at run time (it cannot happen in safe mode with honest services —
     safe-mode failures surface as [Ill_typed_output] / [Service_error] /
     [Invariant_violation] instead).
-
-    [plan] optionally estimates, per product node, the remaining
-    invocation fees (e.g. [Cost.possible_costs]); alternatives are then
-    tried cheapest first — the cost minimization of Figure 3 step 23 /
-    Figure 9 step (d) — instead of the default keep-first greedy order.
-    [fee] prices an invoke option's immediate cost. Both apply to the
-    product strategies; a {!Follow_table} walk ignores them.
 
     [validate fname forest] decides whether [forest] is an output
     instance of [fname]'s declared type (e.g. via

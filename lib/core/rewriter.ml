@@ -240,19 +240,19 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
     else begin
     let context = if fn then name ^ "()" else "<" ^ name ^ ">" in
     let word = Document.word children in
-    let strategy =
+    let run =
       match mode with
       | Safe ->
         let run = Contract.safe_run ~k:depth t ~target_regex:regex word in
         if not (Win.ok run) then
           raise (Failed { at = List.rev path; reason = Unsafe_word { context; word } });
-        Execute.Follow_table run
+        run
       | Possible_mode ->
         let run = Contract.possible_run ~k:depth t ~target_regex:regex word in
         if not (Win.ok run) then
           raise
             (Failed { at = List.rev path; reason = Impossible_word { context; word } });
-        Execute.Follow_table run
+        run
     in
     (* The k-bounded hook: rewrite each returned node against the
        remaining budget. A non-fault [Failed] from the nested walk is
@@ -270,7 +270,7 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
             | enforced -> Some enforced
             | exception Failed f when not (failure_is_fault f) -> None)
     in
-    match Execute.run ~validate:(output_ok t) ?reenforce strategy invoker children with
+    match Execute.run ~validate:(output_ok t) ?reenforce run invoker children with
     | Ok outcome ->
       List.iter
         (fun inv ->

@@ -8,9 +8,9 @@
    rewrites safely, with one extra depth level to pay for the call. The
    adversary's expansion of [g_l] enumerates exactly the children words
    an instance of [l] may have. One test per label of s0 reachable from
-   the root suffices; [Contract.representative_minimal_k] runs it on
-   the contract's own environment, so [g_l] is never declared in a
-   schema and no wildcard or pattern can match it. *)
+   the root suffices; [Contract.content_minimal_k] runs it on the
+   contract's own win tables, so [g_l] is never declared in a schema and
+   no wildcard or pattern can match it. *)
 
 module Schema = Axml_schema.Schema
 
@@ -96,7 +96,7 @@ let check contract ~root : result =
     | Some _, None ->
       unsafe label (Fmt.str "label %S is not part of the exchange schema" label)
     | Some content0, Some target_regex ->
-      let m = Contract.representative_minimal_k contract ~target_regex content0 in
+      let m = Contract.content_minimal_k contract ~target_regex content0 in
       let verdict =
         match (m.Contract.safe_at, m.Contract.possible_at) with
         | Some _, _ -> Contract.Safe
@@ -110,8 +110,9 @@ let check contract ~root : result =
            else
              Some
                (Fmt.str
-                  "some children word of <%s> allowed by the sender schema \
-                   cannot be safely rewritten" label)) }
+                  "no left-to-right strategy safely rewrites every children \
+                   word of <%s> the sender schema allows, deciding each \
+                   call before the items after it are known" label)) }
   in
   let verdicts =
     List.map verdict_of_label (reachable_labels (Contract.env contract) s0 root)

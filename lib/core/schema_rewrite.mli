@@ -6,10 +6,16 @@
     is the same as testing the single-function word [g_l] — an
     invocable function whose output type is [tau_0 l] — with one extra
     depth level; one test per label reachable from the root. The test
-    is {!Contract.representative_minimal_k}: [g_l] exists only on the
-    fork-automaton side, never in a schema, so the exchange schema's
-    wildcards and patterns cannot accept it. The contract fixes the
-    depth [k] and the pattern predicates. *)
+    is {!Contract.content_minimal_k}, on the contract's own win tables:
+    [g_l] is an automaton there, never a function of a schema, so the
+    exchange schema's wildcards and patterns cannot accept it. The
+    contract fixes the depth [k] and the pattern predicates.
+
+    The game has no look-ahead, so it is not "each children word of
+    [l] rewrites safely": with [r = F.(a|b)] into [r = F.a | c.b] and
+    [F : () -> c] both documents of [r] do, yet no strategy can choose
+    for [F] before seeing [a] or [b], so [r] is not safe. An empty
+    sender content is vacuously safe at depth 0. *)
 
 type label_verdict = {
   v_label : string;
@@ -35,7 +41,7 @@ val reachable_labels :
 
 val check : Contract.t -> root:string -> result
 (** One verdict per label of the sender schema reachable from [root].
-    Leaves the contract's win tables and {!Contract.stats}
-    untouched. *)
+    May fill entries of the contract's shared win tables; never moves
+    {!Contract.stats}. *)
 
 val compatible : Contract.t -> root:string -> bool

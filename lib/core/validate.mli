@@ -8,7 +8,7 @@
     environment is determinized once into a {!model}, and the ctx never
     changes after that, so any number of domains may share it. A
     {!Contract} holds the ctx of its target schema; validation, the
-    rewriting games of {!Product} and enforcement all step its tables. *)
+    rewriting games of {!Win} and enforcement all step its tables. *)
 
 type violation_kind =
   | Unknown_label of string

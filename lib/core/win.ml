@@ -21,8 +21,8 @@
    game (every choice is existential); the safe game takes the greatest
    fixpoint, the possible game the least. Forks sit on Glushkov edges,
    so the player decides keep-or-invoke knowing the position the
-   adversary chose and nothing after it: exactly the game Marking
-   solves on A_w^k. The DFA's reject state never wins, as the lazy
+   adversary chose and nothing after it: exactly the game Figure 3's
+   marking (kept in the test oracle) solves on A_w^k. The DFA's reject state never wins, as the lazy
    marking's sink rule has it.
 
    Every step result is a table entry: (set, letter class) -> set per
@@ -33,16 +33,19 @@
    that point into them are validated against that prefix, so a lookup
    takes no lock. *)
 
+module R = Axml_regex.Regex
+module Schema = Axml_schema.Schema
 module Symbol = Axml_schema.Symbol
+module Auto = Axml_schema.Auto
 module Dense = Axml_schema.Auto.Dfa.Dense
 module Sym_id = Axml_schema.Sym_id
 module Metrics = Axml_obs.Metrics
 
 type kind = Safe | Possible
 
-(* One forking function's output automaton by Glushkov position: the
-   edges of position p are off.(p) .. off.(p+1) - 1, in the order a
-   walk over its copy in A_w^k tries them. *)
+(* One output automaton by Glushkov position: the edges of position p
+   are off.(p) .. off.(p+1) - 1, in the order a walk over its copy in
+   A_w^k tries them. *)
 type fn = {
   name : string;
   start : int;
@@ -54,54 +57,65 @@ type fn = {
   callee : int array;  (* index of the forking function the label calls, -1 *)
 }
 
+type automaton = fn
+
 type t = {
   fns : fn array;
+  index : (string, int) Hashtbl.t;  (* function -> its index; read-only *)
   fn_ids : int array;  (* function -> its dense symbol id *)
   lock : Mutex.t;      (* guards every fill, of every table *)
 }
 
-let create outputs =
-  let bindings = Array.of_list (Fork_automaton.bindings outputs) in
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i (name, _) -> Hashtbl.replace index name i) bindings;
-  let fn_of (name, (o : Fork_automaton.output)) =
-    let np = o.Fork_automaton.o_size in
-    let src = o.Fork_automaton.o_src in
-    let ne = Array.length src in
-    (* counting sort of the edges by source, stable in edge order *)
-    let off = Array.make (np + 1) 0 in
-    Array.iter (fun p -> off.(p + 1) <- off.(p + 1) + 1) src;
-    for p = 1 to np do off.(p) <- off.(p) + off.(p - 1) done;
-    let order = Array.make ne 0 in
-    let cursor = Array.sub off 0 np in
-    Array.iteri
-      (fun e p ->
-        order.(cursor.(p)) <- e;
-        cursor.(p) <- cursor.(p) + 1)
-      src;
-    let sym e =
-      match o.Fork_automaton.o_label.(e) with
-      | Some s -> s
-      | None -> invalid_arg "Win.create: epsilon edge in an output automaton"
-    in
-    let callee e =
-      match sym e with
-      | Symbol.Fun g when o.Fork_automaton.o_nested.(e) ->
-        Option.value (Hashtbl.find_opt index g) ~default:(-1)
-      | Symbol.Fun _ | Symbol.Label _ | Symbol.Data -> -1
-    in
-    { name;
-      start = o.Fork_automaton.o_start;
-      final =
-        Array.init np (fun p -> Axml_schema.Auto.Int_set.mem p o.Fork_automaton.o_finals);
-      off;
-      sym = Array.map sym order;
-      lid = Array.map (fun e -> o.Fork_automaton.o_label_id.(e)) order;
-      dst = Array.map (fun e -> o.Fork_automaton.o_dst.(e)) order;
-      callee = Array.map callee order }
+(* The Glushkov NFA of [regex] as a [fn]. Its edges come out of the
+   fold grouped by ascending source position, in the order
+   [Int_map]/[Sym_map]/[Int_set] iteration visits them. *)
+let compile index name regex =
+  let nfa = Auto.Nfa.glushkov regex in
+  let edges =
+    Auto.Int_map.fold
+      (fun src row acc ->
+        Auto.Sym_map.fold
+          (fun sym dsts acc -> Auto.Int_set.fold (fun dst acc -> (src, sym, dst) :: acc) dsts acc)
+          row acc)
+      nfa.Auto.Nfa.delta []
+    |> List.rev |> Array.of_list
   in
-  let fns = Array.map fn_of bindings in
-  { fns; fn_ids = Array.map (fun f -> Sym_id.of_fun f.name) fns; lock = Mutex.create () }
+  let np = nfa.Auto.Nfa.size in
+  let off = Array.make (np + 1) 0 in
+  Array.iter (fun (p, _, _) -> off.(p + 1) <- off.(p + 1) + 1) edges;
+  for p = 1 to np do off.(p) <- off.(p) + off.(p - 1) done;
+  let callee = function
+    | Symbol.Fun g -> Hashtbl.find_opt index g
+    | Symbol.Label _ | Symbol.Data -> None
+  in
+  { name;
+    start = nfa.Auto.Nfa.start;
+    final = Array.init np (fun p -> Auto.Int_set.mem p nfa.Auto.Nfa.finals);
+    off;
+    sym = Array.map (fun (_, s, _) -> s) edges;
+    lid = Array.map (fun (_, s, _) -> Sym_id.of_symbol s) edges;
+    dst = Array.map (fun (_, _, d) -> d) edges;
+    callee = Array.map (fun (_, s, _) -> Option.value (callee s) ~default:(-1)) edges }
+
+(* Every invocable function with a non-empty output language forks;
+   the others never do, so they get no automaton. *)
+let create (env : Schema.env) =
+  let output (f : Schema.func) =
+    if not f.Schema.f_invocable then None
+    else
+      let r = Schema.compile_content env f.Schema.f_output in
+      if R.is_empty_language r then None else Some r
+  in
+  let outputs =
+    Schema.String_map.(bindings (filter_map (fun _ -> output) env.Schema.env_functions))
+    |> Array.of_list
+  in
+  let index = Hashtbl.create 16 in
+  Array.iteri (fun i (name, _) -> Hashtbl.replace index name i) outputs;
+  let fns = Array.map (fun (name, r) -> compile index name r) outputs in
+  { fns; index; fn_ids = Array.map (fun f -> Sym_id.of_fun f.name) fns; lock = Mutex.create () }
+
+let automaton t regex = compile t.index "" regex
 
 (* ------------------------------------------------------------------ *)
 (* Published storage                                                   *)
@@ -310,48 +324,52 @@ and solve_locked tb g f set fills =
   let v = cell_get g.inv.(f) set in
   if v >= 0 then v
   else begin
-    let fn = tb.win.fns.(f) in
-    let nested =
-      if g.budget - 1 >= 1 then Some (game_locked tb g.g_kind (g.budget - 1)) else None
-    in
-    let exit = bits_of tb set in
-    let np = Array.length fn.final in
-    let base p =
-      if fn.final.(p) then Bytes.copy exit
-      else match g.g_kind with
-        | Safe -> full tb
-        | Possible -> Bytes.make (nbytes tb) '\000'
-    in
-    let w = Array.init np base in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for p = np - 1 downto 0 do
-        let acc = base p in
-        for e = fn.off.(p) to fn.off.(p + 1) - 1 do
-          let target = w.(fn.dst.(e)) in
-          let move = pre_col tb (column tb fn.lid.(e)) target in
-          (match nested with
-           | Some g' when fn.callee.(e) >= 0 ->
-             let callee = fn.callee.(e) in
-             let s = solve_locked tb g' callee (intern tb target) fills in
-             union_into move (bits_of tb (result tb callee s))
-           | Some _ | None -> ());
-          match g.g_kind with
-          | Safe -> inter_into acc move
-          | Possible -> union_into acc move
-        done;
-        if not (Bytes.equal acc w.(p)) then begin
-          w.(p) <- acc;
-          changed := true
-        end
-      done
-    done;
+    let w = fixpoint tb g tb.win.fns.(f) (bits_of tb set) fills in
     let s = push tb.solved (Array.map (intern tb) w) in
     cell_set g.inv.(f) set s;
     incr fills;
     s
   end
+
+(* The per-position sets W of automaton [fn] with exit set [exit], at
+   [g]'s depth; nested calls go through the memoized entries. *)
+and fixpoint tb g fn exit fills =
+  let nested =
+    if g.budget - 1 >= 1 then Some (game_locked tb g.g_kind (g.budget - 1)) else None
+  in
+  let np = Array.length fn.final in
+  let base p =
+    if fn.final.(p) then Bytes.copy exit
+    else match g.g_kind with
+      | Safe -> full tb
+      | Possible -> Bytes.make (nbytes tb) '\000'
+  in
+  let w = Array.init np base in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for p = np - 1 downto 0 do
+      let acc = base p in
+      for e = fn.off.(p) to fn.off.(p + 1) - 1 do
+        let target = w.(fn.dst.(e)) in
+        let move = pre_col tb (column tb fn.lid.(e)) target in
+        (match nested with
+         | Some g' when fn.callee.(e) >= 0 ->
+           let callee = fn.callee.(e) in
+           let s = solve_locked tb g' callee (intern tb target) fills in
+           union_into move (bits_of tb (result tb callee s))
+         | Some _ | None -> ());
+        match g.g_kind with
+        | Safe -> inter_into acc move
+        | Possible -> union_into acc move
+      done;
+      if not (Bytes.equal acc w.(p)) then begin
+        w.(p) <- acc;
+        changed := true
+      end
+    done
+  done;
+  w
 
 (* ------------------------------------------------------------------ *)
 (* Lookups (no lock unless an entry is missing)                        *)
@@ -421,6 +439,15 @@ let kind r = r.kind
 let fills r = r.fills
 let fill_seconds r = r.fill_seconds
 
+(* Section 6: the word of one call to [a] alone, at depth [budget]:
+   S_1 = finals and S_0 = Inv^budget_a(finals), since the call's own
+   letter names no function of the tables and leads nowhere. *)
+let every_word tb kind ~budget a =
+  Mutex.protect tb.win.lock (fun () ->
+      let w = fixpoint tb (game_locked tb kind budget) a (bits_of tb tb.finals) (ref 0) in
+      let q = Dense.start tb.dfa in
+      q >= 0 && mem w.(a.start) q)
+
 (* ------------------------------------------------------------------ *)
 (* The strategy: walking (position, DFA state) pairs                   *)
 (* ------------------------------------------------------------------ *)
@@ -464,21 +491,12 @@ let enter frame f exit s =
 
 (* The moves leave [n] along its frame's edges labeled [sym]: at a word
    position the next letter, in a copy the Glushkov edges of the
-   position, tried in edge order. *)
+   position; every keep move first, then every fork, in edge order. *)
 let rec keep_from n sym f fn e last =
   e < last
   && ((Symbol.equal fn.sym.(e) sym
        && f { n with pos = fn.dst.(e); s = Dense.step_id n.frame.run.tb.dfa n.s fn.lid.(e) })
       || keep_from n sym f fn (e + 1) last)
-
-let exists_keep n sym f =
-  match n.frame.shape with
-  | Word syms ->
-    let r = n.frame.run and i = n.pos in
-    i < Array.length syms
-    && Symbol.equal syms.(i) sym
-    && f { n with pos = i + 1; s = Dense.step_id r.tb.dfa n.s r.ids.(i) }
-  | Copy { fn; _ } -> keep_from n sym f fn fn.off.(n.pos) fn.off.(n.pos + 1)
 
 (* The function a word position forks into, -1. *)
 let word_fork n =
@@ -507,20 +525,20 @@ let rec invoke_from n sym f fn e last =
        && f n.frame.run.tb.win.fns.(callee).name (enter n.frame callee fn.dst.(e) n.s))
       || invoke_from n sym f fn (e + 1) last)
 
-let exists_fork n sym f =
-  n.frame.forks >= 1
-  &&
+let moves n sym ~keep ~invoke =
+  let forks = n.frame.forks >= 1 in
   match n.frame.shape with
   | Word syms ->
-    let callee = word_fork n in
-    callee >= 0
-    && Symbol.equal syms.(n.pos) sym
-    && f n.frame.run.tb.win.fns.(callee).name (enter n.frame callee (n.pos + 1) n.s)
-  | Copy { fn; _ } -> invoke_from n sym f fn fn.off.(n.pos) fn.off.(n.pos + 1)
-
-let copy_done ~enter n =
-  n.frame == enter.frame
-  && match n.frame.shape with Copy { fn; _ } -> fn.final.(n.pos) | Word _ -> false
+    let r = n.frame.run and i = n.pos in
+    i < Array.length syms
+    && Symbol.equal syms.(i) sym
+    && (keep { n with pos = i + 1; s = Dense.step_id r.tb.dfa n.s r.ids.(i) }
+        || forks
+           && let callee = word_fork n in
+           callee >= 0 && invoke r.tb.win.fns.(callee).name (enter n.frame callee (i + 1) n.s))
+  | Copy { fn; _ } ->
+    let first = fn.off.(n.pos) and last = fn.off.(n.pos + 1) in
+    keep_from n sym keep fn first last || (forks && invoke_from n sym invoke fn first last)
 
 let leave n =
   match n.frame.shape with
@@ -528,9 +546,7 @@ let leave n =
     Some { frame = parent; pos = exit; s = n.s }
   | Copy _ | Word _ -> None
 
-let complete n =
+let accepting n =
   match n.frame.shape with
-  | Word _ -> n.pos = Array.length n.frame.wins - 1
+  | Word _ -> n.pos = Array.length n.frame.wins - 1 && Dense.is_final n.frame.run.tb.dfa n.s
   | Copy _ -> false
-
-let accepting n = Dense.is_final n.frame.run.tb.dfa n.s

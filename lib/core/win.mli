@@ -12,8 +12,8 @@
     afterwards. The verdict is "the DFA's start state is in [S_0]", and
     the same sets are the strategy: {!Execute} walks (position, DFA
     state) pairs and keeps a node iff its state is in its position's
-    set. The verdicts and walks are those of {!Marking} / {!Possible}
-    on A_w^b (property-tested).
+    set. The verdicts and walks are those of the paper's Figure 3 / 9
+    engines on A_w^b, kept as the test oracle (property-tested).
 
     {b Domain safety.} Entries are filled under one lock per {!t} and
     published immutably, so any number of domains may share the tables
@@ -26,7 +26,15 @@ type t
     automaton, indexed by Glushkov position, and the lock that guards
     every table built on it. *)
 
-val create : Fork_automaton.outputs -> t
+val create : Axml_schema.Schema.env -> t
+(** Compiles the Glushkov NFA of [tau_out f] for each invocable [f] of
+    [env] with a non-empty output; the other functions never fork.
+    @raise Axml_schema.Schema.Schema_error as compiling a type does. *)
+
+type automaton
+
+val automaton : t -> Axml_schema.Symbol.t Axml_regex.Regex.t -> automaton
+(** A language compiled like an output automaton, under no name. *)
 
 type table
 (** The tables of one content model: its interned winning sets and
@@ -59,6 +67,13 @@ val fills : run -> int
 val fill_seconds : run -> float
 (** Wall time this pass spent filling entries, lock waits included. *)
 
+val every_word : table -> kind -> budget:int -> automaton -> bool
+(** Section 6's [g_l] test: [start ∈ Inv^budget_a(finals)], the game
+    of one call whose output is [a]'s language, at depth [budget] ≥ 1.
+    The adversary spells a word of [a] and the player decides each
+    nested call when it is spelled, with no look-ahead. May fill
+    entries of the nested games; adds none of its own. *)
+
 (** {1 The strategy}
 
     A node is a position in the word, or in an invoked copy of an
@@ -73,28 +88,20 @@ val initial : run -> node
 val good : node -> bool
 (** The node's state is in its position's winning set. *)
 
-val exists_keep : node -> Axml_schema.Symbol.t -> (node -> bool) -> bool
-(** [exists_keep n sym f]: [f] on the target of each keep move for an
-    item of symbol [sym], in edge order, until one answers [true]. *)
+val moves :
+  node -> Axml_schema.Symbol.t -> keep:(node -> bool) -> invoke:(string -> node -> bool) -> bool
+(** [moves n sym ~keep ~invoke]: [keep] on the target of each keep move
+    for an item of symbol [sym], then [invoke callee start] for each
+    fork among those edges (the function to call and the start of its
+    copy), in edge order, until one answers [true]. *)
 
 val has_fork : node -> Axml_schema.Symbol.t -> bool
 (** Is one of those edges a fork (an invocable call within the
     remaining depth)? *)
 
-val exists_fork : node -> Axml_schema.Symbol.t -> (string -> node -> bool) -> bool
-(** [exists_fork n sym f]: [f callee start] for each fork among those
-    edges, in edge order — the function to call and the start of its
-    copy — until one answers [true]. *)
-
-val copy_done : enter:node -> node -> bool
-(** [copy_done ~enter n]: [n] is at a final position of the copy that
-    [enter] started. *)
-
 val leave : node -> node option
-(** Leave a copy from a final position, back to where it was invoked. *)
-
-val complete : node -> bool
-(** The whole word has been read. *)
+(** Leave a copy from a final position, back to where it was invoked;
+    [None] anywhere else. *)
 
 val accepting : node -> bool
-(** The node's DFA state is final. *)
+(** The whole word has been read and the node's DFA state is final. *)

@@ -51,6 +51,46 @@ let pairs =
     ("pattern target", sender, pattern_target);
     ("#anyfun in both models", anyfun_sender, anyfun_sender_target) ]
 
+(* The game Section 6 decides has no look-ahead. Both documents of [r]
+   rewrite safely one at a time (<r>F a</r> keeps F, <r>F b</r> invokes
+   it), but a strategy must choose for F before it sees a or b: the
+   pair is not compatible. *)
+let lookahead_sender = {|
+root r
+element r = F.(a|b)
+element a = #data
+element b = #data
+element c = #data
+function F : () -> c
+|}
+
+let lookahead_target = {|
+root r
+element r = F.a | c.b
+element a = #data
+element b = #data
+element c = #data
+function F : () -> c
+|}
+
+(* The two documents of [lookahead_sender], as the CLI reads them. *)
+let lookahead_docs =
+  List.map
+    (fun l ->
+      Printf.sprintf
+        "<r xmlns:int=\"http://www.activexml.com/ns/int\">\
+         <int:fun methodName=\"F\"><int:params/></int:fun><%s>x</%s></r>" l l)
+    [ "a"; "b" ]
+
+(* [r] has no document at all: P has no member, so a.P is empty. Every
+   document of [r] (there is none) rewrites into this same schema. *)
+let empty_content = {|
+root r
+element r = a.P
+element a = #data
+pattern P : () -> a
+|}
+
 let parse text =
   match Axml_schema.Schema_parser.parse_result text with
   | Ok s -> s

@@ -338,6 +338,35 @@ let test_compat_wildcard_target () =
       check (name ^ ": says incompatible") true (contains out "INCOMPATIBLE"))
     Section6_fixtures.pairs
 
+(* compat decides the left-to-right game with no look-ahead, check one
+   document at a time: on this pair they differ, and the FAIL line says
+   which game failed. *)
+let test_compat_no_lookahead () =
+  let f = path "lookahead_sender.axs" and t = path "lookahead_target.axs" in
+  write_file f Section6_fixtures.lookahead_sender;
+  write_file t Section6_fixtures.lookahead_target;
+  let code, out = run [ "compat"; "-f"; f; "-t"; t ] in
+  check_int "compat: exit 1" 1 code;
+  check "says incompatible" true (contains out "INCOMPATIBLE");
+  check "names the left-to-right game" true (contains out "left-to-right strategy");
+  List.iteri
+    (fun i doc ->
+      let d = path (Fmt.str "lookahead_%d.xml" i) in
+      write_file d doc;
+      let code, out = run [ "check"; "-f"; f; "-t"; t; d ] in
+      check_int (Fmt.str "check doc %d: exit 0" i) 0 code;
+      check (Fmt.str "check doc %d: safe" i) true (contains out "safe"))
+    Section6_fixtures.lookahead_docs
+
+(* A schema is compatible with itself, an empty content model
+   included. *)
+let test_compat_reflexive_empty () =
+  let f = path "empty_content.axs" in
+  write_file f Section6_fixtures.empty_content;
+  let code, out = run [ "compat"; "-f"; f; "-t"; f ] in
+  check_int "exit 0" 0 code;
+  check "says compatible" true (contains out "COMPATIBLE")
+
 let test_schema_convert () =
   setup ();
   let xml_file = path "schema.xml" in
@@ -760,6 +789,9 @@ let () =
          Alcotest.test_case "compat" `Quick test_compat;
          Alcotest.test_case "compat wildcard target" `Quick
            test_compat_wildcard_target;
+         Alcotest.test_case "compat without look-ahead" `Quick test_compat_no_lookahead;
+         Alcotest.test_case "compat reflexive on empty content" `Quick
+           test_compat_reflexive_empty;
          Alcotest.test_case "lint schema" `Quick test_lint_schema;
          Alcotest.test_case "lint contract json" `Quick test_lint_contract_json;
          Alcotest.test_case "lint deny thresholds" `Quick test_lint_deny_thresholds;

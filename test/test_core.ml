@@ -13,13 +13,14 @@ module Auto = Axml_schema.Auto
 module D = Axml_core.Document
 module Contract = Axml_core.Contract
 module Rewriter = Axml_core.Rewriter
-module Marking = Axml_core.Marking
-module Possible = Axml_core.Possible
+module Marking = Axml_oracle.Marking
+module Possible = Axml_oracle.Possible
+module Reference = Axml_oracle.Reference
 module Execute = Axml_core.Execute
 module Validate = Axml_core.Validate
 module Generate = Axml_core.Generate
 module Schema_rewrite = Axml_core.Schema_rewrite
-module Fork_automaton = Axml_core.Fork_automaton
+module Fork_automaton = Axml_oracle.Fork_automaton
 module Win = Axml_core.Win
 
 let check = Alcotest.(check bool)
@@ -136,7 +137,7 @@ let test_safe_into_star2 () =
       D.call "Get_Temp" [ D.elem "city" [ D.data "Paris" ] ];
       D.call "TimeOut" [ D.data "exhibits" ] ]
   in
-  match Execute.run (Execute.Follow_table analysis) (honest_invoker ?timeout_returns:None) items with
+  match Execute.run analysis (honest_invoker ?timeout_returns:None) items with
   | Error e -> Alcotest.failf "safe execution failed: %a" Execute.pp_failure e
   | Ok outcome ->
     let names = List.map (fun i -> i.Execute.inv_name) outcome.Execute.invocations in
@@ -174,7 +175,7 @@ let test_possible_into_star3 () =
       D.call "TimeOut" [ D.data "exhibits" ] ]
   in
   (* TimeOut returns only exhibits: the attempt succeeds, both invoked *)
-  (match Execute.run (Execute.Follow_table analysis)
+  (match Execute.run analysis
            (honest_invoker ~timeout_returns:`Exhibits) items with
    | Error e -> Alcotest.failf "expected success, got %a" Execute.pp_failure e
    | Ok outcome ->
@@ -184,7 +185,7 @@ let test_possible_into_star3 () =
      Alcotest.(check (list string)) "both invoked" [ "Get_Temp"; "TimeOut" ] names);
   (* TimeOut returns a performance: the attempt fails (Figure 9c) *)
   let analysis = Contract.possible_run c ~target_regex:regex newspaper_word in
-  (match Execute.run (Execute.Follow_table analysis)
+  (match Execute.run analysis
            (honest_invoker ~timeout_returns:`Performance) items with
    | Error Execute.No_possible_path -> ()
    | Error e -> Alcotest.failf "expected No_possible_path, got %a" Execute.pp_failure e
@@ -201,7 +202,7 @@ let test_already_instance () =
       D.call "Get_Temp" [ D.elem "city" [ D.data "Paris" ] ];
       D.call "TimeOut" [ D.data "exhibits" ] ]
   in
-  match Execute.run (Execute.Follow_table analysis)
+  match Execute.run analysis
           (fun name _ -> Alcotest.failf "unexpected call to %s" name) items with
   | Error e -> Alcotest.failf "execution failed: %a" Execute.pp_failure e
   | Ok outcome -> check_int "no invocations" 0 (List.length outcome.Execute.invocations)
@@ -405,7 +406,7 @@ let test_zero_invocation_invariant () =
      invoking anything *)
   let items = [ D.elem "date" [ D.data "d" ] ] in
   match
-    Execute.run (Execute.Follow_table analysis)
+    Execute.run analysis
       (fun name _ -> Alcotest.failf "unexpected call to %s" name)
       items
   with
@@ -442,7 +443,7 @@ let test_depth_k () =
     | "Get_Exhibit" -> [ D.elem "exhibit" [ D.data "e" ] ]
     | other -> Alcotest.failf "unexpected %s" other
   in
-  match Execute.run (Execute.Follow_table analysis) invoker [ D.call "Get_Exhibits" [] ] with
+  match Execute.run analysis invoker [ D.call "Get_Exhibits" [] ] with
   | Error e -> Alcotest.failf "execution failed: %a" Execute.pp_failure e
   | Ok outcome ->
     check_int "four invocations" 4 (List.length outcome.Execute.invocations);
@@ -590,7 +591,7 @@ function F : #data -> a
   in
   check "function must be invoked" true (Win.ok analysis);
   let outcome =
-    Execute.run (Execute.Follow_table analysis)
+    Execute.run analysis
       (fun _ _ -> [ D.elem "a" [ D.data "x" ] ])
       [ D.call "F" [ D.data "p" ] ]
   in
@@ -700,8 +701,9 @@ let test_schema_rewriting_representative_hidden () =
   check "sender #anyfun: compatible at k = 1" true
     (Schema_rewrite.compatible (Contract.create ~s0 ~target ()) ~root:"r")
 
-(* The reduction runs outside the analysis cache: linting a live
-   contract leaves its counters and entries as enforcement left them. *)
+(* The reduction may fill entries of the shared tables, but it is no
+   analysis: linting a live contract leaves its counters as enforcement
+   left them. *)
 let test_schema_rewriting_leaves_stats () =
   let c = Contract.create ~s0:schema_star ~target:schema_star2 () in
   ignore (Contract.analyze c ~context:(Contract.Element "newspaper") newspaper_word);
@@ -709,6 +711,129 @@ let test_schema_rewriting_leaves_stats () =
   check "enforcement used the cache" true (before.Contract.misses > 0);
   ignore (Schema_rewrite.check c ~root:"newspaper");
   check "stats unchanged" true (Contract.stats c = before)
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec scan i = i + n <= h && (String.sub hay i n = needle || scan (i + 1)) in
+  scan 0
+
+(* Section 6 decides a game without look-ahead, not "each document
+   rewrites safely": both documents of r are safe here, one at a time,
+   yet no strategy can choose for F before it sees a or b. *)
+let test_schema_rewriting_no_lookahead () =
+  let s0 = Section6_fixtures.parse Section6_fixtures.lookahead_sender in
+  let target = Section6_fixtures.parse Section6_fixtures.lookahead_target in
+  let result = Schema_rewrite.check (Contract.create ~s0 ~target ()) ~root:"r" in
+  check "not compatible" false result.Schema_rewrite.compatible;
+  let r = List.find (fun v -> v.Schema_rewrite.v_label = "r") result.Schema_rewrite.verdicts in
+  check "r: possible, not safe" true
+    (r.Schema_rewrite.v_verdict = Contract.Possible_only
+     && r.Schema_rewrite.v_safe_at = None
+     && r.Schema_rewrite.v_possible_at = Some 0);
+  check "the reason names the left-to-right game" true
+    (match r.Schema_rewrite.v_reason with
+     | Some why -> contains why "left-to-right" && contains why "<r>"
+     | None -> false);
+  let rw = Rewriter.create ~s0 ~target () in
+  List.iter
+    (fun l ->
+      let doc = D.elem "r" [ D.call "F" []; D.elem l [ D.data "x" ] ] in
+      check (Fmt.str "<r>F %s</r> rewrites safely" l) true (Rewriter.check rw doc).ok)
+    [ "a"; "b" ]
+
+(* A label with no document at all is vacuously safe, so a schema is
+   compatible with itself even when a content model is empty. The
+   product reduction gives g_l no output there and says neither safe nor
+   possible: the one case where the two differ. *)
+let test_schema_rewriting_empty_content () =
+  let s = Section6_fixtures.parse Section6_fixtures.empty_content in
+  let c = Contract.create ~s0:s ~target:s () in
+  let result = Schema_rewrite.check c ~root:"r" in
+  check "compatible with itself" true result.Schema_rewrite.compatible;
+  List.iter
+    (fun v ->
+      check (v.Schema_rewrite.v_label ^ ": safe at 0") true
+        (v.Schema_rewrite.v_verdict = Contract.Safe
+         && v.Schema_rewrite.v_safe_at = Some 0
+         && v.Schema_rewrite.v_possible_at = Some 0))
+    result.Schema_rewrite.verdicts;
+  let m =
+    Reference.section6_minimal_k c
+      ~target_regex:(Option.get (Contract.element_regex c "r"))
+      (Option.get (Schema.find_element s "r"))
+  in
+  check "the product reduction says neither" true
+    (m.Contract.safe_at = None && m.Contract.possible_at = None)
+
+(* [check]'s verdict and depths for every label against the product
+   reduction of the oracle; labels whose sender content is empty are
+   vacuously safe instead. [None] when they agree. *)
+let section6_disagreement c ~root =
+  let s0 = Contract.s0 c and env = Contract.env c in
+  List.find_map
+    (fun (v : Schema_rewrite.label_verdict) ->
+      match (Schema.find_element s0 v.v_label, Contract.element_regex c v.v_label) with
+      | Some content, Some target_regex ->
+        let m =
+          if R.is_empty_language (Schema.compile_content env content) then
+            { Contract.safe_at = Some 0; possible_at = Some 0 }
+          else Reference.section6_minimal_k c ~target_regex content
+        in
+        let verdict =
+          match m with
+          | { Contract.safe_at = Some _; _ } -> Contract.Safe
+          | { Contract.possible_at = Some _; _ } -> Contract.Possible_only
+          | _ -> Contract.Impossible
+        in
+        if (v.v_verdict, v.v_safe_at, v.v_possible_at) = (verdict, m.safe_at, m.possible_at)
+        then None
+        else
+          let pp_at = Fmt.(option ~none:(any "-") int) in
+          Some
+            (Fmt.str "%s: tables %a safe_at=%a possible_at=%a, oracle %a safe_at=%a \
+                      possible_at=%a" v.v_label Contract.pp_verdict v.v_verdict pp_at
+               v.v_safe_at pp_at v.v_possible_at Contract.pp_verdict verdict pp_at
+               m.safe_at pp_at m.possible_at)
+      | _ -> None)
+    (Schema_rewrite.check c ~root).Schema_rewrite.verdicts
+
+(* The checked-in pairs: the paper's (star) schemas both ways, the
+   fixtures of this suite and the example newspaper pairs, at k = 0..3. *)
+let test_schema_rewriting_oracle_parity () =
+  let example name =
+    let ic = open_in_bin (Filename.concat "../examples/schemas" name) in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Schema_parser.parse text
+  in
+  let sender = example "newspaper_sender.axs"
+  and exchange = example "newspaper_exchange.axs"
+  and exchange_v2 = example "newspaper_exchange_v2.axs" in
+  let fixture (name, s0, target) =
+    (name, "r", Section6_fixtures.parse s0, Section6_fixtures.parse target)
+  in
+  let pairs =
+    [ ("(*) -> (**)", "newspaper", schema_star, schema_star2);
+      ("(*) -> (***)", "newspaper", schema_star, schema_star3);
+      ("(**) -> (*)", "newspaper", schema_star2, schema_star);
+      ("(***) -> (*)", "newspaper", schema_star3, schema_star);
+      ("sender -> exchange", "newspaper", sender, exchange);
+      ("exchange -> exchange v2", "newspaper", exchange, exchange_v2);
+      ("sender -> exchange v2", "newspaper", sender, exchange_v2);
+      fixture ("look-ahead", Section6_fixtures.lookahead_sender,
+               Section6_fixtures.lookahead_target);
+      fixture ("empty content", Section6_fixtures.empty_content,
+               Section6_fixtures.empty_content) ]
+    @ List.map fixture Section6_fixtures.pairs
+  in
+  List.iter
+    (fun (name, root, s0, target) ->
+      for k = 0 to 3 do
+        match section6_disagreement (Contract.create ~k ~s0 ~target ()) ~root with
+        | None -> ()
+        | Some d -> Alcotest.failf "%s at k = %d: %s" name k d
+      done)
+    pairs
 
 (* ------------------------------------------------------------------ *)
 (* Validation and generation                                           *)
@@ -759,8 +884,8 @@ let test_generated_outputs_validate () =
    its product in place, so sharing one would let the second engine
    start from the first one's exploration. *)
 let eager_and_lazy c ~target_regex word =
-  ( Marking.analyze_eager (Contract.product c ~target_regex word),
-    Marking.analyze_lazy (Contract.product c ~target_regex word) )
+  ( Marking.analyze_eager (Reference.product c ~target_regex word),
+    Marking.analyze_lazy (Reference.product c ~target_regex word) )
 
 let test_engines_agree_on_example () =
   List.iter
@@ -911,7 +1036,7 @@ let prop_safe_execution_robust =
         List.map mini_item o
       in
       let items = List.map mini_item word in
-      match Execute.run (Execute.Follow_table analysis) invoker items with
+      match Execute.run analysis invoker items with
       | Error _ -> QCheck.Test.fail_report "safe execution failed"
       | Ok outcome ->
         let final_word = D.word outcome.Execute.materialized in
@@ -1014,14 +1139,14 @@ let prop_k_monotone =
 (* Cost planning (Figure 3 step 23, Figure 9 step d)                   *)
 (* ------------------------------------------------------------------ *)
 
-module Cost = Axml_core.Cost
+module Cost = Axml_oracle.Cost
 
 (* Cost planning runs on the reference engines' products. *)
 let ref_safe c ~target_regex word =
-  Marking.analyze_lazy (Contract.product c ~target_regex word)
+  Marking.analyze_lazy (Reference.product c ~target_regex word)
 
 let ref_possible c ~target_regex word =
-  Possible.analyze (Contract.product c ~target_regex word)
+  Possible.analyze (Reference.product c ~target_regex word)
 
 let example_fee = function
   | "Get_Temp" -> 0.1
@@ -1148,7 +1273,7 @@ let test_cost_guided_execution () =
    | Some c -> Alcotest.(check (float 1e-9)) "worst-case optimum" 1.0 c
    | None -> Alcotest.fail "expected a bound");
   (* greedy keep-first execution keeps F and ends up paying for H *)
-  (match Execute.run (Execute.Follow_safe analysis) tradeoff_invoker tradeoff_items with
+  (match Reference.follow_safe analysis tradeoff_invoker tradeoff_items with
    | Ok outcome -> Alcotest.(check (float 1e-9)) "greedy pays 10" 10.0 (total_fee outcome)
    | Error e -> Alcotest.failf "execution failed: %a" Execute.pp_failure e);
   (* the cost-guided order follows the optimal plan *)
@@ -1158,7 +1283,7 @@ let test_cost_guided_execution () =
    | None -> Alcotest.fail "expected a cost");
   let plan = Cost.possible_costs poss ~cost:tradeoff_fee in
   match
-    Execute.run ~plan ~fee:tradeoff_fee (Execute.Follow_possible poss)
+    Reference.follow_possible ~plan ~fee:tradeoff_fee poss
       tradeoff_invoker tradeoff_items
   with
   | Ok outcome -> Alcotest.(check (float 1e-9)) "guided pays 1" 1.0 (total_fee outcome)
@@ -1277,6 +1402,63 @@ let prop_tree_materialization_sound =
             | vs ->
               QCheck.Test.fail_reportf "result %a violates: %a" D.pp doc'
                 Fmt.(list Validate.pp_violation) vs)))
+
+(* Section 6 properties over generated schemas: a, b and #data leaves,
+   f and g with random (possibly starred or recursive) outputs, the
+   pattern P : () -> a, and r's content drawn with wildcards and P. *)
+let section6_schema out_f out_g r =
+  Schema.with_root
+    (Schema.add_element
+       (Schema.add_pattern (mini_schema out_f out_g)
+          (Schema.pattern "P" ~input:R.epsilon ~output:(R.sym (Schema.A_label "a"))))
+       "r" r)
+    "r"
+
+let gen_section6_output =
+  QCheck.Gen.(frequency [ (3, gen_mini_content); (1, map R.star gen_mini_content) ])
+
+let gen_wild_content =
+  gen_content (mini_atoms @ [ Schema.A_any_element; Schema.A_any_fun; Schema.A_pattern "P" ])
+
+let arb_section6 =
+  QCheck.make
+    ~print:(fun (out_f, out_g, r0, r1, k) ->
+      Fmt.str "f:()->%a; g:()->%a; sender r=%a; exchange r=%a; k=%d" Schema.pp_content out_f
+        Schema.pp_content out_g Schema.pp_content r0 Schema.pp_content r1 k)
+    QCheck.Gen.(
+      let* out_f = gen_section6_output in
+      let* out_g = gen_section6_output in
+      let* r0 = gen_wild_content in
+      let* r1 = gen_wild_content in
+      let* k = int_range 0 3 in
+      return (out_f, out_g, r0, r1, k))
+
+(* Under s -> s every label is safe at depth 0: the adversary spells a
+   word of the label's own model and keeping every item lands in it. *)
+let prop_schema_self_safe =
+  QCheck.Test.make ~count:300 ~name:"every label of s -> s is safe at depth 0" arb_section6
+    (fun (out_f, out_g, r0, _, k) ->
+      let s = section6_schema out_f out_g r0 in
+      List.for_all
+        (fun (v : Schema_rewrite.label_verdict) ->
+          (v.v_verdict = Contract.Safe && v.v_safe_at = Some 0 && v.v_possible_at = Some 0)
+          || QCheck.Test.fail_reportf "%s: %a" v.v_label Contract.pp_verdict v.v_verdict)
+        (Schema_rewrite.check (Contract.create ~k ~s0:s ~target:s ()) ~root:"r")
+          .Schema_rewrite.verdicts)
+
+(* The win-table reduction answers exactly as the product reduction of
+   the oracle, verdicts and minimal depths, except on empty content. *)
+let prop_section6_parity =
+  QCheck.Test.make ~count:600 ~name:"Section 6 on the win tables matches the product reduction"
+    arb_section6
+    (fun (out_f, out_g, r0, r1, k) ->
+      let c =
+        Contract.create ~k ~s0:(section6_schema out_f out_g r0)
+          ~target:(section6_schema out_f out_g r1) ()
+      in
+      match section6_disagreement c ~root:"r" with
+      | None -> true
+      | Some d -> QCheck.Test.fail_report d)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled contracts: verdicts, counters, shared tables              *)
@@ -1515,8 +1697,8 @@ let run_word c env ~target_regex word =
   let possible = Contract.possible_run c ~target_regex word in
   let outcome =
     if Win.ok safe || Win.ok possible then
-      let st = Execute.Follow_table (if Win.ok safe then safe else possible) in
-      Some (outcome_view (Execute.run st (mini_invoker env) (List.map mini_item word)))
+      let r = if Win.ok safe then safe else possible in
+      Some (outcome_view (Execute.run r (mini_invoker env) (List.map mini_item word)))
     else None
   in
   (Win.ok safe, Win.ok possible, outcome)
@@ -1578,7 +1760,7 @@ let prop_table_parity =
         (fun word ->
           let safe = Contract.safe_run c ~target_regex word in
           let possible = Contract.possible_run c ~target_regex word in
-          let product () = Contract.product c ~target_regex word in
+          let product () = Reference.product c ~target_regex word in
           let lazy_ = Marking.analyze_lazy (product ()) in
           let eager = Marking.analyze_eager (product ()) in
           let live = Possible.analyze (product ()) in
@@ -1594,15 +1776,14 @@ let prop_table_parity =
           if Win.ok possible <> Exhaustive.possible ~outputs ~target_dfa ~k word then
             QCheck.Test.fail_reportf "%a: table possible=%b, brute force disagrees" pw
               word (Win.ok possible);
-          let walk st =
-            outcome_view
-              (Execute.run st (mini_invoker ~seed env) (List.map mini_item word))
+          let walk follow =
+            outcome_view (follow (mini_invoker ~seed env) (List.map mini_item word))
           in
           if Win.ok safe
-             && walk (Execute.Follow_table safe) <> walk (Execute.Follow_safe lazy_)
+             && walk (Execute.run safe) <> walk (Reference.follow_safe lazy_)
           then QCheck.Test.fail_reportf "%a: safe walks differ" pw word;
           if Win.ok possible
-             && walk (Execute.Follow_table possible) <> walk (Execute.Follow_possible live)
+             && walk (Execute.run possible) <> walk (Reference.follow_possible live)
           then QCheck.Test.fail_reportf "%a: possible walks differ" pw word)
         words;
       true)
@@ -1637,9 +1818,9 @@ let test_marking_exhaustive_divergence () =
         let expected = k >= marking_safe_from in
         let name what = Fmt.str "%s, k=%d: %s" spelling k what in
         check (name "lazy marking") expected
-          (Marking.analyze_lazy (Contract.product c ~target_regex word)).Marking.safe;
+          (Marking.analyze_lazy (Reference.product c ~target_regex word)).Marking.safe;
         check (name "eager marking") expected
-          (Marking.analyze_eager (Contract.product c ~target_regex word)).Marking.safe;
+          (Marking.analyze_eager (Reference.product c ~target_regex word)).Marking.safe;
         check (name "win tables") expected (Contract.is_safe c ~target_regex word);
         check (name "full-knowledge game") (k >= 2)
           (Exhaustive.safe ~outputs ~target_dfa ~k word)
@@ -1889,6 +2070,8 @@ let qcheck_tests =
       prop_k_monotone;
       prop_schema_compat_sound;
       prop_tree_materialization_sound;
+      prop_schema_self_safe;
+      prop_section6_parity;
       prop_contract_cache_transparent;
       prop_contract_check_parity;
       prop_table_counters;
@@ -1941,7 +2124,13 @@ let () =
          Alcotest.test_case "representative matches no wildcard or pattern" `Quick
            test_schema_rewriting_representative_hidden;
          Alcotest.test_case "cache counters untouched" `Quick
-           test_schema_rewriting_leaves_stats
+           test_schema_rewriting_leaves_stats;
+         Alcotest.test_case "no look-ahead: safe documents, unsafe type" `Quick
+           test_schema_rewriting_no_lookahead;
+         Alcotest.test_case "empty content is vacuously safe" `Quick
+           test_schema_rewriting_empty_content;
+         Alcotest.test_case "tables match the product reduction" `Quick
+           test_schema_rewriting_oracle_parity
        ]);
       ("validation",
        [ Alcotest.test_case "violations" `Quick test_validate_violations;
