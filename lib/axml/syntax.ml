@@ -72,65 +72,61 @@ let is_layout = function
   | T.Comment _ | T.Pi _ -> true
   | T.Element _ | T.Cdata _ -> false
 
+(* Each element's namespace environment is extended once, with its own
+   declarations, and everything below it is resolved under that. *)
 let rec xml_to_node env (node : T.t) : D.t list =
   match node with
   | T.Text s -> if T.is_whitespace s then [] else [ D.data s ]
   | T.Cdata s -> [ D.data s ]
   | T.Comment _ | T.Pi _ -> []
   | T.Element e ->
-    let inner_env = Ns.extend env e in
-    if is_call env e then [ call_of_element inner_env e ]
-    else begin
-      let _, local = Ns.expanded_name env e in
-      let children = List.concat_map (xml_to_node inner_env) e.T.children in
-      [ D.elem local children ]
-    end
+    let env = Ns.extend env e in
+    (match Ns.expanded_name env e with
+     | Some uri, "fun" when String.equal uri axml_ns -> [ call_of_element env e ]
+     | _, local -> [ D.elem local (List.concat_map (xml_to_node env) e.T.children) ])
 
-and is_call env (e : T.element) =
-  match Ns.expanded_name env e with
-  | Some uri, "fun" -> String.equal uri axml_ns
-  | _ -> false
-
+(* [env] is in force at the int:fun element [e]. Only its first
+   int:params child is read; any other content but layout is an error,
+   reported after the params are decoded. *)
 and call_of_element env (e : T.element) : D.t =
   let name =
     match T.attr_value e "methodName" with
     | Some n -> n
     | None -> raise (Syntax_error "int:fun element without a methodName attribute")
   in
-  let params =
-    match
-      List.find_map
-        (function
-          | T.Element pe when snd (Ns.expanded_name env pe) = "params"
-                              && is_int_ns env pe -> Some pe
-          | _ -> None)
-        e.T.children
-    with
-    | None -> []
-    | Some params_elem ->
-      List.concat_map
-        (function
-          | T.Element pe when snd (Ns.expanded_name env pe) = "param"
-                              && is_int_ns env pe ->
-            let env = Ns.extend env pe in
-            List.concat_map (xml_to_node env) pe.T.children
-          | node when is_layout node -> []
-          | _ -> raise (Syntax_error "int:params may only contain int:param elements"))
-        params_elem.T.children
-  in
-  (* any non-params child of int:fun is an error (layout aside) *)
+  let params = ref None and unexpected = ref false in
   List.iter
     (fun child ->
       match child with
-      | T.Element ce when snd (Ns.expanded_name env ce) = "params" && is_int_ns env ce -> ()
-      | node when is_layout node -> ()
-      | _ -> raise (Syntax_error "unexpected content inside int:fun"))
+      | T.Element ce ->
+        let env = Ns.extend env ce in
+        if is_int env ce "params" then
+          (if Option.is_none !params then params := Some (env, ce))
+        else unexpected := true
+      | node -> if not (is_layout node) then unexpected := true)
     e.T.children;
+  let params =
+    match !params with
+    | None -> []
+    | Some (env, pe) -> List.concat_map (param_content env) pe.T.children
+  in
+  if !unexpected then raise (Syntax_error "unexpected content inside int:fun");
   D.call name params
 
-and is_int_ns env (e : T.element) =
+and param_content env (node : T.t) =
+  match node with
+  | T.Element pe ->
+    let env = Ns.extend env pe in
+    if is_int env pe "param" then List.concat_map (xml_to_node env) pe.T.children
+    else raise (Syntax_error "int:params may only contain int:param elements")
+  | node when is_layout node -> []
+  | _ -> raise (Syntax_error "int:params may only contain int:param elements")
+
+(* Is [e], under the environment [env] in force at it, the int element
+   [local]? *)
+and is_int env (e : T.element) local =
   match Ns.expanded_name env e with
-  | Some uri, _ -> String.equal uri axml_ns
+  | Some uri, l -> String.equal l local && String.equal uri axml_ns
   | None, _ -> false
 
 let of_xml (tree : T.t) : D.t =

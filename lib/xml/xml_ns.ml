@@ -17,21 +17,22 @@ let split_name name =
   | Some i ->
     (Some (String.sub name 0 i), String.sub name (i + 1) (String.length name - i - 1))
 
-(* Extend [env] with the xmlns declarations of [element]. *)
-let extend env (element : Xml_tree.element) =
-  List.fold_left
-    (fun env (a : Xml_tree.attribute) ->
-      if String.equal a.name "xmlns" then String_map.add "" a.value env
-      else
-        match split_name a.name with
-        | Some "xmlns", prefix -> String_map.add prefix a.value env
-        | _ -> env)
-    env element.attrs
+let add_declaration env (a : Xml_tree.attribute) =
+  if String.equal a.name "xmlns" then String_map.add "" a.value env
+  else if String.starts_with ~prefix:"xmlns:" a.name then
+    String_map.add (String.sub a.name 6 (String.length a.name - 6)) a.value env
+  else env
 
-(* Namespace URI and local name of an element under [env].
-   Elements without a prefix take the default namespace (if any). *)
+(* Extend [env] with the xmlns declarations of [element] (an element
+   without attributes gets [env] itself). *)
+let extend env (element : Xml_tree.element) =
+  List.fold_left add_declaration env element.attrs
+
+(* Namespace URI and local name of an element under [env], the
+   environment in force at the element (its own declarations included,
+   as [extend] and [iter_elements] give it). Elements without a prefix
+   take the default namespace (if any). *)
 let expanded_name env (element : Xml_tree.element) =
-  let env = extend env element in
   match split_name element.name with
   | None, local -> (String_map.find_opt "" env, local)
   | Some prefix, local -> (String_map.find_opt prefix env, local)

@@ -11,11 +11,14 @@ val split_name : string -> string option * string
 (** ["prefix:local"] to [(Some "prefix", "local")]. *)
 
 val extend : env -> Xml_tree.element -> env
-(** Add the [xmlns] / [xmlns:p] declarations of an element. *)
+(** Add the [xmlns] / [xmlns:p] declarations of an element; [env]
+    itself when the element has no attributes. *)
 
 val expanded_name : env -> Xml_tree.element -> string option * string
-(** Namespace URI (if any) and local name of an element under [env];
-    the element's own declarations are taken into account. *)
+(** Namespace URI (if any) and local name of an element under [env],
+    the environment in force at the element: [env] must already hold
+    the element's own declarations, as {!extend} and {!iter_elements}
+    give it. *)
 
 val expanded_attr_name : env -> Xml_tree.attribute -> string option * string
 (** Attributes without a prefix have no namespace (per the XML spec). *)
@@ -25,3 +28,5 @@ val iter_elements : (env -> Xml_tree.element -> unit) -> Xml_tree.t -> unit
     element. *)
 
 val element_is : env -> uri:string -> local:string -> Xml_tree.element -> bool
+(** Does the element live in namespace [uri] with local name [local]?
+    [env] is as for {!expanded_name}. *)

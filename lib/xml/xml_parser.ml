@@ -1,55 +1,73 @@
 (* Hand-written XML parser covering the subset the Active XML layer needs:
    prolog, elements, attributes, character data with entity references,
    CDATA sections, comments and processing instructions. DOCTYPE
-   declarations are skipped. Positions are tracked for error reporting. *)
+   declarations in the prolog are skipped.
+
+   The scanner allocates what it returns and one scratch buffer per
+   parse, nothing per character or per probe. The cursor is a bare
+   offset: line and column are a function of it, computed when an
+   [Error] is raised. Prefix probes compare in place. Character data and
+   attribute values are scanned as runs, and a run is copied once: a
+   token that is one run becomes one [String.sub]; a token broken by
+   entity references or line ends (or split across CDATA sections) is
+   assembled in the scratch buffer. Every [String.unsafe_get] below reads an index that its loop
+   condition has already bounded by the input's length. *)
 
 type position = { line : int; column : int }
 
 exception Error of { pos : position; message : string }
 
-type cursor = {
-  input : string;
-  mutable offset : int;
-  mutable line : int;
-  mutable bol : int;  (* offset of the beginning of the current line *)
-}
+type cursor = { input : string; mutable offset : int; scratch : Buffer.t }
 
-let make_cursor input = { input; offset = 0; line = 1; bol = 0 }
+let make_cursor input = { input; offset = 0; scratch = Buffer.create 64 }
 
-let position cur = { line = cur.line; column = cur.offset - cur.bol + 1 }
+(* Lines end at '\n' (so "\r\n" is one line end and a bare '\r' none);
+   the column counts bytes from 1. *)
+let position cur =
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to min cur.offset (String.length cur.input) - 1 do
+    if String.unsafe_get cur.input i = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  { line = !line; column = cur.offset - !bol + 1 }
 
 let fail cur message = raise (Error { pos = position cur; message })
 
 let eof cur = cur.offset >= String.length cur.input
 
-let peek cur = if eof cur then '\000' else cur.input.[cur.offset]
+let peek cur =
+  if eof cur then '\000' else String.unsafe_get cur.input cur.offset
 
 let peek2 cur =
   if cur.offset + 1 >= String.length cur.input then '\000'
-  else cur.input.[cur.offset + 1]
+  else String.unsafe_get cur.input (cur.offset + 1)
 
-let advance cur =
-  if not (eof cur) then begin
-    if cur.input.[cur.offset] = '\n' then begin
-      cur.line <- cur.line + 1;
-      cur.bol <- cur.offset + 1
-    end;
-    cur.offset <- cur.offset + 1
-  end
+let advance cur = if not (eof cur) then cur.offset <- cur.offset + 1
 
-let advance_n cur n = for _ = 1 to n do advance cur done
+let advance_n cur n = cur.offset <- min (cur.offset + n) (String.length cur.input)
 
-let looking_at cur prefix =
+(* Does [s] hold [prefix] at offset [at]? *)
+let sub_equal s at prefix =
   let n = String.length prefix in
-  cur.offset + n <= String.length cur.input
-  && String.sub cur.input cur.offset n = prefix
+  at + n <= String.length s
+  &&
+  let i = ref 0 in
+  while !i < n && String.unsafe_get s (at + !i) = String.unsafe_get prefix !i do
+    incr i
+  done;
+  !i = n
+
+let looking_at cur prefix = sub_equal cur.input cur.offset prefix
+
+let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
 let skip_whitespace cur =
-  while (not (eof cur))
-        && (match peek cur with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-  do
-    advance cur
-  done
+  let s = cur.input in
+  let i = ref cur.offset in
+  while !i < String.length s && is_space (String.unsafe_get s !i) do incr i done;
+  cur.offset <- !i
 
 let is_name_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = ':'
@@ -57,75 +75,122 @@ let is_name_start c =
 let is_name_char c =
   is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
+(* Offset just past the name that starts at [at] (at most [at]). *)
+let name_end s at =
+  let i = ref at in
+  while !i < String.length s && is_name_char (String.unsafe_get s !i) do incr i done;
+  !i
+
 let read_name cur =
   if not (is_name_start (peek cur)) then
     fail cur (Fmt.str "expected a name, found %C" (peek cur));
   let start = cur.offset in
-  while (not (eof cur)) && is_name_char (peek cur) do advance cur done;
+  cur.offset <- name_end cur.input start;
   String.sub cur.input start (cur.offset - start)
 
-(* Decode a single entity reference starting at '&'. *)
-let read_entity cur =
-  advance cur; (* '&' *)
+let digit_value base c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' when base = 16 -> Char.code c - 87
+  | 'A' .. 'F' when base = 16 -> Char.code c - 55
+  | _ -> -1
+
+(* The Unicode scalar value of a character reference body [#digits] or
+   [#xhexdigits] held in [s] between [start] and [stop]; -1 if the body
+   is anything else, names a surrogate or lies above U+10FFFF. *)
+let char_ref_code s start stop =
+  let base, first =
+    if stop > start + 1 && s.[start + 1] = 'x' then (16, start + 2) else (10, start + 1)
+  in
+  if first >= stop then -1
+  else begin
+    let code = ref 0 and i = ref first in
+    while !i < stop && !code >= 0 do
+      let d = digit_value base (String.unsafe_get s !i) in
+      code := if d < 0 || !code > 0x10FFFF then -1 else (!code * base) + d;
+      incr i
+    done;
+    let code = !code in
+    if code > 0x10FFFF || (code >= 0xD800 && code <= 0xDFFF) then -1 else code
+  end
+
+(* Is the entity body between [start] and [stop] the name [name]? *)
+let body_is s start stop name =
+  stop - start = String.length name && sub_equal s start name
+
+(* Decode the entity reference at '&' into [buf]. *)
+let add_entity buf cur =
+  let s = cur.input in
+  let start = cur.offset + 1 in
+  let stop = ref start in
+  while !stop < String.length s && String.unsafe_get s !stop <> ';' do incr stop done;
+  let stop = !stop in
+  if stop >= String.length s then begin
+    cur.offset <- stop;
+    fail cur "unterminated entity reference"
+  end;
+  cur.offset <- stop + 1;
+  if body_is s start stop "amp" then Buffer.add_char buf '&'
+  else if body_is s start stop "lt" then Buffer.add_char buf '<'
+  else if body_is s start stop "gt" then Buffer.add_char buf '>'
+  else if body_is s start stop "quot" then Buffer.add_char buf '"'
+  else if body_is s start stop "apos" then Buffer.add_char buf '\''
+  else if stop - start > 1 && s.[start] = '#' then begin
+    let code = char_ref_code s start stop in
+    if code < 0 then
+      fail cur (Fmt.str "bad character reference &%s;" (String.sub s start (stop - start)));
+    Buffer.add_utf_8_uchar buf (Uchar.unsafe_of_int code)
+  end
+  else fail cur (Fmt.str "unknown entity &%s;" (String.sub s start (stop - start)))
+
+(* Does [c] end a plain run of character data ([stop] = '<') or of an
+   attribute value ([stop] = its quote)? *)
+let ends_run stop c = c = stop || c = '&' || (c = '\r' && stop = '<')
+
+(* Character data up to the next '<' (or the end of input), or an
+   attribute value up to its closing [quote]: [stop] is '<' for the one
+   and the quote for the other. Entity references are decoded; in
+   character data the spec's line-end normalization turns "\r\n" and a
+   bare "\r" into "\n" (attribute values keep their bytes). *)
+let read_run cur stop =
+  let s = cur.input and n = String.length cur.input in
   let start = cur.offset in
-  while (not (eof cur)) && peek cur <> ';' do advance cur done;
-  if eof cur then fail cur "unterminated entity reference";
-  let body = String.sub cur.input start (cur.offset - start) in
-  advance cur; (* ';' *)
-  match body with
-  | "amp" -> "&"
-  | "lt" -> "<"
-  | "gt" -> ">"
-  | "quot" -> "\""
-  | "apos" -> "'"
-  | _ ->
-    if String.length body > 1 && body.[0] = '#' then begin
-      let code =
-        try
-          if body.[1] = 'x' || body.[1] = 'X' then
-            int_of_string ("0x" ^ String.sub body 2 (String.length body - 2))
-          else int_of_string (String.sub body 1 (String.length body - 1))
-        with Failure _ -> fail cur (Fmt.str "bad character reference &%s;" body)
-      in
-      if code < 0x80 then String.make 1 (Char.chr code)
-      else begin
-        (* UTF-8 encode *)
-        let buf = Buffer.create 4 in
-        if code < 0x800 then begin
-          Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else if code < 0x10000 then begin
-          Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else begin
-          Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
-          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end;
-        Buffer.contents buf
-      end
-    end
-    else fail cur (Fmt.str "unknown entity &%s;" body)
+  let i = ref start in
+  while !i < n && not (ends_run stop (String.unsafe_get s !i)) do incr i done;
+  if !i >= n || String.unsafe_get s !i = stop then begin
+    cur.offset <- !i;
+    String.sub s start (!i - start)
+  end
+  else begin
+    let buf = cur.scratch in
+    Buffer.clear buf;
+    Buffer.add_substring buf s start (!i - start);
+    cur.offset <- !i;
+    while (not (eof cur)) && String.unsafe_get s cur.offset <> stop do
+      let at = cur.offset in
+      match String.unsafe_get s at with
+      | '&' -> add_entity buf cur
+      | '\r' when stop = '<' ->
+        Buffer.add_char buf '\n';
+        cur.offset <-
+          (if at + 1 < n && String.unsafe_get s (at + 1) = '\n' then at + 2 else at + 1)
+      | _ ->
+        let i = ref (at + 1) in
+        while !i < n && not (ends_run stop (String.unsafe_get s !i)) do incr i done;
+        Buffer.add_substring buf s at (!i - at);
+        cur.offset <- !i
+    done;
+    Buffer.contents buf
+  end
 
 let read_quoted cur =
   let quote = peek cur in
   if quote <> '"' && quote <> '\'' then fail cur "expected a quoted value";
   advance cur;
-  let buf = Buffer.create 16 in
-  while (not (eof cur)) && peek cur <> quote do
-    if peek cur = '&' then Buffer.add_string buf (read_entity cur)
-    else begin
-      Buffer.add_char buf (peek cur);
-      advance cur
-    end
-  done;
+  let value = read_run cur quote in
   if eof cur then fail cur "unterminated attribute value";
   advance cur;
-  Buffer.contents buf
+  value
 
 let read_attributes cur =
   let attrs = ref [] in
@@ -141,26 +206,26 @@ let read_attributes cur =
       advance cur;
       skip_whitespace cur;
       let value = read_quoted cur in
-      attrs := Xml_tree.attr name value :: !attrs
+      attrs := { Xml_tree.name; value } :: !attrs
   done;
   List.rev !attrs
 
+(* The body up to [terminator], leaving the cursor past it. *)
 let read_until cur terminator what =
+  let s = cur.input in
   let start = cur.offset in
-  let tlen = String.length terminator in
-  let rec scan () =
-    if eof cur then fail cur (Fmt.str "unterminated %s" what)
-    else if looking_at cur terminator then begin
-      let body = String.sub cur.input start (cur.offset - start) in
-      advance_n cur tlen;
-      body
-    end
-    else begin
-      advance cur;
-      scan ()
-    end
-  in
-  scan ()
+  let first = terminator.[0] in
+  let i = ref start in
+  while
+    !i < String.length s
+    && not (String.unsafe_get s !i = first && sub_equal s !i terminator)
+  do
+    incr i
+  done;
+  cur.offset <- !i;
+  if eof cur then fail cur (Fmt.str "unterminated %s" what);
+  cur.offset <- !i + String.length terminator;
+  String.sub s start (!i - start)
 
 let skip_doctype cur =
   (* skip until the matching '>' allowing one level of [...] *)
@@ -174,127 +239,130 @@ let skip_doctype cur =
     advance cur
   done
 
-(* A leaf token at the cursor: comment, CDATA section(s), processing
-   instruction or character data. [None] when the cursor sits on a tag
-   (open or close), a DOCTYPE, or at end of input.
-
-   Adjacent CDATA sections coalesce into one node: the printer splits
+(* Adjacent CDATA sections coalesce into one node: the printer splits
    "]]>" across two sections (the only way to say it in CDATA), so
    reading them back as a single node is what makes print-then-parse
-   the identity. Character data undergoes the spec's line-end
-   normalization ("\r\n" and bare "\r" become "\n"); a literal U+000D
-   survives only as "&#13;", which the printer emits. *)
-let try_leaf cur : Xml_tree.t option =
-  if eof cur then None
-  else if looking_at cur "<!--" then begin
-    advance_n cur 4;
-    let body = read_until cur "-->" "comment" in
-    Some (Xml_tree.comment body)
-  end
-  else if looking_at cur "<![CDATA[" then begin
-    let buf = Buffer.create 32 in
-    let rec sections () =
-      advance_n cur 9;
-      Buffer.add_string buf (read_until cur "]]>" "CDATA section");
-      if looking_at cur "<![CDATA[" then sections ()
-    in
-    sections ();
-    Some (Xml_tree.cdata (Buffer.contents buf))
-  end
-  else if looking_at cur "<?" then begin
+   the identity. The cursor sits on the first "<![CDATA[". *)
+let read_cdata cur =
+  let buf = cur.scratch in
+  Buffer.clear buf;
+  while looking_at cur "<![CDATA[" do
+    advance_n cur 9;
+    Buffer.add_string buf (read_until cur "]]>" "CDATA section")
+  done;
+  Buffer.contents buf
+
+(* A markup leaf at a '<': comment, CDATA section(s) or processing
+   instruction, told apart by the byte after the '<'. [None] when the
+   cursor sits on a tag (open or close) or a DOCTYPE. *)
+let markup_leaf cur : Xml_tree.t option =
+  match peek2 cur with
+  | '!' ->
+    if looking_at cur "<!--" then begin
+      advance_n cur 4;
+      Some (Xml_tree.Comment (read_until cur "-->" "comment"))
+    end
+    else if looking_at cur "<![CDATA[" then Some (Xml_tree.Cdata (read_cdata cur))
+    else None
+  | '?' ->
     advance_n cur 2;
     let target = read_name cur in
     skip_whitespace cur;
     let content = read_until cur "?>" "processing instruction" in
     Some (Xml_tree.pi target (String.trim content))
+  | _ -> None
+
+(* A leaf token at the cursor: a markup leaf or character data. [None]
+   when the cursor sits on a tag, a DOCTYPE, or at end of input. *)
+let try_leaf cur : Xml_tree.t option =
+  if eof cur then None
+  else if String.unsafe_get cur.input cur.offset = '<' then markup_leaf cur
+  else Some (Xml_tree.Text (read_run cur '<'))
+
+(* An open element: its name, attributes and the children read so far
+   (reversed). *)
+type frame = {
+  name : string;
+  attrs : Xml_tree.attribute list;
+  mutable kids : Xml_tree.t list;
+}
+
+let end_close_tag cur =
+  skip_whitespace cur;
+  if peek cur <> '>' then fail cur "malformed close tag";
+  advance cur
+
+(* The close tag of the open element [name], the cursor just past its
+   "</". The name is checked in place; a mismatch reads the close name
+   out, for the message. *)
+let close_tag cur name =
+  let at = cur.offset and len = String.length name in
+  if sub_equal cur.input at name && name_end cur.input (at + len) = at + len then begin
+    cur.offset <- at + len;
+    end_close_tag cur
   end
-  else if peek cur = '<' then None
   else begin
-    (* character data *)
-    let buf = Buffer.create 32 in
-    while (not (eof cur)) && peek cur <> '<' do
-      match peek cur with
-      | '&' -> Buffer.add_string buf (read_entity cur)
-      | '\r' ->
-        advance cur;
-        if peek cur = '\n' then advance cur;
-        Buffer.add_char buf '\n'
-      | c ->
-        Buffer.add_char buf c;
-        advance cur
-    done;
-    Some (Xml_tree.text (Buffer.contents buf))
+    let close = read_name cur in
+    end_close_tag cur;
+    fail cur (Fmt.str "mismatched close tag </%s> for <%s>" close name)
   end
 
 (* Parse one element, iteratively: an explicit stack of open elements
    replaces the call-stack recursion, so nesting depth is bounded by the
    heap — a 100k-deep document parses without exhausting the stack. *)
 let read_element cur : Xml_tree.t =
-  (* each frame: (name, attrs, children collected so far, reversed) *)
-  let stack : (string * Xml_tree.attribute list * Xml_tree.t list ref) list ref
-    = ref []
-  in
+  let stack : frame list ref = ref [] in
   let result = ref None in
   let emit node =
     match !stack with
-    | (_, _, kids) :: _ -> kids := node :: !kids
+    | f :: _ -> f.kids <- node :: f.kids
     | [] -> result := Some node
   in
-  let rec loop () =
-    match !result with
-    | Some _ -> ()
-    | None ->
-      if eof cur then begin
-        match !stack with
-        | (name, _, _) :: _ -> fail cur (Fmt.str "unterminated element <%s>" name)
-        | [] -> fail cur "expected an element"
-      end
-      else if looking_at cur "<!DOCTYPE" then begin
-        advance_n cur 9;
-        skip_doctype cur;
-        loop ()
-      end
-      else if looking_at cur "</" then begin
-        advance_n cur 2;
+  while Option.is_none !result do
+    if eof cur then begin
+      match !stack with
+      | f :: _ -> fail cur (Fmt.str "unterminated element <%s>" f.name)
+      | [] -> fail cur "expected an element"
+    end
+    else if String.unsafe_get cur.input cur.offset <> '<' then
+      emit (Xml_tree.Text (read_run cur '<'))
+    else if peek2 cur = '/' then begin
+      advance_n cur 2;
+      match !stack with
+      | f :: rest ->
+        close_tag cur f.name;
+        stack := rest;
+        emit
+          (Xml_tree.Element { name = f.name; attrs = f.attrs; children = List.rev f.kids })
+      | [] ->
         let close = read_name cur in
+        end_close_tag cur;
+        fail cur (Fmt.str "unexpected close tag </%s>" close)
+    end
+    else if looking_at cur "<!DOCTYPE" then
+      (* a DOCTYPE belongs to the prolog; skipped in content, it would
+         join the text around it into one node on a reprint *)
+      fail cur "DOCTYPE declaration inside an element"
+    else
+      match markup_leaf cur with
+      | Some node -> emit node
+      | None ->
+        (* an open tag *)
+        advance cur; (* '<' *)
+        let name = read_name cur in
+        let attrs = read_attributes cur in
         skip_whitespace cur;
-        if peek cur <> '>' then fail cur "malformed close tag";
-        advance cur;
-        (match !stack with
-         | (name, attrs, kids) :: rest ->
-           if not (String.equal close name) then
-             fail cur (Fmt.str "mismatched close tag </%s> for <%s>" close name);
-           stack := rest;
-           emit (Xml_tree.element ~attrs name (List.rev !kids))
-         | [] -> fail cur (Fmt.str "unexpected close tag </%s>" close));
-        loop ()
-      end
-      else
-        match try_leaf cur with
-        | Some node ->
-          emit node;
-          loop ()
-        | None ->
-          (* an open tag *)
-          advance cur; (* '<' *)
-          let name = read_name cur in
-          let attrs = read_attributes cur in
-          skip_whitespace cur;
-          if peek cur = '/' && peek2 cur = '>' then begin
-            advance_n cur 2;
-            emit (Xml_tree.element ~attrs name [])
-          end
-          else if peek cur = '>' then begin
-            advance cur;
-            stack := (name, attrs, ref []) :: !stack
-          end
-          else fail cur (Fmt.str "malformed start tag <%s>" name);
-          loop ()
-  in
-  loop ();
-  match !result with
-  | Some node -> node
-  | None -> fail cur "expected an element"
+        if peek cur = '/' && peek2 cur = '>' then begin
+          advance_n cur 2;
+          emit (Xml_tree.Element { name; attrs; children = [] })
+        end
+        else if peek cur = '>' then begin
+          advance cur;
+          stack := { name; attrs; kids = [] } :: !stack
+        end
+        else fail cur (Fmt.str "malformed start tag <%s>" name)
+  done;
+  Option.get !result
 
 let rec read_node cur : Xml_tree.t option =
   if eof cur then None

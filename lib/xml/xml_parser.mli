@@ -1,9 +1,12 @@
 (** Hand-written XML parser covering the subset the Active XML layer
     needs: prolog, elements, attributes, character data with entity
     references, CDATA sections, comments, processing instructions.
-    DOCTYPE declarations are skipped. *)
+    DOCTYPE declarations outside the root element are skipped; one
+    inside an element is an error. Character references must name a
+    Unicode scalar value ([&#[0-9]+;] or [&#x[0-9a-fA-F]+;]). *)
 
 type position = { line : int; column : int }
+(** Lines end at ["\n"] only; the column counts bytes from 1. *)
 
 exception Error of { pos : position; message : string }
 

@@ -12,34 +12,55 @@
    - In attribute values, tab/newline/CR would be normalized to spaces;
      they are emitted as numeric character references. *)
 
-let add_char_ref buf c = Buffer.add_string buf (Fmt.str "&#%d;" (Char.code c))
+(* "&#N;" for a C0 control byte (N < 32). *)
+let add_char_ref buf c =
+  let code = Char.code c in
+  Buffer.add_string buf "&#";
+  if code >= 10 then Buffer.add_char buf (Char.unsafe_chr (48 + (code / 10)));
+  Buffer.add_char buf (Char.unsafe_chr (48 + (code mod 10)));
+  Buffer.add_char buf ';'
 
-let escape_text s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
+(* Does byte [c] need escaping in character data, or in an attribute
+   value ([attr])? *)
+let needs_escape ~attr c =
+  match c with
+  | '&' | '<' -> true
+  | '>' -> not attr
+  | '"' -> attr
+  | '\t' | '\n' -> attr
+  | '\000' .. '\031' -> true
+  | _ -> false
+
+(* Append [s] escaped, plain runs copied whole. *)
+let add_escaped ~attr buf s =
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape ~attr c then begin
+      Buffer.add_substring buf s !run (i - !run);
+      run := i + 1;
       match c with
       | '&' -> Buffer.add_string buf "&amp;"
       | '<' -> Buffer.add_string buf "&lt;"
       | '>' -> Buffer.add_string buf "&gt;"
-      | '\t' | '\n' -> Buffer.add_char buf c
-      | '\000' .. '\031' -> add_char_ref buf c
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let escape_attr s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
       | '"' -> Buffer.add_string buf "&quot;"
-      | '\000' .. '\031' -> add_char_ref buf c
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c -> add_char_ref buf c
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run)
+
+(* [s] itself when no byte needs escaping. *)
+let escaped ~attr s =
+  if not (String.exists (needs_escape ~attr) s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 16) in
+    add_escaped ~attr buf s;
+    Buffer.contents buf
+  end
+
+let escape_text s = escaped ~attr:false s
+let escape_attr s = escaped ~attr:true s
 
 (* Emit [s] as CDATA, splitting every "]]>" across a section boundary:
    "a]]>b" becomes "<![CDATA[a]]]]><![CDATA[>b]]>". *)
@@ -68,13 +89,13 @@ let add_attrs buf attrs =
       Buffer.add_char buf ' ';
       Buffer.add_string buf a.name;
       Buffer.add_string buf "=\"";
-      Buffer.add_string buf (escape_attr a.value);
+      add_escaped ~attr:true buf a.value;
       Buffer.add_char buf '"')
     attrs
 
 let add_leaf buf (node : Xml_tree.t) =
   match node with
-  | Text s -> Buffer.add_string buf (escape_text s)
+  | Text s -> add_escaped ~attr:false buf s
   | Cdata s -> add_cdata buf s
   | Comment s ->
     Buffer.add_string buf "<!--";
@@ -90,94 +111,87 @@ let add_leaf buf (node : Xml_tree.t) =
     Buffer.add_string buf "?>"
   | Element _ -> invalid_arg "add_leaf"
 
-(* Work items for the iterative tree walks: a node still to print, or
-   literal text (a close tag, indentation) to append after its subtree.
-   An explicit work list instead of recursion keeps printing of very
-   deep documents off the call stack. *)
-type item = Node of Xml_tree.t | Lit of string
+let add_open buf (e : Xml_tree.element) =
+  Buffer.add_char buf '<';
+  Buffer.add_string buf e.name;
+  add_attrs buf e.attrs
 
-let push_children children tail =
-  List.rev_append (List.rev_map (fun c -> Node c) children) tail
+let add_close buf name =
+  Buffer.add_string buf "</";
+  Buffer.add_string buf name;
+  Buffer.add_char buf '>'
 
-let add_compact buf (node : Xml_tree.t) =
-  let rec go = function
-    | [] -> ()
-    | Lit s :: rest ->
-      Buffer.add_string buf s;
-      go rest
-    | Node (Element e) :: rest ->
-      Buffer.add_char buf '<';
-      Buffer.add_string buf e.name;
-      add_attrs buf e.attrs;
-      if e.children = [] then begin
-        Buffer.add_string buf "/>";
-        go rest
-      end
-      else begin
-        Buffer.add_char buf '>';
-        go (push_children e.children (Lit ("</" ^ e.name ^ ">") :: rest))
-      end
-    | Node leaf :: rest ->
-      add_leaf buf leaf;
-      go rest
-  in
-  go [ Node node ]
+(* The tree walks are iterative: [nodes] are the siblings still to
+   print at the current level, and each open element is a frame holding
+   its name and the siblings to print after it closes. An explicit stack
+   instead of recursion keeps printing of very deep documents off the
+   call stack; a leaf or an empty element costs no frame. *)
+type frame = { name : string; after : Xml_tree.t list }
+
+let rec compact buf (nodes : Xml_tree.t list) stack =
+  match (nodes, stack) with
+  | [], [] -> ()
+  | [], f :: stack ->
+    add_close buf f.name;
+    compact buf f.after stack
+  | Element e :: rest, _ ->
+    add_open buf e;
+    if e.children = [] then begin
+      Buffer.add_string buf "/>";
+      compact buf rest stack
+    end
+    else begin
+      Buffer.add_char buf '>';
+      compact buf e.children ({ name = e.name; after = rest } :: stack)
+    end
+  | leaf :: rest, _ ->
+    add_leaf buf leaf;
+    compact buf rest stack
 
 let to_string node =
   let buf = Buffer.create 256 in
-  add_compact buf node;
+  compact buf [ node ] [];
   Buffer.contents buf
 
 (* Indented output: safe only for "data-oriented" XML where surrounding
-   whitespace is not significant (always true for this system's trees). *)
-type pretty_item = Pnode of int * Xml_tree.t | Plit of string
+   whitespace is not significant (always true for this system's trees).
+   [indent] is the depth of [nodes]. *)
+let add_indent buf indent = for _ = 1 to indent do Buffer.add_string buf "  " done
 
-let add_pretty buf (node : Xml_tree.t) =
-  let pad indent = String.make (2 * indent) ' ' in
-  let rec go = function
-    | [] -> ()
-    | Plit s :: rest ->
-      Buffer.add_string buf s;
-      go rest
-    | Pnode (indent, Element e) :: rest ->
-      Buffer.add_string buf (pad indent);
-      Buffer.add_char buf '<';
-      Buffer.add_string buf e.name;
-      add_attrs buf e.attrs;
-      (match e.children with
-       | [] ->
-         Buffer.add_string buf "/>\n";
-         go rest
-       | [ Text s ] ->
-         Buffer.add_char buf '>';
-         Buffer.add_string buf (escape_text s);
-         Buffer.add_string buf "</";
-         Buffer.add_string buf e.name;
-         Buffer.add_string buf ">\n";
-         go rest
-       | children ->
-         Buffer.add_string buf ">\n";
-         let close = Plit (pad indent ^ "</" ^ e.name ^ ">\n") in
-         let items =
-           List.rev_append
-             (List.rev_map (fun c -> Pnode (indent + 1, c)) children)
-             (close :: rest)
-         in
-         go items)
-    | Pnode (indent, leaf) :: rest ->
-      Buffer.add_string buf (pad indent);
-      (match leaf with
-       | Text s -> Buffer.add_string buf (escape_text s)
-       | _ -> add_leaf buf leaf);
-      Buffer.add_char buf '\n';
-      go rest
-  in
-  go [ Pnode (0, node) ]
+let rec pretty buf indent (nodes : Xml_tree.t list) stack =
+  match (nodes, stack) with
+  | [], [] -> ()
+  | [], f :: stack ->
+    add_indent buf (indent - 1);
+    add_close buf f.name;
+    Buffer.add_char buf '\n';
+    pretty buf (indent - 1) f.after stack
+  | Element e :: rest, _ ->
+    add_indent buf indent;
+    add_open buf e;
+    (match e.children with
+     | [] ->
+       Buffer.add_string buf "/>\n";
+       pretty buf indent rest stack
+     | [ Text s ] ->
+       Buffer.add_char buf '>';
+       add_escaped ~attr:false buf s;
+       add_close buf e.name;
+       Buffer.add_char buf '\n';
+       pretty buf indent rest stack
+     | children ->
+       Buffer.add_string buf ">\n";
+       pretty buf (indent + 1) children ({ name = e.name; after = rest } :: stack))
+  | leaf :: rest, _ ->
+    add_indent buf indent;
+    add_leaf buf leaf;
+    Buffer.add_char buf '\n';
+    pretty buf indent rest stack
 
 let to_pretty_string ?(xml_decl = false) node =
   let buf = Buffer.create 256 in
   if xml_decl then Buffer.add_string buf "<?xml version=\"1.0\"?>\n";
-  add_pretty buf node;
+  pretty buf 0 [ node ] [];
   Buffer.contents buf
 
 let pp ppf node = Fmt.string ppf (to_string node)

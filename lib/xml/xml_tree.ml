@@ -92,13 +92,8 @@ let equal n1 n2 =
     match n1, n2 with
     | Element e1, Element e2 ->
       String.equal e1.name e2.name
-      && List.length e1.attrs = List.length e2.attrs
-      && List.for_all
-           (fun (a : attribute) ->
-             match attr_value e2 a.name with
-             | Some v -> String.equal v a.value
-             | None -> false)
-           e1.attrs
+      (* the same attributes in any order, repeated names included *)
+      && List.sort compare e1.attrs = List.sort compare e2.attrs
       && List.length e1.children = List.length e2.children
     | Text s1, Text s2 | Cdata s1, Cdata s2 | Comment s1, Comment s2 ->
       String.equal s1 s2

@@ -51,7 +51,11 @@ let test_parse_cdata () =
 
 let test_parse_doctype () =
   let t = parse "<!DOCTYPE html [ <!ENTITY x \"y\"> ]><a>z</a>" in
-  check_str "after doctype" "z" (T.text_content (elem_of t))
+  check_str "after doctype" "z" (T.text_content (elem_of t));
+  match P.parse_result "<a>x<!DOCTYPE d>y</a>" with
+  | Error e ->
+    check_str "in content" "line 1, column 5: DOCTYPE declaration inside an element" e
+  | Ok _ -> Alcotest.fail "a DOCTYPE inside an element must be refused"
 
 let test_parse_nested_deep () =
   let depth = 500 in
@@ -104,6 +108,68 @@ let test_error_position () =
   match P.parse_result "<a>\n  <b>\n</a>" with
   | Ok _ -> Alcotest.fail "expected failure"
   | Error e -> check "mentions line 3" true (contains_substring e "line 3")
+
+(* Exact positions. Line and column are those of the byte at which the
+   error is raised: a line ends at "\n" only (so "\r\n" is one line end
+   and a bare "\r" none), and the column counts bytes from 1. *)
+let test_error_positions_exact () =
+  List.iter
+    (fun (input, expected) ->
+      match P.parse_result input with
+      | Ok _ -> Alcotest.failf "expected %S to be rejected" input
+      | Error e -> check_str (String.escaped input) expected e)
+    [ ("<a>\r\n  <b>\r\n</a>",
+       "line 3, column 5: mismatched close tag </a> for <b>");
+      ("<a>\r<b x='1'>\r\r</a>",
+       "line 1, column 20: mismatched close tag </a> for <b>");
+      ("<a x=\"1\n  2\n  3 &bogus;\"/>", "line 3, column 12: unknown entity &bogus;");
+      ("<a x=\"1\n2\" y=3/>", "line 2, column 6: expected a quoted value");
+      ("<a><![CDATA[x\ny\n]]> <b></c></a>",
+       "line 3, column 12: mismatched close tag </c> for <b>");
+      ("<!-- one\ntwo\n-->\n<a>\n  &#zz;</a>",
+       "line 5, column 8: bad character reference &#zz;");
+      ("<a>\n  x &amp", "line 2, column 9: unterminated entity reference");
+      ("<a>\n  <b>\n  </c>", "line 3, column 7: mismatched close tag </c> for <b>");
+      ("<a>\n  <b>\n  </bc >", "line 3, column 9: mismatched close tag </bc> for <b>") ]
+
+(* Character references decode [0-9]+ or x[0-9a-fA-F]+ to a Unicode
+   scalar value; anything else is the "bad character reference" error
+   raised just past the ';', never an exception of another kind. *)
+let test_char_refs () =
+  let decoded input expected =
+    match P.parse_result input with
+    | Ok t -> check_str input expected (T.text_content (elem_of t))
+    | Error e -> Alcotest.failf "%S rejected: %s" input e
+  in
+  let refused input expected =
+    match P.parse_result input with
+    | Ok _ -> Alcotest.failf "expected %S to be rejected" input
+    | Error e -> check_str input expected e
+    | exception exn ->
+      Alcotest.failf "%S raised %s" input (Printexc.to_string exn)
+  in
+  decoded "<a>&#65;&#x42;&#x6a;&#x6A;</a>" "ABjj";
+  decoded "<a>&#0;&#9;&#13;&#31;</a>" "\000\t\r\031";
+  decoded "<a>&#233;&#x20AC;&#x10FFFF;</a>" "\xc3\xa9\xe2\x82\xac\xf4\x8f\xbf\xbf";
+  decoded "<a>&#x0000041;&#00065;</a>" "AA";
+  decoded "<a>&#xD7FF;&#xE000;</a>" "\xed\x9f\xbf\xee\x80\x80";
+  decoded "<a b=\"&#x41;&#10;\"/>" "";
+  refused "<a>&#99999999;</a>" "line 1, column 15: bad character reference &#99999999;";
+  refused "<a>&#99999999999999999999999;</a>"
+    "line 1, column 30: bad character reference &#99999999999999999999999;";
+  refused "<a>&#-5;</a>" "line 1, column 9: bad character reference &#-5;";
+  refused "<a>&#+65;</a>" "line 1, column 10: bad character reference &#+65;";
+  refused "<a>&#0x41;</a>" "line 1, column 11: bad character reference &#0x41;";
+  refused "<a>&#1_0;</a>" "line 1, column 10: bad character reference &#1_0;";
+  refused "<a>&#X41;</a>" "line 1, column 10: bad character reference &#X41;";
+  refused "<a>&#x;</a>" "line 1, column 8: bad character reference &#x;";
+  refused "<a>&#x110000;</a>" "line 1, column 14: bad character reference &#x110000;";
+  refused "<a>&#1114112;</a>" "line 1, column 14: bad character reference &#1114112;";
+  refused "<a>&#xD800;</a>" "line 1, column 12: bad character reference &#xD800;";
+  refused "<a>&#57343;</a>" "line 1, column 12: bad character reference &#57343;";
+  refused "<a>&#12a;</a>" "line 1, column 10: bad character reference &#12a;";
+  refused "<a x=\"&#-1;\"/>" "line 1, column 12: bad character reference &#-1;";
+  refused "<a>&#;</a>" "line 1, column 7: unknown entity &#;"
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
@@ -213,6 +279,64 @@ let test_default_namespace () =
   Alcotest.(check (option string)) "b" (Some "urn:one") (lookup "b");
   Alcotest.(check (option string)) "c" (Some "urn:two") (lookup "c");
   Alcotest.(check (option string)) "d" (Some "urn:two") (lookup "d")
+
+(* [Syntax.of_xml] resolves every element under the declarations in
+   force at it: its own, its ancestors', never a sibling's. *)
+module D = Axml_core.Document
+module Syntax = Axml_peer.Syntax
+
+let syntax_case input expected =
+  let doc = Syntax.of_xml_string input in
+  if not (D.equal doc expected) then
+    Alcotest.failf "%s@ decoded to %a,@ expected %a" input D.pp doc D.pp expected
+
+let test_syntax_default_ns () =
+  (* int:fun written through a default namespace, params included *)
+  syntax_case
+    ("<doc><fun xmlns=\"" ^ axml_ns ^ "\" methodName=\"F\">\
+      <params><param><city>Paris</city></param></params></fun></doc>")
+    (D.elem "doc" [ D.call "F" [ D.elem "city" [ D.data "Paris" ] ] ]);
+  (* the default namespace is not the prefix: int:fun stays data here *)
+  syntax_case
+    ("<doc xmlns=\"" ^ axml_ns ^ "\"><int:fun methodName=\"F\"/></doc>")
+    (D.elem "doc" [ D.elem "fun" [] ])
+
+let test_syntax_rebound_prefix () =
+  (* the int prefix re-bound on a child, or on the element itself *)
+  syntax_case
+    ("<doc xmlns:int=\"" ^ axml_ns ^ "\"><x xmlns:int=\"urn:other\">\
+      <int:fun methodName=\"F\"/></x><int:fun methodName=\"G\"/></doc>")
+    (D.elem "doc" [ D.elem "x" [ D.elem "fun" [] ]; D.call "G" [] ]);
+  syntax_case
+    ("<doc xmlns:int=\"" ^ axml_ns ^ "\">\
+      <int:fun xmlns:int=\"urn:other\" methodName=\"F\"/></doc>")
+    (D.elem "doc" [ D.elem "fun" [] ])
+
+let test_syntax_sibling_scope () =
+  (* a child's declaration is not in force at its sibling *)
+  syntax_case
+    ("<doc><a xmlns:int=\"" ^ axml_ns ^ "\"><int:fun methodName=\"F\"/></a>\
+      <int:fun methodName=\"G\"/></doc>")
+    (D.elem "doc" [ D.elem "a" [ D.call "F" [] ]; D.elem "fun" [] ])
+
+let test_syntax_params_decl () =
+  (* a declaration on int:params is in force at its int:param children
+     and their content *)
+  syntax_case
+    ("<doc xmlns:int=\"" ^ axml_ns ^ "\"><int:fun methodName=\"F\">\
+      <int:params xmlns:p=\"" ^ axml_ns ^ "\">\
+      <p:param><p:fun methodName=\"G\"/></p:param>\
+      <int:param>x</int:param></int:params></int:fun></doc>")
+    (D.elem "doc" [ D.call "F" [ D.call "G" []; D.data "x" ] ]);
+  (* ... and re-binding int there moves int:param out of the namespace *)
+  match
+    Syntax.of_xml_string
+      ("<doc xmlns:int=\"" ^ axml_ns ^ "\"><int:fun methodName=\"F\">\
+        <int:params xmlns:int=\"urn:other\"><int:param>x</int:param>\
+        </int:params></int:fun></doc>")
+  with
+  | exception Syntax.Syntax_error _ -> ()
+  | d -> Alcotest.failf "expected Syntax_error, got %a" D.pp d
 
 (* ------------------------------------------------------------------ *)
 (* Path queries                                                        *)
@@ -433,6 +557,103 @@ let prop_generated_roundtrip =
           Axml_core.Document.equal doc doc')
         (List.init 3 (fun _ -> Axml_workload.Mix.next stream)))
 
+(* Mutation fuzzer for the input boundary: printed trees and printed
+   intensional documents, damaged by byte flips, truncations and
+   splices. The parser must answer with a tree or its [Error], the
+   [Syntax] decoder with a document or [Syntax_error], and every tree
+   that parses must print and parse back to itself. *)
+let fuzz_fragments =
+  [ "<"; ">"; "</"; "/>"; "&"; ";"; "&#"; "&#x"; "&amp;"; "&#99999999;";
+    "&#-5;"; "&#xD800;"; "&#x10FFFF;"; "&#13;"; "<![CDATA["; "]]>"; "<!--";
+    "-->"; "<?"; "?>"; "<!DOCTYPE d>"; "<!DOCTYPE"; "\""; "'"; "="; "\r";
+    "\r\n"; "\n"; "\000"; "\xff"; " xmlns:int=\"" ^ axml_ns ^ "\"";
+    " xmlns=\"" ^ axml_ns ^ "\""; "int:fun"; "int:params"; "int:param";
+    " methodName=\"F\"" ]
+
+let fuzz_seed : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  frequency
+    [ (1, map Pr.to_string (QCheck.get_gen gen_tree));
+      (1, map Pr.to_string (QCheck.get_gen gen_adversarial));
+      (2,
+       map2
+         (fun seed pretty ->
+           let stream =
+             Axml_workload.Mix.stream ~seed ~schema:roundtrip_schema
+               Axml_workload.Mix.steady
+           in
+           Syntax.to_xml_string ~pretty (Axml_workload.Mix.next stream).doc)
+         small_nat bool) ]
+
+let mutate (s : string) : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let n = String.length s in
+  let at = int_bound n in
+  let insert i piece = String.sub s 0 i ^ piece ^ String.sub s i (n - i) in
+  if n = 0 then oneofl fuzz_fragments
+  else
+    frequency
+      [ (* a bit flip *)
+        (2,
+         map3
+           (fun i b _ ->
+             String.mapi
+               (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c)
+               s)
+           (int_bound (n - 1)) (int_bound 7) unit);
+        (* a byte replaced by markup *)
+        (2,
+         map2
+           (fun i c -> String.mapi (fun j d -> if j = i then c else d) s)
+           (int_bound (n - 1))
+           (oneofl [ '<'; '>'; '&'; ';'; '"'; '\''; '/'; '!'; '?'; '['; ']';
+                     '-'; '#'; 'x'; '\r'; '\n'; ':'; '='; ' '; '\000' ]));
+        (* a truncation *)
+        (1, map (fun i -> String.sub s 0 i) at);
+        (* a slice of the input spliced in elsewhere, or cut out *)
+        (2,
+         map3
+           (fun i len j ->
+             let len = min len (n - i) in
+             insert j (String.sub s i len))
+           (int_bound (n - 1)) (int_bound 16) at);
+        (1,
+         map2
+           (fun i len ->
+             let len = min len (n - i) in
+             String.sub s 0 i ^ String.sub s (i + len) (n - i - len))
+           (int_bound (n - 1)) (int_bound 16));
+        (* a markup fragment spliced in *)
+        (2, map2 insert at (oneofl fuzz_fragments)) ]
+
+let fuzz_input : string QCheck.arbitrary =
+  let open QCheck.Gen in
+  let rec mutations k s = if k = 0 then return s else mutate s >>= mutations (k - 1) in
+  QCheck.make ~print:String.escaped
+    (pair fuzz_seed (frequencyl [ (4, 1); (2, 2); (1, 3); (1, 4) ]) >>= fun (s, k) ->
+     mutations k s)
+
+let prop_mutation_fuzz =
+  QCheck.Test.make ~count:1000 ~name:"mutated inputs give a tree or a typed error"
+    fuzz_input
+    (fun input ->
+      (match P.parse_result input with
+       | Error _ -> ()
+       | Ok t ->
+         let printed = Pr.to_string t in
+         (match P.parse_result printed with
+          | Ok t' when T.equal t t' -> ()
+          | Ok _ -> QCheck.Test.fail_reportf "reprint parses differently: %S" printed
+          | Error e -> QCheck.Test.fail_reportf "reprint %S rejected: %s" printed e)
+       | exception exn ->
+         QCheck.Test.fail_reportf "parse_result raised %s" (Printexc.to_string exn));
+      (match Syntax.of_xml_string input with
+       | _ -> ()
+       | exception Syntax.Syntax_error _ -> ()
+       | exception exn ->
+         QCheck.Test.fail_reportf "of_xml_string raised %s" (Printexc.to_string exn));
+      true)
+
 let () =
   Alcotest.run "xml"
     [ ("parser",
@@ -444,7 +665,10 @@ let () =
          Alcotest.test_case "deep nesting" `Quick test_parse_nested_deep;
          Alcotest.test_case "100k-deep regression" `Quick test_deep_100k;
          Alcotest.test_case "errors" `Quick test_parse_errors;
-         Alcotest.test_case "error positions" `Quick test_error_position
+         Alcotest.test_case "error positions" `Quick test_error_position;
+         Alcotest.test_case "exact error positions" `Quick test_error_positions_exact;
+         Alcotest.test_case "character references" `Quick test_char_refs;
+         QCheck_alcotest.to_alcotest prop_mutation_fuzz
        ]);
       ("printing",
        [ Alcotest.test_case "roundtrip" `Quick test_roundtrip;
@@ -457,7 +681,11 @@ let () =
        ]);
       ("namespaces",
        [ Alcotest.test_case "int:fun detection" `Quick test_namespaces;
-         Alcotest.test_case "default namespace" `Quick test_default_namespace
+         Alcotest.test_case "default namespace" `Quick test_default_namespace;
+         Alcotest.test_case "int:fun in a default namespace" `Quick test_syntax_default_ns;
+         Alcotest.test_case "int prefix re-bound" `Quick test_syntax_rebound_prefix;
+         Alcotest.test_case "sibling scope" `Quick test_syntax_sibling_scope;
+         Alcotest.test_case "declaration on int:params" `Quick test_syntax_params_decl
        ]);
       ("paths",
        [ Alcotest.test_case "child axis" `Quick test_path_child;
