@@ -1360,7 +1360,7 @@ let e23 () =
   let residual_calls results =
     List.fold_left
       (fun acc -> function
-        | Ok (doc, _) when D.calls_with_paths doc <> [] -> acc + 1
+        | Ok (doc, _) when not (D.is_extensional doc) -> acc + 1
         | _ -> acc)
       0 results
   in
@@ -1630,7 +1630,7 @@ let esoak () =
          embedded call(s)@."
         name pp_ns ns (1e9 /. ns)
         (avg (fun d -> List.length (D.word (D.children d))))
-        (avg (fun d -> List.length (D.calls_with_paths d))))
+        (avg D.count_calls))
     [ ("steady", Mix.steady); ("flash-crowd", Mix.flash_crowd) ];
   (* the trajectory: enforcement pipelines stand in for the served peer,
      so the run exercises the same engine the wire path uses without

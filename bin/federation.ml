@@ -179,10 +179,9 @@ let run ~docs ~dir ~quiet ~k () =
      agreement ([Open_exchange]) proves it before any document flows. *)
   let receiver_config = { Peer.default_config with Peer.k } in
   let peer_b = Peer.create ~name:"reader" ~schema:schema_exchange () in
+  Peer.configure peer_b receiver_config;
   let repo_b = Repo.attach ~dir peer_b in
-  let server_b =
-    Server.start (Endpoint.create ~config:receiver_config ~repo:repo_b peer_b)
-  in
+  let server_b = Server.start (Endpoint.create ~repo:repo_b peer_b) in
   say "serving timeout.com on 127.0.0.1:%d, reader on 127.0.0.1:%d (k=%d)"
     (Server.port server_c) (Server.port server_b) k;
 
@@ -304,7 +303,7 @@ let run ~docs ~dir ~quiet ~k () =
            (List.map
               (fun { Wire.at; context } ->
                 { Rewriter.at;
-                  reason = Rewriter.Unsafe_word { context; word = [] } })
+                  reason = Rewriter.Not_instance { detail = context } })
               refusals)
        | r -> failf "bad document was not refused: %a" Wire.pp_response r)
     | r -> failf "open-exchange failed: %a" Wire.pp_response r

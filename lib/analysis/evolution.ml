@@ -414,26 +414,14 @@ let advisory_string = function
    into v2 must fire them. A call in an unknown context (undeclared
    label, or the document root itself) must fire too. *)
 let must_materialize contract doc =
-  let parent path =
-    let rec drop_last = function
-      | [] | [ _ ] -> []
-      | x :: tl -> x :: drop_last tl
-    in
-    match path with [] -> None | _ -> Document.get doc (drop_last path)
+  let must rev_path (node : Document.t) _own enclosing acc =
+    match node, enclosing with
+    | Document.Call { name; _ }, Some (m : Validate.model)
+      when List.mem (Symbol.Fun name) (R.symbols m.Validate.regex) -> acc
+    | Document.Call { name; _ }, _ -> (List.rev rev_path, name) :: acc
+    | (Document.Data _ | Document.Elem _), _ -> acc
   in
-  List.filter
-    (fun (path, name) ->
-      let model =
-        match parent path with
-        | Some (Document.Elem { label; _ }) ->
-          Contract.element_regex contract label
-        | Some (Document.Call { name = g; _ }) -> Contract.input_regex contract g
-        | Some (Document.Data _) | None -> None
-      in
-      match model with
-      | None -> true
-      | Some m -> not (List.mem (Symbol.Fun name) (R.symbols m)))
-    (Document.calls_with_paths doc)
+  List.rev (Validate.fold (Contract.ctx contract) must doc [])
 
 let migrate ?(k = 1) ?predicate ~v1 ~v2 docs :
     migration =

@@ -5,6 +5,7 @@ module Auto = Axml_schema.Auto
 module Contract = Axml_core.Contract
 module Document = Axml_core.Document
 module Schema_rewrite = Axml_core.Schema_rewrite
+module Validate = Axml_core.Validate
 module D = Diagnostic
 module Metrics = Axml_obs.Metrics
 module Trace = Axml_obs.Trace
@@ -591,43 +592,33 @@ let lint_contract c =
 let lint_document c doc =
   instrumented "document" @@ fun () ->
   let env = Contract.env c in
-  let parent path =
-    let rec drop_last = function
-      | [] | [ _ ] -> []
-      | x :: tl -> x :: drop_last tl
-    in
-    match path with [] -> None | _ -> Document.get doc (drop_last path)
+  let diagnose rev_path (node : Document.t) _own enclosing acc =
+    match node with
+    | Document.Data _ | Document.Elem _ -> acc
+    | Document.Call { name; _ } ->
+      (match Schema.String_map.find_opt name env.Schema.env_functions, enclosing with
+       | None, _ ->
+         D.make ~code:"AXM030" ~severity:D.Error
+           ~hint:"declare the function in a schema or drop the call"
+           (D.Node (List.rev rev_path))
+           (Fmt.str "call to '%s', which neither schema declares" name)
+         :: acc
+       | Some fn, Some (m : Validate.model) ->
+         let malpha = sym_set m.Validate.regex in
+         if
+           (not (Auto.Sym_set.mem (Symbol.Fun name) malpha))
+           && materialization_ruled_out env name fn ~model_alphabet:malpha
+         then
+           D.make ~code:"AXM031" ~severity:D.Error
+             ~hint:
+               "the rewriter will reject this document; fix the call or \
+                the schemas"
+             (D.Node (List.rev rev_path))
+             (Fmt.str
+                "call to '%s' can never contribute: it may neither remain \
+                 in nor materialize into its context" name)
+           :: acc
+         else acc
+       | Some _, None -> acc)
   in
-  List.filter_map
-    (fun (path, name) ->
-      match Schema.String_map.find_opt name env.Schema.env_functions with
-      | None ->
-        Some
-          (D.make ~code:"AXM030" ~severity:D.Error
-             ~hint:"declare the function in a schema or drop the call"
-             (D.Node path)
-             (Fmt.str "call to '%s', which neither schema declares" name))
-      | Some fn ->
-        let model =
-          match parent path with
-          | Some (Document.Elem { label; _ }) -> Contract.element_regex c label
-          | Some (Document.Call { name = g; _ }) -> Contract.input_regex c g
-          | Some (Document.Data _) | None -> None
-        in
-        Option.bind model (fun m ->
-            let malpha = sym_set m in
-            if
-              (not (Auto.Sym_set.mem (Symbol.Fun name) malpha))
-              && materialization_ruled_out env name fn ~model_alphabet:malpha
-            then
-              Some
-                (D.make ~code:"AXM031" ~severity:D.Error
-                   ~hint:
-                     "the rewriter will reject this document; fix the call \
-                      or the schemas"
-                   (D.Node path)
-                   (Fmt.str
-                      "call to '%s' can never contribute: it may neither \
-                       remain in nor materialize into its context" name))
-            else None))
-    (Document.calls_with_paths doc)
+  List.rev (Validate.fold (Contract.ctx c) diagnose doc [])

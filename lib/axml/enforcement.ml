@@ -219,7 +219,7 @@ let enforce_steps ~config ~compiled ~(invoker : Execute.invoker)
         Error (Service_fault safe_failures)
       else if not config.fallback_possible then Error (Rejected safe_failures)
       else begin
-        match Rewriter.materialize ~mode:Rewriter.Possible_mode rw ~invoker doc with
+        match Rewriter.materialize ~mode:Rewriter.Possible rw ~invoker doc with
         | Ok (doc', invs) ->
           Ok (doc',
               { action = Rewritten_possible;

@@ -406,8 +406,7 @@ let receive t ~exchange ~as_name (wire : string) :
   | exception Syntax.Syntax_error m ->
     rejected
       [ { Rewriter.at = [];
-          reason =
-            Rewriter.Unsafe_word { context = "malformed document: " ^ m; word = [] } } ]
+          reason = Rewriter.Not_instance { detail = "malformed document: " ^ m } } ]
   | received ->
     (match Validate.document_violations (receive_ctx t ~exchange) received with
      | [] ->
@@ -419,9 +418,8 @@ let receive t ~exchange ~as_name (wire : string) :
             (fun v ->
               { Rewriter.at = v.Validate.at;
                 reason =
-                  Rewriter.Unsafe_word
-                    { context = Fmt.str "%a" Validate.pp_violation_kind v.Validate.kind;
-                      word = [] } })
+                  Rewriter.Not_instance
+                    { detail = Fmt.str "%a" Validate.pp_violation_kind v.Validate.kind } })
             violations))
 
 let send t ~(receiver : t) ~exchange ~as_name doc :

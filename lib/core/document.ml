@@ -114,22 +114,6 @@ let splice doc path replacement =
   in
   go doc path
 
-(* All function nodes, in document order, with their paths. *)
-let calls_with_paths doc =
-  let rec go path acc node =
-    let acc =
-      match node with
-      | Call { name; _ } -> (List.rev path, name) :: acc
-      | Elem _ | Data _ -> acc
-    in
-    List.fold_left
-      (fun (i, acc) child ->
-        (i + 1, go (i :: path) acc child))
-      (0, acc) (children node)
-    |> snd
-  in
-  List.rev (go [] [] doc)
-
 (* The nesting depth of calls inside call parameters: 0 when no call has
    a call in its parameters. Used by the bottom-up parameter phase. *)
 let rec call_nesting = function

@@ -43,9 +43,6 @@ val splice : t -> path -> forest -> t
 (** Replace the node at [path] by a forest (the semantics of invoking a
     call node). @raise Invalid_argument on an empty or dangling path. *)
 
-val calls_with_paths : t -> (path * string) list
-(** Every function node, in document order. *)
-
 val call_nesting : t -> int
 (** Nesting depth of calls inside call parameters; [0] when no call has
     a call among its parameters. *)

@@ -51,10 +51,6 @@ let output_ok t fname forest =
   Validate.output_instance (Contract.ctx t) fname forest = []
 
 let env = Contract.env
-let element_regex = Contract.element_regex
-let input_regex = Contract.input_regex
-let element_model t label = Validate.element_model (Contract.ctx t) label
-let input_model t fname = Validate.input_model (Contract.ctx t) fname
 
 (* ------------------------------------------------------------------ *)
 (* Tree-level verdicts                                                 *)
@@ -73,6 +69,7 @@ type reason =
       { context : string; fname : string; attempts : int; message : string }
   | Invariant_failure of { context : string; detail : string }
   | Invalid_root_forest of { width : int }
+  | Not_instance of { detail : string }
 
 type failure = { at : Document.path; reason : reason }
 
@@ -111,6 +108,7 @@ let pp_reason ppf = function
       "pre-materializing the root call returned a forest of %d nodes instead \
        of a single document root"
       width
+  | Not_instance { detail } -> Fmt.string ppf detail
 
 let pp_failure ppf f =
   Fmt.pf ppf "%a: %a" Document.pp_path f.at pp_reason f.reason
@@ -121,55 +119,51 @@ let reason_is_fault = function
   | Ill_typed_service _ | Service_failure _ | Invariant_failure _
   | Invalid_root_forest _ -> true
   | Unknown_element _ | Unknown_function _ | Unsafe_word _ | Impossible_word _
-  | Root_mismatch _ | Execution_failed _ | Unrewritable_output _ -> false
+  | Root_mismatch _ | Execution_failed _ | Unrewritable_output _
+  | Not_instance _ -> false
 
 let failure_is_fault f = reason_is_fault f.reason
 
-type mode = Safe | Possible_mode
+type mode = Win.kind = Safe | Possible
 
-let root_failures t doc =
-  match (Contract.target t).Schema.root, (doc : Document.t) with
-  | Some expected, Document.Elem { label; _ } when not (String.equal label expected) ->
-    [ { at = []; reason = Root_mismatch { expected; found = label } } ]
-  | Some expected, (Document.Data _ | Document.Call _) ->
-    [ { at = []; reason = Root_mismatch { expected; found = "(not an element)" } } ]
-  | _ -> []
+let run = function Safe -> Contract.safe_run | Possible -> Contract.possible_run
 
-(* Static check: no invocation happens; every node's children word is
-   analyzed against its type. Returns the failures ([] = verdict holds). *)
-let collect_failures ?k mode t (doc : Document.t) : failure list =
-  let acc = ref [] in
-  let push at reason = acc := { at; reason } :: !acc in
-  let rec visit path (node : Document.t) =
-    (match node with
-     | Document.Data _ -> ()
-     | Document.Elem { label; children } ->
-       (match element_model t label with
-        | None -> push (List.rev path) (Unknown_element label)
-        | Some m -> check_word path ~fn:false label m children)
-     | Document.Call { name; params } ->
-       (match input_model t name with
-        | None -> push (List.rev path) (Unknown_function name)
-        | Some m -> check_word path ~fn:true name m params));
-    List.iteri (fun i child -> visit (i :: path) child) (Document.children node)
-  and check_word path ~fn name { Validate.regex; dfa } forest =
-    (* already-conforming words are trivially rewritable (identity): the
-       dense membership test skips the win-table pass, and
-       the context string only materializes for an actual failure *)
-    if not (Validate.forest_accepted dfa forest) then begin
-      let context = if fn then name ^ "()" else "<" ^ name ^ ">" in
-      let word = Document.word forest in
-      match mode with
-      | Safe ->
-        if not (Contract.is_safe ?k t ~target_regex:regex word) then
-          push (List.rev path) (Unsafe_word { context; word })
-      | Possible_mode ->
-        if not (Contract.is_possible ?k t ~target_regex:regex word)
-        then push (List.rev path) (Impossible_word { context; word })
-    end
+let unrewritable mode ~context word =
+  match mode with
+  | Safe -> Unsafe_word { context; word }
+  | Possible -> Impossible_word { context; word }
+
+(* A static violation as the rewriter's verdict: undeclared labels and
+   functions and a wrong root map one to one, a children word outside
+   its model is one no rewriting of [mode] saves. *)
+let reason_of_violation mode = function
+  | Validate.Unknown_label l -> Unknown_element l
+  | Validate.Unknown_function f -> Unknown_function f
+  | Validate.Root_mismatch { expected; found } -> Root_mismatch { expected; found }
+  | Validate.Content_mismatch { label; word } ->
+    unrewritable mode ~context:("<" ^ label ^ ">") word
+  | Validate.Input_mismatch { fname; word } -> unrewritable mode ~context:(fname ^ "()") word
+
+let root_failure mode t doc =
+  match Validate.root_violation (Contract.ctx t) doc with
+  | None -> None
+  | Some { at; kind } -> Some { at; reason = reason_of_violation mode kind }
+
+(* Static check: no invocation happens. Validation's walk finds the
+   words outside their models, and only those reach the win tables.
+   Returns the failures ([] = verdict holds), root first, then prefix
+   order. *)
+let static_failures ?k mode t doc =
+  let visit rev_path node own _ acc =
+    match Validate.node_violation node own, own with
+    | None, _ -> acc
+    | ( Some (Validate.Content_mismatch { word; _ } | Validate.Input_mismatch { word; _ }),
+        Some (m : Validate.model) )
+      when Win.ok (run mode ?k t ~target_regex:m.Validate.regex word) -> acc
+    | Some kind, _ -> { at = List.rev rev_path; reason = reason_of_violation mode kind } :: acc
   in
-  visit [] doc;
-  root_failures t doc @ List.rev !acc
+  List.rev
+    (Validate.fold (Contract.ctx t) visit doc (Option.to_list (root_failure mode t doc)))
 
 (* ------------------------------------------------------------------ *)
 (* Materialization                                                     *)
@@ -188,7 +182,7 @@ let () =
    invoking services through [invoker]. In [Safe] mode the rewriting is
    guaranteed (exception [Failed] means the document is not safely
    rewritable; [Execute.Ill_typed_output] means a service broke its
-   WSDL contract). In [Possible_mode] a run-time failure surfaces as
+   WSDL contract). In [Possible] mode a run-time failure surfaces as
    [Failed { reason = Execution_failed _; _ }].
 
    [depth] is the remaining rewriting budget: the top of the document
@@ -200,21 +194,21 @@ let () =
 let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document.t) :
     (Document.t * located_invocation list, failure list) result =
   let top_k = max 0 (Option.value k ~default:(Contract.k t)) in
-  match root_failures t doc with
-  | _ :: _ as fs -> Error fs
-  | [] ->
+  match root_failure mode t doc with
+  | Some f -> Error [ f ]
+  | None ->
   let invocations = ref [] in
   let rec interior depth path (node : Document.t) : Document.t =
     match node with
     | Document.Data _ -> node
     | Document.Elem { label; children } ->
-      (match element_model t label with
+      (match Validate.element_model (Contract.ctx t) label with
        | None -> raise (Failed { at = List.rev path; reason = Unknown_element label })
        | Some m ->
          let children' = forest depth path ~fn:false label m children in
          if children' == children then node else Document.elem label children')
     | Document.Call { name; params } ->
-      (match input_model t name with
+      (match Validate.input_model (Contract.ctx t) name with
        | None -> raise (Failed { at = List.rev path; reason = Unknown_function name })
        | Some m ->
          let params' = forest depth path ~fn:true name m params in
@@ -240,20 +234,9 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
     else begin
     let context = if fn then name ^ "()" else "<" ^ name ^ ">" in
     let word = Document.word children in
-    let run =
-      match mode with
-      | Safe ->
-        let run = Contract.safe_run ~k:depth t ~target_regex:regex word in
-        if not (Win.ok run) then
-          raise (Failed { at = List.rev path; reason = Unsafe_word { context; word } });
-        run
-      | Possible_mode ->
-        let run = Contract.possible_run ~k:depth t ~target_regex:regex word in
-        if not (Win.ok run) then
-          raise
-            (Failed { at = List.rev path; reason = Impossible_word { context; word } });
-        run
-    in
+    let run = run mode ~k:depth t ~target_regex:regex word in
+    if not (Win.ok run) then
+      raise (Failed { at = List.rev path; reason = unrewritable mode ~context word });
     (* The k-bounded hook: rewrite each returned node against the
        remaining budget. A non-fault [Failed] from the nested walk is
        the verdict "this result cannot be rewritten" — reported as
@@ -404,11 +387,11 @@ let check ?(mode = Check_safe) ?k t doc =
   let before = Contract.stats t in
   let failures =
     match mode with
-    | Check_safe -> collect_failures ?k Safe t doc
-    | Check_possible -> collect_failures ?k Possible_mode t doc
+    | Check_safe -> static_failures ?k Safe t doc
+    | Check_possible -> static_failures ?k Possible t doc
     | Check_mixed { eager_calls; invoker } ->
       (match pre_materialize t ~eager_calls ~invoker doc with
-       | Ok (doc', _pre) -> collect_failures ?k Safe t doc'
+       | Ok (doc', _pre) -> static_failures ?k Safe t doc'
        | Error f -> [ f ])
   in
   let ok = failures = [] in
@@ -432,37 +415,31 @@ exception Hopeless
    any depth, so they answer None/None. Every per-word query is a pass
    over the win tables of its depth. *)
 let minimal_k ?max_k t (doc : Document.t) =
-  if root_failures t doc <> [] then { safe_k = None; possible_k = None }
+  let hopeless = { safe_k = None; possible_k = None } in
+  let ctx = Contract.ctx t in
+  if Option.is_some (Validate.root_violation ctx doc) then hopeless
   else begin
-    let safe_k = ref (Some 0) and possible_k = ref (Some 0) in
-    let join cell v =
-      match (!cell, v) with
-      | Some a, Some b -> cell := Some (max a b)
-      | (None | Some _), None -> cell := None
-      | None, Some _ -> ()
+    (* the larger of two minima, [None] when either word is hopeless;
+       returns one of its arguments, so an unchanged minimum allocates
+       nothing *)
+    let join a b =
+      match (a, b) with Some x, Some y -> if x >= y then a else b | _ -> None
     in
-    let rec visit (node : Document.t) =
-      (match node with
-       | Document.Data _ -> ()
-       | Document.Elem { label; children } ->
-         (match element_regex t label with
-          | None -> raise Hopeless
-          | Some regex -> word regex children)
-       | Document.Call { name; params } ->
-         (match input_regex t name with
-          | None -> raise Hopeless
-          | Some regex -> word regex params));
-      List.iter visit (Document.children node)
-    and word regex forest =
-      let m =
-        Contract.minimal_k ?max_k t ~target_regex:regex
-          (Document.word forest)
-      in
-      join safe_k m.Contract.safe_at;
-      join possible_k m.Contract.possible_at;
-      if !safe_k = None && !possible_k = None then raise Hopeless
+    let word _ node own _ acc =
+      match own with
+      | None -> raise Hopeless
+      | Some (m : Validate.model) ->
+        let w =
+          Contract.minimal_k ?max_k t ~target_regex:m.Validate.regex
+            (Document.word (Document.children node))
+        in
+        let safe_k = join acc.safe_k w.Contract.safe_at
+        and possible_k = join acc.possible_k w.Contract.possible_at in
+        if safe_k == acc.safe_k && possible_k == acc.possible_k then acc
+        else if safe_k = None && possible_k = None then raise Hopeless
+        else { safe_k; possible_k }
     in
-    match visit doc with
-    | () -> { safe_k = !safe_k; possible_k = !possible_k }
-    | exception Hopeless -> { safe_k = None; possible_k = None }
+    match Validate.fold ctx word doc { safe_k = Some 0; possible_k = Some 0 } with
+    | m -> m
+    | exception Hopeless -> hopeless
   end

@@ -36,12 +36,6 @@ val contract : t -> Contract.t
 
 val env : t -> Axml_schema.Schema.env
 
-val element_regex : t -> string -> Axml_schema.Symbol.t Axml_regex.Regex.t option
-(** Compiled content model of a label in the {e target} schema. *)
-
-val input_regex : t -> string -> Axml_schema.Symbol.t Axml_regex.Regex.t option
-(** Compiled input type of a function, from the merged environment. *)
-
 (** {1 Tree-level verdicts} *)
 
 type reason =
@@ -67,6 +61,10 @@ type reason =
       (** the engine contradicted its own analysis *)
   | Invalid_root_forest of { width : int }
       (** pre-materializing the root returned [width] <> 1 roots *)
+  | Not_instance of { detail : string }
+      (** a received document is not an instance of the exchange schema
+          (or not a document at all); [detail] is the violation text,
+          printed as it is *)
 
 type failure = { at : Document.path; reason : reason }
 
@@ -81,7 +79,9 @@ val reason_is_fault : reason -> bool
 
 val failure_is_fault : failure -> bool
 
-type mode = Safe | Possible_mode
+type mode = Win.kind = Safe | Possible
+(** Which rewriting {!materialize} runs: one the win tables guarantee,
+    or one that may succeed on the actual answers. *)
 
 (** {2 The static check}
 
@@ -124,7 +124,7 @@ val materialize :
 (** In [Safe] mode success is guaranteed once the check passes and the
     services behave; service misbehaviour surfaces as a typed fault
     ([Ill_typed_service] / [Service_failure], see {!failure_is_fault})
-    instead of an exception. In [Possible_mode] a run-time failure
+    instead of an exception. In [Possible] mode a run-time failure
     surfaces as [Execution_failed].
 
     [?k] overrides the contract's rewriting depth. At depth > 1 every

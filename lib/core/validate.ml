@@ -99,67 +99,79 @@ let forest_accepted dense children =
   in
   run (Dense.start dense) children
 
-(* Collect the violations of [doc] against the schema, prefix order. *)
-let violations ctx (doc : Document.t) : violation list =
-  let acc = ref [] in
-  let push at kind = acc := { at; kind } :: !acc in
-  let rec visit path node =
-    (match node with
-     | Document.Data _ -> ()
-     | Document.Elem { label; children } ->
-       (match element_model ctx label with
-        | None -> push (List.rev path) (Unknown_label label)
-        | Some m ->
-          if not (forest_accepted m.dfa children) then
-            let word = Document.word children in
-            push (List.rev path) (Content_mismatch { label; word }))
-     | Document.Call { name; params } ->
-       (match input_model ctx name with
-        | None -> push (List.rev path) (Unknown_function name)
-        | Some m ->
-          if not (forest_accepted m.dfa params) then
-            let word = Document.word params in
-            push (List.rev path) (Input_mismatch { fname = name; word })));
-    List.iteri (fun i child -> visit (i :: path) child) (Document.children node)
+(* ------------------------------------------------------------------ *)
+(* The one static walk                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The root rule: a schema with a distinguished root label requires the
+   document to be that element. *)
+let root_violation ctx (doc : Document.t) =
+  match ctx.schema.Schema.root, doc with
+  | Some expected, Document.Elem { label; _ } when not (String.equal label expected) ->
+    Some { at = []; kind = Root_mismatch { expected; found = label } }
+  | Some expected, (Document.Data _ | Document.Call _) ->
+    Some { at = []; kind = Root_mismatch { expected; found = "(not an element)" } }
+  | _ -> None
+
+(* The model rule, for one node and its model ([None]: undeclared).
+   The word is only built for an offence. *)
+let node_violation (node : Document.t) own =
+  match node, own with
+  | Document.Data _, _ -> None
+  | Document.Elem { label; _ }, None -> Some (Unknown_label label)
+  | Document.Call { name; _ }, None -> Some (Unknown_function name)
+  | Document.Elem { label; children }, Some m ->
+    if forest_accepted m.dfa children then None
+    else Some (Content_mismatch { label; word = Document.word children })
+  | Document.Call { name; params }, Some m ->
+    if forest_accepted m.dfa params then None
+    else Some (Input_mismatch { fname = name; word = Document.word params })
+
+(* Prefix order over the elements and calls; data leaves are judged
+   against nothing, so they are skipped (they still count in their
+   siblings' indices). Each node's model is looked up once and handed
+   down to its children as the model of the word they sit in. Besides
+   the model lookup, a visited node allocates only its path cell. *)
+let fold ctx ?(rev_path = []) f doc acc =
+  let rec node rev_path enclosing (n : Document.t) acc =
+    match n with
+    | Document.Data _ -> acc
+    | Document.Elem { label; children } ->
+      let own = element_model ctx label in
+      forest rev_path own 0 children (f rev_path n own enclosing acc)
+    | Document.Call { name; params } ->
+      let own = input_model ctx name in
+      forest rev_path own 0 params (f rev_path n own enclosing acc)
+  and forest rev_path enclosing i kids acc =
+    match kids with
+    | [] -> acc
+    | Document.Data _ :: rest -> forest rev_path enclosing (i + 1) rest acc
+    | kid :: rest ->
+      forest rev_path enclosing (i + 1) rest (node (i :: rev_path) enclosing kid acc)
   in
-  visit [] doc;
-  List.rev !acc
+  node rev_path None doc acc
 
-(* Boolean twin of [violations]: no paths, no lists, early exit on the
-   first offence — the per-document gate of warm enforcement. *)
-let rec conforms ctx (node : Document.t) =
-  (match node with
-   | Document.Data _ -> true
-   | Document.Elem { label; children } ->
-     (match element_model ctx label with
-      | None -> false
-      | Some m -> forest_accepted m.dfa children)
-   | Document.Call { name; params } ->
-     (match input_model ctx name with
-      | None -> false
-      | Some m -> forest_accepted m.dfa params))
-  && List.for_all (conforms ctx) (Document.children node)
+let push rev_path node own _enclosing acc =
+  match node_violation node own with
+  | None -> acc
+  | Some kind -> { at = List.rev rev_path; kind } :: acc
 
-(* As [violations], additionally requiring the schema's distinguished
-   root label (Definition 6 context). *)
+let violations ctx doc = List.rev (fold ctx push doc [])
+
 let document_violations ctx doc =
-  let root_violations =
-    match ctx.schema.Schema.root, doc with
-    | Some expected, Document.Elem { label; _ } when not (String.equal label expected) ->
-      [ { at = []; kind = Root_mismatch { expected; found = label } } ]
-    | Some expected, (Document.Data _ | Document.Call _) ->
-      [ { at = []; kind = Root_mismatch { expected; found = "(not an element)" } } ]
-    | _ -> []
-  in
-  root_violations @ violations ctx doc
+  List.rev (fold ctx push doc (Option.to_list (root_violation ctx doc)))
 
-(* Boolean twin of [document_violations]. *)
-let document_conforms ctx (doc : Document.t) =
-  (match ctx.schema.Schema.root, doc with
-   | Some expected, Document.Elem { label; _ } -> String.equal label expected
-   | Some _, (Document.Data _ | Document.Call _) -> false
-   | None, _ -> true)
-  && conforms ctx doc
+exception Offence
+
+(* Boolean twin of [document_violations]: no lists, and the walk stops
+   at the first offence. *)
+let document_conforms ctx doc =
+  Option.is_none (root_violation ctx doc)
+  &&
+  let check _ node own _ () =
+    if Option.is_some (node_violation node own) then raise_notrace Offence
+  in
+  match fold ctx check doc () with () -> true | exception Offence -> false
 
 (* Output-instance check (Definition 3, second part): the forest a
    service returned, against its declared output type. *)
@@ -171,10 +183,12 @@ let instance table ~mismatch ctx fname (forest : Document.forest) =
       if forest_accepted m.dfa forest then []
       else [ { at = []; kind = mismatch (Document.word forest) } ]
     in
-    word_ok
-    @ List.concat (List.mapi (fun i tree ->
-          List.map (fun v -> { v with at = i :: v.at }) (violations ctx tree))
-        forest)
+    let _, acc =
+      List.fold_left
+        (fun (i, acc) tree -> (i + 1, fold ctx ~rev_path:[ i ] push tree acc))
+        (0, word_ok) forest
+    in
+    List.rev acc
 
 let output_instance ctx fname =
   instance ctx.outputs ctx fname ~mismatch:(fun word ->

@@ -59,17 +59,51 @@ val forest_accepted :
     steps the flat tables directly over the children — no word list, no
     allocation, early exit through the absorbing reject state. *)
 
+(** {1 The static walk}
+
+    Every static pass judges a document node by node: an element's
+    children word against its label's content model
+    ({!element_model}), a call's parameters against the function's
+    input type ({!input_model}), and the whole document against the
+    schema's root label ({!root_violation}). {!fold} hands each node
+    its model and the model of the word it sits in. Validation, the
+    rewriter's static check and minimal k, document lint and migration
+    advice all run on it. *)
+
+val root_violation : ctx -> Document.t -> violation option
+(** The root rule: when the schema names a root label, the document
+    must be an element with that label. *)
+
+val node_violation : Document.t -> model option -> violation_kind option
+(** The model rule for one node, given its model ([None] when its
+    label or function is undeclared): the undeclared name, or a
+    children word outside the model. [None] for a data leaf. *)
+
+val fold :
+  ctx -> ?rev_path:Document.path ->
+  (Document.path -> Document.t -> model option -> model option -> 'a -> 'a) ->
+  Document.t -> 'a -> 'a
+(** [fold ctx f doc acc] calls [f rev_path node own enclosing acc] on
+    every element and call of [doc], in prefix order; data leaves are
+    judged against nothing and skipped. [rev_path] is the node's path
+    with the innermost index first ([List.rev] gives its
+    {!Document.path}); [own] is its model, [None] for an undeclared
+    label or function; [enclosing] is the [own] of its parent, [None]
+    at the root. [?rev_path] is the reversed path of [doc] itself
+    (default [[]]). The walk only reads; besides the model lookup, a
+    visited node allocates only its path cell. *)
+
 val violations : ctx -> Document.t -> violation list
-(** All violations, prefix order; [[]] means instance. *)
+(** All violations of the model rule, prefix order; [[]] means
+    instance. *)
 
 val document_violations : ctx -> Document.t -> violation list
-(** As {!violations}, additionally requiring the schema's distinguished
-    root label. *)
+(** The root rule's violation, then {!violations}. *)
 
 val document_conforms : ctx -> Document.t -> bool
 (** Boolean twin of {!document_violations}: same verdict as
-    [document_violations ctx doc = []], but walks the dense tables with
-    no path or list allocation and stops at the first offence. *)
+    [document_violations ctx doc = []], but builds no list and
+    stops at the first offence. *)
 
 val output_instance : ctx -> string -> Document.forest -> violation list
 (** Is the forest an output instance of the function (Definition 3)? *)

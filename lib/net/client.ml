@@ -99,7 +99,7 @@ let agreement t ~k exchange =
 let failures_of_refusals refusals =
   List.map
     (fun { Wire.at; context } ->
-       { Rewriter.at; reason = Rewriter.Unsafe_word { context; word = [] } })
+       { Rewriter.at; reason = Rewriter.Not_instance { detail = context } })
     refusals
 
 let send t ~sender ~exchange ~as_name doc :

@@ -38,8 +38,7 @@ let count_request op =
   Mutex.unlock m_requests_lock;
   Metrics.inc c
 
-let create ?config ?repo peer =
-  (match config with Some c -> Peer.configure peer c | None -> ());
+let create ?repo peer =
   { peer; repo; exchanges = Hashtbl.create 8; lock = Mutex.create ();
     next_id = 1 }
 
@@ -66,19 +65,13 @@ let parse_schema schema_xml k =
     err "protocol" "malformed exchange schema: %s" m
   | schema -> k schema
 
-(* [Peer.receive] reports every violation as [Unsafe_word {context;
-   word = []}] with the full message in [context]; carry that raw string
-   so the client can rebuild the exact same failure value (byte-equal
-   verdicts across transports). Any other reason shape is formatted. *)
+(* [Peer.receive] reports every violation as [Not_instance], which
+   prints as its bare text; the client rebuilds the same failure value
+   from that text (byte-equal verdicts across transports). *)
 let refusals_of_failures failures =
   List.map
     (fun (f : Axml_core.Rewriter.failure) ->
-       let context =
-         match f.reason with
-         | Axml_core.Rewriter.Unsafe_word { context; word = [] } -> context
-         | reason -> Fmt.str "%a" Axml_core.Rewriter.pp_reason reason
-       in
-       { Wire.at = f.at; context })
+       { Wire.at = f.at; context = Fmt.str "%a" Axml_core.Rewriter.pp_reason f.reason })
     failures
 
 let dispatch t : Wire.request -> Wire.response = function

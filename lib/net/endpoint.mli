@@ -9,12 +9,9 @@
 
 type t
 
-val create :
-  ?config:Axml_peer.Peer.config -> ?repo:Repo.t -> Axml_peer.Peer.t -> t
-(** Wrap a peer. [config], when given, is applied with
-    {!Axml_peer.Peer.configure} — the served peer and an in-process one
-    configured from the same record behave identically. [repo] journals
-    every accepted exchange ({!Repo.record_store}). *)
+val create : ?repo:Repo.t -> Axml_peer.Peer.t -> t
+(** Wrap a peer, configured as it is ({!Axml_peer.Peer.configure}).
+    [repo] journals every accepted exchange ({!Repo.record_store}). *)
 
 val peer : t -> Axml_peer.Peer.t
 

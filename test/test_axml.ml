@@ -557,11 +557,11 @@ let test_enforce_deep_k_gap () =
   (match enforce ~k:1 with
    | Ok (doc, _), _ ->
      check "k=1: embedded call survives (the gap)" false
-       (D.calls_with_paths doc = [])
+       (D.is_extensional doc)
    | Error e, _ -> Alcotest.failf "k=1 unexpectedly refused: %a" Enforcement.pp_error e);
   match enforce ~k:2 with
   | Ok (doc, _), reg ->
-    check "k=2: fully extensional" true (D.calls_with_paths doc = []);
+    check "k=2: fully extensional" true (D.is_extensional doc);
     check_int "k=2: TimeOut, Get_Temp and the embedded Get_Date" 3
       (Registry.invocation_count reg);
     let env = Schema.env_of_schemas schema_star schema_extensional in
@@ -823,6 +823,24 @@ let test_peer_exchange_pipeline_cached () =
 (* ------------------------------------------------------------------ *)
 (* Peers                                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* A receiver's refusal reads as its validation verdict: the violation
+   text, not a rewriting verdict wrapped around it. *)
+let test_peer_receive_refusal_message () =
+  let receiver = Peer.create ~name:"reader" ~schema:schema_star2 () in
+  let refusal wire =
+    match Peer.receive receiver ~exchange:schema_star2 ~as_name:"x" wire with
+    | Ok _ -> Alcotest.fail "an invalid document was stored"
+    | Error e -> Fmt.str "%a" Enforcement.pp_error e
+  in
+  Alcotest.(check string) "non-instance"
+    "rejected: /: children of <newspaper> form \
+     title.date.Get_Temp().TimeOut(), outside its content model"
+    (refusal (Syntax.to_xml_string ~pretty:false fig2a));
+  Alcotest.(check string) "malformed"
+    "rejected: /: malformed document: line 1, column 12: unterminated \
+     element <newspaper>"
+    (refusal "<newspaper>")
 
 let test_peer_call_through_soap () =
   let provider = Peer.create ~name:"timeout.com" ~schema:schema_star () in
@@ -1306,6 +1324,8 @@ let () =
          Alcotest.test_case "serve leaves conforming io untouched" `Quick
            test_peer_serve_conforming_untouched;
          Alcotest.test_case "send document" `Quick test_peer_send_document;
+         Alcotest.test_case "receive refusal message" `Quick
+           test_peer_receive_refusal_message;
          Alcotest.test_case "unknown service fault" `Quick test_peer_unknown_service_fault;
          Alcotest.test_case "version mismatch fault" `Quick test_peer_version_mismatch_fault;
          Alcotest.test_case "configure" `Quick test_peer_configure;

@@ -240,7 +240,7 @@ let test_materialize_fig2_into_star3_possible () =
   let rw = rewriter schema_star3 in
   check "not safe" false (Rewriter.check rw fig2a).ok;
   check "possible" true (Rewriter.check ~mode:Rewriter.Check_possible rw fig2a).ok;
-  match Rewriter.materialize ~mode:Rewriter.Possible_mode rw
+  match Rewriter.materialize ~mode:Rewriter.Possible rw
           ~invoker:(honest_invoker ~timeout_returns:`Exhibits) fig2a with
   | Error fs ->
     Alcotest.failf "materialize failed: %a" Fmt.(list Rewriter.pp_failure) fs
@@ -875,6 +875,115 @@ let test_generated_outputs_validate () =
     if Validate.output_instance ctx "TimeOut" forest <> [] then
       Alcotest.fail "generated output is not an output instance"
   done
+
+(* Rename the [n]-th node of [doc] in prefix order: an element takes the
+   [pick]-th label of [labels], a call the [pick]-th name of [names];
+   a data leaf stays as it is. The lists hold undeclared names too. *)
+let relabel ~labels ~names n pick doc =
+  let count = ref (-1) in
+  let nth l = List.nth l (pick mod List.length l) in
+  let rec go node =
+    incr count;
+    let hit = !count = n in
+    match node with
+    | D.Data _ -> node
+    | D.Elem { label; children } ->
+      let label = if hit then nth labels else label in
+      D.elem label (List.map go children)
+    | D.Call { name; params } ->
+      let name = if hit then nth names else name in
+      D.call name (List.map go params)
+  in
+  go doc
+
+(* The boolean gate and the violation list are one verdict: over
+   documents generated from the three example schemas, as they are and
+   with one node renamed (possibly to an undeclared label or function,
+   possibly at the root), [document_conforms] holds exactly when
+   [document_violations] is empty. *)
+let prop_conforms_iff_no_violations =
+  let schemas = [ schema_star; schema_star2; schema_star3 ] in
+  QCheck.Test.make ~count:500
+    ~name:"document_conforms agrees with document_violations"
+    QCheck.(
+      quad (int_range 0 100_000) (pair (int_bound 2) (int_bound 2))
+        (option (pair (int_bound 30) small_nat)) bool)
+    (fun (seed, (src, dst), mutation, relaxed) ->
+      let s0 = List.nth schemas src and target = List.nth schemas dst in
+      match Generate.document (Generate.create ~seed s0) with
+      | exception Generate.Generation_failed _ -> QCheck.assume_fail ()
+      | doc ->
+        let doc =
+          match mutation with
+          | None -> doc
+          | Some (n, pick) ->
+            relabel n pick doc
+              ~labels:[ "newspaper"; "title"; "date"; "temp"; "city"; "exhibit";
+                        "performance"; "nowhere" ]
+              ~names:[ "Get_Temp"; "TimeOut"; "Get_Date"; "Nothing" ]
+        in
+        (* without the sender's environment, calls the target does not
+           mention are undeclared *)
+        let ctx =
+          if relaxed then Validate.ctx target
+          else Validate.ctx ~env:(Schema.env_of_schemas s0 target) target
+        in
+        let vs = Validate.document_violations ctx doc in
+        if Validate.document_conforms ctx doc <> (vs = []) then
+          QCheck.Test.fail_reportf "conforms=%b but %d violation(s) on %a"
+            (vs = []) (List.length vs) D.pp doc;
+        true)
+
+(* Document-level minimal k: the maximum over the children words of
+   their per-word minima, and None/None for what no depth can fix. *)
+let test_document_minimal_k () =
+  let none = { Rewriter.safe_k = None; possible_k = None } in
+  let minimal ?(max_k = 3) target doc =
+    Rewriter.minimal_k ~max_k (Rewriter.create ~k:1 ~s0:schema_star ~target ()) doc
+  in
+  let pin name expected got =
+    let show (m : Rewriter.doc_minimal) =
+      Fmt.str "%a/%a" Fmt.(Dump.option int) m.Rewriter.safe_k
+        Fmt.(Dump.option int) m.Rewriter.possible_k
+    in
+    Alcotest.(check string) name (show expected) (show got)
+  in
+  let unknown_label =
+    D.elem "newspaper"
+      [ D.elem "title" [ D.data "t" ]; D.elem "date" [ D.data "d" ];
+        D.elem "weather" [ D.data "w" ] ]
+  in
+  pin "unknown label" none (minimal schema_star2 unknown_label);
+  pin "root mismatch" none (minimal schema_star2 (D.elem "title" [ D.data "t" ]));
+  pin "fig2a into (**)" { safe_k = Some 1; possible_k = Some 1 }
+    (minimal schema_star2 fig2a);
+  pin "fig2a into (***)" { safe_k = None; possible_k = Some 1 }
+    (minimal schema_star3 fig2a);
+  pin "instance" { safe_k = Some 0; possible_k = Some 0 }
+    (minimal schema_star fig2a);
+  (* the same maximum, word by word through the contract *)
+  let c = Contract.create ~k:1 ~s0:schema_star ~target:schema_star3 () in
+  let input f = Option.get (Contract.input_regex c f) in
+  let words =
+    [ (contract_regex c "newspaper", D.word (D.children fig2a));
+      (contract_regex c "title", [ Symbol.Data ]);
+      (contract_regex c "date", [ Symbol.Data ]);
+      (input "Get_Temp", [ Symbol.Label "city" ]);
+      (contract_regex c "city", [ Symbol.Data ]);
+      (input "TimeOut", [ Symbol.Data ]) ]
+  in
+  let join a b =
+    match (a, b) with Some a, Some b -> Some (max a b) | _ -> None
+  in
+  let safe, possible =
+    List.fold_left
+      (fun (s, p) (target_regex, word) ->
+        let m = Contract.minimal_k ~max_k:3 c ~target_regex word in
+        (join s m.Contract.safe_at, join p m.Contract.possible_at))
+      (Some 0, Some 0) words
+  in
+  pin "max of per-word minima" { safe_k = safe; possible_k = possible }
+    (Rewriter.minimal_k ~max_k:3 (Rewriter.of_contract c) fig2a)
 
 (* ------------------------------------------------------------------ *)
 (* Eager vs lazy engines                                               *)
@@ -1907,7 +2016,7 @@ let prop_shared_contract_domains =
               verdict Rewriter.Check_possible,
               Validate.document_violations (Contract.ctx c) doc,
               materialized Rewriter.Safe,
-              materialized Rewriter.Possible_mode ))
+              materialized Rewriter.Possible ))
           docs
       in
       let expected = answers (Contract.create ~k ~s0:schema_star ~target ()) in
@@ -2078,7 +2187,8 @@ let qcheck_tests =
       prop_cache_domain_safe;
       prop_table_parity;
       prop_clone_isolation;
-      prop_shared_contract_domains
+      prop_shared_contract_domains;
+      prop_conforms_iff_no_violations
     ]
 
 let () =
@@ -2108,7 +2218,8 @@ let () =
       ("depth",
        [ Alcotest.test_case "k=1 vs k=2" `Quick test_depth_k;
          Alcotest.test_case "recursive: never safe, always possible" `Quick test_recursive_never_safe;
-         Alcotest.test_case "k=0" `Quick test_depth_zero
+         Alcotest.test_case "k=0" `Quick test_depth_zero;
+         Alcotest.test_case "document minimal k" `Quick test_document_minimal_k
        ]);
       ("restrictions",
        [ Alcotest.test_case "non-invocable functions" `Quick test_noninvocable ]);

@@ -63,12 +63,6 @@ let test_splice () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "dangling path must be rejected"
 
-let test_calls_with_paths () =
-  let calls = D.calls_with_paths doc in
-  Alcotest.(check (list (pair (list int) string))) "calls in document order"
-    [ ([ 2 ], "Get_Temp"); ([ 3 ], "TimeOut"); ([ 3; 1 ], "Nested") ]
-    calls
-
 let test_call_nesting () =
   check_int "nested call in params" 1 (D.call_nesting doc);
   check_int "flat" 0
@@ -97,7 +91,6 @@ let () =
          Alcotest.test_case "counts" `Quick test_counts;
          Alcotest.test_case "get" `Quick test_get;
          Alcotest.test_case "splice" `Quick test_splice;
-         Alcotest.test_case "calls with paths" `Quick test_calls_with_paths;
          Alcotest.test_case "call nesting" `Quick test_call_nesting;
          Alcotest.test_case "equality" `Quick test_equality;
          Alcotest.test_case "printing" `Quick test_printing

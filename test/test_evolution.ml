@@ -16,6 +16,7 @@ module Validate = Axml_core.Validate
 module Generate = Axml_core.Generate
 module Diagnostic = Axml_analysis.Diagnostic
 module Evolution = Axml_analysis.Evolution
+module Lint = Axml_analysis.Lint
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -445,6 +446,56 @@ function F : #data -> (a | b)
    | _ -> Alcotest.fail "advisory list shape");
   check "possible blocks migratable" false m.Evolution.g_migratable
 
+(* Each call is judged against the content model of the word it sits
+   in: its parent element's model, its enclosing call's input type, or
+   none at the root. One document holds a call at the root, calls in
+   an element, a call inside another call's parameters and an
+   undeclared call; the lint diagnostics and the calls migration must
+   fire come out in document order, with their paths. *)
+let test_call_contexts () =
+  let v1 = parse_schema {|
+root r
+element r = (F | a).(G | b)*
+element a = #data
+element b = #data
+function F : #data -> a
+function G : (F | #data) -> b
+|} in
+  let v2 = parse_schema {|
+root r
+element r = (F | a).b.b*
+element a = #data
+element b = #data
+function F : #data -> a
+function G : (F | #data) -> b
+|} in
+  let doc =
+    D.call "G"
+      [ D.elem "r"
+          [ D.call "F" [ D.data "q" ];
+            D.call "G" [ D.call "Ghost" [] ] ];
+        D.call "G" [ D.call "F" [] ] ]
+  in
+  let lint =
+    List.map
+      (fun (d : Diagnostic.t) ->
+        match d.Diagnostic.loc.Diagnostic.subject with
+        | Diagnostic.Node path -> (d.Diagnostic.code, path)
+        | _ -> Alcotest.fail "a document diagnostic names a node")
+      (Lint.lint_document (Contract.create ~s0:v1 ~target:v2 ()) doc)
+  in
+  Alcotest.(check (list (pair string (list int))))
+    "lint diagnostics in document order"
+    [ ("AXM030", [ 0; 1; 0 ]); ("AXM031", [ 1 ]) ]
+    lint;
+  match (Evolution.migrate ~v1 ~v2 [ ("calls.xml", doc) ]).Evolution.g_advisories with
+  | [ a ] ->
+    Alcotest.(check (list (pair (list int) string)))
+      "calls to fire, in document order"
+      [ ([], "G"); ([ 0; 1 ], "G"); ([ 0; 1; 0 ], "Ghost"); ([ 1 ], "G") ]
+      a.Evolution.a_calls
+  | _ -> Alcotest.fail "advisory list shape"
+
 (* ------------------------------------------------------------------ *)
 (* JSON envelope and catalog                                           *)
 (* ------------------------------------------------------------------ *)
@@ -679,7 +730,8 @@ let () =
        [ Alcotest.test_case "advisories (AXM042)" `Quick
            test_migration_advisories;
          Alcotest.test_case "possible-only corpus" `Quick
-           test_migration_possible
+           test_migration_possible;
+         Alcotest.test_case "call contexts" `Quick test_call_contexts
        ]);
       ("reporting",
        [ Alcotest.test_case "json envelope" `Quick test_json_reports;

@@ -308,8 +308,8 @@ let test_endpoint_services () =
    code, before even parsing the schema. *)
 let test_endpoint_k_mismatch () =
   let receiver = make_receiver () in
-  let config = { Peer.default_config with Peer.k = 2 } in
-  let handle = Endpoint.handle (Endpoint.create ~config receiver) in
+  Peer.configure receiver { Peer.default_config with Peer.k = 2 };
+  let handle = Endpoint.handle (Endpoint.create receiver) in
   let agreement = Xml_schema_int.to_string schema_exchange in
   (match handle (Wire.Open_exchange { schema_xml = agreement; k = 2 }) with
    | Wire.Exchange_opened { k = 2; _ } -> ()
