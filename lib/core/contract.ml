@@ -136,9 +136,9 @@ let registered t r =
             Atomic.set t.models (Array.append arr [| e |]);
             e)
 
-let analysis kind ?k t ~target_regex word =
+let analysis kind ?k t tb ids =
   let k = Option.value k ~default:t.k in
-  let r = Win.solve (snd (registered t target_regex)) kind ~budget:k word in
+  let r = Win.solve tb kind ~budget:k ids in
   let hit = Win.fills r = 0 in
   if hit then begin
     Atomic.incr t.hits;
@@ -158,8 +158,13 @@ let analysis kind ?k t ~target_regex word =
          { cache = (match kind with Win.Safe -> "safe" | Win.Possible -> "possible"); hit });
   r
 
-let safe_run ?k t ~target_regex word = analysis Win.Safe ?k t ~target_regex word
-let possible_run ?k t ~target_regex word = analysis Win.Possible ?k t ~target_regex word
+let word_run kind ?k t ~target_regex word =
+  analysis kind ?k t (snd (registered t target_regex))
+    (Array.of_list (List.map Axml_schema.Sym_id.find_symbol word))
+
+let safe_run ?k t ~target_regex word = word_run Win.Safe ?k t ~target_regex word
+let possible_run ?k t ~target_regex word = word_run Win.Possible ?k t ~target_regex word
+let forest_run ?k t kind m forest = analysis kind ?k t (snd (registered t (regex m))) (Document.ids forest)
 let is_safe ?k t ~target_regex word = Win.ok (safe_run ?k t ~target_regex word)
 let is_possible ?k t ~target_regex word = Win.ok (possible_run ?k t ~target_regex word)
 

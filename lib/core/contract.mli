@@ -124,6 +124,13 @@ val possible_run :
   Axml_schema.Symbol.t list -> Win.run
 (** The possible game of Figure 9, likewise. *)
 
+val forest_run :
+  ?k:int -> t -> Win.kind -> Validate.model -> Document.forest -> Win.run
+(** The game of the given kind for the word of a children forest
+    against a model of {!ctx}, likewise: the letters are coded by
+    {!Document.ids}, and the run is what [Execute.run] follows over
+    that forest. *)
+
 val is_safe :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
   Axml_schema.Symbol.t list -> bool

@@ -25,6 +25,21 @@ let symbol = function
 
 let word (forest : forest) : Symbol.t list = List.map symbol forest
 
+(* The dense id of that letter, by lookup: -1 for a name no schema
+   declared. *)
+let sym_id = function
+  | Elem { label; _ } -> Axml_schema.Sym_id.find_label label
+  | Data _ -> Axml_schema.Sym_id.data
+  | Call { name; _ } -> Axml_schema.Sym_id.find_fun name
+
+let rec fill_ids a i = function
+  | [] -> a
+  | d :: rest ->
+    a.(i) <- sym_id d;
+    fill_ids a (i + 1) rest
+
+let ids (forest : forest) = fill_ids (Array.make (List.length forest) 0) 0 forest
+
 let children = function
   | Elem { children; _ } -> children
   | Call { params; _ } -> params

@@ -20,6 +20,13 @@ val symbol : t -> Axml_schema.Symbol.t
 
 val word : forest -> Axml_schema.Symbol.t list
 
+val sym_id : t -> int
+(** The {!Axml_schema.Sym_id} of {!symbol}, by lookup: [-1] for a label
+    or function no schema declared. Never interns, never allocates. *)
+
+val ids : forest -> int array
+(** {!sym_id} of each node: the word as the win tables read it. *)
+
 val children : t -> t list
 (** Children of an element, parameters of a call, [[]] for data. *)
 

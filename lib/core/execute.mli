@@ -1,26 +1,24 @@
 (** Executing a word-level rewriting against real services (steps 19-23
     of Figure 3 and 7-10 of Figure 9).
 
-    The materializer walks the concrete children forest left-to-right,
-    tracking the corresponding node of the solved game. At every
-    function occurrence the strategy decides between the fork options.
-    {!run} follows a win-table analysis ({!Contract.safe_run},
-    {!Contract.possible_run}): a node is a position in the word or in
-    an invoked copy of an output automaton with a target-DFA state, and
-    it is good iff the state is in the position's winning set. The walk
-    itself, {!walk}, is written once over any {!game}; the test oracle
-    runs the paper's Figure 3/9 product strategies, and cost-guided
-    ones, through it.
+    {!run} follows a win-table analysis ({!Contract.forest_run},
+    {!Contract.safe_run}, {!Contract.possible_run}) over the concrete
+    children forest, left to right, through {!Win.walk}: at every
+    function occurrence the strategy decides between the fork options,
+    and this module makes the calls, records them and accounts for
+    them. The test oracle walks the paper's Figure 3/9 product
+    strategies, and cost-guided ones, with a walk of its own, and
+    checks that both make the same calls and materialize the same
+    forest.
 
     Safe strategies cannot get stuck whatever honest services return;
     possible ones backtrack when a call's actual return leaves every
-    live path. A table walk tries moves keep first, then invoke, in
-    edge order, as the product strategies of the same game do, so both
-    make the same calls and materialize the same forest.
+    live path. Moves are tried keep first, then invoke, in edge order,
+    as the product strategies of the same game try them.
 
-    A call fires at most once per occurrence: results are cached, so
-    backtracking re-examines recorded outputs instead of re-firing side
-    effects.
+    A call fires at most once per occurrence: results are cached by
+    occurrence, so backtracking re-examines recorded outputs instead of
+    re-firing side effects.
 
     Service misbehaviour never escapes as an exception: {!run} returns a
     typed {!failure} report. An invoker exception marks that fork option
@@ -68,28 +66,6 @@ type outcome = {
   materialized : Document.forest;
   invocations : invocation list;  (** chronological *)
 }
-
-type 'n game = {
-  good : 'n -> bool;
-  has_fork : 'n -> Axml_schema.Symbol.t -> bool;
-  moves :
-    'n -> Axml_schema.Symbol.t -> keep:('n -> bool) ->
-    invoke:(string -> 'n -> bool) -> bool;
-  leave : 'n -> 'n option;
-  accepting : 'n -> bool;
-}
-(** A solved game as the walk sees it, over nodes of its own: the
-    fields play the roles of {!Win.good}, {!Win.has_fork},
-    {!Win.moves} (in the strategy's order), {!Win.leave} and
-    {!Win.accepting}. *)
-
-val walk :
-  ?validate:(string -> Document.forest -> bool) ->
-  ?reenforce:(string -> Document.forest -> Document.forest option) ->
-  possible:bool -> 'n game -> 'n -> invoker -> Document.forest ->
-  (outcome, failure) result
-(** [walk ~possible game initial] is {!run} over any game; [possible]
-    says it is Figure 9's, whose walks may die on actual answers. *)
 
 val run :
   ?validate:(string -> Document.forest -> bool) ->

@@ -126,8 +126,6 @@ let failure_is_fault f = reason_is_fault f.reason
 
 type mode = Win.kind = Safe | Possible
 
-let run = function Safe -> Contract.safe_run | Possible -> Contract.possible_run
-
 let unrewritable mode ~context word =
   match mode with
   | Safe -> Unsafe_word { context; word }
@@ -150,17 +148,19 @@ let root_failure mode t doc =
   | Some { at; kind } -> Some { at; reason = reason_of_violation mode kind }
 
 (* Static check: no invocation happens. Validation's walk finds the
-   words outside their models, and only those reach the win tables.
-   Returns the failures ([] = verdict holds), root first, then prefix
-   order. *)
+   words outside their models, and only those reach the win tables; a
+   word is built only for a failure. Returns the failures ([] = verdict
+   holds), root first, then prefix order. *)
 let static_failures ?k mode t doc =
   let visit rev_path node own _ acc =
-    match Validate.node_violation node own, own with
-    | None, _ -> acc
-    | ( Some (Validate.Content_mismatch { word; _ } | Validate.Input_mismatch { word; _ }),
-        Some (m : Validate.model) )
-      when Win.ok (run mode ?k t ~target_regex:m.Validate.regex word) -> acc
-    | Some kind, _ -> { at = List.rev rev_path; reason = reason_of_violation mode kind } :: acc
+    match own with
+    | Some (m : Validate.model)
+      when Validate.forest_accepted m.Validate.dfa (Document.children node)
+           || Win.ok (Contract.forest_run ?k t mode m (Document.children node)) -> acc
+    | Some _ | None ->
+      match Validate.node_violation node own with
+      | None -> acc
+      | Some kind -> { at = List.rev rev_path; reason = reason_of_violation mode kind } :: acc
   in
   List.rev
     (Validate.fold (Contract.ctx t) visit doc (Option.to_list (root_failure mode t doc)))
@@ -198,17 +198,18 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
   | Some f -> Error [ f ]
   | None ->
   let invocations = ref [] in
+  let ctx = Contract.ctx t in
   let rec interior depth path (node : Document.t) : Document.t =
     match node with
     | Document.Data _ -> node
     | Document.Elem { label; children } ->
-      (match Validate.element_model (Contract.ctx t) label with
+      (match Validate.model_of_id ctx (Document.sym_id node) with
        | None -> raise (Failed { at = List.rev path; reason = Unknown_element label })
        | Some m ->
          let children' = forest depth path ~fn:false label m children in
          if children' == children then node else Document.elem label children')
     | Document.Call { name; params } ->
-      (match Validate.input_model (Contract.ctx t) name with
+      (match Validate.model_of_id ctx (Document.sym_id node) with
        | None -> raise (Failed { at = List.rev path; reason = Unknown_function name })
        | Some m ->
          let params' = forest depth path ~fn:true name m params in
@@ -222,21 +223,23 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
       let c' = interior depth (i :: path) c in
       let rest' = interiors depth path (i + 1) rest in
       if c' == c && rest' == rest then children else c' :: rest'
-  and forest depth path ~fn name { Validate.regex; dfa } (children : Document.forest) :
+  and forest depth path ~fn name (m : Validate.model) (children : Document.forest) :
       Document.forest =
     (* deepest-first: materialize interiors (and hence parameters of
        function children) before rewriting this children word *)
     let children = interiors depth path 0 children in
     (* fast path: a children word already in the target language needs
-       no game and no walk — the keep-first [Execute] walk would return it
+       no game and no walk — the keep-first walk would return it
        unchanged with zero invocations, so return it directly *)
-    if Validate.forest_accepted dfa children then children
+    if Validate.forest_accepted m.Validate.dfa children then children
     else begin
-    let context = if fn then name ^ "()" else "<" ^ name ^ ">" in
-    let word = Document.word children in
-    let run = run mode ~k:depth t ~target_regex:regex word in
+    let context () = if fn then name ^ "()" else "<" ^ name ^ ">" in
+    let run = Contract.forest_run ~k:depth t mode m children in
     if not (Win.ok run) then
-      raise (Failed { at = List.rev path; reason = unrewritable mode ~context word });
+      raise
+        (Failed
+           { at = List.rev path;
+             reason = unrewritable mode ~context:(context ()) (Document.word children) });
     (* The k-bounded hook: rewrite each returned node against the
        remaining budget. A non-fault [Failed] from the nested walk is
        the verdict "this result cannot be rewritten" — reported as
@@ -247,21 +250,19 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
       else
         Some
           (fun _fname returned ->
-            match
-              List.mapi (fun i d -> interior (depth - 1) (i :: path) d) returned
-            with
+            match interiors (depth - 1) path 0 returned with
             | enforced -> Some enforced
             | exception Failed f when not (failure_is_fault f) -> None)
     in
     match Execute.run ~validate:(output_ok t) ?reenforce run invoker children with
     | Ok outcome ->
+      let at = List.rev path in
       List.iter
-        (fun inv ->
-          invocations := { at = List.rev path; invocation = inv } :: !invocations)
+        (fun inv -> invocations := { at; invocation = inv } :: !invocations)
         outcome.Execute.invocations;
       outcome.Execute.materialized
     | Error e ->
-      let at = List.rev path in
+      let at = List.rev path and context = context () in
       let reason =
         match e with
         | Execute.No_possible_path -> Execution_failed { context }

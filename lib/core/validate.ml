@@ -48,12 +48,13 @@ let compile regex =
   { regex; dfa = Dense.compile ~sym_id:Sym_id.of_symbol (Auto.Dfa.of_regex regex) }
 
 (* Filled once, by [ctx], and only read afterwards: a ctx may be shared
-   by any number of domains. *)
+   by any number of domains. A node's model sits at its letter's dense
+   symbol id: a label's content model at the label's id, a function's
+   input type at the function's. *)
 type ctx = {
   env : Schema.env;
   schema : Schema.t;
-  elements : (string, model) Hashtbl.t;
-  inputs : (string, model) Hashtbl.t;
+  by_id : model option array;
   outputs : (string, model) Hashtbl.t;
 }
 
@@ -62,32 +63,27 @@ type ctx = {
    other party's schema. *)
 let ctx ?env schema =
   let env = match env with Some e -> e | None -> Schema.env_of_schema schema in
-  let table bindings content =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (name, x) ->
-        Hashtbl.replace tbl name (compile (Schema.compile_content env (content x))))
-      bindings;
-    tbl
-  in
+  let compiled content = compile (Schema.compile_content env content) in
   let functions = Schema.String_map.bindings env.Schema.env_functions in
-  { env; schema;
-    elements = table (Schema.String_map.bindings schema.Schema.elements) Fun.id;
-    inputs = table functions (fun (f : Schema.func) -> f.Schema.f_input);
-    outputs = table functions (fun (f : Schema.func) -> f.Schema.f_output) }
+  let models =
+    List.map
+      (fun (label, content) -> (Sym_id.of_label label, compiled content))
+      (Schema.String_map.bindings schema.Schema.elements)
+    @ List.map (fun (f, (func : Schema.func)) -> (Sym_id.of_fun f, compiled func.Schema.f_input))
+        functions
+  in
+  let by_id = Array.make (List.fold_left (fun n (id, _) -> max n (id + 1)) 1 models) None in
+  List.iter (fun (id, m) -> by_id.(id) <- Some m) models;
+  let outputs = Hashtbl.create 16 in
+  List.iter
+    (fun (f, (func : Schema.func)) -> Hashtbl.replace outputs f (compiled func.Schema.f_output))
+    functions;
+  { env; schema; by_id; outputs }
 
-let element_model ctx label = Hashtbl.find_opt ctx.elements label
-let input_model ctx fname = Hashtbl.find_opt ctx.inputs fname
-
-let models ctx =
-  Hashtbl.fold (fun _ m acc -> m :: acc) ctx.elements
-    (Hashtbl.fold (fun _ m acc -> m :: acc) ctx.inputs [])
-
-(* Dense id of one child, without building a Symbol.t. *)
-let child_id = function
-  | Document.Elem { label; _ } -> Sym_id.of_label label
-  | Document.Data _ -> Sym_id.data
-  | Document.Call { name; _ } -> Sym_id.of_fun name
+let model_of_id ctx id = if id >= 0 && id < Array.length ctx.by_id then ctx.by_id.(id) else None
+let element_model ctx label = model_of_id ctx (Sym_id.find_label label)
+let input_model ctx fname = model_of_id ctx (Sym_id.find_fun fname)
+let models ctx = List.filter_map Fun.id (Array.to_list ctx.by_id)
 
 (* Membership of a children forest in a dense content model: steps the
    flat tables directly over the children, no word list, no allocation.
@@ -95,7 +91,7 @@ let child_id = function
 let forest_accepted dense children =
   let rec run s = function
     | [] -> Dense.is_final dense s
-    | child :: rest -> s >= 0 && run (Dense.step_id dense s (child_id child)) rest
+    | child :: rest -> s >= 0 && run (Dense.step_id dense s (Document.sym_id child)) rest
   in
   run (Dense.start dense) children
 
@@ -129,19 +125,16 @@ let node_violation (node : Document.t) own =
 
 (* Prefix order over the elements and calls; data leaves are judged
    against nothing, so they are skipped (they still count in their
-   siblings' indices). Each node's model is looked up once and handed
-   down to its children as the model of the word they sit in. Besides
-   the model lookup, a visited node allocates only its path cell. *)
+   siblings' indices). Each node's model is looked up once, by its
+   letter's id, and handed down to its children as the model of the
+   word they sit in. A visited node allocates only its path cell. *)
 let fold ctx ?(rev_path = []) f doc acc =
   let rec node rev_path enclosing (n : Document.t) acc =
     match n with
     | Document.Data _ -> acc
-    | Document.Elem { label; children } ->
-      let own = element_model ctx label in
-      forest rev_path own 0 children (f rev_path n own enclosing acc)
-    | Document.Call { name; params } ->
-      let own = input_model ctx name in
-      forest rev_path own 0 params (f rev_path n own enclosing acc)
+    | Document.Elem { children = kids; _ } | Document.Call { params = kids; _ } ->
+      let own = model_of_id ctx (Document.sym_id n) in
+      forest rev_path own 0 kids (f rev_path n own enclosing acc)
   and forest rev_path enclosing i kids acc =
     match kids with
     | [] -> acc
@@ -175,8 +168,8 @@ let document_conforms ctx doc =
 
 (* Output-instance check (Definition 3, second part): the forest a
    service returned, against its declared output type. *)
-let instance table ~mismatch ctx fname (forest : Document.forest) =
-  match Hashtbl.find_opt table fname with
+let instance model ~mismatch ctx fname (forest : Document.forest) =
+  match model with
   | None -> [ { at = []; kind = Unknown_function fname } ]
   | Some m ->
     let word_ok =
@@ -191,8 +184,8 @@ let instance table ~mismatch ctx fname (forest : Document.forest) =
     List.rev acc
 
 let output_instance ctx fname =
-  instance ctx.outputs ctx fname ~mismatch:(fun word ->
+  instance (Hashtbl.find_opt ctx.outputs fname) ctx fname ~mismatch:(fun word ->
       Content_mismatch { label = fname ^ "() output"; word })
 
 let input_instance ctx fname =
-  instance ctx.inputs ctx fname ~mismatch:(fun word -> Input_mismatch { fname; word })
+  instance (input_model ctx fname) ctx fname ~mismatch:(fun word -> Input_mismatch { fname; word })

@@ -50,6 +50,12 @@ val element_model : ctx -> string -> model option
 val input_model : ctx -> string -> model option
 (** The input type of a function of the environment. *)
 
+val model_of_id : ctx -> int -> model option
+(** The model a node is judged against, by its letter's
+    {!Document.sym_id}: {!element_model} for an element,
+    {!input_model} for a call, [None] for data and undeclared names.
+    An array read. *)
+
 val models : ctx -> model list
 (** Every element and input model of the ctx. *)
 

@@ -51,8 +51,7 @@ type fn = {
   start : int;
   final : bool array;
   off : int array;
-  sym : Symbol.t array;
-  lid : int array;
+  lid : int array;  (* the edge's letter, a dense symbol id *)
   dst : int array;
   callee : int array;  (* index of the forking function the label calls, -1 *)
 }
@@ -92,7 +91,6 @@ let compile index name regex =
     start = nfa.Auto.Nfa.start;
     final = Array.init np (fun p -> Auto.Int_set.mem p nfa.Auto.Nfa.finals);
     off;
-    sym = Array.map (fun (_, s, _) -> s) edges;
     lid = Array.map (fun (_, s, _) -> Sym_id.of_symbol s) edges;
     dst = Array.map (fun (_, _, d) -> d) edges;
     callee = Array.map (fun (_, s, _) -> Option.value (callee s) ~default:(-1)) edges }
@@ -391,8 +389,7 @@ type run = {
   tb : table;
   kind : kind;
   budget : int;
-  word : Symbol.t list;
-  ids : int array;
+  ids : int array;   (* the word's letters *)
   sets : int array;  (* position i -> S_i *)
   mutable fills : int;
   mutable fill_seconds : float;
@@ -416,19 +413,12 @@ let step r g set id =
       v
     end
 
-let rec letter_ids ids i = function
-  | [] -> ids
-  | sym :: rest ->
-    ids.(i) <- Sym_id.of_symbol sym;
-    letter_ids ids (i + 1) rest
-
-let solve tb kind ~budget word =
+let solve tb kind ~budget ids =
   let budget = max 0 budget in
   let g = game tb kind budget in
-  let ids = letter_ids (Array.make (List.length word) 0) 0 word in
   let n = Array.length ids in
   let sets = Array.make (n + 1) tb.finals in
-  let r = { tb; kind; budget; word; ids; sets; fills = 0; fill_seconds = 0. } in
+  let r = { tb; kind; budget; ids; sets; fills = 0; fill_seconds = 0. } in
   for i = n - 1 downto 0 do
     sets.(i) <- step r g sets.(i + 1) ids.(i)
   done;
@@ -449,104 +439,177 @@ let every_word tb kind ~budget a =
       q >= 0 && mem w.(a.start) q)
 
 (* ------------------------------------------------------------------ *)
-(* The strategy: walking (position, DFA state) pairs                   *)
+(* The strategy walk                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A frame is the word itself or one invoked copy of an output
-   automaton; [forks] is the depth a fork on one of its edges enters
-   (none below 1). *)
-type frame = {
-  run : run;
-  wins : int array;  (* position -> winning set *)
+(* The walk reads a children forest left to right, one (frame,
+   position, DFA state) at a time. The frame is the word itself, or an
+   invoked copy of an output automaton that knows where its parent
+   resumes; [forks] is the depth a fork on one of its edges enters
+   (none below 1). A move is taken only to a state of its position's
+   winning set. The moves of an item are tried keep first, then invoke,
+   in edge order, the order A_w^k gives its edges, so the walk makes
+   the choices a walk over the product makes. A branch that dies
+   returns [dead] and the next move is tried: backtracking is
+   returning. *)
+type frame = Word | Copy of copy
+
+and copy = {
+  fn : fn;
+  wins : int array;  (* Glushkov position -> winning set *)
   forks : int;
-  shape : shape;
+  parent : frame;
+  exit : int;  (* the parent's position after the call *)
+  rest : Document.forest;  (* the parent's items after the call *)
+  next : int;  (* the occurrence of [rest]'s head *)
 }
 
-and shape =
-  | Word of Symbol.t array  (* the word's letters *)
-  | Copy of { fn : fn; parent : frame; exit : int }
+type 'st service = {
+  chosen : 'st -> string -> invoke:bool -> unit;
+  call : 'st -> string -> Document.forest -> Document.forest option;
+}
 
-type node = { frame : frame; pos : int; s : int }
+(* A service's answer at one call occurrence. The word's items are
+   occurrences 0 .. n-1; the items of an answer are numbered from its
+   [base] on when it arrives, so backtracking meets the same numbers. *)
+type answer = Unasked | Unavailable | Answered of { items : Document.forest; base : int }
 
-let initial run =
-  { frame =
-      { run; wins = run.sets; forks = run.budget; shape = Word (Array.of_list run.word) };
-    pos = 0;
-    s = Dense.start run.tb.dfa }
+type 'st walk = {
+  run : run;
+  service : 'st service;
+  st : 'st;
+  mutable answers : answer array;  (* occurrence -> answer *)
+  mutable occurrences : int;  (* occurrences numbered so far *)
+}
 
-let good n = member n.frame.run.tb n.frame.wins.(n.pos) n.s
+(* The result of a branch that died; compared physically. *)
+let dead : Document.forest = [ Document.Data "" ]
 
-let enter frame f exit s =
-  let tb = frame.run.tb in
-  let g = game tb frame.run.kind frame.forks in
-  let solved = solved tb g f frame.wins.(exit) in
+let wins_of w = function Word -> w.run.sets | Copy c -> c.wins
+let forks_of w = function Word -> w.run.budget | Copy c -> c.forks
+
+(* The answer at occurrence [occ]: the service is asked at most once. *)
+let answer w occ fname item =
+  match if occ < Array.length w.answers then w.answers.(occ) else Unasked with
+  | Unavailable | Answered _ as known -> known
+  | Unasked ->
+    let a =
+      match w.service.call w.st fname (Document.children item) with
+      | None -> Unavailable
+      | Some items ->
+        let base = w.occurrences in
+        w.occurrences <- base + List.length items;
+        Answered { items; base }
+    in
+    if occ >= Array.length w.answers then begin
+      let grown = Array.make (max 8 (2 * w.occurrences)) Unasked in
+      Array.blit w.answers 0 grown 0 (Array.length w.answers);
+      w.answers <- grown
+    end;
+    w.answers.(occ) <- a;
+    a
+
+(* The function an edge labeled [id] among [e .. last - 1] forks
+   into, -1. *)
+let rec fork_of_edges fn id e last =
+  if e >= last then -1
+  else if fn.callee.(e) >= 0 && fn.lid.(e) = id then fn.callee.(e)
+  else fork_of_edges fn id (e + 1) last
+
+(* [items w frame pos s occ forest] walks [forest] from position [pos]
+   of [frame] in state [s], [occ] being its head's occurrence, and
+   returns what it materializes up to the end of the word, or [dead]. *)
+let rec items w frame pos s occ = function
+  | [] -> finish w frame pos s
+  | item :: rest -> (
+    match frame with
+    | Word -> letter w pos s item rest
+    | Copy c ->
+      let id = Document.sym_id item and first = c.fn.off.(pos) and last = c.fn.off.(pos + 1) in
+      let fork = if c.forks >= 1 then fork_of_edges c.fn id first last else -1 in
+      let out = keeps w frame c fork item id s occ rest first last in
+      if out != dead || c.forks < 1 then out else forks w frame c item id s occ rest first last)
+
+(* The word must end accepted; a copy must end at a final position,
+   and its parent resumes. *)
+and finish w frame pos s =
+  match frame with
+  | Word -> if pos = Array.length w.run.ids && Dense.is_final w.run.tb.dfa s then [] else dead
+  | Copy c ->
+    if c.fn.final.(pos) && member w.run.tb (wins_of w c.parent).(c.exit) s then
+      items w c.parent c.exit s c.next c.rest
+    else dead
+
+(* An item of the word itself: its occurrence is its position. *)
+and letter w pos s item rest =
+  let r = w.run in
+  if pos >= Array.length r.ids || Document.sym_id item <> r.ids.(pos) then dead
+  else
+    let id = r.ids.(pos) in
+    let callee =
+      let c = class_of r.tb id in
+      if r.budget < 1 || c < 0 then -1 else r.tb.class_fn.(c)
+    in
+    let out =
+      keep w Word callee item r.sets.(pos + 1) (pos + 1) (Dense.step_id r.tb.dfa s id) (pos + 1)
+        rest
+    in
+    if out != dead || callee < 0 then out else invoke w Word callee (pos + 1) s pos item rest
+
+(* Keep [item], moving to [pos'] in state [s'] if [s'] is in [set];
+   [fork] is the function [item] could fork into instead, -1. *)
+and keep w frame fork item set pos' s' occ' rest =
+  if fork >= 0 then w.service.chosen w.st w.run.tb.win.fns.(fork).name ~invoke:false;
+  if not (member w.run.tb set s') then dead
+  else
+    let out = items w frame pos' s' occ' rest in
+    if out == dead then dead else item :: out
+
+and keeps w frame c fork item id s occ rest e last =
+  if e >= last then dead
+  else
+    let out =
+      if c.fn.lid.(e) <> id then dead
+      else
+        let dst = c.fn.dst.(e) in
+        keep w frame fork item c.wins.(dst) dst (Dense.step_id w.run.tb.dfa s id) (occ + 1) rest
+    in
+    if out != dead then out else keeps w frame c fork item id s occ rest (e + 1) last
+
+and forks w frame c item id s occ rest e last =
+  if e >= last then dead
+  else
+    let out =
+      if c.fn.callee.(e) < 0 || c.fn.lid.(e) <> id then dead
+      else invoke w frame c.fn.callee.(e) c.fn.dst.(e) s occ item rest
+    in
+    if out != dead then out else forks w frame c item id s occ rest (e + 1) last
+
+(* Invoke [item], a call to forking function [f], in state [s]: walk
+   its answer through a copy of [f]'s output automaton, whose parent
+   resumes at [exit]. *)
+and invoke w frame f exit s occ item rest =
+  let tb = w.run.tb in
   let fn = tb.win.fns.(f) in
-  { frame =
-      { run = frame.run;
-        wins = (Atomic.get tb.solved).data.(solved);
-        forks = frame.forks - 1;
-        shape = Copy { fn; parent = frame; exit } };
-    pos = fn.start;
-    s }
+  w.service.chosen w.st fn.name ~invoke:true;
+  let forks = forks_of w frame in
+  let wins =
+    (Atomic.get tb.solved).data.(solved tb (game tb w.run.kind forks) f (wins_of w frame).(exit))
+  in
+  if not (member tb wins.(fn.start) s) then dead
+  else
+    match answer w occ fn.name item with
+    | Unasked | Unavailable -> dead
+    | Answered { items = answer; base } ->
+      items w
+        (Copy { fn; wins; forks = forks - 1; parent = frame; exit; rest; next = occ + 1 })
+        fn.start s base answer
 
-(* The moves leave [n] along its frame's edges labeled [sym]: at a word
-   position the next letter, in a copy the Glushkov edges of the
-   position; every keep move first, then every fork, in edge order. *)
-let rec keep_from n sym f fn e last =
-  e < last
-  && ((Symbol.equal fn.sym.(e) sym
-       && f { n with pos = fn.dst.(e); s = Dense.step_id n.frame.run.tb.dfa n.s fn.lid.(e) })
-      || keep_from n sym f fn (e + 1) last)
 
-(* The function a word position forks into, -1. *)
-let word_fork n =
-  let r = n.frame.run in
-  if n.pos < Array.length r.ids then
-    let c = class_of r.tb r.ids.(n.pos) in
-    if c < 0 then -1 else r.tb.class_fn.(c)
-  else -1
-
-let rec fork_from sym fn e last =
-  e < last
-  && ((fn.callee.(e) >= 0 && Symbol.equal fn.sym.(e) sym) || fork_from sym fn (e + 1) last)
-
-let has_fork n sym =
-  n.frame.forks >= 1
-  &&
-  match n.frame.shape with
-  | Word syms -> word_fork n >= 0 && Symbol.equal syms.(n.pos) sym
-  | Copy { fn; _ } -> fork_from sym fn fn.off.(n.pos) fn.off.(n.pos + 1)
-
-let rec invoke_from n sym f fn e last =
-  e < last
-  && ((let callee = fn.callee.(e) in
-       callee >= 0
-       && Symbol.equal fn.sym.(e) sym
-       && f n.frame.run.tb.win.fns.(callee).name (enter n.frame callee fn.dst.(e) n.s))
-      || invoke_from n sym f fn (e + 1) last)
-
-let moves n sym ~keep ~invoke =
-  let forks = n.frame.forks >= 1 in
-  match n.frame.shape with
-  | Word syms ->
-    let r = n.frame.run and i = n.pos in
-    i < Array.length syms
-    && Symbol.equal syms.(i) sym
-    && (keep { n with pos = i + 1; s = Dense.step_id r.tb.dfa n.s r.ids.(i) }
-        || forks
-           && let callee = word_fork n in
-           callee >= 0 && invoke r.tb.win.fns.(callee).name (enter n.frame callee (i + 1) n.s))
-  | Copy { fn; _ } ->
-    let first = fn.off.(n.pos) and last = fn.off.(n.pos + 1) in
-    keep_from n sym keep fn first last || (forks && invoke_from n sym invoke fn first last)
-
-let leave n =
-  match n.frame.shape with
-  | Copy { fn; parent; exit } when fn.final.(n.pos) ->
-    Some { frame = parent; pos = exit; s = n.s }
-  | Copy _ | Word _ -> None
-
-let accepting n =
-  match n.frame.shape with
-  | Word _ -> n.pos = Array.length n.frame.wins - 1 && Dense.is_final n.frame.run.tb.dfa n.s
-  | Copy _ -> false
+let walk run service st forest =
+  let w = { run; service; st; answers = [||]; occurrences = Array.length run.ids } in
+  let s = Dense.start run.tb.dfa in
+  if not (member run.tb run.sets.(0) s) then None
+  else
+    let out = items w Word 0 s 0 forest in
+    if out == dead then None else Some out

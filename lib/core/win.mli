@@ -10,10 +10,10 @@
     over the Glushkov positions of [tau_out f] with exit set [S]. Each
     step is a table entry, filled on first use and read without a lock
     afterwards. The verdict is "the DFA's start state is in [S_0]", and
-    the same sets are the strategy: {!Execute} walks (position, DFA
-    state) pairs and keeps a node iff its state is in its position's
-    set. The verdicts and walks are those of the paper's Figure 3 / 9
-    engines on A_w^b, kept as the test oracle (property-tested).
+    the same sets are the strategy: {!walk} steps (position, DFA state)
+    pairs and moves only to a state in its position's set. The verdicts
+    and walks are those of the paper's Figure 3 / 9 engines on A_w^b,
+    kept as the test oracle (property-tested).
 
     {b Domain safety.} Entries are filled under one lock per {!t} and
     published immutably, so any number of domains may share the tables
@@ -52,9 +52,10 @@ val set_count : table -> int
 type run
 (** One word solved at one depth: its sets [S_0 .. S_n]. *)
 
-val solve : table -> kind -> budget:int -> Axml_schema.Symbol.t list -> run
-(** The right-to-left pass at depth [budget], filling any entry it
-    misses. *)
+val solve : table -> kind -> budget:int -> int array -> run
+(** The right-to-left pass over a word of dense symbol ids (a letter no
+    table knows is [-1]) at depth [budget], filling any entry it
+    misses. The run keeps the array. *)
 
 val ok : run -> bool
 (** The verdict: safe (resp. possible) rewriting exists. *)
@@ -74,34 +75,25 @@ val every_word : table -> kind -> budget:int -> automaton -> bool
     nested call when it is spelled, with no look-ahead. May fill
     entries of the nested games; adds none of its own. *)
 
-(** {1 The strategy}
+(** {1 The strategy} *)
 
-    A node is a position in the word, or in an invoked copy of an
-    output automaton, with the DFA state the materialized prefix
-    reaches. Moves are offered in the order A_w^k orders its edges, so
-    a walk that tries them in order makes the choices a walk over the
-    product makes. *)
+type 'st service = {
+  chosen : 'st -> string -> invoke:bool -> unit;
+      (** a fork option of a call to the function is tried: keep it, or
+          ([invoke]) invoke it *)
+  call : 'st -> string -> Document.forest -> Document.forest option;
+      (** invoke the function on the parameters: the forest to walk in
+          place of the call, or [None] when this option is unavailable *)
+}
+(** What the walk asks of its caller, over the caller's state ['st]. *)
 
-type node
-
-val initial : run -> node
-val good : node -> bool
-(** The node's state is in its position's winning set. *)
-
-val moves :
-  node -> Axml_schema.Symbol.t -> keep:(node -> bool) -> invoke:(string -> node -> bool) -> bool
-(** [moves n sym ~keep ~invoke]: [keep] on the target of each keep move
-    for an item of symbol [sym], then [invoke callee start] for each
-    fork among those edges (the function to call and the start of its
-    copy), in edge order, until one answers [true]. *)
-
-val has_fork : node -> Axml_schema.Symbol.t -> bool
-(** Is one of those edges a fork (an invocable call within the
-    remaining depth)? *)
-
-val leave : node -> node option
-(** Leave a copy from a final position, back to where it was invoked;
-    [None] anywhere else. *)
-
-val accepting : node -> bool
-(** The whole word has been read and the node's DFA state is final. *)
+val walk : run -> 'st service -> 'st -> Document.forest -> Document.forest option
+(** [walk r service st items] follows [r]'s strategy over [items], the
+    forest whose word [r] solved, left to right: one frame for the word
+    and one for each invoked copy of an output automaton, stepping
+    (position, DFA state) pairs and moving only to a state in its
+    position's winning set. At each item the keep moves come first,
+    then the forks, in the order A_w^k orders its edges; a branch that
+    dies backtracks to the next move. A call occurrence is asked of
+    [service] at most once per walk, however often backtracking meets
+    it. The materialized forest, or [None] when every branch died. *)

@@ -71,12 +71,16 @@ let forget_agreement t id =
 (* The agreement id for an exchange schema value at depth [k], opening
    it on first use. Guarded by the rpc lock's owner thread only through
    [rpc], so a plain mutable list with its own small critical sections
-   suffices. *)
+   suffices. The same schema value is found by physical equality; an
+   equal one (re-parsed, say) by the structural fallback. *)
 let agreement t ~k exchange =
   let found =
     Mutex.lock t.lock;
     let r =
-      List.find_opt (fun (s, sk, _) -> sk = k && s = exchange) t.agreements
+      let same eq (s, sk, _) = sk = k && eq s exchange in
+      match List.find_opt (same ( == )) t.agreements with
+      | Some _ as r -> r
+      | None -> List.find_opt (same ( = )) t.agreements
     in
     Mutex.unlock t.lock;
     r

@@ -8,8 +8,14 @@
    process. A [Contract] and its per-domain clones share the global
    instance, so symbol ids agree across domains by construction. *)
 
+module Table = Hashtbl.Make (struct
+  type t = string
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type snapshot = {
-  ids : (string, int) Hashtbl.t;  (* frozen once published *)
+  ids : int Table.t;              (* frozen once published *)
   names : string array;           (* names.(i) is the string with id i *)
 }
 
@@ -20,26 +26,28 @@ type t = {
 
 let create () =
   { lock = Mutex.create ();
-    snap = Atomic.make { ids = Hashtbl.create 64; names = [||] } }
+    snap = Atomic.make { ids = Table.create 64; names = [||] } }
 
-let find_opt t s = Hashtbl.find_opt (Atomic.get t.snap).ids s
+let find t s = match Table.find (Atomic.get t.snap).ids s with id -> id | exception Not_found -> -1
+
+let find_opt t s = Table.find_opt (Atomic.get t.snap).ids s
 
 let size t = Array.length (Atomic.get t.snap).names
 
 let intern t s =
-  match find_opt t s with
-  | Some id -> id
-  | None ->
+  let id = find t s in
+  if id >= 0 then id
+  else
     Mutex.protect t.lock (fun () ->
         (* re-check against the latest snapshot: another domain may have
            inserted [s] between our optimistic read and the lock *)
         let cur = Atomic.get t.snap in
-        match Hashtbl.find_opt cur.ids s with
+        match Table.find_opt cur.ids s with
         | Some id -> id
         | None ->
           let id = Array.length cur.names in
-          let ids = Hashtbl.copy cur.ids in
-          Hashtbl.add ids s id;
+          let ids = Table.copy cur.ids in
+          Table.add ids s id;
           let names = Array.make (id + 1) s in
           Array.blit cur.names 0 names 0 id;
           Atomic.set t.snap { ids; names };
@@ -50,8 +58,6 @@ let to_string t id =
   if id < 0 || id >= Array.length names then
     invalid_arg (Printf.sprintf "Interner.to_string: unknown id %d" id);
   names.(id)
-
-let mem t s = Option.is_some (find_opt t s)
 
 (* The default process-wide instance the schema layer codes symbols
    through. *)

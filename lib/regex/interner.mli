@@ -15,10 +15,12 @@ val intern : t -> string -> int
 (** [intern t s] returns the id of [s], allocating the next dense id on
     first sight. Ids are stable for the lifetime of [t] and start at 0. *)
 
+val find : t -> string -> int
+(** The id of an already-interned string, [-1] when it never was:
+    never inserts, never allocates. *)
+
 val find_opt : t -> string -> int option
 (** The id of an already-interned string, without inserting. *)
-
-val mem : t -> string -> bool
 
 val to_string : t -> int -> string
 (** Inverse of {!intern}.

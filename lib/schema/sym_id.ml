@@ -9,7 +9,12 @@
    Every id is >= 0, ids are stable for the process lifetime, and the
    same label/function name gets the same id in every domain (the
    interner is shared), which is what lets dense DFA tables compiled in
-   one domain be stepped from another. *)
+   one domain be stepped from another.
+
+   Only schema compilation interns ([of_label], [of_fun], [of_symbol]).
+   A document's letters are coded by lookup ([find_*]): a name no
+   schema declared gets -1, which every dense table steps to reject, so
+   judging a document never grows the interner. *)
 
 module I = Axml_regex.Interner
 
@@ -24,11 +29,13 @@ let of_symbol = function
   | Symbol.Label l -> of_label l
   | Symbol.Fun f -> of_fun f
 
-let to_symbol id =
-  if id = 0 then Symbol.Data
-  else begin
-    let s = I.to_string interner ((id - 1) / 2) in
-    if id land 1 = 1 then Symbol.Label s else Symbol.Fun s
-  end
+let code ~tag i = if i < 0 then -1 else (2 * i) + tag
+let find_label l = code ~tag:1 (I.find interner l)
+let find_fun f = code ~tag:2 (I.find interner f)
+
+let find_symbol = function
+  | Symbol.Data -> 0
+  | Symbol.Label l -> find_label l
+  | Symbol.Fun f -> find_fun f
 
 let of_word w = Array.of_list (List.map of_symbol w)

@@ -12,8 +12,16 @@ val of_label : string -> int
 val of_fun : string -> int
 
 val of_symbol : Symbol.t -> int
-val to_symbol : int -> Symbol.t
-(** Inverse of {!of_symbol}.
-    @raise Invalid_argument on an id never handed out. *)
+(** [of_label], [of_fun] and [of_symbol] intern: schema compilation
+    uses them. *)
+
+val find_label : string -> int
+val find_fun : string -> int
+
+val find_symbol : Symbol.t -> int
+(** [find_label], [find_fun] and [find_symbol] look the id up: [-1]
+    for a name never interned, which no table has a column for. This is
+    how a document's letters are coded, so judging documents never
+    grows the interner. They allocate nothing. *)
 
 val of_word : Symbol.t list -> int array

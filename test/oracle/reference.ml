@@ -1,6 +1,6 @@
 (* The paper's own engines, driven from a contract: the product of
    A_w^k with the target DFA, the Figure 3/9 strategies walked by
-   [Execute.walk] (optionally in a cost plan's order), and Section 6's
+   [Walk.walk] (optionally in a cost plan's order), and Section 6's
    reduction on a product. Production answers all of these from the
    contract's win tables; these are what the tables are tested
    against. *)
@@ -9,7 +9,6 @@ module Schema = Axml_schema.Schema
 module Symbol = Axml_schema.Symbol
 module Auto = Axml_schema.Auto
 module Contract = Axml_core.Contract
-module Execute = Axml_core.Execute
 module Validate = Axml_core.Validate
 
 let product ?k c ~target_regex word =
@@ -26,7 +25,7 @@ let product ?k c ~target_regex word =
    order; with one, cheapest estimated remainder first ([fee] prices an
    invoke option's own call), the cost minimization of Figure 3 step 23
    / Figure 9 step (d). *)
-let game ?plan ?(fee = fun _ -> 0.) p good : int Execute.game =
+let game ?plan ?(fee = fun _ -> 0.) p good : int Walk.game =
   let fork = Product.fork p in
   let q_of nid = (Product.node p nid).Product.q in
   let step nid eid =
@@ -91,7 +90,7 @@ let game ?plan ?(fee = fun _ -> 0.) p good : int Execute.game =
           | `Invoke (callee, enter) -> invoke callee enter)
         (List.stable_sort (fun (c1, _) (c2, _) -> Float.compare c1 c2) (List.rev !candidates))
   in
-  { good;
+  { Walk.good;
     has_fork = (fun nid sym -> exists_edge nid sym (fun eid -> keep_fork eid <> None));
     moves;
     leave =
@@ -106,13 +105,13 @@ let game ?plan ?(fee = fun _ -> 0.) p good : int Execute.game =
 
 let follow_safe ?plan ?fee ?validate ?reenforce (m : Marking.t) invoker items =
   let p = m.Marking.product in
-  Execute.walk ?validate ?reenforce ~possible:false
+  Walk.walk ?validate ?reenforce ~possible:false
     (game ?plan ?fee p (fun nid -> not (Marking.is_marked m nid)))
     (Product.initial p) invoker items
 
 let follow_possible ?plan ?fee ?validate ?reenforce (a : Possible.t) invoker items =
   let p = a.Possible.product in
-  Execute.walk ?validate ?reenforce ~possible:true
+  Walk.walk ?validate ?reenforce ~possible:true
     (game ?plan ?fee p (Possible.is_live a))
     (Product.initial p) invoker items
 

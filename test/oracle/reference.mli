@@ -13,7 +13,7 @@ val product :
 
 val game :
   ?plan:(int -> float) -> ?fee:(string -> float) -> Product.t ->
-  (int -> bool) -> int Axml_core.Execute.game
+  (int -> bool) -> int Walk.game
 (** [game p good]: the walk's view of product [p], standing only on
     nodes satisfying [good]. Options come keep first, then invoke, in
     out-edge order; with [plan] (a per-node estimate of the remaining
@@ -27,7 +27,7 @@ val follow_safe :
   Marking.t -> Axml_core.Execute.invoker -> Axml_core.Document.forest ->
   (Axml_core.Execute.outcome, Axml_core.Execute.failure) result
 (** Figure 3's strategy: walk the unmarked nodes of a marking game
-    through {!Axml_core.Execute.walk}. *)
+    through {!Walk.walk}. *)
 
 val follow_possible :
   ?plan:(int -> float) -> ?fee:(string -> float) ->

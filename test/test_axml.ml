@@ -842,6 +842,50 @@ let test_peer_receive_refusal_message () =
      element <newspaper>"
     (refusal "<newspaper>")
 
+(* Judging a document codes its letters by lookup: refusing documents
+   full of labels no schema declares, on the receiver and in the static
+   check, must neither grow the process-wide symbol interner nor change
+   a verdict. *)
+let test_fresh_labels_not_interned () =
+  let receiver = Peer.create ~name:"reader" ~schema:schema_star2 () in
+  let rewriter = Rewriter.create ~s0:schema_star2 ~target:schema_star2 () in
+  let receive i =
+    let wire = Printf.sprintf "<newspaper><x%d/></newspaper>" i in
+    match Peer.receive receiver ~exchange:schema_star2 ~as_name:"x" wire with
+    | Ok _ -> Alcotest.fail "an invalid document was stored"
+    | Error e -> Fmt.str "%a" Enforcement.pp_error e
+  in
+  let check_doc i =
+    let report = Rewriter.check rewriter (D.elem "newspaper" [ D.elem (Printf.sprintf "y%d" i) [] ]) in
+    ( report.Rewriter.ok,
+      Fmt.str "%a" Fmt.(list ~sep:(any "; ") Rewriter.pp_failure) report.Rewriter.failures )
+  in
+  ignore (receive 0, check_doc 0);
+  let size () = Axml_regex.Interner.size Axml_regex.Interner.global in
+  let before = size () in
+  for i = 1 to 10_000 do
+    let expected =
+      Printf.sprintf
+        "rejected: /: children of <newspaper> form x%d, outside its content model; /0: \
+         element type \"x%d\" is not declared"
+        i i
+    in
+    let got = receive i in
+    if got <> expected then Alcotest.failf "receive %d: %s" i got
+  done;
+  for i = 1 to 10_000 do
+    let expected =
+      Printf.sprintf
+        "/: children of <newspaper> (y%d) cannot be safely rewritten; /0: element type \
+         \"y%d\" is not part of the exchange schema"
+        i i
+    in
+    match check_doc i with
+    | false, got when got = expected -> ()
+    | _, got -> Alcotest.failf "check %d: %s" i got
+  done;
+  check_int "no name interned" before (size ())
+
 let test_peer_call_through_soap () =
   let provider = Peer.create ~name:"timeout.com" ~schema:schema_star () in
   Peer.store provider "exhibits"
@@ -1326,6 +1370,8 @@ let () =
          Alcotest.test_case "send document" `Quick test_peer_send_document;
          Alcotest.test_case "receive refusal message" `Quick
            test_peer_receive_refusal_message;
+         Alcotest.test_case "fresh labels are not interned" `Quick
+           test_fresh_labels_not_interned;
          Alcotest.test_case "unknown service fault" `Quick test_peer_unknown_service_fault;
          Alcotest.test_case "version mismatch fault" `Quick test_peer_version_mismatch_fault;
          Alcotest.test_case "configure" `Quick test_peer_configure;

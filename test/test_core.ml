@@ -449,6 +449,47 @@ let test_depth_k () =
     check_int "four invocations" 4 (List.length outcome.Execute.invocations);
     check_int "three exhibits" 3 (List.length outcome.Execute.materialized)
 
+(* A call fires at most once per occurrence, and each occurrence of a
+   call inside an answer is its own: F answers the same physical forest
+   [G()] at both of its occurrences, so G must fire once under each. A
+   cache keyed by the answer, or by its physical list, would fire G
+   once and splice its first answer twice. *)
+let test_occurrence_cache () =
+  let s =
+    parse_schema {|
+root list
+element list = a*
+element a = #data
+function F : () -> G
+function G : () -> a
+|}
+  in
+  let c = Contract.create ~k:2 ~s0:s ~target:s () in
+  let answer = [ D.call "G" [] ] in
+  let calls = ref 0 in
+  let invoker name _ =
+    match name with
+    | "F" -> answer
+    | "G" ->
+      incr calls;
+      [ D.elem "a" [ D.data (string_of_int !calls) ] ]
+    | other -> Alcotest.failf "unexpected call to %s" other
+  in
+  let doc = D.elem "list" [ D.call "F" []; D.call "F" [] ] in
+  match Rewriter.materialize c ~invoker doc with
+  | Error fs -> Alcotest.failf "materialize failed: %a" Fmt.(list Rewriter.pp_failure) fs
+  | Ok (doc', invocations) ->
+    Alcotest.(check (list (pair (list int) string)))
+      "one invocation per occurrence, chronological"
+      [ ([], "F"); ([], "G"); ([], "F"); ([], "G") ]
+      (List.map
+         (fun (li : Rewriter.located_invocation) ->
+           (li.Rewriter.at, li.Rewriter.invocation.Execute.inv_name))
+         invocations);
+    check "each G answer spliced once" true
+      (D.equal doc'
+         (D.elem "list" [ D.elem "a" [ D.data "1" ]; D.elem "a" [ D.data "2" ] ]))
+
 (* The recursive search-engine pattern (Section 3): never safe at any
    bounded depth, but always possible. *)
 let search_schema =
@@ -1792,6 +1833,24 @@ let mini_invoker ?(seed = 0) env =
     incr calls;
     List.map mini_item (List.nth outs (!calls mod List.length outs))
 
+(* A misbehaving twin of [mini_invoker]: the i-th call is down (raises
+   [Failure]), gives up after retries ([Invocation_failed]), returns a
+   word that may lie outside the declared output type, or answers
+   honestly, by (seed + i) mod 5. *)
+let faulty_invoker ~seed env =
+  let calls = ref seed and honest = mini_invoker ~seed env in
+  fun fname params ->
+    incr calls;
+    match !calls mod 5 with
+    | 0 -> failwith ("down: " ^ fname)
+    | 1 ->
+      raise (Execute.Invocation_failed { fname; attempts = 3; cause = Failure "timeout" })
+    | 2 ->
+      List.filteri
+        (fun j _ -> (!calls lsr j) land 1 = 1)
+        [ mini_item (Symbol.Label "b"); mini_item (Symbol.Fun "g"); mini_item (Symbol.Label "a") ]
+    | _ -> honest fname params
+
 let outcome_view = function
   | Ok (o : Execute.outcome) ->
     Ok (o.Execute.materialized,
@@ -1843,7 +1902,8 @@ let gen_parity_setup =
    the same game: possible at every k, safe at k <= 1 (see
    test_marking_exhaustive_divergence). Each walk over the tables must
    make the same calls and materialize the same forest as the walk
-   over the reference product, against the same scripted services. *)
+   over the reference product, against the same scripted services, and
+   the same calls and failure against misbehaving ones. *)
 let prop_table_parity =
   QCheck.Test.make ~count:1000
     ~name:"win tables match marking, possible and the brute-force game"
@@ -1893,7 +1953,27 @@ let prop_table_parity =
           then QCheck.Test.fail_reportf "%a: safe walks differ" pw word;
           if Win.ok possible
              && walk (Execute.run possible) <> walk (Reference.follow_possible live)
-          then QCheck.Test.fail_reportf "%a: possible walks differ" pw word)
+          then QCheck.Test.fail_reportf "%a: possible walks differ" pw word;
+          (* against misbehaving services: the same calls in the same
+             order, and the same outcome or failure *)
+          let faulty follow =
+            let calls = ref [] and invoker = faulty_invoker ~seed env in
+            let logged fname params =
+              calls := fname :: !calls;
+              invoker fname params
+            in
+            let view = outcome_view (follow logged (List.map mini_item word)) in
+            (List.rev !calls, view)
+          in
+          let validate fname forest = Validate.output_instance (Contract.ctx c) fname forest = [] in
+          if Win.ok safe
+             && faulty (Execute.run ~validate safe)
+                <> faulty (Reference.follow_safe ~validate lazy_)
+          then QCheck.Test.fail_reportf "%a: safe walks differ against faulty services" pw word;
+          if Win.ok possible
+             && faulty (Execute.run possible) <> faulty (Reference.follow_possible live)
+          then
+            QCheck.Test.fail_reportf "%a: possible walks differ against faulty services" pw word)
         words;
       true)
 
@@ -2217,6 +2297,7 @@ let () =
        ]);
       ("depth",
        [ Alcotest.test_case "k=1 vs k=2" `Quick test_depth_k;
+         Alcotest.test_case "one call per occurrence" `Quick test_occurrence_cache;
          Alcotest.test_case "recursive: never safe, always possible" `Quick test_recursive_never_safe;
          Alcotest.test_case "k=0" `Quick test_depth_zero;
          Alcotest.test_case "document minimal k" `Quick test_document_minimal_k
