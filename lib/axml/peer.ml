@@ -143,7 +143,7 @@ let documents t =
 let select t ~doc ~path : Document.forest =
   let xml = Syntax.to_xml (fetch t doc) in
   Axml_xml.Xml_path.select path xml
-  |> List.concat_map (Syntax.xml_to_node Axml_xml.Xml_ns.empty_env)
+  |> Syntax.of_xml_forest Axml_xml.Xml_ns.empty_env
 
 (* ------------------------------------------------------------------ *)
 (* Provided services                                                   *)

@@ -48,9 +48,6 @@ let encode ?(version = protocol_version) message : string =
   in
   Axml_xml.Xml_print.to_string (envelope ~version body)
 
-let forest_of_children env children : D.forest =
-  List.concat_map (Syntax.xml_to_node env) children
-
 (* The declared version of an envelope element: the [int:protocol]
    attribute, or 1 for the historical unversioned envelope. *)
 let version_of_root root =
@@ -82,7 +79,12 @@ let decode (wire : string) : message =
    | Some got when got > protocol_version ->
      raise (Unsupported_version { got; supported = protocol_version })
    | Some _ -> ());
-  let env = Axml_xml.Xml_ns.extend Axml_xml.Xml_ns.empty_env root in
+  let env =
+    match Axml_xml.Xml_ns.extend Axml_xml.Xml_ns.empty_env root with
+    | env -> env
+    | exception Axml_xml.Xml_ns.Too_many_bindings ->
+      raise (Protocol_error "too many namespace declarations on the envelope")
+  in
   let body =
     match T.child_element root "soap:Body" with
     | Some b -> b
@@ -97,7 +99,7 @@ let decode (wire : string) : message =
     in
     let params =
       match T.child_element e "int:args" with
-      | Some args -> forest_of_children env args.T.children
+      | Some args -> Syntax.of_xml_forest env args.T.children
       | None -> []
     in
     Request { method_name; params }
@@ -109,7 +111,7 @@ let decode (wire : string) : message =
     in
     let result =
       match T.child_element e "int:result" with
-      | Some r -> forest_of_children env r.T.children
+      | Some r -> Syntax.of_xml_forest env r.T.children
       | None -> []
     in
     Response { method_name; result }

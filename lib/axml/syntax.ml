@@ -31,9 +31,9 @@ let default_locator : locator = fun _ -> None
 let rec node_to_xml ~locate (doc : D.t) : T.t =
   match doc with
   | D.Data value -> T.text value
-  | D.Elem { label; children } ->
+  | D.Elem { label; children; _ } ->
     T.element label (List.map (node_to_xml ~locate) children)
-  | D.Call { name; params } ->
+  | D.Call { name; params; _ } ->
     let endpoint, namespace =
       match locate name with
       | Some (e, n) -> (e, n)
@@ -72,65 +72,85 @@ let is_layout = function
   | T.Comment _ | T.Pi _ -> true
   | T.Element _ | T.Cdata _ -> false
 
-(* Each element's namespace environment is extended once, with its own
-   declarations, and everything below it is resolved under that. *)
-let rec xml_to_node env (node : T.t) : D.t list =
-  match node with
-  | T.Text s -> if T.is_whitespace s then [] else [ D.data s ]
-  | T.Cdata s -> [ D.data s ]
-  | T.Comment _ | T.Pi _ -> []
-  | T.Element e ->
-    let env = Ns.extend env e in
-    (match Ns.expanded_name env e with
-     | Some uri, "fun" when String.equal uri axml_ns -> [ call_of_element env e ]
-     | _, local -> [ D.elem local (List.concat_map (xml_to_node env) e.T.children) ])
+let is_int env e local = Ns.element_is env ~uri:axml_ns ~local e
+
+(* The first methodName attribute, as [T.attr_value] finds it. *)
+let rec method_name (attrs : T.attribute list) =
+  match attrs with
+  | [] -> raise (Syntax_error "int:fun element without a methodName attribute")
+  | a :: rest -> if String.equal a.name "methodName" then a.value else method_name rest
+
+(* Is there a child of an int:fun other than int:params and layout? *)
+let rec unexpected env (nodes : T.t list) =
+  match nodes with
+  | [] -> false
+  | T.Element ce :: rest -> (not (is_int (Ns.extend env ce) ce "params")) || unexpected env rest
+  | node :: rest -> (not (is_layout node)) || unexpected env rest
+
+(* Decoding is direct recursion in depth and a loop in width: [forest
+   env nodes penv more] decodes the sibling [nodes] under [env], then
+   goes on with the rest [more] of an int:params list under [penv]
+   ([more] is empty outside a call), so a call's parameter forest is
+   built in one pass, without appending. Each element's namespace
+   environment is extended once, with its own declarations, and
+   everything below it is resolved under that. Nodes are decoded in
+   document order, so the first offence in document order is the one
+   reported. *)
+let[@tail_mod_cons] rec forest env (nodes : T.t list) penv (more : T.t list) : D.t list =
+  match nodes with
+  | [] -> (match more with [] -> [] | _ -> params penv more)
+  | T.Element e :: rest ->
+    let node = element (Ns.extend env e) e in
+    node :: forest env rest penv more
+  | T.Text s :: rest when not (T.is_whitespace s) -> D.data s :: forest env rest penv more
+  | T.Cdata s :: rest -> D.data s :: forest env rest penv more
+  | (T.Text _ | T.Comment _ | T.Pi _) :: rest -> forest env rest penv more
+
+(* The content of the int:param elements among [nodes], in order;
+   anything else but layout is an error. *)
+and[@tail_mod_cons] params env (nodes : T.t list) : D.t list =
+  match nodes with
+  | [] -> []
+  | T.Element pe :: rest ->
+    let penv = Ns.extend env pe in
+    if is_int penv pe "param" then forest penv pe.T.children env rest
+    else raise (Syntax_error "int:params may only contain int:param elements")
+  | node :: rest ->
+    if is_layout node then params env rest
+    else raise (Syntax_error "int:params may only contain int:param elements")
+
+(* [env] is in force at [e]. *)
+and element env (e : T.element) : D.t =
+  if is_int env e "fun" then call_of_element env e
+  else D.elem (Ns.local_name e.T.name) (forest env e.T.children env [])
 
 (* [env] is in force at the int:fun element [e]. Only its first
    int:params child is read; any other content but layout is an error,
    reported after the params are decoded. *)
 and call_of_element env (e : T.element) : D.t =
-  let name =
-    match T.attr_value e "methodName" with
-    | Some n -> n
-    | None -> raise (Syntax_error "int:fun element without a methodName attribute")
-  in
-  let params = ref None and unexpected = ref false in
-  List.iter
-    (fun child ->
-      match child with
-      | T.Element ce ->
-        let env = Ns.extend env ce in
-        if is_int env ce "params" then
-          (if Option.is_none !params then params := Some (env, ce))
-        else unexpected := true
-      | node -> if not (is_layout node) then unexpected := true)
-    e.T.children;
-  let params =
-    match !params with
-    | None -> []
-    | Some (env, pe) -> List.concat_map (param_content env) pe.T.children
-  in
-  if !unexpected then raise (Syntax_error "unexpected content inside int:fun");
+  let name = method_name e.T.attrs in
+  let params = first_params env e.T.children in
+  if unexpected env e.T.children then raise (Syntax_error "unexpected content inside int:fun");
   D.call name params
 
-and param_content env (node : T.t) =
-  match node with
-  | T.Element pe ->
-    let env = Ns.extend env pe in
-    if is_int env pe "param" then List.concat_map (xml_to_node env) pe.T.children
-    else raise (Syntax_error "int:params may only contain int:param elements")
-  | node when is_layout node -> []
-  | _ -> raise (Syntax_error "int:params may only contain int:param elements")
+and first_params env (nodes : T.t list) =
+  match nodes with
+  | [] -> []
+  | T.Element ce :: rest ->
+    let cenv = Ns.extend env ce in
+    if is_int cenv ce "params" then params cenv ce.T.children else first_params env rest
+  | _ :: rest -> first_params env rest
 
-(* Is [e], under the environment [env] in force at it, the int element
-   [local]? *)
-and is_int env (e : T.element) local =
-  match Ns.expanded_name env e with
-  | Some uri, l -> String.equal l local && String.equal uri axml_ns
-  | None, _ -> false
+let of_xml_forest env (nodes : T.t list) : D.forest =
+  match forest env nodes env [] with
+  | decoded -> decoded
+  | exception Ns.Too_many_bindings ->
+    raise
+      (Syntax_error
+         (Printf.sprintf "more than %d namespace prefixes bound at once" Ns.max_bindings))
 
 let of_xml (tree : T.t) : D.t =
-  match xml_to_node Ns.empty_env tree with
+  match of_xml_forest Ns.empty_env [ tree ] with
   | [ doc ] -> doc
   | [] -> raise (Syntax_error "the document is empty")
   | _ -> raise (Syntax_error "the document has several roots")

@@ -36,4 +36,6 @@ val of_xml_string : string -> Axml_core.Document.t
 
 (* shared with Soap and Peer for forest-level conversion *)
 val node_to_xml : locate:locator -> Axml_core.Document.t -> Axml_xml.Xml_tree.t
-val xml_to_node : Axml_xml.Xml_ns.env -> Axml_xml.Xml_tree.t -> Axml_core.Document.t list
+
+val of_xml_forest : Axml_xml.Xml_ns.env -> Axml_xml.Xml_tree.t list -> Axml_core.Document.forest
+(* The nodes decoded in order under [env], layout dropped. *)

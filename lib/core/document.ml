@@ -5,17 +5,22 @@
    (Definition 4, footnote 3). *)
 
 module Symbol = Axml_schema.Symbol
+module Sym_id = Axml_schema.Sym_id
 
+(* [id] is the dense {!Sym_id} of the node's letter, resolved once, by
+   lookup, when the node is built: -1 when no schema had declared the
+   name by then. The type is private so that every node is built by
+   [elem] / [call] / [rebuild] and its id stays the one of its name. *)
 type t =
-  | Elem of { label : string; children : t list }
+  | Elem of { label : string; id : int; children : t list }
   | Data of string
-  | Call of { name : string; params : t list }
+  | Call of { name : string; id : int; params : t list }
 
 type forest = t list
 
-let elem label children = Elem { label; children }
+let elem label children = Elem { label; id = Sym_id.find_label label; children }
 let data value = Data value
-let call name params = Call { name; params }
+let call name params = Call { name; id = Sym_id.find_fun name; params }
 
 (* The letter a node contributes to its parent's children word. *)
 let symbol = function
@@ -25,12 +30,13 @@ let symbol = function
 
 let word (forest : forest) : Symbol.t list = List.map symbol forest
 
-(* The dense id of that letter, by lookup: -1 for a name no schema
-   declared. *)
+(* The dense id of that letter: the node's own, or by lookup when the
+   node was built before a schema declared its name (-1 for a name no
+   schema declared). *)
 let sym_id = function
-  | Elem { label; _ } -> Axml_schema.Sym_id.find_label label
-  | Data _ -> Axml_schema.Sym_id.data
-  | Call { name; _ } -> Axml_schema.Sym_id.find_fun name
+  | Elem { id; label; _ } -> if id >= 0 then id else Sym_id.find_label label
+  | Data _ -> Sym_id.data
+  | Call { id; name; _ } -> if id >= 0 then id else Sym_id.find_fun name
 
 let rec fill_ids a i = function
   | [] -> a
@@ -44,6 +50,13 @@ let children = function
   | Elem { children; _ } -> children
   | Call { params; _ } -> params
   | Data _ -> []
+
+(* The same element or call over new children; its id is kept. *)
+let rebuild node kids =
+  match node with
+  | Elem e -> Elem { e with children = kids }
+  | Call c -> Call { c with params = kids }
+  | Data _ -> invalid_arg "Document.rebuild: a data leaf has no children"
 
 let rec count_nodes = function
   | Elem { children; _ } ->
@@ -121,11 +134,6 @@ let splice doc path replacement =
        | Some child ->
          let kids = List.mapi (fun j c -> if j = i then go child rest else c) kids in
          rebuild node kids)
-  and rebuild node kids =
-    match node with
-    | Elem e -> Elem { e with children = kids }
-    | Call c -> Call { c with params = kids }
-    | Data _ -> invalid_arg "Document.splice: path descends into a data leaf"
   in
   go doc path
 
@@ -148,11 +156,11 @@ let rec call_nesting = function
 
 let rec pp ppf = function
   | Data v -> Fmt.pf ppf "%S" v
-  | Elem { label; children = [] } -> Fmt.pf ppf "%s[]" label
-  | Elem { label; children } ->
+  | Elem { label; children = []; _ } -> Fmt.pf ppf "%s[]" label
+  | Elem { label; children; _ } ->
     Fmt.pf ppf "@[<hv 2>%s[%a]@]" label Fmt.(list ~sep:comma pp) children
-  | Call { name; params = [] } -> Fmt.pf ppf "@%s()" name
-  | Call { name; params } ->
+  | Call { name; params = []; _ } -> Fmt.pf ppf "@%s()" name
+  | Call { name; params; _ } ->
     Fmt.pf ppf "@[<hv 2>@%s(%a)@]" name Fmt.(list ~sep:comma pp) params
 
 let pp_forest ppf forest = Fmt.(list ~sep:comma pp) ppf forest

@@ -4,10 +4,15 @@
     its call parameters; invoking the call replaces the node by the
     returned forest (Definition 4, footnote 3). *)
 
-type t =
-  | Elem of { label : string; children : t list }
+type t = private
+  | Elem of { label : string; id : int; children : t list }
   | Data of string
-  | Call of { name : string; params : t list }
+  | Call of { name : string; id : int; params : t list }
+(** [id] is the dense {!Axml_schema.Sym_id} of the label or function
+    name, resolved once, by lookup, when the node is built: [-1] if no
+    schema had declared the name by then. Nodes are built only by
+    {!elem}, {!data}, {!call} and {!rebuild}; read the id through
+    {!sym_id}. *)
 
 type forest = t list
 
@@ -21,14 +26,21 @@ val symbol : t -> Axml_schema.Symbol.t
 val word : forest -> Axml_schema.Symbol.t list
 
 val sym_id : t -> int
-(** The {!Axml_schema.Sym_id} of {!symbol}, by lookup: [-1] for a label
-    or function no schema declared. Never interns, never allocates. *)
+(** The {!Axml_schema.Sym_id} of {!symbol}: the node's [id], or a
+    lookup when that is [-1] (the node was built before a schema
+    declared its name), so the answer never depends on when the node
+    was built. [-1] for a label or function no schema declared. Never
+    interns, never allocates. *)
 
 val ids : forest -> int array
 (** {!sym_id} of each node: the word as the win tables read it. *)
 
 val children : t -> t list
 (** Children of an element, parameters of a call, [[]] for data. *)
+
+val rebuild : t -> t list -> t
+(** The same element or call over new children (parameters), its id
+    kept. @raise Invalid_argument on a data leaf. *)
 
 val count_nodes : t -> int
 val count_calls : t -> int

@@ -202,18 +202,18 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
   let rec interior depth path (node : Document.t) : Document.t =
     match node with
     | Document.Data _ -> node
-    | Document.Elem { label; children } ->
+    | Document.Elem { label; children; _ } ->
       (match Validate.model_of_id ctx (Document.sym_id node) with
        | None -> raise (Failed { at = List.rev path; reason = Unknown_element label })
        | Some m ->
          let children' = forest depth path ~fn:false label m children in
-         if children' == children then node else Document.elem label children')
-    | Document.Call { name; params } ->
+         if children' == children then node else Document.rebuild node children')
+    | Document.Call { name; params; _ } ->
       (match Validate.model_of_id ctx (Document.sym_id node) with
        | None -> raise (Failed { at = List.rev path; reason = Unknown_function name })
        | Some m ->
          let params' = forest depth path ~fn:true name m params in
-         if params' == params then node else Document.call name params')
+         if params' == params then node else Document.rebuild node params')
   (* materialize each child in place, preserving physical identity when
      nothing underneath changed so untouched subtrees are not rebuilt *)
   and interiors depth path i (children : Document.forest) : Document.forest =
@@ -301,10 +301,9 @@ let pre_materialize t ~eager_calls ~(invoker : Execute.invoker) doc :
   let env = env t in
   let rec node_forest path (node : Document.t) : Document.forest =
     match node with
-    | Document.Data v -> [ Document.Data v ]
-    | Document.Elem { label; children } ->
-      [ Document.elem label (forest path children) ]
-    | Document.Call { name; params } ->
+    | Document.Data _ -> [ node ]
+    | Document.Elem { children; _ } -> [ Document.rebuild node (forest path children) ]
+    | Document.Call { name; params; _ } ->
       let params = forest path params in
       if eager_calls name && Schema.is_invocable env name && !budget > 0 then begin
         decr budget;
@@ -337,7 +336,7 @@ let pre_materialize t ~eager_calls ~(invoker : Execute.invoker) doc :
           :: !invocations;
         forest path returned
       end
-      else [ Document.call name params ]
+      else [ Document.rebuild node params ]
   and forest path children =
     List.concat (List.mapi (fun i c -> node_forest (i :: path) c) children)
   in

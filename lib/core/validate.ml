@@ -116,10 +116,10 @@ let node_violation (node : Document.t) own =
   | Document.Data _, _ -> None
   | Document.Elem { label; _ }, None -> Some (Unknown_label label)
   | Document.Call { name; _ }, None -> Some (Unknown_function name)
-  | Document.Elem { label; children }, Some m ->
+  | Document.Elem { label; children; _ }, Some m ->
     if forest_accepted m.dfa children then None
     else Some (Content_mismatch { label; word = Document.word children })
-  | Document.Call { name; params }, Some m ->
+  | Document.Call { name; params; _ }, Some m ->
     if forest_accepted m.dfa params then None
     else Some (Input_mismatch { fname = name; word = Document.word params })
 

@@ -483,7 +483,7 @@ type 'st walk = {
 }
 
 (* The result of a branch that died; compared physically. *)
-let dead : Document.forest = [ Document.Data "" ]
+let dead : Document.forest = [ Document.data "" ]
 
 let wins_of w = function Word -> w.run.sets | Copy c -> c.wins
 let forks_of w = function Word -> w.run.budget | Copy c -> c.forks

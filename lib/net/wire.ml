@@ -156,8 +156,11 @@ let get_format r =
 (* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Both encoders fill the one spare buffer. *)
+let spare = Axml_xml.Spare_buffer.create ()
+
 let encode_request (req : request) : string =
-  let buf = Buffer.create 256 in
+  let buf = Axml_xml.Spare_buffer.take spare in
   (match req with
    | Ping -> put_u8 buf 1
    | Open_exchange { schema_xml; k } ->
@@ -186,7 +189,7 @@ let encode_request (req : request) : string =
    | Get_metrics { format } ->
      put_u8 buf 10;
      put_format buf format);
-  Buffer.contents buf
+  Axml_xml.Spare_buffer.contents spare buf
 
 let decode_request (payload : string) : request =
   let r = { data = payload; pos = 0 } in
@@ -227,7 +230,7 @@ let get_refusal r =
   { at; context }
 
 let encode_response (resp : response) : string =
-  let buf = Buffer.create 256 in
+  let buf = Axml_xml.Spare_buffer.take spare in
   (match resp with
    | Pong { peer; protocol } ->
      put_u8 buf 1;
@@ -267,7 +270,7 @@ let encode_response (resp : response) : string =
      put_u8 buf 11;
      put_str buf code;
      put_str buf reason);
-  Buffer.contents buf
+  Axml_xml.Spare_buffer.contents spare buf
 
 let decode_response (payload : string) : response =
   let r = { data = payload; pos = 0 } in
@@ -334,13 +337,16 @@ let really_read ic n =
   in
   go 0
 
+(* Does [header] start with [magic]? Checked in place. *)
+let has_magic header =
+  header.[0] = magic.[0] && header.[1] = magic.[1] && header.[2] = magic.[2] && header.[3] = magic.[3]
+
 let read_frame ?(max_bytes = default_max_frame_bytes) ic : string option =
   match really_read ic 8 with
   | `Eof 0 -> None
   | `Eof k -> fail "torn frame header (%d of 8 bytes)" k
   | `Ok header ->
-    if String.sub header 0 4 <> magic then
-      fail "bad frame magic %S" (String.sub header 0 4);
+    if not (has_magic header) then fail "bad frame magic %S" (String.sub header 0 4);
     let b i = Char.code header.[4 + i] in
     let n = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
     if n > max_bytes then fail "frame of %d bytes exceeds the %d limit" n max_bytes;

@@ -214,12 +214,14 @@ type env = {
        this function? Default accepts everything. *)
 }
 
-let env_of_schema ?(predicate = fun _ _ -> true) s = {
-  env_labels = String_set.of_list (element_names s);
-  env_functions = s.functions;
-  env_patterns = s.patterns;
-  predicate;
-}
+(* Interning every declared name here is what lets a document built
+   afterwards carry its nodes' symbol ids from the start (documents
+   themselves never intern). *)
+let env_of_schema ?(predicate = fun _ _ -> true) s =
+  let env_labels = String_set.of_list (element_names s) in
+  String_set.iter (fun l -> ignore (Sym_id.of_label l)) env_labels;
+  String_map.iter (fun f _ -> ignore (Sym_id.of_fun f)) s.functions;
+  { env_labels; env_functions = s.functions; env_patterns = s.patterns; predicate }
 
 (* Merge two schemas into one environment. Common functions must agree
    (the paper's simplifying assumption in Section 4, justified by WSDL

@@ -120,6 +120,9 @@ type env = {
 }
 
 val env_of_schema : ?predicate:(string -> string -> bool) -> t -> env
+(** Also interns every declared label and function name
+    ({!Sym_id.of_label}, {!Sym_id.of_fun}), so that documents built
+    afterwards carry their nodes' symbol ids. *)
 
 val merge : t -> t -> t
 (** Merge the sender schema with the exchange schema. Common functions

@@ -3,16 +3,28 @@
     [http://www.activexml.com/ns/int] namespace, Section 7). *)
 
 type env
-(** Prefix-to-URI bindings in scope; [""] is the default namespace. *)
+(** The [xmlns] / [xmlns:p] declarations in force, innermost first, one
+    per bound prefix. A prefix is compared in place against them, so
+    resolving a name allocates nothing. *)
 
 val empty_env : env
 
-val split_name : string -> string option * string
-(** ["prefix:local"] to [(Some "prefix", "local")]. *)
+exception Too_many_bindings
+
+val max_bindings : int
+(** 64: the most prefixes (the default namespace included) bound at
+    once. A lookup scans the bindings in force, so this bound is what
+    keeps resolution linear in the document; {!extend} raises
+    {!Too_many_bindings} past it. *)
+
+val local_name : string -> string
+(** ["prefix:local"] to ["local"]; the name itself (no allocation) when
+    it has no prefix. *)
 
 val extend : env -> Xml_tree.element -> env
 (** Add the [xmlns] / [xmlns:p] declarations of an element; [env]
-    itself when the element has no attributes. *)
+    itself, with no allocation, when the element declares nothing.
+    @raise Too_many_bindings past {!max_bindings}. *)
 
 val expanded_name : env -> Xml_tree.element -> string option * string
 (** Namespace URI (if any) and local name of an element under [env],
@@ -20,13 +32,10 @@ val expanded_name : env -> Xml_tree.element -> string option * string
     the element's own declarations, as {!extend} and {!iter_elements}
     give it. *)
 
-val expanded_attr_name : env -> Xml_tree.attribute -> string option * string
-(** Attributes without a prefix have no namespace (per the XML spec). *)
-
 val iter_elements : (env -> Xml_tree.element -> unit) -> Xml_tree.t -> unit
 (** Walk the tree with the namespace environment in force at each
-    element. *)
+    element. @raise Too_many_bindings as {!extend}. *)
 
 val element_is : env -> uri:string -> local:string -> Xml_tree.element -> bool
 (** Does the element live in namespace [uri] with local name [local]?
-    [env] is as for {!expanded_name}. *)
+    [env] is as for {!expanded_name}. Allocates nothing. *)

@@ -148,10 +148,13 @@ let rec compact buf (nodes : Xml_tree.t list) stack =
     add_leaf buf leaf;
     compact buf rest stack
 
+(* Both printers fill the one spare buffer. *)
+let spare = Spare_buffer.create ()
+
 let to_string node =
-  let buf = Buffer.create 256 in
+  let buf = Spare_buffer.take spare in
   compact buf [ node ] [];
-  Buffer.contents buf
+  Spare_buffer.contents spare buf
 
 (* Indented output: safe only for "data-oriented" XML where surrounding
    whitespace is not significant (always true for this system's trees).
@@ -189,9 +192,9 @@ let rec pretty buf indent (nodes : Xml_tree.t list) stack =
     pretty buf indent rest stack
 
 let to_pretty_string ?(xml_decl = false) node =
-  let buf = Buffer.create 256 in
+  let buf = Spare_buffer.take spare in
   if xml_decl then Buffer.add_string buf "<?xml version=\"1.0\"?>\n";
   pretty buf 0 [ node ] [];
-  Buffer.contents buf
+  Spare_buffer.contents spare buf
 
 let pp ppf node = Fmt.string ppf (to_string node)

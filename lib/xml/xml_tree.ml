@@ -47,7 +47,14 @@ let text_content element =
        | Element _ | Comment _ | Pi _ -> None)
   |> String.concat ""
 
-let is_whitespace s = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') s
+(* A closed loop: [String.for_all] would allocate its closure. *)
+let rec whitespace_from s i =
+  i >= String.length s
+  || (match String.unsafe_get s i with
+      | ' ' | '\t' | '\n' | '\r' -> whitespace_from s (i + 1)
+      | _ -> false)
+
+let is_whitespace s = whitespace_from s 0
 
 (* The traversals below all use explicit work lists rather than
    recursion: intensional documents can nest arbitrarily deep (a chain

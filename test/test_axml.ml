@@ -104,11 +104,11 @@ let paper_xml = {|<?xml version="1.0"?>
 let test_paper_xml_parses () =
   let doc = Syntax.of_xml_string paper_xml in
   (match doc with
-   | D.Elem { label = "newspaper"; children } ->
+   | D.Elem { label = "newspaper"; children; _ } ->
      check_int "four children" 4 (List.length children);
      (match children with
-      | [ _; _; D.Call { name = "Get_Temp"; params = [ D.Elem { label = "city"; _ } ] };
-          D.Call { name = "TimeOut"; params = [ D.Data _ ] } ] -> ()
+      | [ _; _; D.Call { name = "Get_Temp"; params = [ D.Elem { label = "city"; _ } ]; _ };
+          D.Call { name = "TimeOut"; params = [ D.Data _ ]; _ } ] -> ()
       | _ -> Alcotest.failf "unexpected structure: %a" D.pp doc)
    | _ -> Alcotest.fail "expected a newspaper element")
 
@@ -117,7 +117,7 @@ let test_syntax_custom_prefix_ns () =
   let xml = {|<doc xmlns:axml="http://www.activexml.com/ns/int">
       <axml:fun methodName="F"/></doc>|} in
   match Syntax.of_xml_string xml with
-  | D.Elem { children = [ D.Call { name = "F"; params = [] } ]; _ } -> ()
+  | D.Elem { children = [ D.Call { name = "F"; params = []; _ } ]; _ } -> ()
   | d -> Alcotest.failf "unexpected: %a" D.pp d
 
 let test_syntax_errors () =
@@ -884,7 +884,96 @@ let test_fresh_labels_not_interned () =
     | false, got when got = expected -> ()
     | _, got -> Alcotest.failf "check %d: %s" i got
   done;
+  for i = 1 to 10_000 do
+    let wire =
+      Printf.sprintf
+        "<newspaper xmlns:int=\"%s\"><z%d/><int:fun methodName=\"Zf%d\"/></newspaper>"
+        Syntax.axml_ns i i
+    in
+    match Syntax.of_xml_string wire with
+    | D.Elem { children = [ D.Elem { id = -1; _ }; D.Call { id = -1; _ } ]; _ } -> ()
+    | d -> Alcotest.failf "decode %d: %a" i D.pp d
+  done;
   check_int "no name interned" before (size ())
+
+(* A node's symbol id is resolved when it is built. A document built
+   before any schema declared its names (every id -1) and the same
+   document decoded afterwards (every id set) must get the same
+   verdicts, the same materialized output and the same invocations. *)
+let test_node_ids_never_change_a_verdict () =
+  let early =
+    D.elem "nidfeed"
+      [ D.elem "nidhead" [ D.data "h" ];
+        D.elem "nidentry" [ D.elem "nidtitle" [ D.data "a" ];
+                            D.call "NidPrice" [ D.elem "nidtitle" [ D.data "a" ] ] ];
+        D.call "NidFetch" [ D.data "q" ];
+        D.elem "nidentry" [ D.elem "nidtitle" [ D.data "b" ]; D.elem "nidprice" [ D.data "1" ] ] ]
+  in
+  let id = function D.Elem { id; _ } | D.Call { id; _ } -> id | D.Data _ -> 0 in
+  check_int "built before the schema" (-1) (id early);
+  let common = {|
+element nidhead = #data
+element nidtitle = #data
+element nidprice = #data
+function NidFetch : #data -> nidentry*
+function NidPrice : nidtitle -> nidprice
+|} in
+  let s0 =
+    parse_schema
+      ("root nidfeed\nelement nidfeed = nidhead.(nidentry | NidFetch)*\n\
+        element nidentry = nidtitle.(NidPrice | nidprice)" ^ common)
+  in
+  let target =
+    parse_schema
+      ("root nidfeed\nelement nidfeed = nidhead.nidentry*\n\
+        element nidentry = nidtitle.nidprice" ^ common)
+  in
+  let rw = Rewriter.create ~k:2 ~s0 ~target () in
+  let late = Syntax.of_xml_string (Syntax.to_xml_string ~pretty:false early) in
+  check "same document" true (D.equal early late);
+  check "decoded after the schema" true (id late >= 0);
+  check "children too" true (List.for_all (fun c -> id c >= 0) (D.children late));
+  let invoker name _params =
+    match name with
+    | "NidFetch" ->
+      [ D.elem "nidentry" [ D.elem "nidtitle" [ D.data "f" ];
+                            D.call "NidPrice" [ D.elem "nidtitle" [ D.data "f" ] ] ] ]
+    | _ -> [ D.elem "nidprice" [ D.data "9" ] ]
+  in
+  let ctx = Contract.ctx (Rewriter.contract rw) in
+  let judge doc =
+    let violations =
+      Fmt.str "%a" Fmt.(list ~sep:(any "; ") Validate.pp_violation)
+        (Validate.document_violations ctx doc)
+    in
+    let report = Rewriter.check rw doc in
+    let check =
+      Fmt.str "%b %a" report.Rewriter.ok
+        Fmt.(list ~sep:(any "; ") Rewriter.pp_failure) report.Rewriter.failures
+    in
+    let materialized =
+      match Rewriter.materialize rw ~invoker doc with
+      | Ok (doc', invocations) ->
+        Fmt.str "%a with %a" D.pp doc'
+          Fmt.(list ~sep:(any "; ") (fun ppf (i : Rewriter.located_invocation) ->
+                   Fmt.pf ppf "%a %s(%a) = %a" D.pp_path i.at i.invocation.inv_name
+                     D.pp_forest i.invocation.inv_params D.pp_forest i.invocation.inv_result))
+          invocations
+      | Error fs -> Fmt.str "failed: %a" Fmt.(list ~sep:(any "; ") Rewriter.pp_failure) fs
+    in
+    (violations, check, materialized)
+  in
+  let v1, c1, m1 = judge early and v2, c2, m2 = judge late in
+  Alcotest.(check string) "document_violations" v1 v2;
+  Alcotest.(check string) "check" c1 c2;
+  Alcotest.(check string) "materialize" m1 m2;
+  check "violations found" true (v1 <> "");
+  check "safe" true (String.starts_with ~prefix:"true" c1);
+  match Rewriter.materialize rw ~invoker late with
+  | Ok (_, invocations) ->
+    (* NidFetch, the NidPrice of the document, the NidPrice it returned *)
+    check_int "invocations" 3 (List.length invocations)
+  | Error _ -> Alcotest.fail "the document does not materialize"
 
 let test_peer_call_through_soap () =
   let provider = Peer.create ~name:"timeout.com" ~schema:schema_star () in
@@ -1279,7 +1368,7 @@ let test_peer_select_with_predicates () =
          D.elem "exhibit" [ D.elem "title" [ D.data "Picasso" ];
                             D.elem "date" [ D.data "july" ] ] ]);
   (match Peer.select peer ~doc:"listing" ~path:"/listing/exhibit[2]/title" with
-   | [ D.Elem { label = "title"; children = [ D.Data "Picasso" ] } ] -> ()
+   | [ D.Elem { label = "title"; children = [ D.Data "Picasso" ]; _ } ] -> ()
    | other -> Alcotest.failf "unexpected: %a" D.pp_forest other);
   check_int "all exhibits" 2
     (List.length (Peer.select peer ~doc:"listing" ~path:"//exhibit"))
@@ -1300,7 +1389,7 @@ let test_peer_three_hop () =
   let client = Peer.create ~name:"client" ~schema:schema_star () in
   Peer.connect client ~provider:aggregator;
   match Peer.call client "Nice_Temp" [ D.data "q" ] with
-  | [ D.Elem { label = "temp"; children = [ D.Data "15" ] } ] ->
+  | [ D.Elem { label = "temp"; children = [ D.Data "15" ]; _ } ] ->
     check_int "aggregator accounted one upstream call" 1
       (Axml_services.Registry.invocation_count (Peer.registry aggregator))
   | other -> Alcotest.failf "unexpected: %a" D.pp_forest other
@@ -1372,6 +1461,8 @@ let () =
            test_peer_receive_refusal_message;
          Alcotest.test_case "fresh labels are not interned" `Quick
            test_fresh_labels_not_interned;
+         Alcotest.test_case "node ids never change a verdict" `Quick
+           test_node_ids_never_change_a_verdict;
          Alcotest.test_case "unknown service fault" `Quick test_peer_unknown_service_fault;
          Alcotest.test_case "version mismatch fault" `Quick test_peer_version_mismatch_fault;
          Alcotest.test_case "configure" `Quick test_peer_configure;

@@ -928,10 +928,10 @@ let relabel ~labels ~names n pick doc =
     let hit = !count = n in
     match node with
     | D.Data _ -> node
-    | D.Elem { label; children } ->
+    | D.Elem { label; children; _ } ->
       let label = if hit then nth labels else label in
       D.elem label (List.map go children)
-    | D.Call { name; params } ->
+    | D.Call { name; params; _ } ->
       let name = if hit then nth names else name in
       D.call name (List.map go params)
   in

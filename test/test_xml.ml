@@ -338,6 +338,151 @@ let test_syntax_params_decl () =
   | exception Syntax.Syntax_error _ -> ()
   | d -> Alcotest.failf "expected Syntax_error, got %a" D.pp d
 
+(* The printers and the wire encoder reuse one spare buffer. Four
+   systhreads in each of two domains print distinct trees at once, one
+   of them over the 64 KiB a kept buffer may hold: every output must be
+   the sequential one. *)
+let test_spare_buffer_concurrent () =
+  let module Wire = Axml_net.Wire in
+  let tree i width =
+    T.element (Printf.sprintf "doc%d" i)
+      (List.init width (fun j -> T.element "e" [ T.text (Printf.sprintf "%d.%d" i j) ]))
+  in
+  let trees = Array.init 8 (fun i -> tree i (if i = 0 then 8_000 else 1 + (i * 13))) in
+  let request i xml = Wire.Exchange { exchange = i; as_name = "d"; doc_xml = xml } in
+  let xml = Array.map Pr.to_string trees in
+  let wire = Array.mapi (fun i x -> Wire.encode_request (request i x)) xml in
+  check "one print over 64 KiB" true (String.length xml.(0) > 64 * 1024);
+  let mismatches = Atomic.make 0 in
+  let printer i () =
+    for _ = 1 to 100 do
+      let x = Pr.to_string trees.(i) in
+      if not (String.equal x xml.(i)) then Atomic.incr mismatches;
+      if not (String.equal (Wire.encode_request (request i x)) wire.(i)) then
+        Atomic.incr mismatches
+    done
+  in
+  let domain d () =
+    List.iter Thread.join (List.init 4 (fun t -> Thread.create (printer ((4 * d) + t)) ()))
+  in
+  List.iter Domain.join (List.init 2 (fun d -> Domain.spawn (domain d)));
+  check_int "outputs that differ from the sequential print" 0 (Atomic.get mismatches)
+
+(* Resolution scans the bindings in force, so their number is bounded:
+   Xml_ns.max_bindings distinct prefixes decode, one more is a typed
+   error. Re-declaring a prefix (every call declares int) does not
+   count again. *)
+let test_syntax_binding_bound () =
+  let nested n =
+    String.concat "" (List.init n (fun i -> Printf.sprintf "<e xmlns:p%d=\"u\">" i))
+    ^ "<int:fun xmlns:int=\"" ^ axml_ns ^ "\" methodName=\"F\"/>"
+    ^ String.concat "" (List.init n (fun _ -> "</e>"))
+  in
+  (match Syntax.of_xml_string (nested (Ns.max_bindings - 1)) with
+   | _ -> ()
+   | exception Syntax.Syntax_error m -> Alcotest.failf "%d bindings refused: %s" Ns.max_bindings m);
+  (match Syntax.of_xml_string (nested Ns.max_bindings) with
+   | exception Syntax.Syntax_error m ->
+     check_str "refusal" "more than 64 namespace prefixes bound at once" m
+   | d -> Alcotest.failf "expected a refusal, got %a" D.pp d);
+  let calls depth =
+    let rec go d = if d = 0 then D.data "x" else D.call "F" [ go (d - 1) ] in
+    D.elem "doc" [ go depth ]
+  in
+  let doc = calls (10 * Ns.max_bindings) in
+  check "nested calls redeclare int freely" true
+    (D.equal doc (Syntax.of_xml_string (Syntax.to_xml_string ~pretty:false doc)))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets of the decoder (deterministic on a non-flambda    *)
+(* compiler: [Gc.minor_words] deltas)                                   *)
+(* ------------------------------------------------------------------ *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* A call-dense feed: 38 nodes, 9 of them calls, in the printed form
+   every peer sends (each call declaring the int prefix). *)
+let feed_doc =
+  let entry t price = D.elem "entry" [ D.elem "title" [ D.data t ]; price ] in
+  let priced t = entry t (D.call "Price" [ D.elem "title" [ D.data t ] ]) in
+  D.elem "feed"
+    [ D.elem "head" [ D.data "Daily" ]; priced "a"; D.call "Fetch" [ D.data "q1" ];
+      D.call "Expand" [ D.data "q2" ]; entry "b" (D.elem "price" [ D.data "3" ]);
+      D.call "Fetch" [ D.data "q3" ]; priced "c"; D.call "Expand" [ D.data "q4" ];
+      D.call "Fetch" [ D.data "q5" ]; priced "d"; D.call "Expand" [ D.data "q6" ] ]
+
+let test_syntax_alloc_budget () =
+  let tree = parse (Syntax.to_xml_string ~pretty:false feed_doc) in
+  let nodes = D.count_nodes feed_doc in
+  check_int "feed nodes" 38 nodes;
+  check "decodes back" true (D.equal feed_doc (Syntax.of_xml tree));
+  let rounds = 10 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to rounds do
+          ignore (Sys.opaque_identity (Syntax.of_xml tree))
+        done)
+  in
+  let per_node = words /. float_of_int (rounds * nodes) in
+  if per_node > 12. then
+    Alcotest.failf "Syntax.of_xml allocates %.1f words per decoded node (budget 12)" per_node
+
+let test_ns_no_alloc () =
+  let tree = parse ("<r xmlns:int=\"" ^ axml_ns ^ "\"><a x=\"1\"/><int:fun/></r>") in
+  let r = elem_of tree in
+  let env = Ns.extend Ns.empty_env r in
+  let a, f =
+    match r.T.children with
+    | [ T.Element a; T.Element f ] -> (a, f)
+    | _ -> Alcotest.fail "unexpected tree"
+  in
+  check "int:fun" true (Ns.element_is env ~uri:axml_ns ~local:"fun" f);
+  check "a" false (Ns.element_is env ~uri:axml_ns ~local:"fun" a);
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Ns.extend env a));
+          ignore (Sys.opaque_identity (Ns.extend env f));
+          ignore (Sys.opaque_identity (Ns.element_is env ~uri:axml_ns ~local:"fun" f));
+          ignore (Sys.opaque_identity (Ns.element_is env ~uri:axml_ns ~local:"fun" a));
+          ignore (Sys.opaque_identity (Ns.local_name a.T.name))
+        done)
+  in
+  Alcotest.(check (float 0.)) "words allocated" 0. words
+
+(* Width: a million siblings decode and print back byte for byte, on
+   the main thread and on a systhread. A call prints as about 120
+   bytes, so the all-calls variant is 100,000 wide, which keeps its
+   peak heap near the plain variant's (about 300 MB). *)
+let wide n child =
+  let b = Buffer.create ((n * String.length child) + 8) in
+  Buffer.add_string b "<r>";
+  for _ = 1 to n do Buffer.add_string b child done;
+  Buffer.add_string b "</r>";
+  Buffer.contents b
+
+let wide_roundtrip n input () =
+  let doc = Syntax.of_xml_string input in
+  check_int "width" n (List.length (D.children doc));
+  check "prints back" true (String.equal input (Syntax.to_xml_string ~pretty:false doc))
+
+let test_syntax_wide () =
+  let call = Syntax.to_xml_string ~pretty:false (D.call "F" []) in
+  List.iter
+    (fun (n, child) ->
+      let input = wide n child in
+      wide_roundtrip n input ();
+      let failure = ref None in
+      let t =
+        Thread.create (fun () -> try wide_roundtrip n input () with e -> failure := Some e) ()
+      in
+      Thread.join t;
+      Option.iter raise !failure)
+    [ (1_000_000, "<a/>"); (100_000, call) ]
+
 (* ------------------------------------------------------------------ *)
 (* Path queries                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -677,7 +822,9 @@ let () =
          Alcotest.test_case "cdata ]]> split" `Quick test_cdata_split;
          Alcotest.test_case "carriage returns" `Quick test_cr_roundtrip;
          Alcotest.test_case "control characters" `Quick test_control_chars_roundtrip;
-         Alcotest.test_case "attribute whitespace" `Quick test_attr_whitespace_roundtrip
+         Alcotest.test_case "attribute whitespace" `Quick test_attr_whitespace_roundtrip;
+         Alcotest.test_case "spare buffer under domains and systhreads" `Quick
+           test_spare_buffer_concurrent
        ]);
       ("namespaces",
        [ Alcotest.test_case "int:fun detection" `Quick test_namespaces;
@@ -685,7 +832,11 @@ let () =
          Alcotest.test_case "int:fun in a default namespace" `Quick test_syntax_default_ns;
          Alcotest.test_case "int prefix re-bound" `Quick test_syntax_rebound_prefix;
          Alcotest.test_case "sibling scope" `Quick test_syntax_sibling_scope;
-         Alcotest.test_case "declaration on int:params" `Quick test_syntax_params_decl
+         Alcotest.test_case "declaration on int:params" `Quick test_syntax_params_decl;
+         Alcotest.test_case "bound on prefixes in scope" `Quick test_syntax_binding_bound;
+         Alcotest.test_case "decoder allocation budget" `Quick test_syntax_alloc_budget;
+         Alcotest.test_case "namespace checks allocate nothing" `Quick test_ns_no_alloc;
+         Alcotest.test_case "a million siblings" `Quick test_syntax_wide
        ]);
       ("paths",
        [ Alcotest.test_case "child axis" `Quick test_path_child;
