@@ -87,7 +87,6 @@ let stats_json ~sender ~exchange (s : Enforcement.Pipeline.stats) =
         Json.Obj
           [ ("hits", int c.Axml_core.Contract.hits);
             ("misses", int c.Axml_core.Contract.misses);
-            ("evictions", int c.Axml_core.Contract.evictions);
             ("entries", int c.Axml_core.Contract.entries) ] );
       ("cache_hit_rate", Json.Float s.Enforcement.Pipeline.cache_hit_rate);
       ("resilience", Resilience.stats_to_json s.Enforcement.Pipeline.resilience);

@@ -148,12 +148,18 @@ type compiled = {
   c_rewriter : Rewriter.t;
   c_lint : Diagnostic.t list Lazy.t;
     (* contract-level diagnostics, computed once per compiled path on
-       first use (lint gate or [Pipeline.lint]) *)
+       first use (lint gate or [Pipeline.lint]), under [c_lint_lock]: a
+       systhread forcing a lazy value another thread is still forcing
+       gets [CamlinternalLazy.Undefined] *)
+  c_lint_lock : Mutex.t;
 }
 
 let of_rewriter rw =
   { c_rewriter = rw;
-    c_lint = lazy (Lint.lint_contract (Rewriter.contract rw)) }
+    c_lint = lazy (Lint.lint_contract (Rewriter.contract rw));
+    c_lint_lock = Mutex.create () }
+
+let contract_lint c = Mutex.protect c.c_lint_lock (fun () -> Lazy.force c.c_lint)
 
 let compile ?predicate ~config ~s0 ~exchange () =
   of_rewriter
@@ -180,7 +186,7 @@ let gate_errors ~compiled doc =
   let errors ds =
     List.filter (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error) ds
   in
-  match errors (Lazy.force compiled.c_lint) with
+  match errors (contract_lint compiled) with
   | _ :: _ as ds -> Some ds
   | [] -> (
     match
@@ -353,7 +359,7 @@ module Pipeline = struct
   let contract t = Rewriter.contract t.p_compiled.c_rewriter
   let rewriter t = t.p_compiled.c_rewriter
   let config t = t.p_config
-  let lint t = Lazy.force t.p_compiled.c_lint
+  let lint t = contract_lint t.p_compiled
 
   let resilience_total config =
     match config.resilience with

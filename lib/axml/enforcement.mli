@@ -122,7 +122,8 @@ module Pipeline : sig
   val lint : t -> Axml_analysis.Diagnostic.t list
   (** Contract-level lint diagnostics for this path (AXM020–AXM023),
       computed once per pipeline on first use and cached with the
-      compiled artifacts — also what the lint gate consults. *)
+      compiled artifacts — also what the lint gate consults. Computed
+      under a lock, so threads may call it at once. *)
 
   val enforce : t -> Axml_core.Document.t ->
     (Axml_core.Document.t * report, error) result

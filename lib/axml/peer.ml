@@ -6,8 +6,9 @@
    Peers talk through the SOAP wire format of [Soap] even in-process, so
    every exchange exercises the full serialize / parse / validate path.
 
-   All enforcement artifacts are compiled on first use and cached
-   against a generation counter that is bumped whenever the peer's
+   Every path — sending, receiving and serving a call — runs on an
+   [Enforcement.Pipeline], compiled on first use into one cache and
+   tagged with a generation counter that is bumped whenever the peer's
    schema (or its enforcement config) changes: a peer under heavy
    traffic compiles each exchange contract once, not once per message. *)
 
@@ -15,6 +16,8 @@ module Schema = Axml_schema.Schema
 module Document = Axml_core.Document
 module Validate = Axml_core.Validate
 module Rewriter = Axml_core.Rewriter
+module Contract = Axml_core.Contract
+module Pipeline = Enforcement.Pipeline
 module Registry = Axml_services.Registry
 module Service = Axml_services.Service
 module Metrics = Axml_obs.Metrics
@@ -59,10 +62,13 @@ type provided = {
   p_cost : float;
 }
 
-(* Compiled enforcement artifacts of a provided service: one rewriter
-   per direction, over the peer's schema rooted at a wrapper element
-   whose content is the direction's type. *)
-type serve_compiled = { sc_params : Rewriter.t; sc_result : Rewriter.t }
+(* What a cached pipeline enforces: an exchange agreement, keyed by the
+   schema value, or one direction of a provided service, keyed by its
+   record (both compared physically). *)
+type direction = Params | Result
+type slot = Exchange of Schema.t | Serve of provided * direction
+
+type entry = { slot : slot; generation : int; pipeline : Pipeline.t }
 
 (* The peer's tunables are the enforcement config itself, applied
    through [configure]; re-exported so [Peer.k] etc. name its fields. *)
@@ -85,11 +91,9 @@ type t = {
   registry : Registry.t;      (* remote services this peer can invoke *)
   provided : (string, provided) Hashtbl.t;
   mutable config : config;
-  (* compiled-artifact caches, all validated against [generation] *)
   mutable generation : int;
-  mutable send_pipelines : (Schema.t * int * Enforcement.Pipeline.t) list;
-  mutable recv_ctxs : (Schema.t * int * Validate.ctx) list;
-  serve_cache : (string, int * serve_compiled) Hashtbl.t;
+  pipelines : entry list Atomic.t;  (* the one compiled-artifact cache *)
+  lock : Mutex.t;  (* held to build an entry or bump [generation] *)
 }
 
 let create ~name ~schema () = {
@@ -100,9 +104,8 @@ let create ~name ~schema () = {
   provided = Hashtbl.create 8;
   config = default_config;
   generation = 0;
-  send_pipelines = [];
-  recv_ctxs = [];
-  serve_cache = Hashtbl.create 8;
+  pipelines = Atomic.make [];
+  lock = Mutex.create ();
 }
 
 let name t = t.name
@@ -110,8 +113,9 @@ let schema t = t.schema
 let registry t = t.registry
 
 (* Any change to the peer's schema or enforcement settings invalidates
-   every compiled artifact. *)
-let invalidate t = t.generation <- t.generation + 1
+   every compiled artifact: pipelines are built under [lock], so one
+   built after the bump sees the change. *)
+let invalidate t = Mutex.protect t.lock (fun () -> t.generation <- t.generation + 1)
 
 let configure t config =
   t.config <- config;
@@ -173,116 +177,103 @@ let eval_query t (q : query) (params : Document.forest) : Document.forest =
   | Compute f -> f params
 
 (* ------------------------------------------------------------------ *)
-(* Compiled-artifact caches                                            *)
+(* The pipeline cache                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Exchange entries are bounded, since every agreement opened over the
+   network parses a fresh schema value; serve entries are bounded by
+   the provided services. *)
 let cache_bound = 8
 
-(* Look an entry up in a (key, generation, value) association list by
-   physical key equality and current generation; (re)build on miss and
-   keep the list bounded. *)
-let cached t cache_list set_cache_list key build =
-  let live (k, g, _) = k == key && g = t.generation in
-  match List.find_opt live (cache_list t) with
-  | Some (_, _, v) -> v
-  | None ->
-    let v = build () in
-    let kept =
-      List.filteri
-        (fun i (_, g, _) -> g = t.generation && i < cache_bound - 1)
-        (cache_list t)
-    in
-    set_cache_list t ((key, t.generation, v) :: kept);
-    v
+let rec find slot generation = function
+  | [] -> None
+  | (e : entry) :: rest ->
+    match e.slot, slot with
+    | Exchange x, Exchange y when x == y && e.generation = generation -> Some e.pipeline
+    | Serve (p, d), Serve (q, f) when p == q && d == f && e.generation = generation ->
+      Some e.pipeline
+    | _ -> find slot generation rest
 
-let io_compile t wrapper_name content =
-  let s =
-    Schema.with_root (Schema.add_element t.schema wrapper_name content)
-      wrapper_name
+(* A direction of a served call is enforced against the peer's schema
+   rooted at a wrapper element whose content is the direction's type. *)
+let wrapper = function Params -> "#params" | Result -> "#result"
+let what = function Params -> "parameters" | Result -> "result"
+
+let compile t slot =
+  let s0, exchange =
+    match slot with
+    | Exchange exchange -> (t.schema, exchange)
+    | Serve (p, dir) ->
+      let content = match dir with Params -> p.p_input | Result -> p.p_output in
+      let s = Schema.add_element t.schema (wrapper dir) content in
+      let s = Schema.with_root s (wrapper dir) in
+      (s, s)
   in
-  Rewriter.create ~k:t.config.k ~s0:s ~target:s ()
+  Pipeline.create ~config:t.config ~s0 ~exchange ~invoker:(Registry.invoker t.registry) ()
 
-let serve_compiled t (p : provided) =
-  match Hashtbl.find_opt t.serve_cache p.p_name with
-  | Some (g, sc) when g = t.generation -> sc
-  | _ ->
-    let sc =
-      { sc_params = io_compile t "#params" p.p_input;
-        sc_result = io_compile t "#result" p.p_output }
-    in
-    Hashtbl.replace t.serve_cache p.p_name (t.generation, sc);
-    sc
+(* A hit reads the snapshot and takes no lock; a miss builds under the
+   lock, once, however many threads missed together. *)
+let pipeline t slot =
+  match find slot t.generation (Atomic.get t.pipelines) with
+  | Some p -> p
+  | None ->
+    Mutex.protect t.lock (fun () ->
+        let entries = Atomic.get t.pipelines in
+        match find slot t.generation entries with
+        | Some p -> p
+        | None ->
+          let p = compile t slot in
+          let exchanges = ref 0 in
+          let live (e : entry) =
+            e.generation = t.generation
+            && (match e.slot with
+                | Exchange _ -> incr exchanges; !exchanges < cache_bound
+                | Serve _ -> true)
+          in
+          let entry = { slot; generation = t.generation; pipeline = p } in
+          Atomic.set t.pipelines (entry :: List.filter live entries);
+          p)
 
-(* The sender-side enforcement pipeline for an exchange schema: compiled
-   on first use, reused while neither the peer's schema nor the
-   exchange schema object changes. *)
-let exchange_pipeline t ~exchange =
-  cached t
-    (fun t -> t.send_pipelines)
-    (fun t v -> t.send_pipelines <- v)
-    exchange
-    (fun () ->
-      Enforcement.Pipeline.create ~config:t.config
-        ~s0:t.schema ~exchange ~invoker:(Registry.invoker t.registry) ())
+(* The enforcement pipeline for an exchange schema: compiled on first
+   use, reused while neither the peer's schema nor the exchange schema
+   object changes. The sender enforces through it; the receiver
+   validates against its contract's context. *)
+let exchange_pipeline t ~exchange = pipeline t (Exchange exchange)
 
 (* Contract-level lint for an exchange agreement, served from the cached
    pipeline (the diagnostics the lint gate would refuse on). *)
-let lint_exchange t ~exchange =
-  Enforcement.Pipeline.lint (exchange_pipeline t ~exchange)
-
-(* The receiver-side validation context for an exchange schema. *)
-let receive_ctx t ~exchange =
-  cached t
-    (fun t -> t.recv_ctxs)
-    (fun t v -> t.recv_ctxs <- v)
-    exchange
-    (fun () ->
-      Validate.ctx ~env:(Schema.env_of_schemas t.schema exchange) exchange)
+let lint_exchange t ~exchange = Pipeline.lint (exchange_pipeline t ~exchange)
 
 (* ------------------------------------------------------------------ *)
 (* Serving calls                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Run the three enforcement steps on a forest against one direction's
-   wrapper schema: the materializer's one walk verifies and rewrites,
-   and hands a conforming forest back physically unchanged. *)
-let enforce_io t ~wrapper_name ~what ~method_name rw
-    (forest : Document.forest) : Document.forest =
-  match
-    Rewriter.materialize rw ~invoker:(Registry.invoker t.registry)
-      (Document.elem wrapper_name forest)
-  with
-  | Ok (Document.Elem { children; _ }, _) -> children
-  | Ok _ -> raise (Peer_error (what ^ " enforcement changed the wrapper"))
-  | Error fs ->
-    raise
-      (Peer_error
-         (Fmt.str "peer %s: %s of %s rejected: %a" t.name what method_name
-            Fmt.(list ~sep:(any "; ") Rewriter.pp_failure)
-            fs))
-
 (* Serve one call locally, running the Schema Enforcement module on both
    the parameters and the result (Section 7: "before an ActiveXML
    service returns its answer, the module performs the same three steps
-   on the returned data"). *)
+   on the returned data"), each through its direction's pipeline under
+   the peer's config. A conforming forest comes back physically
+   unchanged. *)
 let serve t ~method_name (params : Document.forest) : Document.forest =
   match Hashtbl.find_opt t.provided method_name with
   | None ->
     Metrics.inc m_serves_error;
     raise (Peer_error (Fmt.str "peer %s provides no service %S" t.name method_name))
   | Some p ->
+    let enforce dir forest =
+      let wrapped = Document.elem (wrapper dir) forest in
+      match Pipeline.enforce (pipeline t (Serve (p, dir))) wrapped with
+      | Ok (Document.Elem { children; _ }, _) -> children
+      | Ok _ -> raise (Peer_error (what dir ^ " enforcement changed the wrapper"))
+      | Error e ->
+        raise
+          (Peer_error
+             (Fmt.str "peer %s: %s of %s %a" t.name (what dir) method_name
+                Enforcement.pp_error e))
+    in
     match
       Trace.with_span "peer.serve" ~detail:(fun () -> method_name) @@ fun () ->
-      let sc = serve_compiled t p in
-      (* (i)-(iii) on the parameters, against tau_in *)
-      let params =
-        enforce_io t ~wrapper_name:"#params" ~what:"parameters" ~method_name
-          sc.sc_params params
-      in
-      let result = eval_query t p.p_body params in
-      (* (i)-(iii) on the result, against tau_out *)
-      enforce_io t ~wrapper_name:"#result" ~what:"result" ~method_name
-        sc.sc_result result
+      enforce Result (eval_query t p.p_body (enforce Params params))
     with
     | result ->
       Metrics.inc m_serves_ok;
@@ -390,12 +381,6 @@ type exchange_outcome = {
   wire_bytes : int;
 }
 
-(* Send [doc] to [receiver] under the agreed [exchange] schema: the
-   sender's enforcement module materializes what must be materialized,
-   the document crosses the (simulated) wire in XML, and the receiver
-   validates before storing it under [as_name]. Both sides reuse their
-   cached compiled artifacts (sender pipeline, receiver validation
-   context). *)
 (* The receiver-side half of an exchange — shared by [send] and the
    network endpoint: parse the XML wire bytes, validate against the
    exchange schema (never trust the sender), store the document. *)
@@ -408,7 +393,8 @@ let receive t ~exchange ~as_name (wire : string) :
       [ { Rewriter.at = [];
           reason = Rewriter.Not_instance { detail = "malformed document: " ^ m } } ]
   | received ->
-    (match Validate.document_violations (receive_ctx t ~exchange) received with
+    let ctx = Contract.ctx (Pipeline.contract (exchange_pipeline t ~exchange)) in
+    (match Validate.document_violations ctx received with
      | [] ->
        store t as_name received;
        Ok received
@@ -422,13 +408,18 @@ let receive t ~exchange ~as_name (wire : string) :
                     { detail = Fmt.str "%a" Validate.pp_violation_kind v.Validate.kind } })
             violations))
 
+(* Send [doc] to [receiver] under the agreed [exchange] schema: the
+   sender's enforcement module materializes what must be materialized,
+   the document crosses the (simulated) wire in XML, and the receiver
+   validates before storing it under [as_name]. Both sides reuse their
+   cached pipeline for the agreement. *)
 let send t ~(receiver : t) ~exchange ~as_name doc :
     (exchange_outcome, Enforcement.error) result =
   let outcome =
     Trace.with_span "peer.send"
       ~detail:(fun () -> Fmt.str "%s -> %s" t.name receiver.name)
     @@ fun () ->
-  match Enforcement.Pipeline.enforce (exchange_pipeline t ~exchange) doc with
+  match Pipeline.enforce (exchange_pipeline t ~exchange) doc with
   | Error e -> Error e
   | Ok (doc', report) ->
     let wire = Syntax.to_xml_string ~pretty:false doc' in

@@ -58,19 +58,18 @@ val default_config : config
 
 val configure : t -> config -> unit
 (** Replace the peer's configuration and invalidate every compiled
-    enforcement artifact (pipelines, validation contexts, serve
-    caches). *)
+    pipeline; a call that starts after it returns runs on the new one. *)
 
 val current_config : t -> config
 
 val exchange_pipeline :
   t -> exchange:Axml_schema.Schema.t -> Enforcement.Pipeline.t
-(** The peer's sender-side enforcement pipeline for an exchange schema:
-    compiled on first use and cached while the peer's schema,
-    enforcement config and the [exchange] schema value all stay
-    unchanged (so its contract's win tables and counters persist
-    across {!send}s of the same agreement). Its
-    {!Enforcement.Pipeline.config} is the peer's {!current_config}. *)
+(** The peer's pipeline for an exchange schema, which {!send} enforces
+    through and {!receive} validates against: compiled on first use and
+    cached while the peer's schema, enforcement config and the
+    [exchange] schema value all stay unchanged (so its contract's win
+    tables and counters persist across {!send}s of the same agreement).
+    Its {!Enforcement.Pipeline.config} is the peer's {!current_config}. *)
 
 val lint_exchange :
   t -> exchange:Axml_schema.Schema.t -> Axml_analysis.Diagnostic.t list
@@ -104,11 +103,13 @@ val provided_names : t -> string list
 val serve : t -> method_name:string -> Axml_core.Document.forest ->
   Axml_core.Document.forest
 (** Serve one call locally, running the enforcement module on both the
-    parameters and the result (the "three steps", Section 7): one safe
-    materializer walk per direction, with the peer's registry as
-    invoker. A forest that already conforms comes back physically
-    unchanged, without any invocation.
-    @raise Peer_error on rejection. *)
+    parameters and the result (the "three steps", Section 7), each
+    through its own cached pipeline: the peer's {!config} applies to
+    served calls, with the peer's registry as invoker. A forest that
+    already conforms comes back physically unchanged, without any
+    invocation.
+    @raise Peer_error when a direction is refused, with the
+    {!Enforcement.pp_error} text. *)
 
 val provided_service : t -> string -> Axml_services.Service.t option
 (** A provided service as a {!Axml_services.Service.t} whose behaviour

@@ -1053,6 +1053,261 @@ let test_peer_serve_conforming_untouched () =
   check "forest returned physically unchanged" true (result == params);
   check_int "no registry invocation" before (Registry.invocation_count registry)
 
+(* ------------------------------------------------------------------ *)
+(* Served calls run on the peer's config                               *)
+(* ------------------------------------------------------------------ *)
+
+let serve_error provider ~method_name params =
+  match Peer.serve provider ~method_name params with
+  | r -> Alcotest.failf "served %a" D.pp_forest r
+  | exception Peer.Peer_error m -> m
+
+(* [Forecast] may return a temperature or a city: a [temp] result
+   holding a call to it can only possibly be rewritten. *)
+let test_peer_serve_fallback () =
+  let provider () =
+    let p =
+      Peer.create ~name:"weather.com"
+        ~schema:(parse_schema ("function Forecast : #data -> (temp | city)\n" ^ common))
+        ()
+    in
+    Registry.register (Peer.registry p)
+      (Service.make ~input:(R.sym Schema.A_data)
+         ~output:(R.alt (R.sym (Schema.A_label "temp")) (R.sym (Schema.A_label "city")))
+         "Forecast"
+         (Oracle.constant [ D.elem "temp" [ D.data "15" ] ]));
+    Peer.provide p ~name:"Temperature" ~input:(R.sym Schema.A_data)
+      ~output:(R.sym (Schema.A_label "temp"))
+      (Peer.Const [ D.call "Forecast" [ D.data "Paris" ] ]);
+    p
+  in
+  let m = serve_error (provider ()) ~method_name:"Temperature" [ D.data "q" ] in
+  check ("refused without the fallback: " ^ m) true
+    (contains m "result of Temperature rejected");
+  let p = provider () in
+  Peer.configure p { Peer.default_config with Peer.fallback_possible = true };
+  match Peer.serve p ~method_name:"Temperature" [ D.data "q" ] with
+  | [ D.Elem { label = "temp"; _ } ] -> ()
+  | other -> Alcotest.failf "expected a temp, got %a" D.pp_forest other
+
+(* The provider's Get_Temp fails its first call only. *)
+let test_peer_serve_resilience () =
+  let provider () =
+    let p = echo_provider () in
+    let calls = Atomic.make 0 in
+    Registry.register (Peer.registry p)
+      (Service.make ~input:(R.sym (Schema.A_label "city"))
+         ~output:(R.sym (Schema.A_label "temp")) "Get_Temp"
+         (fun _ ->
+           if Atomic.fetch_and_add calls 1 = 0 then failwith "weather hiccup"
+           else [ D.elem "temp" [ D.data "15" ] ]));
+    p
+  in
+  let params = [ D.call "Get_Temp" [ D.elem "city" [ D.data "Paris" ] ] ] in
+  let m = serve_error (provider ()) ~method_name:"Echo" params in
+  check ("unguarded: a service fault: " ^ m) true
+    (contains m "parameters of Echo service fault");
+  let p = provider () in
+  Peer.configure p (resilient_config ~retries:2 ());
+  match Peer.serve p ~method_name:"Echo" params with
+  | [ D.Elem { label = "temp"; _ } ] -> ()
+  | other -> Alcotest.failf "expected a temp, got %a" D.pp_forest other
+
+(* A [temp] result that holds a Get_Date call, whose output is a
+   date, is doomed before anything runs. *)
+let test_peer_serve_lint_gate () =
+  let provider () =
+    let p = echo_provider () in
+    Peer.provide p ~name:"Temperature" ~input:(R.sym Schema.A_data)
+      ~output:(R.sym (Schema.A_label "temp"))
+      (Peer.Const [ D.call "Get_Date" [ D.elem "title" [ D.data "Monet" ] ] ]);
+    p
+  in
+  let m = serve_error (provider ()) ~method_name:"Temperature" [ D.data "q" ] in
+  check ("ungated: rejected: " ^ m) true (contains m "result of Temperature rejected");
+  let p = provider () in
+  Peer.configure p { Peer.default_config with Peer.lint_gate = true };
+  let before = Registry.invocation_count (Peer.registry p) in
+  let m = serve_error p ~method_name:"Temperature" [ D.data "q" ] in
+  check ("gated: precluded: " ^ m) true (contains m "result of Temperature precluded");
+  check ("names the diagnostic: " ^ m) true (contains m "AXM031");
+  check_int "nothing invoked" before (Registry.invocation_count (Peer.registry p))
+
+let documents_enforced () =
+  List.fold_left
+    (fun n outcome ->
+      n
+      + Axml_obs.Metrics.counter_value
+          (Axml_obs.Metrics.counter ~labels:[ ("outcome", outcome) ]
+             "axml_enforcement_documents_total"))
+    0
+    [ "conformed"; "rewritten"; "rewritten_possible"; "rejected";
+      "attempt_failed"; "fault"; "precluded" ]
+
+let test_peer_serve_observed () =
+  let module Trace = Axml_obs.Trace in
+  let provider = echo_provider () in
+  let params = [ D.call "Get_Temp" [ D.elem "city" [ D.data "Paris" ] ] ] in
+  let before = documents_enforced () in
+  let buf = Trace.buffer () in
+  Trace.set_sink Trace.default (Trace.Memory buf);
+  Fun.protect
+    ~finally:(fun () -> Trace.set_sink Trace.default Trace.Null)
+    (fun () -> ignore (Peer.serve provider ~method_name:"Echo" params));
+  check_int "two documents enforced" 2 (documents_enforced () - before);
+  let spans =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        match e.kind with
+        | Span_open { name = ("peer.serve" | "enforce") as name; _ } -> Some (name, e.depth)
+        | _ -> None)
+      (Trace.buffer_events buf)
+  in
+  (match spans with
+   | [ ("peer.serve", d); ("enforce", d1); ("enforce", d2) ] ->
+     check "params enforced inside peer.serve" true (d1 > d);
+     check "result enforced inside peer.serve" true (d2 > d)
+   | _ ->
+     Alcotest.failf "spans: %s"
+       (String.concat ", " (List.map (fun (n, d) -> Fmt.str "%s@%d" n d) spans)));
+  check_int "one decision per direction" 2
+    (List.length
+       (List.filter
+          (fun (e : Trace.event) ->
+            match e.kind with Decision _ -> true | _ -> false)
+          (Trace.buffer_events buf)))
+
+(* A schema with [n] call-bearing elements under its root: computing
+   its contract lint takes longer than a systhread time slice, so
+   threads forcing it together really overlap. *)
+let wide_schema ~extensional n =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "root r\nelement r = %s\n"
+    (String.concat "." (List.init n (Printf.sprintf "e%d")));
+  Buffer.add_string b "element a = #data\nelement b = #data\nelement c = #data\n";
+  for i = 0 to n - 1 do
+    if extensional then Printf.bprintf b "element e%d = a.b*.c\n" i
+    else Printf.bprintf b "element e%d = a.(F%d | b)*.c\n" i i;
+    Printf.bprintf b "function F%d : #data -> b*\n" i
+  done;
+  parse_schema (Buffer.contents b)
+
+let test_peer_lint_concurrent () =
+  let n = 400 in
+  let s0 = wide_schema ~extensional:false n
+  and exchange = wide_schema ~extensional:true n in
+  let r = R.sym (Schema.A_label "r") in
+  let peer () =
+    let p = Peer.create ~name:"wide" ~schema:s0 () in
+    Peer.provide p ~name:"Echo" ~input:r ~output:r (Peer.Compute Fun.id);
+    Peer.configure p { Peer.default_config with Peer.lint_gate = true };
+    p
+  in
+  let params =
+    [ D.elem "r"
+        (List.init n (fun i ->
+             D.elem (Printf.sprintf "e%d" i)
+               [ D.elem "a" [ D.data "x" ]; D.elem "c" [ D.data "y" ] ])) ]
+  in
+  let lint p = Peer.lint_exchange p ~exchange in
+  let serve p = Peer.serve p ~method_name:"Echo" params in
+  let expected_lint = lint (peer ()) in
+  check "the agreement lints" true (expected_lint <> []);
+  check "served alone" true (serve (peer ()) == params);
+  let p = peer () in
+  let outcomes = Array.make 6 "" in
+  let threads =
+    Array.init 6 (fun i ->
+        Thread.create
+          (fun () ->
+            outcomes.(i) <-
+              (match if i mod 2 = 0 then lint p = expected_lint else serve p == params with
+               | true -> "same"
+               | false -> "different"
+               | exception e -> Printexc.to_string e))
+          ())
+  in
+  Array.iter Thread.join threads;
+  Array.iteri (fun i o -> Alcotest.(check string) (Fmt.str "thread %d" i) "same" o) outcomes
+
+(* Four systhreads serve conforming, rewritten and rejected parameters
+   and receive documents on one peer; halfway through, the peer is
+   reconfigured with the lint gate, which turns the rejection of a
+   doomed call into a preclusion. *)
+let test_peer_concurrent_serve_receive () =
+  let provider = echo_provider () in
+  let as_name = "received" in
+  Peer.store provider as_name fig2a;
+  let conforming = Syntax.to_xml_string ~pretty:false fig2a in
+  let fig2b =
+    D.elem "newspaper"
+      [ D.elem "title" [ D.data "The Sun" ]; D.elem "date" [ D.data "04/10/2002" ];
+        D.elem "temp" [ D.data "15" ] ]
+  in
+  let extensional = Syntax.to_xml_string ~pretty:false fig2b in
+  let call i =
+    let serve params =
+      match Peer.serve provider ~method_name:"Echo" params with
+      | r -> "served " ^ Fmt.str "%a" D.pp_forest r
+      | exception Peer.Peer_error m -> "error " ^ m
+    in
+    let receive wire =
+      match Peer.receive provider ~exchange:schema_star3 ~as_name wire with
+      | Ok d -> "stored " ^ Fmt.str "%a" D.pp d
+      | Error e -> Fmt.str "refused %a" Enforcement.pp_error e
+    in
+    match i mod 6 with
+    | 0 -> serve [ D.elem "temp" [ D.data "12" ] ]
+    | 1 -> serve [ D.call "Get_Temp" [ D.elem "city" [ D.data "Paris" ] ] ]
+    | 2 -> serve [ D.elem "city" [ D.data "Paris" ] ]
+    | 3 -> serve [ D.call "Get_Date" [ D.elem "title" [ D.data "Monet" ] ] ]
+    | 4 -> receive conforming
+    | _ -> receive extensional
+  in
+  let calls = 200 and threads = 4 in
+  let gated = { Peer.default_config with Peer.lint_gate = true } in
+  let sequential = Array.init calls call in
+  Peer.configure provider gated;
+  let sequential_gated = Array.init calls call in
+  check "the gate changes an outcome" true (sequential <> sequential_gated);
+  Peer.configure provider Peer.default_config;
+  let reconfigured = Atomic.make false in
+  let failures = Atomic.make [] in
+  let fail msg =
+    let rec push () =
+      let l = Atomic.get failures in
+      if not (Atomic.compare_and_set failures l (msg :: l)) then push ()
+    in
+    push ()
+  in
+  let worker t () =
+    for i = 0 to calls - 1 do
+      let after = Atomic.get reconfigured in
+      match call i with
+      | got ->
+        if after then begin
+          if got <> sequential_gated.(i) then
+            fail (Fmt.str "thread %d call %d after configure: %s" t i got)
+        end
+        else if got <> sequential.(i) && got <> sequential_gated.(i) then
+          fail (Fmt.str "thread %d call %d: %s" t i got)
+      | exception e -> fail (Fmt.str "thread %d call %d raised %s" t i (Printexc.to_string e))
+    done
+  in
+  let invoked = Registry.invocation_count (Peer.registry provider) in
+  let ts = Array.init threads (fun t -> Thread.create (worker t) ()) in
+  while Registry.invocation_count (Peer.registry provider) - invoked < calls / 6 do
+    Thread.yield ()
+  done;
+  Peer.configure provider gated;
+  Atomic.set reconfigured true;
+  Array.iter Thread.join ts;
+  Alcotest.(check (list string)) "every result as in a sequential run" [] (Atomic.get failures);
+  (* after the run, one more sequential pass still answers as gated *)
+  Array.iteri
+    (fun i expected -> Alcotest.(check string) (Fmt.str "call %d" i) expected (call i))
+    sequential_gated
+
 let test_peer_send_document () =
   let sender = Peer.create ~name:"newspaper.com" ~schema:schema_star () in
   Registry.register_all (Peer.registry sender)
@@ -1456,6 +1711,15 @@ let () =
            test_peer_serve_rejects_params;
          Alcotest.test_case "serve leaves conforming io untouched" `Quick
            test_peer_serve_conforming_untouched;
+         Alcotest.test_case "serve with the possible fallback" `Quick test_peer_serve_fallback;
+         Alcotest.test_case "serve behind a resilience guard" `Quick
+           test_peer_serve_resilience;
+         Alcotest.test_case "serve behind the lint gate" `Quick test_peer_serve_lint_gate;
+         Alcotest.test_case "serve is counted and traced" `Quick test_peer_serve_observed;
+         Alcotest.test_case "concurrent lint and gated serve" `Quick
+           test_peer_lint_concurrent;
+         Alcotest.test_case "concurrent serve and receive" `Quick
+           test_peer_concurrent_serve_receive;
          Alcotest.test_case "send document" `Quick test_peer_send_document;
          Alcotest.test_case "receive refusal message" `Quick
            test_peer_receive_refusal_message;
