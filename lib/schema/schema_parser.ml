@@ -142,11 +142,52 @@ let parse_decl lineno line : raw_decl option =
     | word -> fail ~col:(col kw_start) lineno (Fmt.str "unknown declaration %S" word)
   end
 
+(* A declared label, function or pattern name must be one an XML
+   document can carry as an element name or a [methodName]:
+   [A-Za-z_][A-Za-z0-9_-]*. *)
+let is_name s =
+  s <> ""
+  && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
+  && String.for_all
+       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' -> true | _ -> false)
+       s
+
+let name_grammar = "[A-Za-z_][A-Za-z0-9_-]*"
+
+let check_name lineno col what name =
+  if not (is_name name) then
+    fail ~col lineno (Fmt.str "%s name %S is not of the form %s" what name name_grammar)
+
+(* Once the regex parser has accepted [text], every maximal run of
+   bytes other than whitespace and the operators ().|*+? in it is one
+   identifier: each must be a name or one of the three wildcards. *)
+let check_identifiers lineno col text =
+  let is_separator = function
+    | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '|' | '.' | '*' | '+' | '?' -> true
+    | _ -> false
+  in
+  let n = String.length text in
+  let i = ref 0 in
+  while !i < n do
+    if is_separator text.[!i] then incr i
+    else begin
+      let start = !i in
+      while !i < n && not (is_separator text.[!i]) do incr i done;
+      let id = String.sub text start (!i - start) in
+      if not (is_name id || List.mem id [ "#data"; "#any"; "#anyfun" ]) then
+        fail ~col:(col + start) lineno
+          (Fmt.str "%S is neither a name (%s) nor #data, #any or #anyfun" id
+             name_grammar)
+    end
+  done
+
 (* Offsets reported by the regex parser are relative to the body text,
    which starts at [col] of its line: translate them back. *)
 let parse_regex lineno col text =
   match Axml_regex.Regex_parser.parse text with
-  | r -> r
+  | r ->
+    check_identifiers lineno col text;
+    r
   | exception Axml_regex.Regex_parser.Error { pos; message } ->
     fail ~col:(col + pos) lineno (Fmt.str "bad regular expression: %s" message)
 
@@ -181,7 +222,8 @@ let parse_with_positions input : Schema.t * pos Schema.String_map.t =
   let schema, positions =
     List.fold_left
       (fun (s, posmap) (lineno, d) ->
-        let declare name name_col build =
+        let declare what name name_col build =
+          check_name lineno name_col what name;
           let posmap =
             if Schema.String_map.mem name posmap then posmap
             else Schema.String_map.add name { line = lineno; col = name_col } posmap
@@ -192,22 +234,23 @@ let parse_with_positions input : Schema.t * pos Schema.String_map.t =
         in
         match d with
         | D_root { name; name_col } ->
+          check_name lineno name_col "root" name;
           (try (Schema.with_root s name, posmap)
            with Schema.Schema_error e ->
              fail ~col:name_col lineno (Fmt.str "%a" Schema.pp_error e))
         | D_element { name; name_col; body; body_col } ->
-          declare name name_col (fun () ->
+          declare "element" name name_col (fun () ->
               Schema.add_element s name (resolve lineno body_col body))
         | D_function { name; name_col; input; input_col; output; output_col;
                        invocable } ->
-          declare name name_col (fun () ->
+          declare "function" name name_col (fun () ->
               Schema.add_function s
                 (Schema.func ~invocable name
                    ~input:(resolve lineno input_col input)
                    ~output:(resolve lineno output_col output)))
         | D_pattern { name; name_col; predicates; input; input_col;
                       output; output_col; invocable } ->
-          declare name name_col (fun () ->
+          declare "pattern" name name_col (fun () ->
               Schema.add_pattern s
                 (Schema.pattern ~invocable ~predicates name
                    ~input:(resolve lineno input_col input)

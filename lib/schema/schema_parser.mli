@@ -10,6 +10,11 @@ noninvocable function TimeOut : #data -> (exhibit | performance)*
 pattern Forecast requires UDDIF InACL : city -> temp
     v}
 
+    Every declared name (root, element, function, pattern) and every
+    identifier in a content model is a name an XML document can carry,
+    [[A-Za-z_][A-Za-z0-9_-]*]; a content model may also say [#data],
+    [#any] or [#anyfun]. Anything else is a positioned [Parse_error].
+
     Lines starting with ['#'] and blank lines are ignored. Names used in
     content models resolve to functions or patterns when declared as
     such anywhere in the file, otherwise to element labels. The

@@ -1,0 +1,35 @@
+(** The byte classes of the XML scanner and printer: one 256-entry
+    table, built once when the library is initialised. Each class is a
+    bit; a byte's entry holds the bits of every class it belongs to.
+
+    Byte [c] is in class [cls] when
+    [Char.code (String.unsafe_get table (Char.code c)) land cls <> 0].
+    The library compiles with [-opaque] in the default build profile,
+    so no function here would be inlined into another module: each
+    module that scans bytes ([Xml_parser], [Xml_print], [Xml_tree])
+    defines that test as its own [[@inline]] function, and its loops
+    pay no call per byte. *)
+
+val space : int
+(** [' '], ['\t'], ['\n'] and ['\r']: the whitespace of XML. *)
+
+val name_start : int
+(** The first byte of a name: [[A-Za-z_:]]. *)
+
+val name_char : int
+(** A later byte of a name: [[A-Za-z0-9_:.-]]. *)
+
+val text_stop : int
+(** The bytes that end a plain run of character data: ['<'], ['&'] and
+    ['\r'] (which is normalised to ['\n']). *)
+
+val text_escape : int
+(** The bytes [Xml_print] rewrites in character data: ['&'], ['<'],
+    ['>'] and every C0 control byte but ['\t'] and ['\n']. *)
+
+val attr_escape : int
+(** The bytes [Xml_print] rewrites in an attribute value: ['&'], ['<'],
+    ['"'] and every C0 control byte. *)
+
+val table : string
+(** Entry [Char.code c] is the set of classes of byte [c]. *)

@@ -11,7 +11,10 @@
    token that is one run becomes one [String.sub]; a token broken by
    entity references or line ends (or split across CDATA sections) is
    assembled in the scratch buffer. Every [String.unsafe_get] below reads an index that its loop
-   condition has already bounded by the input's length. *)
+   condition has already bounded by the input's length.
+
+   Bytes are classified by [Byte_class.table], and the cursor helpers
+   are inlined, so the scanning loops make no call per byte. *)
 
 type position = { line : int; column : int }
 
@@ -35,16 +38,16 @@ let position cur =
 
 let fail cur message = raise (Error { pos = position cur; message })
 
-let eof cur = cur.offset >= String.length cur.input
+let[@inline] eof cur = cur.offset >= String.length cur.input
 
-let peek cur =
+let[@inline] peek cur =
   if eof cur then '\000' else String.unsafe_get cur.input cur.offset
 
-let peek2 cur =
+let[@inline] peek2 cur =
   if cur.offset + 1 >= String.length cur.input then '\000'
   else String.unsafe_get cur.input (cur.offset + 1)
 
-let advance cur = if not (eof cur) then cur.offset <- cur.offset + 1
+let[@inline] advance cur = if not (eof cur) then cur.offset <- cur.offset + 1
 
 let advance_n cur n = cur.offset <- min (cur.offset + n) (String.length cur.input)
 
@@ -61,31 +64,30 @@ let sub_equal s at prefix =
 
 let looking_at cur prefix = sub_equal cur.input cur.offset prefix
 
-let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+(* Is byte [c] in class [cls]? *)
+let[@inline] is cls c =
+  Char.code (String.unsafe_get Byte_class.table (Char.code c)) land cls <> 0
 
 let skip_whitespace cur =
   let s = cur.input in
   let i = ref cur.offset in
-  while !i < String.length s && is_space (String.unsafe_get s !i) do incr i done;
+  while !i < String.length s && is Byte_class.space (String.unsafe_get s !i) do incr i done;
   cur.offset <- !i
 
-let is_name_start c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = ':'
-
-let is_name_char c =
-  is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
-
-(* Offset just past the name that starts at [at] (at most [at]). *)
+(* Offset just past the name characters that start at [at] (at most
+   [at]). *)
 let name_end s at =
   let i = ref at in
-  while !i < String.length s && is_name_char (String.unsafe_get s !i) do incr i done;
+  while !i < String.length s && is Byte_class.name_char (String.unsafe_get s !i) do
+    incr i
+  done;
   !i
 
 let read_name cur =
-  if not (is_name_start (peek cur)) then
-    fail cur (Fmt.str "expected a name, found %C" (peek cur));
   let start = cur.offset in
-  cur.offset <- name_end cur.input start;
+  if eof cur || not (is Byte_class.name_start (String.unsafe_get cur.input start)) then
+    fail cur (Fmt.str "expected a name, found %C" (peek cur));
+  cur.offset <- name_end cur.input (start + 1);
   String.sub cur.input start (cur.offset - start)
 
 let digit_value base c =
@@ -143,9 +145,25 @@ let add_entity buf cur =
   end
   else fail cur (Fmt.str "unknown entity &%s;" (String.sub s start (stop - start)))
 
-(* Does [c] end a plain run of character data ([stop] = '<') or of an
-   attribute value ([stop] = its quote)? *)
-let ends_run stop c = c = stop || c = '&' || (c = '\r' && stop = '<')
+(* The offset of the first byte at or after [i] that ends a plain run
+   (the input's length if none does): '<', '&' or '\r' in character data
+   ([stop] = '<'), '&' or the closing quote [stop] in an attribute
+   value. *)
+let run_end s i stop =
+  let n = String.length s in
+  let i = ref i in
+  if stop = '<' then
+    while !i < n && not (is Byte_class.text_stop (String.unsafe_get s !i)) do incr i done
+  else
+    while
+      !i < n
+      &&
+      let c = String.unsafe_get s !i in
+      c <> stop && c <> '&'
+    do
+      incr i
+    done;
+  !i
 
 (* Character data up to the next '<' (or the end of input), or an
    attribute value up to its closing [quote]: [stop] is '<' for the one
@@ -155,17 +173,16 @@ let ends_run stop c = c = stop || c = '&' || (c = '\r' && stop = '<')
 let read_run cur stop =
   let s = cur.input and n = String.length cur.input in
   let start = cur.offset in
-  let i = ref start in
-  while !i < n && not (ends_run stop (String.unsafe_get s !i)) do incr i done;
-  if !i >= n || String.unsafe_get s !i = stop then begin
-    cur.offset <- !i;
-    String.sub s start (!i - start)
+  let i = run_end s start stop in
+  if i >= n || String.unsafe_get s i = stop then begin
+    cur.offset <- i;
+    String.sub s start (i - start)
   end
   else begin
     let buf = cur.scratch in
     Buffer.clear buf;
-    Buffer.add_substring buf s start (!i - start);
-    cur.offset <- !i;
+    Buffer.add_substring buf s start (i - start);
+    cur.offset <- i;
     while (not (eof cur)) && String.unsafe_get s cur.offset <> stop do
       let at = cur.offset in
       match String.unsafe_get s at with
@@ -175,10 +192,9 @@ let read_run cur stop =
         cur.offset <-
           (if at + 1 < n && String.unsafe_get s (at + 1) = '\n' then at + 2 else at + 1)
       | _ ->
-        let i = ref (at + 1) in
-        while !i < n && not (ends_run stop (String.unsafe_get s !i)) do incr i done;
-        Buffer.add_substring buf s at (!i - at);
-        cur.offset <- !i
+        let i = run_end s (at + 1) stop in
+        Buffer.add_substring buf s at (i - at);
+        cur.offset <- i
     done;
     Buffer.contents buf
   end
@@ -192,6 +208,8 @@ let read_quoted cur =
   advance cur;
   value
 
+(* The attributes of a start tag, leaving the cursor past the
+   whitespace after the last one. *)
 let read_attributes cur =
   let attrs = ref [] in
   let continue = ref true in
@@ -339,7 +357,7 @@ let read_element cur : Xml_tree.t =
         end_close_tag cur;
         fail cur (Fmt.str "unexpected close tag </%s>" close)
     end
-    else if looking_at cur "<!DOCTYPE" then
+    else if peek2 cur = '!' && looking_at cur "<!DOCTYPE" then
       (* a DOCTYPE belongs to the prolog; skipped in content, it would
          join the text around it into one node on a reprint *)
       fail cur "DOCTYPE declaration inside an element"
@@ -351,7 +369,6 @@ let read_element cur : Xml_tree.t =
         advance cur; (* '<' *)
         let name = read_name cur in
         let attrs = read_attributes cur in
-        skip_whitespace cur;
         if peek cur = '/' && peek2 cur = '>' then begin
           advance_n cur 2;
           emit (Xml_tree.Element { name; attrs; children = [] })

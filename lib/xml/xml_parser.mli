@@ -3,7 +3,22 @@
     references, CDATA sections, comments, processing instructions.
     DOCTYPE declarations outside the root element are skipped; one
     inside an element is an error. Character references must name a
-    Unicode scalar value ([&#[0-9]+;] or [&#x[0-9a-fA-F]+;]). *)
+    Unicode scalar value ([&#[0-9]+;] or [&#x[0-9a-fA-F]+;]).
+
+    Bytes are read one by one, with no decoding: a byte from 0x80 up is
+    never markup and never part of a name.
+    - Whitespace is [' '], ['\t'], ['\n'] and ['\r'].
+    - A name starts with a byte of [[A-Za-z_:]] and goes on with bytes
+      of [[A-Za-z0-9_:.-]].
+    - In a start tag, each attribute is [name="value"] or
+      [name='value'], with optional whitespace before the name and
+      around the ['='].
+    - Character data runs up to the next ['<']. An ['&'] starts an
+      entity or character reference; a ['\r'], alone or followed by
+      ['\n'], reads as one ['\n']; every other byte stands for itself.
+    - An attribute value runs up to its closing quote. An ['&'] starts
+      a reference; every other byte, ['<'] and ['\r'] included, stands
+      for itself. *)
 
 type position = { line : int; column : int }
 (** Lines end at ["\n"] only; the column counts bytes from 1. *)

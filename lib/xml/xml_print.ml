@@ -2,7 +2,11 @@
 
    The printer is the inverse of [Xml_parser.parse] on parsed trees:
    every string a node can carry serializes to markup that reads back as
-   the same node. Three cases need care:
+   the same node. In character data, '&', '<' and '>' are written as
+   "&amp;", "&lt;" and "&gt;", and every C0 control byte but tab and
+   newline as "&#N;". In an attribute value, '&', '<' and '"' are written
+   as "&amp;", "&lt;" and "&quot;", and every C0 control byte as "&#N;".
+   Every other byte is written as it is. Three cases need care:
 
    - "]]>" cannot appear inside one CDATA section; it is split across
      two adjacent sections (the parser coalesces them back).
@@ -20,24 +24,24 @@ let add_char_ref buf c =
   Buffer.add_char buf (Char.unsafe_chr (48 + (code mod 10)));
   Buffer.add_char buf ';'
 
-(* Does byte [c] need escaping in character data, or in an attribute
-   value ([attr])? *)
-let needs_escape ~attr c =
-  match c with
-  | '&' | '<' -> true
-  | '>' -> not attr
-  | '"' -> attr
-  | '\t' | '\n' -> attr
-  | '\000' .. '\031' -> true
-  | _ -> false
+(* Is byte [c] in class [cls]? *)
+let[@inline] is cls c =
+  Char.code (String.unsafe_get Byte_class.table (Char.code c)) land cls <> 0
+
+(* The bytes rewritten in an attribute value ([attr]) or in character
+   data: [Byte_class.attr_escape] and [Byte_class.text_escape] say
+   which. *)
+let[@inline] escape_class ~attr =
+  if attr then Byte_class.attr_escape else Byte_class.text_escape
 
 (* Append [s] escaped, plain runs copied whole. *)
 let add_escaped ~attr buf s =
+  let cls = escape_class ~attr in
   let n = String.length s in
   let run = ref 0 in
   for i = 0 to n - 1 do
     let c = String.unsafe_get s i in
-    if needs_escape ~attr c then begin
+    if is cls c then begin
       Buffer.add_substring buf s !run (i - !run);
       run := i + 1;
       match c with
@@ -50,9 +54,15 @@ let add_escaped ~attr buf s =
   done;
   Buffer.add_substring buf s !run (n - !run)
 
+(* Does [s] hold a byte of class [cls]? *)
+let exists cls s =
+  let i = ref 0 in
+  while !i < String.length s && not (is cls (String.unsafe_get s !i)) do incr i done;
+  !i < String.length s
+
 (* [s] itself when no byte needs escaping. *)
 let escaped ~attr s =
-  if not (String.exists (needs_escape ~attr) s) then s
+  if not (exists (escape_class ~attr) s) then s
   else begin
     let buf = Buffer.create (String.length s + 16) in
     add_escaped ~attr buf s;

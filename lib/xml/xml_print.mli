@@ -1,7 +1,14 @@
 (** Serialization of XML trees. *)
 
 val escape_text : string -> string
+(** [s] as character data: ['&'], ['<'] and ['>'] become entity
+    references and every C0 control byte but ['\t'] and ['\n'] a
+    character reference ([&#N;]). [s] itself when nothing changes. *)
+
 val escape_attr : string -> string
+(** [s] as a double-quoted attribute value: ['&'], ['<'] and ['"']
+    become entity references and every C0 control byte a character
+    reference ([&#N;]). [s] itself when nothing changes. *)
 
 val to_string : Xml_tree.t -> string
 (** Compact, single-line serialization. *)

@@ -47,14 +47,14 @@ let text_content element =
        | Element _ | Comment _ | Pi _ -> None)
   |> String.concat ""
 
-(* A closed loop: [String.for_all] would allocate its closure. *)
-let rec whitespace_from s i =
-  i >= String.length s
-  || (match String.unsafe_get s i with
-      | ' ' | '\t' | '\n' | '\r' -> whitespace_from s (i + 1)
-      | _ -> false)
+(* Is byte [c] in class [cls]? *)
+let[@inline] is cls c =
+  Char.code (String.unsafe_get Byte_class.table (Char.code c)) land cls <> 0
 
-let is_whitespace s = whitespace_from s 0
+let is_whitespace s =
+  let i = ref 0 in
+  while !i < String.length s && is Byte_class.space (String.unsafe_get s !i) do incr i done;
+  !i = String.length s
 
 (* The traversals below all use explicit work lists rather than
    recursion: intensional documents can nest arbitrarily deep (a chain

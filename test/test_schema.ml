@@ -113,6 +113,48 @@ let test_parser_errors () =
   expect_parse_error "element a = ((b)" "expression";
   expect_parse_error "element a = ghost.b\nelement b = #data" "ghost"
 
+(* A declared name, or a content-model identifier, that no XML document
+   can carry is refused where it stands: [A-Za-z_][A-Za-z0-9_-]* for
+   names, plus #data, #any and #anyfun in content models. *)
+let test_parser_xml_names () =
+  let refused text expected =
+    match Schema_parser.parse_result text with
+    | Ok _ -> Alcotest.failf "expected %S to be refused" text
+    | Error e -> Alcotest.(check string) (String.escaped text) expected e
+  in
+  let grammar = "is not of the form [A-Za-z_][A-Za-z0-9_-]*" in
+  let not_a_name id col =
+    Printf.sprintf "line 2, col %d: %S is neither a name ([A-Za-z_][A-Za-z0-9_-]*) nor \
+                    #data, #any or #anyfun" col id
+  in
+  (* a name starting with a digit *)
+  refused "root 9r\nelement 9r = #data" ("line 1, col 6: root name \"9r\" " ^ grammar);
+  refused "root r\nelement r = #data\nelement 9r = #data"
+    ("line 3, col 9: element name \"9r\" " ^ grammar);
+  (* a '#' name other than the three wildcards *)
+  refused "root r\nelement r = #foo\nelement #foo = #data" (not_a_name "#foo" 13);
+  refused "root r\nelement r = #data\nelement #foo = #data"
+    ("line 3, col 9: element name \"#foo\" " ^ grammar);
+  (* '#' inside an identifier *)
+  refused "root r\nelement r = (a#b)*\nelement a = #data" (not_a_name "a#b" 14);
+  refused "root r\nelement r = a.(b | #any-x)\nelement a = #data\nelement b = #data"
+    (not_a_name "#any-x" 20);
+  refused "root r\nfunction f.g : #data -> #data\nelement r = #data"
+    ("line 2, col 10: function name \"f.g\" " ^ grammar);
+  refused "root r\npattern 1p : #data -> #data\nelement r = #data"
+    ("line 2, col 9: pattern name \"1p\" " ^ grammar);
+  refused "root r\nelement r s = #data" ("line 2, col 9: element name \"r s\" " ^ grammar);
+  (* the names an XML document carries, and the checked-in schemas, pass *)
+  ignore (parse "root _a-1\nelement _a-1 = (B_2 | #any | #anyfun)*.#data\nelement B_2 = #data");
+  Array.iter
+    (fun file ->
+      if Filename.check_suffix file ".axs" then
+        ignore
+          (parse
+             (In_channel.with_open_bin (Filename.concat "../examples/schemas" file)
+                In_channel.input_all)))
+    (Sys.readdir "../examples/schemas")
+
 (* ------------------------------------------------------------------ *)
 (* Merging                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -233,7 +275,8 @@ let () =
        ]);
       ("parser",
        [ Alcotest.test_case "full schema" `Quick test_parser_full;
-         Alcotest.test_case "errors" `Quick test_parser_errors
+         Alcotest.test_case "errors" `Quick test_parser_errors;
+         Alcotest.test_case "names an XML document can carry" `Quick test_parser_xml_names
        ]);
       ("merge",
        [ Alcotest.test_case "agreeing functions" `Quick test_merge_agreeing_functions;

@@ -171,6 +171,126 @@ let test_char_refs () =
   refused "<a x=\"&#-1;\"/>" "line 1, column 12: bad character reference &#-1;";
   refused "<a>&#;</a>" "line 1, column 7: unknown entity &#;"
 
+(* Every byte value in each place the scanner classifies bytes. The
+   expectations follow the grammar in xml_parser.mli: whitespace is
+   space, tab, LF and CR; a name is [A-Za-z_:] then [A-Za-z0-9_:.-];
+   attributes need no whitespace between them; character data stops at
+   '<', decodes '&' and reads CR or CR LF as LF; a quoted value stops at
+   its quote, decodes '&' and keeps every other byte. *)
+let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
+
+let is_name_start c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = ':'
+
+let is_name_char c = is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
+
+let all_bytes = List.init 256 Char.chr
+
+(* [input] parses to [expected] ([None]: it is refused). *)
+let parses_to input expected =
+  match (P.parse_result input, expected) with
+  | Ok t, Some e ->
+    if not (T.equal t e) then
+      Alcotest.failf "%S parsed to %s" input (Pr.to_string t)
+  | Error _, None -> ()
+  | Ok t, None -> Alcotest.failf "%S parsed to %s, expected a refusal" input (Pr.to_string t)
+  | Error m, Some _ -> Alcotest.failf "%S refused: %s" input m
+  | exception exn -> Alcotest.failf "%S raised %s" input (Printexc.to_string exn)
+
+let test_bytes_in_names () =
+  List.iter
+    (fun c ->
+      let b = String.make 1 c in
+      parses_to ("<" ^ b ^ "/>")
+        (if is_name_start c then Some (T.element b []) else None);
+      parses_to ("<a" ^ b ^ "/>")
+        (if is_name_char c then Some (T.element ("a" ^ b) [])
+         else if is_ws c then Some (T.element "a" [])
+         else None))
+    all_bytes
+
+let test_bytes_between_attributes () =
+  List.iter
+    (fun c ->
+      let b = String.make 1 c in
+      let x = T.attr "x" "1" in
+      parses_to ("<a x='1'" ^ b ^ "y='2'/>")
+        (if is_ws c then Some (T.element ~attrs:[ x; T.attr "y" "2" ] "a" [])
+         else if is_name_start c then Some (T.element ~attrs:[ x; T.attr (b ^ "y") "2" ] "a" [])
+         else None))
+    all_bytes
+
+let test_bytes_in_text () =
+  List.iter
+    (fun c ->
+      let b = String.make 1 c in
+      let text s = Some (T.element "a" [ T.text s ]) in
+      parses_to ("<a>x" ^ b ^ "y</a>")
+        (match c with
+         | '<' | '&' -> None
+         | '\r' -> text "x\ny"
+         | _ -> text ("x" ^ b ^ "y"));
+      parses_to ("<a>x\r" ^ b ^ "y</a>")
+        (match c with
+         | '<' | '&' -> None
+         | '\n' -> text "x\ny"
+         | '\r' -> text "x\n\ny"
+         | _ -> text ("x\n" ^ b ^ "y")))
+    all_bytes
+
+let test_bytes_in_attribute_values () =
+  List.iter
+    (fun quote ->
+      let q = String.make 1 quote in
+      List.iter
+        (fun c ->
+          let b = String.make 1 c in
+          parses_to
+            ("<a v=" ^ q ^ "x" ^ b ^ "y" ^ q ^ "/>")
+            (if c = quote || c = '&' then None
+             else Some (T.element ~attrs:[ T.attr "v" ("x" ^ b ^ "y") ] "a" [])))
+        all_bytes)
+    [ '"'; '\'' ]
+
+(* Words allocated by [f], wherever they land: a string of 64 KiB goes
+   straight to the major heap, so minor words alone would miss it. *)
+let words_allocated f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* The heap words of a string of [n] bytes: its header and its data
+   padded to a whole word, plus at least one byte. *)
+let string_words n = float_of_int ((n / 8) + 2)
+
+(* DESIGN.md's "nothing is allocated per character": a document whose
+   one element name, text run and attribute value are 64 KiB each
+   parses into those three copies plus a small constant, and prints
+   into its output string plus the print buffer, which doubles, so its
+   blocks add up to less than twice its final capacity, the smallest
+   power of two that holds the output. *)
+let test_long_tokens_alloc () =
+  let k = 64 * 1024 in
+  let name = String.make k 'n' and value = String.make k 'v' and text = String.make k 't' in
+  let input = "<" ^ name ^ " a=\"" ^ value ^ "\">" ^ text ^ "</" ^ name ^ ">" in
+  let small = 256. in
+  let tree = ref (T.text "") in
+  let parse_words = words_allocated (fun () -> tree := P.parse input) in
+  check "parsed" true
+    (T.equal !tree (T.element ~attrs:[ T.attr "a" value ] name [ T.text text ]));
+  let parse_budget = (3. *. string_words k) +. small in
+  if parse_words > parse_budget then
+    Alcotest.failf "parsing allocated %.0f words (budget %.0f)" parse_words parse_budget;
+  let printed = ref "" in
+  let print_words = words_allocated (fun () -> printed := Pr.to_string !tree) in
+  check_str "prints back" input !printed;
+  let n = String.length input in
+  let rec capacity c = if c >= n then c else capacity (2 * c) in
+  let print_budget = string_words n +. (2. *. string_words (capacity 1)) +. small in
+  if print_words > print_budget then
+    Alcotest.failf "printing allocated %.0f words (budget %.0f)" print_words print_budget
+
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -241,6 +361,52 @@ let test_attr_whitespace_roundtrip () =
   check_str "attr refs" "<x k=\"a&#9;b&#10;c&#13;d&quot;e\"/>" printed;
   let e = elem_of (parse printed) in
   Alcotest.(check (option string)) "attr back" (Some v) (T.attr_value e "k")
+
+(* Which bytes the escapes rewrite, from the rules in xml_print.ml, and
+   a one-byte text and attribute value printing and parsing back to
+   itself, for every byte. *)
+let char_ref c = Printf.sprintf "&#%d;" (Char.code c)
+
+let test_escape_bytes () =
+  List.iter
+    (fun c ->
+      let b = String.make 1 c in
+      let text =
+        match c with
+        | '&' -> "&amp;"
+        | '<' -> "&lt;"
+        | '>' -> "&gt;"
+        | '\t' | '\n' -> b
+        | c when Char.code c < 32 -> char_ref c
+        | _ -> b
+      in
+      let attr =
+        match c with
+        | '&' -> "&amp;"
+        | '<' -> "&lt;"
+        | '"' -> "&quot;"
+        | c when Char.code c < 32 -> char_ref c
+        | _ -> b
+      in
+      check_str ("text " ^ String.escaped b) text (Pr.escape_text b);
+      check_str ("attr " ^ String.escaped b) attr (Pr.escape_attr b);
+      if text = b then check "text unchanged is the argument" true (Pr.escape_text b == b);
+      if attr = b then check "attr unchanged is the argument" true (Pr.escape_attr b == b))
+    all_bytes
+
+let test_byte_roundtrip () =
+  List.iter
+    (fun c ->
+      let b = String.make 1 c in
+      let t = T.element ~attrs:[ T.attr "v" b ] "a" [ T.text b ] in
+      List.iter
+        (fun printed ->
+          match P.parse_result printed with
+          | Ok t' when T.equal t t' -> ()
+          | Ok t' -> Alcotest.failf "%S read back as %s" printed (Pr.to_string t')
+          | Error e -> Alcotest.failf "%S refused: %s" printed e)
+        [ Pr.to_string t; Pr.to_pretty_string t ])
+    all_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Namespaces                                                          *)
@@ -813,6 +979,14 @@ let () =
          Alcotest.test_case "error positions" `Quick test_error_position;
          Alcotest.test_case "exact error positions" `Quick test_error_positions_exact;
          Alcotest.test_case "character references" `Quick test_char_refs;
+         Alcotest.test_case "every byte in a name" `Quick test_bytes_in_names;
+         Alcotest.test_case "every byte between attributes" `Quick
+           test_bytes_between_attributes;
+         Alcotest.test_case "every byte in character data" `Quick test_bytes_in_text;
+         Alcotest.test_case "every byte in an attribute value" `Quick
+           test_bytes_in_attribute_values;
+         Alcotest.test_case "64 KiB tokens allocate only their copies" `Quick
+           test_long_tokens_alloc;
          QCheck_alcotest.to_alcotest prop_mutation_fuzz
        ]);
       ("printing",
@@ -823,6 +997,8 @@ let () =
          Alcotest.test_case "carriage returns" `Quick test_cr_roundtrip;
          Alcotest.test_case "control characters" `Quick test_control_chars_roundtrip;
          Alcotest.test_case "attribute whitespace" `Quick test_attr_whitespace_roundtrip;
+         Alcotest.test_case "which bytes are escaped" `Quick test_escape_bytes;
+         Alcotest.test_case "every byte prints and parses back" `Quick test_byte_roundtrip;
          Alcotest.test_case "spare buffer under domains and systhreads" `Quick
            test_spare_buffer_concurrent
        ]);
