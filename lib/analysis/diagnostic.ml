@@ -6,12 +6,6 @@ let pp_severity ppf s =
   Fmt.string ppf
     (match s with Error -> "error" | Warning -> "warning" | Hint -> "hint")
 
-let severity_of_string = function
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | "hint" -> Some Hint
-  | _ -> None
-
 let severity_geq a b = severity_rank a >= severity_rank b
 
 type subject =

@@ -14,12 +14,6 @@
 type severity = Error | Warning | Hint
 
 val pp_severity : severity Fmt.t
-val severity_of_string : string -> severity option
-(** Accepts ["error"], ["warning"], ["hint"]. *)
-
-val severity_geq : severity -> severity -> bool
-(** [severity_geq a b]: is [a] at least as severe as [b]?
-    ([Error > Warning > Hint].) *)
 
 (** What a diagnostic is about. *)
 type subject =
@@ -29,8 +23,6 @@ type subject =
   | Root                   (** the schema's root (or its absence) *)
   | Schema_pair of string  (** sender/target compatibility at a label *)
   | Node of int list       (** a document node, by path from the root *)
-
-val pp_subject : subject Fmt.t
 
 type pos = { line : int; col : int }  (** 1-based source position *)
 

@@ -45,7 +45,6 @@ type change =
   | Narrowed      (** v2 refuses words v1 accepted *)
   | Incompatible  (** neither language contains the other *)
 
-val pp_change : change Fmt.t
 val change_to_string : change -> string
 
 val classify :

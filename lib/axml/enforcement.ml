@@ -11,7 +11,7 @@
    exchange) pair is enforced against streams of documents. [Pipeline]
    compiles the pair once — validation context + exchange contract —
    and amortizes all static analysis across the stream; the one-shot
-   [enforce] keeps working for single documents. *)
+   [enforce] is a pipeline of one document. *)
 
 module Schema = Axml_schema.Schema
 module Document = Axml_core.Document
@@ -25,22 +25,19 @@ module Trace = Axml_obs.Trace
 module Diagnostic = Axml_analysis.Diagnostic
 module Lint = Axml_analysis.Lint
 
-(* [enforce_compiled] is the single chokepoint every enforcement goes
-   through (one-shot [enforce] and [Pipeline] both), so the
-   process-wide document counters live here and are never double
-   counted. *)
-let m_documents outcome =
-  Metrics.counter ~help:"Documents enforced, by outcome"
-    ~labels:[ ("outcome", outcome) ]
-    "axml_enforcement_documents_total"
-
-let m_doc_conformed = m_documents "conformed"
-let m_doc_rewritten = m_documents "rewritten"
-let m_doc_rewritten_possible = m_documents "rewritten_possible"
-let m_doc_rejected = m_documents "rejected"
-let m_doc_attempt_failed = m_documents "attempt_failed"
-let m_doc_fault = m_documents "fault"
-let m_doc_precluded = m_documents "precluded"
+(* Every enforcement, one-shot [enforce] included, goes through
+   [Pipeline.run], so the process-wide document counters live here and
+   are never double counted. Slot [i] of [m_documents] is outcome [i]
+   of a pipeline's tally: conformed, rewritten, rewritten_possible,
+   rejected, attempt_failed, fault, precluded. *)
+let m_documents =
+  Array.map
+    (fun outcome ->
+      Metrics.counter ~help:"Documents enforced, by outcome"
+        ~labels:[ ("outcome", outcome) ]
+        "axml_enforcement_documents_total")
+    [| "conformed"; "rewritten"; "rewritten_possible"; "rejected";
+       "attempt_failed"; "fault"; "precluded" |]
 
 let m_invocations =
   Metrics.counter ~help:"Invocations recorded on accepted documents"
@@ -138,39 +135,6 @@ let pp_error ppf = function
   | Precluded ds ->
     Fmt.pf ppf "precluded: %a" Fmt.(list ~sep:(any "; ") Diagnostic.pp) ds
 
-(* ------------------------------------------------------------------ *)
-(* The three steps over precompiled artifacts                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Everything that can be computed once per (s0, exchange, config)
-   instead of once per document. *)
-type compiled = {
-  c_rewriter : Rewriter.t;
-  c_lint : Diagnostic.t list Lazy.t;
-    (* contract-level diagnostics, computed once per compiled path on
-       first use (lint gate or [Pipeline.lint]), under [c_lint_lock]: a
-       systhread forcing a lazy value another thread is still forcing
-       gets [CamlinternalLazy.Undefined] *)
-  c_lint_lock : Mutex.t;
-}
-
-let of_rewriter rw =
-  { c_rewriter = rw;
-    c_lint = lazy (Lint.lint_contract (Rewriter.contract rw));
-    c_lint_lock = Mutex.create () }
-
-let contract_lint c = Mutex.protect c.c_lint_lock (fun () -> Lazy.force c.c_lint)
-
-let compile ?predicate ~config ~s0 ~exchange () =
-  of_rewriter
-    (Rewriter.create ~k:config.k ?predicate ~s0 ~target:exchange ())
-
-let classify fs =
-  (* a fault is the environment's problem, never a verdict on the
-     document — report it as such and let the caller retry later *)
-  if List.exists Rewriter.failure_is_fault fs then Service_fault fs
-  else Rejected fs
-
 (* Tracing sits on the per-document hot path: render symbols with plain
    string operations, not [Fmt] (format interpretation costs ~1 us). *)
 let subject_of doc =
@@ -179,227 +143,74 @@ let subject_of doc =
   | Axml_schema.Symbol.Fun f -> f ^ "()"
   | Axml_schema.Symbol.Data -> "#data"
 
-(* The lint gate (step (0), optional): refuse statically-doomed work
-   before validating or invoking anything. Only error-level findings
-   gate — warnings and hints never block an exchange. *)
-let gate_errors ~compiled doc =
-  let errors ds =
-    List.filter (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error) ds
-  in
-  match errors (contract_lint compiled) with
-  | _ :: _ as ds -> Some ds
-  | [] -> (
-    match
-      errors (Lint.lint_document (Rewriter.contract compiled.c_rewriter) doc)
-    with
-    | _ :: _ as ds -> Some ds
-    | [] -> None)
-
-let enforce_steps ~config ~compiled ~(invoker : Execute.invoker)
-    (doc : Document.t) : (Document.t * report, error) result =
-  match if config.lint_gate then gate_errors ~compiled doc else None with
-  | Some ds -> Error (Precluded ds)
-  | None ->
-  let rw = compiled.c_rewriter in
-  let invoker =
-    match config.resilience with
-    | Some r -> Resilience.wrap_invoker r invoker
-    | None -> invoker
-  in
-  (* steps (i) and (ii) in one walk: the materializer validates each
-     children word through the dense tables as it goes and returns a
-     conforming document physically unchanged, which is how [Conformed]
-     is classified. *)
-  let rewrite doc pre_invocations =
-    match Rewriter.materialize ~mode:Rewriter.Safe rw ~invoker doc with
-    | Ok (doc', invs) ->
-      if doc' == doc && pre_invocations = [] && invs = [] then
-        Ok (doc, { action = Conformed; invocations = [] })
-      else
-        Ok (doc', { action = Rewritten; invocations = pre_invocations @ invs })
-    | Error safe_failures ->
-      let faulty = List.exists Rewriter.failure_is_fault safe_failures in
-      if faulty then
-        (* a broken service is not evidence the document needs a possible
-           rewriting: do not fall back, report the fault *)
-        Error (Service_fault safe_failures)
-      else if not config.fallback_possible then Error (Rejected safe_failures)
-      else begin
-        match Rewriter.materialize ~mode:Rewriter.Possible rw ~invoker doc with
-        | Ok (doc', invs) ->
-          Ok (doc',
-              { action = Rewritten_possible;
-                invocations = pre_invocations @ invs })
-        | Error fs ->
-          if List.exists Rewriter.failure_is_fault fs then Error (Service_fault fs)
-          else
-            let runtime =
-              List.exists
-                (fun f ->
-                  match f.Rewriter.reason with
-                  | Rewriter.Execution_failed _
-                  | Rewriter.Unrewritable_output _ -> true
-                  | _ -> false)
-                fs
-            in
-            if runtime then Error (Attempt_failed fs) else Error (Rejected fs)
-      end
-  in
-  match config.eager_calls with
-  | None -> rewrite doc []
-  | Some _ when Validate.document_conforms (Contract.ctx rw) doc ->
-    (* eager calls hit real services: never fire them on an instance *)
-    Ok (doc, { action = Conformed; invocations = [] })
-  | Some eager ->
-    (* mixed approach (Section 5): pre-fire the eager calls, then the
-       same walk *)
-    (match Rewriter.pre_materialize rw ~eager_calls:eager ~invoker doc with
-     | Ok (doc', pre_invocations) -> rewrite doc' pre_invocations
-     | Error f -> Error (classify [ f ]))
-
-let enforce_compiled ~config ~compiled ~(invoker : Execute.invoker)
-    (doc : Document.t) : (Document.t * report, error) result =
-  Metrics.set g_enforce_k (float_of_int config.k);
-  let subject () = subject_of doc in
-  let result =
-    Trace.with_span "enforce" ~detail:subject @@ fun () ->
-    let result =
-      Metrics.time h_enforce (fun () ->
-          enforce_steps ~config ~compiled ~invoker doc)
-    in
-    (match result with
-     | Ok (_, report) ->
-       (match report.action with
-        | Conformed -> Metrics.inc m_doc_conformed
-        | Rewritten -> Metrics.inc m_doc_rewritten
-        | Rewritten_possible -> Metrics.inc m_doc_rewritten_possible);
-       Metrics.inc m_invocations ~by:(List.length report.invocations)
-     | Error (Rejected _) -> Metrics.inc m_doc_rejected
-     | Error (Attempt_failed _) -> Metrics.inc m_doc_attempt_failed
-     | Error (Service_fault _) -> Metrics.inc m_doc_fault
-     | Error (Precluded _) -> Metrics.inc m_doc_precluded);
-    if Trace.enabled Trace.default then begin
-      let verdict, detail =
-        match result with
-        | Ok (_, { action = Conformed; _ }) ->
-          (Trace.Accept, "already conforms")
-        | Ok (_, { action = Rewritten; invocations }) ->
-          (Trace.Accept,
-           "safely rewritten, "
-           ^ string_of_int (List.length invocations)
-           ^ " invocation(s)")
-        | Ok (_, { action = Rewritten_possible; invocations }) ->
-          (Trace.Accept,
-           "possible rewriting succeeded, "
-           ^ string_of_int (List.length invocations)
-           ^ " invocation(s)")
-        | Error (Rejected fs) ->
-          (Trace.Reject, string_of_int (List.length fs) ^ " failure(s)")
-        | Error (Attempt_failed fs) ->
-          (Trace.Reject,
-           "possible attempt died at run time ("
-           ^ string_of_int (List.length fs)
-           ^ " failure(s))")
-        | Error (Service_fault fs) ->
-          (Trace.Fault,
-           string_of_int (List.length fs) ^ " service failure(s)")
-        | Error (Precluded ds) ->
-          (Trace.Reject,
-           "statically precluded ("
-           ^ string_of_int (List.length ds)
-           ^ " lint error(s))")
-      in
-      Trace.emit (Decision { subject = subject (); verdict; detail })
-    end;
-    result
-  in
-  result
-
-(* Enforce [exchange] on [doc]. [s0] is the local schema (it brings the
-   WSDL declarations of the functions the document may embed). *)
-let enforce ?(config = default_config) ?predicate ~s0 ~exchange
-    ~(invoker : Execute.invoker) (doc : Document.t) :
-    (Document.t * report, error) result =
-  enforce_compiled ~config
-    ~compiled:(compile ?predicate ~config ~s0 ~exchange ())
-    ~invoker doc
-
 (* ------------------------------------------------------------------ *)
-(* Batch enforcement over document streams                             *)
+(* The compiled path                                                   *)
 (* ------------------------------------------------------------------ *)
 
 module Pipeline = struct
+  (* Everything computed once per (s0, exchange, config) instead of
+     once per document, plus the running tally. Batch workers on other
+     domains enforce on this record itself: the contract's counters
+     and the tally are atomics, win-table lookups take no lock, and the
+     lint is forced under [lint_lock]. *)
   type t = {
-    p_config : config;
-    p_compiled : compiled;
-    p_invoker : Execute.invoker;
-    mutable p_clones : compiled array;
-      (* per-worker-domain compiled artifacts for parallel batches
-         (worker 0 reuses [p_compiled]); grown on demand, kept across
-         batches *)
-    mutable p_docs : int;
-    mutable p_conformed : int;
-    mutable p_rewritten : int;
-    mutable p_rewritten_possible : int;
-    mutable p_rejected : int;
-    mutable p_attempt_failed : int;
-    mutable p_faults : int;
-    mutable p_precluded : int;
-    mutable p_invocations : int;
-    mutable p_elapsed : float;
-    mutable p_cache_base : Contract.stats;
-    mutable p_resilience_base : Resilience.stats;
-    (* minimal-k bookkeeping, populated only when [config.track_min_k] *)
-    p_min_k : (int, int) Hashtbl.t;  (* minimal safe depth -> documents *)
-    mutable p_min_k_unbounded : int;
+    config : config;  (* [k] is the contract's *)
+    contract : Contract.t;
+    invoker : Execute.invoker;  (* inside [config.resilience]'s guard *)
+    lint : Diagnostic.t list Lazy.t;
+      (* contract-level diagnostics, computed on first use (lint gate or
+         [lint]) under [lint_lock]: a domain or systhread forcing a lazy
+         value another one is still forcing gets
+         [CamlinternalLazy.Undefined] *)
+    lint_lock : Mutex.t;
+    outcomes : int Atomic.t array;  (* documents, by [m_documents] slot *)
+    invocations : int Atomic.t;
+    mutable elapsed : float;
+    cache_base : Contract.stats;
+    resilience_base : Resilience.stats;
+    (* minimal-k bookkeeping, populated only when [config.track_min_k];
+       main domain only *)
+    min_k : (int, int) Hashtbl.t;  (* minimal safe depth -> documents *)
+    mutable min_k_unbounded : int;
       (* documents with no safe depth within [config.k] *)
-    mutable p_min_k_measured : int;
+    mutable min_k_measured : int;
   }
 
-  let contract t = Rewriter.contract t.p_compiled.c_rewriter
-  let rewriter t = t.p_compiled.c_rewriter
-  let config t = t.p_config
-  let lint t = contract_lint t.p_compiled
+  let contract t = t.contract
+  let config t = t.config
+  let lint t = Mutex.protect t.lint_lock (fun () -> Lazy.force t.lint)
 
   let resilience_total config =
     match config.resilience with
     | Some r -> Resilience.total r
     | None -> Resilience.zero_stats
 
-  (* The shared contract's counters plus every clone's: the batch-level
-     cache view a parallel pipeline reports. Clones are born with
-     zeroed counters, so growing the pool mid-window never perturbs a
-     running [diff_stats] window. *)
-  let cache_total t =
-    Array.fold_left
-      (fun acc c ->
-        Contract.add_stats acc (Contract.stats (Rewriter.contract c.c_rewriter)))
-      (Contract.stats (contract t))
-      t.p_clones
-
-  let make ~config ~compiled ~invoker =
-    { p_config = config;
-      p_compiled = compiled;
-      p_invoker = invoker;
-      p_clones = [||];
-      p_docs = 0; p_conformed = 0; p_rewritten = 0; p_rewritten_possible = 0;
-      p_rejected = 0; p_attempt_failed = 0; p_faults = 0; p_precluded = 0;
-      p_invocations = 0;
-      p_elapsed = 0.;
-      p_cache_base = Contract.stats (Rewriter.contract compiled.c_rewriter);
-      p_resilience_base = resilience_total config;
-      p_min_k = Hashtbl.create 8;
-      p_min_k_unbounded = 0;
-      p_min_k_measured = 0 }
+  let of_contract ?(config = default_config) ~invoker contract =
+    (* the caller's record itself when it already agrees on k *)
+    let config =
+      if config.k = Contract.k contract then config
+      else { config with k = Contract.k contract }
+    in
+    { config;
+      contract;
+      invoker =
+        (match config.resilience with
+         | Some r -> Resilience.wrap_invoker r invoker
+         | None -> invoker);
+      lint = lazy (Lint.lint_contract contract);
+      lint_lock = Mutex.create ();
+      outcomes = Array.init (Array.length m_documents) (fun _ -> Atomic.make 0);
+      invocations = Atomic.make 0;
+      elapsed = 0.;
+      cache_base = Contract.stats contract;
+      resilience_base = resilience_total config;
+      min_k = Hashtbl.create 8;
+      min_k_unbounded = 0;
+      min_k_measured = 0 }
 
   let create ?(config = default_config) ?predicate ~s0 ~exchange ~invoker () =
-    make ~config ~compiled:(compile ?predicate ~config ~s0 ~exchange ()) ~invoker
-
-  (* [config.k] is ignored here: the contract fixes it. *)
-  let of_contract ?(config = default_config) ~invoker contract =
-    make ~config
-      ~compiled:(of_rewriter (Rewriter.of_contract contract))
-      ~invoker
+    of_contract ~config ~invoker
+      (Contract.create ~k:config.k ?predicate ~s0 ~target:exchange ())
 
   type min_k_stats = {
     measured : int;
@@ -427,31 +238,32 @@ module Pipeline = struct
   }
 
   let min_k_snapshot t =
-    { measured = t.p_min_k_measured;
-      unbounded = t.p_min_k_unbounded;
+    { measured = t.min_k_measured;
+      unbounded = t.min_k_unbounded;
       distribution =
-        Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.p_min_k []
+        Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.min_k []
         |> List.sort (fun (a, _) (b, _) -> compare a b) }
 
   let stats (t : t) =
-    let cache = Contract.diff_stats ~before:t.p_cache_base (cache_total t) in
-    { docs = t.p_docs;
-      conformed = t.p_conformed;
-      rewritten = t.p_rewritten;
-      rewritten_possible = t.p_rewritten_possible;
-      rejected = t.p_rejected;
-      attempt_failed = t.p_attempt_failed;
-      faults = t.p_faults;
-      precluded = t.p_precluded;
-      invocations = t.p_invocations;
-      elapsed_s = t.p_elapsed;
-      docs_per_s =
-        (if t.p_elapsed > 0. then float_of_int t.p_docs /. t.p_elapsed else 0.);
+    let outcome i = Atomic.get t.outcomes.(i) in
+    let docs = Array.fold_left (fun n c -> n + Atomic.get c) 0 t.outcomes in
+    let cache = Contract.diff_stats ~before:t.cache_base (Contract.stats t.contract) in
+    { docs;
+      conformed = outcome 0;
+      rewritten = outcome 1;
+      rewritten_possible = outcome 2;
+      rejected = outcome 3;
+      attempt_failed = outcome 4;
+      faults = outcome 5;
+      precluded = outcome 6;
+      invocations = Atomic.get t.invocations;
+      elapsed_s = t.elapsed;
+      docs_per_s = (if t.elapsed > 0. then float_of_int docs /. t.elapsed else 0.);
       cache;
       cache_hit_rate = Contract.hit_rate cache;
       resilience =
-        Resilience.diff_stats ~before:t.p_resilience_base
-          (resilience_total t.p_config);
+        Resilience.diff_stats ~before:t.resilience_base
+          (resilience_total t.config);
       min_k = min_k_snapshot t }
 
   let pp_min_k ppf m =
@@ -478,28 +290,129 @@ module Pipeline = struct
       s.docs_per_s Contract.pp_stats s.cache Resilience.pp_stats s.resilience
       pp_min_k s.min_k
 
-  (* Outcome bookkeeping shared by [enforce] and [enforce_many]. Only
-     the main domain tallies: batch workers hand their results back
-     first, so these plain mutable fields never race. *)
-  let tally t result =
-    t.p_docs <- t.p_docs + 1;
-    (match result with
-     | Ok (_, (report : report)) ->
-       t.p_invocations <- t.p_invocations + List.length report.invocations;
-       (match report.action with
-        | Conformed -> t.p_conformed <- t.p_conformed + 1
-        | Rewritten -> t.p_rewritten <- t.p_rewritten + 1
-        | Rewritten_possible ->
-          t.p_rewritten_possible <- t.p_rewritten_possible + 1)
-     | Error (Rejected _) -> t.p_rejected <- t.p_rejected + 1
-     | Error (Attempt_failed _) -> t.p_attempt_failed <- t.p_attempt_failed + 1
-     | Error (Service_fault _) -> t.p_faults <- t.p_faults + 1
-     | Error (Precluded _) -> t.p_precluded <- t.p_precluded + 1)
+  (* The lint gate (step (0), optional): refuse statically-doomed work
+     before validating or invoking anything. Only error-level findings
+     gate — warnings and hints never block an exchange. *)
+  let gate_errors t doc =
+    let errors ds =
+      List.filter (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error) ds
+    in
+    match errors (lint t) with
+    | _ :: _ as ds -> Some ds
+    | [] -> (
+      match errors (Lint.lint_document t.contract doc) with
+      | _ :: _ as ds -> Some ds
+      | [] -> None)
 
-  let record t started result =
-    t.p_elapsed <- t.p_elapsed +. (wall () -. started);
-    tally t result;
-    result
+  let steps t (doc : Document.t) : (Document.t * report, error) result =
+    match if t.config.lint_gate then gate_errors t doc else None with
+    | Some ds -> Error (Precluded ds)
+    | None ->
+    let rw = t.contract and invoker = t.invoker in
+    (* steps (i) and (ii) in one walk: the materializer validates each
+       children word through the dense tables as it goes and returns a
+       conforming document physically unchanged, which is how
+       [Conformed] is classified. *)
+    let rewrite doc pre_invocations =
+      match Rewriter.materialize ~mode:Rewriter.Safe rw ~invoker doc with
+      | Ok (doc', invs) ->
+        if doc' == doc && pre_invocations = [] && invs = [] then
+          Ok (doc, { action = Conformed; invocations = [] })
+        else
+          Ok (doc', { action = Rewritten; invocations = pre_invocations @ invs })
+      | Error safe_failures ->
+        let faulty = List.exists Rewriter.failure_is_fault safe_failures in
+        if faulty then
+          (* a broken service is not evidence the document needs a
+             possible rewriting: do not fall back, report the fault *)
+          Error (Service_fault safe_failures)
+        else if not t.config.fallback_possible then Error (Rejected safe_failures)
+        else begin
+          match Rewriter.materialize ~mode:Rewriter.Possible rw ~invoker doc with
+          | Ok (doc', invs) ->
+            Ok (doc',
+                { action = Rewritten_possible;
+                  invocations = pre_invocations @ invs })
+          | Error fs ->
+            if List.exists Rewriter.failure_is_fault fs then Error (Service_fault fs)
+            else
+              let runtime =
+                List.exists
+                  (fun f ->
+                    match f.Rewriter.reason with
+                    | Rewriter.Execution_failed _
+                    | Rewriter.Unrewritable_output _ -> true
+                    | _ -> false)
+                  fs
+              in
+              if runtime then Error (Attempt_failed fs) else Error (Rejected fs)
+        end
+    in
+    match t.config.eager_calls with
+    | None -> rewrite doc []
+    | Some _ when Validate.document_conforms (Contract.ctx rw) doc ->
+      (* eager calls hit real services: never fire them on an instance *)
+      Ok (doc, { action = Conformed; invocations = [] })
+    | Some eager ->
+      (* mixed approach (Section 5): pre-fire the eager calls, then the
+         same walk *)
+      (match Rewriter.pre_materialize rw ~eager_calls:eager ~invoker doc with
+       | Ok (doc', pre_invocations) -> rewrite doc' pre_invocations
+       | Error f ->
+         (* a fault is the environment's problem, never a verdict on
+            the document *)
+         Error (if Rewriter.failure_is_fault f then Service_fault [ f ] else Rejected [ f ]))
+
+  (* One outcome: slot [slot] of the tally and of [m_documents], and
+     the trace decision, whose [detail] renders the outcome's count. *)
+  let count (t : t) doc slot verdict n detail =
+    Metrics.inc m_documents.(slot);
+    Atomic.incr t.outcomes.(slot);
+    if Trace.enabled Trace.default then
+      Trace.emit (Decision { subject = subject_of doc; verdict; detail = detail n })
+
+  (* The one classification of a result. Runs on the enforcing domain:
+     everything it counts on is atomic. *)
+  let classify (t : t) doc = function
+    | Ok (_, { action; invocations }) ->
+      let n = List.length invocations in
+      Metrics.inc m_invocations ~by:n;
+      ignore (Atomic.fetch_and_add t.invocations n);
+      (match action with
+       | Conformed -> count t doc 0 Trace.Accept n (fun _ -> "already conforms")
+       | Rewritten ->
+         count t doc 1 Trace.Accept n (fun n ->
+             "safely rewritten, " ^ string_of_int n ^ " invocation(s)")
+       | Rewritten_possible ->
+         count t doc 2 Trace.Accept n (fun n ->
+             "possible rewriting succeeded, " ^ string_of_int n
+             ^ " invocation(s)"))
+    | Error (Rejected fs) ->
+      count t doc 3 Trace.Reject (List.length fs) (fun n ->
+          string_of_int n ^ " failure(s)")
+    | Error (Attempt_failed fs) ->
+      count t doc 4 Trace.Reject (List.length fs) (fun n ->
+          "possible attempt died at run time (" ^ string_of_int n
+          ^ " failure(s))")
+    | Error (Service_fault fs) ->
+      count t doc 5 Trace.Fault (List.length fs) (fun n ->
+          string_of_int n ^ " service failure(s)")
+    | Error (Precluded ds) ->
+      count t doc 6 Trace.Reject (List.length ds) (fun n ->
+          "statically precluded (" ^ string_of_int n ^ " lint error(s))")
+
+  (* One document through the three steps, timed by one clock pair
+     (the seconds feed [axml_enforcement_seconds] and are returned)
+     and classified once. Safe on any domain. *)
+  let run t doc =
+    Metrics.set g_enforce_k (float_of_int t.config.k);
+    Trace.with_span "enforce" ~detail:(fun () -> subject_of doc) @@ fun () ->
+    let started = wall () in
+    let result = steps t doc in
+    let seconds = wall () -. started in
+    Metrics.observe h_enforce seconds;
+    classify t doc result;
+    (result, seconds)
 
   (* The minimal-k search (opt-in): how deep does this document
      actually need the rewriter to go? Every per-word query runs
@@ -507,19 +420,17 @@ module Pipeline = struct
      documents pays the sub-k table fills once. Main-domain only — the
      histogram fields are plain mutable state. *)
   let observe_min_k t doc =
-    if t.p_config.track_min_k then begin
-      let m =
-        Rewriter.minimal_k ~max_k:t.p_config.k (rewriter t) doc
-      in
-      t.p_min_k_measured <- t.p_min_k_measured + 1;
+    if t.config.track_min_k then begin
+      let m = Rewriter.minimal_k ~max_k:t.config.k t.contract doc in
+      t.min_k_measured <- t.min_k_measured + 1;
       let safe_label =
         match m.Rewriter.safe_k with
         | Some k ->
-          Hashtbl.replace t.p_min_k k
-            (1 + Option.value ~default:0 (Hashtbl.find_opt t.p_min_k k));
+          Hashtbl.replace t.min_k k
+            (1 + Option.value ~default:0 (Hashtbl.find_opt t.min_k k));
           string_of_int k
         | None ->
-          t.p_min_k_unbounded <- t.p_min_k_unbounded + 1;
+          t.min_k_unbounded <- t.min_k_unbounded + 1;
           "over-budget"
       in
       let possible_label =
@@ -537,11 +448,10 @@ module Pipeline = struct
     end
 
   let enforce t doc =
-    let started = wall () in
     observe_min_k t doc;
-    record t started
-      (enforce_compiled ~config:t.p_config ~compiled:t.p_compiled
-         ~invoker:t.p_invoker doc)
+    let result, seconds = run t doc in
+    t.elapsed <- t.elapsed +. seconds;
+    result
 
   let diff_min_k ~(before : min_k_stats) (after : min_k_stats) =
     { measured = after.measured - before.measured;
@@ -576,63 +486,39 @@ module Pipeline = struct
         Resilience.diff_stats ~before:before.resilience after.resilience;
       min_k = diff_min_k ~before:before.min_k after.min_k }
 
-  (* Grow the clone pool to at least [n] compiled artifacts. Each clone
-     shares the compiled schemas and the win tables but owns its
-     counters and its lazily built contract lint, so a worker domain
-     never forces or counts on state another domain reads (see
-     DESIGN.md). *)
-  let ensure_clones t n =
-    let have = Array.length t.p_clones in
-    if n > have then
-      t.p_clones <-
-        Array.append t.p_clones
-          (Array.init (n - have) (fun _ ->
-               of_rewriter (Rewriter.of_contract (Contract.clone (contract t)))))
-
   (* The one batch path, for every [config.jobs]: worker 0 runs on the
-     calling domain with the shared compiled artifacts, workers
-     1..jobs-1 on fresh domains with their own clone; with [jobs <= 1]
-     no domain is spawned. [elapsed_s] covers the whole call — workers,
-     the minimal-k search and the tally. *)
+     calling domain, workers 1..jobs-1 on fresh domains, all on [t]
+     itself; with [jobs <= 1] no domain is spawned. [elapsed_s] covers
+     the whole call — workers, the minimal-k search and the assembly. *)
   let enforce_many t docs =
     let before = stats t in
     let started = wall () in
     let docs = Array.of_list docs in
     let n = Array.length docs in
     (* never spawn more domains than there are documents *)
-    let jobs = max 1 (min t.p_config.jobs n) in
+    let jobs = max 1 (min t.config.jobs n) in
     Metrics.set m_jobs (float_of_int jobs);
-    ensure_clones t (jobs - 1);
     let results = Array.make n None in
     (* Chunked work stealing off one atomic cursor: chunks are small
        enough (>= 8 per worker) that an unlucky run of slow documents
        cannot straggle one domain, and claiming is one fetch-and-add. *)
     let chunk = max 1 (n / (jobs * 8)) in
     let cursor = Atomic.make 0 in
-    let worker compiled () =
-      let rec loop () =
-        let start = Atomic.fetch_and_add cursor chunk in
-        if start < n then begin
-          let stop = min n (start + chunk) in
-          for i = start to stop - 1 do
-            results.(i) <-
-              Some
-                (enforce_compiled ~config:t.p_config ~compiled
-                   ~invoker:t.p_invoker docs.(i))
-          done;
-          loop ()
-        end
-      in
-      loop ()
+    let rec worker () =
+      let start = Atomic.fetch_and_add cursor chunk in
+      if start < n then begin
+        for i = start to min n (start + chunk) - 1 do
+          results.(i) <- Some (fst (run t docs.(i)))
+        done;
+        worker ()
+      end
     in
-    let spawned =
-      Array.init (jobs - 1) (fun i -> Domain.spawn (worker t.p_clones.(i)))
-    in
-    worker t.p_compiled ();
+    let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
     Array.iter Domain.join spawned;
     (* deterministic in-order assembly: slot [i] belongs to input [i].
        Minimal-k observation happens here on the main domain (the
-       shared contract's k-keyed cache answers most of it). *)
+       contract's k-keyed tables answer most of it). *)
     let results =
       Array.to_list
         (Array.mapi
@@ -640,11 +526,16 @@ module Pipeline = struct
              match r with
              | Some r ->
                observe_min_k t docs.(i);
-               tally t r;
                r
              | None -> assert false (* every index below [n] was claimed *))
            results)
     in
-    t.p_elapsed <- t.p_elapsed +. (wall () -. started);
+    t.elapsed <- t.elapsed +. (wall () -. started);
     (results, diff_batch ~before (stats t))
 end
+
+(* Enforce [exchange] on [doc]: a pipeline of one document. [s0] is the
+   local schema (it brings the WSDL declarations of the functions the
+   document may embed). *)
+let enforce ?config ?predicate ~s0 ~exchange ~invoker doc =
+  Pipeline.enforce (Pipeline.create ?config ?predicate ~s0 ~exchange ~invoker ()) doc

@@ -8,7 +8,7 @@
     exchange) pair is enforced against streams of documents. {!Pipeline}
     compiles the pair once (validation context + exchange
     {!Axml_core.Contract}) and amortizes the static analysis across the
-    stream; {!enforce} stays as the one-shot entry point.
+    stream; the one-shot {!enforce} is a pipeline of one document.
 
     {!config} is the one enforcement configuration: a pipeline, a peer
     ([Peer.config] re-exports this record) and a served peer are all
@@ -87,9 +87,11 @@ val enforce :
   s0:Axml_schema.Schema.t -> exchange:Axml_schema.Schema.t ->
   invoker:Axml_core.Execute.invoker -> Axml_core.Document.t ->
   (Axml_core.Document.t * report, error) result
-(** One-shot enforcement: the schema pair is compiled from scratch on
-    every call. For whole streams, or to reuse a compiled contract
-    ({!Pipeline.of_contract}), use {!Pipeline}. *)
+(** One-shot enforcement: {!Pipeline.create} followed by one
+    {!Pipeline.enforce}, so the schema pair is compiled from scratch on
+    every call and every [config] field a single document uses applies
+    ([track_min_k] included). For whole streams, or to reuse a compiled
+    contract ({!Pipeline.of_contract}), use {!Pipeline}. *)
 
 (** {1 Batch enforcement}
 
@@ -112,18 +114,22 @@ module Pipeline : sig
   val of_contract :
     ?config:config -> invoker:Axml_core.Execute.invoker ->
     Axml_core.Contract.t -> t
-  (** Drive an existing contract (shares its win tables);
-      [config.k] is ignored — the contract fixes it. *)
+  (** Drive an existing contract (shares its win tables). The
+      contract fixes k: [config.k] is replaced by
+      {!Axml_core.Contract.k}, so the [axml_enforce_k] gauge, the
+      minimal-k search's bound and {!config} all read the contract's
+      depth. *)
 
   val contract : t -> Axml_core.Contract.t
-  val rewriter : t -> Axml_core.Rewriter.t
+
   val config : t -> config
+  (** The pipeline's config, [k] being its contract's. *)
 
   val lint : t -> Axml_analysis.Diagnostic.t list
   (** Contract-level lint diagnostics for this path (AXM020–AXM023),
       computed once per pipeline on first use and cached with the
       compiled artifacts — also what the lint gate consults. Computed
-      under a lock, so threads may call it at once. *)
+      under a lock, so threads and domains may call it at once. *)
 
   val enforce : t -> Axml_core.Document.t ->
     (Axml_core.Document.t * report, error) result
@@ -151,8 +157,10 @@ module Pipeline : sig
     invocations : int;
     elapsed_s : float;
       (** wall-clock seconds spent enforcing (the injectable
-          [Axml_obs.Metrics] clock); for a batch this is the whole
-          call's wall time, not the per-domain sum *)
+          [Axml_obs.Metrics] clock): for a single document the same
+          reading [axml_enforcement_seconds] records (the minimal-k
+          search not included); for a batch the whole call's wall
+          time, not the per-domain sum *)
     docs_per_s : float;
     cache : Axml_core.Contract.stats;  (** contract win-table activity *)
     cache_hit_rate : float;
@@ -171,16 +179,16 @@ module Pipeline : sig
     (Axml_core.Document.t * report, error) result list * stats
   (** Enforce a batch on [config.jobs] domains (clamped to at least 1
       and to the batch size; with one, no domain is spawned): documents
-      are claimed in chunks off an atomic cursor, each extra worker
-      domain enforces against its own {!Axml_core.Contract.clone} of
-      the compiled artifacts (worker 0 runs on the calling domain and
-      reuses the shared ones), and results are assembled in input
-      order — for deterministic services the result list is the one a
-      per-document {!enforce} loop returns. The returned stats cover
-      exactly this batch, and [elapsed_s] its whole wall time. Clones
-      share the contract's win tables and count on their own; they
-      persist on the pipeline, and {!stats} reports the shared
-      contract's counters plus all clones'.
+      are claimed in chunks off an atomic cursor, and every worker
+      (worker 0 on the calling domain) enforces on the pipeline itself
+      — the contract's counters and the pipeline's tally are atomics,
+      win-table lookups take no lock, and the lint is forced once,
+      under the pipeline's lock. Results are assembled in input order —
+      for deterministic services the result list is the one a
+      per-document {!enforce} loop returns, with the same outcome
+      counts and the same number of analyses and table entries. The
+      returned stats cover exactly this batch, and [elapsed_s] its
+      whole wall time.
       The pipeline's invoker (and [config.resilience] guard) are shared
       across workers — the invoker must be thread-safe, and a circuit
       breaker opened by one domain short-circuits the others. *)

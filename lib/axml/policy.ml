@@ -55,9 +55,3 @@ let preserve_functions ~keep s =
       s.Schema.functions
   in
   { s with Schema.functions }
-
-(* PERFORMANCE (sender overloaded: delegate work to the receiver): keep
-   the schema as-is — every function may stay intensional — but mark the
-   listed expensive services non-invocable on the sender's side so the
-   rewriting never fires them. Same mechanism, different motivation. *)
-let delegate_functions = preserve_functions

@@ -9,12 +9,6 @@ exception Empty_content of string
 (** A content model became unsatisfiable: the policy is inconsistent
     with the schema (the offending label is reported). *)
 
-val filter_atoms :
-  drop:(Axml_schema.Schema.atom -> bool) ->
-  Axml_schema.Schema.t -> Axml_schema.Schema.t
-(** Replace the selected atoms by the empty language in every content
-    model (the alternatives containing them disappear). *)
-
 val extensional : Axml_schema.Schema.t -> Axml_schema.Schema.t
 (** CAPABILITIES / SECURITY: no function node may remain — the sender
     must fully materialize. *)
@@ -28,8 +22,3 @@ val preserve_functions :
   keep:(string -> bool) -> Axml_schema.Schema.t -> Axml_schema.Schema.t
 (** FUNCTIONALITIES: the listed functions must NOT be materialized —
     they are marked non-invocable, so no legal rewriting fires them. *)
-
-val delegate_functions :
-  keep:(string -> bool) -> Axml_schema.Schema.t -> Axml_schema.Schema.t
-(** PERFORMANCE: same mechanism as {!preserve_functions} — freeze the
-    expensive services on the sender's side and delegate them. *)

@@ -45,9 +45,6 @@ let referenced_names (types : Schema.t) contents =
   List.iter visit_content contents;
   (Schema.String_set.elements !labels, Schema.String_set.elements !funs)
 
-let referenced_labels (types : Schema.t) contents =
-  fst (referenced_names types contents)
-
 (* The WSDL_int document of [service], with element types drawn from
    [types]. Function declarations referenced by those types ride along,
    so a descriptor with intensional element types stays self-contained

@@ -5,9 +5,6 @@
 
 exception Wsdl_error of string
 
-val referenced_labels :
-  Axml_schema.Schema.t -> Axml_schema.Schema.content list -> string list
-
 val describe :
   types:Axml_schema.Schema.t -> Axml_services.Service.t -> Axml_xml.Xml_tree.t
 (** The descriptor carries every transitively referenced element type,

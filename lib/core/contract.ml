@@ -12,8 +12,9 @@
 
    Domain safety: the tables fill under [Win]'s lock and publish
    immutably, and the registry of content models grows under
-   [registry_lock] by replacement, so lookups take no lock and clones
-   share everything but their counters. *)
+   [registry_lock] by replacement, so lookups take no lock, the
+   counters are atomics, and any number of domains may enforce on one
+   contract; clones share everything but their counters. *)
 
 module R = Axml_regex.Regex
 module Schema = Axml_schema.Schema
@@ -91,10 +92,6 @@ let element_regex t label = Option.map regex (Validate.element_model t.ctx label
 let input_regex t fname = Option.map regex (Validate.input_model t.ctx fname)
 
 type context = Element of string | Input of string
-
-let pp_context ppf = function
-  | Element l -> Fmt.pf ppf "<%s>" l
-  | Input f -> Fmt.pf ppf "%s()" f
 
 exception Unknown_context of context
 

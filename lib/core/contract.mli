@@ -48,8 +48,9 @@ val create :
 val clone : t -> t
 (** The same contract with counters of its own: it shares the merged
     environment, schemas, {!ctx}, output automata, [k] and the win
-    tables, and copies nothing. Parallel pipelines give each worker
-    domain a clone so that each reports its own {!stats}. *)
+    tables, and copies nothing — a window of {!stats} that starts at
+    zero without disturbing the original's. Domains need no clone to
+    share a contract: its counters are atomic. *)
 
 (** {1 Static artifacts} *)
 
@@ -87,19 +88,9 @@ type context =
   | Element of string  (** children of an element, against its target content model *)
   | Input of string    (** parameters of a call, against the function's input type *)
 
-val pp_context : context Fmt.t
-(** Renders [<l>] for elements, [f()] for function inputs. *)
-
 exception Unknown_context of context
 (** The label is not declared by the target schema / the function has no
     known signature. *)
-
-val context_regex :
-  t -> context -> Axml_schema.Symbol.t Axml_regex.Regex.t option
-(** The compiled content model a word in [context] is analyzed
-    against: {!element_regex} for [Element], {!input_regex} for
-    [Input]. [None] when the target schema / environment does not
-    declare it. *)
 
 (** {1 Analyses}
 

@@ -71,13 +71,11 @@ type failure = { at : Document.path; reason : reason }
 val pp_reason : reason Fmt.t
 val pp_failure : failure Fmt.t
 
-val reason_is_fault : reason -> bool
+val failure_is_fault : failure -> bool
 (** Environment faults (service misbehaviour, engine invariant breach)
     as opposed to genuine rewritability verdicts. Fault failures should
     not downgrade a document to "not rewritable" — they are transient
     or infrastructural. *)
-
-val failure_is_fault : failure -> bool
 
 type mode = Win.kind = Safe | Possible
 (** Which rewriting {!materialize} runs: one the win tables guarantee,

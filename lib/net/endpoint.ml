@@ -11,7 +11,7 @@ module Metrics = Axml_obs.Metrics
 type t = {
   peer : Peer.t;
   repo : Repo.t option;
-  exchanges : (int, Schema.t * int) Hashtbl.t;
+  exchanges : (int, Schema.t) Hashtbl.t;
   lock : Mutex.t;
   mutable next_id : int;
 }
@@ -86,7 +86,7 @@ let dispatch t : Wire.request -> Wire.response = function
       Mutex.lock t.lock;
       let id = t.next_id in
       t.next_id <- id + 1;
-      Hashtbl.replace t.exchanges id (schema, k);
+      Hashtbl.replace t.exchanges id schema;
       Mutex.unlock t.lock;
       Exchange_opened { id; k }
   | Exchange { exchange; as_name; doc_xml } ->
@@ -95,7 +95,7 @@ let dispatch t : Wire.request -> Wire.response = function
      Mutex.unlock t.lock;
      match schema with
      | None -> err "unknown-exchange" "no open exchange agreement #%d" exchange
-     | Some (schema, _k) ->
+     | Some schema ->
        (match Peer.receive t.peer ~exchange:schema ~as_name doc_xml with
         | Ok doc ->
           (match t.repo with

@@ -24,5 +24,3 @@ val write_response :
   out_channel -> status:int -> ?content_type:string -> string -> unit
 (** Write a complete [HTTP/1.1] response with [Content-Length] and
     [Connection: close], then flush. *)
-
-val status_text : int -> string

@@ -79,8 +79,6 @@ type response =
 val request_op : request -> string
 (** Stable lowercase operation name (metrics label / logging). *)
 
-val response_op : response -> string
-
 val pp_request : request Fmt.t
 val pp_response : response Fmt.t
 

@@ -182,12 +182,3 @@ val to_json : t -> Json.t
     bounds are JSON numbers ([null] when not finite, see {!Json});
     histogram children carry ["count"], ["sum"] and a cumulative
     ["buckets"] array whose last entry has ["le": "+Inf"]. *)
-
-(** {1 Prometheus escaping} (exposed for tests) *)
-
-val escape_label_value : string -> string
-(** Prometheus label-value escaping: backslash, double quote and
-    newline become backslash-escaped two-character sequences. *)
-
-val escape_help : string -> string
-(** Prometheus HELP-line escaping: backslash and newline. *)

@@ -106,9 +106,6 @@ let pp_kind ppf = function
         (if detail = "" then "" else " — " ^ detail)
   | Note s -> Format.fprintf ppf "note: %s" s
 
-let pp_event ppf e =
-  Format.fprintf ppf "#%03d %s%a" e.seq (String.make (2 * e.depth) ' ') pp_kind e.kind
-
 let kind_fields kind =
   let str s = Json.String s in
   let event name fields = ("event", str name) :: fields in

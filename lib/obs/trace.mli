@@ -148,9 +148,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
 val pp_kind : Format.formatter -> kind -> unit
 (** One-line human rendering of an event kind (no indentation). *)
 
-val pp_event : Format.formatter -> event -> unit
-(** [seq], kind and depth-indentation on one line. *)
-
 val event_to_json : event -> Json.t
 (** One JSON object, [{"seq";"t";"depth";"event";...kind fields}];
     {!Json.to_string} renders it as one JSONL line. *)

@@ -300,10 +300,6 @@ module Make (Sym : SYMBOL) = struct
         !result
       end
 
-    let accepts_empty_word nfa =
-      let init = eps_closure nfa (Int_set.singleton nfa.start) in
-      not (Int_set.is_empty (Int_set.inter init nfa.finals))
-
     let pp ppf nfa =
       Fmt.pf ppf "@[<v>NFA: %d states, start %d, finals {%a}@,"
         nfa.size nfa.start

@@ -55,7 +55,6 @@ module Make (Sym : SYMBOL) : sig
     (** One subset-simulation step: symbol move then epsilon closure. *)
 
     val accepts : t -> Sym.t list -> bool
-    val accepts_empty_word : t -> bool
     val alphabet : t -> Sym_set.t
     val count_edges : t -> int
 

@@ -5,7 +5,7 @@
    copy-on-write behind a mutex; the vocabulary (labels and function
    names of the loaded schemas) is tiny and stabilizes after the first
    few documents, so the copy cost is paid a handful of times per
-   process. A [Contract] and its per-domain clones share the global
+   process. Every [Contract], on whatever domain, shares the global
    instance, so symbol ids agree across domains by construction. *)
 
 module Table = Hashtbl.Make (struct

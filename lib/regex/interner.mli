@@ -30,6 +30,6 @@ val size : t -> int
 (** Number of distinct strings interned so far. *)
 
 val global : t
-(** The process-wide instance: every [Contract] and its per-domain
-    clones code symbols through this one interner, so dense symbol ids
+(** The process-wide instance: every [Contract], on whatever domain,
+    codes symbols through this one interner, so dense symbol ids
     agree across domains by construction. *)

@@ -118,7 +118,6 @@ let find_pattern s name = String_map.find_opt name s.patterns
 
 let element_names s = List.map fst (String_map.bindings s.elements)
 let function_names s = List.map fst (String_map.bindings s.functions)
-let pattern_names s = List.map fst (String_map.bindings s.patterns)
 
 let func ?(invocable = true) ?endpoint ?namespace name ~input ~output = {
   f_name = name;
@@ -336,11 +335,6 @@ let compiled_element env s name =
 let compiled_output env name =
   match String_map.find_opt name env.env_functions with
   | Some f -> Some (compile_content env f.f_output)
-  | None -> None
-
-let compiled_input env name =
-  match String_map.find_opt name env.env_functions with
-  | Some f -> Some (compile_content env f.f_input)
   | None -> None
 
 let is_invocable env name =

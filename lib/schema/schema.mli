@@ -57,7 +57,6 @@ type error =
 exception Schema_error of error
 
 val pp_error : error Fmt.t
-val pp_atom : atom Fmt.t
 val pp_content : content Fmt.t
 val pp : t Fmt.t
 
@@ -87,8 +86,6 @@ val find_function : t -> string -> func option
 val find_pattern : t -> string -> pattern option
 val element_names : t -> string list
 val function_names : t -> string list
-val pattern_names : t -> string list
-val declared_names : t -> String_set.t
 val atoms_of_content : content -> atom list
 
 val resolve_content :
@@ -104,8 +101,6 @@ val check : ?deterministic:bool -> t -> unit
 (** Every name used must be declared; signatures must not mention
     patterns; with [~deterministic:true], every content model must be
     1-unambiguous. @raise Schema_error otherwise. *)
-
-val check_declared : t -> unit
 
 (** {1 Compilation environment} *)
 
@@ -145,20 +140,13 @@ val compile_signature : env -> content -> Symbol.t Axml_regex.Regex.t
 (** As {!compile_content} but patterns are forbidden
     (@raise Schema_error). *)
 
-val signatures_match :
-  env -> required_input:content -> required_output:content -> func -> bool
-(** Language equivalence of both types. *)
-
 val pattern_members : env -> pattern -> func list
 (** The functions belonging to a pattern: predicates accept their name
     and their signature matches (Section 2.1). *)
 
 val compiled_element : env -> t -> string -> Symbol.t Axml_regex.Regex.t option
-val compiled_input : env -> string -> Symbol.t Axml_regex.Regex.t option
 val compiled_output : env -> string -> Symbol.t Axml_regex.Regex.t option
 val is_invocable : env -> string -> bool
-
-val check_deterministic : env -> t -> unit
 
 val alphabet : env -> t -> Auto.Sym_set.t
 (** Every word symbol the schema can mention, for closing automaton

@@ -416,8 +416,5 @@ let guard t ~name behaviour params =
 let wrap_behaviour t ~name (behaviour : Service.behaviour) : Service.behaviour =
   fun params -> guard t ~name behaviour params
 
-let wrap_service t (service : Service.t) =
-  { service with Service.behaviour = wrap_behaviour t ~name:service.Service.name service.Service.behaviour }
-
 let wrap_invoker t (invoker : Execute.invoker) : Execute.invoker =
   fun name params -> guard t ~name (invoker name) params

@@ -133,11 +133,6 @@ val wrap_behaviour : t -> name:string -> Service.behaviour -> Service.behaviour
     and breaker — a drop-in replacement wherever a
     {!Service.behaviour} is expected. *)
 
-val wrap_service : t -> Service.t -> Service.t
-(** A service equal to the original except that its behaviour is
-    guarded (under the service's own name); the declared signature and
-    metadata are untouched. *)
-
 val wrap_invoker : t -> Axml_core.Execute.invoker -> Axml_core.Execute.invoker
 (** Guards a whole invoker: each function name invoked through it gets
     its own breaker and counters in [t]. This is what

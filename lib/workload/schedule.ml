@@ -7,12 +7,6 @@ type fault =
   | Slow of float
   | Dead
 
-let fault_label = function
-  | Healthy -> "healthy"
-  | Flaky _ -> "flaky"
-  | Slow _ -> "slow"
-  | Dead -> "dead"
-
 type phase = {
   name : string;
   duration_s : float;

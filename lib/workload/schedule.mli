@@ -18,10 +18,6 @@ type fault =
   | Slow of float         (** every call burns the given seconds first *)
   | Dead                  (** every call fails *)
 
-val fault_label : fault -> string
-(** Stable lowercase rendering: ["healthy"], ["flaky"], ["slow"],
-    ["dead"] (metrics label / JSON field). *)
-
 (** {1 Phases} *)
 
 type phase = {

@@ -27,10 +27,6 @@ type outcome =
   | Fault             (** service/enforcement fault (e.g. breaker open) *)
   | Transport_error   (** connection-level failure *)
 
-val outcome_label : outcome -> string
-(** Stable lowercase label (metrics / JSON): ["accepted"], ["refused"],
-    ["overloaded"], ["fault"], ["transport_error"]. *)
-
 (** {1 Configuration} *)
 
 type config = {

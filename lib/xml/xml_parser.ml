@@ -147,7 +147,7 @@ let add_entity buf cur =
 
 (* The offset of the first byte at or after [i] that ends a plain run
    (the input's length if none does): '<', '&' or '\r' in character data
-   ([stop] = '<'), '&' or the closing quote [stop] in an attribute
+   ([stop] = '<'), '&', '<' or the closing quote [stop] in an attribute
    value. *)
 let run_end s i stop =
   let n = String.length s in
@@ -159,7 +159,7 @@ let run_end s i stop =
       !i < n
       &&
       let c = String.unsafe_get s !i in
-      c <> stop && c <> '&'
+      c <> stop && c <> '&' && c <> '<'
     do
       incr i
     done;
@@ -169,7 +169,8 @@ let run_end s i stop =
    attribute value up to its closing [quote]: [stop] is '<' for the one
    and the quote for the other. Entity references are decoded; in
    character data the spec's line-end normalization turns "\r\n" and a
-   bare "\r" into "\n" (attribute values keep their bytes). *)
+   bare "\r" into "\n" (attribute values keep their bytes, and refuse a
+   literal '<', as XML 1.0 does). *)
 let read_run cur stop =
   let s = cur.input and n = String.length cur.input in
   let start = cur.offset in
@@ -191,6 +192,7 @@ let read_run cur stop =
         Buffer.add_char buf '\n';
         cur.offset <-
           (if at + 1 < n && String.unsafe_get s (at + 1) = '\n' then at + 2 else at + 1)
+      | '<' -> fail cur "'<' in an attribute value"
       | _ ->
         let i = run_end s (at + 1) stop in
         Buffer.add_substring buf s at (i - at);
@@ -209,15 +211,19 @@ let read_quoted cur =
   value
 
 (* The attributes of a start tag, leaving the cursor past the
-   whitespace after the last one. *)
+   whitespace after the last one. As in XML 1.0, whitespace precedes
+   every attribute. *)
 let read_attributes cur =
   let attrs = ref [] in
   let continue = ref true in
   while !continue do
+    let before = cur.offset in
     skip_whitespace cur;
     match peek cur with
     | '>' | '/' | '?' | '\000' -> continue := false
-    | _ ->
+    | c ->
+      if cur.offset = before && is Byte_class.name_start c then
+        fail cur "expected whitespace before an attribute";
       let name = read_name cur in
       skip_whitespace cur;
       if peek cur <> '=' then fail cur (Fmt.str "expected '=' after attribute %s" name);

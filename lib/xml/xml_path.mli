@@ -24,7 +24,6 @@ exception Parse_error of string
 
 val parse : string -> t
 val select : string -> Xml_tree.t -> Xml_tree.t list
-val select_steps : t -> Xml_tree.t -> Xml_tree.t list
 
 val select_strings : string -> Xml_tree.t -> string list
 (** String values of selected nodes (text content of elements, contents

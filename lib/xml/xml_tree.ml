@@ -25,8 +25,6 @@ let attr_value element name =
     (fun (a : attribute) -> if String.equal a.name name then Some a.value else None)
     element.attrs
 
-let has_attr element name = Option.is_some (attr_value element name)
-
 (* Direct children that are elements. *)
 let child_elements element =
   List.filter_map
@@ -35,9 +33,6 @@ let child_elements element =
 
 let child_element element name =
   List.find_opt (fun e -> String.equal e.name name) (child_elements element)
-
-let children_named element name =
-  List.filter (fun e -> String.equal e.name name) (child_elements element)
 
 (* Concatenated character data of the direct children. *)
 let text_content element =

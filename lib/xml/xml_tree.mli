@@ -26,15 +26,12 @@ val attr : string -> string -> attribute
 (** {1 Access} *)
 
 val attr_value : element -> string -> string option
-val has_attr : element -> string -> bool
 
 val child_elements : element -> element list
 (** Direct children that are elements. *)
 
 val child_element : element -> string -> element option
 (** First direct child element with that (as-written) name. *)
-
-val children_named : element -> string -> element list
 
 val text_content : element -> string
 (** Concatenated character data of the direct children. *)

@@ -124,6 +124,9 @@ let test_error_positions_exact () =
        "line 1, column 20: mismatched close tag </a> for <b>");
       ("<a x=\"1\n  2\n  3 &bogus;\"/>", "line 3, column 12: unknown entity &bogus;");
       ("<a x=\"1\n2\" y=3/>", "line 2, column 6: expected a quoted value");
+      ("<a x='1'y='2'/>", "line 1, column 9: expected whitespace before an attribute");
+      ("<a v=\"x<y\"/>", "line 1, column 8: '<' in an attribute value");
+      ("<a v='x&amp;\n<'/>", "line 2, column 1: '<' in an attribute value");
       ("<a><![CDATA[x\ny\n]]> <b></c></a>",
        "line 3, column 12: mismatched close tag </c> for <b>");
       ("<!-- one\ntwo\n-->\n<a>\n  &#zz;</a>",
@@ -209,6 +212,8 @@ let test_bytes_in_names () =
          else None))
     all_bytes
 
+(* XML 1.0 puts whitespace before every attribute: only a whitespace
+   byte may separate two. *)
 let test_bytes_between_attributes () =
   List.iter
     (fun c ->
@@ -216,7 +221,6 @@ let test_bytes_between_attributes () =
       let x = T.attr "x" "1" in
       parses_to ("<a x='1'" ^ b ^ "y='2'/>")
         (if is_ws c then Some (T.element ~attrs:[ x; T.attr "y" "2" ] "a" [])
-         else if is_name_start c then Some (T.element ~attrs:[ x; T.attr (b ^ "y") "2" ] "a" [])
          else None))
     all_bytes
 
@@ -247,7 +251,7 @@ let test_bytes_in_attribute_values () =
           let b = String.make 1 c in
           parses_to
             ("<a v=" ^ q ^ "x" ^ b ^ "y" ^ q ^ "/>")
-            (if c = quote || c = '&' then None
+            (if c = quote || c = '&' || c = '<' then None
              else Some (T.element ~attrs:[ T.attr "v" ("x" ^ b ^ "y") ] "a" [])))
         all_bytes)
     [ '"'; '\'' ]
