@@ -64,10 +64,12 @@ let m_min_k ~kind ~k =
     ~labels:[ ("kind", kind); ("k", k) ]
     "axml_enforce_min_k_total"
 
-(* Wall clock for pipeline accounting: the injectable registry clock
-   (defaults to [Unix.gettimeofday]). [Sys.time] would report process
-   CPU time — blind to service waits and summed across domains. *)
-let wall () = Metrics.now Metrics.default
+(* Wall clock for pipeline accounting, called directly so that its
+   reading stays an unboxed float. [Sys.time] would report process CPU
+   time — blind to service waits and summed across domains. *)
+let wall () = Unix.gettimeofday ()
+
+let ns_of_seconds s = int_of_float (s *. 1e9)
 
 type config = {
   k : int;
@@ -155,6 +157,7 @@ module Pipeline = struct
      lint is forced under [lint_lock]. *)
   type t = {
     config : config;  (* [k] is the contract's *)
+    k_gauge : float;  (* [config.k], boxed once for [axml_enforce_k] *)
     contract : Contract.t;
     invoker : Execute.invoker;  (* inside [config.resilience]'s guard *)
     lint : Diagnostic.t list Lazy.t;
@@ -165,7 +168,9 @@ module Pipeline = struct
     lint_lock : Mutex.t;
     outcomes : int Atomic.t array;  (* documents, by [m_documents] slot *)
     invocations : int Atomic.t;
-    mutable elapsed : float;
+    elapsed_ns : int Atomic.t;
+      (* wall time enforcing, summed by every domain without a lock or
+         a boxed float *)
     cache_base : Contract.stats;
     resilience_base : Resilience.stats;
     (* minimal-k bookkeeping, populated only when [config.track_min_k];
@@ -192,6 +197,7 @@ module Pipeline = struct
       else { config with k = Contract.k contract }
     in
     { config;
+      k_gauge = float_of_int config.k;
       contract;
       invoker =
         (match config.resilience with
@@ -201,7 +207,7 @@ module Pipeline = struct
       lint_lock = Mutex.create ();
       outcomes = Array.init (Array.length m_documents) (fun _ -> Atomic.make 0);
       invocations = Atomic.make 0;
-      elapsed = 0.;
+      elapsed_ns = Atomic.make 0;
       cache_base = Contract.stats contract;
       resilience_base = resilience_total config;
       min_k = Hashtbl.create 8;
@@ -246,6 +252,7 @@ module Pipeline = struct
 
   let stats (t : t) =
     let outcome i = Atomic.get t.outcomes.(i) in
+    let elapsed = float_of_int (Atomic.get t.elapsed_ns) *. 1e-9 in
     let docs = Array.fold_left (fun n c -> n + Atomic.get c) 0 t.outcomes in
     let cache = Contract.diff_stats ~before:t.cache_base (Contract.stats t.contract) in
     { docs;
@@ -257,8 +264,8 @@ module Pipeline = struct
       faults = outcome 5;
       precluded = outcome 6;
       invocations = Atomic.get t.invocations;
-      elapsed_s = t.elapsed;
-      docs_per_s = (if t.elapsed > 0. then float_of_int docs /. t.elapsed else 0.);
+      elapsed_s = elapsed;
+      docs_per_s = (if elapsed > 0. then float_of_int docs /. elapsed else 0.);
       cache;
       cache_hit_rate = Contract.hit_rate cache;
       resilience =
@@ -312,8 +319,10 @@ module Pipeline = struct
     (* steps (i) and (ii) in one walk: the materializer validates each
        children word through the dense tables as it goes and returns a
        conforming document physically unchanged, which is how
-       [Conformed] is classified. *)
-    let rewrite doc pre_invocations =
+       [Conformed] is classified. Closed over nothing, so no closure is
+       allocated for it. *)
+    let rewrite (t : t) doc pre_invocations =
+      let rw = t.contract and invoker = t.invoker in
       match Rewriter.materialize ~mode:Rewriter.Safe rw ~invoker doc with
       | Ok (doc', invs) ->
         if doc' == doc && pre_invocations = [] && invs = [] then
@@ -349,7 +358,7 @@ module Pipeline = struct
         end
     in
     match t.config.eager_calls with
-    | None -> rewrite doc []
+    | None -> rewrite t doc []
     | Some _ when Validate.document_conforms (Contract.ctx rw) doc ->
       (* eager calls hit real services: never fire them on an instance *)
       Ok (doc, { action = Conformed; invocations = [] })
@@ -357,7 +366,7 @@ module Pipeline = struct
       (* mixed approach (Section 5): pre-fire the eager calls, then the
          same walk *)
       (match Rewriter.pre_materialize rw ~eager_calls:eager ~invoker doc with
-       | Ok (doc', pre_invocations) -> rewrite doc' pre_invocations
+       | Ok (doc', pre_invocations) -> rewrite t doc' pre_invocations
        | Error f ->
          (* a fault is the environment's problem, never a verdict on
             the document *)
@@ -376,7 +385,7 @@ module Pipeline = struct
   let classify (t : t) doc = function
     | Ok (_, { action; invocations }) ->
       let n = List.length invocations in
-      Metrics.inc m_invocations ~by:n;
+      if n > 0 then Metrics.inc m_invocations ~by:n;
       ignore (Atomic.fetch_and_add t.invocations n);
       (match action with
        | Conformed -> count t doc 0 Trace.Accept n (fun _ -> "already conforms")
@@ -402,17 +411,26 @@ module Pipeline = struct
           "statically precluded (" ^ string_of_int n ^ " lint error(s))")
 
   (* One document through the three steps, timed by one clock pair
-     (the seconds feed [axml_enforcement_seconds] and are returned)
-     and classified once. Safe on any domain. *)
-  let run t doc =
-    Metrics.set g_enforce_k (float_of_int t.config.k);
-    Trace.with_span "enforce" ~detail:(fun () -> subject_of doc) @@ fun () ->
+     and classified once; its nanoseconds count in [elapsed_s] when
+     [timed] (a batch counts its whole call instead). Safe on any
+     domain. The span and its closures are built only under a trace
+     sink, and the nanoseconds go into an atomic, boxing nothing. *)
+  let enforce_timed t doc ~timed =
     let started = wall () in
     let result = steps t doc in
     let seconds = wall () -. started in
     Metrics.observe h_enforce seconds;
+    if timed then ignore (Atomic.fetch_and_add t.elapsed_ns (ns_of_seconds seconds));
     classify t doc result;
-    (result, seconds)
+    result
+
+  let run t doc ~timed =
+    Metrics.set g_enforce_k t.k_gauge;
+    if Trace.enabled Trace.default then
+      Trace.with_span "enforce"
+        ~detail:(fun () -> subject_of doc)
+        (fun () -> enforce_timed t doc ~timed)
+    else enforce_timed t doc ~timed
 
   (* The minimal-k search (opt-in): how deep does this document
      actually need the rewriter to go? Every per-word query runs
@@ -449,9 +467,7 @@ module Pipeline = struct
 
   let enforce t doc =
     observe_min_k t doc;
-    let result, seconds = run t doc in
-    t.elapsed <- t.elapsed +. seconds;
-    result
+    run t doc ~timed:true
 
   let diff_min_k ~(before : min_k_stats) (after : min_k_stats) =
     { measured = after.measured - before.measured;
@@ -508,7 +524,7 @@ module Pipeline = struct
       let start = Atomic.fetch_and_add cursor chunk in
       if start < n then begin
         for i = start to min n (start + chunk) - 1 do
-          results.(i) <- Some (fst (run t docs.(i)))
+          results.(i) <- Some (run t docs.(i) ~timed:false)
         done;
         worker ()
       end
@@ -530,7 +546,7 @@ module Pipeline = struct
              | None -> assert false (* every index below [n] was claimed *))
            results)
     in
-    t.elapsed <- t.elapsed +. (wall () -. started);
+    ignore (Atomic.fetch_and_add t.elapsed_ns (ns_of_seconds (wall () -. started)));
     (results, diff_batch ~before (stats t))
 end
 

@@ -240,9 +240,16 @@ let pipeline t slot =
    validates against its contract's context. *)
 let exchange_pipeline t ~exchange = pipeline t (Exchange exchange)
 
-(* Contract-level lint for an exchange agreement, served from the cached
-   pipeline (the diagnostics the lint gate would refuse on). *)
-let lint_exchange t ~exchange = Pipeline.lint (exchange_pipeline t ~exchange)
+(* Contract-level lint for an exchange agreement (the diagnostics the
+   lint gate would refuse on): served from the cached pipeline when the
+   agreement has one, else from one compiled for this lint alone and
+   left out of the cache, so linting a schema never evicts an open
+   agreement. *)
+let lint_exchange t ~exchange =
+  let slot = Exchange exchange in
+  match find slot t.generation (Atomic.get t.pipelines) with
+  | Some p -> Pipeline.lint p
+  | None -> Pipeline.lint (Mutex.protect t.lock (fun () -> compile t slot))
 
 (* ------------------------------------------------------------------ *)
 (* Serving calls                                                       *)
@@ -413,12 +420,7 @@ let receive t ~exchange ~as_name (wire : string) :
    the document crosses the (simulated) wire in XML, and the receiver
    validates before storing it under [as_name]. Both sides reuse their
    cached pipeline for the agreement. *)
-let send t ~(receiver : t) ~exchange ~as_name doc :
-    (exchange_outcome, Enforcement.error) result =
-  let outcome =
-    Trace.with_span "peer.send"
-      ~detail:(fun () -> Fmt.str "%s -> %s" t.name receiver.name)
-    @@ fun () ->
+let send_steps t ~(receiver : t) ~exchange ~as_name doc =
   match Pipeline.enforce (exchange_pipeline t ~exchange) doc with
   | Error e -> Error e
   | Ok (doc', report) ->
@@ -426,6 +428,16 @@ let send t ~(receiver : t) ~exchange ~as_name doc :
     (match receive receiver ~exchange ~as_name wire with
      | Ok _ -> Ok { sent = doc'; report; wire_bytes = String.length wire }
      | Error e -> Error e)
+
+let send t ~(receiver : t) ~exchange ~as_name doc :
+    (exchange_outcome, Enforcement.error) result =
+  (* the span and its closures exist only under a trace sink *)
+  let outcome =
+    if Trace.enabled Trace.default then
+      Trace.with_span "peer.send"
+        ~detail:(fun () -> Fmt.str "%s -> %s" t.name receiver.name)
+        (fun () -> send_steps t ~receiver ~exchange ~as_name doc)
+    else send_steps t ~receiver ~exchange ~as_name doc
   in
   (match outcome with
    | Ok { wire_bytes; _ } ->

@@ -76,8 +76,10 @@ val lint_exchange :
 (** Contract-level lint diagnostics ({!Axml_analysis.Lint.lint_contract})
     for the peer's side of an exchange agreement — the diagnostics the
     lint gate ([config.lint_gate]) would refuse on. Served from the
-    cached {!exchange_pipeline}, so repeated calls (and subsequent
-    {!send}s) reuse both the compiled contract and its lint. *)
+    cached {!exchange_pipeline} when [exchange] already has one, which
+    keeps its lint; otherwise the contract is compiled for this call
+    alone and not cached, so linting never evicts an open agreement's
+    pipeline. *)
 
 (** {1 Repository} *)
 

@@ -58,6 +58,8 @@ type t = {
   hits : int Atomic.t;
   misses : int Atomic.t;
   entries : int Atomic.t;
+  output_ok : string -> Document.forest -> bool;
+    (* [Validate.output_instance] over [ctx], closed once *)
 }
 
 let create ?(k = 1) ?predicate ~s0 ~target () =
@@ -70,7 +72,8 @@ let create ?(k = 1) ?predicate ~s0 ~target () =
         (Array.of_list
            (List.map (fun m -> (m, Win.table win m.Validate.dfa)) (Validate.models ctx)));
     registry_lock = Mutex.create ();
-    hits = Atomic.make 0; misses = Atomic.make 0; entries = Atomic.make 0 }
+    hits = Atomic.make 0; misses = Atomic.make 0; entries = Atomic.make 0;
+    output_ok = (fun fname forest -> Validate.output_instance ctx fname forest = []) }
 
 (* A contract over the same compiled schemas and the same tables, with
    counters of its own. *)
@@ -87,6 +90,7 @@ let k t = t.k
 (* ------------------------------------------------------------------ *)
 
 let ctx t = t.ctx
+let output_ok t = t.output_ok
 let regex m = (m : Validate.model).regex
 let element_regex t label = Option.map regex (Validate.element_model t.ctx label)
 let input_regex t fname = Option.map regex (Validate.input_model t.ctx fname)
@@ -108,26 +112,26 @@ let context_regex t = function
    value comes back on every call), structural equality as the slow
    fallback, and one [Validate.compile] for a regex no schema
    declares. *)
-let rec find eq arr r i =
-  if i >= Array.length arr then None
-  else if eq (regex (fst arr.(i))) r then Some arr.(i)
-  else find eq arr r (i + 1)
+let rec index eq arr r i =
+  if i >= Array.length arr then -1
+  else if eq (regex (fst arr.(i))) r then i
+  else index eq arr r (i + 1)
 
 let structural = R.equal Symbol.equal
 
 let registered t r =
   let arr = Atomic.get t.models in
-  match find ( == ) arr r 0 with
-  | Some e -> e
-  | None ->
-    match find structural arr r 0 with
-    | Some e -> e
-    | None ->
+  let i = index ( == ) arr r 0 in
+  if i >= 0 then arr.(i)
+  else
+    let i = index structural arr r 0 in
+    if i >= 0 then arr.(i)
+    else
       Mutex.protect t.registry_lock (fun () ->
           let arr = Atomic.get t.models in
-          match find structural arr r 0 with
-          | Some e -> e
-          | None ->
+          let i = index structural arr r 0 in
+          if i >= 0 then arr.(i)
+          else
             let m = Validate.compile r in
             let e = (m, Win.table t.win m.Validate.dfa) in
             Atomic.set t.models (Array.append arr [| e |]);

@@ -72,6 +72,11 @@ val ctx : t -> Validate.ctx
     per content model, input and output type. Read-only, so any domain
     may validate with it. *)
 
+val output_ok : t -> string -> Document.forest -> bool
+(** [output_ok t fname forest]: is [forest] an instance of [fname]'s
+    declared output type in {!ctx}? A closure built with the contract,
+    so handing it on allocates nothing. *)
+
 val element_regex : t -> string -> Axml_schema.Symbol.t Axml_regex.Regex.t option
 (** Compiled content model of a label in the {e target} schema, read
     from {!ctx}. *)

@@ -98,11 +98,13 @@ type outcome = {
    option tried and every call occurrence it asks for. *)
 type walk = {
   invoker : invoker;
-  reenforce : (string -> Document.forest -> Document.forest option) option;
+  reenforce : (string -> Document.forest -> Document.forest) option;
   mutable invocations : invocation list;  (* latest first *)
   mutable service_error : failure option;  (* the first one *)
   mutable refused : failure option;  (* the first re-enforcement refusal *)
 }
+
+exception Refused
 
 let record_error w fname attempts cause =
   if w.service_error = None then w.service_error <- Some (Service_error { fname; attempts; cause })
@@ -115,7 +117,8 @@ let chosen _ fname ~invoke =
     Trace.emit (Fork_choice { fname; choice = (if invoke then "invoke" else "keep") })
 
 (* Invoke one call occurrence ([Win.walk] asks once per occurrence):
-   the forest to walk in its place, or [None] when the option is out. *)
+   the forest to walk in its place; [Win.Unavailable] when the option
+   is out. *)
 let call w fname params =
   match w.invoker fname params with
   | returned -> (
@@ -124,23 +127,23 @@ let call w fname params =
     if Trace.enabled Trace.default then
       Trace.emit (Invocation { fname; attempts = 0; ok = true });
     match w.reenforce with
-    | None -> Some returned
+    | None -> returned
     | Some re -> (
       (* The raw invocation is already recorded above — the
          re-enforcement verdict only decides whether this fork option
          stays on the table. *)
       match re fname returned with
-      | Some enforced ->
+      | enforced ->
         Metrics.inc m_reenforce_ok;
-        Some enforced
-      | None ->
+        enforced
+      | exception Refused ->
         Metrics.inc m_reenforce_refused;
         if w.refused = None then
           w.refused <-
             Some
               (Unrewritable_output
                  { inv_name = fname; inv_params = params; inv_result = returned });
-        None
+        raise Win.Unavailable
       | exception ((Stack_overflow | Out_of_memory) as fatal) -> raise fatal
       | exception cause ->
         (* A genuine fault inside nested materialization: classify like
@@ -148,20 +151,20 @@ let call w fname params =
            verdict. *)
         record_error w fname 1 cause;
         Metrics.inc m_invoke_error;
-        None))
+        raise Win.Unavailable))
   | exception Invocation_failed { fname; attempts; cause } ->
     record_error w fname attempts cause;
     Metrics.inc m_invoke_error;
     if Trace.enabled Trace.default then
       Trace.emit (Invocation { fname; attempts; ok = false });
-    None
+    raise Win.Unavailable
   | exception ((Stack_overflow | Out_of_memory) as fatal) -> raise fatal
   | exception cause ->
     record_error w fname 1 cause;
     Metrics.inc m_invoke_error;
     if Trace.enabled Trace.default then
       Trace.emit (Invocation { fname; attempts = 1; ok = false });
-    None
+    raise Win.Unavailable
 
 let service = { Win.chosen; call }
 
@@ -196,12 +199,17 @@ let failure ?validate ~possible w =
         | [] -> Invariant_violation "safe walk failed before any service was invoked")
     end
 
-let run ?validate ?reenforce r invoker items =
+let run_latest_first ~validate ~reenforce r invoker items =
   let w = { invoker; reenforce; invocations = []; service_error = None; refused = None } in
   match Win.walk r service w items with
   | Some materialized ->
     Metrics.inc m_runs_ok;
-    Ok { materialized; invocations = List.rev w.invocations }
+    Ok { materialized; invocations = w.invocations }
   | None ->
     Metrics.inc m_runs_failed;
     Error (failure ?validate ~possible:(Win.kind r = Win.Possible) w)
+
+let run ?validate ?reenforce r invoker items =
+  match run_latest_first ~validate ~reenforce r invoker items with
+  | Ok o -> Ok { o with invocations = List.rev o.invocations }
+  | Error _ as e -> e

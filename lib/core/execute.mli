@@ -64,12 +64,17 @@ val pp_failure : failure Fmt.t
 
 type outcome = {
   materialized : Document.forest;
-  invocations : invocation list;  (** chronological *)
+  invocations : invocation list;
+      (** chronological from {!run}, latest first from {!run_latest_first} *)
 }
+
+exception Refused
+(** Raised by a [reenforce] hook (see {!run}) when the returned forest
+    cannot be rewritten within the remaining depth budget. *)
 
 val run :
   ?validate:(string -> Document.forest -> bool) ->
-  ?reenforce:(string -> Document.forest -> Document.forest option) ->
+  ?reenforce:(string -> Document.forest -> Document.forest) ->
   Win.run -> invoker -> Document.forest -> (outcome, failure) result
 (** [run r invoker items] follows the safe or possible strategy of [r],
     as it was solved.
@@ -88,10 +93,18 @@ val run :
     [reenforce fname returned] rewrites a raw service return against
     the remaining rewriting-depth budget (k-bounded enforcement: a
     round-r result must itself land in the target within k−r further
-    rounds). [Some enforced] is spliced into the walk in place of the
-    raw forest; [None] marks the fork option unavailable — the walk
-    backtracks, and if no path survives the failure is
-    {!Unrewritable_output} naming the first refused invocation. An
-    exception from [reenforce] is classified like a service failure.
-    Without [reenforce], results are spliced as returned (footnote-5
-    behaviour, correct only at depth 1). *)
+    rounds). What it returns is spliced into the walk in place of the
+    raw forest; raising {!Refused} marks the fork option unavailable —
+    the walk backtracks, and if no path survives the failure is
+    {!Unrewritable_output} naming the first refused invocation. Any
+    other exception from [reenforce] is classified like a service
+    failure. Without [reenforce], results are spliced as returned
+    (footnote-5 behaviour, correct only at depth 1). *)
+
+val run_latest_first :
+  validate:(string -> Document.forest -> bool) option ->
+  reenforce:(string -> Document.forest -> Document.forest) option ->
+  Win.run -> invoker -> Document.forest -> (outcome, failure) result
+(** {!run} with the outcome's invocations latest first, as the walk
+    records them: a caller that gathers the invocations of several walks
+    reverses once, at its end. *)

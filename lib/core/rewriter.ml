@@ -45,11 +45,6 @@ let create ?(k = 1) ?predicate ~s0 ~target () =
 
 let contract t = t
 
-(* used to identify which cached service result broke its declared
-   output type when a safe walk fails (see [Execute.run]'s [validate]) *)
-let output_ok t fname forest =
-  Validate.output_instance (Contract.ctx t) fname forest = []
-
 let env = Contract.env
 
 (* ------------------------------------------------------------------ *)
@@ -178,6 +173,125 @@ let () =
     | Failed f -> Some (Fmt.str "Axml_core.Rewriter.Failed (%a)" pp_failure f)
     | _ -> None)
 
+(* The context a failure names: the element or function whose children
+   word it is. *)
+let context_of ~fn name = if fn then name ^ "()" else "<" ^ name ^ ">"
+
+(* The reversed path of child [i] of the node at reversed path [up]; the
+   root is child -1 of the empty path. *)
+let path_of up i = if i < 0 then up else i :: up
+
+let rec all_data = function
+  | [] -> true
+  | Document.Data _ :: rest -> all_data rest
+  | (Document.Elem _ | Document.Call _) :: _ -> false
+
+(* [invs], latest first, located at [at], before [acc]. *)
+let[@tail_mod_cons] rec locate at (invs : Execute.invocation list) acc =
+  match invs with
+  | [] -> acc
+  | invocation :: rest -> { at; invocation } :: locate at rest acc
+
+(* One materialization: what every node of its walk reads, and the
+   invocations so far, latest first. *)
+type walk = {
+  mode : mode;
+  contract : t;
+  invoker : Execute.invoker;
+  mutable invocations : located_invocation list;
+}
+
+(* A node is child [i] of the node at reversed path [up]: its own path
+   is consed only where it is read — a failure, an invocation, or
+   children that are not all data. *)
+let rec interior w depth up i (node : Document.t) : Document.t =
+  match node with
+  | Document.Data _ -> node
+  | Document.Elem { label; children; _ } ->
+    (match Validate.model_of_id (Contract.ctx w.contract) (Document.sym_id node) with
+     | None -> raise (Failed { at = List.rev (path_of up i); reason = Unknown_element label })
+     | Some m ->
+       let children' = forest w depth up i ~fn:false label m children in
+       if children' == children then node else Document.rebuild node children')
+  | Document.Call { name; params; _ } ->
+    (match Validate.model_of_id (Contract.ctx w.contract) (Document.sym_id node) with
+     | None -> raise (Failed { at = List.rev (path_of up i); reason = Unknown_function name })
+     | Some m ->
+       let params' = forest w depth up i ~fn:true name m params in
+       if params' == params then node else Document.rebuild node params')
+
+(* materialize each child in place, preserving physical identity when
+   nothing underneath changed so untouched subtrees are not rebuilt;
+   [path] is the children's parent's *)
+and interiors w depth path i (children : Document.forest) : Document.forest =
+  match children with
+  | [] -> children
+  | c :: rest ->
+    let c' = interior w depth path i c in
+    let rest' = interiors w depth path (i + 1) rest in
+    if c' == c && rest' == rest then children else c' :: rest'
+
+and forest w depth up i ~fn name (m : Validate.model) (children : Document.forest) :
+    Document.forest =
+  (* deepest-first: materialize interiors (and hence parameters of
+     function children) before rewriting this children word *)
+  let children =
+    if all_data children then children else interiors w depth (path_of up i) 0 children
+  in
+  (* fast path: a children word already in the target language needs
+     no game and no walk — the keep-first walk would return it
+     unchanged with zero invocations, so return it directly *)
+  if Validate.forest_accepted m.Validate.dfa children then children
+  else begin
+    let path = path_of up i in
+    let run = Contract.forest_run ~k:depth w.contract w.mode m children in
+    if not (Win.ok run) then
+      raise
+        (Failed
+           { at = List.rev path;
+             reason = unrewritable w.mode ~context:(context_of ~fn name) (Document.word children) });
+    (* The k-bounded hook: rewrite each returned node against the
+       remaining budget. A non-fault [Failed] from the nested walk is
+       the verdict "this result cannot be rewritten" — reported as
+       [Execute.Refused] so the outer walk treats the option as
+       unavailable and backtracks. Faults re-raise and come back as
+       service errors. *)
+    let reenforce =
+      if depth <= 1 then None
+      else
+        Some
+          (fun _fname returned ->
+            match interiors w (depth - 1) path 0 returned with
+            | enforced -> enforced
+            | exception Failed f when not (failure_is_fault f) -> raise Execute.Refused)
+    in
+    match
+      Execute.run_latest_first ~validate:(Some (Contract.output_ok w.contract)) ~reenforce
+        run w.invoker children
+    with
+    | Ok outcome ->
+      (match outcome.Execute.invocations with
+       | [] -> ()
+       | invs -> w.invocations <- locate (List.rev path) invs w.invocations);
+      outcome.Execute.materialized
+    | Error e ->
+      let at = List.rev path and context = context_of ~fn name in
+      let reason =
+        match e with
+        | Execute.No_possible_path -> Execution_failed { context }
+        | Execute.Ill_typed_output inv ->
+          Ill_typed_service { context; fname = inv.Execute.inv_name }
+        | Execute.Unrewritable_output inv ->
+          Unrewritable_output { context; fname = inv.Execute.inv_name }
+        | Execute.Service_error { fname; attempts; cause } ->
+          Service_failure
+            { context; fname; attempts; message = Printexc.to_string cause }
+        | Execute.Invariant_violation detail ->
+          Invariant_failure { context; detail }
+      in
+      raise (Failed { at; reason })
+  end
+
 (* Materialize [doc] so that it conforms to the exchange schema,
    invoking services through [invoker]. In [Safe] mode the rewriting is
    guaranteed (exception [Failed] means the document is not safely
@@ -197,91 +311,10 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
   match root_failure mode t doc with
   | Some f -> Error [ f ]
   | None ->
-  let invocations = ref [] in
-  let ctx = Contract.ctx t in
-  let rec interior depth path (node : Document.t) : Document.t =
-    match node with
-    | Document.Data _ -> node
-    | Document.Elem { label; children; _ } ->
-      (match Validate.model_of_id ctx (Document.sym_id node) with
-       | None -> raise (Failed { at = List.rev path; reason = Unknown_element label })
-       | Some m ->
-         let children' = forest depth path ~fn:false label m children in
-         if children' == children then node else Document.rebuild node children')
-    | Document.Call { name; params; _ } ->
-      (match Validate.model_of_id ctx (Document.sym_id node) with
-       | None -> raise (Failed { at = List.rev path; reason = Unknown_function name })
-       | Some m ->
-         let params' = forest depth path ~fn:true name m params in
-         if params' == params then node else Document.rebuild node params')
-  (* materialize each child in place, preserving physical identity when
-     nothing underneath changed so untouched subtrees are not rebuilt *)
-  and interiors depth path i (children : Document.forest) : Document.forest =
-    match children with
-    | [] -> children
-    | c :: rest ->
-      let c' = interior depth (i :: path) c in
-      let rest' = interiors depth path (i + 1) rest in
-      if c' == c && rest' == rest then children else c' :: rest'
-  and forest depth path ~fn name (m : Validate.model) (children : Document.forest) :
-      Document.forest =
-    (* deepest-first: materialize interiors (and hence parameters of
-       function children) before rewriting this children word *)
-    let children = interiors depth path 0 children in
-    (* fast path: a children word already in the target language needs
-       no game and no walk — the keep-first walk would return it
-       unchanged with zero invocations, so return it directly *)
-    if Validate.forest_accepted m.Validate.dfa children then children
-    else begin
-    let context () = if fn then name ^ "()" else "<" ^ name ^ ">" in
-    let run = Contract.forest_run ~k:depth t mode m children in
-    if not (Win.ok run) then
-      raise
-        (Failed
-           { at = List.rev path;
-             reason = unrewritable mode ~context:(context ()) (Document.word children) });
-    (* The k-bounded hook: rewrite each returned node against the
-       remaining budget. A non-fault [Failed] from the nested walk is
-       the verdict "this result cannot be rewritten" — reported as
-       [None] so the outer walk treats the option as unavailable and
-       backtracks. Faults re-raise and come back as service errors. *)
-    let reenforce =
-      if depth <= 1 then None
-      else
-        Some
-          (fun _fname returned ->
-            match interiors (depth - 1) path 0 returned with
-            | enforced -> Some enforced
-            | exception Failed f when not (failure_is_fault f) -> None)
-    in
-    match Execute.run ~validate:(output_ok t) ?reenforce run invoker children with
-    | Ok outcome ->
-      let at = List.rev path in
-      List.iter
-        (fun inv -> invocations := { at; invocation = inv } :: !invocations)
-        outcome.Execute.invocations;
-      outcome.Execute.materialized
-    | Error e ->
-      let at = List.rev path and context = context () in
-      let reason =
-        match e with
-        | Execute.No_possible_path -> Execution_failed { context }
-        | Execute.Ill_typed_output inv ->
-          Ill_typed_service { context; fname = inv.Execute.inv_name }
-        | Execute.Unrewritable_output inv ->
-          Unrewritable_output { context; fname = inv.Execute.inv_name }
-        | Execute.Service_error { fname; attempts; cause } ->
-          Service_failure
-            { context; fname; attempts; message = Printexc.to_string cause }
-        | Execute.Invariant_violation detail ->
-          Invariant_failure { context; detail }
-      in
-      raise (Failed { at; reason })
-    end
-  in
-  match interior top_k [] doc with
-  | doc' -> Ok (doc', List.rev !invocations)
-  | exception Failed f -> Error [ f ]
+    let w = { mode; contract = t; invoker; invocations = [] } in
+    match interior w top_k [] (-1) doc with
+    | doc' -> Ok (doc', List.rev w.invocations)
+    | exception Failed f -> Error [ f ]
 
 (* ------------------------------------------------------------------ *)
 (* The mixed approach (Section 5)                                      *)

@@ -88,12 +88,12 @@ let models ctx = List.filter_map Fun.id (Array.to_list ctx.by_id)
 (* Membership of a children forest in a dense content model: steps the
    flat tables directly over the children, no word list, no allocation.
    The reject state (-1) is absorbing, so the loop can stop early. *)
-let forest_accepted dense children =
-  let rec run s = function
-    | [] -> Dense.is_final dense s
-    | child :: rest -> s >= 0 && run (Dense.step_id dense s (Document.sym_id child)) rest
-  in
-  run (Dense.start dense) children
+let rec accepts_from dense s = function
+  | [] -> Dense.is_final dense s
+  | child :: rest ->
+    s >= 0 && accepts_from dense (Dense.step_id dense s (Document.sym_id child)) rest
+
+let forest_accepted dense children = accepts_from dense (Dense.start dense) children
 
 (* ------------------------------------------------------------------ *)
 (* The one static walk                                                 *)

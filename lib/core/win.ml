@@ -452,27 +452,30 @@ let every_word tb kind ~budget a =
    the choices a walk over the product makes. A branch that dies
    returns [dead] and the next move is tried: backtracking is
    returning. *)
-type frame = Word | Copy of copy
-
-and copy = {
-  fn : fn;
-  wins : int array;  (* Glushkov position -> winning set *)
-  forks : int;
-  parent : frame;
-  exit : int;  (* the parent's position after the call *)
-  rest : Document.forest;  (* the parent's items after the call *)
-  next : int;  (* the occurrence of [rest]'s head *)
-}
+type frame =
+  | Word
+  | Copy of {
+      fn : fn;
+      wins : int array;  (* Glushkov position -> winning set *)
+      forks : int;
+      parent : frame;
+      exit : int;  (* the parent's position after the call *)
+      rest : Document.forest;  (* the parent's items after the call *)
+      next : int;  (* the occurrence of [rest]'s head *)
+    }
+      (* an inline record: entering a copy allocates one block *)
 
 type 'st service = {
   chosen : 'st -> string -> invoke:bool -> unit;
-  call : 'st -> string -> Document.forest -> Document.forest option;
+  call : 'st -> string -> Document.forest -> Document.forest;
 }
+
+exception Unavailable
 
 (* A service's answer at one call occurrence. The word's items are
    occurrences 0 .. n-1; the items of an answer are numbered from its
    [base] on when it arrives, so backtracking meets the same numbers. *)
-type answer = Unasked | Unavailable | Answered of { items : Document.forest; base : int }
+type answer = Unasked | Out | Answered of { items : Document.forest; base : int }
 
 type 'st walk = {
   run : run;
@@ -491,12 +494,12 @@ let forks_of w = function Word -> w.run.budget | Copy c -> c.forks
 (* The answer at occurrence [occ]: the service is asked at most once. *)
 let answer w occ fname item =
   match if occ < Array.length w.answers then w.answers.(occ) else Unasked with
-  | Unavailable | Answered _ as known -> known
+  | Out | Answered _ as known -> known
   | Unasked ->
     let a =
       match w.service.call w.st fname (Document.children item) with
-      | None -> Unavailable
-      | Some items ->
+      | exception Unavailable -> Out
+      | items ->
         let base = w.occurrences in
         w.occurrences <- base + List.length items;
         Answered { items; base }
@@ -527,8 +530,9 @@ let rec items w frame pos s occ = function
     | Copy c ->
       let id = Document.sym_id item and first = c.fn.off.(pos) and last = c.fn.off.(pos + 1) in
       let fork = if c.forks >= 1 then fork_of_edges c.fn id first last else -1 in
-      let out = keeps w frame c fork item id s occ rest first last in
-      if out != dead || c.forks < 1 then out else forks w frame c item id s occ rest first last)
+      let out = keeps w frame c.fn c.wins fork item id s occ rest first last in
+      if out != dead || c.forks < 1 then out
+      else forks w frame c.fn item id s occ rest first last)
 
 (* The word must end accepted; a copy must end at a final position,
    and its parent resumes. *)
@@ -565,25 +569,25 @@ and keep w frame fork item set pos' s' occ' rest =
     let out = items w frame pos' s' occ' rest in
     if out == dead then dead else item :: out
 
-and keeps w frame c fork item id s occ rest e last =
+and keeps w frame fn wins fork item id s occ rest e last =
   if e >= last then dead
   else
     let out =
-      if c.fn.lid.(e) <> id then dead
+      if fn.lid.(e) <> id then dead
       else
-        let dst = c.fn.dst.(e) in
-        keep w frame fork item c.wins.(dst) dst (Dense.step_id w.run.tb.dfa s id) (occ + 1) rest
+        let dst = fn.dst.(e) in
+        keep w frame fork item wins.(dst) dst (Dense.step_id w.run.tb.dfa s id) (occ + 1) rest
     in
-    if out != dead then out else keeps w frame c fork item id s occ rest (e + 1) last
+    if out != dead then out else keeps w frame fn wins fork item id s occ rest (e + 1) last
 
-and forks w frame c item id s occ rest e last =
+and forks w frame fn item id s occ rest e last =
   if e >= last then dead
   else
     let out =
-      if c.fn.callee.(e) < 0 || c.fn.lid.(e) <> id then dead
-      else invoke w frame c.fn.callee.(e) c.fn.dst.(e) s occ item rest
+      if fn.callee.(e) < 0 || fn.lid.(e) <> id then dead
+      else invoke w frame fn.callee.(e) fn.dst.(e) s occ item rest
     in
-    if out != dead then out else forks w frame c item id s occ rest (e + 1) last
+    if out != dead then out else forks w frame fn item id s occ rest (e + 1) last
 
 (* Invoke [item], a call to forking function [f], in state [s]: walk
    its answer through a copy of [f]'s output automaton, whose parent
@@ -599,7 +603,7 @@ and invoke w frame f exit s occ item rest =
   if not (member tb wins.(fn.start) s) then dead
   else
     match answer w occ fn.name item with
-    | Unasked | Unavailable -> dead
+    | Unasked | Out -> dead
     | Answered { items = answer; base } ->
       items w
         (Copy { fn; wins; forks = forks - 1; parent = frame; exit; rest; next = occ + 1 })

@@ -81,11 +81,15 @@ type 'st service = {
   chosen : 'st -> string -> invoke:bool -> unit;
       (** a fork option of a call to the function is tried: keep it, or
           ([invoke]) invoke it *)
-  call : 'st -> string -> Document.forest -> Document.forest option;
+  call : 'st -> string -> Document.forest -> Document.forest;
       (** invoke the function on the parameters: the forest to walk in
-          place of the call, or [None] when this option is unavailable *)
+          place of the call; raises {!Unavailable} when this option is
+          out *)
 }
 (** What the walk asks of its caller, over the caller's state ['st]. *)
+
+exception Unavailable
+(** Raised by a service's [call] when the fork option is unavailable. *)
 
 val walk : run -> 'st service -> 'st -> Document.forest -> Document.forest option
 (** [walk r service st items] follows [r]'s strategy over [items], the

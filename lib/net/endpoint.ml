@@ -50,6 +50,12 @@ let open_exchanges t =
   Mutex.unlock t.lock;
   n
 
+let exchange_schema t id =
+  Mutex.lock t.lock;
+  let schema = Hashtbl.find_opt t.exchanges id in
+  Mutex.unlock t.lock;
+  schema
+
 (* Drop every open agreement, as a restarted server would. Clients must
    re-open; [Client] recovers from the resulting "unknown-exchange". *)
 let reset_exchanges t =
@@ -90,10 +96,7 @@ let dispatch t : Wire.request -> Wire.response = function
       Mutex.unlock t.lock;
       Exchange_opened { id; k }
   | Exchange { exchange; as_name; doc_xml } ->
-    (Mutex.lock t.lock;
-     let schema = Hashtbl.find_opt t.exchanges exchange in
-     Mutex.unlock t.lock;
-     match schema with
+    (match exchange_schema t exchange with
      | None -> err "unknown-exchange" "no open exchange agreement #%d" exchange
      | Some schema ->
        (match Peer.receive t.peer ~exchange:schema ~as_name doc_xml with
@@ -123,6 +126,8 @@ let dispatch t : Wire.request -> Wire.response = function
        err "unknown-document" "peer %s stores no document %S"
          (Peer.name t.peer) name)
   | Lint_exchange { schema_xml } ->
+    (* a fresh schema value, which [Peer.lint_exchange] lints without
+       entering the peer's cache: lints never evict an agreement *)
     parse_schema schema_xml @@ fun schema ->
     let diags = Peer.lint_exchange t.peer ~exchange:schema in
     Report { json = Json.to_string (Axml_analysis.Diagnostic.report_to_json diags) }

@@ -29,6 +29,11 @@ val open_exchanges : t -> int
 (** Agreements currently opened (monotonic ids handed out by
     [Open_exchange] and still resolvable). *)
 
+val exchange_schema : t -> int -> Axml_schema.Schema.t option
+(** The schema value agreement [id] was opened with, which keys the
+    peer's {!Axml_peer.Peer.exchange_pipeline} for it; [None] for an id
+    not open. *)
+
 val reset_exchanges : t -> unit
 (** Forget every open agreement, as a restarted server would. Subsequent
     [Exchange] requests under an old id answer ["unknown-exchange"];

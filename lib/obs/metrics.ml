@@ -12,7 +12,13 @@ module Afloat = struct
 
   let make v : t = Atomic.make (Int64.bits_of_float v)
   let get (t : t) = Int64.float_of_bits (Atomic.get t)
-  let set (t : t) v = Atomic.set t (Int64.bits_of_float v)
+
+  (* A store boxes its bit pattern, so storing the value already held
+     is skipped: a gauge set to a float the caller already holds boxed
+     allocates nothing. *)
+  let set (t : t) v =
+    let bits = Int64.bits_of_float v in
+    if not (Int64.equal (Atomic.get t) bits) then Atomic.set t bits
 
   let rec add (t : t) d =
     let cur = Atomic.get t in
@@ -170,9 +176,9 @@ let gauge_value g = Afloat.get g.g_value
 
 let bucket_index bounds v =
   (* first bound >= v, or the overflow slot *)
-  let n = Array.length bounds in
-  let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
-  go 0
+  let i = ref 0 in
+  while !i < Array.length bounds && not (v <= bounds.(!i)) do incr i done;
+  !i
 
 let observe h v =
   ignore (Atomic.fetch_and_add h.h_counts.(bucket_index h.h_bounds v) 1);

@@ -11,4 +11,5 @@ val take : t -> Buffer.t
 
 val contents : t -> Buffer.t -> string
 (** The buffer's contents; the buffer, which the caller must not use
-    again, becomes the spare unless it holds more than 64 KiB. *)
+    again, becomes the spare unless it holds more than 1 MiB (so a spare
+    holds less than 2 MiB). *)

@@ -3,26 +3,40 @@
    CDATA sections, comments and processing instructions. DOCTYPE
    declarations in the prolog are skipped.
 
-   The scanner allocates what it returns and one scratch buffer per
-   parse, nothing per character or per probe. The cursor is a bare
-   offset: line and column are a function of it, computed when an
-   [Error] is raised. Prefix probes compare in place. Character data and
-   attribute values are scanned as runs, and a run is copied once: a
-   token that is one run becomes one [String.sub]; a token broken by
-   entity references or line ends (or split across CDATA sections) is
-   assembled in the scratch buffer. Every [String.unsafe_get] below reads an index that its loop
-   condition has already bounded by the input's length.
+   The scanner allocates what it returns, the cursor, and the stack of
+   open elements with their children read so far; nothing per character
+   or per probe. The cursor is a bare offset: line and column are a
+   function of it, computed when an [Error] is raised. Prefix probes
+   compare in place. Character data and attribute values are scanned as
+   runs, and a run is copied once: a token that is one run becomes one
+   [String.sub]; a token broken by entity references or line ends (or
+   split across CDATA sections) is assembled in a scratch buffer, which
+   a parse creates only when it meets the first such token. Attribute
+   lists are built in order. Every [String.unsafe_get] below reads an
+   index that its loop condition has already bounded by the input's
+   length.
 
    Bytes are classified by [Byte_class.table], and the cursor helpers
-   are inlined, so the scanning loops make no call per byte. *)
+   are inlined, so the scanning loops make no call per byte. A name
+   byte from 0x80 up starts a UTF-8 sequence, decoded only there. *)
 
 type position = { line : int; column : int }
 
 exception Error of { pos : position; message : string }
 
-type cursor = { input : string; mutable offset : int; scratch : Buffer.t }
+type cursor = { input : string; mutable offset : int; mutable scratch : Buffer.t }
 
-let make_cursor input = { input; offset = 0; scratch = Buffer.create 64 }
+(* The scratch buffer of a cursor that has not needed one yet; never
+   written. *)
+let no_scratch = Buffer.create 1
+
+let make_cursor input = { input; offset = 0; scratch = no_scratch }
+
+(* The cursor's scratch buffer, empty. *)
+let scratch cur =
+  if cur.scratch == no_scratch then cur.scratch <- Buffer.create 64
+  else Buffer.clear cur.scratch;
+  cur.scratch
 
 (* Lines end at '\n' (so "\r\n" is one line end and a bare '\r' none);
    the column counts bytes from 1. *)
@@ -74,20 +88,87 @@ let skip_whitespace cur =
   while !i < String.length s && is Byte_class.space (String.unsafe_get s !i) do incr i done;
   cur.offset <- !i
 
+(* Names beyond ASCII (XML 1.0, fifth edition): the code points of
+   NameStartChar, and those NameChar adds. *)
+let is_name_start_code c =
+  (c >= 0xC0 && c <= 0xD6) || (c >= 0xD8 && c <= 0xF6) || (c >= 0xF8 && c <= 0x2FF)
+  || (c >= 0x370 && c <= 0x37D) || (c >= 0x37F && c <= 0x1FFF)
+  || (c >= 0x200C && c <= 0x200D) || (c >= 0x2070 && c <= 0x218F)
+  || (c >= 0x2C00 && c <= 0x2FEF) || (c >= 0x3001 && c <= 0xD7FF)
+  || (c >= 0xF900 && c <= 0xFDCF) || (c >= 0xFDF0 && c <= 0xFFFD)
+  || (c >= 0x10000 && c <= 0xEFFFF)
+
+let is_name_code c =
+  is_name_start_code c || c = 0xB7 || (c >= 0x300 && c <= 0x36F)
+  || (c >= 0x203F && c <= 0x2040)
+
+(* The length of the well-formed UTF-8 sequence at [i] (a byte from 0x80
+   up), 0 if it is malformed: a continuation or overlong lead byte, a
+   bad or missing continuation byte, a surrogate or a code point above
+   U+10FFFF. *)
+let utf8_length s i =
+  let n = String.length s in
+  let byte k = if i + k < n then Char.code (String.unsafe_get s (i + k)) else 0 in
+  let cont k = byte k land 0xC0 = 0x80 in
+  let b0 = byte 0 and b1 = byte 1 in
+  if b0 >= 0xC2 && b0 <= 0xDF then if cont 1 then 2 else 0
+  else if b0 >= 0xE0 && b0 <= 0xEF then
+    let lo = if b0 = 0xE0 then 0xA0 else 0x80 and hi = if b0 = 0xED then 0x9F else 0xBF in
+    if b1 >= lo && b1 <= hi && cont 2 then 3 else 0
+  else if b0 >= 0xF0 && b0 <= 0xF4 then
+    let lo = if b0 = 0xF0 then 0x90 else 0x80 and hi = if b0 = 0xF4 then 0x8F else 0xBF in
+    if b1 >= lo && b1 <= hi && cont 2 && cont 3 then 4 else 0
+  else 0
+
+(* The code point of the well-formed sequence of [len] bytes at [i]. *)
+let utf8_code s i len =
+  let b k = Char.code (String.unsafe_get s (i + k)) land 0x3F in
+  let b0 = Char.code (String.unsafe_get s i) in
+  match len with
+  | 2 -> ((b0 land 0x1F) lsl 6) lor b 1
+  | 3 -> ((b0 land 0x0F) lsl 12) lor (b 1 lsl 6) lor b 2
+  | _ -> ((b0 land 0x07) lsl 18) lor (b 1 lsl 12) lor (b 2 lsl 6) lor b 3
+
+(* The length of the UTF-8 name character at [at], a byte from 0x80 up
+   ([start]: one that may start a name), 0 if its code point is none; a
+   malformed sequence is an error there. *)
+let utf8_name_length cur ~start at =
+  let s = cur.input in
+  let len = utf8_length s at in
+  if len = 0 then begin
+    cur.offset <- at;
+    fail cur "malformed UTF-8 in a name"
+  end;
+  let code = utf8_code s at len in
+  if (if start then is_name_start_code code else is_name_code code) then len else 0
+
+(* The length of the name start character at [at], 0 if there is none. *)
+let[@inline] name_start_length cur at =
+  if at >= String.length cur.input then 0
+  else
+    let c = String.unsafe_get cur.input at in
+    if is Byte_class.name_start c then 1
+    else if Char.code c >= 0x80 then utf8_name_length cur ~start:true at
+    else 0
+
 (* Offset just past the name characters that start at [at] (at most
    [at]). *)
-let name_end s at =
+let rec name_end cur at =
+  let s = cur.input in
   let i = ref at in
   while !i < String.length s && is Byte_class.name_char (String.unsafe_get s !i) do
     incr i
   done;
-  !i
+  if !i < String.length s && Char.code (String.unsafe_get s !i) >= 0x80 then
+    let len = utf8_name_length cur ~start:false !i in
+    if len = 0 then !i else name_end cur (!i + len)
+  else !i
 
 let read_name cur =
   let start = cur.offset in
-  if eof cur || not (is Byte_class.name_start (String.unsafe_get cur.input start)) then
-    fail cur (Fmt.str "expected a name, found %C" (peek cur));
-  cur.offset <- name_end cur.input (start + 1);
+  let first = name_start_length cur start in
+  if first = 0 then fail cur (Fmt.str "expected a name, found %C" (peek cur));
+  cur.offset <- name_end cur (start + first);
   String.sub cur.input start (cur.offset - start)
 
 let digit_value base c =
@@ -180,8 +261,7 @@ let read_run cur stop =
     String.sub s start (i - start)
   end
   else begin
-    let buf = cur.scratch in
-    Buffer.clear buf;
+    let buf = scratch cur in
     Buffer.add_substring buf s start (i - start);
     cur.offset <- i;
     while (not (eof cur)) && String.unsafe_get s cur.offset <> stop do
@@ -210,29 +290,25 @@ let read_quoted cur =
   advance cur;
   value
 
-(* The attributes of a start tag, leaving the cursor past the
+(* The attributes of a start tag, in order, leaving the cursor past the
    whitespace after the last one. As in XML 1.0, whitespace precedes
-   every attribute. *)
-let read_attributes cur =
-  let attrs = ref [] in
-  let continue = ref true in
-  while !continue do
-    let before = cur.offset in
+   every attribute. The list is built front to back by a loop in
+   constant stack ([@tail_mod_cons]). *)
+let[@tail_mod_cons] rec read_attributes cur =
+  let before = cur.offset in
+  skip_whitespace cur;
+  match peek cur with
+  | '>' | '/' | '?' | '\000' -> []
+  | _ ->
+    if cur.offset = before && name_start_length cur cur.offset > 0 then
+      fail cur "expected whitespace before an attribute";
+    let name = read_name cur in
     skip_whitespace cur;
-    match peek cur with
-    | '>' | '/' | '?' | '\000' -> continue := false
-    | c ->
-      if cur.offset = before && is Byte_class.name_start c then
-        fail cur "expected whitespace before an attribute";
-      let name = read_name cur in
-      skip_whitespace cur;
-      if peek cur <> '=' then fail cur (Fmt.str "expected '=' after attribute %s" name);
-      advance cur;
-      skip_whitespace cur;
-      let value = read_quoted cur in
-      attrs := { Xml_tree.name; value } :: !attrs
-  done;
-  List.rev !attrs
+    if peek cur <> '=' then fail cur (Fmt.str "expected '=' after attribute %s" name);
+    advance cur;
+    skip_whitespace cur;
+    let value = read_quoted cur in
+    { Xml_tree.name; value } :: read_attributes cur
 
 (* The body up to [terminator], leaving the cursor past it. *)
 let read_until cur terminator what =
@@ -268,8 +344,7 @@ let skip_doctype cur =
    reading them back as a single node is what makes print-then-parse
    the identity. The cursor sits on the first "<![CDATA[". *)
 let read_cdata cur =
-  let buf = cur.scratch in
-  Buffer.clear buf;
+  let buf = scratch cur in
   while looking_at cur "<![CDATA[" do
     advance_n cur 9;
     Buffer.add_string buf (read_until cur "]]>" "CDATA section")
@@ -321,7 +396,7 @@ let end_close_tag cur =
    out, for the message. *)
 let close_tag cur name =
   let at = cur.offset and len = String.length name in
-  if sub_equal cur.input at name && name_end cur.input (at + len) = at + len then begin
+  if sub_equal cur.input at name && name_end cur (at + len) = at + len then begin
     cur.offset <- at + len;
     end_close_tag cur
   end
@@ -333,96 +408,87 @@ let close_tag cur name =
 
 (* Parse one element, iteratively: an explicit stack of open elements
    replaces the call-stack recursion, so nesting depth is bounded by the
-   heap — a 100k-deep document parses without exhausting the stack. *)
-let read_element cur : Xml_tree.t =
-  let stack : frame list ref = ref [] in
-  let result = ref None in
-  let emit node =
-    match !stack with
-    | f :: _ -> f.kids <- node :: f.kids
-    | [] -> result := Some node
-  in
-  while Option.is_none !result do
-    if eof cur then begin
-      match !stack with
-      | f :: _ -> fail cur (Fmt.str "unterminated element <%s>" f.name)
-      | [] -> fail cur "expected an element"
-    end
-    else if String.unsafe_get cur.input cur.offset <> '<' then
-      emit (Xml_tree.Text (read_run cur '<'))
-    else if peek2 cur = '/' then begin
-      advance_n cur 2;
-      match !stack with
-      | f :: rest ->
-        close_tag cur f.name;
-        stack := rest;
-        emit
-          (Xml_tree.Element { name = f.name; attrs = f.attrs; children = List.rev f.kids })
-      | [] ->
-        let close = read_name cur in
-        end_close_tag cur;
-        fail cur (Fmt.str "unexpected close tag </%s>" close)
-    end
-    else if peek2 cur = '!' && looking_at cur "<!DOCTYPE" then
-      (* a DOCTYPE belongs to the prolog; skipped in content, it would
-         join the text around it into one node on a reprint *)
-      fail cur "DOCTYPE declaration inside an element"
-    else
-      match markup_leaf cur with
-      | Some node -> emit node
-      | None ->
-        (* an open tag *)
-        advance cur; (* '<' *)
-        let name = read_name cur in
-        let attrs = read_attributes cur in
-        if peek cur = '/' && peek2 cur = '>' then begin
-          advance_n cur 2;
-          emit (Xml_tree.Element { name; attrs; children = [] })
-        end
-        else if peek cur = '>' then begin
-          advance cur;
-          stack := { name; attrs; kids = [] } :: !stack
-        end
-        else fail cur (Fmt.str "malformed start tag <%s>" name)
-  done;
-  Option.get !result
+   heap — a 100k-deep document parses without exhausting the stack.
+   [elements] and [emit] call each other in tail position only. *)
+let rec elements cur (stack : frame list) : Xml_tree.t =
+  if eof cur then begin
+    match stack with
+    | f :: _ -> fail cur (Fmt.str "unterminated element <%s>" f.name)
+    | [] -> fail cur "expected an element"
+  end
+  else if String.unsafe_get cur.input cur.offset <> '<' then
+    emit cur stack (Xml_tree.Text (read_run cur '<'))
+  else if peek2 cur = '/' then begin
+    advance_n cur 2;
+    match stack with
+    | f :: rest ->
+      close_tag cur f.name;
+      emit cur rest
+        (Xml_tree.Element { name = f.name; attrs = f.attrs; children = List.rev f.kids })
+    | [] ->
+      let close = read_name cur in
+      end_close_tag cur;
+      fail cur (Fmt.str "unexpected close tag </%s>" close)
+  end
+  else if peek2 cur = '!' && looking_at cur "<!DOCTYPE" then
+    (* a DOCTYPE belongs to the prolog; skipped in content, it would
+       join the text around it into one node on a reprint *)
+    fail cur "DOCTYPE declaration inside an element"
+  else
+    match markup_leaf cur with
+    | Some node -> emit cur stack node
+    | None ->
+      (* an open tag *)
+      advance cur; (* '<' *)
+      let name = read_name cur in
+      let attrs = read_attributes cur in
+      if peek cur = '/' && peek2 cur = '>' then begin
+        advance_n cur 2;
+        emit cur stack (Xml_tree.Element { name; attrs; children = [] })
+      end
+      else if peek cur = '>' then begin
+        advance cur;
+        elements cur ({ name; attrs; kids = [] } :: stack)
+      end
+      else fail cur (Fmt.str "malformed start tag <%s>" name)
 
-let rec read_node cur : Xml_tree.t option =
-  if eof cur then None
+(* A finished node: a child of the innermost open element, or, with none
+   open, the element read. *)
+and emit cur stack node =
+  match stack with
+  | f :: _ ->
+    f.kids <- node :: f.kids;
+    elements cur stack
+  | [] -> node
+
+(* The document's top level up to the end of input: [root] is the root
+   element once read. Leading and trailing comments, PIs and whitespace
+   are allowed. *)
+let rec top_level cur root =
+  skip_whitespace cur;
+  if eof cur then root
   else if looking_at cur "<!DOCTYPE" then begin
     advance_n cur 9;
     skip_doctype cur;
-    read_node cur
+    top_level cur root
   end
-  else if looking_at cur "</" then None (* caller handles the close tag *)
+  else if looking_at cur "</" then fail cur "unexpected close tag"
   else
     match try_leaf cur with
-    | Some node -> Some node
-    | None -> Some (read_element cur)
+    | Some (Xml_tree.Text s) when Xml_tree.is_whitespace s -> top_level cur root
+    | Some (Xml_tree.Comment _ | Xml_tree.Pi _) -> top_level cur root
+    | Some (Xml_tree.Text _ | Xml_tree.Cdata _ | Xml_tree.Element _) ->
+      fail cur "character data outside the root element"
+    | None ->
+      let e = elements cur [] in
+      (match root with
+       | None -> top_level cur (Some e)
+       | Some _ -> fail cur "multiple root elements")
 
-(* [parse input] parses a whole document and returns its root element.
-   Leading/trailing comments, PIs and whitespace are allowed. *)
+(* [parse input] parses a whole document and returns its root element. *)
 let parse input : Xml_tree.t =
   let cur = make_cursor input in
-  let root = ref None in
-  let rec loop () =
-    skip_whitespace cur;
-    if not (eof cur) then begin
-      (match read_node cur with
-       | Some (Xml_tree.Element _ as e) ->
-         (match !root with
-          | None -> root := Some e
-          | Some _ -> fail cur "multiple root elements")
-       | Some (Xml_tree.Text s) when Xml_tree.is_whitespace s -> ()
-       | Some (Xml_tree.Comment _ | Xml_tree.Pi _) -> ()
-       | Some (Xml_tree.Text _ | Xml_tree.Cdata _) ->
-         fail cur "character data outside the root element"
-       | None -> fail cur "unexpected close tag");
-      loop ()
-    end
-  in
-  loop ();
-  match !root with
+  match top_level cur None with
   | Some e -> e
   | None -> fail cur "no root element"
 

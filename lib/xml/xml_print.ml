@@ -93,15 +93,15 @@ let add_cdata buf s =
   done;
   Buffer.add_string buf "]]>"
 
-let add_attrs buf attrs =
-  List.iter
-    (fun (a : Xml_tree.attribute) ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf a.name;
-      Buffer.add_string buf "=\"";
-      add_escaped ~attr:true buf a.value;
-      Buffer.add_char buf '"')
-    attrs
+let rec add_attrs buf = function
+  | [] -> ()
+  | (a : Xml_tree.attribute) :: rest ->
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf a.name;
+    Buffer.add_string buf "=\"";
+    add_escaped ~attr:true buf a.value;
+    Buffer.add_char buf '"';
+    add_attrs buf rest
 
 let add_leaf buf (node : Xml_tree.t) =
   match node with

@@ -1694,6 +1694,95 @@ let test_peer_three_hop () =
       (Axml_services.Registry.invocation_count (Peer.registry aggregator))
   | other -> Alcotest.failf "unexpected: %a" D.pp_forest other
 
+(* ------------------------------------------------------------------ *)
+(* Allocation (deterministic on a non-flambda compiler: [Gc.minor_words] *)
+(* deltas)                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let example_schema name =
+  parse_schema (In_channel.with_open_bin (Filename.concat "../examples/schemas" name)
+                  In_channel.input_all)
+
+(* The newspaper pair at k = 2, with services that answer from forests
+   generated up front, so that only the exchange path allocates. *)
+let newspaper_pipeline () =
+  let s0 = example_schema "newspaper_sender.axs" in
+  let exchange = example_schema "newspaper_exchange.axs" in
+  let env = Schema.env_of_schemas s0 exchange in
+  let registry = Registry.create () in
+  List.iteri
+    (fun i fname ->
+      let f = Option.get (Schema.find_function s0 fname) in
+      let honest = Oracle.honest_random ~seed:(11 + i) ~env s0 fname in
+      let answers = Array.init 16 (fun _ -> honest []) in
+      let next = Atomic.make 0 in
+      Registry.register registry
+        (Service.make ~input:f.Schema.f_input ~output:f.Schema.f_output fname (fun _ ->
+             answers.(Atomic.fetch_and_add next 1 land 15))))
+    (Schema.function_names s0);
+  let config = { Enforcement.default_config with Enforcement.k = 2 } in
+  ( Enforcement.Pipeline.create ~config ~s0 ~exchange ~invoker:(Registry.invoker registry) (),
+    s0, env )
+
+(* With tracing off, enforcing a document that already conforms
+   allocates the report it returns and a small constant: no span
+   closure, no boxed gauge or clock value, no per-node path. *)
+let test_enforce_conforming_alloc () =
+  let p, _, _ = newspaper_pipeline () in
+  let doc =
+    Syntax.of_xml_string
+      "<newspaper><title>T</title><date>D</date><temp>15</temp>\
+       <exhibit><title>a</title><date>b</date></exhibit></newspaper>"
+  in
+  (match Enforcement.Pipeline.enforce p doc with
+   | Ok (d, { Enforcement.action = Enforcement.Conformed; _ }) ->
+     check "unchanged" true (d == doc)
+   | _ -> Alcotest.fail "expected Conformed");
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Enforcement.Pipeline.enforce p doc))
+        done)
+    /. 1000.
+  in
+  if words > 32. then
+    Alcotest.failf "enforcing a conforming document allocated %.1f words (budget 32)" words
+
+(* The [axml batch] loop on the newspaper pair at k = 2 — parse, decode,
+   enforce, print — over 400 generated documents, about one and a half
+   invocations each: words per document within 5% of what this loop
+   measured when its budget was set (715.8). *)
+let test_batch_loop_alloc () =
+  let p, s0, env = newspaper_pipeline () in
+  let stream = Axml_workload.Mix.stream ~seed:3 ~env ~schema:s0 Axml_workload.Mix.steady in
+  let xml =
+    Array.init 400 (fun _ ->
+        Syntax.to_xml_string ~pretty:false (Axml_workload.Mix.next stream).Axml_workload.Mix.doc)
+  in
+  let loop () =
+    Array.iter
+      (fun x ->
+        match Enforcement.Pipeline.enforce p (Syntax.of_xml_string x) with
+        | Ok (d, _) -> ignore (Sys.opaque_identity (Syntax.to_xml_string ~pretty:false d))
+        | Error e -> Alcotest.failf "refused: %a" Enforcement.pp_error e)
+      xml
+  in
+  loop ();
+  let invocations = (Enforcement.Pipeline.stats p).Enforcement.Pipeline.invocations in
+  let per_doc = minor_words loop /. float_of_int (Array.length xml) in
+  check "about one and a half invocations a document" true
+    (let n = float_of_int invocations /. float_of_int (Array.length xml) in
+     n > 1. && n < 2.);
+  let budget = 715.8 *. 1.05 in
+  if per_doc > budget then
+    Alcotest.failf "the batch loop allocated %.1f words per document (budget %.1f)" per_doc
+      budget
+
 let () =
   Alcotest.run "axml"
     [ ("syntax",
@@ -1749,6 +1838,11 @@ let () =
            test_negotiation_wildcard_target
        ]);
       ("properties", axml_qcheck);
+      ("allocation",
+       [ Alcotest.test_case "enforcing a conforming document" `Quick
+           test_enforce_conforming_alloc;
+         Alcotest.test_case "the batch loop's words per document" `Quick
+           test_batch_loop_alloc ]);
       ("peers",
        [ Alcotest.test_case "call through SOAP" `Quick test_peer_call_through_soap;
          Alcotest.test_case "serve enforces output" `Quick test_peer_serve_enforces_output;

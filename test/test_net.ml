@@ -323,6 +323,37 @@ let test_endpoint_k_mismatch () =
   | Wire.Error { code = "k-mismatch"; _ } -> ()
   | r -> Alcotest.failf "mismatch before parse: %a" Wire.pp_response r
 
+(* A lint request parses the schema it carries, and the peer caches 8
+   exchange pipelines: linting, whether of the open agreement's XML or
+   of another schema, must not evict the agreement's pipeline. *)
+let test_endpoint_lint_keeps_agreement () =
+  let receiver = make_receiver () in
+  let endpoint = Endpoint.create receiver in
+  let handle = Endpoint.handle endpoint in
+  let id = open_exchange handle schema_exchange in
+  let doc_xml =
+    Syntax.to_xml_string ~pretty:false
+      (D.elem "newspaper"
+         [ D.elem "title" [ D.data "t" ]; D.elem "date" [ D.data "d" ];
+           D.elem "temp" [ D.data "15" ] ])
+  in
+  (match handle (Wire.Exchange { exchange = id; as_name = "front"; doc_xml }) with
+   | Wire.Accepted _ -> ()
+   | r -> Alcotest.failf "exchange: %a" Wire.pp_response r);
+  let schema = Option.get (Endpoint.exchange_schema endpoint id) in
+  let pipeline = Peer.exchange_pipeline receiver ~exchange:schema in
+  let lint schema_xml =
+    match handle (Wire.Lint_exchange { schema_xml }) with
+    | Wire.Report _ -> ()
+    | r -> Alcotest.failf "lint: %a" Wire.pp_response r
+  in
+  for _ = 1 to 8 do lint (Xml_schema_int.to_string schema_exchange) done;
+  check "same XML: the agreement's pipeline is kept" true
+    (pipeline == Peer.exchange_pipeline receiver ~exchange:schema);
+  for _ = 1 to 8 do lint (Xml_schema_int.to_string (Peer.schema (make_sender ()))) done;
+  check "other schemas: the agreement's pipeline is kept" true
+    (pipeline == Peer.exchange_pipeline receiver ~exchange:schema)
+
 (* The client's agreement cache must key on structural schema equality
    (a re-parsed copy is the same agreement), and a stale agreement —
    the server lost its exchange table — must be re-opened
@@ -705,7 +736,9 @@ let () =
          Alcotest.test_case "services over the wire" `Quick test_endpoint_services;
          Alcotest.test_case "k-mismatch refused" `Quick test_endpoint_k_mismatch;
          Alcotest.test_case "agreement cache and re-open" `Quick
-           test_client_agreement_cache ]);
+           test_client_agreement_cache;
+         Alcotest.test_case "lints keep the agreement's pipeline" `Quick
+           test_endpoint_lint_keeps_agreement ]);
       ("server",
        [ Alcotest.test_case "concurrent clients, verdict parity" `Quick
            test_server_concurrent_clients;

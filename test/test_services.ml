@@ -304,6 +304,27 @@ let test_directory () =
   check "unknown predicate fails closed" false
     (Directory.predicate dir "Mystery" "Get_Temp")
 
+(* ------------------------------------------------------------------ *)
+(* Allocation (deterministic on a non-flambda compiler: [Gc.minor_words] *)
+(* deltas)                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* An invocation allocates nothing of its own: the lock is taken by
+   hand, not through a closure, the service is found without an
+   option, and the fee is added to a flat float record. *)
+let test_invoke_allocates_nothing () =
+  let reg = Registry.create () in
+  Registry.register reg (get_temp_service ~cost:0.5 (fun _ -> temp_reply));
+  ignore (Registry.invoke reg "Get_Temp" []);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Registry.invoke reg "Get_Temp" []))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "words allocated" 0. words;
+  check_int "count" 1001 (Registry.invocation_count reg);
+  Alcotest.(check (float 0.001)) "cost" 500.5 (Registry.total_cost reg)
+
 let () =
   Alcotest.run "services"
     [ ("registry",
@@ -331,5 +352,8 @@ let () =
          Alcotest.test_case "wrapped invoker" `Quick test_wrap_invoker_passes_name;
          QCheck_alcotest.to_alcotest prop_wrapped_honest_equiv
        ]);
-      ("directory", [ Alcotest.test_case "publish/search/predicates" `Quick test_directory ])
+      ("directory", [ Alcotest.test_case "publish/search/predicates" `Quick test_directory ]);
+      ("allocation",
+       [ Alcotest.test_case "an invocation allocates nothing" `Quick
+           test_invoke_allocates_nothing ])
     ]

@@ -212,6 +212,46 @@ let test_bytes_in_names () =
          else None))
     all_bytes
 
+(* Names beyond ASCII: well-formed UTF-8 whose code points XML 1.0
+   (fifth edition) allows parses, prints and parses back; a malformed
+   sequence is refused at its first byte. *)
+let test_utf8_names () =
+  let roundtrip input expected =
+    parses_to input (Some expected);
+    check_str ("prints " ^ String.escaped input) input (Pr.to_string expected);
+    parses_to (Pr.to_string expected) (Some expected)
+  in
+  roundtrip "<caf\xc3\xa9/>" (T.element "caf\xc3\xa9" []);
+  roundtrip "<\xc3\xa9t\xc3\xa9>x</\xc3\xa9t\xc3\xa9>"
+    (T.element "\xc3\xa9t\xc3\xa9" [ T.text "x" ]);
+  roundtrip "<a \xc3\xa9t\xc3\xa9=\"1\"/>"
+    (T.element ~attrs:[ T.attr "\xc3\xa9t\xc3\xa9" "1" ] "a" []);
+  (* three and four bytes; U+00B7 may go on a name but not start one *)
+  roundtrip "<\xe4\xb8\xad\xf0\x90\x80\x80a\xc2\xb7/>"
+    (T.element "\xe4\xb8\xad\xf0\x90\x80\x80a\xc2\xb7" []);
+  roundtrip "<n:\xcf\x80 xmlns:n=\"urn:x\"/>"
+    (T.element ~attrs:[ T.attr "xmlns:n" "urn:x" ] "n:\xcf\x80" []);
+  List.iter
+    (fun (input, expected) ->
+      match P.parse_result input with
+      | Ok t -> Alcotest.failf "%S parsed to %s" input (Pr.to_string t)
+      | Error e -> check_str (String.escaped input) expected e)
+    [ ("<\xc2\xb7a/>", "line 1, column 2: expected a name, found '\\194'");
+      ("<a\xc3\x97/>", "line 1, column 3: expected a name, found '\\195'");
+      ("<caf\xc3/>", "line 1, column 5: malformed UTF-8 in a name");
+      ("<caf\xc3", "line 1, column 5: malformed UTF-8 in a name");
+      ("<a\xe4\xb8/>", "line 1, column 3: malformed UTF-8 in a name");
+      ("<a\xf0\x90\x80>", "line 1, column 3: malformed UTF-8 in a name");
+      ("<\x80/>", "line 1, column 2: malformed UTF-8 in a name");
+      ("<\xc0\xa9/>", "line 1, column 2: malformed UTF-8 in a name");
+      ("<a\xe0\x80\xa9/>", "line 1, column 3: malformed UTF-8 in a name");
+      ("<a\xed\xa0\x80/>", "line 1, column 3: malformed UTF-8 in a name");
+      ("<a\xf4\x90\x80\x80/>", "line 1, column 3: malformed UTF-8 in a name");
+      ("<a \xff=\"1\"/>", "line 1, column 4: malformed UTF-8 in a name");
+      ("<caf\xc3\xa9></cafe>",
+       "line 1, column 15: mismatched close tag </cafe> for <caf\xc3\xa9>");
+      ("<a></a\xc3\xa9>", "line 1, column 10: mismatched close tag </a\xc3\xa9> for <a>") ]
+
 (* XML 1.0 puts whitespace before every attribute: only a whitespace
    byte may separate two. *)
 let test_bytes_between_attributes () =
@@ -257,11 +297,15 @@ let test_bytes_in_attribute_values () =
     [ '"'; '\'' ]
 
 (* Words allocated by [f], wherever they land: a string of 64 KiB goes
-   straight to the major heap, so minor words alone would miss it. *)
+   straight to the major heap, so minor words alone would miss it. The
+   minor words come from [Gc.minor_words], which counts every word; the
+   minor count of [Gc.counters] lags behind it on OCaml 5. *)
 let words_allocated f =
-  let minor0, promoted0, major0 = Gc.counters () in
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
   f ();
-  let minor1, promoted1, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
   minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
 
 (* The heap words of a string of [n] bytes: its header and its data
@@ -273,7 +317,9 @@ let string_words n = float_of_int ((n / 8) + 2)
    parses into those three copies plus a small constant, and prints
    into its output string plus the print buffer, which doubles, so its
    blocks add up to less than twice its final capacity, the smallest
-   power of two that holds the output. *)
+   power of two that holds the output. The spare buffer keeps that
+   capacity (up to 1 MiB of output), so printing it again allocates the
+   output string alone. *)
 let test_long_tokens_alloc () =
   let k = 64 * 1024 in
   let name = String.make k 'n' and value = String.make k 'v' and text = String.make k 't' in
@@ -293,7 +339,42 @@ let test_long_tokens_alloc () =
   let rec capacity c = if c >= n then c else capacity (2 * c) in
   let print_budget = string_words n +. (2. *. string_words (capacity 1)) +. small in
   if print_words > print_budget then
-    Alcotest.failf "printing allocated %.0f words (budget %.0f)" print_words print_budget
+    Alcotest.failf "printing allocated %.0f words (budget %.0f)" print_words print_budget;
+  let again = words_allocated (fun () -> printed := Pr.to_string !tree) in
+  check_str "prints back again" input !printed;
+  let again_budget = string_words n +. small in
+  if again > again_budget then
+    Alcotest.failf "printing again allocated %.0f words (budget %.0f)" again again_budget
+
+(* The parser allocates what it returns: with no entity, CR or CDATA in
+   the input it makes no scratch buffer, and it builds an attribute list
+   once, in order. [<a/>] is its name (2 words), the element (6), the
+   cursor (4) and the root's option (2); every attribute of [wide] adds
+   its name and value (2 each), its record (3) and its cell (3). *)
+let test_parse_alloc () =
+  let words_of input =
+    ignore (P.parse input);
+    words_allocated (fun () -> ignore (Sys.opaque_identity (P.parse input)))
+  in
+  let small = words_of "<a/>" in
+  if small > 14. then Alcotest.failf "<a/> allocated %.0f words (budget 14)" small;
+  let n = 1000 in
+  let wide =
+    let b = Buffer.create (n * 12) in
+    Buffer.add_string b "<a";
+    for i = 1 to n do Printf.bprintf b " x%d='v'" (i mod 1000) done;
+    Buffer.add_string b "/>";
+    Buffer.contents b
+  in
+  (match P.parse wide with
+   | T.Element { attrs; _ } ->
+     check_int "attributes in order" n (List.length attrs);
+     check_str "first" "x1" (List.hd attrs).T.name
+   | _ -> Alcotest.fail "not an element");
+  let words = words_of wide in
+  let budget = small +. (10. *. float_of_int n) in
+  if words > budget then
+    Alcotest.failf "%d attributes allocated %.0f words (budget %.0f)" n words budget
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
@@ -507,6 +588,19 @@ let test_syntax_params_decl () =
   with
   | exception Syntax.Syntax_error _ -> ()
   | d -> Alcotest.failf "expected Syntax_error, got %a" D.pp d
+
+(* The printer allocates its output and nothing per element: printing a
+   flat document of 10,000 children again, once the spare buffer has
+   grown to fit it, allocates the output string and a small constant. *)
+let test_print_alloc () =
+  let n = 10_000 in
+  let doc = T.element "r" (List.init n (fun _ -> T.element "c" [])) in
+  let printed = Pr.to_string doc in
+  check_int "output" ((4 * n) + 7) (String.length printed);
+  let words = words_allocated (fun () -> ignore (Sys.opaque_identity (Pr.to_string doc))) in
+  let budget = string_words (String.length printed) +. 16. in
+  if words > budget then
+    Alcotest.failf "printing %d children allocated %.0f words (budget %.0f)" n words budget
 
 (* The printers and the wire encoder reuse one spare buffer. Four
    systhreads in each of two domains print distinct trees at once, one
@@ -991,6 +1085,8 @@ let () =
            test_bytes_in_attribute_values;
          Alcotest.test_case "64 KiB tokens allocate only their copies" `Quick
            test_long_tokens_alloc;
+         Alcotest.test_case "a parse allocates what it returns" `Quick test_parse_alloc;
+         Alcotest.test_case "UTF-8 names" `Quick test_utf8_names;
          QCheck_alcotest.to_alcotest prop_mutation_fuzz
        ]);
       ("printing",
@@ -1003,6 +1099,7 @@ let () =
          Alcotest.test_case "attribute whitespace" `Quick test_attr_whitespace_roundtrip;
          Alcotest.test_case "which bytes are escaped" `Quick test_escape_bytes;
          Alcotest.test_case "every byte prints and parses back" `Quick test_byte_roundtrip;
+         Alcotest.test_case "a print allocates its output" `Quick test_print_alloc;
          Alcotest.test_case "spare buffer under domains and systhreads" `Quick
            test_spare_buffer_concurrent
        ]);
