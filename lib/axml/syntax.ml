@@ -28,33 +28,47 @@ let default_locator : locator = fun _ -> None
 (* Document -> XML                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The attributes of a call: the constant ones are built once, so a
+   call under the default locator allocates its methodName and three
+   list cells. Every call node carries its own namespace declaration,
+   so any subtree extracted by a query stays a well-formed intensional
+   fragment. *)
+let int_declaration = T.attr "xmlns:int" axml_ns
+let local_endpoint = T.attr "endpointURL" "local:"
+let local_namespace = [ T.attr "namespaceURI" "urn:axml:local" ]
+
+let call_attrs (locate : locator) name =
+  let method_name = T.attr "methodName" name in
+  match locate name with
+  | None -> int_declaration :: local_endpoint :: method_name :: local_namespace
+  | Some (e, n) ->
+    [ int_declaration; T.attr "endpointURL" e; method_name; T.attr "namespaceURI" n ]
+
 let rec node_to_xml ~locate (doc : D.t) : T.t =
   match doc with
-  | D.Data value -> T.text value
+  | D.Data value -> T.Text value
   | D.Elem { label; children; _ } ->
-    T.element label (List.map (node_to_xml ~locate) children)
+    T.Element { name = label; attrs = []; children = forest_to_xml locate children }
   | D.Call { name; params; _ } ->
-    let endpoint, namespace =
-      match locate name with
-      | Some (e, n) -> (e, n)
-      | None -> ("local:", "urn:axml:local")
+    let attrs = call_attrs locate name in
+    let children =
+      match params with
+      | [] -> []
+      | _ -> [ T.Element { name = "int:params"; attrs = []; children = params_to_xml locate params } ]
     in
-    let params =
-      List.map
-        (fun p -> T.element "int:param" [ node_to_xml ~locate p ])
-        params
-    in
-    (* every call node carries its own namespace declaration, so any
-       subtree extracted by a query stays a well-formed intensional
-       fragment *)
-    T.element
-      ~attrs:
-        [ T.attr "xmlns:int" axml_ns;
-          T.attr "endpointURL" endpoint;
-          T.attr "methodName" name;
-          T.attr "namespaceURI" namespace ]
-      "int:fun"
-      (if params = [] then [] else [ T.element "int:params" params ])
+    T.Element { name = "int:fun"; attrs; children }
+
+and[@tail_mod_cons] forest_to_xml locate (docs : D.t list) : T.t list =
+  match docs with
+  | [] -> []
+  | d :: rest -> node_to_xml ~locate d :: forest_to_xml locate rest
+
+and[@tail_mod_cons] params_to_xml locate (params : D.t list) : T.t list =
+  match params with
+  | [] -> []
+  | p :: rest ->
+    T.Element { name = "int:param"; attrs = []; children = [ node_to_xml ~locate p ] }
+    :: params_to_xml locate rest
 
 let to_xml ?(locate = default_locator) (doc : D.t) : T.t = node_to_xml ~locate doc
 
@@ -80,12 +94,15 @@ let rec method_name (attrs : T.attribute list) =
   | [] -> raise (Syntax_error "int:fun element without a methodName attribute")
   | a :: rest -> if String.equal a.name "methodName" then a.value else method_name rest
 
-(* Is there a child of an int:fun other than int:params and layout? *)
+(* Is there a child of an int:fun other than int:params and layout
+   among [nodes]? *)
 let rec unexpected env (nodes : T.t list) =
   match nodes with
   | [] -> false
   | T.Element ce :: rest -> (not (is_int (Ns.extend env ce) ce "params")) || unexpected env rest
   | node :: rest -> (not (is_layout node)) || unexpected env rest
+
+let unexpected_content () = raise (Syntax_error "unexpected content inside int:fun")
 
 (* Decoding is direct recursion in depth and a loop in width: [forest
    env nodes penv more] decodes the sibling [nodes] under [env], then
@@ -94,8 +111,8 @@ let rec unexpected env (nodes : T.t list) =
    built in one pass, without appending. Each element's namespace
    environment is extended once, with its own declarations, and
    everything below it is resolved under that. Nodes are decoded in
-   document order, so the first offence in document order is the one
-   reported. *)
+   document order, so outside a call the first offence in document
+   order is the one reported ([call_params] ranks those inside one). *)
 let[@tail_mod_cons] rec forest env (nodes : T.t list) penv (more : T.t list) : D.t list =
   match nodes with
   | [] -> (match more with [] -> [] | _ -> params penv more)
@@ -119,27 +136,38 @@ and[@tail_mod_cons] params env (nodes : T.t list) : D.t list =
     if is_layout node then params env rest
     else raise (Syntax_error "int:params may only contain int:param elements")
 
-(* [env] is in force at [e]. *)
+(* [env] is in force at [e]. Its prefix is found once, for both the
+   namespace test and the local name. *)
 and element env (e : T.element) : D.t =
-  if is_int env e "fun" then call_of_element env e
-  else D.elem (Ns.local_name e.T.name) (forest env e.T.children env [])
+  let name = e.T.name in
+  let c = Ns.prefix_end name in
+  if Ns.name_is env ~uri:axml_ns ~local:"fun" name c then call_of_element env e
+  else D.elem (Ns.local_name name c) (forest env e.T.children env [])
 
 (* [env] is in force at the int:fun element [e]. Only its first
-   int:params child is read; any other content but layout is an error,
-   reported after the params are decoded. *)
+   int:params child is read, in the one pass [call_params] makes over
+   the children. *)
 and call_of_element env (e : T.element) : D.t =
   let name = method_name e.T.attrs in
-  let params = first_params env e.T.children in
-  if unexpected env e.T.children then raise (Syntax_error "unexpected content inside int:fun");
-  D.call name params
+  D.call name (call_params env e.T.children false)
 
-and first_params env (nodes : T.t list) =
+(* The decoded first int:params among [nodes]; [stray] is whether
+   content other than layout came before them. The offences rank: an
+   error inside that int:params, then stray content before or after
+   it; the children after it are resolved only up to the first
+   stray one. *)
+and call_params env (nodes : T.t list) stray =
   match nodes with
-  | [] -> []
+  | [] -> if stray then unexpected_content () else []
   | T.Element ce :: rest ->
     let cenv = Ns.extend env ce in
-    if is_int cenv ce "params" then params cenv ce.T.children else first_params env rest
-  | _ :: rest -> first_params env rest
+    if is_int cenv ce "params" then begin
+      let decoded = params cenv ce.T.children in
+      if stray || unexpected env rest then unexpected_content ();
+      decoded
+    end
+    else call_params env rest true
+  | node :: rest -> call_params env rest (stray || not (is_layout node))
 
 let of_xml_forest env (nodes : T.t list) : D.forest =
   match forest env nodes env [] with

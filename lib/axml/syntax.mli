@@ -28,7 +28,11 @@ val to_xml : ?locate:locator -> Axml_core.Document.t -> Axml_xml.Xml_tree.t
 val to_xml_string : ?locate:locator -> ?pretty:bool -> Axml_core.Document.t -> string
 
 val of_xml : Axml_xml.Xml_tree.t -> Axml_core.Document.t
-(** @raise Syntax_error on malformed intensional markup. *)
+(** @raise Syntax_error on malformed intensional markup. Inside one
+    [int:fun] the refusal is, in this order: a missing [methodName];
+    an offence inside its first [int:params]; content other than layout
+    before or after that [int:params]. A second [int:params] is not
+    read. *)
 
 val of_xml_string : string -> Axml_core.Document.t
 

@@ -220,7 +220,7 @@ let search ~max_k ~possible ~safe =
    word automaton, so [safe_at = Some 0] means the word already
    conforms extensionally. *)
 let minimal_k ?max_k t ~target_regex word =
-  let max_k = match max_k with Some m -> max 0 m | None -> t.k in
+  let max_k = match max_k with Some m -> Int.max 0 m | None -> t.k in
   search ~max_k
     ~possible:(fun k -> is_possible ~k t ~target_regex word)
     ~safe:(fun k -> is_safe ~k t ~target_regex word)

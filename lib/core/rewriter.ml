@@ -307,7 +307,7 @@ and forest w depth up i ~fn name (m : Validate.model) (children : Document.fores
    spliced as-is (footnote 5). *)
 let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document.t) :
     (Document.t * located_invocation list, failure list) result =
-  let top_k = max 0 (Option.value k ~default:(Contract.k t)) in
+  let top_k = Int.max 0 (Option.value k ~default:(Contract.k t)) in
   match root_failure mode t doc with
   | Some f -> Error [ f ]
   | None ->
@@ -330,7 +330,7 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
 let pre_materialize t ~eager_calls ~(invoker : Execute.invoker) doc :
     (Document.t * located_invocation list, failure) result =
   let invocations = ref [] in
-  let budget = ref (max 1 (Contract.k t * 64)) in
+  let budget = ref (Int.max 1 (Contract.k t * 64)) in
   let env = env t in
   let rec node_forest path (node : Document.t) : Document.forest =
     match node with

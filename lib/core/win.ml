@@ -130,7 +130,7 @@ let push (cell : 'a vec Atomic.t) x =
   let data =
     if v.count < Array.length v.data then v.data
     else begin
-      let d = Array.make (max 8 (2 * v.count)) x in
+      let d = Array.make (Int.max 8 (2 * v.count)) x in
       Array.blit v.data 0 d 0 v.count;
       d
     end
@@ -151,7 +151,7 @@ let cell_set (cell : int array Atomic.t) i v =
   let a =
     if i < Array.length a then a
     else begin
-      let b = Array.make (max (i + 1) (2 * Array.length a)) (-1) in
+      let b = Array.make (Int.max (i + 1) (2 * Array.length a)) (-1) in
       Array.blit a 0 b 0 (Array.length a);
       Atomic.set cell b;
       b
@@ -223,7 +223,7 @@ let table win dfa =
   let nf = Array.length win.fns in
   let cols = Dense.columns dfa in
   let class_of_id =
-    Array.make (max (Array.length cols) (Array.fold_left max (-1) win.fn_ids + 1)) (-1)
+    Array.make (Int.max (Array.length cols) (Array.fold_left Int.max (-1) win.fn_ids + 1)) (-1)
   in
   Array.blit cols 0 class_of_id 0 (Array.length cols);
   let class_fn = Array.make (width + nf) (-1) in
@@ -414,7 +414,7 @@ let step r g set id =
     end
 
 let solve tb kind ~budget ids =
-  let budget = max 0 budget in
+  let budget = Int.max 0 budget in
   let g = game tb kind budget in
   let n = Array.length ids in
   let sets = Array.make (n + 1) tb.finals in
@@ -505,7 +505,7 @@ let answer w occ fname item =
         Answered { items; base }
     in
     if occ >= Array.length w.answers then begin
-      let grown = Array.make (max 8 (2 * w.occurrences)) Unasked in
+      let grown = Array.make (Int.max 8 (2 * w.occurrences)) Unasked in
       Array.blit w.answers 0 grown 0 (Array.length w.answers);
       w.answers <- grown
     end;

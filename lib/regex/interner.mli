@@ -17,10 +17,12 @@ val intern : t -> string -> int
 
 val find : t -> string -> int
 (** The id of an already-interned string, [-1] when it never was:
-    never inserts, never allocates. *)
+    never inserts, never allocates, takes no lock. One probe sequence
+    of an open-addressed table keyed by {!hash}. *)
 
-val find_opt : t -> string -> int option
-(** The id of an already-interned string, without inserting. *)
+val hash : string -> int
+(** The hash {!find} probes with: a byte loop of this module's own, not
+    [Hashtbl.hash]. Exposed so that tests can build colliding names. *)
 
 val to_string : t -> int -> string
 (** Inverse of {!intern}.

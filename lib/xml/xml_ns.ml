@@ -8,7 +8,15 @@
    extending the environment at an element without declarations,
    allocates nothing. A lookup scans the list, so the number of
    prefixes bound at once is bounded ([max_bindings]): without a bound,
-   nested distinct declarations would make decoding quadratic. *)
+   nested distinct declarations would make decoding quadratic.
+
+   Every element of every decoded document passes through [extend] and
+   [name_is], so the byte scans below are [while] loops over
+   [String.unsafe_get] inside checked bounds, and nothing here calls
+   [Stdlib.max]: it is polymorphic, so without cross-module inlining it
+   is a C call. The helpers are closed top-level functions: a local
+   recursive function capturing its arguments would allocate a closure
+   per call. *)
 
 type env = Xml_tree.attribute list
 
@@ -18,30 +26,35 @@ exception Too_many_bindings
 
 let max_bindings = 64
 
-(* The helpers below are closed top-level functions: a local recursive
-   function capturing its arguments would allocate a closure per call. *)
-
-(* Index of the first ':' of [name] from [i] on, -1. *)
-let rec colon_from name i =
-  if i >= String.length name then -1 else if name.[i] = ':' then i else colon_from name (i + 1)
-
-let colon name = colon_from name 0
+let prefix_end name =
+  let n = String.length name in
+  let i = ref 0 in
+  while !i < n && String.unsafe_get name !i <> ':' do incr i done;
+  if !i = n then -1 else !i
 
 (* Do [a.[i ..]] and [b.[j ..]] agree on [len] bytes? Both are long
    enough. *)
-let rec same_bytes a i b j len =
-  len <= 0 || (a.[i] = b.[j] && same_bytes a (i + 1) b (j + 1) (len - 1))
-
-let is_xmlns_colon n =
-  String.length n >= 6
-  && n.[0] = 'x' && n.[1] = 'm' && n.[2] = 'l' && n.[3] = 'n' && n.[4] = 's' && n.[5] = ':'
+let same_bytes a i b j len =
+  let k = ref 0 in
+  while !k < len && String.unsafe_get a (i + !k) = String.unsafe_get b (j + !k) do incr k done;
+  !k >= len
 
 (* [xmlns] declares the default namespace, [xmlns:p] the prefix p (an
    empty p the default namespace too). *)
-let is_declaration (a : Xml_tree.attribute) = String.equal a.name "xmlns" || is_xmlns_colon a.name
+let is_declaration (a : Xml_tree.attribute) =
+  let n = a.name in
+  String.length n >= 5
+  && String.unsafe_get n 0 = 'x'
+  && String.unsafe_get n 1 = 'm'
+  && String.unsafe_get n 2 = 'l'
+  && String.unsafe_get n 3 = 'n'
+  && String.unsafe_get n 4 = 's'
+  && (String.length n = 5 || String.unsafe_get n 5 = ':')
 
 (* Length of the prefix a declaration binds: [a.name.[6 ..]]. *)
-let bound_len (a : Xml_tree.attribute) = max 0 (String.length a.name - 6)
+let bound_len (a : Xml_tree.attribute) =
+  let n = String.length a.name in
+  if n <= 6 then 0 else n - 6
 
 (* Does declaration [a] bind the prefix [s.[off .. off + len - 1]]
    ([len] = 0: the default namespace)? *)
@@ -69,30 +82,30 @@ let declare env (a : Xml_tree.attribute) =
   | [] -> if List.length env >= max_bindings then raise Too_many_bindings else a :: env
   | _ -> a :: unbind env a.name 6 len
 
-(* The URI the prefix of [name] is bound to (the default namespace's
-   for a name without one). *)
-let uri_of env name =
-  match find env name 0 (max 0 (colon name)) with
-  | [] -> None
-  | a :: _ -> Some a.Xml_tree.value
+(* The declarations of [name], the prefix of which ends at [c], from
+   its binding on. *)
+let find_prefix env name c = find env name 0 (if c < 0 then 0 else c)
 
-(* Extend [env] with the xmlns declarations of [element], a later
-   attribute shadowing an earlier one; [env] itself when it has none. *)
-let extend env (element : Xml_tree.element) =
-  if not (List.exists is_declaration element.attrs) then env
-  else List.fold_left (fun env a -> if is_declaration a then declare env a else env) env element.attrs
+(* Extend [env] with the xmlns declarations among [attrs], a later
+   attribute shadowing an earlier one; [env] itself when there are
+   none. *)
+let rec extend_attrs env (attrs : Xml_tree.attribute list) =
+  match attrs with
+  | [] -> env
+  | a :: rest -> extend_attrs (if is_declaration a then declare env a else env) rest
 
-let local_name name =
-  match colon name with
-  | -1 -> name
-  | i -> String.sub name (i + 1) (String.length name - i - 1)
+let extend env (element : Xml_tree.element) = extend_attrs env element.attrs
+
+let local_name name c = if c < 0 then name else String.sub name (c + 1) (String.length name - c - 1)
 
 (* Namespace URI and local name of an element under [env], the
    environment in force at the element (its own declarations included,
    as [extend] and [iter_elements] give it). Elements without a prefix
    take the default namespace (if any). *)
 let expanded_name env (element : Xml_tree.element) =
-  (uri_of env element.name, local_name element.name)
+  let c = prefix_end element.name in
+  let uri = match find_prefix env element.name c with [] -> None | a :: _ -> Some a.value in
+  (uri, local_name element.name c)
 
 (* Walk the tree, calling [f env element] on every element with the
    namespace environment in force at that element. *)
@@ -107,15 +120,16 @@ let iter_elements f tree =
   in
   go empty_env tree
 
-(* Does [element] (under [env]) live in namespace [uri] with local name
-   [local]? The local name is compared first, in place. *)
-let element_is env ~uri ~local (element : Xml_tree.element) =
-  let name = element.name in
-  let c = colon name in
+(* The local name is compared first, in place: it tells most names
+   apart without a look at the environment. *)
+let name_is env ~uri ~local name c =
   let n = String.length local in
   String.length name = c + 1 + n
   && same_bytes name (c + 1) local 0 n
   &&
-  match find env name 0 (max 0 c) with
+  match find_prefix env name c with
   | [] -> false
   | a :: _ -> String.equal a.value uri
+
+let element_is env ~uri ~local (element : Xml_tree.element) =
+  name_is env ~uri ~local element.name (prefix_end element.name)

@@ -17,9 +17,14 @@ val max_bindings : int
     keeps resolution linear in the document; {!extend} raises
     {!Too_many_bindings} past it. *)
 
-val local_name : string -> string
-(** ["prefix:local"] to ["local"]; the name itself (no allocation) when
-    it has no prefix. *)
+val prefix_end : string -> int
+(** The index of the [':'] that ends a name's prefix, [-1] when the name
+    has none. Found once per element, it serves both {!name_is} and
+    {!local_name}. *)
+
+val local_name : string -> int -> string
+(** [local_name name (prefix_end name)]: ["prefix:local"] to ["local"];
+    the name itself (no allocation) when it has no prefix. *)
 
 val extend : env -> Xml_tree.element -> env
 (** Add the [xmlns] / [xmlns:p] declarations of an element; [env]
@@ -36,6 +41,10 @@ val iter_elements : (env -> Xml_tree.element -> unit) -> Xml_tree.t -> unit
 (** Walk the tree with the namespace environment in force at each
     element. @raise Too_many_bindings as {!extend}. *)
 
+val name_is : env -> uri:string -> local:string -> string -> int -> bool
+(** [name_is env ~uri ~local name (prefix_end name)]: does an element of
+    that name, under [env] (as for {!expanded_name}), live in namespace
+    [uri] with local name [local]? Allocates nothing. *)
+
 val element_is : env -> uri:string -> local:string -> Xml_tree.element -> bool
-(** Does the element live in namespace [uri] with local name [local]?
-    [env] is as for {!expanded_name}. Allocates nothing. *)
+(** {!name_is} on the element's name. *)

@@ -63,7 +63,10 @@ let[@inline] peek2 cur =
 
 let[@inline] advance cur = if not (eof cur) then cur.offset <- cur.offset + 1
 
-let advance_n cur n = cur.offset <- min (cur.offset + n) (String.length cur.input)
+(* Not [Stdlib.min]: polymorphic, it is a C call at every close tag. *)
+let advance_n cur n =
+  let o = cur.offset + n and len = String.length cur.input in
+  cur.offset <- (if o < len then o else len)
 
 (* Does [s] hold [prefix] at offset [at]? *)
 let sub_equal s at prefix =

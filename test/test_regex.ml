@@ -327,9 +327,24 @@ let test_interner_concurrent () =
                so insert races and pure lookups both happen *)
             let mine = List.init per_domain (fun i -> Fmt.str "d%d-%d" d i) in
             let all = List.concat [ shared; mine; shared ] in
-            List.map (fun s -> (s, Interner.intern itn s)) all))
+            (* lock-free lookups while the other domains insert: the id
+               [intern] gave, and another domain's names as far as they
+               are in yet *)
+            let theirs = List.init per_domain (fun i -> Fmt.str "d%d-%d" ((d + 1) mod domains) i) in
+            let ids = List.map (fun s -> (s, Interner.intern itn s)) all in
+            let found = List.map (fun (s, _) -> (s, Interner.find itn s)) ids in
+            let seen = List.map (fun s -> (s, Interner.find itn s)) theirs in
+            (ids, found, seen)))
     |> List.map Domain.join
   in
+  List.iter
+    (fun (ids, found, seen) ->
+      List.iter2 (fun (s, id) (_, f) -> check_int ("find " ^ s) id f) ids found;
+      List.iter
+        (fun (s, f) -> if f <> -1 && f <> Interner.find itn s then Alcotest.failf "find %s read %d" s f)
+        seen)
+    results;
+  let results = List.map (fun (ids, _, _) -> ids) results in
   (* round-trip: every id maps back to its string *)
   List.iter
     (List.iter (fun (s, id) ->
@@ -351,8 +366,48 @@ let test_interner_concurrent () =
   check_int "size counts distinct strings"
     (100 + (domains * per_domain))
     (Interner.size itn);
-  (* find_opt never invents entries *)
-  check "absent string" true (Interner.find_opt itn "never-interned" = None)
+  (* find never invents entries *)
+  check_int "absent string" (-1) (Interner.find itn "never-interned")
+
+(* [find] is [intern] without the insert: the same id for every
+   interned string, -1 for anything else however close, hash
+   collisions included. *)
+let test_interner_find () =
+  let itn = Interner.create () in
+  let kib = String.make 1024 'k' in
+  let names =
+    [ "title"; "date"; "newspaper"; "Get_Temp"; "TimeOut"; "a"; "Aa"; kib ]
+    @ List.init 200 (Fmt.str "label-%d")
+  in
+  let ids = List.map (Interner.intern itn) names in
+  List.iter2 (fun s id -> check_int ("find " ^ s) id (Interner.find itn s)) names ids;
+  check_int "\"Aa\" and \"BB\" collide" (Interner.hash "Aa") (Interner.hash "BB");
+  List.iter
+    (fun s -> check_int ("near miss " ^ s) (-1) (Interner.find itn s))
+    [ ""; "titl"; "t"; "newspape"; "titlf"; "Title"; "get_Temp"; "label-2000"; "BB";
+      String.make 1024 'x'; String.sub kib 0 1023; kib ^ "k"; "title" ^ String.make 1019 'x' ];
+  (* both names of a collision interned: one probe sequence, two ids *)
+  let bb = Interner.intern itn "BB" in
+  check_int "find BB" bb (Interner.find itn "BB");
+  check_int "find Aa" (Interner.intern itn "Aa") (Interner.find itn "Aa");
+  check "distinct ids" true (bb <> Interner.find itn "Aa")
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_interner_find_alloc () =
+  let itn = Interner.create () in
+  List.iter (fun s -> ignore (Interner.intern itn s)) [ "title"; "date"; "Aa"; "Get_Temp" ];
+  let probes = [| "title"; "date"; "BB"; "Get_Temp"; ""; "tit"; String.make 1024 'x' |] in
+  let words =
+    minor_words (fun () ->
+        for i = 1 to 10_000 do
+          ignore (Sys.opaque_identity (Interner.find itn probes.(i mod Array.length probes)))
+        done)
+  in
+  Alcotest.(check (float 0.)) "words allocated by 10,000 finds" 0. words
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -397,7 +452,9 @@ let () =
        ]);
       ("kernel",
        [ Alcotest.test_case "interner under 4 domains" `Quick
-           test_interner_concurrent
+           test_interner_concurrent;
+         Alcotest.test_case "interner find agrees with intern" `Quick test_interner_find;
+         Alcotest.test_case "interner find allocates nothing" `Quick test_interner_find_alloc
        ]);
       ("properties", qcheck_tests)
     ]

@@ -589,6 +589,40 @@ let test_syntax_params_decl () =
   | exception Syntax.Syntax_error _ -> ()
   | d -> Alcotest.failf "expected Syntax_error, got %a" D.pp d
 
+(* The decoder's answer to malformed calls, by precedence: a missing
+   methodName first, then an offence inside the first int:params, then
+   stray content anywhere else in the int:fun. Only the first int:params
+   is read: a second one is accepted unread, whatever it holds. *)
+let test_syntax_refusals () =
+  let in_doc s = "<doc xmlns:int=\"" ^ axml_ns ^ "\">" ^ s ^ "</doc>" in
+  let params = "<int:params><int:param>x</int:param></int:params>" in
+  let refused s expected =
+    match Syntax.of_xml_string (in_doc s) with
+    | exception Syntax.Syntax_error m -> check_str s expected m
+    | d -> Alcotest.failf "%s decoded to %a, expected a refusal" s D.pp d
+  in
+  let no_method = "int:fun element without a methodName attribute" in
+  let stray = "unexpected content inside int:fun" in
+  let not_param = "int:params may only contain int:param elements" in
+  refused ("<int:fun>" ^ params ^ "</int:fun>") no_method;
+  refused ("<int:fun methodName=\"F\">text" ^ params ^ "</int:fun>") stray;
+  refused ("<int:fun methodName=\"F\">" ^ params ^ "<x/></int:fun>") stray;
+  refused ("<int:fun methodName=\"F\"><x/></int:fun>") stray;
+  refused "<int:fun methodName=\"F\"><int:params><x/></int:params></int:fun>" not_param;
+  refused "<int:fun methodName=\"F\"><int:params>t</int:params></int:fun>" not_param;
+  (* two offences: the earlier rank is reported, whatever the order in
+     the document *)
+  refused "<int:fun>text<int:params><x/></int:params></int:fun>" no_method;
+  refused "<int:fun methodName=\"F\">text<int:params><x/></int:params></int:fun>" not_param;
+  refused "<int:fun methodName=\"F\"><int:params><x/></int:params><y/></int:fun>" not_param;
+  (* a second int:params is not decoded *)
+  List.iter
+    (fun second ->
+      syntax_case
+        (in_doc ("<int:fun methodName=\"F\">" ^ params ^ second ^ "</int:fun>"))
+        (D.elem "doc" [ D.call "F" [ D.data "x" ] ]))
+    [ "<int:params><int:param>y</int:param></int:params>"; "<int:params><x/></int:params>" ]
+
 (* The printer allocates its output and nothing per element: printing a
    flat document of 10,000 children again, once the spare buffer has
    grown to fit it, allocates the output string and a small constant. *)
@@ -694,6 +728,34 @@ let test_syntax_alloc_budget () =
   if per_node > 12. then
     Alcotest.failf "Syntax.of_xml allocates %.1f words per decoded node (budget 12)" per_node
 
+(* [Syntax.to_xml] allocates the tree it returns and nothing else: 6
+   words an element (its constructor and record), 2 a text node, 3 a
+   list cell, and for a call the int:fun element, its methodName
+   attribute and three attribute cells (the default locator's other
+   attributes are built once), then int:params and an int:param with
+   its one-cell content per parameter. *)
+let test_to_xml_alloc () =
+  let rec tree_words (d : D.t) =
+    match d with
+    | D.Data _ -> 2.
+    | D.Elem { children; _ } -> List.fold_left (fun w c -> w +. 3. +. tree_words c) 6. children
+    | D.Call { params; _ } ->
+      let call = 6. +. 3. +. 9. in
+      (match params with
+       | [] -> call
+       | _ -> List.fold_left (fun w p -> w +. 3. +. 6. +. 3. +. tree_words p) (call +. 3. +. 6.) params)
+  in
+  Alcotest.(check (float 0.)) "the feed's tree" 549. (tree_words feed_doc);
+  let rounds = 10 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to rounds do
+          ignore (Sys.opaque_identity (Syntax.to_xml feed_doc))
+        done)
+  in
+  Alcotest.(check (float 0.)) "words per print of the feed" (tree_words feed_doc)
+    (words /. float_of_int rounds)
+
 let test_ns_no_alloc () =
   let tree = parse ("<r xmlns:int=\"" ^ axml_ns ^ "\"><a x=\"1\"/><int:fun/></r>") in
   let r = elem_of tree in
@@ -712,7 +774,7 @@ let test_ns_no_alloc () =
           ignore (Sys.opaque_identity (Ns.extend env f));
           ignore (Sys.opaque_identity (Ns.element_is env ~uri:axml_ns ~local:"fun" f));
           ignore (Sys.opaque_identity (Ns.element_is env ~uri:axml_ns ~local:"fun" a));
-          ignore (Sys.opaque_identity (Ns.local_name a.T.name))
+          ignore (Sys.opaque_identity (Ns.local_name a.T.name (Ns.prefix_end a.T.name)));
         done)
   in
   Alcotest.(check (float 0.)) "words allocated" 0. words
@@ -966,6 +1028,67 @@ let prop_generated_roundtrip =
           Axml_core.Document.equal doc doc')
         (List.init 3 (fun _ -> Axml_workload.Mix.next stream)))
 
+(* The same calls written other ways. [ns_variant bits] rewrites the
+   canonical tree of a document ([Syntax.to_xml]) by the variants whose
+   bit is set: 0 renames the int prefix to q; 1 puts int:fun and its
+   wrappers in a default namespace instead (the content of each
+   int:param undeclares it again); 2 re-declares the prefix in force on
+   every element, which makes each call's own declaration redundant; 3
+   reverses the call attributes; 4 puts layout, comments and processing
+   instructions around int:params and between the int:param elements.
+   Each variant must decode to the document the canonical print gives. *)
+let ns_variant bits (tree : T.t) : T.t =
+  let on i = bits land (1 lsl i) <> 0 in
+  let rename = on 0 and default = on 1 and redeclare = on 2 and permute = on 3 and layout = on 4 in
+  let prefix = if rename then "q" else "int" in
+  let qualified local = if default then local else prefix ^ ":" ^ local in
+  let declaration =
+    if default then T.attr "xmlns" axml_ns else T.attr ("xmlns:" ^ prefix) axml_ns
+  in
+  let layout_nodes = if layout then [ T.text "\n  "; T.comment " layout "; T.pi "note" "x" ] else [] in
+  let rec go ~in_param (node : T.t) : T.t =
+    match node with
+    | T.Element { name = "int:fun"; attrs; children } ->
+      let attrs =
+        List.map
+          (fun (a : T.attribute) -> if String.equal a.name "xmlns:int" then declaration else a)
+          attrs
+      in
+      let attrs = if permute then List.rev attrs else attrs in
+      T.element ~attrs (qualified "fun")
+        (layout_nodes @ List.map (go ~in_param:false) children @ layout_nodes)
+    | T.Element { name = "int:params"; attrs; children } ->
+      let children = List.concat_map (fun c -> go ~in_param:false c :: layout_nodes) children in
+      let attrs = if redeclare then attrs @ [ declaration ] else attrs in
+      T.element ~attrs (qualified "params") (layout_nodes @ children)
+    | T.Element { name = "int:param"; attrs; children } ->
+      let attrs = if redeclare then attrs @ [ declaration ] else attrs in
+      T.element ~attrs (qualified "param") (List.map (go ~in_param:true) children)
+    | T.Element e ->
+      let attrs = if redeclare then e.attrs @ [ T.attr ("xmlns:" ^ prefix) axml_ns ] else e.attrs in
+      let attrs = if default && in_param then T.attr "xmlns" "" :: attrs else attrs in
+      T.element ~attrs e.name (List.map (go ~in_param:false) e.children)
+    | other -> other
+  in
+  go ~in_param:false tree
+
+let prop_namespace_variants =
+  QCheck.Test.make ~count:100 ~name:"namespace variants decode like the canonical print"
+    QCheck.(pair small_int (int_bound 31))
+    (fun (seed, bits) ->
+      let stream =
+        Axml_workload.Mix.stream ~seed ~schema:roundtrip_schema Axml_workload.Mix.steady
+      in
+      List.for_all
+        (fun (item : Axml_workload.Mix.item) ->
+          let canonical = Syntax.of_xml_string (Syntax.to_xml_string ~pretty:false item.doc) in
+          let printed = Pr.to_string (ns_variant bits (Syntax.to_xml item.doc)) in
+          match Syntax.of_xml_string printed with
+          | d when D.equal d canonical -> true
+          | d -> QCheck.Test.fail_reportf "%s@ decoded to %a" printed D.pp d
+          | exception Syntax.Syntax_error m -> QCheck.Test.fail_reportf "%s@ refused: %s" printed m)
+        (List.init 3 (fun _ -> Axml_workload.Mix.next stream)))
+
 (* Mutation fuzzer for the input boundary: printed trees and printed
    intensional documents, damaged by byte flips, truncations and
    splices. The parser must answer with a tree or its [Error], the
@@ -1113,7 +1236,9 @@ let () =
          Alcotest.test_case "bound on prefixes in scope" `Quick test_syntax_binding_bound;
          Alcotest.test_case "decoder allocation budget" `Quick test_syntax_alloc_budget;
          Alcotest.test_case "namespace checks allocate nothing" `Quick test_ns_no_alloc;
-         Alcotest.test_case "a million siblings" `Quick test_syntax_wide
+         Alcotest.test_case "a million siblings" `Quick test_syntax_wide;
+         Alcotest.test_case "malformed calls and their refusals" `Quick test_syntax_refusals;
+         Alcotest.test_case "Syntax.to_xml allocates its tree" `Quick test_to_xml_alloc
        ]);
       ("paths",
        [ Alcotest.test_case "child axis" `Quick test_path_child;
@@ -1130,5 +1255,5 @@ let () =
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_print_parse_roundtrip; prop_count_nodes_positive;
-           prop_adversarial_roundtrip; prop_generated_roundtrip ])
+           prop_adversarial_roundtrip; prop_generated_roundtrip; prop_namespace_variants ])
     ]
