@@ -157,7 +157,6 @@ module Pipeline = struct
      lint is forced under [lint_lock]. *)
   type t = {
     config : config;  (* [k] is the contract's *)
-    k_gauge : float;  (* [config.k], boxed once for [axml_enforce_k] *)
     contract : Contract.t;
     invoker : Execute.invoker;  (* inside [config.resilience]'s guard *)
     lint : Diagnostic.t list Lazy.t;
@@ -197,7 +196,6 @@ module Pipeline = struct
       else { config with k = Contract.k contract }
     in
     { config;
-      k_gauge = float_of_int config.k;
       contract;
       invoker =
         (match config.resilience with
@@ -425,7 +423,7 @@ module Pipeline = struct
     result
 
   let run t doc ~timed =
-    Metrics.set g_enforce_k t.k_gauge;
+    Metrics.set g_enforce_k (float_of_int t.config.k);
     if Trace.enabled Trace.default then
       Trace.with_span "enforce"
         ~detail:(fun () -> subject_of doc)

@@ -93,7 +93,7 @@ type t = {
   mutable config : config;
   mutable generation : int;
   pipelines : entry list Atomic.t;  (* the one compiled-artifact cache *)
-  lock : Mutex.t;  (* held to build an entry or bump [generation] *)
+  lock : Mutex.t;  (* held to build an entry, bump [generation] or use [repository] *)
 }
 
 let create ~name ~schema () = {
@@ -131,15 +131,25 @@ let set_schema t schema =
 (* Repository                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let store t name doc = Hashtbl.replace t.repository name doc
+(* A served peer receives on one thread per connection, so every use of
+   [repository] holds [lock]. [store] runs once per received document,
+   so it locks by hand rather than allocate a [Mutex.protect] closure. *)
+let store t name doc =
+  Mutex.lock t.lock;
+  match Hashtbl.replace t.repository name doc with
+  | () -> Mutex.unlock t.lock
+  | exception e ->
+    Mutex.unlock t.lock;
+    raise e
 
 let fetch t name =
-  match Hashtbl.find_opt t.repository name with
+  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.repository name) with
   | Some doc -> doc
   | None -> raise (Peer_error (Fmt.str "peer %s: no document named %S" t.name name))
 
 let documents t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.repository [] |> List.sort compare
+  Mutex.protect t.lock (fun () -> Hashtbl.fold (fun name _ acc -> name :: acc) t.repository [])
+  |> List.sort compare
 
 (* Path queries over repository documents go through the XML view of the
    document, so intensional nodes traverse as ordinary <int:fun>

@@ -81,7 +81,10 @@ val lint_exchange :
     alone and not cached, so linting never evicts an open agreement's
     pipeline. *)
 
-(** {1 Repository} *)
+(** {1 Repository}
+
+    The repository may be used from several threads at once: a served
+    peer receives on one thread per connection. *)
 
 val store : t -> string -> Axml_core.Document.t -> unit
 val fetch : t -> string -> Axml_core.Document.t

@@ -94,13 +94,13 @@ let rec method_name (attrs : T.attribute list) =
   | [] -> raise (Syntax_error "int:fun element without a methodName attribute")
   | a :: rest -> if String.equal a.name "methodName" then a.value else method_name rest
 
-(* Is there a child of an int:fun other than int:params and layout
-   among [nodes]? *)
-let rec unexpected env (nodes : T.t list) =
+(* Is there content other than layout among [nodes], the children of an
+   int:fun after its int:params? A second int:params counts: a call has
+   one parameter list (Section 7). *)
+let rec unexpected (nodes : T.t list) =
   match nodes with
   | [] -> false
-  | T.Element ce :: rest -> (not (is_int (Ns.extend env ce) ce "params")) || unexpected env rest
-  | node :: rest -> (not (is_layout node)) || unexpected env rest
+  | node :: rest -> (not (is_layout node)) || unexpected rest
 
 let unexpected_content () = raise (Syntax_error "unexpected content inside int:fun")
 
@@ -144,9 +144,9 @@ and element env (e : T.element) : D.t =
   if Ns.name_is env ~uri:axml_ns ~local:"fun" name c then call_of_element env e
   else D.elem (Ns.local_name name c) (forest env e.T.children env [])
 
-(* [env] is in force at the int:fun element [e]. Only its first
-   int:params child is read, in the one pass [call_params] makes over
-   the children. *)
+(* [env] is in force at the int:fun element [e]. Its int:params child
+   is found and read in the one pass [call_params] makes over the
+   children. *)
 and call_of_element env (e : T.element) : D.t =
   let name = method_name e.T.attrs in
   D.call name (call_params env e.T.children false)
@@ -154,8 +154,7 @@ and call_of_element env (e : T.element) : D.t =
 (* The decoded first int:params among [nodes]; [stray] is whether
    content other than layout came before them. The offences rank: an
    error inside that int:params, then stray content before or after
-   it; the children after it are resolved only up to the first
-   stray one. *)
+   it, a second int:params included. *)
 and call_params env (nodes : T.t list) stray =
   match nodes with
   | [] -> if stray then unexpected_content () else []
@@ -163,7 +162,7 @@ and call_params env (nodes : T.t list) stray =
     let cenv = Ns.extend env ce in
     if is_int cenv ce "params" then begin
       let decoded = params cenv ce.T.children in
-      if stray || unexpected env rest then unexpected_content ();
+      if stray || unexpected rest then unexpected_content ();
       decoded
     end
     else call_params env rest true

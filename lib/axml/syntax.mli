@@ -31,8 +31,8 @@ val of_xml : Axml_xml.Xml_tree.t -> Axml_core.Document.t
 (** @raise Syntax_error on malformed intensional markup. Inside one
     [int:fun] the refusal is, in this order: a missing [methodName];
     an offence inside its first [int:params]; content other than layout
-    before or after that [int:params]. A second [int:params] is not
-    read. *)
+    before or after that [int:params], a second [int:params]
+    included. *)
 
 val of_xml_string : string -> Axml_core.Document.t
 

@@ -29,3 +29,5 @@ let classes c =
         (match c with '&' | '<' | '"' | '\000' .. '\031' -> true | _ -> false)
 
 let table = String.init 256 (fun i -> Char.chr (classes (Char.chr i)))
+
+let[@inline] is cls c = Char.code (String.unsafe_get table (Char.code c)) land cls <> 0

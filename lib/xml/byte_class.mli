@@ -2,13 +2,10 @@
     table, built once when the library is initialised. Each class is a
     bit; a byte's entry holds the bits of every class it belongs to.
 
-    Byte [c] is in class [cls] when
-    [Char.code (String.unsafe_get table (Char.code c)) land cls <> 0].
-    The library compiles with [-opaque] in the default build profile,
-    so no function here would be inlined into another module: each
-    module that scans bytes ([Xml_parser], [Xml_print], [Xml_tree])
-    defines that test as its own [[@inline]] function, and its loops
-    pay no call per byte. *)
+    The scanning loops of [Xml_parser], [Xml_print] and [Xml_tree] ask
+    about a byte through {!is}, which the build inlines into them (the
+    workspace compiles without [-opaque], see DESIGN.md), so they pay no
+    call per byte. *)
 
 val space : int
 (** [' '], ['\t'], ['\n'] and ['\r']: the whitespace of XML. *)
@@ -31,5 +28,5 @@ val attr_escape : int
 (** The bytes [Xml_print] rewrites in an attribute value: ['&'], ['<'],
     ['"'] and every C0 control byte. *)
 
-val table : string
-(** Entry [Char.code c] is the set of classes of byte [c]. *)
+val is : int -> char -> bool
+(** [is cls c]: byte [c] is in class [cls]. One load and one mask. *)

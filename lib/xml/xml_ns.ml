@@ -13,10 +13,10 @@
    Every element of every decoded document passes through [extend] and
    [name_is], so the byte scans below are [while] loops over
    [String.unsafe_get] inside checked bounds, and nothing here calls
-   [Stdlib.max]: it is polymorphic, so without cross-module inlining it
-   is a C call. The helpers are closed top-level functions: a local
-   recursive function capturing its arguments would allocate a closure
-   per call. *)
+   [Stdlib.max]: it is compiled inside Stdlib at a polymorphic type, so
+   it compares through a C call even where it is inlined. The helpers
+   are closed top-level functions: a local recursive function capturing
+   its arguments would allocate a closure per call. *)
 
 type env = Xml_tree.attribute list
 

@@ -16,7 +16,7 @@
    index that its loop condition has already bounded by the input's
    length.
 
-   Bytes are classified by [Byte_class.table], and the cursor helpers
+   Bytes are classified by [Byte_class.is]; it and the cursor helpers
    are inlined, so the scanning loops make no call per byte. A name
    byte from 0x80 up starts a UTF-8 sequence, decoded only there. *)
 
@@ -81,14 +81,12 @@ let sub_equal s at prefix =
 
 let looking_at cur prefix = sub_equal cur.input cur.offset prefix
 
-(* Is byte [c] in class [cls]? *)
-let[@inline] is cls c =
-  Char.code (String.unsafe_get Byte_class.table (Char.code c)) land cls <> 0
-
 let skip_whitespace cur =
   let s = cur.input in
   let i = ref cur.offset in
-  while !i < String.length s && is Byte_class.space (String.unsafe_get s !i) do incr i done;
+  while !i < String.length s && Byte_class.is Byte_class.space (String.unsafe_get s !i) do
+    incr i
+  done;
   cur.offset <- !i
 
 (* Names beyond ASCII (XML 1.0, fifth edition): the code points of
@@ -150,7 +148,7 @@ let[@inline] name_start_length cur at =
   if at >= String.length cur.input then 0
   else
     let c = String.unsafe_get cur.input at in
-    if is Byte_class.name_start c then 1
+    if Byte_class.is Byte_class.name_start c then 1
     else if Char.code c >= 0x80 then utf8_name_length cur ~start:true at
     else 0
 
@@ -159,7 +157,7 @@ let[@inline] name_start_length cur at =
 let rec name_end cur at =
   let s = cur.input in
   let i = ref at in
-  while !i < String.length s && is Byte_class.name_char (String.unsafe_get s !i) do
+  while !i < String.length s && Byte_class.is Byte_class.name_char (String.unsafe_get s !i) do
     incr i
   done;
   if !i < String.length s && Char.code (String.unsafe_get s !i) >= 0x80 then
@@ -237,7 +235,7 @@ let run_end s i stop =
   let n = String.length s in
   let i = ref i in
   if stop = '<' then
-    while !i < n && not (is Byte_class.text_stop (String.unsafe_get s !i)) do incr i done
+    while !i < n && not (Byte_class.is Byte_class.text_stop (String.unsafe_get s !i)) do incr i done
   else
     while
       !i < n

@@ -24,10 +24,6 @@ let add_char_ref buf c =
   Buffer.add_char buf (Char.unsafe_chr (48 + (code mod 10)));
   Buffer.add_char buf ';'
 
-(* Is byte [c] in class [cls]? *)
-let[@inline] is cls c =
-  Char.code (String.unsafe_get Byte_class.table (Char.code c)) land cls <> 0
-
 (* The bytes rewritten in an attribute value ([attr]) or in character
    data: [Byte_class.attr_escape] and [Byte_class.text_escape] say
    which. *)
@@ -41,7 +37,7 @@ let add_escaped ~attr buf s =
   let run = ref 0 in
   for i = 0 to n - 1 do
     let c = String.unsafe_get s i in
-    if is cls c then begin
+    if Byte_class.is cls c then begin
       Buffer.add_substring buf s !run (i - !run);
       run := i + 1;
       match c with
@@ -57,7 +53,7 @@ let add_escaped ~attr buf s =
 (* Does [s] hold a byte of class [cls]? *)
 let exists cls s =
   let i = ref 0 in
-  while !i < String.length s && not (is cls (String.unsafe_get s !i)) do incr i done;
+  while !i < String.length s && not (Byte_class.is cls (String.unsafe_get s !i)) do incr i done;
   !i < String.length s
 
 (* [s] itself when no byte needs escaping. *)

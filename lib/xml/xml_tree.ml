@@ -42,13 +42,11 @@ let text_content element =
        | Element _ | Comment _ | Pi _ -> None)
   |> String.concat ""
 
-(* Is byte [c] in class [cls]? *)
-let[@inline] is cls c =
-  Char.code (String.unsafe_get Byte_class.table (Char.code c)) land cls <> 0
-
 let is_whitespace s =
   let i = ref 0 in
-  while !i < String.length s && is Byte_class.space (String.unsafe_get s !i) do incr i done;
+  while !i < String.length s && Byte_class.is Byte_class.space (String.unsafe_get s !i) do
+    incr i
+  done;
   !i = String.length s
 
 (* The traversals below all use explicit work lists rather than

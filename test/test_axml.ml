@@ -1340,6 +1340,33 @@ let test_peer_concurrent_serve_receive () =
     (fun i expected -> Alcotest.(check string) (Fmt.str "call %d" i) expected (call i))
     sequential_gated
 
+(* A served peer receives on one thread per connection, so receives from
+   several systhreads into one peer must each store their document. *)
+let test_peer_concurrent_receives () =
+  let peer = Peer.create ~name:"reader" ~schema:schema_star3 () in
+  let wire =
+    Syntax.to_xml_string ~pretty:false
+      (D.elem "newspaper"
+         [ D.elem "title" [ D.data "The Sun" ]; D.elem "date" [ D.data "04/10/2002" ];
+           D.elem "temp" [ D.data "15" ] ])
+  in
+  let threads = 4 and per_thread = 50_000 in
+  let refused = Atomic.make 0 in
+  let worker t () =
+    for i = 0 to per_thread - 1 do
+      let as_name = Printf.sprintf "%d.%d" t i in
+      match Peer.receive peer ~exchange:schema_star3 ~as_name wire with
+      | Ok _ -> ()
+      | Error _ -> Atomic.incr refused
+    done
+  in
+  List.iter Thread.join (List.init threads (fun t -> Thread.create (worker t) ()));
+  check_int "refused" 0 (Atomic.get refused);
+  check_int "stored" (threads * per_thread) (List.length (Peer.documents peer));
+  for t = 0 to threads - 1 do
+    ignore (Peer.fetch peer (Printf.sprintf "%d.%d" t (per_thread - 1)))
+  done
+
 let test_peer_send_document () =
   let sender = Peer.create ~name:"newspaper.com" ~schema:schema_star () in
   Registry.register_all (Peer.registry sender)
@@ -1859,6 +1886,8 @@ let () =
            test_peer_lint_concurrent;
          Alcotest.test_case "concurrent serve and receive" `Quick
            test_peer_concurrent_serve_receive;
+         Alcotest.test_case "concurrent receives store every document" `Quick
+           test_peer_concurrent_receives;
          Alcotest.test_case "send document" `Quick test_peer_send_document;
          Alcotest.test_case "receive refusal message" `Quick
            test_peer_receive_refusal_message;

@@ -535,6 +535,7 @@ let test_default_namespace () =
    force at it: its own, its ancestors', never a sibling's. *)
 module D = Axml_core.Document
 module Syntax = Axml_peer.Syntax
+module Soap = Axml_peer.Soap
 
 let syntax_case input expected =
   let doc = Syntax.of_xml_string input in
@@ -591,8 +592,8 @@ let test_syntax_params_decl () =
 
 (* The decoder's answer to malformed calls, by precedence: a missing
    methodName first, then an offence inside the first int:params, then
-   stray content anywhere else in the int:fun. Only the first int:params
-   is read: a second one is accepted unread, whatever it holds. *)
+   stray content anywhere else in the int:fun, a second int:params
+   included: a call has one parameter list. *)
 let test_syntax_refusals () =
   let in_doc s = "<doc xmlns:int=\"" ^ axml_ns ^ "\">" ^ s ^ "</doc>" in
   let params = "<int:params><int:param>x</int:param></int:params>" in
@@ -615,13 +616,28 @@ let test_syntax_refusals () =
   refused "<int:fun>text<int:params><x/></int:params></int:fun>" no_method;
   refused "<int:fun methodName=\"F\">text<int:params><x/></int:params></int:fun>" not_param;
   refused "<int:fun methodName=\"F\"><int:params><x/></int:params><y/></int:fun>" not_param;
-  (* a second int:params is not decoded *)
-  List.iter
-    (fun second ->
-      syntax_case
-        (in_doc ("<int:fun methodName=\"F\">" ^ params ^ second ^ "</int:fun>"))
-        (D.elem "doc" [ D.call "F" [ D.data "x" ] ]))
-    [ "<int:params><int:param>y</int:param></int:params>"; "<int:params><x/></int:params>" ]
+  (* a second int:params is stray content, whatever it holds; an offence
+     inside the first still ranks above it *)
+  let second = "<int:params><int:param>y</int:param></int:params>" in
+  refused ("<int:fun methodName=\"F\">" ^ params ^ second ^ "</int:fun>") stray;
+  refused ("<int:fun methodName=\"F\">" ^ params ^ "<int:params><x/></int:params></int:fun>")
+    stray;
+  refused ("<int:fun methodName=\"F\">" ^ params ^ " " ^ params ^ "</int:fun>") stray;
+  refused
+    ("<int:fun methodName=\"F\"><int:params><x/></int:params>" ^ second ^ "</int:fun>")
+    not_param;
+  (* a SOAP request decodes its arguments the same way *)
+  let envelope content =
+    Printf.sprintf
+      {|<soap:Envelope xmlns:soap=%S xmlns:int=%S><soap:Body><int:request method="M"><int:args><int:fun methodName="F">%s</int:fun></int:args></int:request></soap:Body></soap:Envelope>|}
+      Soap.soap_ns axml_ns content
+  in
+  (match Soap.decode (envelope params) with
+   | Soap.Request { params = [ c ]; _ } when D.equal c (D.call "F" [ D.data "x" ]) -> ()
+   | _ -> Alcotest.fail "a SOAP call with one int:params does not decode to its call");
+  match Soap.decode (envelope (params ^ second)) with
+  | exception Syntax.Syntax_error m -> check_str "SOAP request" stray m
+  | _ -> Alcotest.fail "a SOAP call with two int:params decoded"
 
 (* The printer allocates its output and nothing per element: printing a
    flat document of 10,000 children again, once the spare buffer has
