@@ -137,9 +137,9 @@ let registered t r =
             Atomic.set t.models (Array.append arr [| e |]);
             e)
 
-let analysis kind ?k t tb ids =
-  let k = Option.value k ~default:t.k in
-  let r = Win.solve tb kind ~budget:k ids in
+(* The one solve path: [fill] reads the word into the frame and [Win]
+   solves it; the analysis is counted as a hit or a miss. *)
+let counted kind t r =
   let hit = Win.fills r = 0 in
   if hit then begin
     Atomic.incr t.hits;
@@ -156,16 +156,27 @@ let analysis kind ?k t tb ids =
   if Trace.enabled Trace.default then
     Trace.emit
       (Cache_query
-         { cache = (match kind with Win.Safe -> "safe" | Win.Possible -> "possible"); hit });
+         { cache = (match kind with Win.Safe -> "safe" | Win.Possible -> "possible"); hit })
+
+let solve_forest r t kind ~depth m forest =
+  Win.solve r (snd (registered t (regex m))) kind ~budget:depth forest;
+  counted kind t r
+
+let forest_run t kind ~depth m forest =
+  let r = Win.frame () in
+  solve_forest r t kind ~depth m forest;
   r
 
 let word_run kind ?k t ~target_regex word =
-  analysis kind ?k t (snd (registered t target_regex))
-    (Array.of_list (List.map Axml_schema.Sym_id.find_symbol word))
+  let r = Win.frame () in
+  Win.solve_letters r (snd (registered t target_regex)) kind
+    ~budget:(Option.value k ~default:t.k)
+    (Array.of_list (List.map Axml_schema.Sym_id.find_symbol word));
+  counted kind t r;
+  r
 
 let safe_run ?k t ~target_regex word = word_run Win.Safe ?k t ~target_regex word
 let possible_run ?k t ~target_regex word = word_run Win.Possible ?k t ~target_regex word
-let forest_run ?k t kind m forest = analysis kind ?k t (snd (registered t (regex m))) (Document.ids forest)
 let is_safe ?k t ~target_regex word = Win.ok (safe_run ?k t ~target_regex word)
 let is_possible ?k t ~target_regex word = Win.ok (possible_run ?k t ~target_regex word)
 

@@ -99,10 +99,12 @@ exception Unknown_context of context
 
 (** {1 Analyses}
 
-    Every analysis entry point takes an optional [?k] overriding the
-    contract's configured depth for that one query (used by the
-    depth-threading rewriter and by {!minimal_k}); omitted, the
-    contract's [k] applies. Tables are kept per content model and depth,
+    The word-level entry points take an optional [?k] overriding the
+    contract's configured depth for that one query (used by
+    {!minimal_k}); omitted, the contract's [k] applies. The forest-level
+    ones take the depth ([~depth]), which the rewriter threads. Each
+    solves into a fresh frame ({!Win.frame}) except {!solve_forest},
+    which solves into the caller's. Tables are kept per content model and depth,
     so verdicts at different depths never alias. A [target_regex] taken
     from {!ctx} is analyzed against the ctx's model; any other regex is
     compiled once per contract, by {!Validate.compile}, on first
@@ -112,20 +114,24 @@ val safe_run :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
   Axml_schema.Symbol.t list -> Win.run
 (** The safe game of Figure 3 for [word] against [target_regex], solved
-    by one pass over the win tables: its verdict is {!Win.ok}, and
-    [Execute.run] follows it. Counted in {!stats}. *)
+    by one pass over the win tables into a fresh frame: its verdict is
+    {!Win.ok}, and [Execute.run] follows it. Counted in {!stats}. *)
 
 val possible_run :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
   Axml_schema.Symbol.t list -> Win.run
 (** The possible game of Figure 9, likewise. *)
 
+val solve_forest :
+  Win.run -> t -> Win.kind -> depth:int -> Validate.model -> Document.forest -> unit
+(** The game of the given kind at [depth] for the word of a children
+    forest against a model of {!ctx}, likewise, solved into the frame:
+    the letters are read by {!Win.solve}, and the frame is what
+    [Execute] walks over that forest. *)
+
 val forest_run :
-  ?k:int -> t -> Win.kind -> Validate.model -> Document.forest -> Win.run
-(** The game of the given kind for the word of a children forest
-    against a model of {!ctx}, likewise: the letters are coded by
-    {!Document.ids}, and the run is what [Execute.run] follows over
-    that forest. *)
+  t -> Win.kind -> depth:int -> Validate.model -> Document.forest -> Win.run
+(** {!solve_forest} into a fresh frame. *)
 
 val is_safe :
   ?k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->

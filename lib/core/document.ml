@@ -38,14 +38,6 @@ let sym_id = function
   | Data _ -> Sym_id.data
   | Call { id; name; _ } -> if id >= 0 then id else Sym_id.find_fun name
 
-let rec fill_ids a i = function
-  | [] -> a
-  | d :: rest ->
-    a.(i) <- sym_id d;
-    fill_ids a (i + 1) rest
-
-let ids (forest : forest) = fill_ids (Array.make (List.length forest) 0) 0 forest
-
 let children = function
   | Elem { children; _ } -> children
   | Call { params; _ } -> params

@@ -32,8 +32,6 @@ val sym_id : t -> int
     was built. [-1] for a label or function no schema declared. Never
     interns, never allocates. *)
 
-val ids : forest -> int array
-(** {!sym_id} of each node: the word as the win tables read it. *)
 
 val children : t -> t list
 (** Children of an element, parameters of a call, [[]] for data. *)

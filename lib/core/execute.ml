@@ -60,7 +60,7 @@ type invoker = string -> Document.forest -> Document.forest
 
 exception Invocation_failed of { fname : string; attempts : int; cause : exn }
 
-type invocation = {
+type invocation = Win.invocation = {
   inv_name : string;
   inv_params : Document.forest;
   inv_result : Document.forest;
@@ -94,20 +94,18 @@ type outcome = {
   invocations : invocation list;
 }
 
-(* One walk's bookkeeping: [Win.walk] calls back into it at every fork
-   option tried and every call occurrence it asks for. *)
-type walk = {
-  invoker : invoker;
-  reenforce : (string -> Document.forest -> Document.forest) option;
-  mutable invocations : invocation list;  (* latest first *)
-  mutable service_error : failure option;  (* the first one *)
-  mutable refused : failure option;  (* the first re-enforcement refusal *)
-}
-
 exception Refused
 
-let record_error w fname attempts cause =
-  if w.service_error = None then w.service_error <- Some (Service_error { fname; attempts; cause })
+let invocation = Win.call
+
+let rec invocations_from r i =
+  if i >= Win.calls r then [] else invocation r i :: invocations_from r (i + 1)
+
+let invocations r = invocations_from r 0
+
+let fail r fname attempts cause =
+  Win.fail r { Win.fname; attempts; cause };
+  Metrics.inc m_invoke_error
 
 (* A fork option is tried: fork-choice accounting happens only where a
    genuine choice exists. *)
@@ -116,100 +114,111 @@ let chosen _ fname ~invoke =
   if Trace.enabled Trace.default then
     Trace.emit (Fork_choice { fname; choice = (if invoke then "invoke" else "keep") })
 
-(* Invoke one call occurrence ([Win.walk] asks once per occurrence):
-   the forest to walk in its place; [Win.Unavailable] when the option
-   is out. *)
-let call w fname params =
-  match w.invoker fname params with
-  | returned -> (
-    w.invocations <- { inv_name = fname; inv_params = params; inv_result = returned } :: w.invocations;
+(* Invoke one call occurrence ([Win.walk] asks once per occurrence) and
+   record it in the frame; [Win.Unavailable] when the option is out. *)
+let invoke r invoker fname params =
+  match invoker fname params with
+  | returned ->
+    Win.record r { inv_name = fname; inv_params = params; inv_result = returned };
     Metrics.inc m_invoke_ok;
     if Trace.enabled Trace.default then
       Trace.emit (Invocation { fname; attempts = 0; ok = true });
-    match w.reenforce with
-    | None -> returned
-    | Some re -> (
-      (* The raw invocation is already recorded above — the
-         re-enforcement verdict only decides whether this fork option
-         stays on the table. *)
-      match re fname returned with
-      | enforced ->
-        Metrics.inc m_reenforce_ok;
-        enforced
-      | exception Refused ->
-        Metrics.inc m_reenforce_refused;
-        if w.refused = None then
-          w.refused <-
-            Some
-              (Unrewritable_output
-                 { inv_name = fname; inv_params = params; inv_result = returned });
-        raise Win.Unavailable
-      | exception ((Stack_overflow | Out_of_memory) as fatal) -> raise fatal
-      | exception cause ->
-        (* A genuine fault inside nested materialization: classify like
-           any service failure so blame lands on a service, not on the
-           verdict. *)
-        record_error w fname 1 cause;
-        Metrics.inc m_invoke_error;
-        raise Win.Unavailable))
+    returned
   | exception Invocation_failed { fname; attempts; cause } ->
-    record_error w fname attempts cause;
-    Metrics.inc m_invoke_error;
+    fail r fname attempts cause;
     if Trace.enabled Trace.default then
       Trace.emit (Invocation { fname; attempts; ok = false });
     raise Win.Unavailable
   | exception ((Stack_overflow | Out_of_memory) as fatal) -> raise fatal
   | exception cause ->
-    record_error w fname 1 cause;
-    Metrics.inc m_invoke_error;
+    fail r fname 1 cause;
     if Trace.enabled Trace.default then
       Trace.emit (Invocation { fname; attempts = 1; ok = false });
     raise Win.Unavailable
 
-let service = { Win.chosen; call }
+(* [invoke], then [reenforce owner fname returned] rewrites what the
+   call returned: the raw invocation is already recorded, and the
+   verdict only decides whether this fork option stays on the table. *)
+let invoke_reenforced r invoker reenforce owner fname params =
+  let returned = invoke r invoker fname params in
+  match reenforce owner fname returned with
+  | enforced ->
+    Metrics.inc m_reenforce_ok;
+    enforced
+  | exception Refused ->
+    Metrics.inc m_reenforce_refused;
+    Win.refuse_last r;
+    raise Win.Unavailable
+  | exception ((Stack_overflow | Out_of_memory) as fatal) -> raise fatal
+  | exception cause ->
+    (* A genuine fault inside nested materialization: classify like any
+       service failure so blame lands on a service, not on the
+       verdict. *)
+    fail r fname 1 cause;
+    raise Win.Unavailable
+
+let follow r service st items =
+  match Win.walk r service st items with
+  | materialized ->
+    Metrics.inc m_runs_ok;
+    materialized
+  | exception Win.Dead ->
+    Metrics.inc m_runs_failed;
+    raise_notrace Win.Dead
+
+(* The first recorded result [valid] refuses, -1. *)
+let rec first_invalid valid r i =
+  if i >= Win.calls r then -1
+  else
+    let inv = Win.call r i in
+    if not (valid inv.inv_name inv.inv_result) then i else first_invalid valid r (i + 1)
 
 (* Why a walk died: the first service error (no surviving path once the
    broken calls are out), else the first result no remaining budget
    could rewrite, else the verdict's own failure mode. *)
-let failure ?validate ~possible w =
-  match w.service_error, w.refused with
-  | Some f, _ | None, Some f -> f
-  | None, None ->
-    if possible then No_possible_path
+let failure ~validate r =
+  match Win.failed r with
+  | Some { Win.fname; attempts; cause } -> Service_error { fname; attempts; cause }
+  | None when Win.refused r >= 0 -> Unrewritable_output (invocation r (Win.refused r))
+  | None ->
+    if Win.kind r = Win.Possible then No_possible_path
     else begin
       (* A safe verdict cannot fail unless a service broke its
          contract: find the offending invocation by re-validating every
          recorded result against its declared output type. *)
-      let chronological = List.rev w.invocations in
       match validate with
-      | Some valid -> (
-        match List.find_opt (fun inv -> not (valid inv.inv_name inv.inv_result)) chronological with
-        | Some inv -> Ill_typed_output inv
-        | None ->
+      | Some valid ->
+        let i = first_invalid valid r 0 in
+        if i >= 0 then Ill_typed_output (invocation r i)
+        else
           Invariant_violation
             (Fmt.str
                "safe walk failed although all %d recorded output(s) validate against \
                 their declared types"
-               (List.length chronological)))
-      | None -> (
+               (Win.calls r))
+      | None ->
         (* no validator: word-level blame — the walk stopped at the most
            recent invocation *)
-        match w.invocations with
-        | inv :: _ -> Ill_typed_output inv
-        | [] -> Invariant_violation "safe walk failed before any service was invoked")
+        if Win.calls r > 0 then Ill_typed_output (invocation r (Win.calls r - 1))
+        else Invariant_violation "safe walk failed before any service was invoked"
     end
 
-let run_latest_first ~validate ~reenforce r invoker items =
-  let w = { invoker; reenforce; invocations = []; service_error = None; refused = None } in
-  match Win.walk r service w items with
-  | Some materialized ->
-    Metrics.inc m_runs_ok;
-    Ok { materialized; invocations = w.invocations }
-  | None ->
-    Metrics.inc m_runs_failed;
-    Error (failure ?validate ~possible:(Win.kind r = Win.Possible) w)
+(* [run]'s state: the invoker, and the hook its results go through. *)
+type plain = {
+  invoker : invoker;
+  reenforce : (string -> Document.forest -> Document.forest) option;
+}
+
+let apply re fname returned = re fname returned
+
+let plain_call p r fname params =
+  match p.reenforce with
+  | None -> invoke r p.invoker fname params
+  | Some re -> invoke_reenforced r p.invoker apply re fname params
+
+let plain = { Win.chosen; call = plain_call }
 
 let run ?validate ?reenforce r invoker items =
-  match run_latest_first ~validate ~reenforce r invoker items with
-  | Ok o -> Ok { o with invocations = List.rev o.invocations }
-  | Error _ as e -> e
+  match follow r plain { invoker; reenforce } items with
+  | materialized -> Ok { materialized; invocations = invocations r }
+  | exception Win.Dead -> Error (failure ~validate r)

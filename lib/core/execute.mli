@@ -36,7 +36,7 @@ exception Invocation_failed of { fname : string; attempts : int; cause : exn }
     [attempts] physical tries, last [cause]. Any other exception raised
     by an invoker is treated as a single-attempt failure. *)
 
-type invocation = {
+type invocation = Win.invocation = {
   inv_name : string;
   inv_params : Document.forest;
   inv_result : Document.forest;
@@ -65,7 +65,7 @@ val pp_failure : failure Fmt.t
 type outcome = {
   materialized : Document.forest;
   invocations : invocation list;
-      (** chronological from {!run}, latest first from {!run_latest_first} *)
+      (** chronological *)
 }
 
 exception Refused
@@ -77,7 +77,8 @@ val run :
   ?reenforce:(string -> Document.forest -> Document.forest) ->
   Win.run -> invoker -> Document.forest -> (outcome, failure) result
 (** [run r invoker items] follows the safe or possible strategy of [r],
-    as it was solved.
+    as it was solved. The walk keeps its answers and invocations in the
+    frame [r] until [r]'s next walk.
 
     [Error No_possible_path] means a possible-rewriting attempt failed
     at run time (it cannot happen in safe mode with honest services —
@@ -101,10 +102,40 @@ val run :
     failure. Without [reenforce], results are spliced as returned
     (footnote-5 behaviour, correct only at depth 1). *)
 
-val run_latest_first :
-  validate:(string -> Document.forest -> bool) option ->
-  reenforce:(string -> Document.forest -> Document.forest) option ->
-  Win.run -> invoker -> Document.forest -> (outcome, failure) result
-(** {!run} with the outcome's invocations latest first, as the walk
-    records them: a caller that gathers the invocations of several walks
-    reverses once, at its end. *)
+(** {1 Walking in a frame}
+
+    The pieces {!run} is made of, for a caller that walks many words in
+    pooled frames ({!Win.take}) and keeps its own state ['st] across
+    them: the frame records the invocations, so nothing is allocated
+    per walk beyond its output. *)
+
+val chosen : 'st -> string -> invoke:bool -> unit
+(** A {!Win.service}'s [chosen]: counts the fork option and traces it. *)
+
+val invoke : Win.run -> invoker -> string -> Document.forest -> Document.forest
+(** A {!Win.service}'s [call] without re-enforcement: invokes, records
+    the invocation in the frame and returns what the service returned.
+    A failed call is recorded as the frame's failure ({!Win.fail}) and
+    raises {!Win.Unavailable}. *)
+
+val invoke_reenforced :
+  Win.run -> invoker -> ('o -> string -> Document.forest -> Document.forest) -> 'o ->
+  string -> Document.forest -> Document.forest
+(** [invoke_reenforced r invoker reenforce owner f params] is {!invoke},
+    then [reenforce owner f returned], as [run]'s [?reenforce] hook: a
+    {!Refused} marks the call refused ({!Win.refuse_last}), any other
+    exception is recorded as the call's failure, and both raise
+    {!Win.Unavailable}. [reenforce] is meant to close over nothing. *)
+
+val follow : Win.run -> 'st Win.service -> 'st -> Document.forest -> Document.forest
+(** {!Win.walk}, counted in [axml_execute_runs_total].
+    @raise Win.Dead when every branch died; {!failure} says why. *)
+
+val failure : validate:(string -> Document.forest -> bool) option -> Win.run -> failure
+(** Why the walk in the frame died, as {!run} reports it. *)
+
+val invocation : Win.run -> int -> invocation
+(** The frame's [i]th recorded invocation. *)
+
+val invocations : Win.run -> invocation list
+(** Every recorded invocation, chronological. *)

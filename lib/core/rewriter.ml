@@ -147,11 +147,12 @@ let root_failure mode t doc =
    word is built only for a failure. Returns the failures ([] = verdict
    holds), root first, then prefix order. *)
 let static_failures ?k mode t doc =
+  let depth = Option.value k ~default:(Contract.k t) in
   let visit rev_path node own _ acc =
     match own with
     | Some (m : Validate.model)
       when Validate.forest_accepted m.Validate.dfa (Document.children node)
-           || Win.ok (Contract.forest_run ?k t mode m (Document.children node)) -> acc
+           || Win.ok (Contract.forest_run t mode ~depth m (Document.children node)) -> acc
     | Some _ | None ->
       match Validate.node_violation node own with
       | None -> acc
@@ -186,20 +187,43 @@ let rec all_data = function
   | Document.Data _ :: rest -> all_data rest
   | (Document.Elem _ | Document.Call _) :: _ -> false
 
-(* [invs], latest first, located at [at], before [acc]. *)
-let[@tail_mod_cons] rec locate at (invs : Execute.invocation list) acc =
-  match invs with
-  | [] -> acc
-  | invocation :: rest -> { at; invocation } :: locate at rest acc
-
-(* One materialization: what every node of its walk reads, and the
-   invocations so far, latest first. *)
+(* One materialization: what every node of its walk reads, the
+   invocations so far, latest first, and the remaining depth and
+   reversed path of the children word being walked, which its
+   re-enforcements read. *)
 type walk = {
   mode : mode;
   contract : t;
   invoker : Execute.invoker;
   mutable invocations : located_invocation list;
+  mutable depth : int;
+  mutable path : int list;
 }
+
+(* Locates the frame's invocations [i ..] at [at], latest first, before
+   [w.invocations]. *)
+let rec locate w r at i =
+  if i < Win.calls r then begin
+    w.invocations <- { at; invocation = Execute.invocation r i } :: w.invocations;
+    locate w r at (i + 1)
+  end
+
+(* The service the walks below call: its [call] re-enforces through the
+   walk's own functions. A [let rec] that bound this record together
+   with them would compile every function of the group as an unknown
+   call, so the record reaches its [call] through this reference, set
+   once, below the group. *)
+let call_fwd : (walk -> Win.run -> string -> Document.forest -> Document.forest) ref =
+  ref (fun _ _ _ _ -> invalid_arg "Rewriter.service")
+
+let service = { Win.chosen = Execute.chosen; call = (fun w r fname params -> !call_fwd w r fname params) }
+
+(* Puts back the depth and path of a walk after an answer was
+   re-enforced; an answer whose words needed no walk of their own
+   changed neither. *)
+let restore w depth path =
+  w.depth <- depth;
+  if w.path != path then w.path <- path
 
 (* A node is child [i] of the node at reversed path [up]: its own path
    is consed only where it is read — a failure, an invocation, or
@@ -243,54 +267,73 @@ and forest w depth up i ~fn name (m : Validate.model) (children : Document.fores
      unchanged with zero invocations, so return it directly *)
   if Validate.forest_accepted m.Validate.dfa children then children
   else begin
-    let path = path_of up i in
-    let run = Contract.forest_run ~k:depth w.contract w.mode m children in
-    if not (Win.ok run) then
-      raise
-        (Failed
-           { at = List.rev path;
-             reason = unrewritable w.mode ~context:(context_of ~fn name) (Document.word children) });
-    (* The k-bounded hook: rewrite each returned node against the
-       remaining budget. A non-fault [Failed] from the nested walk is
-       the verdict "this result cannot be rewritten" — reported as
-       [Execute.Refused] so the outer walk treats the option as
-       unavailable and backtracks. Faults re-raise and come back as
-       service errors. *)
-    let reenforce =
-      if depth <= 1 then None
-      else
-        Some
-          (fun _fname returned ->
-            match interiors w (depth - 1) path 0 returned with
-            | enforced -> enforced
-            | exception Failed f when not (failure_is_fault f) -> raise Execute.Refused)
-    in
-    match
-      Execute.run_latest_first ~validate:(Some (Contract.output_ok w.contract)) ~reenforce
-        run w.invoker children
-    with
-    | Ok outcome ->
-      (match outcome.Execute.invocations with
-       | [] -> ()
-       | invs -> w.invocations <- locate (List.rev path) invs w.invocations);
-      outcome.Execute.materialized
-    | Error e ->
-      let at = List.rev path and context = context_of ~fn name in
-      let reason =
-        match e with
-        | Execute.No_possible_path -> Execution_failed { context }
-        | Execute.Ill_typed_output inv ->
-          Ill_typed_service { context; fname = inv.Execute.inv_name }
-        | Execute.Unrewritable_output inv ->
-          Unrewritable_output { context; fname = inv.Execute.inv_name }
-        | Execute.Service_error { fname; attempts; cause } ->
-          Service_failure
-            { context; fname; attempts; message = Printexc.to_string cause }
-        | Execute.Invariant_violation detail ->
-          Invariant_failure { context; detail }
-      in
-      raise (Failed { at; reason })
+    let r = Win.take () in
+    match walked w r depth (path_of up i) ~fn name m children with
+    | out ->
+      Win.release r;
+      out
+    | exception e ->
+      Win.release r;
+      raise e
   end
+
+(* The children word solved and walked in frame [r]. *)
+and walked w r depth path ~fn name m children =
+  Contract.solve_forest r w.contract w.mode ~depth m children;
+  if not (Win.ok r) then
+    raise
+      (Failed
+         { at = List.rev path;
+           reason = unrewritable w.mode ~context:(context_of ~fn name) (Document.word children) });
+  w.depth <- depth;
+  w.path <- path;
+  match Execute.follow r service w children with
+  | out ->
+    if Win.calls r > 0 then locate w r (List.rev path) 0;
+    out
+  | exception Win.Dead ->
+    let at = List.rev path and context = context_of ~fn name in
+    let reason =
+      match Execute.failure ~validate:(Some (Contract.output_ok w.contract)) r with
+      | Execute.No_possible_path -> Execution_failed { context }
+      | Execute.Ill_typed_output inv ->
+        Ill_typed_service { context; fname = inv.Execute.inv_name }
+      | Execute.Unrewritable_output inv ->
+        Unrewritable_output { context; fname = inv.Execute.inv_name }
+      | Execute.Service_error { fname; attempts; cause } ->
+        Service_failure
+          { context; fname; attempts; message = Printexc.to_string cause }
+      | Execute.Invariant_violation detail ->
+        Invariant_failure { context; detail }
+    in
+    raise (Failed { at; reason })
+
+(* The k-bounded hook: each node a call returned is rewritten against
+   the depth that remains below the word being walked. A non-fault
+   [Failed] from the nested walk is the verdict "this result cannot be
+   rewritten", reported as [Execute.Refused] so the outer walk treats
+   the option as unavailable and backtracks; faults re-raise and come
+   back as service errors. The nested words set the depth and path for
+   their own walks, so the outer ones are put back on every exit. *)
+and reenforce w _fname returned =
+  let depth = w.depth and path = w.path in
+  match interiors w (depth - 1) path 0 returned with
+  | enforced ->
+    restore w depth path;
+    enforced
+  | exception Failed f when not (failure_is_fault f) ->
+    restore w depth path;
+    raise Execute.Refused
+  | exception e ->
+    restore w depth path;
+    raise e
+
+(* At depth 1 and below returned forests are spliced as returned. *)
+and call w r fname params =
+  if w.depth <= 1 then Execute.invoke r w.invoker fname params
+  else Execute.invoke_reenforced r w.invoker reenforce w fname params
+
+let () = call_fwd := call
 
 (* Materialize [doc] so that it conforms to the exchange schema,
    invoking services through [invoker]. In [Safe] mode the rewriting is
@@ -311,7 +354,7 @@ let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document
   match root_failure mode t doc with
   | Some f -> Error [ f ]
   | None ->
-    let w = { mode; contract = t; invoker; invocations = [] } in
+    let w = { mode; contract = t; invoker; invocations = []; depth = top_k; path = [] } in
     match interior w top_k [] (-1) doc with
     | doc' -> Ok (doc', List.rev w.invocations)
     | exception Failed f -> Error [ f ]

@@ -382,18 +382,165 @@ let member tb set q =
   q >= 0 && mem (Bytes.unsafe_of_string (Atomic.get tb.sets).data.(set)) q
 
 (* ------------------------------------------------------------------ *)
-(* Analyses                                                            *)
+(* Frames                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type run = {
-  tb : table;
-  kind : kind;
-  budget : int;
-  ids : int array;   (* the word's letters *)
-  sets : int array;  (* position i -> S_i *)
-  mutable fills : int;
-  mutable fill_seconds : float;
+type fault = { fname : string; attempts : int; cause : exn }
+
+type invocation = {
+  inv_name : string;
+  inv_params : Document.forest;
+  inv_result : Document.forest;
 }
+
+(* A frame holds one word's analysis and walk: its letters and winning
+   sets, the walk's answer table, and the record of the calls the
+   walk's service answered. The next word overwrites all of it, so a
+   word walked in a frame taken from the pool below allocates none of
+   it: what a walk allocates is its output and the copies it enters. *)
+type run = {
+  busy : bool Atomic.t;  (* held by a walk *)
+  mutable tb : table;
+  mutable kind : kind;
+  mutable budget : int;
+  mutable len : int;  (* the word's letters are ids.(0 .. len - 1) *)
+  mutable ids : int array;
+  mutable sets : int array;  (* position i -> S_i, for i <= len *)
+  mutable fills : int;
+  mutable fill_ns : int;
+  (* The answer table. The word's items are occurrences 0 .. len - 1;
+     the items of an answer are numbered from its base on when it
+     arrives, so backtracking meets the same numbers. [bases.(occ)] is
+     the base of the answer at [occ] (its items at [answers.(occ)]),
+     [unasked] or [out]. *)
+  mutable bases : int array;
+  mutable answers : Document.forest array;
+  mutable occurrences : int;  (* occurrences numbered so far *)
+  mutable asked : int array;  (* the occurrences asked, [0 .. nasked - 1] *)
+  mutable nasked : int;
+  (* The calls answered, in order, with what each returned. *)
+  mutable calls : int;
+  mutable invocations : invocation array;
+  mutable refused : int;  (* the first call whose answer was refused, -1 *)
+  mutable failed : fault option;  (* the first call that failed *)
+}
+
+let unasked = -1
+let out = -2
+
+(* What a free slot of the call record holds. *)
+let nobody = { inv_name = ""; inv_params = []; inv_result = [] }
+
+(* The table of a frame that has solved nothing. A free frame keeps the
+   table of its last word, one table a frame. *)
+let idle =
+  table
+    { fns = [||]; index = Hashtbl.create 1; fn_ids = [||]; lock = Mutex.create () }
+    (Dense.compile ~sym_id:Sym_id.of_symbol (Auto.Dfa.of_regex R.epsilon))
+
+let make busy =
+  { busy = Atomic.make busy; tb = idle; kind = Safe; budget = 0; len = 0;
+    ids = [||]; sets = [||]; fills = 0; fill_ns = 0;
+    bases = [||]; answers = [||]; occurrences = 0; asked = [||]; nasked = 0;
+    calls = 0; invocations = [||];
+    refused = -1; failed = None }
+
+let frame () = make false
+
+(* An array grows to at least [least] entries, then by doubling. A
+   frame given back keeps an array of at most [kept] entries and drops
+   a larger one, as [Spare_buffer] drops large buffers, so one long
+   word does not stay resident. *)
+let least = 64
+let kept = 1024
+let capacity now need = Int.max need (Int.max least (2 * now))
+
+(* The record, its flag and six arrays of at most [kept] entries. *)
+let kept_words = 19 + 2 + (6 * (kept + 1))
+
+(* Each domain keeps a stack of frames. A walk takes the first free one
+   by a compare-and-set on its flag: the systhreads of one domain share
+   the stack (a served request can yield at a service call, in the
+   middle of a walk) and a re-enforcement nests one walk inside
+   another, so plain domain-local scratch would be handed out twice.
+   When every frame is busy a fresh one is made and pushed, up to
+   [pooled] frames a domain. *)
+let pooled = 32
+
+(* A pool frame has every array at [least] entries from the start. *)
+let sized busy =
+  let r = make busy in
+  r.ids <- Array.make least 0;
+  r.sets <- Array.make least 0;
+  r.bases <- Array.make least unasked;
+  r.answers <- Array.make least [];
+  r.asked <- Array.make least 0;
+  r.invocations <- Array.make least nobody;
+  r
+
+(* A domain's pool starts with [prepared] frames: two systhreads, each
+   with a re-enforcement walk nested in its walk, hold four. A frame
+   made later, when a systhread was switched out in the middle of a
+   walk, would otherwise stay resident from then on. *)
+let prepared = 4
+
+let pool : run array Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make (Array.init prepared (fun _ -> sized false)))
+
+let rec push cell r =
+  let frames = Atomic.get cell in
+  if Array.length frames < pooled
+     && not (Atomic.compare_and_set cell frames (Array.append frames [| r |]))
+  then push cell r
+
+let rec free cell frames i =
+  if i >= Array.length frames then begin
+    let r = sized true in
+    push cell r;
+    r
+  end
+  else
+    let r = Array.unsafe_get frames i in
+    if (not (Atomic.get r.busy)) && Atomic.compare_and_set r.busy false true then r
+    else free cell frames (i + 1)
+
+let take () =
+  let cell = Domain.DLS.get pool in
+  free cell (Atomic.get cell) 0
+
+(* Drops what the last walk referenced: the answers it asked for, its
+   calls and the first failure. Only the occurrences asked are visited,
+   not every occurrence numbered. *)
+let clear r =
+  for j = 0 to r.nasked - 1 do
+    let occ = Array.unsafe_get r.asked j in
+    if Array.unsafe_get r.bases occ >= 0 then Array.unsafe_set r.answers occ [];
+    Array.unsafe_set r.bases occ unasked
+  done;
+  r.nasked <- 0;
+  r.occurrences <- 0;
+  for i = 0 to r.calls - 1 do
+    Array.unsafe_set r.invocations i nobody
+  done;
+  r.calls <- 0;
+  r.refused <- -1;
+  if Option.is_some r.failed then r.failed <- None
+
+let release r =
+  clear r;
+  if Array.length r.ids > kept then r.ids <- [||];
+  if Array.length r.sets > kept then r.sets <- [||];
+  if Array.length r.bases > kept then begin
+    r.bases <- [||];
+    r.answers <- [||]
+  end;
+  if Array.length r.asked > kept then r.asked <- [||];
+  if Array.length r.invocations > kept then r.invocations <- [||];
+  Atomic.set r.busy false
+
+(* ------------------------------------------------------------------ *)
+(* Analyses                                                            *)
+(* ------------------------------------------------------------------ *)
 
 (* A missing entry is filled under the lock; the run counts the
    entries and the wall time (lock waits included). *)
@@ -409,25 +556,59 @@ let step r g set id =
       let fills = ref 0 in
       let v = Mutex.protect tb.win.lock (fun () -> step_locked tb g set c fills) in
       r.fills <- r.fills + !fills;
-      r.fill_seconds <- r.fill_seconds +. (Metrics.now Metrics.default -. t0);
+      r.fill_ns <- r.fill_ns + Float.to_int ((Metrics.now Metrics.default -. t0) *. 1e9);
       v
     end
 
-let solve tb kind ~budget ids =
-  let budget = Int.max 0 budget in
-  let g = game tb kind budget in
-  let n = Array.length ids in
-  let sets = Array.make (n + 1) tb.finals in
-  let r = { tb; kind; budget; ids; sets; fills = 0; fill_seconds = 0. } in
+let prepare r tb kind budget =
+  if r.tb != tb then r.tb <- tb;
+  r.kind <- kind;
+  r.budget <- Int.max 0 budget;
+  r.fills <- 0;
+  r.fill_ns <- 0
+
+let reserve_ids r n =
+  if Array.length r.ids < n then begin
+    let ids = Array.make (capacity (Array.length r.ids) n) 0 in
+    Array.blit r.ids 0 ids 0 (Array.length r.ids);
+    r.ids <- ids
+  end
+
+(* The letters of [forest], in one pass. *)
+let rec fill r i = function
+  | [] -> r.len <- i
+  | item :: rest ->
+    if i >= Array.length r.ids then reserve_ids r (i + 1);
+    Array.unsafe_set r.ids i (Document.sym_id item);
+    fill r (i + 1) rest
+
+(* The right-to-left pass over the frame's letters. *)
+let pass r =
+  let n = r.len in
+  if Array.length r.sets <= n then r.sets <- Array.make (capacity (Array.length r.sets) (n + 1)) 0;
+  let g = game r.tb r.kind r.budget and sets = r.sets and ids = r.ids in
+  sets.(n) <- r.tb.finals;
   for i = n - 1 downto 0 do
     sets.(i) <- step r g sets.(i + 1) ids.(i)
-  done;
-  r
+  done
+
+let solve r tb kind ~budget forest =
+  prepare r tb kind budget;
+  fill r 0 forest;
+  pass r
+
+let solve_letters r tb kind ~budget ids =
+  prepare r tb kind budget;
+  let n = Array.length ids in
+  reserve_ids r n;
+  Array.blit ids 0 r.ids 0 n;
+  r.len <- n;
+  pass r
 
 let ok r = member r.tb r.sets.(0) (Dense.start r.tb.dfa)
 let kind r = r.kind
 let fills r = r.fills
-let fill_seconds r = r.fill_seconds
+let fill_seconds r = float_of_int r.fill_ns /. 1e9
 
 (* Section 6: the word of one call to [a] alone, at depth [budget]:
    S_1 = finals and S_0 = Inv^budget_a(finals), since the call's own
@@ -437,6 +618,30 @@ let every_word tb kind ~budget a =
       let w = fixpoint tb (game_locked tb kind budget) a (bits_of tb tb.finals) (ref 0) in
       let q = Dense.start tb.dfa in
       q >= 0 && mem w.(a.start) q)
+
+(* ------------------------------------------------------------------ *)
+(* The calls a walk made                                               *)
+(* ------------------------------------------------------------------ *)
+
+let record r inv =
+  let i = r.calls in
+  if i >= Array.length r.invocations then begin
+    let grown = Array.make (capacity (Array.length r.invocations) (i + 1)) nobody in
+    Array.blit r.invocations 0 grown 0 i;
+    r.invocations <- grown
+  end;
+  Array.unsafe_set r.invocations i inv;
+  r.calls <- i + 1
+
+let calls r = r.calls
+
+let call r i =
+  if i < 0 || i >= r.calls then invalid_arg "Win.call: no such call";
+  Array.unsafe_get r.invocations i
+let refuse_last r = if r.refused < 0 then r.refused <- r.calls - 1
+let refused r = r.refused
+let fail r fault = if Option.is_none r.failed then r.failed <- Some fault
+let failed r = r.failed
 
 (* ------------------------------------------------------------------ *)
 (* The strategy walk                                                   *)
@@ -467,50 +672,56 @@ type frame =
 
 type 'st service = {
   chosen : 'st -> string -> invoke:bool -> unit;
-  call : 'st -> string -> Document.forest -> Document.forest;
+  call : 'st -> run -> string -> Document.forest -> Document.forest;
 }
 
 exception Unavailable
-
-(* A service's answer at one call occurrence. The word's items are
-   occurrences 0 .. n-1; the items of an answer are numbered from its
-   [base] on when it arrives, so backtracking meets the same numbers. *)
-type answer = Unasked | Out | Answered of { items : Document.forest; base : int }
-
-type 'st walk = {
-  run : run;
-  service : 'st service;
-  st : 'st;
-  mutable answers : answer array;  (* occurrence -> answer *)
-  mutable occurrences : int;  (* occurrences numbered so far *)
-}
+exception Dead
 
 (* The result of a branch that died; compared physically. *)
 let dead : Document.forest = [ Document.data "" ]
 
-let wins_of w = function Word -> w.run.sets | Copy c -> c.wins
-let forks_of w = function Word -> w.run.budget | Copy c -> c.forks
+let wins_of r = function Word -> r.sets | Copy c -> c.wins
+let forks_of r = function Word -> r.budget | Copy c -> c.forks
 
-(* The answer at occurrence [occ]: the service is asked at most once. *)
-let answer w occ fname item =
-  match if occ < Array.length w.answers then w.answers.(occ) else Unasked with
-  | Out | Answered _ as known -> known
-  | Unasked ->
-    let a =
-      match w.service.call w.st fname (Document.children item) with
-      | exception Unavailable -> Out
+let reserve_answers r n =
+  if Array.length r.bases < n then begin
+    let cap = capacity (Array.length r.bases) n in
+    let bases = Array.make cap unasked and answers = Array.make cap [] in
+    Array.blit r.bases 0 bases 0 (Array.length r.bases);
+    Array.blit r.answers 0 answers 0 (Array.length r.answers);
+    r.bases <- bases;
+    r.answers <- answers
+  end
+
+(* The base of the answer at occurrence [occ], or [out]: the service is
+   asked at most once. *)
+let answer r sv st occ fname item =
+  let known = if occ < Array.length r.bases then Array.unsafe_get r.bases occ else unasked in
+  if known <> unasked then known
+  else begin
+    let base =
+      match sv.call st r fname (Document.children item) with
+      | exception Unavailable -> out
       | items ->
-        let base = w.occurrences in
-        w.occurrences <- base + List.length items;
-        Answered { items; base }
+        let base = r.occurrences in
+        r.occurrences <- base + List.length items;
+        reserve_answers r (occ + 1);
+        r.answers.(occ) <- items;
+        base
     in
-    if occ >= Array.length w.answers then begin
-      let grown = Array.make (Int.max 8 (2 * w.occurrences)) Unasked in
-      Array.blit w.answers 0 grown 0 (Array.length w.answers);
-      w.answers <- grown
+    reserve_answers r (occ + 1);
+    r.bases.(occ) <- base;
+    let j = r.nasked in
+    if j >= Array.length r.asked then begin
+      let asked = Array.make (capacity (Array.length r.asked) (j + 1)) 0 in
+      Array.blit r.asked 0 asked 0 j;
+      r.asked <- asked
     end;
-    w.answers.(occ) <- a;
-    a
+    Array.unsafe_set r.asked j occ;
+    r.nasked <- j + 1;
+    base
+  end
 
 (* The function an edge labeled [id] among [e .. last - 1] forks
    into, -1. *)
@@ -519,35 +730,35 @@ let rec fork_of_edges fn id e last =
   else if fn.callee.(e) >= 0 && fn.lid.(e) = id then fn.callee.(e)
   else fork_of_edges fn id (e + 1) last
 
-(* [items w frame pos s occ forest] walks [forest] from position [pos]
-   of [frame] in state [s], [occ] being its head's occurrence, and
-   returns what it materializes up to the end of the word, or [dead]. *)
-let rec items w frame pos s occ = function
-  | [] -> finish w frame pos s
+(* [items r sv st frame pos s occ forest] walks [forest] from position
+   [pos] of [frame] in state [s], [occ] being its head's occurrence,
+   and returns what it materializes up to the end of the word, or
+   [dead]. *)
+let rec items r sv st frame pos s occ = function
+  | [] -> finish r sv st frame pos s
   | item :: rest -> (
     match frame with
-    | Word -> letter w pos s item rest
+    | Word -> letter r sv st pos s item rest
     | Copy c ->
       let id = Document.sym_id item and first = c.fn.off.(pos) and last = c.fn.off.(pos + 1) in
       let fork = if c.forks >= 1 then fork_of_edges c.fn id first last else -1 in
-      let out = keeps w frame c.fn c.wins fork item id s occ rest first last in
+      let out = keeps r sv st frame c.fn c.wins fork item id s occ rest first last in
       if out != dead || c.forks < 1 then out
-      else forks w frame c.fn item id s occ rest first last)
+      else forks r sv st frame c.fn item id s occ rest first last)
 
 (* The word must end accepted; a copy must end at a final position,
    and its parent resumes. *)
-and finish w frame pos s =
+and finish r sv st frame pos s =
   match frame with
-  | Word -> if pos = Array.length w.run.ids && Dense.is_final w.run.tb.dfa s then [] else dead
+  | Word -> if pos = r.len && Dense.is_final r.tb.dfa s then [] else dead
   | Copy c ->
-    if c.fn.final.(pos) && member w.run.tb (wins_of w c.parent).(c.exit) s then
-      items w c.parent c.exit s c.next c.rest
+    if c.fn.final.(pos) && member r.tb (wins_of r c.parent).(c.exit) s then
+      items r sv st c.parent c.exit s c.next c.rest
     else dead
 
 (* An item of the word itself: its occurrence is its position. *)
-and letter w pos s item rest =
-  let r = w.run in
-  if pos >= Array.length r.ids || Document.sym_id item <> r.ids.(pos) then dead
+and letter r sv st pos s item rest =
+  if pos >= r.len || Document.sym_id item <> r.ids.(pos) then dead
   else
     let id = r.ids.(pos) in
     let callee =
@@ -555,65 +766,65 @@ and letter w pos s item rest =
       if r.budget < 1 || c < 0 then -1 else r.tb.class_fn.(c)
     in
     let out =
-      keep w Word callee item r.sets.(pos + 1) (pos + 1) (Dense.step_id r.tb.dfa s id) (pos + 1)
-        rest
+      keep r sv st Word callee item r.sets.(pos + 1) (pos + 1)
+        (Dense.step_id r.tb.dfa s id) (pos + 1) rest
     in
-    if out != dead || callee < 0 then out else invoke w Word callee (pos + 1) s pos item rest
+    if out != dead || callee < 0 then out else invoke r sv st Word callee (pos + 1) s pos item rest
 
 (* Keep [item], moving to [pos'] in state [s'] if [s'] is in [set];
    [fork] is the function [item] could fork into instead, -1. *)
-and keep w frame fork item set pos' s' occ' rest =
-  if fork >= 0 then w.service.chosen w.st w.run.tb.win.fns.(fork).name ~invoke:false;
-  if not (member w.run.tb set s') then dead
+and keep r sv st frame fork item set pos' s' occ' rest =
+  if fork >= 0 then sv.chosen st r.tb.win.fns.(fork).name ~invoke:false;
+  if not (member r.tb set s') then dead
   else
-    let out = items w frame pos' s' occ' rest in
+    let out = items r sv st frame pos' s' occ' rest in
     if out == dead then dead else item :: out
 
-and keeps w frame fn wins fork item id s occ rest e last =
+and keeps r sv st frame fn wins fork item id s occ rest e last =
   if e >= last then dead
   else
     let out =
       if fn.lid.(e) <> id then dead
       else
         let dst = fn.dst.(e) in
-        keep w frame fork item wins.(dst) dst (Dense.step_id w.run.tb.dfa s id) (occ + 1) rest
+        keep r sv st frame fork item wins.(dst) dst (Dense.step_id r.tb.dfa s id) (occ + 1) rest
     in
-    if out != dead then out else keeps w frame fn wins fork item id s occ rest (e + 1) last
+    if out != dead then out else keeps r sv st frame fn wins fork item id s occ rest (e + 1) last
 
-and forks w frame fn item id s occ rest e last =
+and forks r sv st frame fn item id s occ rest e last =
   if e >= last then dead
   else
     let out =
       if fn.callee.(e) < 0 || fn.lid.(e) <> id then dead
-      else invoke w frame fn.callee.(e) fn.dst.(e) s occ item rest
+      else invoke r sv st frame fn.callee.(e) fn.dst.(e) s occ item rest
     in
-    if out != dead then out else forks w frame fn item id s occ rest (e + 1) last
+    if out != dead then out else forks r sv st frame fn item id s occ rest (e + 1) last
 
 (* Invoke [item], a call to forking function [f], in state [s]: walk
    its answer through a copy of [f]'s output automaton, whose parent
    resumes at [exit]. *)
-and invoke w frame f exit s occ item rest =
-  let tb = w.run.tb in
+and invoke r sv st frame f exit s occ item rest =
+  let tb = r.tb in
   let fn = tb.win.fns.(f) in
-  w.service.chosen w.st fn.name ~invoke:true;
-  let forks = forks_of w frame in
+  sv.chosen st fn.name ~invoke:true;
+  let forks = forks_of r frame in
   let wins =
-    (Atomic.get tb.solved).data.(solved tb (game tb w.run.kind forks) f (wins_of w frame).(exit))
+    (Atomic.get tb.solved).data.(solved tb (game tb r.kind forks) f (wins_of r frame).(exit))
   in
   if not (member tb wins.(fn.start) s) then dead
   else
-    match answer w occ fn.name item with
-    | Unasked | Out -> dead
-    | Answered { items = answer; base } ->
-      items w
+    let base = answer r sv st occ fn.name item in
+    if base < 0 then dead
+    else
+      items r sv st
         (Copy { fn; wins; forks = forks - 1; parent = frame; exit; rest; next = occ + 1 })
-        fn.start s base answer
+        fn.start s base r.answers.(occ)
 
-
-let walk run service st forest =
-  let w = { run; service; st; answers = [||]; occurrences = Array.length run.ids } in
-  let s = Dense.start run.tb.dfa in
-  if not (member run.tb run.sets.(0) s) then None
-  else
-    let out = items w Word 0 s 0 forest in
-    if out == dead then None else Some out
+let walk r sv st forest =
+  if r.nasked > 0 || r.calls > 0 || Option.is_some r.failed then clear r;
+  r.occurrences <- r.len;
+  let s = Dense.start r.tb.dfa in
+  if not (member r.tb r.sets.(0) s) then raise_notrace Dead;
+  let out = items r sv st Word 0 s 0 forest in
+  if out == dead then raise_notrace Dead;
+  out

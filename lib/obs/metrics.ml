@@ -4,9 +4,9 @@
 
 type labels = (string * string) list
 
-(* Gauge values and histogram sums are floats stored as int64 bit
-   patterns inside an Atomic, so [add] can be a CAS loop without a
-   lock and readers never see a torn value. *)
+(* Gauge values are floats stored as int64 bit patterns inside an
+   Atomic, so [add] can be a CAS loop without a lock and readers never
+   see a torn value. *)
 module Afloat = struct
   type t = int64 Atomic.t
 
@@ -29,11 +29,21 @@ end
 type counter = { c_value : int Atomic.t }
 type gauge = { g_value : Afloat.t }
 
+(* A histogram's sum is an integer count of its unit: nanoseconds for a
+   family named [*_seconds], whole units (bytes, items) for any other.
+   Adding an integer is one fetch-and-add and boxes nothing, where a
+   float sum boxed a fresh int64 on every compare-and-set. A value too
+   large for an integer count (or not finite) goes to [h_rest], which
+   only such values touch: its compare-and-set loop is written inline,
+   so that [observe] hands its float to no function and it stays
+   unboxed. *)
 type histogram = {
   h_bounds : float array;        (* sorted upper bounds, +Inf excluded *)
   h_counts : int Atomic.t array; (* per-bucket (non-cumulative); length = bounds + 1,
                                     last slot is the +Inf overflow bucket *)
-  h_sum : Afloat.t;
+  h_sum : int Atomic.t;          (* in units of 1 / h_scale *)
+  h_scale : float;               (* units per observed value: 1e9 for seconds, else 1 *)
+  h_rest : float Atomic.t;       (* what [h_sum] cannot count *)
   h_count : int Atomic.t;
   h_clock : (unit -> float) ref; (* shared with the owning registry *)
 }
@@ -156,7 +166,9 @@ let histogram ?(registry = default) ?(help = "") ?(buckets = default_buckets)
         Histogram
           { h_bounds = f.f_buckets;
             h_counts = Array.init (Array.length f.f_buckets + 1) (fun _ -> Atomic.make 0);
-            h_sum = Afloat.make 0.;
+            h_sum = Atomic.make 0;
+            h_scale = (if String.ends_with ~suffix:"_seconds" name then 1e9 else 1.);
+            h_rest = Atomic.make 0.;
             h_count = Atomic.make 0;
             h_clock = registry.clock })
   with
@@ -174,16 +186,33 @@ let set g v = Afloat.set g.g_value v
 let add g d = Afloat.add g.g_value d
 let gauge_value g = Afloat.get g.g_value
 
-let bucket_index bounds v =
-  (* first bound >= v, or the overflow slot *)
+let[@inline] bucket_index (bounds : float array) (v : float) =
+  (* first bound >= v, or the overflow slot; typed, so each step is a
+     float comparison, not a call to the polymorphic [compare] *)
   let i = ref 0 in
   while !i < Array.length bounds && not (v <= bounds.(!i)) do incr i done;
   !i
 
-let observe h v =
+(* Counts of the unit up to 2^62 in magnitude fit an OCaml int. *)
+let countable = 4e18
+
+let[@inline] observe h v =
   ignore (Atomic.fetch_and_add h.h_counts.(bucket_index h.h_bounds v) 1);
   ignore (Atomic.fetch_and_add h.h_count 1);
-  Afloat.add h.h_sum v
+  let units = v *. h.h_scale in
+  if Float.abs units < countable then
+    ignore
+      (Atomic.fetch_and_add h.h_sum
+         (Float.to_int (if units >= 0. then units +. 0.5 else units -. 0.5)))
+  else begin
+    let added = ref false in
+    while not !added do
+      let cur = Atomic.get h.h_rest in
+      added := Atomic.compare_and_set h.h_rest cur (cur +. v)
+    done
+  end
+
+let sum h = (float_of_int (Atomic.get h.h_sum) /. h.h_scale) +. Atomic.get h.h_rest
 
 let time h f =
   let t0 = !(h.h_clock) () in
@@ -205,7 +234,7 @@ let histogram_snapshot h =
            (bound, !acc))
          h.h_bounds)
   in
-  { buckets; count = Atomic.get h.h_count; sum = Afloat.get h.h_sum }
+  { buckets; count = Atomic.get h.h_count; sum = sum h }
 
 (* Windowed views: a histogram child accumulates forever, so a window is
    the pointwise difference of two snapshots of the same child. *)
@@ -263,7 +292,8 @@ let reset t =
           | Histogram h ->
               Array.iter (fun a -> Atomic.set a 0) h.h_counts;
               Atomic.set h.h_count 0;
-              Afloat.set h.h_sum 0.)
+              Atomic.set h.h_sum 0;
+              Atomic.set h.h_rest 0.)
         f.f_children)
     t.families
 

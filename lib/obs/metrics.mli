@@ -14,8 +14,9 @@
     paths stay lock-free and the registry is safe to share across
     domains on OCaml 5. Reads ([value] accessors and the exporters) are
     lock-free too and may observe a metric mid-update only in the sense
-    of seeing a slightly stale value, never a torn one (the histogram
-    [sum] is a CAS loop over a float bit pattern).
+    of seeing a slightly stale value, never a torn one (a gauge is a
+    CAS loop over a float bit pattern; a histogram's sum is an integer
+    count of its unit).
 
     Time is injectable: [time] and every timestamp derive from the
     registry's clock (default [Unix.gettimeofday]), so tests and
@@ -116,12 +117,19 @@ val histogram :
   string -> histogram
 (** Registers (or looks up) a histogram family with the given bucket
     upper bounds (sorted and deduplicated; default {!default_buckets}).
-    [buckets] is fixed by the first registration of the family. *)
+    [buckets] is fixed by the first registration of the family.
+
+    The sum is kept as an integer count of the histogram's unit:
+    nanoseconds when [name] ends in [_seconds], whole units (bytes,
+    items) otherwise, so each observed value is rounded to that unit.
+    A value whose count does not fit an integer (beyond about 4e18
+    units, or not finite) is summed as a float instead. *)
 
 val observe : histogram -> float -> unit
 (** [observe h v] records [v]: increments the first bucket whose upper
     bound is [>= v] (or the implicit [+Inf] bucket), the total count,
-    and adds [v] to the sum — each a single atomic update. *)
+    and adds [v], in the histogram's unit, to the sum — each a single
+    atomic update. Inlined at its call, it allocates nothing. *)
 
 val time : histogram -> (unit -> 'a) -> 'a
 (** [time h f] runs [f ()] and observes its wall-clock duration in
@@ -134,7 +142,9 @@ type histogram_snapshot = {
           increasing bound order; the implicit [+Inf] bucket is not
           listed — its cumulative count is [count]. *)
   count : int;  (** Total number of observations. *)
-  sum : float;  (** Sum of all observed values. *)
+  sum : float;
+      (** Sum of all observed values, each rounded to the histogram's
+          unit (see {!histogram}). *)
 }
 
 val histogram_snapshot : histogram -> histogram_snapshot

@@ -157,6 +157,42 @@ let test_snapshot_quantile () =
      | _ -> false
      | exception Invalid_argument _ -> true)
 
+(* A histogram sums integer counts of its unit: nanoseconds for a
+   [_seconds] family, whole units for any other; a value no integer
+   count holds is summed as a float. *)
+let test_histogram_sum_units () =
+  let r = Metrics.create () in
+  let sum h = (Metrics.histogram_snapshot h).Metrics.sum in
+  let secs = Metrics.histogram ~registry:r "unit_seconds" in
+  Metrics.observe secs 1.2345678904;
+  Metrics.observe secs 0.0000000006;
+  Alcotest.(check (float 1e-12)) "seconds round to the nanosecond" 1.234567891 (sum secs);
+  let bytes = Metrics.histogram ~registry:r ~buckets:[ 1024. ] "unit_bytes" in
+  List.iter (Metrics.observe bytes) [ 100.; 1.6; 4096. ];
+  Alcotest.(check (float 0.)) "bytes count whole units" 4198. (sum bytes);
+  Metrics.observe bytes 1e30;
+  Alcotest.(check (float 1e16)) "a value past an int's range is still summed" 1e30 (sum bytes);
+  check "it reaches the text export" true
+    (contains (Metrics.to_prometheus r) "unit_seconds_sum 1.23456789")
+
+(* An observation of a value computed at the call boxes nothing: the sum
+   is an integer, and [observe] is inlined, so the float stays
+   unboxed. *)
+let test_observe_allocates_nothing () =
+  let r = Metrics.create () in
+  let h = Metrics.histogram ~registry:r "alloc_seconds" in
+  let b = Metrics.histogram ~registry:r ~buckets:[ 256.; 4096. ] "alloc_bytes" in
+  let xs = Array.init 64 (fun i -> float_of_int i *. 1e-6) in
+  Metrics.observe h (xs.(1) *. 2.);
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    Metrics.observe h (xs.(i land 63) *. 2.);
+    Metrics.observe b (float_of_int (i land 8191))
+  done;
+  let words = Gc.minor_words () -. before in
+  if words <> 0. then Alcotest.failf "20,000 observations allocated %.0f words" words;
+  check_int "every observation counted" 10_001 (Metrics.histogram_snapshot h).Metrics.count
+
 (* ---------------- exporters ---------------- *)
 
 let populated_registry () =
@@ -503,7 +539,11 @@ let () =
           Alcotest.test_case "histogram window diff" `Quick
             test_histogram_window_diff;
           Alcotest.test_case "snapshot quantile" `Quick
-            test_snapshot_quantile ] );
+            test_snapshot_quantile;
+          Alcotest.test_case "histogram sum units" `Quick test_histogram_sum_units ] );
+      ( "alloc",
+        [ Alcotest.test_case "observe allocates nothing" `Quick
+            test_observe_allocates_nothing ] );
       ( "export",
         [ Alcotest.test_case "prometheus text format" `Quick
             test_prometheus_format;
