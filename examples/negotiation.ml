@@ -1,8 +1,9 @@
 (* Schema negotiation (Section 6 + the "negotiator" of the conclusion):
    before any data flows, the sender checks — at the schema level, no
    document in hand — which of the receiver's preference-ordered
-   proposals ALL its documents can be safely rewritten into, then
-   exchanges under the agreed schema.
+   proposals ALL its documents can be safely rewritten into (the
+   Section 6 test, [Schema_rewrite.check], which `axml compat` runs),
+   then exchanges under the first one that passes.
 
    Run with:  dune exec examples/negotiation.exe *)
 
@@ -13,7 +14,8 @@ module D = Axml_core.Document
 module Service = Axml_services.Service
 module Registry = Axml_services.Registry
 module Oracle = Axml_services.Oracle
-module Negotiation = Axml_peer.Negotiation
+module Contract = Axml_core.Contract
+module Schema_rewrite = Axml_core.Schema_rewrite
 module Enforcement = Axml_peer.Enforcement
 
 let parse_schema text =
@@ -41,35 +43,46 @@ element newspaper = title.date.(Get_Temp | temp).(TimeOut | exhibit*)
 
 (* The receiver's proposals, most restrictive first. *)
 let proposals =
-  [ { Negotiation.name = "fully-extensional (exhibits only)";
-      schema =
-        parse_schema
-          ({|
+  [ ( "fully-extensional (exhibits only)",
+      parse_schema
+        ({|
 root newspaper
 element newspaper = title.date.temp.exhibit*
-|} ^ common) };
-    { Negotiation.name = "temperature materialized";
-      schema =
-        parse_schema
-          ({|
+|} ^ common) );
+    ( "temperature materialized",
+      parse_schema
+        ({|
 root newspaper
 element newspaper = title.date.temp.(TimeOut | exhibit*)
-|} ^ common) };
-    { Negotiation.name = "anything goes";
-      schema = sender_schema }
-  ]
+|} ^ common) );
+    ("anything goes", sender_schema) ]
+
+(* The labels whose documents cannot all be safely rewritten into the
+   proposal, with the reason; none when every document can. *)
+let unsafe_labels schema =
+  let result =
+    Schema_rewrite.check ~root:"newspaper" (Contract.create ~s0:sender_schema ~target:schema ())
+  in
+  List.filter (fun v -> v.Schema_rewrite.v_verdict <> Contract.Safe) result.Schema_rewrite.verdicts
+
+let pp_unsafe ppf (v : Schema_rewrite.label_verdict) =
+  Fmt.pf ppf "%s (%s)" v.v_label (Option.value ~default:"?" v.v_reason)
 
 let () =
   Fmt.pr "Negotiating an exchange schema for newspaper documents...@.";
-  match Negotiation.negotiate ~s0:sender_schema ~root:"newspaper" proposals with
-  | Error rejections ->
-    Fmt.pr "no agreement possible:@.";
-    List.iter (Fmt.pr "  %a@." Negotiation.pp_rejection) rejections
-  | Ok agreement ->
-    List.iter
-      (fun r -> Fmt.pr "rejected %a@." Negotiation.pp_rejection r)
-      agreement.Negotiation.rejected;
-    Fmt.pr "AGREED on: %s@." agreement.Negotiation.chosen.Negotiation.name;
+  let rec first_fit = function
+    | [] -> None
+    | (name, schema) :: rest ->
+      (match unsafe_labels schema with
+       | [] -> Some (name, schema)
+       | bad ->
+         Fmt.pr "rejected %s: %a@." name Fmt.(list ~sep:(any "; ") pp_unsafe) bad;
+         first_fit rest)
+  in
+  match first_fit proposals with
+  | None -> Fmt.pr "no agreement possible@."
+  | Some (name, agreed) ->
+    Fmt.pr "AGREED on: %s@." name;
     (* now exchange a document under the agreed schema *)
     let reg = Registry.create () in
     Registry.register_all reg
@@ -85,7 +98,7 @@ let () =
     in
     (match
        Enforcement.enforce ~s0:sender_schema
-         ~exchange:agreement.Negotiation.chosen.Negotiation.schema
+         ~exchange:agreed
          ~invoker:(Registry.invoker reg) doc
      with
      | Ok (sent, _) ->

@@ -398,11 +398,10 @@ type exchange_outcome = {
   wire_bytes : int;
 }
 
-(* The receiver-side half of an exchange — shared by [send] and the
-   network endpoint: parse the XML wire bytes, validate against the
-   exchange schema (never trust the sender), store the document. *)
-let receive t ~exchange ~as_name (wire : string) :
-    (Document.t, Enforcement.error) result =
+(* The receiver's verdict the long way, for a document the one pass of
+   [receive] refused: parse to a tree, decode, and list every
+   violation, in the order and words a refusal reports them. *)
+let receive_slowly t ~ctx ~as_name (wire : string) : (Document.t, Enforcement.error) result =
   let rejected failures = Error (Enforcement.Rejected failures) in
   match Syntax.of_xml_string wire with
   | exception Syntax.Syntax_error m ->
@@ -410,7 +409,6 @@ let receive t ~exchange ~as_name (wire : string) :
       [ { Rewriter.at = [];
           reason = Rewriter.Not_instance { detail = "malformed document: " ^ m } } ]
   | received ->
-    let ctx = Contract.ctx (Pipeline.contract (exchange_pipeline t ~exchange)) in
     (match Validate.document_violations ctx received with
      | [] ->
        store t as_name received;
@@ -424,6 +422,22 @@ let receive t ~exchange ~as_name (wire : string) :
                   Rewriter.Not_instance
                     { detail = Fmt.str "%a" Validate.pp_violation_kind v.Validate.kind } })
             violations))
+
+(* The receiver-side half of an exchange — shared by [send] and the
+   network endpoint: decode the XML wire bytes and validate them against
+   the exchange schema (never trust the sender) in one pass, then store
+   the document. At the first offence the pass stops and the refusal is
+   rebuilt by [receive_slowly], so every verdict, message and stored
+   document is the one parsing, decoding and validating in turn
+   gives. *)
+let receive t ~exchange ~as_name (wire : string) :
+    (Document.t, Enforcement.error) result =
+  let ctx = Contract.ctx (Pipeline.contract (exchange_pipeline t ~exchange)) in
+  match Syntax.of_xml_string_checked ctx wire with
+  | Some received ->
+    store t as_name received;
+    Ok received
+  | None -> receive_slowly t ~ctx ~as_name wire
 
 (* Send [doc] to [receiver] under the agreed [exchange] schema: the
    sender's enforcement module materializes what must be materialized,

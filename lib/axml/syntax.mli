@@ -36,6 +36,18 @@ val of_xml : Axml_xml.Xml_tree.t -> Axml_core.Document.t
 
 val of_xml_string : string -> Axml_core.Document.t
 
+val of_xml_string_checked :
+  Axml_core.Validate.ctx -> string -> Axml_core.Document.t option
+(** One pass over the bytes, with no [Xml_tree]: decode and check the
+    document against the context (Definition 3 and the root rule) at
+    once. [Some doc] when {!of_xml_string} would return [doc] and
+    [Validate.document_violations ctx doc] would be [[]], with the same
+    names and symbol ids; [None] otherwise, at the first offence of any
+    kind (malformed bytes or markup, an undeclared name, a children
+    word outside its model), so the caller that reports the refusal
+    rebuilds it through {!of_xml_string} and
+    [Validate.document_violations]. *)
+
 (**/**)
 
 (* shared with Soap and Peer for forest-level conversion *)

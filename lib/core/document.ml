@@ -22,6 +22,11 @@ let elem label children = Elem { label; id = Sym_id.find_label label; children }
 let data value = Data value
 let call name params = Call { name; id = Sym_id.find_fun name; params }
 
+(* The name is the interner's own string: a decoder that resolved the
+   id from a slice of its input copies nothing. *)
+let elem_of_id id children = Elem { label = Sym_id.name id; id; children }
+let call_of_id id params = Call { name = Sym_id.name id; id; params }
+
 (* The letter a node contributes to its parent's children word. *)
 let symbol = function
   | Elem { label; _ } -> Symbol.Label label

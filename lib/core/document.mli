@@ -20,6 +20,14 @@ val elem : string -> t list -> t
 val data : string -> t
 val call : string -> t list -> t
 
+val elem_of_id : int -> t list -> t
+val call_of_id : int -> t list -> t
+(** [elem_of_id id children] is [elem l children] for the label [l]
+    whose {!Axml_schema.Sym_id} is [id] ([id >= 0], as
+    {!Axml_schema.Sym_id.find_label_sub} gives it), with [l] the
+    interned name itself, not a copy; the same for [call_of_id] and
+    function ids. *)
+
 val symbol : t -> Axml_schema.Symbol.t
 (** The letter a node contributes to its parent's children word. *)
 

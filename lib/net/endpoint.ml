@@ -18,25 +18,44 @@ type t = {
 
 type transport = Wire.request -> Wire.response
 
-(* One requests counter per operation label, shared across endpoints. *)
-let m_requests : (string, Metrics.counter) Hashtbl.t = Hashtbl.create 16
+(* One requests counter per operation, shared across endpoints: a slot
+   per [Wire.request] constructor, filled on the operation's first
+   request (under the lock, so it is registered once) and read without
+   a lock after that. *)
+let request_slot : Wire.request -> int = function
+  | Ping -> 0
+  | Open_exchange _ -> 1
+  | Exchange _ -> 2
+  | Invoke _ -> 3
+  | Get_wsdl _ -> 4
+  | List_services -> 5
+  | List_documents -> 6
+  | Get_document _ -> 7
+  | Lint_exchange _ -> 8
+  | Get_metrics _ -> 9
+
+let m_requests : Metrics.counter option Atomic.t array = Array.init 10 (fun _ -> Atomic.make None)
 let m_requests_lock = Mutex.create ()
 
-let count_request op =
-  Mutex.lock m_requests_lock;
-  let c =
-    match Hashtbl.find_opt m_requests op with
-    | Some c -> c
-    | None ->
-      let c =
-        Metrics.counter ~help:"Endpoint requests served, by operation"
-          ~labels:[ ("op", op) ] "axml_net_requests_total"
-      in
-      Hashtbl.add m_requests op c;
-      c
-  in
-  Mutex.unlock m_requests_lock;
-  Metrics.inc c
+let count_request req =
+  let slot = m_requests.(request_slot req) in
+  match Atomic.get slot with
+  | Some c -> Metrics.inc c
+  | None ->
+    Mutex.lock m_requests_lock;
+    let c =
+      match Atomic.get slot with
+      | Some c -> c
+      | None ->
+        let c =
+          Metrics.counter ~help:"Endpoint requests served, by operation"
+            ~labels:[ ("op", Wire.request_op req) ] "axml_net_requests_total"
+        in
+        Atomic.set slot (Some c);
+        c
+    in
+    Mutex.unlock m_requests_lock;
+    Metrics.inc c
 
 let create ?repo peer =
   { peer; repo; exchanges = Hashtbl.create 8; lock = Mutex.create ();
@@ -140,7 +159,7 @@ let dispatch t : Wire.request -> Wire.response = function
     Metrics { format; body }
 
 let handle t req =
-  count_request (Wire.request_op req);
+  count_request req;
   match dispatch t req with
   | resp -> resp
   | exception e -> err "fault" "%s" (Printexc.to_string e)

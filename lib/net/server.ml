@@ -88,9 +88,19 @@ let in_flight t = Atomic.get t.in_flight
 let endpoint t = t.endpoint
 let port t = t.port
 
+(* A request admitted at [t0] is done: its service time is observed
+   (on the default registry's clock, which [h_request_seconds] uses)
+   and it leaves the in-flight count. *)
+let[@inline] leave t t0 =
+  Metrics.observe h_request_seconds (Metrics.now Metrics.default -. t0);
+  ignore (Atomic.fetch_and_add t.in_flight (-1));
+  Metrics.set g_in_flight (float_of_int (Atomic.get t.in_flight))
+
 (* Admission control: run [f] counted against the in-flight bound, or
    return [None] when the server is already at capacity — the caller
-   answers "overloaded" without touching the pipeline. *)
+   answers "overloaded" without touching the pipeline. The request is
+   timed and counted out by hand, with no closure, as [Peer.store]
+   unlocks. *)
 let admitted t f =
   let n = Atomic.fetch_and_add t.in_flight 1 in
   if n >= t.config.max_in_flight then begin
@@ -98,14 +108,17 @@ let admitted t f =
     Metrics.inc m_overload;
     None
   end
-  else
-    Fun.protect
-      ~finally:(fun () ->
-        ignore (Atomic.fetch_and_add t.in_flight (-1));
-        Metrics.set g_in_flight (float_of_int (Atomic.get t.in_flight)))
-      (fun () ->
-        Metrics.set g_in_flight (float_of_int (Atomic.get t.in_flight));
-        Some (Metrics.time h_request_seconds f))
+  else begin
+    Metrics.set g_in_flight (float_of_int (Atomic.get t.in_flight));
+    let t0 = Metrics.now Metrics.default in
+    match f () with
+    | resp ->
+      leave t t0;
+      Some resp
+    | exception e ->
+      leave t t0;
+      raise e
+  end
 
 let serve_request t req : Wire.response =
   if Atomic.get t.stopping then

@@ -40,19 +40,28 @@ let hash_sub s off len =
 
 let hash s = hash_sub s 0 (String.length s)
 
-(* The id of [s] in [slots]/[names] from slot [i] on, -1 at the first
-   free slot. *)
-let rec probe slots names mask s i =
+(* Is [name] the slice [s.[off .. off + len - 1]]? *)
+let is_slice name s off len =
+  String.length name = len
+  &&
+  let i = ref 0 in
+  while !i < len && String.unsafe_get name !i = String.unsafe_get s (off + !i) do incr i done;
+  !i = len
+
+(* The id of the slice [s.[off .. off + len - 1]] in [slots]/[names]
+   from slot [i] on, -1 at the first free slot. *)
+let rec probe slots names mask s off len i =
   let id = Array.unsafe_get slots i in
   if id < 0 then -1
-  else if String.equal (Array.unsafe_get names id) s then id
-  else probe slots names mask s ((i + 1) land mask)
+  else if is_slice (Array.unsafe_get names id) s off len then id
+  else probe slots names mask s off len ((i + 1) land mask)
 
-let lookup { slots; names } s =
+let lookup { slots; names } s off len =
   let mask = Array.length slots - 1 in
-  probe slots names mask s (hash s land mask)
+  probe slots names mask s off len (hash_sub s off len land mask)
 
-let find t s = lookup (Atomic.get t.snap) s
+let find_sub t s off len = lookup (Atomic.get t.snap) s off len
+let find t s = find_sub t s 0 (String.length s)
 
 let size t = Array.length (Atomic.get t.snap).names
 
@@ -71,7 +80,7 @@ let intern t s =
         (* re-check against the latest snapshot: another domain may have
            inserted [s] between our optimistic read and the lock *)
         let cur = Atomic.get t.snap in
-        let id = lookup cur s in
+        let id = lookup cur s 0 (String.length s) in
         if id >= 0 then id
         else begin
           let id = Array.length cur.names in

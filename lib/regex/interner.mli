@@ -20,6 +20,11 @@ val find : t -> string -> int
     never inserts, never allocates, takes no lock. One probe sequence
     of an open-addressed table keyed by {!hash}. *)
 
+val find_sub : t -> string -> int -> int -> int
+(** [find_sub t s off len] is [find t (String.sub s off len)] without
+    the copy: the same probe, hashing and comparing the slice in place.
+    Never inserts, never allocates, takes no lock. *)
+
 val hash : string -> int
 (** The hash {!find} probes with: a byte loop of this module's own, not
     [Hashtbl.hash]. Exposed so that tests can build colliding names. *)

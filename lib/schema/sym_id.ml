@@ -32,6 +32,11 @@ let of_symbol = function
 let code ~tag i = if i < 0 then -1 else (2 * i) + tag
 let find_label l = code ~tag:1 (I.find interner l)
 let find_fun f = code ~tag:2 (I.find interner f)
+let find_label_sub s off len = code ~tag:1 (I.find_sub interner s off len)
+let find_fun_sub s off len = code ~tag:2 (I.find_sub interner s off len)
+
+(* Both tags drop out of [(id - 1) / 2]: 2i + 1 and 2i + 2 give i. *)
+let name id = I.to_string interner ((id - 1) / 2)
 
 let find_symbol = function
   | Symbol.Data -> 0

@@ -24,4 +24,15 @@ val find_symbol : Symbol.t -> int
     how a document's letters are coded, so judging documents never
     grows the interner. They allocate nothing. *)
 
+val find_label_sub : string -> int -> int -> int
+val find_fun_sub : string -> int -> int -> int
+(** [find_label_sub s off len] is [find_label (String.sub s off len)]
+    without the copy ({!Axml_regex.Interner.find_sub}); the same for
+    [find_fun_sub]. They allocate nothing. *)
+
+val name : int -> string
+(** The interned name of a label or function id ([>= 1]): the string
+    {!of_label} or {!of_fun} was given, not a copy.
+    @raise Invalid_argument on an id never handed out. *)
+
 val of_word : Symbol.t list -> int array

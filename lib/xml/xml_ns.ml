@@ -26,11 +26,12 @@ exception Too_many_bindings
 
 let max_bindings = 64
 
-let prefix_end name =
-  let n = String.length name in
-  let i = ref 0 in
-  while !i < n && String.unsafe_get name !i <> ':' do incr i done;
-  if !i = n then -1 else !i
+let prefix_end_sub s off stop =
+  let i = ref off in
+  while !i < stop && String.unsafe_get s !i <> ':' do incr i done;
+  if !i = stop then -1 else !i
+
+let prefix_end name = prefix_end_sub name 0 (String.length name)
 
 (* Do [a.[i ..]] and [b.[j ..]] agree on [len] bytes? Both are long
    enough. *)
@@ -40,16 +41,18 @@ let same_bytes a i b j len =
   !k >= len
 
 (* [xmlns] declares the default namespace, [xmlns:p] the prefix p (an
-   empty p the default namespace too). *)
-let is_declaration (a : Xml_tree.attribute) =
-  let n = a.name in
-  String.length n >= 5
-  && String.unsafe_get n 0 = 'x'
-  && String.unsafe_get n 1 = 'm'
-  && String.unsafe_get n 2 = 'l'
-  && String.unsafe_get n 3 = 'n'
-  && String.unsafe_get n 4 = 's'
-  && (String.length n = 5 || String.unsafe_get n 5 = ':')
+   empty p the default namespace too): is [n.[off .. stop - 1]] such a
+   name? *)
+let is_declaration_sub n off stop =
+  stop - off >= 5
+  && String.unsafe_get n off = 'x'
+  && String.unsafe_get n (off + 1) = 'm'
+  && String.unsafe_get n (off + 2) = 'l'
+  && String.unsafe_get n (off + 3) = 'n'
+  && String.unsafe_get n (off + 4) = 's'
+  && (stop - off = 5 || String.unsafe_get n (off + 5) = ':')
+
+let is_declaration (a : Xml_tree.attribute) = is_declaration_sub a.name 0 (String.length a.name)
 
 (* Length of the prefix a declaration binds: [a.name.[6 ..]]. *)
 let bound_len (a : Xml_tree.attribute) =
@@ -96,6 +99,30 @@ let rec extend_attrs env (attrs : Xml_tree.attribute list) =
 
 let extend env (element : Xml_tree.element) = extend_attrs env element.attrs
 
+(* The reader's current attribute, read in place: a declaration that
+   binds its prefix to the URI already bound changes nothing and copies
+   nothing; [known] is put in force itself when the declaration is
+   it. *)
+let declare_attribute ~known env r =
+  let s = Xml_parser.input r in
+  let off = Xml_parser.name_start r and stop = Xml_parser.name_end r in
+  if not (is_declaration_sub s off stop) then env
+  else begin
+    let len = if stop - off <= 6 then 0 else stop - off - 6 in
+    match find env s (off + 6) len with
+    | b :: _ when Xml_parser.value_equals r b.value -> env
+    | _ ->
+      let (k : Xml_tree.attribute) = known in
+      let a =
+        if String.length k.name = stop - off
+           && same_bytes s off k.name 0 (stop - off)
+           && Xml_parser.value_equals r k.value
+        then k
+        else { name = String.sub s off (stop - off); value = Xml_parser.value r }
+      in
+      declare env a
+  end
+
 let local_name name c = if c < 0 then name else String.sub name (c + 1) (String.length name - c - 1)
 
 (* Namespace URI and local name of an element under [env], the
@@ -122,14 +149,17 @@ let iter_elements f tree =
 
 (* The local name is compared first, in place: it tells most names
    apart without a look at the environment. *)
-let name_is env ~uri ~local name c =
+let name_is_sub env ~uri ~local s off stop c =
   let n = String.length local in
-  String.length name = c + 1 + n
-  && same_bytes name (c + 1) local 0 n
+  let l = if c < 0 then off else c + 1 in
+  stop - l = n
+  && same_bytes s l local 0 n
   &&
-  match find_prefix env name c with
+  match find env s off (if c < 0 then 0 else c - off) with
   | [] -> false
   | a :: _ -> String.equal a.value uri
+
+let name_is env ~uri ~local name c = name_is_sub env ~uri ~local name 0 (String.length name) c
 
 let element_is env ~uri ~local (element : Xml_tree.element) =
   name_is env ~uri ~local element.name (prefix_end element.name)

@@ -3,18 +3,23 @@
    CDATA sections, comments and processing instructions. DOCTYPE
    declarations in the prolog are skipped.
 
-   The scanner allocates what it returns, the cursor, and the stack of
-   open elements with their children read so far; nothing per character
-   or per probe. The cursor is a bare offset: line and column are a
-   function of it, computed when an [Error] is raised. Prefix probes
-   compare in place. Character data and attribute values are scanned as
-   runs, and a run is copied once: a token that is one run becomes one
-   [String.sub]; a token broken by entity references or line ends (or
-   split across CDATA sections) is assembled in a scratch buffer, which
-   a parse creates only when it meets the first such token. Attribute
-   lists are built in order. Every [String.unsafe_get] below reads an
-   index that its loop condition has already bounded by the input's
-   length.
+   There is one scanner, and it is a pull reader: [next] moves the
+   cursor over one token and records where its name or text lies in the
+   input ([mark] .. [stop]), and the consumer copies out what it keeps.
+   [parse] builds an [Xml_tree] from those tokens; [Syntax] decodes the
+   same tokens straight into documents.
+
+   The scanner allocates what its consumer takes, the cursor, and (for
+   [parse]) one frame per open element with its children read so far;
+   nothing per character or per probe. The cursor is a bare offset: line
+   and column are a function of it, computed when an [Error] is raised.
+   Prefix probes compare in place. Character data and attribute values
+   are scanned as runs, and a run is copied at most once: a token that is
+   one run is left in the input as a slice; a token broken by entity
+   references or line ends (or split across CDATA sections) is assembled
+   in a scratch buffer, which a parse creates only when it meets the
+   first such token. Every [String.unsafe_get] below reads an index that
+   its loop condition has already bounded by the input's length.
 
    Bytes are classified by [Byte_class.is]; it and the cursor helpers
    are inlined, so the scanning loops make no call per byte. A name
@@ -24,13 +29,27 @@ type position = { line : int; column : int }
 
 exception Error of { pos : position; message : string }
 
-type cursor = { input : string; mutable offset : int; mutable scratch : Buffer.t }
+(* [mark] .. [stop] is the slice of the input the last token left
+   behind (see [next] and [attribute]); a negative [mark] says that the
+   token's text was decoded into [scratch] instead. *)
+type cursor = {
+  input : string;
+  mutable offset : int;
+  mutable scratch : Buffer.t;
+  mutable mark : int;
+  mutable stop : int;
+}
+
+type reader = cursor
 
 (* The scratch buffer of a cursor that has not needed one yet; never
    written. *)
 let no_scratch = Buffer.create 1
 
-let make_cursor input = { input; offset = 0; scratch = no_scratch }
+let make_cursor input = { input; offset = 0; scratch = no_scratch; mark = 0; stop = 0 }
+
+let reader = make_cursor
+let input cur = cur.input
 
 (* The cursor's scratch buffer, empty. *)
 let scratch cur =
@@ -68,16 +87,18 @@ let advance_n cur n =
   let o = cur.offset + n and len = String.length cur.input in
   cur.offset <- (if o < len then o else len)
 
-(* Does [s] hold [prefix] at offset [at]? *)
-let sub_equal s at prefix =
-  let n = String.length prefix in
+(* Does [s] hold [t.[off .. off + n - 1]] at offset [at]? *)
+let slice_equal s at t off n =
   at + n <= String.length s
   &&
   let i = ref 0 in
-  while !i < n && String.unsafe_get s (at + !i) = String.unsafe_get prefix !i do
+  while !i < n && String.unsafe_get s (at + !i) = String.unsafe_get t (off + !i) do
     incr i
   done;
   !i = n
+
+(* Does [s] hold [prefix] at offset [at]? *)
+let sub_equal s at prefix = slice_equal s at prefix 0 (String.length prefix)
 
 let looking_at cur prefix = sub_equal cur.input cur.offset prefix
 
@@ -154,7 +175,7 @@ let[@inline] name_start_length cur at =
 
 (* Offset just past the name characters that start at [at] (at most
    [at]). *)
-let rec name_end cur at =
+let rec name_end_at cur at =
   let s = cur.input in
   let i = ref at in
   while !i < String.length s && Byte_class.is Byte_class.name_char (String.unsafe_get s !i) do
@@ -162,14 +183,19 @@ let rec name_end cur at =
   done;
   if !i < String.length s && Char.code (String.unsafe_get s !i) >= 0x80 then
     let len = utf8_name_length cur ~start:false !i in
-    if len = 0 then !i else name_end cur (!i + len)
+    if len = 0 then !i else name_end_at cur (!i + len)
   else !i
 
-let read_name cur =
+(* Move past the name at the cursor and return where it starts. *)
+let scan_name cur =
   let start = cur.offset in
   let first = name_start_length cur start in
   if first = 0 then fail cur (Fmt.str "expected a name, found %C" (peek cur));
-  cur.offset <- name_end cur (start + first);
+  cur.offset <- name_end_at cur (start + first);
+  start
+
+let read_name cur =
+  let start = scan_name cur in
   String.sub cur.input start (cur.offset - start)
 
 let digit_value base c =
@@ -252,14 +278,16 @@ let run_end s i stop =
    and the quote for the other. Entity references are decoded; in
    character data the spec's line-end normalization turns "\r\n" and a
    bare "\r" into "\n" (attribute values keep their bytes, and refuse a
-   literal '<', as XML 1.0 does). *)
-let read_run cur stop =
+   literal '<', as XML 1.0 does). A run that is one plain slice of the
+   input is left there ([false]); anything else is decoded into the
+   scratch buffer ([true]). *)
+let scan_run cur stop =
   let s = cur.input and n = String.length cur.input in
   let start = cur.offset in
   let i = run_end s start stop in
   if i >= n || String.unsafe_get s i = stop then begin
     cur.offset <- i;
-    String.sub s start (i - start)
+    false
   end
   else begin
     let buf = scratch cur in
@@ -279,44 +307,25 @@ let read_run cur stop =
         Buffer.add_substring buf s at (i - at);
         cur.offset <- i
     done;
-    Buffer.contents buf
+    true
   end
 
-let read_quoted cur =
-  let quote = peek cur in
-  if quote <> '"' && quote <> '\'' then fail cur "expected a quoted value";
-  advance cur;
-  let value = read_run cur quote in
-  if eof cur then fail cur "unterminated attribute value";
-  advance cur;
-  value
-
-(* The attributes of a start tag, in order, leaving the cursor past the
-   whitespace after the last one. As in XML 1.0, whitespace precedes
-   every attribute. The list is built front to back by a loop in
-   constant stack ([@tail_mod_cons]). *)
-let[@tail_mod_cons] rec read_attributes cur =
-  let before = cur.offset in
-  skip_whitespace cur;
-  match peek cur with
-  | '>' | '/' | '?' | '\000' -> []
-  | _ ->
-    if cur.offset = before && name_start_length cur cur.offset > 0 then
-      fail cur "expected whitespace before an attribute";
-    let name = read_name cur in
-    skip_whitespace cur;
-    if peek cur <> '=' then fail cur (Fmt.str "expected '=' after attribute %s" name);
-    advance cur;
-    skip_whitespace cur;
-    let value = read_quoted cur in
-    { Xml_tree.name; value } :: read_attributes cur
-
-(* The body up to [terminator], leaving the cursor past it. *)
-let read_until cur terminator what =
-  let s = cur.input in
+(* Character data: [mark] .. [stop] is the run, or [mark] is -1 and the
+   scratch buffer holds it decoded. *)
+let scan_text cur =
   let start = cur.offset in
+  if scan_run cur '<' then cur.mark <- -1
+  else begin
+    cur.mark <- start;
+    cur.stop <- cur.offset
+  end
+
+(* Move past the body up to [terminator] and past the terminator;
+   return where the body ends. *)
+let skip_until cur terminator what =
+  let s = cur.input in
   let first = terminator.[0] in
-  let i = ref start in
+  let i = ref cur.offset in
   while
     !i < String.length s
     && not (String.unsafe_get s !i = first && sub_equal s !i terminator)
@@ -326,7 +335,7 @@ let read_until cur terminator what =
   cur.offset <- !i;
   if eof cur then fail cur (Fmt.str "unterminated %s" what);
   cur.offset <- !i + String.length terminator;
-  String.sub s start (!i - start)
+  !i
 
 let skip_doctype cur =
   (* skip until the matching '>' allowing one level of [...] *)
@@ -340,158 +349,333 @@ let skip_doctype cur =
     advance cur
   done
 
-(* Adjacent CDATA sections coalesce into one node: the printer splits
+(* ------------------------------------------------------------------ *)
+(* Tokens                                                              *)
+(* ------------------------------------------------------------------ *)
+
+type token = Start | End | Text | Cdata | Comment | Pi | Eof
+
+(* A comment: [mark] .. [stop] is its body. The cursor sits on "<!--". *)
+let scan_comment cur =
+  advance_n cur 4;
+  let start = cur.offset in
+  cur.stop <- skip_until cur "-->" "comment";
+  cur.mark <- start
+
+(* Adjacent CDATA sections coalesce into one token: the printer splits
    "]]>" across two sections (the only way to say it in CDATA), so
    reading them back as a single node is what makes print-then-parse
-   the identity. The cursor sits on the first "<![CDATA[". *)
-let read_cdata cur =
-  let buf = scratch cur in
-  while looking_at cur "<![CDATA[" do
+   the identity. One section is a slice of the input; several are
+   joined in the scratch buffer. The cursor sits on the first
+   "<![CDATA[". *)
+let scan_cdata cur =
+  advance_n cur 9;
+  let start = cur.offset in
+  let stop = skip_until cur "]]>" "CDATA section" in
+  if looking_at cur "<![CDATA[" then begin
+    let buf = scratch cur in
+    Buffer.add_substring buf cur.input start (stop - start);
+    while looking_at cur "<![CDATA[" do
+      advance_n cur 9;
+      let start = cur.offset in
+      let stop = skip_until cur "]]>" "CDATA section" in
+      Buffer.add_substring buf cur.input start (stop - start)
+    done;
+    cur.mark <- -1
+  end
+  else begin
+    cur.mark <- start;
+    cur.stop <- stop
+  end
+
+(* A processing instruction: [mark] .. [stop] is its target, and its
+   content runs from the whitespace after the target to the "?>" before
+   the cursor. The cursor sits on "<?". *)
+let scan_pi cur =
+  advance_n cur 2;
+  let start = scan_name cur in
+  let target_end = cur.offset in
+  skip_whitespace cur;
+  ignore (skip_until cur "?>" "processing instruction");
+  cur.mark <- start;
+  cur.stop <- target_end
+
+(* A start tag up to the end of its name, which [mark] .. [stop] holds.
+   The cursor sits on the '<'. *)
+let start_tag cur =
+  advance cur;
+  let start = scan_name cur in
+  cur.mark <- start;
+  cur.stop <- cur.offset;
+  Start
+
+(* The next token inside an element, dispatched on the byte after a
+   '<'. *)
+let next cur =
+  if eof cur then Eof
+  else if String.unsafe_get cur.input cur.offset <> '<' then begin
+    scan_text cur;
+    Text
+  end
+  else
+    match peek2 cur with
+    | '/' ->
+      advance_n cur 2;
+      End
+    | '!' ->
+      if looking_at cur "<!--" then begin
+        scan_comment cur;
+        Comment
+      end
+      else if looking_at cur "<![CDATA[" then begin
+        scan_cdata cur;
+        Cdata
+      end
+      else if looking_at cur "<!DOCTYPE" then
+        (* a DOCTYPE belongs to the prolog; skipped in content, it would
+           join the text around it into one node on a reprint *)
+        fail cur "DOCTYPE declaration inside an element"
+      else start_tag cur
+    | '?' ->
+      scan_pi cur;
+      Pi
+    | _ -> start_tag cur
+
+(* Is the text token whitespace only? *)
+let text_is_whitespace cur =
+  if cur.mark < 0 then begin
+    let b = cur.scratch in
+    let i = ref 0 in
+    while !i < Buffer.length b && Byte_class.is Byte_class.space (Buffer.nth b !i) do incr i done;
+    !i = Buffer.length b
+  end
+  else begin
+    let s = cur.input in
+    let i = ref cur.mark in
+    while !i < cur.stop && Byte_class.is Byte_class.space (String.unsafe_get s !i) do incr i done;
+    !i >= cur.stop
+  end
+
+(* The next token outside the root element: [Start] or [Eof]. Leading
+   and trailing comments, PIs, whitespace and DOCTYPE declarations are
+   skipped. *)
+let rec next_top cur =
+  skip_whitespace cur;
+  if eof cur then Eof
+  else if looking_at cur "<!DOCTYPE" then begin
     advance_n cur 9;
-    Buffer.add_string buf (read_until cur "]]>" "CDATA section")
-  done;
-  Buffer.contents buf
+    skip_doctype cur;
+    next_top cur
+  end
+  else if looking_at cur "</" then fail cur "unexpected close tag"
+  else if String.unsafe_get cur.input cur.offset <> '<' then begin
+    scan_text cur;
+    if text_is_whitespace cur then next_top cur
+    else fail cur "character data outside the root element"
+  end
+  else
+    match peek2 cur with
+    | '!' when looking_at cur "<!--" ->
+      scan_comment cur;
+      next_top cur
+    | '!' when looking_at cur "<![CDATA[" ->
+      scan_cdata cur;
+      fail cur "character data outside the root element"
+    | '?' ->
+      scan_pi cur;
+      next_top cur
+    | _ -> start_tag cur
 
-(* A markup leaf at a '<': comment, CDATA section(s) or processing
-   instruction, told apart by the byte after the '<'. [None] when the
-   cursor sits on a tag (open or close) or a DOCTYPE. *)
-let markup_leaf cur : Xml_tree.t option =
-  match peek2 cur with
-  | '!' ->
-    if looking_at cur "<!--" then begin
-      advance_n cur 4;
-      Some (Xml_tree.Comment (read_until cur "-->" "comment"))
-    end
-    else if looking_at cur "<![CDATA[" then Some (Xml_tree.Cdata (read_cdata cur))
-    else None
-  | '?' ->
-    advance_n cur 2;
-    let target = read_name cur in
+(* The next attribute of the open start tag: [false], the cursor on the
+   byte that ends the attribute list, when there is none. As in XML 1.0,
+   whitespace precedes every attribute. [mark] .. [stop] is its name;
+   [mark] is [-1 - start] when the value was decoded into the scratch
+   buffer, and the value ends before the cursor's closing quote. *)
+let attribute cur =
+  let before = cur.offset in
+  skip_whitespace cur;
+  match peek cur with
+  | '>' | '/' | '?' | '\000' -> false
+  | _ ->
+    if cur.offset = before && name_start_length cur cur.offset > 0 then
+      fail cur "expected whitespace before an attribute";
+    let start = scan_name cur in
+    let name_end = cur.offset in
     skip_whitespace cur;
-    let content = read_until cur "?>" "processing instruction" in
-    Some (Xml_tree.pi target (String.trim content))
-  | _ -> None
+    if peek cur <> '=' then
+      fail cur
+        (Fmt.str "expected '=' after attribute %s"
+           (String.sub cur.input start (name_end - start)));
+    advance cur;
+    skip_whitespace cur;
+    let quote = peek cur in
+    if quote <> '"' && quote <> '\'' then fail cur "expected a quoted value";
+    advance cur;
+    let decoded = scan_run cur quote in
+    if eof cur then fail cur "unterminated attribute value";
+    advance cur;
+    cur.mark <- (if decoded then -1 - start else start);
+    cur.stop <- name_end;
+    true
 
-(* A leaf token at the cursor: a markup leaf or character data. [None]
-   when the cursor sits on a tag, a DOCTYPE, or at end of input. *)
-let try_leaf cur : Xml_tree.t option =
-  if eof cur then None
-  else if String.unsafe_get cur.input cur.offset = '<' then markup_leaf cur
-  else Some (Xml_tree.Text (read_run cur '<'))
-
-(* An open element: its name, attributes and the children read so far
-   (reversed). *)
-type frame = {
-  name : string;
-  attrs : Xml_tree.attribute list;
-  mutable kids : Xml_tree.t list;
-}
+let tag_end cur s off len =
+  if peek cur = '/' && peek2 cur = '>' then begin
+    advance_n cur 2;
+    true
+  end
+  else if peek cur = '>' then begin
+    advance cur;
+    false
+  end
+  else fail cur (Fmt.str "malformed start tag <%s>" (String.sub s off len))
 
 let end_close_tag cur =
   skip_whitespace cur;
   if peek cur <> '>' then fail cur "malformed close tag";
   advance cur
 
-(* The close tag of the open element [name], the cursor just past its
-   "</". The name is checked in place; a mismatch reads the close name
-   out, for the message. *)
-let close_tag cur name =
-  let at = cur.offset and len = String.length name in
-  if sub_equal cur.input at name && name_end cur (at + len) = at + len then begin
+(* The close tag of the open element [s.[off .. off + len - 1]], the
+   cursor just past its "</". The name is checked in place; a mismatch
+   reads the close name out, for the message. *)
+let close cur s off len =
+  let at = cur.offset in
+  if slice_equal cur.input at s off len && name_end_at cur (at + len) = at + len then begin
     cur.offset <- at + len;
     end_close_tag cur
   end
   else begin
     let close = read_name cur in
     end_close_tag cur;
-    fail cur (Fmt.str "mismatched close tag </%s> for <%s>" close name)
+    fail cur (Fmt.str "mismatched close tag </%s> for <%s>" close (String.sub s off len))
   end
 
-(* Parse one element, iteratively: an explicit stack of open elements
-   replaces the call-stack recursion, so nesting depth is bounded by the
-   heap — a 100k-deep document parses without exhausting the stack.
-   [elements] and [emit] call each other in tail position only. *)
-let rec elements cur (stack : frame list) : Xml_tree.t =
-  if eof cur then begin
-    match stack with
-    | f :: _ -> fail cur (Fmt.str "unterminated element <%s>" f.name)
-    | [] -> fail cur "expected an element"
-  end
-  else if String.unsafe_get cur.input cur.offset <> '<' then
-    emit cur stack (Xml_tree.Text (read_run cur '<'))
-  else if peek2 cur = '/' then begin
-    advance_n cur 2;
-    match stack with
-    | f :: rest ->
-      close_tag cur f.name;
-      emit cur rest
-        (Xml_tree.Element { name = f.name; attrs = f.attrs; children = List.rev f.kids })
-    | [] ->
-      let close = read_name cur in
-      end_close_tag cur;
-      fail cur (Fmt.str "unexpected close tag </%s>" close)
-  end
-  else if peek2 cur = '!' && looking_at cur "<!DOCTYPE" then
-    (* a DOCTYPE belongs to the prolog; skipped in content, it would
-       join the text around it into one node on a reprint *)
-    fail cur "DOCTYPE declaration inside an element"
+(* ------------------------------------------------------------------ *)
+(* What a token holds                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let name_start cur = if cur.mark < 0 then -1 - cur.mark else cur.mark
+let name_end cur = cur.stop
+let name cur =
+  let start = name_start cur in
+  String.sub cur.input start (cur.stop - start)
+
+let text cur =
+  if cur.mark < 0 then Buffer.contents cur.scratch
+  else String.sub cur.input cur.mark (cur.stop - cur.mark)
+
+(* After whitespace, the '=', whitespace and the opening quote. *)
+let value_start cur =
+  let s = cur.input in
+  let i = ref cur.stop in
+  while Byte_class.is Byte_class.space (String.unsafe_get s !i) do incr i done;
+  incr i;
+  while Byte_class.is Byte_class.space (String.unsafe_get s !i) do incr i done;
+  !i + 1
+
+let value_end cur = cur.offset - 1
+let value_decoded cur = cur.mark < 0
+
+let value cur =
+  if cur.mark < 0 then Buffer.contents cur.scratch
   else
-    match markup_leaf cur with
-    | Some node -> emit cur stack node
-    | None ->
-      (* an open tag *)
-      advance cur; (* '<' *)
-      let name = read_name cur in
-      let attrs = read_attributes cur in
-      if peek cur = '/' && peek2 cur = '>' then begin
-        advance_n cur 2;
-        emit cur stack (Xml_tree.Element { name; attrs; children = [] })
-      end
-      else if peek cur = '>' then begin
-        advance cur;
-        elements cur ({ name; attrs; kids = [] } :: stack)
-      end
-      else fail cur (Fmt.str "malformed start tag <%s>" name)
+    let start = value_start cur in
+    String.sub cur.input start (cur.offset - 1 - start)
+
+let value_equals cur v =
+  if cur.mark < 0 then begin
+    let b = cur.scratch in
+    Buffer.length b = String.length v
+    &&
+    let i = ref 0 in
+    while !i < String.length v && Buffer.nth b !i = String.unsafe_get v !i do incr i done;
+    !i = String.length v
+  end
+  else
+    let start = value_start cur in
+    cur.offset - 1 - start = String.length v
+    && slice_equal cur.input start v 0 (String.length v)
+
+let pi_content cur =
+  let s = cur.input in
+  let i = ref cur.stop in
+  while Byte_class.is Byte_class.space (String.unsafe_get s !i) do incr i done;
+  String.sub s !i (cur.offset - 2 - !i)
+
+(* ------------------------------------------------------------------ *)
+(* The tree builder                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* An open element: its name, attributes, the children read so far
+   (reversed) and the element it is open in. *)
+type frame = {
+  name : string;
+  attrs : Xml_tree.attribute list;
+  mutable kids : Xml_tree.t list;
+  parent : frame;
+}
+
+(* The parent of the root. *)
+let rec outside = { name = ""; attrs = []; kids = []; parent = outside }
+
+(* A start tag's attributes, in order, built front to back by a loop in
+   constant stack ([@tail_mod_cons]). *)
+let[@tail_mod_cons] rec attributes cur =
+  if attribute cur then
+    let name = name cur in
+    let value = value cur in
+    { Xml_tree.name; value } :: attributes cur
+  else []
+
+(* Build the element whose start tag [next] has just read, iteratively:
+   the frames of the open elements replace the call-stack recursion, so
+   nesting depth is bounded by the heap — a 100k-deep document parses
+   without exhausting the stack. [start], [elements] and [emit] call
+   each other in tail position only. *)
+let rec start cur f =
+  let name = name cur in
+  let attrs = attributes cur in
+  if tag_end cur name 0 (String.length name) then
+    emit cur f (Xml_tree.Element { name; attrs; children = [] })
+  else elements cur { name; attrs; kids = []; parent = f }
+
+and elements cur f =
+  match next cur with
+  | Start -> start cur f
+  | End ->
+    close cur f.name 0 (String.length f.name);
+    emit cur f.parent
+      (Xml_tree.Element { name = f.name; attrs = f.attrs; children = List.rev f.kids })
+  | Text -> emit cur f (Xml_tree.Text (text cur))
+  | Cdata -> emit cur f (Xml_tree.Cdata (text cur))
+  | Comment -> emit cur f (Xml_tree.Comment (text cur))
+  | Pi ->
+    let target = name cur in
+    emit cur f (Xml_tree.pi target (String.trim (pi_content cur)))
+  | Eof -> fail cur (Fmt.str "unterminated element <%s>" f.name)
 
 (* A finished node: a child of the innermost open element, or, with none
    open, the element read. *)
-and emit cur stack node =
-  match stack with
-  | f :: _ ->
+and emit cur f node =
+  if f == outside then node
+  else begin
     f.kids <- node :: f.kids;
-    elements cur stack
-  | [] -> node
-
-(* The document's top level up to the end of input: [root] is the root
-   element once read. Leading and trailing comments, PIs and whitespace
-   are allowed. *)
-let rec top_level cur root =
-  skip_whitespace cur;
-  if eof cur then root
-  else if looking_at cur "<!DOCTYPE" then begin
-    advance_n cur 9;
-    skip_doctype cur;
-    top_level cur root
+    elements cur f
   end
-  else if looking_at cur "</" then fail cur "unexpected close tag"
-  else
-    match try_leaf cur with
-    | Some (Xml_tree.Text s) when Xml_tree.is_whitespace s -> top_level cur root
-    | Some (Xml_tree.Comment _ | Xml_tree.Pi _) -> top_level cur root
-    | Some (Xml_tree.Text _ | Xml_tree.Cdata _ | Xml_tree.Element _) ->
-      fail cur "character data outside the root element"
-    | None ->
-      let e = elements cur [] in
-      (match root with
-       | None -> top_level cur (Some e)
-       | Some _ -> fail cur "multiple root elements")
 
-(* [parse input] parses a whole document and returns its root element. *)
+(* [parse input] parses a whole document and returns its root element.
+   Leading and trailing comments, PIs and whitespace are allowed; a
+   second root element is read before it is refused. *)
 let parse input : Xml_tree.t =
   let cur = make_cursor input in
-  match top_level cur None with
-  | Some e -> e
-  | None -> fail cur "no root element"
+  match next_top cur with
+  | Eof -> fail cur "no root element"
+  | _ ->
+    let root = start cur outside in
+    (match next_top cur with
+     | Eof -> root
+     | _ ->
+       ignore (start cur outside);
+       fail cur "multiple root elements")
 
 let parse_result input =
   match parse input with

@@ -35,3 +35,77 @@ val parse : string -> Xml_tree.t
     allowed. @raise Error with a line/column position otherwise. *)
 
 val parse_result : string -> (Xml_tree.t, string) result
+
+(** {1 The pull reader}
+
+    The scanner behind {!parse}, one token at a time: {!parse} builds
+    its tree from these tokens, and [Syntax] decodes them straight into
+    a document. A token's name or text is a slice of the input, copied
+    only when asked for; reading one allocates nothing but the strings
+    its consumer takes. A reader checks everything but the nesting: the
+    consumer keeps the open elements and hands each one's name to
+    {!close}. Every function raises {!Error} where {!parse} would;
+    [Eof] inside an element is the consumer's to refuse. *)
+
+type reader
+
+type token =
+  | Start  (** a start tag, read up to its name; then {!attribute} *)
+  | End  (** the ["</"] of a close tag; then {!close} *)
+  | Text  (** character data, entities decoded, line ends normalized *)
+  | Cdata  (** one or more adjacent CDATA sections, joined *)
+  | Comment  (** {!text} is its body *)
+  | Pi  (** a processing instruction *)
+  | Eof  (** the end of the input *)
+
+val reader : string -> reader
+val input : reader -> string
+
+val next_top : reader -> token
+(** The next token outside the root element: [Start] or [Eof].
+    Whitespace, comments, processing instructions and DOCTYPE
+    declarations are skipped; character data and close tags are
+    errors. *)
+
+val next : reader -> token
+(** The next token inside an element. *)
+
+val attribute : reader -> bool
+(** After [Start]: read the tag's next attribute, [false] when there is
+    none left. Until the next call, {!name} is its name and {!value}
+    its value. *)
+
+val tag_end : reader -> string -> int -> int -> bool
+(** After the last {!attribute}: read the tag's [">"] ([false]) or
+    ["/>"] ([true]: an empty element, no [End] follows).
+    [tag_end r s off len]: [s.[off .. off + len - 1]] is the element's
+    name, for the message when neither follows. *)
+
+val close : reader -> string -> int -> int -> unit
+(** After [End]: read the close tag of the open element whose name is
+    [s.[off .. off + len - 1]], compared in place. *)
+
+val name_start : reader -> int
+val name_end : reader -> int
+(** The input slice of the name of the current [Start] (until its first
+    {!attribute}) or attribute. *)
+
+val text : reader -> string
+(** The decoded text of the current [Text], [Cdata] or [Comment]. *)
+
+val text_is_whitespace : reader -> bool
+(** Is that text whitespace only? Allocates nothing. *)
+
+val value : reader -> string
+(** The decoded value of the current attribute. *)
+
+val value_decoded : reader -> bool
+(** Did that value need decoding (an entity reference)? When it did
+    not, it is the input slice {!value_start} .. {!value_end}. *)
+
+val value_start : reader -> int
+val value_end : reader -> int
+
+val value_equals : reader -> string -> bool
+(** Is the current attribute's value that string? Allocates nothing. *)
+

@@ -725,6 +725,26 @@ let test_http_routes () =
 let qcheck = List.map QCheck_alcotest.to_alcotest
     [ prop_request_roundtrip; prop_response_roundtrip ]
 
+(* The per-operation request counters are found without a lock: four
+   systhreads, each serving 1,000 requests of two operations through one
+   endpoint, are all counted, and by operation. *)
+let test_endpoint_request_counts () =
+  let handle = Endpoint.handle (Endpoint.create (make_receiver ())) in
+  let count op =
+    Axml_obs.Metrics.counter_value
+      (Axml_obs.Metrics.counter ~help:"Endpoint requests served, by operation"
+         ~labels:[ ("op", op) ] "axml_net_requests_total")
+  in
+  let pings = count "ping" and lists = count "list-documents" in
+  let serve () =
+    for i = 1 to 1000 do
+      ignore (handle (if i land 1 = 0 then Wire.Ping else Wire.List_documents))
+    done
+  in
+  List.iter Thread.join (List.init 4 (fun _ -> Thread.create serve ()));
+  check_int "pings counted" (pings + 2000) (count "ping");
+  check_int "listings counted" (lists + 2000) (count "list-documents")
+
 let () =
   Alcotest.run "net"
     [ ("wire",
@@ -733,6 +753,8 @@ let () =
       ("wire-properties", qcheck);
       ("endpoint",
        [ Alcotest.test_case "documents and metrics" `Quick test_endpoint_basics;
+         Alcotest.test_case "request counts under 4 systhreads" `Quick
+           test_endpoint_request_counts;
          Alcotest.test_case "services over the wire" `Quick test_endpoint_services;
          Alcotest.test_case "k-mismatch refused" `Quick test_endpoint_k_mismatch;
          Alcotest.test_case "agreement cache and re-open" `Quick

@@ -409,6 +409,52 @@ let test_interner_find_alloc () =
   in
   Alcotest.(check (float 0.)) "words allocated by 10,000 finds" 0. words
 
+(* [find_sub] reads a slice in place: names whose hashes share the low
+   bits a 16-slot table masks probe one run of slots, a slice in the
+   middle of a longer string finds its name, and neither a shorter nor a
+   longer slice matches it. The lookups, [Sym_id]'s included, allocate
+   nothing. *)
+let test_interner_find_sub () =
+  let itn = Interner.create () in
+  let bucket s = Interner.hash s land 15 in
+  let candidates = List.init 4000 (Printf.sprintf "n%d") in
+  let colliding = List.filter (fun s -> bucket s = bucket "n0") candidates in
+  let interned = List.filteri (fun i _ -> i < 5) colliding in
+  List.iter (fun s -> ignore (Interner.intern itn s)) interned;
+  ignore (Interner.intern itn "title");
+  List.iter
+    (fun s ->
+      let host = "<<" ^ s ^ ">>" in
+      Alcotest.(check int) s (Interner.find itn s)
+        (Interner.find_sub itn host 2 (String.length s)))
+    interned;
+  let absent = List.nth colliding 5 in
+  Alcotest.(check int) "a colliding name never interned" (-1)
+    (Interner.find_sub itn ("." ^ absent ^ ".") 1 (String.length absent));
+  Alcotest.(check int) "title" (Interner.find itn "title") (Interner.find_sub itn "xtitlex" 1 5);
+  Alcotest.(check int) "a shorter slice" (-1) (Interner.find_sub itn "xtitlex" 1 4);
+  Alcotest.(check int) "a longer slice" (-1) (Interner.find_sub itn "xtitlex" 1 6);
+  Alcotest.(check int) "the empty slice" (-1) (Interner.find_sub itn "title" 2 0);
+  let module Sym_id = Axml_schema.Sym_id in
+  let label = Sym_id.of_label "kernel_slice_label" and fn = Sym_id.of_fun "Kernel_slice_fun" in
+  let host = "<kernel_slice_label methodName=\"Kernel_slice_fun\">" in
+  Alcotest.(check int) "label slice" label (Sym_id.find_label_sub host 1 18);
+  Alcotest.(check int) "function slice" fn (Sym_id.find_fun_sub host 32 16);
+  Alcotest.(check int) "a label's prefix" (-1) (Sym_id.find_label_sub host 1 17);
+  Alcotest.(check string) "the interned name" "kernel_slice_label" (Sym_id.name label);
+  let first = List.hd interned in
+  let words =
+    minor_words (fun () ->
+        for i = 1 to 10_000 do
+          ignore (Sys.opaque_identity (Interner.find_sub itn "<<n0>>" 2 (i land 3)));
+          ignore (Sys.opaque_identity (Interner.find_sub itn first 0 (String.length first)));
+          ignore (Sys.opaque_identity (Interner.find_sub itn "xtitlex" 1 5));
+          ignore (Sys.opaque_identity (Sym_id.find_label_sub host 1 18));
+          ignore (Sys.opaque_identity (Sym_id.find_fun_sub host 32 (16 - (i land 1))))
+        done)
+  in
+  Alcotest.(check (float 0.)) "words allocated by 50,000 slice lookups" 0. words
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_thompson_glushkov_agree;
@@ -454,7 +500,8 @@ let () =
        [ Alcotest.test_case "interner under 4 domains" `Quick
            test_interner_concurrent;
          Alcotest.test_case "interner find agrees with intern" `Quick test_interner_find;
-         Alcotest.test_case "interner find allocates nothing" `Quick test_interner_find_alloc
+         Alcotest.test_case "interner find allocates nothing" `Quick test_interner_find_alloc;
+         Alcotest.test_case "slice lookups allocate nothing" `Quick test_interner_find_sub
        ]);
       ("properties", qcheck_tests)
     ]

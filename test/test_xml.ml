@@ -348,8 +348,8 @@ let test_long_tokens_alloc () =
 
 (* The parser allocates what it returns: with no entity, CR or CDATA in
    the input it makes no scratch buffer, and it builds an attribute list
-   once, in order. [<a/>] is its name (2 words), the element (6), the
-   cursor (4) and the root's option (2); every attribute of [wide] adds
+   once, in order. [<a/>] is its name (2 words), the element (6) and
+   the reader (6); every attribute of [wide] adds
    its name and value (2 each), its record (3) and its cell (3). *)
 let test_parse_alloc () =
   let words_of input =
@@ -1107,17 +1107,9 @@ let prop_namespace_variants =
 
 (* Mutation fuzzer for the input boundary: printed trees and printed
    intensional documents, damaged by byte flips, truncations and
-   splices. The parser must answer with a tree or its [Error], the
-   [Syntax] decoder with a document or [Syntax_error], and every tree
-   that parses must print and parse back to itself. *)
-let fuzz_fragments =
-  [ "<"; ">"; "</"; "/>"; "&"; ";"; "&#"; "&#x"; "&amp;"; "&#99999999;";
-    "&#-5;"; "&#xD800;"; "&#x10FFFF;"; "&#13;"; "<![CDATA["; "]]>"; "<!--";
-    "-->"; "<?"; "?>"; "<!DOCTYPE d>"; "<!DOCTYPE"; "\""; "'"; "="; "\r";
-    "\r\n"; "\n"; "\000"; "\xff"; " xmlns:int=\"" ^ axml_ns ^ "\"";
-    " xmlns=\"" ^ axml_ns ^ "\""; "int:fun"; "int:params"; "int:param";
-    " methodName=\"F\"" ]
-
+   splices ([Xml_fuzz.mutate]). The parser must answer with a tree or
+   its [Error], the [Syntax] decoder with a document or [Syntax_error],
+   and every tree that parses must print and parse back to itself. *)
 let fuzz_seed : string QCheck.Gen.t =
   let open QCheck.Gen in
   frequency
@@ -1133,50 +1125,9 @@ let fuzz_seed : string QCheck.Gen.t =
            Syntax.to_xml_string ~pretty (Axml_workload.Mix.next stream).doc)
          small_nat bool) ]
 
-let mutate (s : string) : string QCheck.Gen.t =
-  let open QCheck.Gen in
-  let n = String.length s in
-  let at = int_bound n in
-  let insert i piece = String.sub s 0 i ^ piece ^ String.sub s i (n - i) in
-  if n = 0 then oneofl fuzz_fragments
-  else
-    frequency
-      [ (* a bit flip *)
-        (2,
-         map3
-           (fun i b _ ->
-             String.mapi
-               (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c)
-               s)
-           (int_bound (n - 1)) (int_bound 7) unit);
-        (* a byte replaced by markup *)
-        (2,
-         map2
-           (fun i c -> String.mapi (fun j d -> if j = i then c else d) s)
-           (int_bound (n - 1))
-           (oneofl [ '<'; '>'; '&'; ';'; '"'; '\''; '/'; '!'; '?'; '['; ']';
-                     '-'; '#'; 'x'; '\r'; '\n'; ':'; '='; ' '; '\000' ]));
-        (* a truncation *)
-        (1, map (fun i -> String.sub s 0 i) at);
-        (* a slice of the input spliced in elsewhere, or cut out *)
-        (2,
-         map3
-           (fun i len j ->
-             let len = min len (n - i) in
-             insert j (String.sub s i len))
-           (int_bound (n - 1)) (int_bound 16) at);
-        (1,
-         map2
-           (fun i len ->
-             let len = min len (n - i) in
-             String.sub s 0 i ^ String.sub s (i + len) (n - i - len))
-           (int_bound (n - 1)) (int_bound 16));
-        (* a markup fragment spliced in *)
-        (2, map2 insert at (oneofl fuzz_fragments)) ]
-
 let fuzz_input : string QCheck.arbitrary =
   let open QCheck.Gen in
-  let rec mutations k s = if k = 0 then return s else mutate s >>= mutations (k - 1) in
+  let rec mutations k s = if k = 0 then return s else Xml_fuzz.mutate s >>= mutations (k - 1) in
   QCheck.make ~print:String.escaped
     (pair fuzz_seed (frequencyl [ (4, 1); (2, 2); (1, 3); (1, 4) ]) >>= fun (s, k) ->
      mutations k s)
