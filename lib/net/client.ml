@@ -17,6 +17,7 @@ type t = {
   ic : in_channel;
   oc : out_channel;
   lock : Mutex.t;
+  frame : Wire.frame; (* responses are read into it under [lock] *)
   mutable closed : bool;
   (* Agreement ids by exchange schema value and depth. Structural
      equality: a re-parsed or re-built schema equal to a cached one
@@ -31,29 +32,51 @@ let connect ?(host = "127.0.0.1") ~port () =
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
   { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd;
-    lock = Mutex.create (); closed = false; agreements = [] }
+    lock = Mutex.create (); frame = Wire.frame (); closed = false; agreements = [] }
+
+(* Under the lock. *)
+let shut t =
+  t.closed <- true;
+  (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  (try Unix.close t.fd with Unix.Unix_error _ -> ())
 
 let close t =
   Mutex.lock t.lock;
-  if not t.closed then begin
-    t.closed <- true;
-    (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (try Unix.close t.fd with Unix.Unix_error _ -> ())
-  end;
+  if not t.closed then shut t;
   Mutex.unlock t.lock
 
-let rpc t req =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
+(* A failure inside a frame leaves the stream at an unknown offset, so
+   the connection is shut: a later rpc must not read the rest of a torn
+   frame as its answer. *)
+let broken t fmt =
+  shut t;
+  fail fmt
+
+let round_trip t req =
   if t.closed then fail "connection is closed";
   match
-    Wire.write_frame t.oc (Wire.encode_request req);
-    Wire.read_frame t.ic
+    Wire.write_request t.oc req;
+    Wire.read ~max_bytes:Wire.default_max_frame_bytes t.frame t.ic
   with
-  | Some payload -> Wire.decode_response payload
-  | None -> fail "server closed the connection"
-  | exception Wire.Wire_error m -> fail "wire error: %s" m
-  | exception Sys_error m -> fail "transport error: %s" m
+  | true ->
+    (match Wire.response_of_frame t.frame with
+     | resp -> resp
+     | exception Wire.Wire_error m -> broken t "wire error: %s" m)
+  | false -> broken t "server closed the connection"
+  | exception Wire.Wire_error m -> broken t "wire error: %s" m
+  | exception Sys_error m -> broken t "transport error: %s" m
+
+(* Locked and unlocked by hand, with no closure, as [Registry.invoke]
+   does. *)
+let rpc t req =
+  Mutex.lock t.lock;
+  match round_trip t req with
+  | resp ->
+    Mutex.unlock t.lock;
+    resp
+  | exception e ->
+    Mutex.unlock t.lock;
+    raise e
 
 let transport t : Endpoint.transport = fun req -> rpc t req
 
@@ -68,35 +91,34 @@ let forget_agreement t id =
   t.agreements <- List.filter (fun (_, _, i) -> i <> id) t.agreements;
   Mutex.unlock t.lock
 
+(* The id cached for a schema [eq] to [exchange] at depth [k], or -1
+   (ids are positive). *)
+let rec cached eq ~k exchange = function
+  | [] -> -1
+  | (s, sk, id) :: rest ->
+    if sk = k && eq s exchange then id else cached eq ~k exchange rest
+
 (* The agreement id for an exchange schema value at depth [k], opening
-   it on first use. Guarded by the rpc lock's owner thread only through
-   [rpc], so a plain mutable list with its own small critical sections
-   suffices. The same schema value is found by physical equality; an
-   equal one (re-parsed, say) by the structural fallback. *)
+   it on first use. The same schema value is found by physical
+   equality; an equal one (re-parsed, say) by the structural fallback.
+   The list is read and extended under the lock, in small critical
+   sections of their own, never across the rpc. *)
 let agreement t ~k exchange =
-  let found =
-    Mutex.lock t.lock;
-    let r =
-      let same eq (s, sk, _) = sk = k && eq s exchange in
-      match List.find_opt (same ( == )) t.agreements with
-      | Some _ as r -> r
-      | None -> List.find_opt (same ( = )) t.agreements
-    in
-    Mutex.unlock t.lock;
-    r
-  in
-  match found with
-  | Some (_, _, id) -> id
-  | None ->
+  Mutex.lock t.lock;
+  let id = cached ( == ) ~k exchange t.agreements in
+  let id = if id >= 0 then id else cached ( = ) ~k exchange t.agreements in
+  Mutex.unlock t.lock;
+  if id >= 0 then id
+  else
     let schema_xml = Axml_peer.Xml_schema_int.to_string exchange in
-    (match rpc t (Wire.Open_exchange { schema_xml; k }) with
-     | Wire.Exchange_opened { id; k = _ } ->
-       Mutex.lock t.lock;
-       t.agreements <- (exchange, k, id) :: t.agreements;
-       Mutex.unlock t.lock;
-       id
-     | Wire.Error { code; reason } -> fail "open-exchange refused (%s): %s" code reason
-     | r -> fail "unexpected open-exchange response: %a" Wire.pp_response r)
+    match rpc t (Wire.Open_exchange { schema_xml; k }) with
+    | Wire.Exchange_opened { id; k = _ } ->
+      Mutex.lock t.lock;
+      t.agreements <- (exchange, k, id) :: t.agreements;
+      Mutex.unlock t.lock;
+      id
+    | Wire.Error { code; reason } -> fail "open-exchange refused (%s): %s" code reason
+    | r -> fail "unexpected open-exchange response: %a" Wire.pp_response r
 
 (* Reconstruct the failure values [Peer.receive] reports in-process, so
    verdicts compare equal across transports. *)
@@ -113,18 +135,16 @@ let send t ~sender ~exchange ~as_name doc :
   | Ok (doc', report) ->
     let wire = Syntax.to_xml_string ~pretty:false doc' in
     let k = (Peer.current_config sender).Peer.k in
-    let exchange_once () =
-      let id = agreement t ~k exchange in
-      (id, rpc t (Wire.Exchange { exchange = id; as_name; doc_xml = wire }))
-    in
-    let id, resp = exchange_once () in
+    let id = agreement t ~k exchange in
+    let resp = rpc t (Wire.Exchange { exchange = id; as_name; doc_xml = wire }) in
     let resp =
       match resp with
       | Wire.Error { code = "unknown-exchange"; _ } ->
         (* The server restarted (or dropped its agreements) since we
            opened ours; forget the stale id, re-open once, retry once. *)
         forget_agreement t id;
-        snd (exchange_once ())
+        let id = agreement t ~k exchange in
+        rpc t (Wire.Exchange { exchange = id; as_name; doc_xml = wire })
       | r -> r
     in
     (match resp with

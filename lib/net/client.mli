@@ -22,9 +22,13 @@ val close : t -> unit
 
 val rpc : t -> Wire.request -> Wire.response
 (** One framed round-trip. Serialized behind a mutex: a client is safe
-    to share between threads (requests interleave whole).
+    to share between threads (requests interleave whole). The response
+    is read into a buffer the client keeps, so a round trip allocates
+    the response it returns and nothing else.
     @raise Net_error on a transport failure (not on [Error] responses —
-    those are returned). *)
+    those are returned). A failure inside a frame (a torn or malformed
+    response, the server closing, a failed write) also closes the
+    client: later calls raise [Net_error "connection is closed"]. *)
 
 val transport : t -> Endpoint.transport
 (** [rpc t] as a transport: anything written against

@@ -91,17 +91,14 @@ let load_document ~path =
 (* One journal record: length-prefixed repository name, then the
    document's XML wire syntax to the end of the payload. *)
 
-let encode_record name doc =
-  let xml = Syntax.to_xml_string ~pretty:false doc in
-  let buf = Buffer.create (String.length name + String.length xml + 4) in
+let put_record buf (name, xml) =
   let n = String.length name in
   Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff));
   Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
   Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
   Buffer.add_char buf (Char.chr (n land 0xff));
   Buffer.add_string buf name;
-  Buffer.add_string buf xml;
-  Buffer.contents buf
+  Buffer.add_string buf xml
 
 let decode_record payload =
   if String.length payload < 4 then fail "journal record too short";
@@ -146,14 +143,15 @@ let replay_journal t =
   let path = journal_path t.dir in
   if Sys.file_exists path then begin
     let ic = open_in_bin path in
+    let frame = Wire.frame () in
     let truncate_at = ref (-1) in
     (Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
      let rec go () =
        let pos = pos_in ic in
-       match Wire.read_frame ic with
-       | None -> ()
-       | Some payload ->
-         let name, xml = decode_record payload in
+       match Wire.read ~max_bytes:Wire.default_max_frame_bytes frame ic with
+       | false -> ()
+       | true ->
+         let name, xml = decode_record (Wire.payload frame) in
          let doc =
            try Syntax.of_xml_string xml
            with Syntax.Syntax_error m ->
@@ -236,7 +234,7 @@ let attach ?(auto_compact = 1024) ~dir peer =
 let record_store t name doc =
   with_lock t @@ fun () ->
   let oc = journal_channel t in
-  Wire.write_frame oc (encode_record name doc);
+  Wire.write oc put_record (name, Syntax.to_xml_string ~pretty:false doc);
   t.entries <- t.entries + 1;
   if t.auto_compact > 0 && t.entries >= t.auto_compact then compact_locked t
 

@@ -96,59 +96,55 @@ let[@inline] leave t t0 =
   ignore (Atomic.fetch_and_add t.in_flight (-1));
   Metrics.set g_in_flight (float_of_int (Atomic.get t.in_flight))
 
-(* Admission control: run [f] counted against the in-flight bound, or
-   return [None] when the server is already at capacity — the caller
-   answers "overloaded" without touching the pipeline. The request is
-   timed and counted out by hand, with no closure, as [Peer.store]
-   unlocks. *)
-let admitted t f =
-  let n = Atomic.fetch_and_add t.in_flight 1 in
-  if n >= t.config.max_in_flight then begin
-    ignore (Atomic.fetch_and_add t.in_flight (-1));
-    Metrics.inc m_overload;
-    None
-  end
-  else begin
-    Metrics.set g_in_flight (float_of_int (Atomic.get t.in_flight));
-    let t0 = Metrics.now Metrics.default in
-    match f () with
-    | resp ->
-      leave t t0;
-      Some resp
-    | exception e ->
-      leave t t0;
-      raise e
-  end
-
+(* Admission control: serve [req] counted against the in-flight bound,
+   or answer "overloaded" without touching the pipeline when the server
+   is already at capacity. The request is timed and counted out by
+   hand, with no closure, as [Peer.store] unlocks. *)
 let serve_request t req : Wire.response =
   if Atomic.get t.stopping then
     Wire.Error { code = "shutting-down"; reason = "server is draining" }
-  else
-    match admitted t (fun () -> Endpoint.handle t.endpoint req) with
-    | Some resp -> resp
-    | None ->
+  else begin
+    let n = Atomic.fetch_and_add t.in_flight 1 in
+    if n >= t.config.max_in_flight then begin
+      ignore (Atomic.fetch_and_add t.in_flight (-1));
+      Metrics.inc m_overload;
       Wire.Error
         { code = "overloaded";
           reason =
             Fmt.str "admission control: %d request(s) already in flight"
               t.config.max_in_flight }
+    end
+    else begin
+      Metrics.set g_in_flight (float_of_int (Atomic.get t.in_flight));
+      let t0 = Metrics.now Metrics.default in
+      match Endpoint.handle t.endpoint req with
+      | resp ->
+        leave t t0;
+        resp
+      | exception e ->
+        leave t t0;
+        raise e
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Binary protocol connection                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Each connection reads its requests into its own frame. *)
 let serve_binary t ic oc =
+  let frame = Wire.frame () in
   let budget = ref t.config.error_budget in
   let rec loop () =
-    match Wire.read_frame ~max_bytes:t.config.max_frame_bytes ic with
-    | None -> () (* clean EOF *)
+    match Wire.read ~max_bytes:t.config.max_frame_bytes frame ic with
+    | false -> () (* clean EOF *)
     | exception Wire.Wire_error _ ->
       (* Torn frame or bad magic: the stream itself is unusable. *)
       Metrics.inc m_protocol_errors
     | exception Sys_error _ -> ()
-    | Some payload ->
+    | true ->
       let resp =
-        match Wire.decode_request payload with
+        match Wire.request_of_frame frame with
         | req -> serve_request t req
         | exception Wire.Wire_error m ->
           (* Framed but undecodable: answer and charge the budget. *)
@@ -156,7 +152,7 @@ let serve_binary t ic oc =
           decr budget;
           Wire.Error { code = "protocol"; reason = m }
       in
-      (match Wire.write_frame oc (Wire.encode_response resp) with
+      (match Wire.write_response oc resp with
        | () -> if !budget > 0 then loop ()
        | exception Sys_error _ -> ())
   in

@@ -107,31 +107,40 @@ let put_list buf put items =
   put_u32 buf (List.length items);
   List.iter (put buf) items
 
-(* A reader is a string plus a mutable cursor with bounds checks. *)
-type reader = { data : string; mutable pos : int }
+(* A reader is a payload's bytes (the first [limit] of [data]) and a
+   cursor, with bounds checks. A connection's {!frame} is one reader
+   whose bytes are reused from frame to frame. *)
+type reader = { mutable data : bytes; mutable limit : int; mutable pos : int }
+
+let reader_of_string s = { data = Bytes.unsafe_of_string s; limit = String.length s; pos = 0 }
 
 let need r n =
-  if r.pos + n > String.length r.data then
-    fail "truncated payload (need %d bytes at offset %d of %d)" n r.pos
-      (String.length r.data)
+  if r.pos + n > r.limit then
+    fail "truncated payload (need %d bytes at offset %d of %d)" n r.pos r.limit
 
 let get_u8 r =
   need r 1;
-  let v = Char.code r.data.[r.pos] in
+  let v = Char.code (Bytes.get r.data r.pos) in
   r.pos <- r.pos + 1;
   v
 
+(* Spelled out: a local [b i] would be a closure allocated per call. *)
+let u32_at data off =
+  (Char.code (Bytes.get data off) lsl 24)
+  lor (Char.code (Bytes.get data (off + 1)) lsl 16)
+  lor (Char.code (Bytes.get data (off + 2)) lsl 8)
+  lor Char.code (Bytes.get data (off + 3))
+
 let get_u32 r =
   need r 4;
-  let b i = Char.code r.data.[r.pos + i] in
-  let v = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+  let v = u32_at r.data r.pos in
   r.pos <- r.pos + 4;
   v
 
 let get_str r =
   let n = get_u32 r in
   need r n;
-  let s = String.sub r.data r.pos n in
+  let s = Bytes.sub_string r.data r.pos n in
   r.pos <- r.pos + n;
   s
 
@@ -140,8 +149,8 @@ let get_list r get =
   List.init n (fun _ -> get r)
 
 let finish r v =
-  if r.pos <> String.length r.data then
-    fail "trailing garbage: %d unconsumed byte(s)" (String.length r.data - r.pos);
+  if r.pos <> r.limit then
+    fail "trailing garbage: %d unconsumed byte(s)" (r.limit - r.pos);
   v
 
 let put_format buf = function Prometheus -> put_u8 buf 1 | Json -> put_u8 buf 2
@@ -156,11 +165,7 @@ let get_format r =
 (* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Both encoders fill the one spare buffer. *)
-let spare = Axml_xml.Spare_buffer.create ()
-
-let encode_request (req : request) : string =
-  let buf = Axml_xml.Spare_buffer.take spare in
+let put_request buf (req : request) =
   (match req with
    | Ping -> put_u8 buf 1
    | Open_exchange { schema_xml; k } ->
@@ -188,11 +193,9 @@ let encode_request (req : request) : string =
      put_str buf schema_xml
    | Get_metrics { format } ->
      put_u8 buf 10;
-     put_format buf format);
-  Axml_xml.Spare_buffer.contents spare buf
+     put_format buf format)
 
-let decode_request (payload : string) : request =
-  let r = { data = payload; pos = 0 } in
+let request_of (r : reader) : request =
   let req =
     match get_u8 r with
     | 1 -> Ping
@@ -216,6 +219,8 @@ let decode_request (payload : string) : request =
   in
   finish r req
 
+let decode_request payload = request_of (reader_of_string payload)
+
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -229,8 +234,7 @@ let get_refusal r =
   let context = get_str r in
   { at; context }
 
-let encode_response (resp : response) : string =
-  let buf = Axml_xml.Spare_buffer.take spare in
+let put_response buf (resp : response) =
   (match resp with
    | Pong { peer; protocol } ->
      put_u8 buf 1;
@@ -269,11 +273,9 @@ let encode_response (resp : response) : string =
    | Error { code; reason } ->
      put_u8 buf 11;
      put_str buf code;
-     put_str buf reason);
-  Axml_xml.Spare_buffer.contents spare buf
+     put_str buf reason)
 
-let decode_response (payload : string) : response =
-  let r = { data = payload; pos = 0 } in
+let response_of (r : reader) : response =
   let resp =
     match get_u8 r with
     | 1 ->
@@ -306,6 +308,19 @@ let decode_response (payload : string) : response =
   in
   finish r resp
 
+let decode_response payload = response_of (reader_of_string payload)
+
+(* Every encoder and every frame writer fills the one spare buffer. *)
+let spare = Axml_xml.Spare_buffer.create ()
+
+let encode put x =
+  let buf = Axml_xml.Spare_buffer.take spare in
+  put buf x;
+  Axml_xml.Spare_buffer.contents spare buf
+
+let encode_request req = encode put_request req
+let encode_response resp = encode put_response resp
+
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -313,43 +328,92 @@ let decode_response (payload : string) : response =
 let magic = "AXF1"
 let default_max_frame_bytes = 16 * 1024 * 1024
 
-let write_frame oc payload =
+(* The one frame writer: the payload is encoded into the spare buffer,
+   which goes to the channel after the header without becoming a
+   string. The buffer is given back before the flush, so a writer
+   waiting on the socket holds no spare unless the frame outgrew the
+   channel's own buffer. *)
+let write oc put x =
+  let buf = Axml_xml.Spare_buffer.take spare in
+  put buf x;
+  let n = Buffer.length buf in
   output_string oc magic;
-  let n = String.length payload in
-  output_char oc (Char.chr ((n lsr 24) land 0xff));
-  output_char oc (Char.chr ((n lsr 16) land 0xff));
-  output_char oc (Char.chr ((n lsr 8) land 0xff));
-  output_char oc (Char.chr (n land 0xff));
-  output_string oc payload;
+  output_char oc (Char.unsafe_chr ((n lsr 24) land 0xff));
+  output_char oc (Char.unsafe_chr ((n lsr 16) land 0xff));
+  output_char oc (Char.unsafe_chr ((n lsr 8) land 0xff));
+  output_char oc (Char.unsafe_chr (n land 0xff));
+  Buffer.output_buffer oc buf;
+  Axml_xml.Spare_buffer.release spare buf;
   flush oc
 
-(* Read exactly [n] bytes; [`Eof k] reports how many bytes arrived
-   before the stream ended. *)
-let really_read ic n =
-  let b = Bytes.create n in
-  let rec go off =
-    if off = n then `Ok (Bytes.unsafe_to_string b)
-    else
-      match input ic b off (n - off) with
-      | 0 -> `Eof off
-      | k -> go (off + k)
-      | exception End_of_file -> `Eof off
-  in
-  go 0
+let write_request oc req = write oc put_request req
+let write_response oc resp = write oc put_response resp
+let write_frame oc payload = write oc Buffer.add_string payload
 
-(* Does [header] start with [magic]? Checked in place. *)
-let has_magic header =
-  header.[0] = magic.[0] && header.[1] = magic.[1] && header.[2] = magic.[2] && header.[3] = magic.[3]
+(* The one frame reader fills a connection's reader in place. Its bytes
+   start at [first_size] and grow (doubling, never past the announced
+   length) only as payload bytes arrive, so a frame that announces much
+   and sends little costs little; after a frame longer than
+   [Spare_buffer.max_kept] they go back to [first_size]. *)
+type frame = reader
 
-let read_frame ?(max_bytes = default_max_frame_bytes) ic : string option =
-  match really_read ic 8 with
-  | `Eof 0 -> None
-  | `Eof k -> fail "torn frame header (%d of 8 bytes)" k
-  | `Ok header ->
-    if not (has_magic header) then fail "bad frame magic %S" (String.sub header 0 4);
-    let b i = Char.code header.[4 + i] in
-    let n = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+let first_size = 4096
+
+let frame () = { data = Bytes.create first_size; limit = 0; pos = 0 }
+
+(* Does [b] start with [magic]? Checked in place. *)
+let has_magic b =
+  Bytes.get b 0 = magic.[0] && Bytes.get b 1 = magic.[1] && Bytes.get b 2 = magic.[2]
+  && Bytes.get b 3 = magic.[3]
+
+let settle fr =
+  if Bytes.length fr.data > Axml_xml.Spare_buffer.max_kept then
+    fr.data <- Bytes.create first_size
+
+(* Read into [fr.data] from [off] until [n] bytes are there or the
+   stream ends; the number of bytes there. *)
+let rec fill fr ic off n =
+  if off >= n then off
+  else begin
+    if off = Bytes.length fr.data then begin
+      let grown = Bytes.create (min n (2 * off)) in
+      Bytes.blit fr.data 0 grown 0 off;
+      fr.data <- grown
+    end;
+    match input ic fr.data off (min n (Bytes.length fr.data) - off) with
+    | 0 -> off
+    | k -> fill fr ic (off + k) n
+  end
+
+let read ~max_bytes fr ic =
+  settle fr;
+  fr.limit <- 0;
+  match fill fr ic 0 8 with
+  | 0 -> false
+  | k when k < 8 -> fail "torn frame header (%d of 8 bytes)" k
+  | _ ->
+    if not (has_magic fr.data) then
+      fail "bad frame magic %S" (Bytes.sub_string fr.data 0 4);
+    let n = u32_at fr.data 4 in
     if n > max_bytes then fail "frame of %d bytes exceeds the %d limit" n max_bytes;
-    (match really_read ic n with
-     | `Ok payload -> Some payload
-     | `Eof k -> fail "torn frame payload (%d of %d bytes)" k n)
+    let k = fill fr ic 0 n in
+    if k < n then fail "torn frame payload (%d of %d bytes)" k n;
+    fr.limit <- n;
+    true
+
+(* Decode the frame just read; only the strings the value keeps are
+   copied out of it. *)
+let of_frame decode fr =
+  fr.pos <- 0;
+  let v = decode fr in
+  settle fr;
+  v
+
+let request_of_frame fr = of_frame request_of fr
+let response_of_frame fr = of_frame response_of fr
+
+let payload fr = Bytes.sub_string fr.data 0 fr.limit
+
+let read_frame ?(max_bytes = default_max_frame_bytes) ic =
+  let fr = frame () in
+  if read ~max_bytes fr ic then Some (payload fr) else None

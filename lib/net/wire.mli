@@ -96,7 +96,9 @@ val decode_response : string -> response
 
     A frame is [magic] (4 bytes), a big-endian 32-bit payload length,
     then the payload. Peers sniff the first bytes of a connection to
-    tell framed protocol from HTTP. *)
+    tell framed protocol from HTTP. One writer ({!write}) and one reader
+    ({!read}) frame every stream: a client's, each server connection's
+    and a repository's journal. *)
 
 val magic : string
 (** ["AXF1"]. *)
@@ -104,10 +106,50 @@ val magic : string
 val default_max_frame_bytes : int
 (** 16 MiB: the admission-control bound on a single payload. *)
 
+val write : out_channel -> (Buffer.t -> 'a -> unit) -> 'a -> unit
+(** [write oc put x] writes one frame whose payload [put] adds to a
+    buffer, and flushes. The payload is encoded into a spare buffer kept
+    from write to write and output from it: no payload string is built,
+    so once that buffer has grown, a write allocates nothing. *)
+
+val write_request : out_channel -> request -> unit
+(** One frame holding {!encode_request}'s bytes. *)
+
+val write_response : out_channel -> response -> unit
+(** One frame holding {!encode_response}'s bytes. *)
+
 val write_frame : out_channel -> string -> unit
-(** Write one frame and flush. *)
+(** One frame holding the given payload. *)
+
+type frame
+(** A connection's receive buffer, filled in place by {!read}. It
+    starts at 4 KiB and grows only as payload bytes arrive (at most
+    twice the bytes read, never past the announced length). A frame
+    longer than {!Axml_xml.Spare_buffer.max_kept} is not kept: decoding
+    it, or the next {!read}, puts the buffer back to 4 KiB. Not safe to
+    share between threads. *)
+
+val frame : unit -> frame
+(** A fresh frame of 4 KiB. *)
+
+val read : max_bytes:int -> frame -> in_channel -> bool
+(** Read one frame's payload into the frame: [false] on clean EOF
+    before any byte of a frame.
+    @raise Wire_error on a bad magic, a declared length over
+    [max_bytes], or EOF mid-frame (a torn frame). *)
+
+val request_of_frame : frame -> request
+(** Decode the payload last {!read}: only the strings the request keeps
+    are copied out of the frame.
+    @raise Wire_error on an undecodable payload. *)
+
+val response_of_frame : frame -> response
+(** As {!request_of_frame}, for a response. *)
+
+val payload : frame -> string
+(** A copy of the payload last {!read}. *)
 
 val read_frame : ?max_bytes:int -> in_channel -> string option
-(** [None] on clean EOF before any byte of a frame.
-    @raise Wire_error on a bad magic, an oversized declared length, or
-    EOF mid-frame (a torn frame). *)
+(** {!read} into a fresh frame, and its payload as a string: [None] on
+    clean EOF before any byte of a frame.
+    @raise Wire_error as {!read}. *)

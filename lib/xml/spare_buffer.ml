@@ -27,7 +27,9 @@ let take (t : t) =
     b
   end
 
-let contents (t : t) b =
+let release (t : t) b = if Buffer.length b <= max_kept then Atomic.set t b
+
+let contents t b =
   let s = Buffer.contents b in
-  if Buffer.length b <= max_kept then Atomic.set t b;
+  release t b;
   s

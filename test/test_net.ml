@@ -193,7 +193,7 @@ let test_wire_framing () =
   (try
      ignore (Wire.read_frame ic);
      Alcotest.fail "torn header accepted"
-   with Wire.Wire_error _ -> ());
+   with Wire.Wire_error m -> check_string "torn header" "torn frame header (6 of 8 bytes)" m);
   close_in ic;
   (* bad magic *)
   let oc = open_out_bin path in
@@ -203,7 +203,7 @@ let test_wire_framing () =
   (try
      ignore (Wire.read_frame ic);
      Alcotest.fail "bad magic accepted"
-   with Wire.Wire_error _ -> ());
+   with Wire.Wire_error m -> check_string "bad magic" "bad frame magic \"HTTP\"" m);
   close_in ic;
   (* declared length over the cap *)
   let oc = open_out_bin path in
@@ -213,8 +213,336 @@ let test_wire_framing () =
   (try
      ignore (Wire.read_frame ~max_bytes:1024 ic);
      Alcotest.fail "oversized frame accepted"
-   with Wire.Wire_error _ -> ());
+   with Wire.Wire_error m ->
+     check_string "over the cap" "frame of 4294967295 bytes exceeds the 1024 limit" m);
+  close_in ic;
+  (* torn payload *)
+  let oc = open_out_bin path in
+  output_string oc "AXF1\x00\x00\x00\x05abc";
+  close_out oc;
+  let ic = open_in_bin path in
+  (try
+     ignore (Wire.read_frame ic);
+     Alcotest.fail "torn payload accepted"
+   with Wire.Wire_error m -> check_string "torn payload" "torn frame payload (3 of 5 bytes)" m);
   close_in ic
+
+(* ------------------------------------------------------------------ *)
+(* The frame writer and reader                                          *)
+(* ------------------------------------------------------------------ *)
+
+let be32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+
+(* A frame as the protocol defines it: magic, big-endian length,
+   payload. *)
+let framed payload = Wire.magic ^ be32 (String.length payload) ^ payload
+
+(* The bytes [write oc x] puts on a channel. *)
+let written write x =
+  let path = Filename.temp_file "axml" ".frame" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> write oc x);
+  In_channel.with_open_bin path In_channel.input_all
+
+(* [f] on a channel reading [bytes]. *)
+let with_input bytes f =
+  let path = Filename.temp_file "axml" ".frames" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+  In_channel.with_open_bin path f
+
+let every_request =
+  [ Wire.Ping; Wire.Open_exchange { schema_xml = "<schema/>"; k = 2 };
+    Wire.Exchange { exchange = 7; as_name = "front"; doc_xml = "<newspaper/>" };
+    Wire.Invoke { envelope = "<env/>" }; Wire.Get_wsdl { service = "Get_Temp" };
+    Wire.List_services; Wire.List_documents; Wire.Get_document { name = "front" };
+    Wire.Lint_exchange { schema_xml = "<schema/>" };
+    Wire.Get_metrics { format = Wire.Prometheus }; Wire.Get_metrics { format = Wire.Json } ]
+
+let every_response =
+  [ Wire.Pong { peer = "reader"; protocol = Wire.protocol_version };
+    Wire.Exchange_opened { id = 1; k = 2 };
+    Wire.Accepted { as_name = "front"; wire_bytes = 912 };
+    Wire.Refused { refusals = [] };
+    Wire.Refused { refusals = [ { Wire.at = [ 0; 3 ]; context = "temp expected" } ] };
+    Wire.Envelope { envelope = "<env/>" }; Wire.Wsdl { wsdl = "<wsdl/>" };
+    Wire.Names { names = [ "a"; ""; "b" ] }; Wire.Document { doc_xml = "<newspaper/>" };
+    Wire.Report { json = "{}" }; Wire.Metrics { format = Wire.Prometheus; body = "x 1\n" };
+    Wire.Metrics { format = Wire.Json; body = "{}" };
+    Wire.Error { code = "protocol"; reason = "why" } ]
+
+(* The frame writer's bytes for [x], read back by the frame reader. *)
+let writer_roundtrip ~write ~encode ~decode ~pp x =
+  let name = Fmt.str "%a" pp x in
+  let bytes = written write x in
+  check_string (name ^ ": magic ^ length ^ encoding") (framed (encode x)) bytes;
+  with_input bytes @@ fun ic ->
+  let fr = Wire.frame () in
+  check (name ^ ": one frame") true (Wire.read ~max_bytes:1024 fr ic);
+  check (name ^ ": decoded") true (decode fr = x);
+  check (name ^ ": then EOF") false (Wire.read ~max_bytes:1024 fr ic)
+
+let test_writer_bytes () =
+  List.iter
+    (writer_roundtrip ~write:Wire.write_request ~encode:Wire.encode_request
+       ~decode:Wire.request_of_frame ~pp:Wire.pp_request)
+    every_request;
+  List.iter
+    (writer_roundtrip ~write:Wire.write_response ~encode:Wire.encode_response
+       ~decode:Wire.response_of_frame ~pp:Wire.pp_response)
+    every_response;
+  check_string "write_frame" (framed "hello") (written Wire.write_frame "hello")
+
+let allocated_bytes f =
+  let before = Gc.allocated_bytes () in
+  f ();
+  Gc.allocated_bytes () -. before
+
+(* A frame's memory follows the bytes that arrive, not the length it
+   announces, and a large frame's buffer is not kept. *)
+let test_frame_memory () =
+  let mib = 1024 * 1024 in
+  let announce n = Wire.magic ^ be32 n in
+  let fr = Wire.frame () in
+  let torn_read ~sent ~budget =
+    with_input (announce (8 * mib) ^ String.make sent 'x') @@ fun ic ->
+    let bytes =
+      allocated_bytes (fun () ->
+          match Wire.read ~max_bytes:Wire.default_max_frame_bytes fr ic with
+          | _ -> Alcotest.fail "a torn frame was read"
+          | exception Wire.Wire_error m ->
+            check_string "torn payload"
+              (Fmt.str "torn frame payload (%d of %d bytes)" sent (8 * mib)) m)
+    in
+    if bytes >= float_of_int budget then
+      Alcotest.failf "8 MiB announced and %d bytes sent: the read allocated %.0f bytes" sent
+        bytes
+  in
+  torn_read ~sent:0 ~budget:mib;
+  torn_read ~sent:65536 ~budget:(4 * 65536);
+  let big = Wire.Document { doc_xml = String.make (2 * mib) 'd' } in
+  with_input (framed (Wire.encode_response big)) @@ fun ic ->
+  check "a 2 MiB frame" true (Wire.read ~max_bytes:Wire.default_max_frame_bytes fr ic);
+  check "decoded" true (Wire.response_of_frame fr = big);
+  let kept = Obj.reachable_words (Obj.repr fr) in
+  if kept > 600 then
+    Alcotest.failf "after a 2 MiB frame the frame keeps %d words (4 KiB is 513)" kept
+
+(* A fake server on a fresh loopback port: [serve ic oc] runs on the one
+   connection it accepts, in a thread, and [f port] meanwhile. *)
+let with_fake_server serve f =
+  let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listen Unix.SO_REUSEADDR true;
+  Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listen 1;
+  let port =
+    match Unix.getsockname listen with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> 0
+  in
+  let thread =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept listen in
+        (try serve (Unix.in_channel_of_descr fd) (Unix.out_channel_of_descr fd)
+         with Wire.Wire_error _ | Sys_error _ -> ());
+        Unix.close fd)
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Thread.join thread; Unix.close listen) (fun () -> f port)
+
+(* A response with a bad magic, then a valid frame: the client must not
+   read the valid frame as the answer to its next call. *)
+let test_client_closes_on_bad_frame () =
+  let bad_then_good ic oc =
+    ignore (Wire.read_frame ic);
+    output_string oc "XXXX\x00\x00\x00\x00";
+    Wire.write_response oc (Wire.Pong { peer = "fake"; protocol = Wire.protocol_version });
+    (* until the client goes *)
+    ignore (Wire.read_frame ic)
+  in
+  with_fake_server bad_then_good @@ fun port ->
+  let client = Client.connect ~port () in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  (match Client.rpc client Wire.Ping with
+   | exception Client.Net_error m ->
+     check_string "bad magic" "wire error: bad frame magic \"XXXX\"" m
+   | r -> Alcotest.failf "a bad frame answered %a" Wire.pp_response r);
+  match Client.rpc client Wire.Ping with
+  | exception Client.Net_error m -> check_string "closed" "connection is closed" m
+  | r -> Alcotest.failf "the next call read %a" Wire.pp_response r
+
+(* ------------------------------------------------------------------ *)
+(* Wire mutation fuzz                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Damage a stream of frames: a bit flip, a truncation, a slice of
+   [other] spliced in, or a big-endian u32 written over the first
+   frame's length header or over any 4 bytes (a field's length or a
+   list's count). *)
+let mutate_frames other s =
+  let open QCheck.Gen in
+  let n = String.length s and m = String.length other in
+  let set_u32 at v = String.sub s 0 at ^ be32 v ^ String.sub s (at + 4) (n - at - 4) in
+  let u32 = oneof [ int_bound 64; int_bound 0xffff; int_bound 0xffffff; return 0xffffffff ] in
+  let flip () =
+    map2
+      (fun i b ->
+        String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c) s)
+      (int_bound (n - 1)) (int_bound 7)
+  and splice =
+    map3
+      (fun i j len ->
+        let len = min len (m - j) in
+        String.sub s 0 i ^ String.sub other j len ^ String.sub s i (n - i))
+      (int_bound n) (int_bound (m - 1)) (int_bound 32)
+  in
+  frequency
+    ((2, map (fun i -> String.sub s 0 i) (int_bound n))
+     :: (2, splice)
+     :: (if n >= 1 then [ (3, flip ()) ] else [])
+     @ (if n >= 8 then [ (2, map (set_u32 4) u32) ] else [])
+     @ if n >= 4 then [ (2, map2 set_u32 (int_bound (n - 4)) u32) ] else [])
+
+let gen_damaged encode gen =
+  let open QCheck.Gen in
+  let frames = map (fun xs -> String.concat "" (List.map (fun x -> framed (encode x)) xs)) in
+  let rec damage k s =
+    if k = 0 then return s
+    else
+      frames (list_size (int_range 1 2) gen) >>= fun other ->
+      mutate_frames other s >>= damage (k - 1)
+  in
+  frames (list_size (int_range 1 3) gen) >>= fun s ->
+  int_range 1 3 >>= fun k -> damage k s
+
+(* Read every frame of [bytes] and decode it: each step gives a value
+   or raises [Wire_error] (any other exception fails the property),
+   and the whole stream is done within a second. *)
+let reads_or_refuses decode bytes =
+  with_input bytes @@ fun ic ->
+  let fr = Wire.frame () in
+  let t0 = Unix.gettimeofday () in
+  let rec go frames =
+    if frames > 0 then
+      match Wire.read ~max_bytes:(1024 * 1024) fr ic with
+      | false -> ()
+      | exception Wire.Wire_error _ -> ()
+      | true ->
+        (match decode fr with _ -> () | exception Wire.Wire_error _ -> ());
+        go (frames - 1)
+  in
+  go 16;
+  Unix.gettimeofday () -. t0 < 1.0
+
+let prop_fuzz_requests =
+  QCheck.Test.make ~count:300
+    ~name:"wire fuzz: damaged request frames decode or raise Wire_error"
+    (QCheck.make ~print:String.escaped (gen_damaged Wire.encode_request gen_request))
+    (reads_or_refuses Wire.request_of_frame)
+
+let prop_fuzz_responses =
+  QCheck.Test.make ~count:300
+    ~name:"wire fuzz: damaged response frames decode or raise Wire_error"
+    (QCheck.make ~print:String.escaped (gen_damaged Wire.encode_response gen_response))
+    (reads_or_refuses Wire.response_of_frame)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation (exact on a non-flambda compiler: [Gc.minor_words]       *)
+(* deltas)                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Once the spare buffer has grown, writing an Exchange frame allocates
+   nothing: no payload string, no header. *)
+let test_write_alloc () =
+  let req =
+    Wire.Exchange
+      { exchange = 3; as_name = "front";
+        doc_xml = Syntax.to_xml_string ~pretty:false (fig2a "The Sun") }
+  in
+  let oc = open_out_bin Filename.null in
+  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
+  Wire.write_request oc req;
+  let words = minor_words (fun () -> for _ = 1 to 1000 do Wire.write_request oc req done) in
+  if words <> 0. then
+    Alcotest.failf "writing an exchange frame allocated %.2f words" (words /. 1000.)
+
+(* Reading an Accepted response into a frame allocates the decoded
+   response and nothing else. *)
+let test_read_alloc () =
+  let resp = Wire.Accepted { as_name = "front-page"; wire_bytes = 912 } in
+  let n = 1000 in
+  let one = framed (Wire.encode_response resp) in
+  with_input (String.concat "" (List.init (n + 1) (fun _ -> one))) @@ fun ic ->
+  let fr = Wire.frame () in
+  let read () =
+    if Wire.read ~max_bytes:1024 fr ic then Wire.response_of_frame fr
+    else Alcotest.fail "early EOF"
+  in
+  check "decoded" true (read () = resp);
+  let words =
+    minor_words (fun () -> for _ = 1 to n do ignore (Sys.opaque_identity (read ())) done)
+  in
+  let response = Obj.reachable_words (Obj.repr resp) in
+  if words <> float_of_int (n * response) then
+    Alcotest.failf "reading an Accepted response allocated %.2f words; the response is %d"
+      (words /. float_of_int n) response
+
+(* A peer served from its own domain: the server's threads allocate on
+   that domain's minor heap, so [Gc.minor_words] here counts the client
+   alone. *)
+let with_server_domain peer f =
+  let port = Atomic.make 0 and stop = Semaphore.Binary.make false in
+  let domain =
+    Domain.spawn (fun () ->
+        match Server.start (Endpoint.create peer) with
+        | exception e ->
+          Atomic.set port (-1);
+          raise e
+        | server ->
+          Atomic.set port (Server.port server);
+          Semaphore.Binary.acquire stop;
+          Server.stop server)
+  in
+  while Atomic.get port = 0 do Domain.cpu_relax () done;
+  Fun.protect
+    ~finally:(fun () -> Semaphore.Binary.release stop; Domain.join domain)
+    (fun () -> if Atomic.get port < 0 then Alcotest.fail "no server" else f (Atomic.get port))
+
+(* Words a [Client.send] allocates beyond enforcing and printing its
+   document: the Exchange request (4), the Accepted response (3, and 2
+   for its name), the outcome (4) and its [Ok] (2). *)
+let send_budget = 15
+
+let test_send_alloc () =
+  with_server_domain (make_receiver ()) @@ fun port ->
+  let client = Client.connect ~port () in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  let sender = make_sender () in
+  let doc = fig2a "The Sun" in
+  let send () =
+    match Client.send client ~sender ~exchange:schema_exchange ~as_name:"front" doc with
+    | Ok o -> ignore (Sys.opaque_identity o)
+    | Error e -> Alcotest.failf "refused: %a" Enforcement.pp_error e
+  in
+  let enforce_and_print () =
+    let pipeline = Peer.exchange_pipeline sender ~exchange:schema_exchange in
+    match Enforcement.Pipeline.enforce pipeline doc with
+    | Ok (d, _) -> ignore (Sys.opaque_identity (Syntax.to_xml_string ~pretty:false d))
+    | Error e -> Alcotest.failf "refused: %a" Enforcement.pp_error e
+  in
+  send ();
+  enforce_and_print ();
+  let n = 500 in
+  let per f = minor_words (fun () -> for _ = 1 to n do f () done) /. float_of_int n in
+  let sent = per send and work = per enforce_and_print in
+  if sent -. work > float_of_int send_budget then
+    Alcotest.failf
+      "Client.send allocated %.1f words, %.1f beyond enforcing and printing (budget %d)" sent
+      (sent -. work) send_budget
 
 (* ------------------------------------------------------------------ *)
 (* Endpoint (in-process transport)                                      *)
@@ -674,6 +1002,31 @@ let test_repo_garbage_manifest () =
   check_int "everything recovered" 4 (Repo.recovered repo3);
   Repo.close repo3
 
+(* A journal in the framing of the earlier writer (a payload string
+   built whole, then framed), torn tail included, recovers unchanged,
+   and the new writer appends records in the same bytes. *)
+let test_repo_earlier_journal () =
+  with_temp_dir @@ fun dir ->
+  let doc name = D.elem "newspaper" [ D.elem "title" [ D.data name ] ] in
+  let record name =
+    framed (be32 (String.length name) ^ name ^ Syntax.to_xml_string ~pretty:false (doc name))
+  in
+  let intact = record "a" ^ record "weird/na me%β" in
+  let journal = Filename.concat dir "journal.log" in
+  let read_journal () = In_channel.with_open_bin journal In_channel.input_all in
+  Sys.mkdir dir 0o755;
+  Out_channel.with_open_bin journal (fun oc ->
+      output_string oc (intact ^ String.sub (record "c") 0 20));
+  let reborn = make_receiver () in
+  let repo = Repo.attach ~dir reborn in
+  check_int "intact records recovered" 2 (Repo.recovered repo);
+  check "first" true (D.equal (doc "a") (Peer.fetch reborn "a"));
+  check "second" true (D.equal (doc "weird/na me%β") (Peer.fetch reborn "weird/na me%β"));
+  check_string "the torn tail is cut off" intact (read_journal ());
+  Repo.record_store repo "d" (doc "d");
+  Repo.close repo;
+  check_string "records appended in the same bytes" (intact ^ record "d") (read_journal ())
+
 (* ------------------------------------------------------------------ *)
 (* HTTP front                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -749,8 +1102,19 @@ let () =
   Alcotest.run "net"
     [ ("wire",
        [ Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
-         Alcotest.test_case "framing" `Quick test_wire_framing ]);
+         Alcotest.test_case "framing" `Quick test_wire_framing;
+         Alcotest.test_case "writer bytes, every constructor" `Quick test_writer_bytes;
+         Alcotest.test_case "frame memory follows the bytes" `Quick test_frame_memory ]);
       ("wire-properties", qcheck);
+      ("wire-fuzz",
+       List.map QCheck_alcotest.to_alcotest [ prop_fuzz_requests; prop_fuzz_responses ]);
+      ("alloc",
+       [ Alcotest.test_case "a warm frame write allocates nothing" `Quick test_write_alloc;
+         Alcotest.test_case "a read allocates its response" `Quick test_read_alloc;
+         Alcotest.test_case "Client.send within its budget" `Quick test_send_alloc ]);
+      ("client",
+       [ Alcotest.test_case "a bad frame closes the connection" `Quick
+           test_client_closes_on_bad_frame ]);
       ("endpoint",
        [ Alcotest.test_case "documents and metrics" `Quick test_endpoint_basics;
          Alcotest.test_case "request counts under 4 systhreads" `Quick
@@ -777,5 +1141,6 @@ let () =
          Alcotest.test_case "compaction" `Quick test_repo_compaction;
          Alcotest.test_case "odd repository names" `Quick test_repo_odd_names;
          Alcotest.test_case "name codec" `Quick test_repo_name_codec;
-         Alcotest.test_case "garbage manifest" `Quick test_repo_garbage_manifest ]);
+         Alcotest.test_case "garbage manifest" `Quick test_repo_garbage_manifest;
+         Alcotest.test_case "journal in the earlier framing" `Quick test_repo_earlier_journal ]);
       ("http", [ Alcotest.test_case "routes" `Quick test_http_routes ]) ]
