@@ -2,12 +2,12 @@
    of the introduction, with the function patterns of Section 2.1):
 
    - the exchange schema uses a *function pattern* Forecast whose
-     predicates are answered by a UDDI-like directory (UDDIF) and an
-     access-control service (InACL);
-   - the receiver accepts a weather call only if it is published in the
-     directory AND the receiver may call it;
+     predicates are a UDDI-like lookup (UDDIF) and an access-control
+     check (InACL), each a yes/no answer for a function name;
+   - the receiver accepts a weather call only if it is published AND
+     the receiver may call it;
    - everything else must be materialized by the sender — and the
-     sender's own registry enforces ACLs and a spending budget.
+     sender's own registry enforces each service's ACL.
 
    Run with:  dune exec examples/secure_exchange.exe *)
 
@@ -18,7 +18,6 @@ module D = Axml_core.Document
 module Service = Axml_services.Service
 module Registry = Axml_services.Registry
 module Oracle = Axml_services.Oracle
-module Directory = Axml_services.Directory
 module Enforcement = Axml_peer.Enforcement
 
 let parse_schema text =
@@ -39,7 +38,7 @@ function Shady_Weather : city -> temp
 |}
 
 (* The receiver's schema: a weather call may remain intensional only if
-   it matches the Forecast pattern (directory-published + ACL-cleared). *)
+   it matches the Forecast pattern (published + ACL-cleared). *)
 let receiver_schema =
   parse_schema
     {|
@@ -52,33 +51,36 @@ function Shady_Weather : city -> temp
 pattern Forecast requires UDDIF InACL : city -> temp
 |}
 
-let directory =
-  let dir = Directory.create () in
-  Directory.publish dir ~provider:"forecast.com" ~categories:[ "weather" ]
-    "Good_Weather";
-  (* Shady_Weather is NOT published *)
-  Directory.install_standard_predicates dir
-    ~acl_of:(fun f -> f = "Good_Weather");
-  dir
+(* The pattern predicates, answered for a function name: UDDIF (is the
+   service published?) and InACL (may the receiver call it?). Only
+   Good_Weather is published; an unknown predicate rejects every
+   function. *)
+let predicate pname fname =
+  match pname with
+  | "UDDIF" | "InACL" -> fname = "Good_Weather"
+  | _ -> false
 
-let registry =
-  let reg = Registry.create ~principal:"newspaper.com" () in
-  Registry.register_all reg
-    [ Service.make "Good_Weather" ~cost:0.5
-        ~input:(R.sym (Schema.A_label "city"))
-        ~output:(R.sym (Schema.A_label "temp"))
-        (Oracle.constant [ D.elem "temp" [ D.data "21 C" ] ]);
-      Service.make "Shady_Weather" ~cost:0.1 ~acl:[ "newspaper.com" ]
-        ~input:(R.sym (Schema.A_label "city"))
-        ~output:(R.sym (Schema.A_label "temp"))
-        (Oracle.constant [ D.elem "temp" [ D.data "19 C (allegedly)" ] ]) ];
+let services =
+  [ Service.make "Good_Weather" ~cost:0.5
+      ~input:(R.sym (Schema.A_label "city"))
+      ~output:(R.sym (Schema.A_label "temp"))
+      (Oracle.constant [ D.elem "temp" [ D.data "21 C" ] ]);
+    Service.make "Shady_Weather" ~cost:0.1 ~acl:[ "newspaper.com" ]
+      ~input:(R.sym (Schema.A_label "city"))
+      ~output:(R.sym (Schema.A_label "temp"))
+      (Oracle.constant [ D.elem "temp" [ D.data "19 C (allegedly)" ] ]) ]
+
+(* A sender's registry, calling the services as [principal]. *)
+let registry_as principal =
+  let reg = Registry.create ~principal () in
+  Registry.register_all reg services;
   reg
 
-let exchange doc =
+let registry = registry_as "newspaper.com"
+
+let exchange ?(registry = registry) doc =
   match
-    Enforcement.enforce
-      ~predicate:(Directory.predicate directory)
-      ~s0:sender_schema ~exchange:receiver_schema
+    Enforcement.enforce ~predicate ~s0:sender_schema ~exchange:receiver_schema
       ~invoker:(Registry.invoker registry) doc
   with
   | Ok (sent, report) ->
@@ -102,17 +104,8 @@ let () =
           Forecast pattern: the sender must invoke it before sending:@.";
   exchange (report (D.call "Shady_Weather" [ D.elem "city" [ D.data "Paris" ] ]));
 
-  Fmt.pr "@.Budgets guard the sender against expensive materialization: \
-          with a 0.05 budget the Good_Weather call cannot be afforded \
-          (but it can stay intensional anyway):@.";
-  Registry.set_budget registry (Some 0.05);
-  exchange (report (D.call "Good_Weather" [ D.elem "city" [ D.data "Paris" ] ]));
-  Registry.set_budget registry None;
-
   Fmt.pr "@.ACLs on the sender's side: a stranger peer cannot fire \
           Shady_Weather at all:@.";
-  Registry.set_principal registry "stranger";
-  (try exchange (report (D.call "Shady_Weather" [ D.elem "city" [ D.data "Paris" ] ]))
-   with Registry.Access_denied { service; principal } ->
-     Fmt.pr "  -> Access_denied: %s may not call %s@." principal service);
+  exchange ~registry:(registry_as "stranger")
+    (report (D.call "Shady_Weather" [ D.elem "city" [ D.data "Paris" ] ]));
   Fmt.pr "@.Total fees paid by the sender: %.2f@." (Registry.total_cost registry)

@@ -168,13 +168,16 @@ let document_conforms ctx doc =
 
 (* Output-instance check (Definition 3, second part): the forest a
    service returned, against its declared output type. *)
-let instance model ~mismatch ctx fname (forest : Document.forest) =
-  match model with
+let output_instance ctx fname (forest : Document.forest) =
+  match Hashtbl.find_opt ctx.outputs fname with
   | None -> [ { at = []; kind = Unknown_function fname } ]
   | Some m ->
     let word_ok =
       if forest_accepted m.dfa forest then []
-      else [ { at = []; kind = mismatch (Document.word forest) } ]
+      else
+        [ { at = [];
+            kind =
+              Content_mismatch { label = fname ^ "() output"; word = Document.word forest } } ]
     in
     let _, acc =
       List.fold_left
@@ -182,10 +185,3 @@ let instance model ~mismatch ctx fname (forest : Document.forest) =
         (0, word_ok) forest
     in
     List.rev acc
-
-let output_instance ctx fname =
-  instance (Hashtbl.find_opt ctx.outputs fname) ctx fname ~mismatch:(fun word ->
-      Content_mismatch { label = fname ^ "() output"; word })
-
-let input_instance ctx fname =
-  instance (input_model ctx fname) ctx fname ~mismatch:(fun word -> Input_mismatch { fname; word })

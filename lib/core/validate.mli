@@ -113,5 +113,3 @@ val document_conforms : ctx -> Document.t -> bool
 
 val output_instance : ctx -> string -> Document.forest -> violation list
 (** Is the forest an output instance of the function (Definition 3)? *)
-
-val input_instance : ctx -> string -> Document.forest -> violation list

@@ -1,9 +1,13 @@
 (* Minimal HTTP/1.1: exactly what the server's /metrics and /exchange
    routes need. *)
 
-exception Http_error of string
+exception Http_error of { status : int; reason : string }
 
-let fail fmt = Fmt.kstr (fun m -> raise (Http_error m)) fmt
+let fail ?(status = 400) fmt =
+  Fmt.kstr (fun reason -> raise (Http_error { status; reason })) fmt
+
+let max_line_bytes = 8192
+let max_headers = 100
 
 type request = {
   meth : string;
@@ -20,23 +24,39 @@ let status_text = function
   | 405 -> "Method Not Allowed"
   | 413 -> "Payload Too Large"
   | 422 -> "Unprocessable Entity"
+  | 431 -> "Request Header Fields Too Large"
   | 503 -> "Service Unavailable"
   | _ -> "Internal Server Error"
 
-(* Read one CRLF- (or bare-LF-) terminated line, without the ending. *)
-let read_line_opt ic =
-  match input_line ic with
-  | line ->
-    let n = String.length line in
-    Some (if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line)
-  | exception End_of_file -> None
+(* Read one CRLF- (or bare-LF-) terminated line into [buf], without
+   the ending: [None] on EOF before any byte, the bytes so far on EOF
+   mid-line. A line longer than [max_line_bytes] is refused as soon as
+   its bytes pass the cap, so it never costs more than the cap. *)
+let read_line_opt buf ic =
+  Buffer.clear buf;
+  let line () =
+    let n = Buffer.length buf in
+    Some (Buffer.sub buf 0 (if n > 0 && Buffer.nth buf (n - 1) = '\r' then n - 1 else n))
+  in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> line ()
+    | c ->
+      if Buffer.length buf >= max_line_bytes then
+        fail ~status:431 "request line or header over %d bytes" max_line_bytes;
+      Buffer.add_char buf c;
+      go ()
+    | exception End_of_file -> if Buffer.length buf = 0 then None else line ()
+  in
+  go ()
 
 let header req name =
   let name = String.lowercase_ascii name in
   List.assoc_opt name req.headers
 
 let read_request ?(max_body = Wire.default_max_frame_bytes) ic =
-  match read_line_opt ic with
+  let buf = Buffer.create 256 in
+  match read_line_opt buf ic with
   | None -> None
   | Some request_line ->
     let meth, path =
@@ -46,10 +66,12 @@ let read_request ?(max_body = Wire.default_max_frame_bytes) ic =
         (String.uppercase_ascii meth, target)
       | _ -> fail "malformed request line %S" request_line
     in
-    let rec headers acc =
-      match read_line_opt ic with
+    let rec headers count acc =
+      match read_line_opt buf ic with
       | None -> fail "EOF in headers"
       | Some "" -> List.rev acc
+      | Some _ when count = max_headers ->
+        fail ~status:431 "more than %d headers" max_headers
       | Some line ->
         (match String.index_opt line ':' with
          | None -> fail "malformed header %S" line
@@ -58,9 +80,9 @@ let read_request ?(max_body = Wire.default_max_frame_bytes) ic =
            let value =
              String.trim (String.sub line (i + 1) (String.length line - i - 1))
            in
-           headers ((name, value) :: acc))
+           headers (count + 1) ((name, value) :: acc))
     in
-    let headers = headers [] in
+    let headers = headers 0 [] in
     let body =
       match List.assoc_opt "content-length" headers with
       | None -> ""
@@ -69,12 +91,12 @@ let read_request ?(max_body = Wire.default_max_frame_bytes) ic =
          | None -> fail "malformed Content-Length %S" l
          | Some n when n < 0 -> fail "malformed Content-Length %S" l
          | Some n when n > max_body ->
-           fail "body of %d bytes exceeds the %d limit" n max_body
+           fail ~status:413 "body of %d bytes exceeds the %d limit" n max_body
          | Some n ->
-           let b = Bytes.create n in
-           (try really_input ic b 0 n
-            with End_of_file -> fail "EOF in body (%d bytes expected)" n);
-           Bytes.unsafe_to_string b)
+           let body = Wire.read_bytes ic n in
+           if String.length body < n then
+             fail "EOF in body (%d of %d bytes)" (String.length body) n;
+           body)
     in
     Some { meth; path; headers; body }
 

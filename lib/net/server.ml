@@ -248,9 +248,9 @@ let serve_http t ic oc =
   match Http.read_request ~max_body:t.config.max_frame_bytes ic with
   | None -> ()
   | Some req -> handle_http t oc req
-  | exception Http.Http_error m ->
+  | exception Http.Http_error { status; reason } ->
     Metrics.inc m_protocol_errors;
-    (try Http.write_response oc ~status:400 (m ^ "\n") with Sys_error _ -> ())
+    (try Http.write_response oc ~status (reason ^ "\n") with Sys_error _ -> ())
   | exception Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)

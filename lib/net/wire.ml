@@ -385,6 +385,14 @@ let rec fill fr ic off n =
     | k -> fill fr ic (off + k) n
   end
 
+let read_bytes ic n =
+  let fr = frame () in
+  let k = fill fr ic 0 n in
+  (* the frame is this call's own, so bytes it filled exactly become
+     the string uncopied *)
+  if k = Bytes.length fr.data then Bytes.unsafe_to_string fr.data
+  else Bytes.sub_string fr.data 0 k
+
 let read ~max_bytes fr ic =
   settle fr;
   fr.limit <- 0;

@@ -138,6 +138,12 @@ val read : max_bytes:int -> frame -> in_channel -> bool
     @raise Wire_error on a bad magic, a declared length over
     [max_bytes], or EOF mid-frame (a torn frame). *)
 
+val read_bytes : in_channel -> int -> string
+(** [read_bytes ic n]: the next [n] bytes of [ic], fewer only when the
+    stream ends first. Memory follows the bytes that arrive, under
+    {!read}'s growth rule (from 4 KiB, at most twice the bytes read),
+    not [n]. *)
+
 val request_of_frame : frame -> request
 (** Decode the payload last {!read}: only the strings the request keeps
     are copied out of the frame.

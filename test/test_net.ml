@@ -1073,6 +1073,196 @@ let test_http_routes () =
   in
   check_int "malformed post refused" 422 status
 
+module Http = Axml_net.Http
+
+(* [read_request] on [bytes]: the request, or the refusal's status and
+   reason, and the bytes the read allocated. *)
+let read_http_measured ?max_body bytes =
+  with_input bytes @@ fun ic ->
+  let result = ref (Error (0, "EOF")) in
+  let allocated =
+    allocated_bytes (fun () ->
+        result :=
+          match Http.read_request ?max_body ic with
+          | Some req -> Ok req
+          | None -> Error (0, "EOF")
+          | exception Http.Http_error { status; reason } -> Error (status, reason))
+  in
+  (!result, allocated)
+
+let read_http ?max_body bytes = fst (read_http_measured ?max_body bytes)
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let mib = 1024 * 1024
+
+(* The body's memory follows the bytes that arrive, not the
+   Content-Length the request announces. *)
+let test_http_body_memory () =
+  let post n body = Fmt.str "POST /exchange HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" n body in
+  (match read_http_measured (post (8 * mib) "") with
+   | Error (400, reason), bytes when starts_with ~prefix:"EOF in body" reason ->
+     if bytes >= float_of_int mib then
+       Alcotest.failf "8 MiB announced, none sent: the read allocated %.0f bytes" bytes
+   | Error (status, reason), _ -> Alcotest.failf "refused %d: %s" status reason
+   | Ok _, _ -> Alcotest.fail "a torn body was read");
+  List.iter
+    (fun n ->
+      let body = String.init n (fun i -> Char.chr (i land 0xff)) in
+      match read_http (post n body) with
+      | Ok req -> check (Fmt.str "a %d-byte body" n) true (req.Http.body = body)
+      | Error (status, reason) -> Alcotest.failf "%d bytes refused %d: %s" n status reason)
+    [ 0; 5; 4096; 4097; 70_000 ]
+
+(* Each refusal answers its own status: 431 for a head over its caps,
+   413 for a body over the cap, 400 for anything else. A head line of
+   several MiB costs no more than the line cap. *)
+let test_http_refusals () =
+  let refused name ?max_body status bytes =
+    match read_http ?max_body bytes with
+    | Error (s, _) -> check_int name status s
+    | Ok _ -> Alcotest.failf "%s: read" name
+  in
+  let long = String.make (4 * mib) 'h' in
+  (match read_http_measured ("GET /health HTTP/1.1\r\nX-Long: " ^ long) with
+   | Error (431, _), bytes ->
+     if bytes >= float_of_int mib then
+       Alcotest.failf "a 4 MiB header line allocated %.0f bytes" bytes
+   | Error (status, reason), _ -> Alcotest.failf "a 4 MiB header line refused %d: %s" status reason
+   | Ok _, _ -> Alcotest.fail "a 4 MiB header line was read");
+  refused "a 4 MiB request line" 431 ("GET /" ^ long ^ " HTTP/1.1\r\n\r\n");
+  (* "GET " ^ path ^ " HTTP/1.1\r" fills the cap exactly *)
+  let path = "/" ^ String.make (Http.max_line_bytes - 15) 'l' in
+  (match read_http ("GET " ^ path ^ " HTTP/1.1\r\n\r\n") with
+   | Ok req -> check_string "a line at the cap" path req.Http.path
+   | Error (status, reason) -> Alcotest.failf "a line at the cap refused %d: %s" status reason);
+  let headers n = String.concat "" (List.init n (fun i -> Fmt.str "X-%d: v\r\n" i)) in
+  (match read_http ("GET /health HTTP/1.1\r\n" ^ headers Http.max_headers ^ "\r\n") with
+   | Ok req -> check_int "headers at the cap" Http.max_headers (List.length req.Http.headers)
+   | Error (status, reason) -> Alcotest.failf "headers at the cap refused %d: %s" status reason);
+  refused "one header too many" 431
+    ("GET /health HTTP/1.1\r\n" ^ headers (Http.max_headers + 1) ^ "\r\n");
+  refused "a body over the cap" ~max_body:10 413
+    "POST /exchange HTTP/1.1\r\nContent-Length: 11\r\n\r\nhello world";
+  refused "a malformed request line" 400 "GET\r\n\r\n";
+  refused "a malformed header" 400 "GET / HTTP/1.1\r\nno colon\r\n\r\n";
+  refused "a malformed Content-Length" 400
+    "POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n";
+  refused "EOF in headers" 400 "GET / HTTP/1.1\r\nHost: x\r\n"
+
+(* The server answers a refused head with the refusal's status. *)
+let test_http_server_status () =
+  with_server (make_receiver ()) @@ fun server ->
+  let status_of request =
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+    let oc = Unix.out_channel_of_descr fd and ic = Unix.in_channel_of_descr fd in
+    output_string oc request;
+    flush oc;
+    input_line ic
+  in
+  check_string "an over-long header"
+    "HTTP/1.1 431 Request Header Fields Too Large\r"
+    (status_of ("GET /health HTTP/1.1\r\nX: " ^ String.make (Http.max_line_bytes + 1) 'x'));
+  check_string "a malformed request" "HTTP/1.1 400 Bad Request\r"
+    (status_of "GET\r\n\r\n")
+
+(* ------------------------------------------------------------------ *)
+(* HTTP mutation fuzz                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A valid request: a method, a path, a few headers and, for a POST, a
+   body with its Content-Length. *)
+let gen_http_request =
+  let open QCheck.Gen in
+  let token = string_size ~gen:(char_range 'a' 'z') (int_range 1 12) in
+  let header = map2 (fun n v -> Fmt.str "%s: %s\r\n" n v) token token in
+  map3
+    (fun (meth, path) headers body ->
+      let body = if meth = "POST" then body else "" in
+      Fmt.str "%s /%s HTTP/1.1\r\n%sContent-Length: %d\r\n\r\n%s" meth path
+        (String.concat "" headers) (String.length body) body)
+    (pair (oneofl [ "GET"; "POST" ]) token)
+    (list_size (int_bound 4) header)
+    (string_size ~gen:char (int_bound 200))
+
+(* Damage a request: a bit flip, a truncation, a slice of [other]
+   spliced in, the Content-Length value rewritten, or an over-long run
+   of bytes with no newline put in. *)
+let mutate_http other s =
+  let open QCheck.Gen in
+  let n = String.length s and m = String.length other in
+  let flip () =
+    map2
+      (fun i b ->
+        String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c) s)
+      (int_bound (n - 1)) (int_bound 7)
+  and splice =
+    map3
+      (fun i j len ->
+        let len = min len (m - j) in
+        String.sub s 0 i ^ String.sub other j len ^ String.sub s i (n - i))
+      (int_bound n) (int_bound (m - 1)) (int_bound 64)
+  and length =
+    let key = "Content-Length: " in
+    let rec find i =
+      if i + String.length key > n then None
+      else if String.sub s i (String.length key) = key then Some (i + String.length key)
+      else find (i + 1)
+    in
+    match find 0 with
+    | None -> return s
+    | Some at ->
+      let stop = Option.value (String.index_from_opt s at '\r') ~default:n in
+      map
+        (fun v -> String.sub s 0 at ^ v ^ String.sub s stop (n - stop))
+        (oneof
+           [ map string_of_int (int_bound 0xffffff);
+             return "-1"; return "99999999999999999999"; return "0x10"; return "";
+             string_size ~gen:printable (int_bound 8) ])
+  and long_line =
+    map2
+      (fun i extra -> String.sub s 0 i ^ String.make (Http.max_line_bytes + extra) 'L' ^ String.sub s i (n - i))
+      (int_bound n) (int_bound 64)
+  in
+  frequency
+    ((2, map (fun i -> String.sub s 0 i) (int_bound n))
+     :: (2, splice) :: (2, length) :: (1, long_line)
+     :: (if n >= 1 then [ (3, flip ()) ] else []))
+
+let gen_damaged_http =
+  let open QCheck.Gen in
+  let rec damage k s =
+    if k = 0 then return s
+    else gen_http_request >>= fun other -> mutate_http other s >>= damage (k - 1)
+  in
+  list_size (int_range 1 2) gen_http_request >>= fun rs ->
+  int_range 1 3 >>= fun k -> damage k (String.concat "" rs)
+
+(* Read requests from [bytes] until EOF or a refusal: each read gives a
+   request, [None] or [Http_error] (any other exception fails the
+   property), and the whole stream is done within a second. *)
+let http_reads_or_refuses bytes =
+  with_input bytes @@ fun ic ->
+  let t0 = Unix.gettimeofday () in
+  let rec go reads =
+    if reads > 0 then
+      match Http.read_request ~max_body:(1024 * 1024) ic with
+      | None | (exception Http.Http_error _) -> ()
+      | Some _ -> go (reads - 1)
+  in
+  go 4;
+  Unix.gettimeofday () -. t0 < 1.0
+
+let prop_fuzz_http =
+  QCheck.Test.make ~count:500
+    ~name:"http fuzz: damaged requests read or raise Http_error"
+    (QCheck.make ~print:String.escaped gen_damaged_http)
+    http_reads_or_refuses
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
@@ -1143,4 +1333,10 @@ let () =
          Alcotest.test_case "name codec" `Quick test_repo_name_codec;
          Alcotest.test_case "garbage manifest" `Quick test_repo_garbage_manifest;
          Alcotest.test_case "journal in the earlier framing" `Quick test_repo_earlier_journal ]);
-      ("http", [ Alcotest.test_case "routes" `Quick test_http_routes ]) ]
+      ("http",
+       [ Alcotest.test_case "routes" `Quick test_http_routes;
+         Alcotest.test_case "body memory follows the bytes" `Quick test_http_body_memory;
+         Alcotest.test_case "refusals and their statuses" `Quick test_http_refusals;
+         Alcotest.test_case "the server answers the refusal's status" `Quick
+           test_http_server_status ]);
+      ("http-fuzz", [ QCheck_alcotest.to_alcotest prop_fuzz_http ]) ]

@@ -7,7 +7,6 @@ module Validate = Axml_core.Validate
 module Service = Axml_services.Service
 module Registry = Axml_services.Registry
 module Oracle = Axml_services.Oracle
-module Directory = Axml_services.Directory
 module Resilience = Axml_services.Resilience
 module Execute = Axml_core.Execute
 
@@ -55,54 +54,35 @@ let test_unknown_service () =
   | exception Registry.Unknown_service "Nope" -> ()
   | _ -> Alcotest.fail "expected Unknown_service"
 
-let test_budget () =
-  let reg = Registry.create () in
-  Registry.register reg (get_temp_service ~cost:3. (Oracle.constant temp_reply));
-  Registry.set_budget reg (Some 5.);
-  ignore (Registry.invoke reg "Get_Temp" []);
-  (match Registry.invoke reg "Get_Temp" [] with
-   | exception Registry.Budget_exhausted _ -> ()
-   | _ -> Alcotest.fail "expected Budget_exhausted");
-  check_int "only one call went through" 1 (Registry.invocation_count reg)
-
 let test_acl () =
-  let reg = Registry.create ~principal:"mallory" () in
-  Registry.register reg (get_temp_service ~acl:[ "alice" ] (Oracle.constant temp_reply));
-  (match Registry.invoke reg "Get_Temp" [] with
+  let service = get_temp_service ~acl:[ "alice" ] (Oracle.constant temp_reply) in
+  let mallory = Registry.create ~principal:"mallory" () in
+  Registry.register mallory service;
+  (match Registry.invoke mallory "Get_Temp" [] with
    | exception Registry.Access_denied { principal = "mallory"; _ } -> ()
    | _ -> Alcotest.fail "expected Access_denied");
-  Registry.set_principal reg "alice";
+  check_int "a refused call is not counted" 0 (Registry.invocation_count mallory);
+  let alice = Registry.create ~principal:"alice" () in
+  Registry.register alice service;
   check "alice may call" true
-    (D.equal_forest (Registry.invoke reg "Get_Temp" []) temp_reply)
+    (D.equal_forest (Registry.invoke alice "Get_Temp" []) temp_reply)
 
-let test_contract_checks () =
+(* Two domains invoking through one registry lose no count and no fee:
+   the accounting is the one locked section. *)
+let test_accounting_across_domains () =
   let reg = Registry.create () in
-  Registry.register reg
-    (get_temp_service (Oracle.ill_typed [ D.elem "city" [ D.data "oops" ] ]));
-  let ctx = Validate.ctx base_schema in
-  Registry.set_check reg ~ctx Registry.Check_both;
-  (* bad input *)
-  (match Registry.invoke reg "Get_Temp" [ D.data "not a city" ] with
-   | exception Registry.Contract_violation { what = `Input; _ } -> ()
-   | _ -> Alcotest.fail "expected input violation");
-  (* good input, bad output *)
-  (match Registry.invoke reg "Get_Temp" [ D.elem "city" [ D.data "Paris" ] ] with
-   | exception Registry.Contract_violation { what = `Output; _ } -> ()
-   | _ -> Alcotest.fail "expected output violation");
-  (* trust mode lets everything through *)
-  Registry.set_check reg Registry.Trust;
-  ignore (Registry.invoke reg "Get_Temp" [ D.data "whatever" ])
-
-let test_declare_all () =
-  let reg = Registry.create () in
-  Registry.register reg (get_temp_service (Oracle.constant temp_reply));
-  let s =
-    Schema.add_element
-      (Schema.add_element Schema.empty "city" (R.sym Schema.A_data))
-      "temp" (R.sym Schema.A_data)
+  Registry.register reg (get_temp_service ~cost:0.25 (fun _ -> temp_reply));
+  let calls = 100_000 in
+  let invoke () =
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (Registry.invoke reg "Get_Temp" []))
+    done
   in
-  let s = Registry.declare_all reg s in
-  check "declared" true (Option.is_some (Schema.find_function s "Get_Temp"))
+  List.iter Domain.join [ Domain.spawn invoke; Domain.spawn invoke ];
+  check_int "count" (2 * calls) (Registry.invocation_count reg);
+  (* 0.25 is exact in binary, and so is every partial sum here *)
+  Alcotest.(check (float 0.)) "cost" (0.25 *. float_of_int (2 * calls))
+    (Registry.total_cost reg)
 
 (* ------------------------------------------------------------------ *)
 (* Oracles                                                             *)
@@ -287,24 +267,6 @@ let prop_wrapped_honest_equiv =
       D.equal_forest (bare params) (wrapped params))
 
 (* ------------------------------------------------------------------ *)
-(* Directory                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_directory () =
-  let dir = Directory.create () in
-  Directory.publish dir ~provider:"forecast.com" ~categories:[ "weather" ] "Get_Temp";
-  Directory.publish dir ~provider:"timeout.com" ~categories:[ "culture" ] "TimeOut";
-  check "published" true (Directory.is_published dir "Get_Temp");
-  check "not published" false (Directory.is_published dir "Nope");
-  check_int "search" 1 (List.length (Directory.search dir ~category:"weather"));
-  Directory.install_standard_predicates dir ~acl_of:(fun f -> f = "Get_Temp");
-  check "UDDIF yes" true (Directory.predicate dir "UDDIF" "TimeOut");
-  check "InACL no" false (Directory.predicate dir "InACL" "TimeOut");
-  check "InACL yes" true (Directory.predicate dir "InACL" "Get_Temp");
-  check "unknown predicate fails closed" false
-    (Directory.predicate dir "Mystery" "Get_Temp")
-
-(* ------------------------------------------------------------------ *)
 (* Allocation (deterministic on a non-flambda compiler: [Gc.minor_words] *)
 (* deltas)                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -330,10 +292,9 @@ let () =
     [ ("registry",
        [ Alcotest.test_case "invoke + accounting" `Quick test_invoke_and_accounting;
          Alcotest.test_case "unknown service" `Quick test_unknown_service;
-         Alcotest.test_case "budget" `Quick test_budget;
          Alcotest.test_case "acl" `Quick test_acl;
-         Alcotest.test_case "contract checks" `Quick test_contract_checks;
-         Alcotest.test_case "declare_all" `Quick test_declare_all
+         Alcotest.test_case "accounting across two domains" `Quick
+           test_accounting_across_domains
        ]);
       ("oracles",
        [ Alcotest.test_case "scripted" `Quick test_scripted;
@@ -352,7 +313,6 @@ let () =
          Alcotest.test_case "wrapped invoker" `Quick test_wrap_invoker_passes_name;
          QCheck_alcotest.to_alcotest prop_wrapped_honest_equiv
        ]);
-      ("directory", [ Alcotest.test_case "publish/search/predicates" `Quick test_directory ]);
       ("allocation",
        [ Alcotest.test_case "an invocation allocates nothing" `Quick
            test_invoke_allocates_nothing ])
