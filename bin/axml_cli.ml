@@ -333,8 +333,7 @@ let batch_cmd =
             ()
         in
         let config =
-          { Enforcement.default_config with
-            Enforcement.k; fallback_possible = possible;
+          { Enforcement.k; fallback_possible = possible;
             resilience = Some resilience; jobs; track_min_k = min_k }
         in
         let pipeline = Enforcement.Pipeline.create ~config ~s0 ~exchange ~invoker () in
@@ -709,11 +708,7 @@ let serve_cmd =
             Axml_peer.Peer.k; fallback_possible = possible };
         let repo = Option.map (fun dir -> Axml_net.Repo.attach ~dir peer) dir in
         let endpoint = Axml_net.Endpoint.create ?repo peer in
-        let config =
-          { Axml_net.Server.default_config with
-            Axml_net.Server.max_connections;
-            max_in_flight }
-        in
+        let config = { Axml_net.Server.max_connections; max_in_flight } in
         let server = Axml_net.Server.start ~config ~host ~port endpoint in
         Fmt.pr "%s: serving on %s:%d (binary + HTTP; GET /metrics, POST \
                 /exchange)@."

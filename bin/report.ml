@@ -18,7 +18,6 @@ let error_tag = function
   | Enforcement.Rejected _ -> "REJECTED"
   | Enforcement.Attempt_failed _ -> "ATTEMPT-FAILED"
   | Enforcement.Service_fault _ -> "SERVICE-FAULT"
-  | Enforcement.Precluded _ -> "PRECLUDED"
 
 (* One shared per-document outcome printer: the outcome line on stdout
    (or [ppf]), error details on stderr. *)
@@ -79,7 +78,6 @@ let stats_json ~sender ~exchange (s : Enforcement.Pipeline.stats) =
       ("rejected", int s.Enforcement.Pipeline.rejected);
       ("attempt_failed", int s.Enforcement.Pipeline.attempt_failed);
       ("faults", int s.Enforcement.Pipeline.faults);
-      ("precluded", int s.Enforcement.Pipeline.precluded);
       ("invocations", int s.Enforcement.Pipeline.invocations);
       ("elapsed_s", Json.Float s.Enforcement.Pipeline.elapsed_s);
       ("docs_per_s", Json.Float s.Enforcement.Pipeline.docs_per_s);

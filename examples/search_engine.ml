@@ -83,7 +83,6 @@ let attempt ~k ~pages =
     Fmt.pr "attempt FAILED at run time (answer deeper than k)@."
   | Error (Enforcement.Rejected _) -> Fmt.pr "rejected statically@."
   | Error (Enforcement.Service_fault _) -> Fmt.pr "service FAULT@."
-  | Error (Enforcement.Precluded _) -> Fmt.pr "precluded by lint@."
 
 let () =
   Fmt.pr "Intensional answer: %a@.@." D.pp first_answer;

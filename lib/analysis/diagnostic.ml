@@ -145,7 +145,7 @@ let rules =
       Warning,
       "declared output can embed invocable calls deeper than the configured \
        rewriting depth k" );
-    ("AXM033", Error, "document failed enforcement (rejected, faulted or precluded)");
+    ("AXM033", Error, "document failed enforcement (rejected or faulted)");
     ( "AXM040",
       Warning,
       "schema evolution narrowed (or removed) a label's content model" );

@@ -4,7 +4,7 @@
      (i)   verify that the data conforms to the schema;
      (ii)  if not, try to rewrite it into the required structure —
            safely if it can, optionally falling back to a possible
-           rewriting, optionally pre-firing cheap calls (mixed);
+           rewriting;
      (iii) if this fails, report an error.
 
    Because the module guards a communication path, the same (s0,
@@ -15,7 +15,6 @@
 
 module Schema = Axml_schema.Schema
 module Document = Axml_core.Document
-module Validate = Axml_core.Validate
 module Rewriter = Axml_core.Rewriter
 module Contract = Axml_core.Contract
 module Execute = Axml_core.Execute
@@ -29,7 +28,7 @@ module Lint = Axml_analysis.Lint
    [Pipeline.run], so the process-wide document counters live here and
    are never double counted. Slot [i] of [m_documents] is outcome [i]
    of a pipeline's tally: conformed, rewritten, rewritten_possible,
-   rejected, attempt_failed, fault, precluded. *)
+   rejected, attempt_failed, fault. *)
 let m_documents =
   Array.map
     (fun outcome ->
@@ -37,7 +36,7 @@ let m_documents =
         ~labels:[ ("outcome", outcome) ]
         "axml_enforcement_documents_total")
     [| "conformed"; "rewritten"; "rewritten_possible"; "rejected";
-       "attempt_failed"; "fault"; "precluded" |]
+       "attempt_failed"; "fault" |]
 
 let m_invocations =
   Metrics.counter ~help:"Invocations recorded on accepted documents"
@@ -75,15 +74,8 @@ type config = {
   k : int;
   fallback_possible : bool;
     (* when the safe rewriting does not exist, attempt a possible one *)
-  eager_calls : (string -> bool) option;
-    (* mixed approach: services to invoke up-front (Section 5) *)
   resilience : Resilience.t option;
     (* retry/timeout/breaker guard around every invocation *)
-  lint_gate : bool;
-    (* refuse statically-doomed work before invoking anything: a
-       contract carrying error-level lint diagnostics precludes every
-       document; a document whose calls lint at error level is
-       precluded individually *)
   jobs : int;
     (* domains [Pipeline.enforce_many] shards a batch across; [<= 1]
        spawns none. Invokers must be thread-safe (see mli). *)
@@ -98,9 +90,7 @@ type config = {
 let default_config = {
   k = 1;
   fallback_possible = false;
-  eager_calls = None;
   resilience = None;
-  lint_gate = false;
   jobs = 1;
   track_min_k = false;
 }
@@ -122,10 +112,6 @@ type error =
       (* the environment's fault, not the document's: a service broke its
          contract, crashed past its retry policy, or an engine invariant
          failed — the document may well be rewritable on a healthy path *)
-  | Precluded of Diagnostic.t list
-      (* the lint gate refused up front: static analysis proved the
-         exchange (or this document) can never succeed, so nothing was
-         validated or invoked *)
 
 let pp_error ppf = function
   | Rejected fs ->
@@ -134,8 +120,6 @@ let pp_error ppf = function
     Fmt.pf ppf "attempt failed: %a" Fmt.(list ~sep:(any "; ") Rewriter.pp_failure) fs
   | Service_fault fs ->
     Fmt.pf ppf "service fault: %a" Fmt.(list ~sep:(any "; ") Rewriter.pp_failure) fs
-  | Precluded ds ->
-    Fmt.pf ppf "precluded: %a" Fmt.(list ~sep:(any "; ") Diagnostic.pp) ds
 
 (* Tracing sits on the per-document hot path: render symbols with plain
    string operations, not [Fmt] (format interpretation costs ~1 us). *)
@@ -160,8 +144,8 @@ module Pipeline = struct
     contract : Contract.t;
     invoker : Execute.invoker;  (* inside [config.resilience]'s guard *)
     lint : Diagnostic.t list Lazy.t;
-      (* contract-level diagnostics, computed on first use (lint gate or
-         [lint]) under [lint_lock]: a domain or systhread forcing a lazy
+      (* contract-level diagnostics, computed on first use under
+         [lint_lock]: a domain or systhread forcing a lazy
          value another one is still forcing gets
          [CamlinternalLazy.Undefined] *)
     lint_lock : Mutex.t;
@@ -231,7 +215,6 @@ module Pipeline = struct
     rejected : int;
     attempt_failed : int;
     faults : int;
-    precluded : int;
     invocations : int;
     elapsed_s : float;
     docs_per_s : float;
@@ -260,7 +243,6 @@ module Pipeline = struct
       rejected = outcome 3;
       attempt_failed = outcome 4;
       faults = outcome 5;
-      precluded = outcome 6;
       invocations = Atomic.get t.invocations;
       elapsed_s = elapsed;
       docs_per_s = (if elapsed > 0. then float_of_int docs /. elapsed else 0.);
@@ -288,87 +270,49 @@ module Pipeline = struct
   let pp_stats ppf s =
     Fmt.pf ppf
       "%d docs (%d conformed, %d rewritten, %d possible, %d rejected, %d \
-       attempt-failed, %d faulted, %d precluded), %d invocations, %.3f s \
-       (%.0f docs/s), cache: %a, resilience: %a, min-k: %a"
+       attempt-failed, %d faulted), %d invocations, %.3f s (%.0f docs/s), \
+       cache: %a, resilience: %a, min-k: %a"
       s.docs s.conformed s.rewritten s.rewritten_possible s.rejected
-      s.attempt_failed s.faults s.precluded s.invocations s.elapsed_s
+      s.attempt_failed s.faults s.invocations s.elapsed_s
       s.docs_per_s Contract.pp_stats s.cache Resilience.pp_stats s.resilience
       pp_min_k s.min_k
 
-  (* The lint gate (step (0), optional): refuse statically-doomed work
-     before validating or invoking anything. Only error-level findings
-     gate — warnings and hints never block an exchange. *)
-  let gate_errors t doc =
-    let errors ds =
-      List.filter (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error) ds
-    in
-    match errors (lint t) with
-    | _ :: _ as ds -> Some ds
-    | [] -> (
-      match errors (Lint.lint_document t.contract doc) with
-      | _ :: _ as ds -> Some ds
-      | [] -> None)
-
+  (* Steps (i) and (ii) in one walk: the materializer validates each
+     children word through the dense tables as it goes and returns a
+     conforming document physically unchanged, which is how [Conformed]
+     is classified; step (iii) is the [Error] side. *)
   let steps t (doc : Document.t) : (Document.t * report, error) result =
-    match if t.config.lint_gate then gate_errors t doc else None with
-    | Some ds -> Error (Precluded ds)
-    | None ->
     let rw = t.contract and invoker = t.invoker in
-    (* steps (i) and (ii) in one walk: the materializer validates each
-       children word through the dense tables as it goes and returns a
-       conforming document physically unchanged, which is how
-       [Conformed] is classified. Closed over nothing, so no closure is
-       allocated for it. *)
-    let rewrite (t : t) doc pre_invocations =
-      let rw = t.contract and invoker = t.invoker in
-      match Rewriter.materialize ~mode:Rewriter.Safe rw ~invoker doc with
-      | Ok (doc', invs) ->
-        if doc' == doc && pre_invocations = [] && invs = [] then
-          Ok (doc, { action = Conformed; invocations = [] })
-        else
-          Ok (doc', { action = Rewritten; invocations = pre_invocations @ invs })
-      | Error safe_failures ->
-        let faulty = List.exists Rewriter.failure_is_fault safe_failures in
-        if faulty then
-          (* a broken service is not evidence the document needs a
-             possible rewriting: do not fall back, report the fault *)
-          Error (Service_fault safe_failures)
-        else if not t.config.fallback_possible then Error (Rejected safe_failures)
-        else begin
-          match Rewriter.materialize ~mode:Rewriter.Possible rw ~invoker doc with
-          | Ok (doc', invs) ->
-            Ok (doc',
-                { action = Rewritten_possible;
-                  invocations = pre_invocations @ invs })
-          | Error fs ->
-            if List.exists Rewriter.failure_is_fault fs then Error (Service_fault fs)
-            else
-              let runtime =
-                List.exists
-                  (fun f ->
-                    match f.Rewriter.reason with
-                    | Rewriter.Execution_failed _
-                    | Rewriter.Unrewritable_output _ -> true
-                    | _ -> false)
-                  fs
-              in
-              if runtime then Error (Attempt_failed fs) else Error (Rejected fs)
-        end
-    in
-    match t.config.eager_calls with
-    | None -> rewrite t doc []
-    | Some _ when Validate.document_conforms (Contract.ctx rw) doc ->
-      (* eager calls hit real services: never fire them on an instance *)
-      Ok (doc, { action = Conformed; invocations = [] })
-    | Some eager ->
-      (* mixed approach (Section 5): pre-fire the eager calls, then the
-         same walk *)
-      (match Rewriter.pre_materialize rw ~eager_calls:eager ~invoker doc with
-       | Ok (doc', pre_invocations) -> rewrite t doc' pre_invocations
-       | Error f ->
-         (* a fault is the environment's problem, never a verdict on
-            the document *)
-         Error (if Rewriter.failure_is_fault f then Service_fault [ f ] else Rejected [ f ]))
+    match Rewriter.materialize ~mode:Rewriter.Safe rw ~invoker doc with
+    | Ok (doc', invs) ->
+      if doc' == doc && invs = [] then
+        Ok (doc, { action = Conformed; invocations = [] })
+      else Ok (doc', { action = Rewritten; invocations = invs })
+    | Error safe_failures ->
+      let faulty = List.exists Rewriter.failure_is_fault safe_failures in
+      if faulty then
+        (* a broken service is not evidence the document needs a
+           possible rewriting: do not fall back, report the fault *)
+        Error (Service_fault safe_failures)
+      else if not t.config.fallback_possible then Error (Rejected safe_failures)
+      else begin
+        match Rewriter.materialize ~mode:Rewriter.Possible rw ~invoker doc with
+        | Ok (doc', invs) ->
+          Ok (doc', { action = Rewritten_possible; invocations = invs })
+        | Error fs ->
+          if List.exists Rewriter.failure_is_fault fs then Error (Service_fault fs)
+          else
+            let runtime =
+              List.exists
+                (fun f ->
+                  match f.Rewriter.reason with
+                  | Rewriter.Execution_failed _
+                  | Rewriter.Unrewritable_output _ -> true
+                  | _ -> false)
+                fs
+            in
+            if runtime then Error (Attempt_failed fs) else Error (Rejected fs)
+      end
 
   (* One outcome: slot [slot] of the tally and of [m_documents], and
      the trace decision, whose [detail] renders the outcome's count. *)
@@ -404,9 +348,6 @@ module Pipeline = struct
     | Error (Service_fault fs) ->
       count t doc 5 Trace.Fault (List.length fs) (fun n ->
           string_of_int n ^ " service failure(s)")
-    | Error (Precluded ds) ->
-      count t doc 6 Trace.Reject (List.length ds) (fun n ->
-          "statically precluded (" ^ string_of_int n ^ " lint error(s))")
 
   (* One document through the three steps, timed by one clock pair
      and classified once; its nanoseconds count in [elapsed_s] when
@@ -437,7 +378,7 @@ module Pipeline = struct
      histogram fields are plain mutable state. *)
   let observe_min_k t doc =
     if t.config.track_min_k then begin
-      let m = Rewriter.minimal_k ~max_k:t.config.k t.contract doc in
+      let m = Rewriter.minimal_k t.contract doc in
       t.min_k_measured <- t.min_k_measured + 1;
       let safe_label =
         match m.Rewriter.safe_k with
@@ -488,7 +429,6 @@ module Pipeline = struct
       rejected = after.rejected - before.rejected;
       attempt_failed = after.attempt_failed - before.attempt_failed;
       faults = after.faults - before.faults;
-      precluded = after.precluded - before.precluded;
       invocations = after.invocations - before.invocations;
       elapsed_s = after.elapsed_s -. before.elapsed_s;
       docs_per_s =

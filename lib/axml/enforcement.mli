@@ -1,8 +1,9 @@
 (** The Schema Enforcement module (Section 7): the component on every
     peer's communication path that guarantees exchanged data matches the
     agreed schema. Its three steps: (i) verify; (ii) if needed, rewrite —
-    safely, optionally falling back to a possible rewriting, optionally
-    pre-firing cheap calls (mixed); (iii) otherwise report an error.
+    safely, optionally falling back to a possible rewriting; (iii)
+    otherwise report an error. The mixed approach of Section 5 is a
+    strategy of the analysis ({!Axml_core.Rewriter.Check_mixed}).
 
     Enforcement guards a {e path}, not a document: the same (s0,
     exchange) pair is enforced against streams of documents. {!Pipeline}
@@ -18,17 +19,9 @@ type config = {
   k : int;  (** maximum rewriting depth (Definition 7) *)
   fallback_possible : bool;
     (** attempt a possible rewriting when no safe one exists *)
-  eager_calls : (string -> bool) option;
-    (** mixed approach: services to invoke up-front (Section 5) *)
   resilience : Axml_services.Resilience.t option;
     (** wrap every invocation in a retry/timeout/circuit-breaker guard;
         the guard's counters surface in {!Pipeline.stats} *)
-  lint_gate : bool;
-    (** refuse statically-doomed work before validating or invoking
-        anything: a contract whose lint ({!Axml_analysis.Lint}) carries
-        error-level diagnostics precludes every document; a document
-        whose calls lint at error level is precluded individually.
-        Warnings and hints never block. *)
   jobs : int;
     (** OCaml domains {!Pipeline.enforce_many} shards a batch across
         (clamped to the batch size); [<= 1] means sequential on the
@@ -50,8 +43,8 @@ type config = {
 }
 
 val default_config : config
-(** [k = 1], no fallback, no eager calls, no resilience
-    guard, no lint gate, sequential ([jobs = 1]), no min-k tracking. *)
+(** [k = 1], no fallback, no resilience guard, sequential
+    ([jobs = 1]), no min-k tracking. *)
 
 type action =
   | Conformed           (** already an instance, nothing invoked *)
@@ -75,10 +68,6 @@ type error =
         {!Axml_core.Rewriter.failure_is_fault}). The document may well
         enforce cleanly once the services recover; batch pipelines count
         these separately and keep going. *)
-  | Precluded of Axml_analysis.Diagnostic.t list
-    (** the lint gate ([config.lint_gate]) refused up front: static
-        analysis proved the exchange (or this document) can never
-        succeed, so nothing was validated and no service was invoked *)
 
 val pp_error : error Fmt.t
 
@@ -128,8 +117,8 @@ module Pipeline : sig
   val lint : t -> Axml_analysis.Diagnostic.t list
   (** Contract-level lint diagnostics for this path (AXM020–AXM023),
       computed once per pipeline on first use and cached with the
-      compiled artifacts — also what the lint gate consults. Computed
-      under a lock, so threads and domains may call it at once. *)
+      compiled artifacts. Computed under a lock, so threads and domains
+      may call it at once. *)
 
   val enforce : t -> Axml_core.Document.t ->
     (Axml_core.Document.t * report, error) result
@@ -153,7 +142,6 @@ module Pipeline : sig
     rejected : int;
     attempt_failed : int;
     faults : int;                (** documents that hit a service fault *)
-    precluded : int;             (** documents refused by the lint gate *)
     invocations : int;
     elapsed_s : float;
       (** wall-clock seconds spent enforcing (the injectable
@@ -182,8 +170,8 @@ module Pipeline : sig
       are claimed in chunks off an atomic cursor, and every worker
       (worker 0 on the calling domain) enforces on the pipeline itself
       — the contract's counters and the pipeline's tally are atomics,
-      win-table lookups take no lock, and the lint is forced once,
-      under the pipeline's lock. Results are assembled in input order —
+      win-table lookups take no lock. Results are assembled in input
+      order —
       for deterministic services the result list is the one a
       per-document {!enforce} loop returns, with the same outcome
       counts and the same number of analyses and table entries. The

@@ -75,9 +75,7 @@ type entry = { slot : slot; generation : int; pipeline : Pipeline.t }
 type config = Enforcement.config = {
   k : int;
   fallback_possible : bool;
-  eager_calls : (string -> bool) option;
   resilience : Axml_services.Resilience.t option;
-  lint_gate : bool;
   jobs : int;
   track_min_k : bool;
 }
@@ -262,11 +260,10 @@ let exchange_pipeline t ~exchange =
   | p -> p
   | exception Not_found -> pipeline t (Exchange exchange)
 
-(* Contract-level lint for an exchange agreement (the diagnostics the
-   lint gate would refuse on): served from the cached pipeline when the
-   agreement has one, else from one compiled for this lint alone and
-   left out of the cache, so linting a schema never evicts an open
-   agreement. *)
+(* Contract-level lint for an exchange agreement: served from the
+   cached pipeline when the agreement has one, else from one compiled
+   for this lint alone and left out of the cache, so linting a schema
+   never evicts an open agreement. *)
 let lint_exchange t ~exchange =
   match find_exchange exchange t.generation (Atomic.get t.pipelines) with
   | p -> Pipeline.lint p

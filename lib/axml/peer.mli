@@ -36,12 +36,8 @@ type config = Enforcement.config = {
   k : int;                 (** maximum rewriting depth (Definition 7) *)
   fallback_possible : bool;
       (** attempt a possible rewriting when no safe one exists *)
-  eager_calls : (string -> bool) option;
-      (** mixed approach: services to invoke up-front (Section 5) *)
   resilience : Axml_services.Resilience.t option;
       (** retry/timeout/circuit-breaker guard around every invocation *)
-  lint_gate : bool;
-      (** refuse statically-doomed exchanges before invoking anything *)
   jobs : int;
       (** domains for [Enforcement.Pipeline.enforce_many]; a peer
           enforces one document per {!send} or {!serve}, so this only
@@ -52,9 +48,8 @@ type config = Enforcement.config = {
 }
 
 val default_config : config
-(** {!Enforcement.default_config}: [k = 1], no fallback, no eager
-    calls, no resilience guard, no lint gate, [jobs = 1], no min-k
-    tracking. *)
+(** {!Enforcement.default_config}: [k = 1], no fallback, no
+    resilience guard, [jobs = 1], no min-k tracking. *)
 
 val configure : t -> config -> unit
 (** Replace the peer's configuration and invalidate every compiled
@@ -74,8 +69,7 @@ val exchange_pipeline :
 val lint_exchange :
   t -> exchange:Axml_schema.Schema.t -> Axml_analysis.Diagnostic.t list
 (** Contract-level lint diagnostics ({!Axml_analysis.Lint.lint_contract})
-    for the peer's side of an exchange agreement — the diagnostics the
-    lint gate ([config.lint_gate]) would refuse on. Served from the
+    for the peer's side of an exchange agreement. Served from the
     cached {!exchange_pipeline} when [exchange] already has one, which
     keeps its lint; otherwise the contract is compiled for this call
     alone and not cached, so linting never evicts an open agreement's

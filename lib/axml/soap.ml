@@ -30,7 +30,7 @@ let envelope ~version body =
 
 let wrap_forest tag (forest : D.forest) =
   T.element tag
-    (List.map (fun d -> Syntax.node_to_xml ~locate:Syntax.default_locator d) forest)
+    (List.map Syntax.to_xml forest)
 
 let encode ?(version = protocol_version) message : string =
   let body =

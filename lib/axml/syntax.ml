@@ -22,59 +22,47 @@ let axml_ns = "http://www.activexml.com/ns/int"
 
 exception Syntax_error of string
 
-(* How to find the locator attributes of a function (its endpoint and
-   SOAP namespace); by default everything is local. *)
-type locator = string -> (string * string) option
-
-let default_locator : locator = fun _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Document -> XML                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The attributes of a call: the constant ones are built once, so a
-   call under the default locator allocates its methodName and three
-   list cells. Every call node carries its own namespace declaration,
-   so any subtree extracted by a query stays a well-formed intensional
-   fragment. *)
+(* The attributes of a call: every call is local, and the constant
+   attributes are built once, so a call allocates its methodName and
+   three list cells. Every call node carries its own namespace
+   declaration, so any subtree extracted by a query stays a well-formed
+   intensional fragment. *)
 let int_declaration = T.attr "xmlns:int" axml_ns
 let local_endpoint = T.attr "endpointURL" "local:"
 let local_namespace = [ T.attr "namespaceURI" "urn:axml:local" ]
 
-let call_attrs (locate : locator) name =
-  let method_name = T.attr "methodName" name in
-  match locate name with
-  | None -> int_declaration :: local_endpoint :: method_name :: local_namespace
-  | Some (e, n) ->
-    [ int_declaration; T.attr "endpointURL" e; method_name; T.attr "namespaceURI" n ]
+let call_attrs name =
+  int_declaration :: local_endpoint :: T.attr "methodName" name :: local_namespace
 
-let rec node_to_xml ~locate (doc : D.t) : T.t =
+let rec to_xml (doc : D.t) : T.t =
   match doc with
   | D.Data value -> T.Text value
   | D.Elem { label; children; _ } ->
-    T.Element { name = label; attrs = []; children = forest_to_xml locate children }
+    T.Element { name = label; attrs = []; children = forest_to_xml children }
   | D.Call { name; params; _ } ->
-    let attrs = call_attrs locate name in
+    let attrs = call_attrs name in
     let children =
       match params with
       | [] -> []
-      | _ -> [ T.Element { name = "int:params"; attrs = []; children = params_to_xml locate params } ]
+      | _ -> [ T.Element { name = "int:params"; attrs = []; children = params_to_xml params } ]
     in
     T.Element { name = "int:fun"; attrs; children }
 
-and[@tail_mod_cons] forest_to_xml locate (docs : D.t list) : T.t list =
+and[@tail_mod_cons] forest_to_xml (docs : D.t list) : T.t list =
   match docs with
   | [] -> []
-  | d :: rest -> node_to_xml ~locate d :: forest_to_xml locate rest
+  | d :: rest -> to_xml d :: forest_to_xml rest
 
-and[@tail_mod_cons] params_to_xml locate (params : D.t list) : T.t list =
+and[@tail_mod_cons] params_to_xml (params : D.t list) : T.t list =
   match params with
   | [] -> []
   | p :: rest ->
-    T.Element { name = "int:param"; attrs = []; children = [ node_to_xml ~locate p ] }
-    :: params_to_xml locate rest
-
-let to_xml ?(locate = default_locator) (doc : D.t) : T.t = node_to_xml ~locate doc
+    T.Element { name = "int:param"; attrs = []; children = [ to_xml p ] }
+    :: params_to_xml rest
 
 (* The compact printer: [Document.t] straight to the bytes
    [Xml_print.to_string (to_xml d)] gives, with no tree between, into
@@ -86,34 +74,22 @@ let to_xml ?(locate = default_locator) (doc : D.t) : T.t = node_to_xml ~locate d
 module Pr = Axml_xml.Xml_print
 module Spare_buffer = Axml_xml.Spare_buffer
 
-let call_open = "<int:fun xmlns:int=\"" ^ axml_ns ^ "\" endpointURL=\""
-let local_call_open = call_open ^ "local:\" methodName=\""
-let method_attr = "\" methodName=\""
-let namespace_attr = "\" namespaceURI=\""
+let local_call_open =
+  "<int:fun xmlns:int=\"" ^ axml_ns ^ "\" endpointURL=\"local:\" methodName=\""
 let local_namespace_end = "\" namespaceURI=\"urn:axml:local\""
 
 (* [<int:fun] and the call's four attributes, in [call_attrs]' order. *)
-let add_call_open buf (locate : locator) name =
-  match locate name with
-  | None ->
-    Buffer.add_string buf local_call_open;
-    Pr.add_attr buf name;
-    Buffer.add_string buf local_namespace_end
-  | Some (e, n) ->
-    Buffer.add_string buf call_open;
-    Pr.add_attr buf e;
-    Buffer.add_string buf method_attr;
-    Pr.add_attr buf name;
-    Buffer.add_string buf namespace_attr;
-    Pr.add_attr buf n;
-    Buffer.add_char buf '"'
+let add_call_open buf name =
+  Buffer.add_string buf local_call_open;
+  Pr.add_attr buf name;
+  Buffer.add_string buf local_namespace_end
 
 let add_tag buf opening name =
   Buffer.add_string buf opening;
   Buffer.add_string buf name;
   Buffer.add_char buf '>'
 
-let rec compact buf locate (doc : D.t) =
+let rec compact buf (doc : D.t) =
   match doc with
   | D.Data value -> Pr.add_text buf value
   | D.Elem { label; children = []; _ } ->
@@ -122,36 +98,36 @@ let rec compact buf locate (doc : D.t) =
     Buffer.add_string buf "/>"
   | D.Elem { label; children; _ } ->
     add_tag buf "<" label;
-    compact_forest buf locate children;
+    compact_forest buf children;
     add_tag buf "</" label
   | D.Call { name; params = []; _ } ->
-    add_call_open buf locate name;
+    add_call_open buf name;
     Buffer.add_string buf "/>"
   | D.Call { name; params; _ } ->
-    add_call_open buf locate name;
+    add_call_open buf name;
     Buffer.add_string buf "><int:params>";
-    compact_params buf locate params;
+    compact_params buf params;
     Buffer.add_string buf "</int:params></int:fun>"
 
-and compact_forest buf locate = function
+and compact_forest buf = function
   | [] -> ()
   | d :: rest ->
-    compact buf locate d;
-    compact_forest buf locate rest
+    compact buf d;
+    compact_forest buf rest
 
-and compact_params buf locate = function
+and compact_params buf = function
   | [] -> ()
   | p :: rest ->
     Buffer.add_string buf "<int:param>";
-    compact buf locate p;
+    compact buf p;
     Buffer.add_string buf "</int:param>";
-    compact_params buf locate rest
+    compact_params buf rest
 
-let to_xml_string ?(locate = default_locator) ?(pretty = true) doc =
-  if pretty then Pr.to_pretty_string ~xml_decl:true (to_xml ~locate doc)
+let to_xml_string ?(pretty = true) doc =
+  if pretty then Pr.to_pretty_string ~xml_decl:true (to_xml doc)
   else begin
     let buf = Spare_buffer.take Pr.spare in
-    compact buf locate doc;
+    compact buf doc;
     Spare_buffer.contents Pr.spare buf
   end
 

@@ -18,14 +18,11 @@ val axml_ns : string
 
 exception Syntax_error of string
 
-type locator = string -> (string * string) option
-(** [(endpointURL, namespaceURI)] of a function, for serialization. *)
+val to_xml : Axml_core.Document.t -> Axml_xml.Xml_tree.t
+(** Every call is printed local: [endpointURL="local:"] and
+    [namespaceURI="urn:axml:local"]. *)
 
-val default_locator : locator
-(** Everything local. *)
-
-val to_xml : ?locate:locator -> Axml_core.Document.t -> Axml_xml.Xml_tree.t
-val to_xml_string : ?locate:locator -> ?pretty:bool -> Axml_core.Document.t -> string
+val to_xml_string : ?pretty:bool -> Axml_core.Document.t -> string
 
 val of_xml : Axml_xml.Xml_tree.t -> Axml_core.Document.t
 (** @raise Syntax_error on malformed intensional markup. Inside one
@@ -51,7 +48,5 @@ val of_xml_string_checked :
 (**/**)
 
 (* shared with Soap and Peer for forest-level conversion *)
-val node_to_xml : locate:locator -> Axml_core.Document.t -> Axml_xml.Xml_tree.t
-
 val of_xml_forest : Axml_xml.Xml_ns.env -> Axml_xml.Xml_tree.t list -> Axml_core.Document.forest
 (* The nodes decoded in order under [env], layout dropped. *)

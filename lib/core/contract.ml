@@ -230,9 +230,8 @@ let search ~max_k ~possible ~safe =
 (* k=0 is a legal start: the fork automaton degenerates to the linear
    word automaton, so [safe_at = Some 0] means the word already
    conforms extensionally. *)
-let minimal_k ?max_k t ~target_regex word =
-  let max_k = match max_k with Some m -> Int.max 0 m | None -> t.k in
-  search ~max_k
+let minimal_k t ~target_regex word =
+  search ~max_k:t.k
     ~possible:(fun k -> is_possible ~k t ~target_regex word)
     ~safe:(fun k -> is_safe ~k t ~target_regex word)
 
@@ -277,7 +276,3 @@ let diff_stats ~before after =
 let pp_stats ppf s =
   Fmt.pf ppf "%d hits / %d misses (%.1f%% hit rate), %d entries"
     s.hits s.misses (100. *. hit_rate s) s.entries
-
-let reset_stats (t : t) =
-  Atomic.set t.hits 0;
-  Atomic.set t.misses 0

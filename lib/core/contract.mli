@@ -179,11 +179,11 @@ type minimal = {
 }
 
 val minimal_k :
-  ?max_k:int -> t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
+  t -> target_regex:Axml_schema.Symbol.t Axml_regex.Regex.t ->
   Axml_schema.Symbol.t list -> minimal
 (** The smallest rewriting depth at which [word] becomes safe
-    (resp. possible), searched linearly from [k = 0] up to [max_k]
-    (default: the contract's configured depth). Soundness of the
+    (resp. possible), searched linearly from [k = 0] up to the
+    contract's configured depth. Soundness of the
     linear search rests on monotonicity: the player's options only
     grow with k while the adversary's are fixed, so a word safe at k
     is safe at every k' ≥ k (possibility likewise — qcheck-verified in
@@ -216,8 +216,8 @@ type stats = {
 }
 
 val stats : t -> stats
-(** A snapshot of this contract's counters since creation (or the last
-    {!reset_stats}). The process-wide aggregates live in the [Axml_obs]
+(** A snapshot of this contract's counters since creation. The
+    process-wide aggregates live in the [Axml_obs]
     metrics registry. *)
 
 val hit_rate : stats -> float
@@ -232,6 +232,3 @@ val add_stats : stats -> stats -> stats
     {!clone}s into one batch-level view. *)
 
 val pp_stats : stats Fmt.t
-
-val reset_stats : t -> unit
-(** Zero [hits] and [misses]; the tables and [entries] stay. *)

@@ -83,12 +83,3 @@ let output_instance g fname : Document.forest =
     let regex = Schema.compile_content g.env f.Schema.f_output in
     let word = sample_word g regex in
     List.map (tree_for_symbol g 0) word
-
-(* A random input instance of [fname] (valid call parameters). *)
-let input_instance g fname : Document.forest =
-  match Schema.String_map.find_opt fname g.env.Schema.env_functions with
-  | None -> raise (Generation_failed (Fmt.str "no declaration for function %S" fname))
-  | Some f ->
-    let regex = Schema.compile_content g.env f.Schema.f_input in
-    let word = sample_word g regex in
-    List.map (tree_for_symbol g 0) word

@@ -33,6 +33,3 @@ val document : t -> Document.t
 
 val output_instance : t -> string -> Document.forest
 (** What an honest service implementing the signature may return. *)
-
-val input_instance : t -> string -> Document.forest
-(** Valid call parameters for the function. *)

@@ -146,8 +146,8 @@ let root_failure mode t doc =
    words outside their models, and only those reach the win tables; a
    word is built only for a failure. Returns the failures ([] = verdict
    holds), root first, then prefix order. *)
-let static_failures ?k mode t doc =
-  let depth = Option.value k ~default:(Contract.k t) in
+let static_failures mode t doc =
+  let depth = Contract.k t in
   let visit rev_path node own _ acc =
     match own with
     | Some (m : Validate.model)
@@ -343,14 +343,14 @@ let () = call_fwd := call
    [Failed { reason = Execution_failed _; _ }].
 
    [depth] is the remaining rewriting budget: the top of the document
-   runs at the contract's k (or the caller's [?k]); every forest a
+   runs at the contract's k; every forest a
    service returns is re-enforced at [depth - 1] through [Execute]'s
    [reenforce] hook, so a round-r result must land in the target within
    the k-r rounds that remain. At depth <= 1 returned forests are
    spliced as-is (footnote 5). *)
-let materialize ?(mode = Safe) ?k t ~(invoker : Execute.invoker) (doc : Document.t) :
+let materialize ?(mode = Safe) t ~(invoker : Execute.invoker) (doc : Document.t) :
     (Document.t * located_invocation list, failure list) result =
-  let top_k = Int.max 0 (Option.value k ~default:(Contract.k t)) in
+  let top_k = Int.max 0 (Contract.k t) in
   match root_failure mode t doc with
   | Some f -> Error [ f ]
   | None ->
@@ -456,18 +456,18 @@ let m_checks_table =
     (fun mode -> List.map (fun ok -> ((mode, ok), m_checks mode ok)) [ true; false ])
     [ "safe"; "possible"; "mixed" ]
 
-let check ?(mode = Check_safe) ?k t doc =
+let check ?(mode = Check_safe) t doc =
   let mode_name = check_mode_name mode in
   Axml_obs.Trace.with_span "rewriter.check" ~detail:(fun () -> mode_name)
   @@ fun () ->
   let before = Contract.stats t in
   let failures =
     match mode with
-    | Check_safe -> static_failures ?k Safe t doc
-    | Check_possible -> static_failures ?k Possible t doc
+    | Check_safe -> static_failures Safe t doc
+    | Check_possible -> static_failures Possible t doc
     | Check_mixed { eager_calls; invoker } ->
       (match pre_materialize t ~eager_calls ~invoker doc with
-       | Ok (doc', _pre) -> static_failures ?k Safe t doc'
+       | Ok (doc', _pre) -> static_failures Safe t doc'
        | Error f -> [ f ])
   in
   let ok = failures = [] in
@@ -490,7 +490,7 @@ exception Hopeless
    labels/functions and a root mismatch can never become rewritable at
    any depth, so they answer None/None. Every per-word query is a pass
    over the win tables of its depth. *)
-let minimal_k ?max_k t (doc : Document.t) =
+let minimal_k t (doc : Document.t) =
   let hopeless = { safe_k = None; possible_k = None } in
   let ctx = Contract.ctx t in
   if Option.is_some (Validate.root_violation ctx doc) then hopeless
@@ -506,7 +506,7 @@ let minimal_k ?max_k t (doc : Document.t) =
       | None -> raise Hopeless
       | Some (m : Validate.model) ->
         let w =
-          Contract.minimal_k ?max_k t ~target_regex:m.Validate.regex
+          Contract.minimal_k t ~target_regex:m.Validate.regex
             (Document.word (Document.children node))
         in
         let safe_k = join acc.safe_k w.Contract.safe_at

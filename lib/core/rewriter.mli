@@ -104,11 +104,10 @@ type check_report = {
                                  (deltas; [entries] is absolute) *)
 }
 
-val check : ?mode:check_mode -> ?k:int -> t -> Document.t -> check_report
-(** Static check, no invocation (except the eager calls of
-    [Check_mixed]). Default mode is [Check_safe]; [?k] overrides the
-    contract's rewriting depth for this one check (verdicts at
-    different depths use separate tables and never alias). *)
+val check : ?mode:check_mode -> t -> Document.t -> check_report
+(** Static check at the contract's rewriting depth, no invocation
+    (except the eager calls of [Check_mixed]). Default mode is
+    [Check_safe]. *)
 
 (** {1 Materialization} *)
 
@@ -117,7 +116,7 @@ type located_invocation = { at : Document.path; invocation : Execute.invocation 
 exception Failed of failure
 
 val materialize :
-  ?mode:mode -> ?k:int -> t -> invoker:Execute.invoker -> Document.t ->
+  ?mode:mode -> t -> invoker:Execute.invoker -> Document.t ->
   (Document.t * located_invocation list, failure list) result
 (** In [Safe] mode success is guaranteed once the check passes and the
     services behave; service misbehaviour surfaces as a typed fault
@@ -125,8 +124,8 @@ val materialize :
     instead of an exception. In [Possible] mode a run-time failure
     surfaces as [Execution_failed].
 
-    [?k] overrides the contract's rewriting depth. At depth > 1 every
-    returned forest is re-enforced against the remaining budget
+    The walk starts at the contract's rewriting depth. At depth > 1
+    every returned forest is re-enforced against the remaining budget
     (depth − 1) before being spliced in; a result no budget can
     rewrite makes the walk backtrack, and if no path survives the
     failure is [Unrewritable_output]. At depth 1 results are spliced
@@ -141,11 +140,11 @@ type doc_minimal = {
       (** smallest k at which every children word checks possible *)
 }
 
-val minimal_k : ?max_k:int -> t -> Document.t -> doc_minimal
+val minimal_k : t -> Document.t -> doc_minimal
 (** The smallest rewriting depth at which the {e static} check of the
     whole document passes, i.e. the max over its words' per-word
     minima ({!Contract.minimal_k}); [None] when some word stays
-    unsafe/impossible even at [max_k] (default: the contract's k), or
+    unsafe/impossible even at the contract's k, or
     when the document mentions unknown labels/functions or the wrong
     root — those no depth can fix. A capacity-planning signal: it is
     what the pipeline surfaces as min-k stats and
@@ -162,5 +161,4 @@ val pre_materialize :
     calls hit real services, so their failures come back as typed
     [Error] faults ([Service_failure], or [Invalid_root_forest] when the
     root call expands to a non-singleton forest) instead of escaping.
-    {!materialize} on the result completes the mixed rewriting
-    ([Enforcement] does this for [config.eager_calls]). *)
+    {!materialize} on the result completes the mixed rewriting. *)

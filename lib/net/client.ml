@@ -56,7 +56,7 @@ let round_trip t req =
   if t.closed then fail "connection is closed";
   match
     Wire.write_request t.oc req;
-    Wire.read ~max_bytes:Wire.default_max_frame_bytes t.frame t.ic
+    Wire.read t.frame t.ic
   with
   | true ->
     (match Wire.response_of_frame t.frame with

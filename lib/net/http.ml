@@ -54,7 +54,7 @@ let header req name =
   let name = String.lowercase_ascii name in
   List.assoc_opt name req.headers
 
-let read_request ?(max_body = Wire.default_max_frame_bytes) ic =
+let read_request ic =
   let buf = Buffer.create 256 in
   match read_line_opt buf ic with
   | None -> None
@@ -90,8 +90,9 @@ let read_request ?(max_body = Wire.default_max_frame_bytes) ic =
         (match int_of_string_opt (String.trim l) with
          | None -> fail "malformed Content-Length %S" l
          | Some n when n < 0 -> fail "malformed Content-Length %S" l
-         | Some n when n > max_body ->
-           fail ~status:413 "body of %d bytes exceeds the %d limit" n max_body
+         | Some n when n > Wire.max_frame_bytes ->
+           fail ~status:413 "body of %d bytes exceeds the %d limit" n
+             Wire.max_frame_bytes
          | Some n ->
            let body = Wire.read_bytes ic n in
            if String.length body < n then

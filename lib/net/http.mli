@@ -23,13 +23,13 @@ type request = {
   body : string;
 }
 
-val read_request : ?max_body:int -> in_channel -> request option
+val read_request : in_channel -> request option
 (** [None] on clean EOF before any byte. Memory follows the bytes that
     arrive: a head line costs at most {!max_line_bytes}, and the body
     grows under {!Wire.read_bytes}'s rule, not to its announced
     [Content-Length].
     @raise Http_error on a malformed request, an over-long head or a
-    body over [max_body] (default {!Wire.default_max_frame_bytes}). *)
+    body over {!Wire.max_frame_bytes}. *)
 
 val header : request -> string -> string option
 (** Case-insensitive header lookup. *)

@@ -15,7 +15,6 @@ let fail fmt = Fmt.kstr (fun m -> raise (Repo_error m)) fmt
 type t = {
   dir : string;
   peer : Peer.t;
-  auto_compact : int;
   lock : Mutex.t;
   mutable oc : out_channel option; (* [None] after {!close} *)
   mutable entries : int;
@@ -148,7 +147,7 @@ let replay_journal t =
     (Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
      let rec go () =
        let pos = pos_in ic in
-       match Wire.read ~max_bytes:Wire.default_max_frame_bytes frame ic with
+       match Wire.read frame ic with
        | false -> ()
        | true ->
          let name, xml = decode_record (Wire.payload frame) in
@@ -219,10 +218,12 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let attach ?(auto_compact = 1024) ~dir peer =
+let compact_every = 1024
+
+let attach ~dir peer =
   mkdir_p dir;
   let t =
-    { dir; peer; auto_compact; lock = Mutex.create (); oc = None;
+    { dir; peer; lock = Mutex.create (); oc = None;
       entries = 0; recovered = 0; skipped = 0 }
   in
   replay_snapshot t;
@@ -236,7 +237,7 @@ let record_store t name doc =
   let oc = journal_channel t in
   Wire.write oc put_record (name, Syntax.to_xml_string ~pretty:false doc);
   t.entries <- t.entries + 1;
-  if t.auto_compact > 0 && t.entries >= t.auto_compact then compact_locked t
+  if t.entries >= compact_every then compact_locked t
 
 let compact t =
   with_lock t @@ fun () ->

@@ -15,7 +15,7 @@
     before it is recovered. Corrupt snapshot state (a garbage MANIFEST
     line, a missing or unparseable snapshot file) is skipped and counted
     ({!skipped}), never fatal. {!record_store} appends one frame per
-    store and compacts automatically every [auto_compact] records
+    store and compacts automatically every {!compact_every} records
     ({!compact}: snapshot everything, truncate the journal; the new
     manifest is fsynced and renamed into place, then the directory entry
     fsynced, so a power cut cannot leave a half-written manifest). *)
@@ -24,11 +24,13 @@ exception Repo_error of string
 
 type t
 
-val attach : ?auto_compact:int -> dir:string -> Axml_peer.Peer.t -> t
+val compact_every : int
+(** 1024: the journal length at which {!record_store} compacts. *)
+
+val attach : dir:string -> Axml_peer.Peer.t -> t
 (** Open (creating directories as needed) and recover: every snapshot
     document and every intact journal record is {!Axml_peer.Peer.store}d
-    into the peer. [auto_compact] (default 1024, [0] disables) bounds
-    the journal length. A torn trailing record is truncated away.
+    into the peer. A torn trailing record is truncated away.
     @raise Repo_error on unreadable state. *)
 
 val record_store : t -> string -> Axml_core.Document.t -> unit

@@ -8,15 +8,13 @@ module Metrics = Axml_obs.Metrics
 type config = {
   max_connections : int;
   max_in_flight : int;
-  max_frame_bytes : int;
-  error_budget : int;
-  drain_timeout_s : float;
 }
 
-let default_config =
-  { max_connections = 64; max_in_flight = 32;
-    max_frame_bytes = Wire.default_max_frame_bytes; error_budget = 8;
-    drain_timeout_s = 5.0 }
+let default_config = { max_connections = 64; max_in_flight = 32 }
+let error_budget = 8
+
+(* How long [stop] waits for in-flight work. *)
+let drain_timeout_s = 5.0
 
 type t = {
   endpoint : Endpoint.t;
@@ -134,9 +132,9 @@ let serve_request t req : Wire.response =
 (* Each connection reads its requests into its own frame. *)
 let serve_binary t ic oc =
   let frame = Wire.frame () in
-  let budget = ref t.config.error_budget in
+  let budget = ref error_budget in
   let rec loop () =
-    match Wire.read ~max_bytes:t.config.max_frame_bytes frame ic with
+    match Wire.read frame ic with
     | false -> () (* clean EOF *)
     | exception Wire.Wire_error _ ->
       (* Torn frame or bad magic: the stream itself is unusable. *)
@@ -245,7 +243,7 @@ let handle_http t oc (req : Http.request) =
   | _, path -> respond ~status:404 (Fmt.str "no route for %s %s\n" req.meth path)
 
 let serve_http t ic oc =
-  match Http.read_request ~max_body:t.config.max_frame_bytes ic with
+  match Http.read_request ic with
   | None -> ()
   | Some req -> handle_http t oc req
   | exception Http.Http_error { status; reason } ->
@@ -347,7 +345,7 @@ let stop t =
      | None -> ());
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     (* Drain: let in-flight requests finish, bounded by the timeout. *)
-    let deadline = Unix.gettimeofday () +. t.config.drain_timeout_s in
+    let deadline = Unix.gettimeofday () +. drain_timeout_s in
     while Atomic.get t.in_flight > 0 && Unix.gettimeofday () < deadline do
       Thread.yield ();
       ignore (Unix.select [] [] [] 0.01)

@@ -6,10 +6,11 @@
     Resource bounds are explicit: a cap on concurrent connections, an
     admission-control cap on requests in flight {e before} any
     enforcement pipeline runs (excess answered with an ["overloaded"]
-    error, never queued), a per-connection protocol-error budget, and a
-    frame-size limit. {!stop} drains gracefully: stop accepting, let
-    in-flight requests finish (up to a timeout), unblock idle readers,
-    join every connection thread. *)
+    error, never queued), a per-connection budget of {!error_budget}
+    protocol errors, and {!Wire.max_frame_bytes} per request payload in
+    both protocols. {!stop} drains gracefully: stop accepting, let
+    in-flight requests finish (up to 5 s), unblock idle readers, join
+    every connection thread. *)
 
 type config = {
   max_connections : int;
@@ -17,16 +18,14 @@ type config = {
   max_in_flight : int;
       (** requests being served at once across all connections — the
           backpressure bound in front of {!Axml_peer.Enforcement.Pipeline} *)
-  max_frame_bytes : int;   (** per-request payload bound, both protocols *)
-  error_budget : int;
-      (** undecodable-but-framed requests tolerated per connection
-          before it is closed *)
-  drain_timeout_s : float; (** how long {!stop} waits for in-flight work *)
 }
 
 val default_config : config
-(** 64 connections, 32 in flight, {!Wire.default_max_frame_bytes},
-    error budget 8, 5 s drain. *)
+(** 64 connections, 32 in flight. *)
+
+val error_budget : int
+(** Undecodable-but-framed requests tolerated per connection before it
+    is closed: 8. *)
 
 type t
 

@@ -326,7 +326,7 @@ let encode_response resp = encode put_response resp
 (* ------------------------------------------------------------------ *)
 
 let magic = "AXF1"
-let default_max_frame_bytes = 16 * 1024 * 1024
+let max_frame_bytes = 16 * 1024 * 1024
 
 (* The one frame writer: the payload is encoded into the spare buffer,
    which goes to the channel after the header without becoming a
@@ -348,7 +348,6 @@ let write oc put x =
 
 let write_request oc req = write oc put_request req
 let write_response oc resp = write oc put_response resp
-let write_frame oc payload = write oc Buffer.add_string payload
 
 (* The one frame reader fills a connection's reader in place. Its bytes
    start at [first_size] and grow (doubling, never past the announced
@@ -393,7 +392,7 @@ let read_bytes ic n =
   if k = Bytes.length fr.data then Bytes.unsafe_to_string fr.data
   else Bytes.sub_string fr.data 0 k
 
-let read ~max_bytes fr ic =
+let read fr ic =
   settle fr;
   fr.limit <- 0;
   match fill fr ic 0 8 with
@@ -403,7 +402,8 @@ let read ~max_bytes fr ic =
     if not (has_magic fr.data) then
       fail "bad frame magic %S" (Bytes.sub_string fr.data 0 4);
     let n = u32_at fr.data 4 in
-    if n > max_bytes then fail "frame of %d bytes exceeds the %d limit" n max_bytes;
+    if n > max_frame_bytes then
+      fail "frame of %d bytes exceeds the %d limit" n max_frame_bytes;
     let k = fill fr ic 0 n in
     if k < n then fail "torn frame payload (%d of %d bytes)" k n;
     fr.limit <- n;
@@ -421,7 +421,3 @@ let request_of_frame fr = of_frame request_of fr
 let response_of_frame fr = of_frame response_of fr
 
 let payload fr = Bytes.sub_string fr.data 0 fr.limit
-
-let read_frame ?(max_bytes = default_max_frame_bytes) ic =
-  let fr = frame () in
-  if read ~max_bytes fr ic then Some (payload fr) else None

@@ -103,8 +103,9 @@ val decode_response : string -> response
 val magic : string
 (** ["AXF1"]. *)
 
-val default_max_frame_bytes : int
-(** 16 MiB: the admission-control bound on a single payload. *)
+val max_frame_bytes : int
+(** 16 MiB: the admission-control bound on a single payload, framed or
+    an HTTP body. *)
 
 val write : out_channel -> (Buffer.t -> 'a -> unit) -> 'a -> unit
 (** [write oc put x] writes one frame whose payload [put] adds to a
@@ -118,9 +119,6 @@ val write_request : out_channel -> request -> unit
 val write_response : out_channel -> response -> unit
 (** One frame holding {!encode_response}'s bytes. *)
 
-val write_frame : out_channel -> string -> unit
-(** One frame holding the given payload. *)
-
 type frame
 (** A connection's receive buffer, filled in place by {!read}. It
     starts at 4 KiB and grows only as payload bytes arrive (at most
@@ -132,11 +130,11 @@ type frame
 val frame : unit -> frame
 (** A fresh frame of 4 KiB. *)
 
-val read : max_bytes:int -> frame -> in_channel -> bool
+val read : frame -> in_channel -> bool
 (** Read one frame's payload into the frame: [false] on clean EOF
     before any byte of a frame.
     @raise Wire_error on a bad magic, a declared length over
-    [max_bytes], or EOF mid-frame (a torn frame). *)
+    {!max_frame_bytes}, or EOF mid-frame (a torn frame). *)
 
 val read_bytes : in_channel -> int -> string
 (** [read_bytes ic n]: the next [n] bytes of [ic], fewer only when the
@@ -154,8 +152,3 @@ val response_of_frame : frame -> response
 
 val payload : frame -> string
 (** A copy of the payload last {!read}. *)
-
-val read_frame : ?max_bytes:int -> in_channel -> string option
-(** {!read} into a fresh frame, and its payload as a string: [None] on
-    clean EOF before any byte of a frame.
-    @raise Wire_error as {!read}. *)

@@ -279,24 +279,6 @@ let snapshot_quantile snap q =
     interp 0. 0 snap.buckets
   end
 
-let reset t =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
-  Hashtbl.iter
-    (fun _ f ->
-      Hashtbl.iter
-        (fun _ (_, child) ->
-          match child with
-          | Counter c -> Atomic.set c.c_value 0
-          | Gauge g -> Afloat.set g.g_value 0.
-          | Histogram h ->
-              Array.iter (fun a -> Atomic.set a 0) h.h_counts;
-              Atomic.set h.h_count 0;
-              Atomic.set h.h_sum 0;
-              Atomic.set h.h_rest 0.)
-        f.f_children)
-    t.families
-
 (* ---------- escaping ---------- *)
 
 let escape_with specials s =

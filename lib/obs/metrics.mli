@@ -48,12 +48,6 @@ val set_clock : t -> (unit -> float) -> unit
 val now : t -> float
 (** [now t] reads the registry's current clock. *)
 
-val reset : t -> unit
-(** [reset t] zeroes every child of every family of [t] (counts, sums,
-    buckets, gauge values). Families and children remain registered, so
-    handles stay valid. Meant for tests and for benchmarks that isolate
-    phases; production code should never reset. *)
-
 (** {1 Labels}
 
     Labels are [(key, value)] pairs. Keys must match

@@ -242,10 +242,6 @@ let total t =
   locked t @@ fun () ->
   Hashtbl.fold (fun _ e acc -> add_stats acc e.st) t.services zero_stats
 
-let reset_stats t =
-  locked t @@ fun () ->
-  Hashtbl.iter (fun _ e -> e.st <- zero_stats) t.services
-
 let breaker_state t fname : breaker_state =
   locked t @@ fun () ->
   match Hashtbl.find_opt t.services fname with

@@ -147,9 +147,6 @@ val stats : t -> string -> stats
 val total : t -> stats
 (** Sum over all guarded services. *)
 
-val reset_stats : t -> unit
-(** Reset counters; breaker states are kept. *)
-
 type breaker_state = [ `Closed | `Open | `Half_open ]
 
 val breaker_state : t -> string -> breaker_state

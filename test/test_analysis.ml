@@ -1,6 +1,6 @@
 (* Tests for the static diagnostics engine (lib/analysis): one
-   triggering and one clean fixture per rule code, the lint gate wired
-   through Enforcement/Peer, and qcheck properties — linting generated
+   triggering and one clean fixture per rule code, the contract lint
+   served through Enforcement/Peer, and qcheck properties — linting generated
    schemas never raises, and the vacuity verdict (AXM001) agrees with
    the automata-level emptiness check. *)
 
@@ -14,11 +14,7 @@ module Contract = Axml_core.Contract
 module Json = Axml_obs.Json
 module Diagnostic = Axml_analysis.Diagnostic
 module Lint = Axml_analysis.Lint
-module Service = Axml_services.Service
-module Registry = Axml_services.Registry
-module Oracle = Axml_services.Oracle
-module Enforcement = Axml_peer.Enforcement
-module Pipeline = Enforcement.Pipeline
+module Pipeline = Axml_peer.Enforcement.Pipeline
 module Peer = Axml_peer.Peer
 
 let check = Alcotest.(check bool)
@@ -385,80 +381,15 @@ let test_severity_accounting () =
     (if Diagnostic.exceeds ~deny:Diagnostic.Hint [] then 1 else 0)
 
 (* ------------------------------------------------------------------ *)
-(* The lint gate: Enforcement.Pipeline and Peer                        *)
+(* Contract lint through Enforcement.Pipeline and Peer                 *)
 (* ------------------------------------------------------------------ *)
 
-let make_registry () =
-  let reg = Registry.create () in
-  Registry.register_all reg
-    [ Service.make ~input:(R.sym Schema.A_data)
-        ~output:(R.sym (Schema.A_label "b")) "F"
-        (Oracle.constant [ D.elem "b" [ D.data "cold" ] ]);
-      Service.make ~input:(R.sym Schema.A_data)
-        ~output:(R.sym (Schema.A_label "a")) "G"
-        (Oracle.constant [ D.elem "a" [ D.data "warm" ] ])
-    ];
-  reg
-
-let test_pipeline_gate_precludes () =
-  let reg = make_registry () in
-  let config = { Enforcement.default_config with Enforcement.lint_gate = true } in
-  let p =
-    Pipeline.create ~config ~s0:doomed_sender ~exchange:doomed_target
-      ~invoker:(Registry.invoker reg) ()
-  in
-  (* the gate's evidence is the contract lint, available up front *)
-  check "pipeline lint sees the doom" true (has "AXM021" (Pipeline.lint p));
-  let doc = D.elem "r" [ D.call "F" [ D.data "x" ] ] in
-  (match Pipeline.enforce p doc with
-   | Error (Enforcement.Precluded ds) ->
-     check "diagnostics attached" true (ds <> []);
-     check "all gate evidence is errors" true
-       (List.for_all
-          (fun (d : Diagnostic.t) -> d.Diagnostic.severity = Diagnostic.Error)
-          ds)
-   | Error e -> Alcotest.failf "wrong error: %a" Enforcement.pp_error e
-   | Ok _ -> Alcotest.fail "expected preclusion");
-  check_int "no service was invoked" 0 (Registry.invocation_count reg);
-  let stats = Pipeline.stats p in
-  check_int "precluded counted" 1 stats.Pipeline.precluded;
-  check_int "one doc seen" 1 stats.Pipeline.docs;
-  (* the same pipeline without the gate reaches the rewriter instead *)
-  let p' =
-    Pipeline.create ~s0:doomed_sender ~exchange:doomed_target
-      ~invoker:(Registry.invoker reg) ()
-  in
-  (match Pipeline.enforce p' doc with
-   | Error (Enforcement.Precluded _) -> Alcotest.fail "gate is off"
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "doomed doc cannot be exchanged")
-
-let test_pipeline_gate_per_document () =
-  (* a healthy contract still gates statically-doomed documents,
-     individually: clean docs pass, a doc calling an undeclared
-     function is precluded without reaching enforcement *)
-  let reg = make_registry () in
-  let s = parse_schema clean_text in
-  let config = { Enforcement.default_config with Enforcement.lint_gate = true } in
-  let p =
-    Pipeline.create ~config ~s0:s ~exchange:s ~invoker:(Registry.invoker reg) ()
-  in
-  check_int "contract itself is quiet" 0
-    (Diagnostic.count Diagnostic.Error (Pipeline.lint p));
-  let good = D.elem "r" [ D.elem "a" [ D.data "x" ]; D.elem "b" [ D.data "y" ] ] in
-  (match Pipeline.enforce p good with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "clean doc refused: %a" Enforcement.pp_error e);
-  let bad = D.elem "r" [ D.elem "a" [ D.data "x" ]; D.call "Ghost" [] ] in
-  (match Pipeline.enforce p bad with
-   | Error (Enforcement.Precluded ds) -> check "AXM030 evidence" true (has "AXM030" ds)
-   | Error e -> Alcotest.failf "wrong error: %a" Enforcement.pp_error e
-   | Ok _ -> Alcotest.fail "expected preclusion");
-  let stats = Pipeline.stats p in
-  check_int "one precluded" 1 stats.Pipeline.precluded;
-  check_int "two docs" 2 stats.Pipeline.docs
-
 let test_peer_lint_exchange () =
+  let p =
+    Pipeline.create ~s0:doomed_sender ~exchange:doomed_target
+      ~invoker:(fun _ _ -> []) ()
+  in
+  check "pipeline lint sees the doom" true (has "AXM021" (Pipeline.lint p));
   let peer = Peer.create ~name:"sender" ~schema:doomed_sender () in
   let ds = Peer.lint_exchange peer ~exchange:doomed_target in
   check "peer surfaces the doom" true (has "AXM021" ds);
@@ -567,9 +498,7 @@ let () =
          Alcotest.test_case "severity accounting" `Quick test_severity_accounting
        ]);
       ("gate",
-       [ Alcotest.test_case "contract preclusion" `Quick test_pipeline_gate_precludes;
-         Alcotest.test_case "per-document preclusion" `Quick test_pipeline_gate_per_document;
-         Alcotest.test_case "peer lint" `Quick test_peer_lint_exchange
+       [ Alcotest.test_case "peer lint" `Quick test_peer_lint_exchange
        ]);
       ("properties", qcheck_tests)
     ]

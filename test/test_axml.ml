@@ -1145,26 +1145,6 @@ let test_peer_serve_resilience () =
   | [ D.Elem { label = "temp"; _ } ] -> ()
   | other -> Alcotest.failf "expected a temp, got %a" D.pp_forest other
 
-(* A [temp] result that holds a Get_Date call, whose output is a
-   date, is doomed before anything runs. *)
-let test_peer_serve_lint_gate () =
-  let provider () =
-    let p = echo_provider () in
-    Peer.provide p ~name:"Temperature" ~input:(R.sym Schema.A_data)
-      ~output:(R.sym (Schema.A_label "temp"))
-      (Peer.Const [ D.call "Get_Date" [ D.elem "title" [ D.data "Monet" ] ] ]);
-    p
-  in
-  let m = serve_error (provider ()) ~method_name:"Temperature" [ D.data "q" ] in
-  check ("ungated: rejected: " ^ m) true (contains m "result of Temperature rejected");
-  let p = provider () in
-  Peer.configure p { Peer.default_config with Peer.lint_gate = true };
-  let before = Registry.invocation_count (Peer.registry p) in
-  let m = serve_error p ~method_name:"Temperature" [ D.data "q" ] in
-  check ("gated: precluded: " ^ m) true (contains m "result of Temperature precluded");
-  check ("names the diagnostic: " ^ m) true (contains m "AXM031");
-  check_int "nothing invoked" before (Registry.invocation_count (Peer.registry p))
-
 let documents_enforced () =
   List.fold_left
     (fun n outcome ->
@@ -1174,7 +1154,7 @@ let documents_enforced () =
              "axml_enforcement_documents_total"))
     0
     [ "conformed"; "rewritten"; "rewritten_possible"; "rejected";
-      "attempt_failed"; "fault"; "precluded" ]
+      "attempt_failed"; "fault" ]
 
 let test_peer_serve_observed () =
   let module Trace = Axml_obs.Trace in
@@ -1232,7 +1212,6 @@ let test_peer_lint_concurrent () =
   let peer () =
     let p = Peer.create ~name:"wide" ~schema:s0 () in
     Peer.provide p ~name:"Echo" ~input:r ~output:r (Peer.Compute Fun.id);
-    Peer.configure p { Peer.default_config with Peer.lint_gate = true };
     p
   in
   let params =
@@ -1247,6 +1226,9 @@ let test_peer_lint_concurrent () =
   check "the agreement lints" true (expected_lint <> []);
   check "served alone" true (serve (peer ()) == params);
   let p = peer () in
+  (* the agreement's cached pipeline holds the one lint the lint
+     threads force together *)
+  ignore (Peer.exchange_pipeline p ~exchange);
   let outcomes = Array.make 6 "" in
   let threads =
     Array.init 6 (fun i ->
@@ -1264,10 +1246,22 @@ let test_peer_lint_concurrent () =
 
 (* Four systhreads serve conforming, rewritten and rejected parameters
    and receive documents on one peer; halfway through, the peer is
-   reconfigured with the lint gate, which turns the rejection of a
-   doomed call into a preclusion. *)
+   reconfigured with the possible fallback, which turns the rejection of
+   a call that only possibly rewrites into a served result. *)
 let test_peer_concurrent_serve_receive () =
   let provider = echo_provider () in
+  Registry.register (Peer.registry provider)
+    (Service.make ~input:(R.sym Schema.A_data)
+       ~output:
+         (R.star
+            (R.alt (R.sym (Schema.A_label "exhibit"))
+               (R.sym (Schema.A_label "performance"))))
+       "TimeOut"
+       (Oracle.constant
+          [ D.elem "exhibit" [ D.elem "title" [ D.data "Monet" ]; D.elem "date" [ D.data "d" ] ] ]));
+  let exhibits = R.star (R.sym (Schema.A_label "exhibit")) in
+  Peer.provide provider ~name:"Exhibits" ~input:exhibits ~output:exhibits
+    (Peer.Compute Fun.id);
   let as_name = "received" in
   Peer.store provider as_name fig2a;
   let conforming = Syntax.to_xml_string ~pretty:false fig2a in
@@ -1278,30 +1272,32 @@ let test_peer_concurrent_serve_receive () =
   in
   let extensional = Syntax.to_xml_string ~pretty:false fig2b in
   let call i =
-    let serve params =
-      match Peer.serve provider ~method_name:"Echo" params with
+    let serve_method method_name params =
+      match Peer.serve provider ~method_name params with
       | r -> "served " ^ Fmt.str "%a" D.pp_forest r
       | exception Peer.Peer_error m -> "error " ^ m
     in
+    let serve = serve_method "Echo" and serve_exhibits = serve_method "Exhibits" in
     let receive wire =
       match Peer.receive provider ~exchange:schema_star3 ~as_name wire with
       | Ok d -> "stored " ^ Fmt.str "%a" D.pp d
       | Error e -> Fmt.str "refused %a" Enforcement.pp_error e
     in
-    match i mod 6 with
+    match i mod 7 with
     | 0 -> serve [ D.elem "temp" [ D.data "12" ] ]
     | 1 -> serve [ D.call "Get_Temp" [ D.elem "city" [ D.data "Paris" ] ] ]
     | 2 -> serve [ D.elem "city" [ D.data "Paris" ] ]
     | 3 -> serve [ D.call "Get_Date" [ D.elem "title" [ D.data "Monet" ] ] ]
     | 4 -> receive conforming
-    | _ -> receive extensional
+    | 5 -> receive extensional
+    | _ -> serve_exhibits [ D.call "TimeOut" [ D.data "q" ] ]
   in
   let calls = 200 and threads = 4 in
-  let gated = { Peer.default_config with Peer.lint_gate = true } in
+  let fallback = { Peer.default_config with Peer.fallback_possible = true } in
   let sequential = Array.init calls call in
-  Peer.configure provider gated;
-  let sequential_gated = Array.init calls call in
-  check "the gate changes an outcome" true (sequential <> sequential_gated);
+  Peer.configure provider fallback;
+  let sequential_fallback = Array.init calls call in
+  check "the fallback changes an outcome" true (sequential <> sequential_fallback);
   Peer.configure provider Peer.default_config;
   let reconfigured = Atomic.make false in
   let failures = Atomic.make [] in
@@ -1318,10 +1314,10 @@ let test_peer_concurrent_serve_receive () =
       match call i with
       | got ->
         if after then begin
-          if got <> sequential_gated.(i) then
+          if got <> sequential_fallback.(i) then
             fail (Fmt.str "thread %d call %d after configure: %s" t i got)
         end
-        else if got <> sequential.(i) && got <> sequential_gated.(i) then
+        else if got <> sequential.(i) && got <> sequential_fallback.(i) then
           fail (Fmt.str "thread %d call %d: %s" t i got)
       | exception e -> fail (Fmt.str "thread %d call %d raised %s" t i (Printexc.to_string e))
     done
@@ -1331,14 +1327,15 @@ let test_peer_concurrent_serve_receive () =
   while Registry.invocation_count (Peer.registry provider) - invoked < calls / 6 do
     Thread.yield ()
   done;
-  Peer.configure provider gated;
+  Peer.configure provider fallback;
   Atomic.set reconfigured true;
   Array.iter Thread.join ts;
   Alcotest.(check (list string)) "every result as in a sequential run" [] (Atomic.get failures);
-  (* after the run, one more sequential pass still answers as gated *)
+  (* after the run, one more sequential pass still answers with the
+     fallback *)
   Array.iteri
     (fun i expected -> Alcotest.(check string) (Fmt.str "call %d" i) expected (call i))
-    sequential_gated
+    sequential_fallback
 
 (* A served peer receives on one thread per connection, so receives from
    several systhreads into one peer must each store their document. *)
@@ -1519,15 +1516,15 @@ let prop_batch_matches_per_document =
     ~name:
       "enforce_many returns the per-document results in input order, at \
        any jobs (honest services)"
-    QCheck.(triple (oneofl [ 1; 2; 4 ]) bool small_int)
-    (fun (jobs, lint_gate, seed) ->
+    QCheck.(pair (oneofl [ 1; 2; 4 ]) small_int)
+    (fun (jobs, seed) ->
       let g = Generate.create ~seed schema_star in
       let docs = List.init 24 (fun _ -> Generate.document g) in
       let pipeline jobs =
         Pipeline.create
           ~config:
             { Enforcement.default_config with
-              Enforcement.fallback_possible = true; lint_gate; jobs }
+              Enforcement.fallback_possible = true; jobs }
           ~s0:schema_star ~exchange:schema_star2
           ~invoker:(Registry.invoker (make_registry ())) ()
       in
@@ -1545,8 +1542,8 @@ let prop_batch_matches_per_document =
         (fun (name, field) ->
           if field want <> field got then
             QCheck.Test.fail_reportf
-              "jobs=%d lint_gate=%b: batch counted %d %s, loop %d" jobs
-              lint_gate (field got) name (field want))
+              "jobs=%d: batch counted %d %s, loop %d" jobs (field got) name
+              (field want))
         Pipeline.
           [ ("docs", fun s -> s.docs);
             ("conformed", fun s -> s.conformed);
@@ -1555,7 +1552,6 @@ let prop_batch_matches_per_document =
             ("rejected", fun s -> s.rejected);
             ("attempt_failed", fun s -> s.attempt_failed);
             ("faults", fun s -> s.faults);
-            ("precluded", fun s -> s.precluded);
             ("invocations", fun s -> s.invocations);
             ("analyses", analyses);
             ("entries", fun s -> s.cache.Contract.entries) ];
@@ -2008,7 +2004,7 @@ let test_frames_after_failures () =
     match Enforcement.Pipeline.enforce p (timeout_doc (string_of_int (i land 7))) with
     | Error (Enforcement.Service_fault _) -> incr faults
     | Error (Enforcement.Rejected _ | Enforcement.Attempt_failed _) -> incr refusals
-    | Ok _ | Error (Enforcement.Precluded _) -> Alcotest.fail "expected a failed walk"
+    | Ok _ -> Alcotest.fail "expected a failed walk"
   done;
   check "services raised" true (!faults > 0);
   check "answers were refused" true (!refusals > 0);
@@ -2315,27 +2311,17 @@ let test_receive_conforming_alloc () =
 (* Print: the document printer against the tree route                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A locator whose endpoints and namespaces need escaping, and that
-   leaves the functions with a name of even length local. *)
-let hostile_locator name =
-  if String.length name mod 2 = 0 then None
-  else Some ("http://x.example/?a=1&b=\"" ^ name ^ "\"<\t", "urn:" ^ name ^ "&\r\n\001")
-
 (* [Syntax.to_xml_string] prints what [Xml_print] prints of [to_xml],
-   in both modes, under the default locator and [hostile_locator]. *)
+   in both modes. *)
 let print_parity doc =
+  let tree = Syntax.to_xml doc in
   List.iter
-    (fun (locator, locate) ->
-      let tree = Syntax.to_xml ~locate doc in
-      List.iter
-        (fun (mode, pretty, route) ->
-          let got = Syntax.to_xml_string ~locate ~pretty doc and want = route tree in
-          if not (String.equal got want) then
-            Alcotest.failf "%s, %s locator: %a@ printed %S@ the tree route %S" mode locator D.pp
-              doc got want)
-        [ ("compact", false, Axml_xml.Xml_print.to_string);
-          ("indented", true, Axml_xml.Xml_print.to_pretty_string ~xml_decl:true) ])
-    [ ("default", Syntax.default_locator); ("hostile", hostile_locator) ];
+    (fun (mode, pretty, route) ->
+      let got = Syntax.to_xml_string ~pretty doc and want = route tree in
+      if not (String.equal got want) then
+        Alcotest.failf "%s: %a@ printed %S@ the tree route %S" mode D.pp doc got want)
+    [ ("compact", false, Axml_xml.Xml_print.to_string);
+      ("indented", true, Axml_xml.Xml_print.to_pretty_string ~xml_decl:true) ];
   true
 
 let prop_print_mix =
@@ -2500,9 +2486,8 @@ let () =
          Alcotest.test_case "serve with the possible fallback" `Quick test_peer_serve_fallback;
          Alcotest.test_case "serve behind a resilience guard" `Quick
            test_peer_serve_resilience;
-         Alcotest.test_case "serve behind the lint gate" `Quick test_peer_serve_lint_gate;
          Alcotest.test_case "serve is counted and traced" `Quick test_peer_serve_observed;
-         Alcotest.test_case "concurrent lint and gated serve" `Quick
+         Alcotest.test_case "concurrent lint and serve" `Quick
            test_peer_lint_concurrent;
          Alcotest.test_case "concurrent serve and receive" `Quick
            test_peer_concurrent_serve_receive;

@@ -979,8 +979,8 @@ let prop_conforms_iff_no_violations =
    their per-word minima, and None/None for what no depth can fix. *)
 let test_document_minimal_k () =
   let none = { Rewriter.safe_k = None; possible_k = None } in
-  let minimal ?(max_k = 3) target doc =
-    Rewriter.minimal_k ~max_k (Rewriter.create ~k:1 ~s0:schema_star ~target ()) doc
+  let minimal target doc =
+    Rewriter.minimal_k (Rewriter.create ~k:3 ~s0:schema_star ~target ()) doc
   in
   let pin name expected got =
     let show (m : Rewriter.doc_minimal) =
@@ -1003,7 +1003,7 @@ let test_document_minimal_k () =
   pin "instance" { safe_k = Some 0; possible_k = Some 0 }
     (minimal schema_star fig2a);
   (* the same maximum, word by word through the contract *)
-  let c = Contract.create ~k:1 ~s0:schema_star ~target:schema_star3 () in
+  let c = Contract.create ~k:3 ~s0:schema_star ~target:schema_star3 () in
   let input f = Option.get (Contract.input_regex c f) in
   let words =
     [ (contract_regex c "newspaper", D.word (D.children fig2a));
@@ -1019,12 +1019,12 @@ let test_document_minimal_k () =
   let safe, possible =
     List.fold_left
       (fun (s, p) (target_regex, word) ->
-        let m = Contract.minimal_k ~max_k:3 c ~target_regex word in
+        let m = Contract.minimal_k c ~target_regex word in
         (join s m.Contract.safe_at, join p m.Contract.possible_at))
       (Some 0, Some 0) words
   in
   pin "max of per-word minima" { safe_k = safe; possible_k = possible }
-    (Rewriter.minimal_k ~max_k:3 (Rewriter.of_contract c) fig2a)
+    (Rewriter.minimal_k (Rewriter.of_contract c) fig2a)
 
 (* ------------------------------------------------------------------ *)
 (* Eager vs lazy engines                                               *)
@@ -1278,7 +1278,7 @@ let prop_k_monotone =
         let rec go d = if d > 3 then None else if pred d then Some d else go (d + 1) in
         go 0
       in
-      let m = Contract.minimal_k ~max_k:3 c ~target_regex word in
+      let m = Contract.minimal_k c ~target_regex word in
       if m.Contract.safe_at <> scan safe_at then
         QCheck.Test.fail_reportf "minimal_k.safe_at disagrees with the scan";
       if m.Contract.possible_at <> scan possible_at then
@@ -1664,13 +1664,11 @@ let test_contract_counters () =
   let d = Contract.diff_stats ~before:s1 s2 in
   check_int "diff hits" 2 d.Contract.hits;
   check_int "diff misses" 0 d.Contract.misses;
-  Contract.reset_stats c;
-  let s3 = Contract.stats c in
-  check_int "reset zeroes hits" 0 s3.Contract.hits;
-  check_int "reset zeroes misses" 0 s3.Contract.misses;
-  check_int "reset keeps entries" s1.Contract.entries s3.Contract.entries;
   ignore (Contract.analyze c ~context:(Contract.Element "newspaper") newspaper_word);
-  check_int "tables survive reset" 2 (Contract.stats c).Contract.hits
+  let d = Contract.diff_stats ~before:s2 (Contract.stats c) in
+  check_int "tables survive: warm analyze hits" 2 d.Contract.hits;
+  check_int "tables survive: no miss" 0 d.Contract.misses;
+  check_int "tables survive: same entries" s1.Contract.entries d.Contract.entries
 
 let test_word_analyses_cached () =
   let c = contract schema_star2 in
@@ -1802,7 +1800,7 @@ let test_contract_k_no_alias () =
   in
   let env = Schema.env_of_schema s in
   let target_regex = Schema.compile_content env (R.sym (Schema.A_label "a")) in
-  let c = Contract.create ~k:1 ~s0:s ~target:s () in
+  let c = Contract.create ~k:4 ~s0:s ~target:s () in
   let word = [ Symbol.Fun "f" ] in
   check "unsafe at k=1" false (Contract.is_safe ~k:1 c ~target_regex word);
   check "safe at k=2" true (Contract.is_safe ~k:2 c ~target_regex word);
@@ -1810,7 +1808,7 @@ let test_contract_k_no_alias () =
     (Contract.is_safe ~k:1 c ~target_regex word);
   check "safe again at k=2 (cache hit, same verdict)" true
     (Contract.is_safe ~k:2 c ~target_regex word);
-  let m = Contract.minimal_k ~max_k:4 c ~target_regex word in
+  let m = Contract.minimal_k c ~target_regex word in
   check "minimal safe depth is 2" true (m.Contract.safe_at = Some 2);
   check "minimal possible depth is 2" true (m.Contract.possible_at = Some 2)
 

@@ -173,17 +173,20 @@ let test_wire_rejects_garbage () =
     Alcotest.fail "trailing garbage accepted"
   with Wire.Wire_error _ -> ()
 
+let be32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+
 let test_wire_framing () =
   let path = Filename.temp_file "axml" ".frames" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let oc = open_out_bin path in
-  Wire.write_frame oc "hello";
-  Wire.write_frame oc "";
+  Wire.write oc Buffer.add_string "hello";
+  Wire.write oc Buffer.add_string "";
   close_out oc;
   let ic = open_in_bin path in
-  check "frame 1" true (Wire.read_frame ic = Some "hello");
-  check "frame 2" true (Wire.read_frame ic = Some "");
-  check "clean EOF" true (Wire.read_frame ic = None);
+  let fr = Wire.frame () in
+  check "frame 1" true (Wire.read fr ic && Wire.payload fr = "hello");
+  check "frame 2" true (Wire.read fr ic && Wire.payload fr = "");
+  check "clean EOF" false (Wire.read fr ic);
   close_in ic;
   (* torn header *)
   let oc = open_out_bin path in
@@ -191,7 +194,7 @@ let test_wire_framing () =
   close_out oc;
   let ic = open_in_bin path in
   (try
-     ignore (Wire.read_frame ic);
+     ignore (Wire.read fr ic);
      Alcotest.fail "torn header accepted"
    with Wire.Wire_error m -> check_string "torn header" "torn frame header (6 of 8 bytes)" m);
   close_in ic;
@@ -201,20 +204,23 @@ let test_wire_framing () =
   close_out oc;
   let ic = open_in_bin path in
   (try
-     ignore (Wire.read_frame ic);
+     ignore (Wire.read fr ic);
      Alcotest.fail "bad magic accepted"
    with Wire.Wire_error m -> check_string "bad magic" "bad frame magic \"HTTP\"" m);
   close_in ic;
   (* declared length over the cap *)
   let oc = open_out_bin path in
-  output_string oc "AXF1\xff\xff\xff\xff";
+  output_string oc (Wire.magic ^ be32 (Wire.max_frame_bytes + 1));
   close_out oc;
   let ic = open_in_bin path in
   (try
-     ignore (Wire.read_frame ~max_bytes:1024 ic);
+     ignore (Wire.read fr ic);
      Alcotest.fail "oversized frame accepted"
    with Wire.Wire_error m ->
-     check_string "over the cap" "frame of 4294967295 bytes exceeds the 1024 limit" m);
+     check_string "over the cap"
+       (Fmt.str "frame of %d bytes exceeds the %d limit" (Wire.max_frame_bytes + 1)
+          Wire.max_frame_bytes)
+       m);
   close_in ic;
   (* torn payload *)
   let oc = open_out_bin path in
@@ -222,7 +228,7 @@ let test_wire_framing () =
   close_out oc;
   let ic = open_in_bin path in
   (try
-     ignore (Wire.read_frame ic);
+     ignore (Wire.read fr ic);
      Alcotest.fail "torn payload accepted"
    with Wire.Wire_error m -> check_string "torn payload" "torn frame payload (3 of 5 bytes)" m);
   close_in ic
@@ -230,8 +236,6 @@ let test_wire_framing () =
 (* ------------------------------------------------------------------ *)
 (* The frame writer and reader                                          *)
 (* ------------------------------------------------------------------ *)
-
-let be32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
 
 (* A frame as the protocol defines it: magic, big-endian length,
    payload. *)
@@ -278,9 +282,9 @@ let writer_roundtrip ~write ~encode ~decode ~pp x =
   check_string (name ^ ": magic ^ length ^ encoding") (framed (encode x)) bytes;
   with_input bytes @@ fun ic ->
   let fr = Wire.frame () in
-  check (name ^ ": one frame") true (Wire.read ~max_bytes:1024 fr ic);
+  check (name ^ ": one frame") true (Wire.read fr ic);
   check (name ^ ": decoded") true (decode fr = x);
-  check (name ^ ": then EOF") false (Wire.read ~max_bytes:1024 fr ic)
+  check (name ^ ": then EOF") false (Wire.read fr ic)
 
 let test_writer_bytes () =
   List.iter
@@ -291,7 +295,8 @@ let test_writer_bytes () =
     (writer_roundtrip ~write:Wire.write_response ~encode:Wire.encode_response
        ~decode:Wire.response_of_frame ~pp:Wire.pp_response)
     every_response;
-  check_string "write_frame" (framed "hello") (written Wire.write_frame "hello")
+  check_string "a string payload" (framed "hello")
+    (written (fun oc -> Wire.write oc Buffer.add_string) "hello")
 
 let allocated_bytes f =
   let before = Gc.allocated_bytes () in
@@ -308,7 +313,7 @@ let test_frame_memory () =
     with_input (announce (8 * mib) ^ String.make sent 'x') @@ fun ic ->
     let bytes =
       allocated_bytes (fun () ->
-          match Wire.read ~max_bytes:Wire.default_max_frame_bytes fr ic with
+          match Wire.read fr ic with
           | _ -> Alcotest.fail "a torn frame was read"
           | exception Wire.Wire_error m ->
             check_string "torn payload"
@@ -322,7 +327,7 @@ let test_frame_memory () =
   torn_read ~sent:65536 ~budget:(4 * 65536);
   let big = Wire.Document { doc_xml = String.make (2 * mib) 'd' } in
   with_input (framed (Wire.encode_response big)) @@ fun ic ->
-  check "a 2 MiB frame" true (Wire.read ~max_bytes:Wire.default_max_frame_bytes fr ic);
+  check "a 2 MiB frame" true (Wire.read fr ic);
   check "decoded" true (Wire.response_of_frame fr = big);
   let kept = Obj.reachable_words (Obj.repr fr) in
   if kept > 600 then
@@ -353,11 +358,12 @@ let with_fake_server serve f =
    read the valid frame as the answer to its next call. *)
 let test_client_closes_on_bad_frame () =
   let bad_then_good ic oc =
-    ignore (Wire.read_frame ic);
+    let fr = Wire.frame () in
+    ignore (Wire.read fr ic);
     output_string oc "XXXX\x00\x00\x00\x00";
     Wire.write_response oc (Wire.Pong { peer = "fake"; protocol = Wire.protocol_version });
     (* until the client goes *)
-    ignore (Wire.read_frame ic)
+    ignore (Wire.read fr ic)
   in
   with_fake_server bad_then_good @@ fun port ->
   let client = Client.connect ~port () in
@@ -423,7 +429,7 @@ let reads_or_refuses decode bytes =
   let t0 = Unix.gettimeofday () in
   let rec go frames =
     if frames > 0 then
-      match Wire.read ~max_bytes:(1024 * 1024) fr ic with
+      match Wire.read fr ic with
       | false -> ()
       | exception Wire.Wire_error _ -> ()
       | true ->
@@ -479,7 +485,7 @@ let test_read_alloc () =
   with_input (String.concat "" (List.init (n + 1) (fun _ -> one))) @@ fun ic ->
   let fr = Wire.frame () in
   let read () =
-    if Wire.read ~max_bytes:1024 fr ic then Wire.response_of_frame fr
+    if Wire.read fr ic then Wire.response_of_frame fr
     else Alcotest.fail "early EOF"
   in
   check "decoded" true (read () = resp);
@@ -783,12 +789,13 @@ let test_server_killed_client_and_budget () =
   let bytes = Buffer.contents frame in
   ignore (Unix.write_substring fd bytes 0 (String.length bytes));
   let ic = Unix.in_channel_of_descr fd in
-  (match Wire.read_frame ic with
-   | Some payload ->
-     (match Wire.decode_response payload with
+  let fr = Wire.frame () in
+  (match Wire.read fr ic with
+   | true ->
+     (match Wire.response_of_frame fr with
       | Wire.Error { code = "protocol"; _ } -> ()
       | r -> Alcotest.failf "expected protocol error, got %a" Wire.pp_response r)
-   | None -> Alcotest.fail "no response to garbage frame");
+   | false -> Alcotest.fail "no response to garbage frame");
   Unix.close fd;
   (* the server is still healthy *)
   with_client server @@ fun client ->
@@ -796,23 +803,24 @@ let test_server_killed_client_and_budget () =
 
 let test_server_error_budget_closes () =
   let receiver = make_receiver () in
-  let config = { Server.default_config with Server.error_budget = 2 } in
-  with_server ~config receiver @@ fun server ->
+  with_server receiver @@ fun server ->
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
+  let fr = Wire.frame () in
+  let junk () = Wire.write oc Buffer.add_string "\xfe" in
   (* exhaust the budget with undecodable frames *)
-  Wire.write_frame oc "\xfe";
-  check "first junk answered" true (Wire.read_frame ic <> None);
-  Wire.write_frame oc "\xfe";
-  check "second junk answered" true (Wire.read_frame ic <> None);
+  for i = 1 to Server.error_budget do
+    junk ();
+    check (Fmt.str "junk %d answered" i) true (Wire.read fr ic)
+  done;
   (* budget exhausted: the connection is closed *)
-  (match Wire.write_frame oc "\xfe"; Wire.read_frame ic with
-   | None -> ()
-   | Some _ -> Alcotest.fail "connection survived an exhausted error budget"
+  (match junk (); Wire.read fr ic with
+   | false -> ()
+   | true -> Alcotest.fail "connection survived an exhausted error budget"
    | exception Wire.Wire_error _ -> ()
    | exception Sys_error _ -> ())
 
@@ -921,22 +929,26 @@ let test_repo_torn_tail () =
 let test_repo_compaction () =
   with_temp_dir @@ fun dir ->
   let peer = make_receiver () in
-  let repo = Repo.attach ~auto_compact:2 ~dir peer in
+  let repo = Repo.attach ~dir peer in
   let doc name = D.elem "newspaper" [ D.elem "title" [ D.data name ] ] in
-  List.iter
-    (fun name ->
-      Peer.store peer name (doc name);
-      Repo.record_store repo name (doc name))
-    [ "a"; "b"; "c" ];
-  (* auto-compacted at 2: snapshot exists, journal restarted *)
+  let stores = Repo.compact_every + 1 in
+  for i = 1 to stores do
+    let name = string_of_int i in
+    Peer.store peer name (doc name);
+    Repo.record_store repo name (doc name);
+    if i = Repo.compact_every - 1 then
+      check "no snapshot below the threshold" false
+        (Sys.file_exists (Filename.concat dir "snapshot/MANIFEST"))
+  done;
+  (* auto-compacted at the threshold: snapshot exists, journal restarted *)
   check "snapshot manifest written" true
     (Sys.file_exists (Filename.concat dir "snapshot/MANIFEST"));
   check_int "journal restarted after compaction" 1 (Repo.journal_entries repo);
   Repo.close repo;
   let reborn = make_receiver () in
   let repo2 = Repo.attach ~dir reborn in
-  check_int "snapshot + journal recovered" 3 (Repo.recovered repo2);
-  check "snapshot document intact" true (D.equal (doc "a") (Peer.fetch reborn "a"));
+  check_int "snapshot + journal recovered" stores (Repo.recovered repo2);
+  check "snapshot document intact" true (D.equal (doc "1") (Peer.fetch reborn "1"));
   Repo.close repo2
 
 let test_repo_odd_names () =
@@ -1077,20 +1089,20 @@ module Http = Axml_net.Http
 
 (* [read_request] on [bytes]: the request, or the refusal's status and
    reason, and the bytes the read allocated. *)
-let read_http_measured ?max_body bytes =
+let read_http_measured bytes =
   with_input bytes @@ fun ic ->
   let result = ref (Error (0, "EOF")) in
   let allocated =
     allocated_bytes (fun () ->
         result :=
-          match Http.read_request ?max_body ic with
+          match Http.read_request ic with
           | Some req -> Ok req
           | None -> Error (0, "EOF")
           | exception Http.Http_error { status; reason } -> Error (status, reason))
   in
   (!result, allocated)
 
-let read_http ?max_body bytes = fst (read_http_measured ?max_body bytes)
+let read_http bytes = fst (read_http_measured bytes)
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix
@@ -1120,8 +1132,8 @@ let test_http_body_memory () =
    413 for a body over the cap, 400 for anything else. A head line of
    several MiB costs no more than the line cap. *)
 let test_http_refusals () =
-  let refused name ?max_body status bytes =
-    match read_http ?max_body bytes with
+  let refused name status bytes =
+    match read_http bytes with
     | Error (s, _) -> check_int name status s
     | Ok _ -> Alcotest.failf "%s: read" name
   in
@@ -1144,8 +1156,9 @@ let test_http_refusals () =
    | Error (status, reason) -> Alcotest.failf "headers at the cap refused %d: %s" status reason);
   refused "one header too many" 431
     ("GET /health HTTP/1.1\r\n" ^ headers (Http.max_headers + 1) ^ "\r\n");
-  refused "a body over the cap" ~max_body:10 413
-    "POST /exchange HTTP/1.1\r\nContent-Length: 11\r\n\r\nhello world";
+  refused "a body over the cap" 413
+    (Fmt.str "POST /exchange HTTP/1.1\r\nContent-Length: %d\r\n\r\nhello world"
+       (Wire.max_frame_bytes + 1));
   refused "a malformed request line" 400 "GET\r\n\r\n";
   refused "a malformed header" 400 "GET / HTTP/1.1\r\nno colon\r\n\r\n";
   refused "a malformed Content-Length" 400
@@ -1250,7 +1263,7 @@ let http_reads_or_refuses bytes =
   let t0 = Unix.gettimeofday () in
   let rec go reads =
     if reads > 0 then
-      match Http.read_request ~max_body:(1024 * 1024) ic with
+      match Http.read_request ic with
       | None | (exception Http.Http_error _) -> ()
       | Some _ -> go (reads - 1)
   in

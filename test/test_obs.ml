@@ -465,14 +465,11 @@ let outcome_equal a b =
     f1 = f2
   | _ -> false
 
-(* The default plus the configs that reach eager pre-firing, the
-   possible fallback and deeper rewriting. *)
+(* The default plus the configs that reach the possible fallback and
+   deeper rewriting. *)
 let parity_configs =
   let d = Enforcement.default_config in
-  [ d;
-    { d with k = 2 };
-    { d with fallback_possible = true };
-    { d with eager_calls = Some (String.equal "TimeOut") } ]
+  [ d; { d with k = 2 }; { d with fallback_possible = true } ]
 
 let test_sink_parity =
   QCheck.Test.make ~name:"memory sink never changes enforcement outcomes"
@@ -489,39 +486,6 @@ let test_sink_parity =
           List.length plain = List.length traced
           && List.for_all2 outcome_equal plain traced)
         parity_configs)
-
-(* With eager calls configured, a document that already conforms is
-   never touched: no eager call fires, traced or not. *)
-let test_eager_skips_instances () =
-  let doc =
-    D.elem "newspaper"
-      [ D.elem "title" [ D.data "The Sun" ];
-        D.elem "date" [ D.data "04/10/2002" ];
-        D.elem "temp" [ D.data "16C" ];
-        D.call "TimeOut" [ D.data "exhibits" ] ]
-  in
-  let config =
-    { Enforcement.default_config with eager_calls = Some (fun _ -> true) }
-  in
-  let calls = ref 0 in
-  let invoker _ _ = incr calls; [] in
-  List.iter
-    (fun sink ->
-      Trace.set_sink Trace.default sink;
-      Fun.protect
-        ~finally:(fun () -> Trace.set_sink Trace.default Trace.Null)
-        (fun () ->
-          match
-            Enforcement.enforce ~config ~s0:schema_star ~exchange:schema_star2
-              ~invoker doc
-          with
-          | Ok (doc', { Enforcement.action = Enforcement.Conformed; invocations = [] })
-            ->
-            check "returned unchanged" true (doc' == doc)
-          | Ok _ -> Alcotest.fail "expected Conformed with no invocations"
-          | Error e -> Alcotest.failf "%a" Enforcement.pp_error e))
-    [ Trace.Null; Trace.Memory (Trace.buffer ()) ];
-  check_int "no invocation" 0 !calls
 
 (* ---------------- suite ---------------- *)
 
@@ -559,6 +523,4 @@ let () =
             test_with_span_depth_and_errors;
           Alcotest.test_case "event json" `Quick test_event_json ] );
       ( "parity",
-        [ QCheck_alcotest.to_alcotest test_sink_parity;
-          Alcotest.test_case "eager calls skip instances" `Quick
-            test_eager_skips_instances ] ) ]
+        [ QCheck_alcotest.to_alcotest test_sink_parity ] ) ]

@@ -747,7 +747,7 @@ let test_syntax_alloc_budget () =
 (* [Syntax.to_xml] allocates the tree it returns and nothing else: 6
    words an element (its constructor and record), 2 a text node, 3 a
    list cell, and for a call the int:fun element, its methodName
-   attribute and three attribute cells (the default locator's other
+   attribute and three attribute cells (a local call's other
    attributes are built once), then int:params and an int:param with
    its one-cell content per parameter. *)
 let test_to_xml_alloc () =
