@@ -1171,17 +1171,6 @@ let e20 () =
   in
   Fmt.pr "contract lint (star -> star2): %a@." pp_ns contract_ns;
   Fmt.pr "document lint (Figure 2a)    : %a@." pp_ns doc_ns;
-  (* the pipeline memoizes its contract lint with the compiled artifacts *)
-  let p =
-    Pipeline.create ~s0:schema_star ~exchange:schema_star2
-      ~invoker:(Registry.invoker (example_registry ())) ()
-  in
-  let t0 = Unix.gettimeofday () in
-  ignore (Pipeline.lint p);
-  let first_s = Unix.gettimeofday () -. t0 in
-  let cached_ns = measure_ns "cached pipeline lint" (fun () -> Pipeline.lint p) in
-  Fmt.pr "pipeline lint: first force %.3f ms, cached read %a@."
-    (first_s *. 1e3) pp_ns cached_ns;
   write_artifact "e20"
     [ ( "schemas",
         Json.List
@@ -1192,9 +1181,7 @@ let e20 () =
                    ("schemas_per_s", num (1e9 /. ns)); ("errors", int e);
                    ("warnings", int w); ("hints", int h) ])
              rows) );
-      ("contract_lint_ns", num contract_ns); ("document_lint_ns", num doc_ns);
-      ("pipeline_lint_first_ms", num (first_s *. 1e3));
-      ("pipeline_lint_cached_ns", num cached_ns) ]
+      ("contract_lint_ns", num contract_ns); ("document_lint_ns", num doc_ns) ]
 
 (* ------------------------------------------------------------------ *)
 (* E21: multicore batch enforcement — domain-scaling curve             *)

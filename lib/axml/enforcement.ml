@@ -21,8 +21,6 @@ module Execute = Axml_core.Execute
 module Resilience = Axml_services.Resilience
 module Metrics = Axml_obs.Metrics
 module Trace = Axml_obs.Trace
-module Diagnostic = Axml_analysis.Diagnostic
-module Lint = Axml_analysis.Lint
 
 (* Every enforcement, one-shot [enforce] included, goes through
    [Pipeline.run], so the process-wide document counters live here and
@@ -137,18 +135,11 @@ module Pipeline = struct
   (* Everything computed once per (s0, exchange, config) instead of
      once per document, plus the running tally. Batch workers on other
      domains enforce on this record itself: the contract's counters
-     and the tally are atomics, win-table lookups take no lock, and the
-     lint is forced under [lint_lock]. *)
+     and the tally are atomics, and win-table lookups take no lock. *)
   type t = {
     config : config;  (* [k] is the contract's *)
     contract : Contract.t;
     invoker : Execute.invoker;  (* inside [config.resilience]'s guard *)
-    lint : Diagnostic.t list Lazy.t;
-      (* contract-level diagnostics, computed on first use under
-         [lint_lock]: a domain or systhread forcing a lazy
-         value another one is still forcing gets
-         [CamlinternalLazy.Undefined] *)
-    lint_lock : Mutex.t;
     outcomes : int Atomic.t array;  (* documents, by [m_documents] slot *)
     invocations : int Atomic.t;
     elapsed_ns : int Atomic.t;
@@ -166,7 +157,6 @@ module Pipeline = struct
 
   let contract t = t.contract
   let config t = t.config
-  let lint t = Mutex.protect t.lint_lock (fun () -> Lazy.force t.lint)
 
   let resilience_total config =
     match config.resilience with
@@ -185,8 +175,6 @@ module Pipeline = struct
         (match config.resilience with
          | Some r -> Resilience.wrap_invoker r invoker
          | None -> invoker);
-      lint = lazy (Lint.lint_contract contract);
-      lint_lock = Mutex.create ();
       outcomes = Array.init (Array.length m_documents) (fun _ -> Atomic.make 0);
       invocations = Atomic.make 0;
       elapsed_ns = Atomic.make 0;

@@ -114,12 +114,6 @@ module Pipeline : sig
   val config : t -> config
   (** The pipeline's config, [k] being its contract's. *)
 
-  val lint : t -> Axml_analysis.Diagnostic.t list
-  (** Contract-level lint diagnostics for this path (AXM020–AXM023),
-      computed once per pipeline on first use and cached with the
-      compiled artifacts. Computed under a lock, so threads and domains
-      may call it at once. *)
-
   val enforce : t -> Axml_core.Document.t ->
     (Axml_core.Document.t * report, error) result
   (** The three steps of {!enforce}, against the precompiled artifacts;

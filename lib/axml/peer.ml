@@ -260,16 +260,6 @@ let exchange_pipeline t ~exchange =
   | p -> p
   | exception Not_found -> pipeline t (Exchange exchange)
 
-(* Contract-level lint for an exchange agreement: served from the
-   cached pipeline when the agreement has one, else from one compiled
-   for this lint alone and left out of the cache, so linting a schema
-   never evicts an open agreement. *)
-let lint_exchange t ~exchange =
-  match find_exchange exchange t.generation (Atomic.get t.pipelines) with
-  | p -> Pipeline.lint p
-  | exception Not_found ->
-    Pipeline.lint (Mutex.protect t.lock (fun () -> compile t (Exchange exchange)))
-
 (* ------------------------------------------------------------------ *)
 (* Serving calls                                                       *)
 (* ------------------------------------------------------------------ *)

@@ -66,15 +66,6 @@ val exchange_pipeline :
     tables and counters persist across {!send}s of the same agreement).
     Its {!Enforcement.Pipeline.config} is the peer's {!current_config}. *)
 
-val lint_exchange :
-  t -> exchange:Axml_schema.Schema.t -> Axml_analysis.Diagnostic.t list
-(** Contract-level lint diagnostics ({!Axml_analysis.Lint.lint_contract})
-    for the peer's side of an exchange agreement. Served from the
-    cached {!exchange_pipeline} when [exchange] already has one, which
-    keeps its lint; otherwise the contract is compiled for this call
-    alone and not cached, so linting never evicts an open agreement's
-    pipeline. *)
-
 (** {1 Repository}
 
     The repository may be used from several threads at once: a served

@@ -29,12 +29,10 @@ let request_slot : Wire.request -> int = function
   | Invoke _ -> 3
   | Get_wsdl _ -> 4
   | List_services -> 5
-  | List_documents -> 6
-  | Get_document _ -> 7
-  | Lint_exchange _ -> 8
-  | Get_metrics _ -> 9
+  | Get_document _ -> 6
+  | Get_metrics _ -> 7
 
-let m_requests : Metrics.counter option Atomic.t array = Array.init 10 (fun _ -> Atomic.make None)
+let m_requests : Metrics.counter option Atomic.t array = Array.init 8 (fun _ -> Atomic.make None)
 let m_requests_lock = Mutex.create ()
 
 let count_request req =
@@ -84,12 +82,6 @@ let reset_exchanges t =
 
 let err code fmt = Fmt.kstr (fun reason -> Wire.Error { code; reason }) fmt
 
-let parse_schema schema_xml k =
-  match Axml_peer.Xml_schema_int.of_string schema_xml with
-  | exception Axml_peer.Xml_schema_int.Schema_syntax_error m ->
-    err "protocol" "malformed exchange schema: %s" m
-  | schema -> k schema
-
 (* [Peer.receive] reports every violation as [Not_instance], which
    prints as its bare text; the client rebuilds the same failure value
    from that text (byte-equal verdicts across transports). *)
@@ -107,13 +99,16 @@ let dispatch t : Wire.request -> Wire.response = function
       err "k-mismatch"
         "sender enforces at k=%d but this peer enforces at k=%d" k mine
     else
-      parse_schema schema_xml @@ fun schema ->
-      Mutex.lock t.lock;
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      Hashtbl.replace t.exchanges id schema;
-      Mutex.unlock t.lock;
-      Exchange_opened { id; k }
+      (match Axml_peer.Xml_schema_int.of_string schema_xml with
+       | exception Axml_peer.Xml_schema_int.Schema_syntax_error m ->
+         err "protocol" "malformed exchange schema: %s" m
+       | schema ->
+         Mutex.lock t.lock;
+         let id = t.next_id in
+         t.next_id <- id + 1;
+         Hashtbl.replace t.exchanges id schema;
+         Mutex.unlock t.lock;
+         Exchange_opened { id; k })
   | Exchange { exchange; as_name; doc_xml } ->
     (match exchange_schema t exchange with
      | None -> err "unknown-exchange" "no open exchange agreement #%d" exchange
@@ -137,19 +132,12 @@ let dispatch t : Wire.request -> Wire.response = function
         | wsdl -> Wsdl { wsdl }
         | exception Axml_peer.Wsdl.Wsdl_error m -> err "fault" "%s" m))
   | List_services -> Names { names = Peer.provided_names t.peer }
-  | List_documents -> Names { names = Peer.documents t.peer }
   | Get_document { name } ->
     (match Peer.fetch t.peer name with
      | doc -> Document { doc_xml = Axml_peer.Syntax.to_xml_string ~pretty:false doc }
      | exception Peer.Peer_error _ ->
        err "unknown-document" "peer %s stores no document %S"
          (Peer.name t.peer) name)
-  | Lint_exchange { schema_xml } ->
-    (* a fresh schema value, which [Peer.lint_exchange] lints without
-       entering the peer's cache: lints never evict an agreement *)
-    parse_schema schema_xml @@ fun schema ->
-    let diags = Peer.lint_exchange t.peer ~exchange:schema in
-    Report { json = Json.to_string (Axml_analysis.Diagnostic.report_to_json diags) }
   | Get_metrics { format } ->
     let body =
       match format with

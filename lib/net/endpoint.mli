@@ -16,7 +16,8 @@ val create : ?repo:Repo.t -> Axml_peer.Peer.t -> t
 val peer : t -> Axml_peer.Peer.t
 
 val handle : t -> Wire.request -> Wire.response
-(** Serve one request. Documents accepted through [Exchange] are stored
+(** Serve one request, counted in [axml_net_requests_total] under its
+    {!Wire.request_op}. Documents accepted through [Exchange] are stored
     in the peer's repository (and journaled when a {!Repo.t} is
     attached). Never raises. *)
 

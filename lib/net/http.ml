@@ -87,9 +87,15 @@ let read_request ic =
       match List.assoc_opt "content-length" headers with
       | None -> ""
       | Some l ->
-        (match int_of_string_opt (String.trim l) with
+        (* decimal digits only: [int_of_string] would also read
+           [0x10], [1_000], [+5] and [0u12] *)
+        let digits = String.trim l in
+        (match
+           if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
+           then int_of_string_opt digits
+           else None
+         with
          | None -> fail "malformed Content-Length %S" l
-         | Some n when n < 0 -> fail "malformed Content-Length %S" l
          | Some n when n > Wire.max_frame_bytes ->
            fail ~status:413 "body of %d bytes exceeds the %d limit" n
              Wire.max_frame_bytes

@@ -7,7 +7,8 @@ exception Http_error of { status : int; reason : string }
 (** A request refused before routing, with the status to answer: 413
     for a body over the cap, 431 for a request line or header over
     {!max_line_bytes} or more than {!max_headers} headers, 400 for
-    anything else malformed. *)
+    anything else malformed, a [Content-Length] that is not ASCII
+    decimal digits included. *)
 
 val max_line_bytes : int
 (** 8 KiB: the most bytes a request line or header line may hold

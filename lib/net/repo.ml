@@ -20,6 +20,9 @@ type t = {
   mutable entries : int;
   mutable recovered : int;
   mutable skipped : int; (* corrupt snapshot entries ignored at recovery *)
+  snapshot : (string, unit) Hashtbl.t; (* the names the manifest lists *)
+  pending : (string, D.t) Hashtbl.t;
+    (* the last document journalled under each name since the snapshot *)
 }
 
 let journal_path dir = Filename.concat dir "journal.log"
@@ -129,6 +132,7 @@ let replay_snapshot t =
           (match load_document ~path with
            | doc ->
              Peer.store t.peer name doc;
+             Hashtbl.replace t.snapshot name ();
              t.recovered <- t.recovered + 1
            | exception Repo_error _ -> t.skipped <- t.skipped + 1
            | exception Sys_error _ -> t.skipped <- t.skipped + 1)
@@ -157,6 +161,7 @@ let replay_journal t =
              fail "journal record %S: %s" name m
          in
          Peer.store t.peer name doc;
+         Hashtbl.replace t.pending name doc;
          t.recovered <- t.recovered + 1;
          t.entries <- t.entries + 1;
          go ()
@@ -185,27 +190,30 @@ let fsync_dir path =
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
+(* Only the documents journalled since the last snapshot are written:
+   every other file the manifest lists already holds its name's last
+   store. *)
 let snapshot_locked t =
   let snap = snapshot_dir t.dir in
   mkdir_p snap;
-  let names = Peer.documents t.peer in
-  List.iter
-    (fun name ->
-       let path = Filename.concat snap (encode_name name ^ ".xml") in
-       save_document ~path (Peer.fetch t.peer name))
-    names;
+  Hashtbl.iter
+    (fun name doc ->
+       save_document ~path:(Filename.concat snap (encode_name name ^ ".xml")) doc;
+       Hashtbl.replace t.snapshot name ())
+    t.pending;
   (* The manifest is written last, fsynced, and renamed into place (with
      the directory entry fsynced too): a crash — or power cut — during
      the snapshot leaves the previous manifest (and journal) intact, and
      a completed rename refers to data that actually reached the disk. *)
   let tmp = manifest_path t.dir ^ ".tmp" in
   let oc = open_out tmp in
-  List.iter (fun name -> output_string oc (encode_name name ^ "\n")) names;
+  Hashtbl.iter (fun name () -> output_string oc (encode_name name ^ "\n")) t.snapshot;
   flush oc;
   (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
   close_out oc;
   Sys.rename tmp (manifest_path t.dir);
-  fsync_dir snap
+  fsync_dir snap;
+  Hashtbl.reset t.pending
 
 let compact_locked t =
   snapshot_locked t;
@@ -224,7 +232,8 @@ let attach ~dir peer =
   mkdir_p dir;
   let t =
     { dir; peer; lock = Mutex.create (); oc = None;
-      entries = 0; recovered = 0; skipped = 0 }
+      entries = 0; recovered = 0; skipped = 0;
+      snapshot = Hashtbl.create 64; pending = Hashtbl.create 64 }
   in
   replay_snapshot t;
   replay_journal t;
@@ -236,6 +245,7 @@ let record_store t name doc =
   with_lock t @@ fun () ->
   let oc = journal_channel t in
   Wire.write oc put_record (name, Syntax.to_xml_string ~pretty:false doc);
+  Hashtbl.replace t.pending name doc;
   t.entries <- t.entries + 1;
   if t.entries >= compact_every then compact_locked t
 

@@ -15,10 +15,17 @@
     before it is recovered. Corrupt snapshot state (a garbage MANIFEST
     line, a missing or unparseable snapshot file) is skipped and counted
     ({!skipped}), never fatal. {!record_store} appends one frame per
-    store and compacts automatically every {!compact_every} records
-    ({!compact}: snapshot everything, truncate the journal; the new
-    manifest is fsynced and renamed into place, then the directory entry
-    fsynced, so a power cut cannot leave a half-written manifest). *)
+    store and compacts automatically every {!compact_every} records.
+
+    A snapshot holds what {!record_store} journalled: {!compact} writes
+    the snapshot file of each name journalled since the last snapshot
+    (the records {!attach} replayed included), lists those names and
+    the ones already in the snapshot in a new manifest, and truncates
+    the journal. A compaction's cost follows the stores since the last
+    one, not the repository's size. The manifest is fsynced and renamed
+    into place, then the directory entry fsynced, so a power cut cannot
+    leave a half-written manifest. Documents stored in the peer without
+    {!record_store} are not persisted. *)
 
 exception Repo_error of string
 
@@ -38,7 +45,8 @@ val record_store : t -> string -> Axml_core.Document.t -> unit
     behind an internal mutex: safe from concurrent server threads. *)
 
 val compact : t -> unit
-(** Snapshot the peer's current repository and truncate the journal. *)
+(** Snapshot what was journalled since the last snapshot and truncate
+    the journal. *)
 
 val journal_entries : t -> int
 (** Records appended since the last snapshot (after recovery: the

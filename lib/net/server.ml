@@ -16,6 +16,8 @@ let error_budget = 8
 (* How long [stop] waits for in-flight work. *)
 let drain_timeout_s = 5.0
 
+let http_read_timeout_s = 3.0
+
 type t = {
   endpoint : Endpoint.t;
   config : config;
@@ -249,7 +251,7 @@ let serve_http t ic oc =
   | exception Http.Http_error { status; reason } ->
     Metrics.inc m_protocol_errors;
     (try Http.write_response oc ~status (reason ^ "\n") with Sys_error _ -> ())
-  | exception Sys_error _ -> ()
+  | exception (Sys_error _ | Sys_blocked_io) -> ()  (* [Sys_blocked_io]: timed out *)
 
 (* ------------------------------------------------------------------ *)
 (* Connection lifecycle                                                 *)
@@ -281,6 +283,7 @@ let handle_connection t fd =
     end
     else begin
       Metrics.inc m_conns_http;
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO http_read_timeout_s;
       serve_http t ic oc
     end;
     (try flush oc with Sys_error _ -> ())

@@ -7,8 +7,9 @@
     admission-control cap on requests in flight {e before} any
     enforcement pipeline runs (excess answered with an ["overloaded"]
     error, never queued), a per-connection budget of {!error_budget}
-    protocol errors, and {!Wire.max_frame_bytes} per request payload in
-    both protocols. {!stop} drains gracefully: stop accepting, let
+    protocol errors, {!Wire.max_frame_bytes} per request payload in
+    both protocols, and on an HTTP connection a receive timeout of
+    {!http_read_timeout_s}. {!stop} drains gracefully: stop accepting, let
     in-flight requests finish (up to 5 s), unblock idle readers, join
     every connection thread. *)
 
@@ -26,6 +27,16 @@ val default_config : config
 val error_budget : int
 (** Undecodable-but-framed requests tolerated per connection before it
     is closed: 8. *)
+
+val http_read_timeout_s : float
+(** 3 s: once a connection is known to speak HTTP, the longest wait for
+    its next bytes. A request whose head and body stall longer is
+    closed, so a stalled client cannot hold a connection slot for ever.
+    The timeout bounds each wait, not the whole request: a client that
+    trickles a byte within every interval still holds its slot. Framed
+    connections have no timeout, since a client may keep one idle
+    between exchanges. A socket that never sends its first byte is not
+    known to speak either protocol and waits without a bound. *)
 
 type t
 

@@ -25,9 +25,7 @@ type request =
   | Invoke of { envelope : string }
   | Get_wsdl of { service : string }
   | List_services
-  | List_documents
   | Get_document of { name : string }
-  | Lint_exchange of { schema_xml : string }
   | Get_metrics of { format : metrics_format }
 
 type refusal = { at : Axml_core.Document.path; context : string }
@@ -41,7 +39,6 @@ type response =
   | Wsdl of { wsdl : string }
   | Names of { names : string list }
   | Document of { doc_xml : string }
-  | Report of { json : string }
   | Metrics of { format : metrics_format; body : string }
   | Error of { code : string; reason : string }
 
@@ -52,9 +49,7 @@ let request_op = function
   | Invoke _ -> "invoke"
   | Get_wsdl _ -> "wsdl"
   | List_services -> "list-services"
-  | List_documents -> "list-documents"
   | Get_document _ -> "get-document"
-  | Lint_exchange _ -> "lint"
   | Get_metrics _ -> "metrics"
 
 let response_op = function
@@ -66,7 +61,6 @@ let response_op = function
   | Wsdl _ -> "wsdl"
   | Names _ -> "names"
   | Document _ -> "document"
-  | Report _ -> "report"
   | Metrics _ -> "metrics"
   | Error _ -> "error"
 
@@ -184,13 +178,9 @@ let put_request buf (req : request) =
      put_u8 buf 5;
      put_str buf service
    | List_services -> put_u8 buf 6
-   | List_documents -> put_u8 buf 7
    | Get_document { name } ->
      put_u8 buf 8;
      put_str buf name
-   | Lint_exchange { schema_xml } ->
-     put_u8 buf 9;
-     put_str buf schema_xml
    | Get_metrics { format } ->
      put_u8 buf 10;
      put_format buf format)
@@ -211,9 +201,7 @@ let request_of (r : reader) : request =
     | 4 -> Invoke { envelope = get_str r }
     | 5 -> Get_wsdl { service = get_str r }
     | 6 -> List_services
-    | 7 -> List_documents
     | 8 -> Get_document { name = get_str r }
-    | 9 -> Lint_exchange { schema_xml = get_str r }
     | 10 -> Get_metrics { format = get_format r }
     | t -> fail "unknown request tag %d" t
   in
@@ -263,9 +251,6 @@ let put_response buf (resp : response) =
    | Document { doc_xml } ->
      put_u8 buf 8;
      put_str buf doc_xml
-   | Report { json } ->
-     put_u8 buf 9;
-     put_str buf json
    | Metrics { format; body } ->
      put_u8 buf 10;
      put_format buf format;
@@ -295,7 +280,6 @@ let response_of (r : reader) : response =
     | 6 -> Wsdl { wsdl = get_str r }
     | 7 -> Names { names = get_list r get_str }
     | 8 -> Document { doc_xml = get_str r }
-    | 9 -> Report { json = get_str r }
     | 10 ->
       let format = get_format r in
       let body = get_str r in

@@ -1,5 +1,6 @@
-(** The Active XML wire protocol: typed requests/responses for the full
-    peer surface, a deterministic binary codec, and length-prefixed
+(** The Active XML wire protocol: typed requests/responses for what a
+    peer serves (exchanges, service calls, WSDL, stored documents,
+    metrics), a deterministic binary codec, and length-prefixed
     framing.
 
     The protocol is the {e transport-agnostic} contract between peers:
@@ -47,10 +48,7 @@ type request =
           envelope, answered by a response or fault envelope. *)
   | Get_wsdl of { service : string }
   | List_services
-  | List_documents
   | Get_document of { name : string }
-  | Lint_exchange of { schema_xml : string }
-      (** Contract-level lint of the receiver's side of an agreement. *)
   | Get_metrics of { format : metrics_format }
 
 type refusal = { at : Axml_core.Document.path; context : string }
@@ -68,7 +66,6 @@ type response =
   | Wsdl of { wsdl : string }
   | Names of { names : string list }
   | Document of { doc_xml : string }
-  | Report of { json : string }
   | Metrics of { format : metrics_format; body : string }
   | Error of { code : string; reason : string }
       (** Transport- or endpoint-level failure; stable [code]s:
@@ -82,7 +79,12 @@ val request_op : request -> string
 val pp_request : request Fmt.t
 val pp_response : response Fmt.t
 
-(** {1 Codec} *)
+(** {1 Codec}
+
+    A message is its constructor's tag byte, then its fields. Tags are
+    never reused: request tags 7 and 9 and response tag 9 are
+    unassigned, so a payload starting with one is undecodable, as any
+    unknown tag is, and a server answers it with a ["protocol"] error. *)
 
 val encode_request : request -> string
 val decode_request : string -> request

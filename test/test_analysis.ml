@@ -1,7 +1,6 @@
 (* Tests for the static diagnostics engine (lib/analysis): one
-   triggering and one clean fixture per rule code, the contract lint
-   served through Enforcement/Peer, and qcheck properties — linting generated
-   schemas never raises, and the vacuity verdict (AXM001) agrees with
+   triggering and one clean fixture per rule code, and qcheck
+   properties — linting generated schemas never raises, and the vacuity verdict (AXM001) agrees with
    the automata-level emptiness check. *)
 
 module R = Axml_regex.Regex
@@ -14,8 +13,6 @@ module Contract = Axml_core.Contract
 module Json = Axml_obs.Json
 module Diagnostic = Axml_analysis.Diagnostic
 module Lint = Axml_analysis.Lint
-module Pipeline = Axml_peer.Enforcement.Pipeline
-module Peer = Axml_peer.Peer
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -381,23 +378,6 @@ let test_severity_accounting () =
     (if Diagnostic.exceeds ~deny:Diagnostic.Hint [] then 1 else 0)
 
 (* ------------------------------------------------------------------ *)
-(* Contract lint through Enforcement.Pipeline and Peer                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_peer_lint_exchange () =
-  let p =
-    Pipeline.create ~s0:doomed_sender ~exchange:doomed_target
-      ~invoker:(fun _ _ -> []) ()
-  in
-  check "pipeline lint sees the doom" true (has "AXM021" (Pipeline.lint p));
-  let peer = Peer.create ~name:"sender" ~schema:doomed_sender () in
-  let ds = Peer.lint_exchange peer ~exchange:doomed_target in
-  check "peer surfaces the doom" true (has "AXM021" ds);
-  (* served from the cached pipeline: a second call agrees *)
-  let ds' = Peer.lint_exchange peer ~exchange:doomed_target in
-  check_int "stable across calls" (List.length ds) (List.length ds')
-
-(* ------------------------------------------------------------------ *)
 (* qcheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -496,9 +476,6 @@ let () =
        [ Alcotest.test_case "json report" `Quick test_json_report;
          Alcotest.test_case "rule catalog" `Quick test_rule_catalog;
          Alcotest.test_case "severity accounting" `Quick test_severity_accounting
-       ]);
-      ("gate",
-       [ Alcotest.test_case "peer lint" `Quick test_peer_lint_exchange
        ]);
       ("properties", qcheck_tests)
     ]

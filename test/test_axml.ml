@@ -1189,61 +1189,6 @@ let test_peer_serve_observed () =
             match e.kind with Decision _ -> true | _ -> false)
           (Trace.buffer_events buf)))
 
-(* A schema with [n] call-bearing elements under its root: computing
-   its contract lint takes longer than a systhread time slice, so
-   threads forcing it together really overlap. *)
-let wide_schema ~extensional n =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "root r\nelement r = %s\n"
-    (String.concat "." (List.init n (Printf.sprintf "e%d")));
-  Buffer.add_string b "element a = #data\nelement b = #data\nelement c = #data\n";
-  for i = 0 to n - 1 do
-    if extensional then Printf.bprintf b "element e%d = a.b*.c\n" i
-    else Printf.bprintf b "element e%d = a.(F%d | b)*.c\n" i i;
-    Printf.bprintf b "function F%d : #data -> b*\n" i
-  done;
-  parse_schema (Buffer.contents b)
-
-let test_peer_lint_concurrent () =
-  let n = 400 in
-  let s0 = wide_schema ~extensional:false n
-  and exchange = wide_schema ~extensional:true n in
-  let r = R.sym (Schema.A_label "r") in
-  let peer () =
-    let p = Peer.create ~name:"wide" ~schema:s0 () in
-    Peer.provide p ~name:"Echo" ~input:r ~output:r (Peer.Compute Fun.id);
-    p
-  in
-  let params =
-    [ D.elem "r"
-        (List.init n (fun i ->
-             D.elem (Printf.sprintf "e%d" i)
-               [ D.elem "a" [ D.data "x" ]; D.elem "c" [ D.data "y" ] ])) ]
-  in
-  let lint p = Peer.lint_exchange p ~exchange in
-  let serve p = Peer.serve p ~method_name:"Echo" params in
-  let expected_lint = lint (peer ()) in
-  check "the agreement lints" true (expected_lint <> []);
-  check "served alone" true (serve (peer ()) == params);
-  let p = peer () in
-  (* the agreement's cached pipeline holds the one lint the lint
-     threads force together *)
-  ignore (Peer.exchange_pipeline p ~exchange);
-  let outcomes = Array.make 6 "" in
-  let threads =
-    Array.init 6 (fun i ->
-        Thread.create
-          (fun () ->
-            outcomes.(i) <-
-              (match if i mod 2 = 0 then lint p = expected_lint else serve p == params with
-               | true -> "same"
-               | false -> "different"
-               | exception e -> Printexc.to_string e))
-          ())
-  in
-  Array.iter Thread.join threads;
-  Array.iteri (fun i o -> Alcotest.(check string) (Fmt.str "thread %d" i) "same" o) outcomes
-
 (* Four systhreads serve conforming, rewritten and rejected parameters
    and receive documents on one peer; halfway through, the peer is
    reconfigured with the possible fallback, which turns the rejection of
@@ -2487,8 +2432,6 @@ let () =
          Alcotest.test_case "serve behind a resilience guard" `Quick
            test_peer_serve_resilience;
          Alcotest.test_case "serve is counted and traced" `Quick test_peer_serve_observed;
-         Alcotest.test_case "concurrent lint and serve" `Quick
-           test_peer_lint_concurrent;
          Alcotest.test_case "concurrent serve and receive" `Quick
            test_peer_concurrent_serve_receive;
          Alcotest.test_case "concurrent receives store every document" `Quick

@@ -111,9 +111,7 @@ let gen_request : Wire.request QCheck.Gen.t =
       map (fun s -> Wire.Invoke { envelope = s }) gen_string;
       map (fun s -> Wire.Get_wsdl { service = s }) gen_string;
       return Wire.List_services;
-      return Wire.List_documents;
       map (fun s -> Wire.Get_document { name = s }) gen_string;
-      map (fun s -> Wire.Lint_exchange { schema_xml = s }) gen_string;
       map
         (fun b -> Wire.Get_metrics { format = (if b then Wire.Prometheus else Wire.Json) })
         bool ]
@@ -140,7 +138,6 @@ let gen_response : Wire.response QCheck.Gen.t =
       map (fun s -> Wire.Wsdl { wsdl = s }) gen_string;
       map (fun names -> Wire.Names { names }) (list_size (int_bound 8) gen_string);
       map (fun s -> Wire.Document { doc_xml = s }) gen_string;
-      map (fun s -> Wire.Report { json = s }) gen_string;
       map2
         (fun b body ->
           Wire.Metrics
@@ -259,8 +256,7 @@ let every_request =
   [ Wire.Ping; Wire.Open_exchange { schema_xml = "<schema/>"; k = 2 };
     Wire.Exchange { exchange = 7; as_name = "front"; doc_xml = "<newspaper/>" };
     Wire.Invoke { envelope = "<env/>" }; Wire.Get_wsdl { service = "Get_Temp" };
-    Wire.List_services; Wire.List_documents; Wire.Get_document { name = "front" };
-    Wire.Lint_exchange { schema_xml = "<schema/>" };
+    Wire.List_services; Wire.Get_document { name = "front" };
     Wire.Get_metrics { format = Wire.Prometheus }; Wire.Get_metrics { format = Wire.Json } ]
 
 let every_response =
@@ -271,7 +267,7 @@ let every_response =
     Wire.Refused { refusals = [ { Wire.at = [ 0; 3 ]; context = "temp expected" } ] };
     Wire.Envelope { envelope = "<env/>" }; Wire.Wsdl { wsdl = "<wsdl/>" };
     Wire.Names { names = [ "a"; ""; "b" ] }; Wire.Document { doc_xml = "<newspaper/>" };
-    Wire.Report { json = "{}" }; Wire.Metrics { format = Wire.Prometheus; body = "x 1\n" };
+    Wire.Metrics { format = Wire.Prometheus; body = "x 1\n" };
     Wire.Metrics { format = Wire.Json; body = "{}" };
     Wire.Error { code = "protocol"; reason = "why" } ]
 
@@ -599,13 +595,10 @@ let test_endpoint_basics () =
   (match handle (Wire.Open_exchange { schema_xml = "<not-a-schema"; k = 1 }) with
    | Wire.Error { code = "protocol"; _ } -> ()
    | r -> Alcotest.failf "bad schema: %a" Wire.pp_response r);
-  (match handle (Wire.Get_metrics { format = Wire.Prometheus }) with
-   | Wire.Metrics { body; _ } ->
-     check "prometheus body" true (String.length body > 0)
-   | r -> Alcotest.failf "metrics: %a" Wire.pp_response r);
-  (match handle (Wire.Lint_exchange { schema_xml = Xml_schema_int.to_string schema_exchange }) with
-   | Wire.Report { json } -> check "lint json" true (String.length json >= 2)
-   | r -> Alcotest.failf "lint: %a" Wire.pp_response r)
+  match handle (Wire.Get_metrics { format = Wire.Prometheus }) with
+  | Wire.Metrics { body; _ } ->
+    check "prometheus body" true (String.length body > 0)
+  | r -> Alcotest.failf "metrics: %a" Wire.pp_response r
 
 let test_endpoint_services () =
   let provider = Peer.create ~name:"timeout.com" ~schema:schema_exchange () in
@@ -656,37 +649,6 @@ let test_endpoint_k_mismatch () =
   match handle (Wire.Open_exchange { schema_xml = "<not-a-schema"; k = 7 }) with
   | Wire.Error { code = "k-mismatch"; _ } -> ()
   | r -> Alcotest.failf "mismatch before parse: %a" Wire.pp_response r
-
-(* A lint request parses the schema it carries, and the peer caches 8
-   exchange pipelines: linting, whether of the open agreement's XML or
-   of another schema, must not evict the agreement's pipeline. *)
-let test_endpoint_lint_keeps_agreement () =
-  let receiver = make_receiver () in
-  let endpoint = Endpoint.create receiver in
-  let handle = Endpoint.handle endpoint in
-  let id = open_exchange handle schema_exchange in
-  let doc_xml =
-    Syntax.to_xml_string ~pretty:false
-      (D.elem "newspaper"
-         [ D.elem "title" [ D.data "t" ]; D.elem "date" [ D.data "d" ];
-           D.elem "temp" [ D.data "15" ] ])
-  in
-  (match handle (Wire.Exchange { exchange = id; as_name = "front"; doc_xml }) with
-   | Wire.Accepted _ -> ()
-   | r -> Alcotest.failf "exchange: %a" Wire.pp_response r);
-  let schema = Option.get (Endpoint.exchange_schema endpoint id) in
-  let pipeline = Peer.exchange_pipeline receiver ~exchange:schema in
-  let lint schema_xml =
-    match handle (Wire.Lint_exchange { schema_xml }) with
-    | Wire.Report _ -> ()
-    | r -> Alcotest.failf "lint: %a" Wire.pp_response r
-  in
-  for _ = 1 to 8 do lint (Xml_schema_int.to_string schema_exchange) done;
-  check "same XML: the agreement's pipeline is kept" true
-    (pipeline == Peer.exchange_pipeline receiver ~exchange:schema);
-  for _ = 1 to 8 do lint (Xml_schema_int.to_string (Peer.schema (make_sender ()))) done;
-  check "other schemas: the agreement's pipeline is kept" true
-    (pipeline == Peer.exchange_pipeline receiver ~exchange:schema)
 
 (* The client's agreement cache must key on structural schema equality
    (a re-parsed copy is the same agreement), and a stale agreement —
@@ -824,6 +786,37 @@ let test_server_error_budget_closes () =
    | exception Wire.Wire_error _ -> ()
    | exception Sys_error _ -> ())
 
+(* Request tags 7 and 9 are unassigned: a frame carrying either
+   is answered as any unknown tag is, with a protocol error, and the
+   connection goes on serving. *)
+let test_server_freed_tags () =
+  let receiver = make_receiver () in
+  with_server receiver @@ fun server ->
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+  let ic = Unix.in_channel_of_descr fd in
+  let oc = Unix.out_channel_of_descr fd in
+  let fr = Wire.frame () in
+  let answer payload =
+    Wire.write oc Buffer.add_string payload;
+    check "answered" true (Wire.read fr ic);
+    Wire.response_of_frame fr
+  in
+  List.iter
+    (fun payload ->
+      match answer payload with
+      | Wire.Error { code = "protocol"; _ } -> ()
+      | r -> Alcotest.failf "tag %d: %a" (Char.code payload.[0]) Wire.pp_response r)
+    [ "\x07"; "\x09\x00\x00\x00\x09<schema/>" ];
+  (match answer (Wire.encode_request Wire.Ping) with
+   | Wire.Pong { peer = "reader"; _ } -> ()
+   | r -> Alcotest.failf "ping after the freed tags: %a" Wire.pp_response r);
+  check "response tag 9 is unknown" true
+    (match Wire.decode_response "\x09\x00\x00\x00\x02{}" with
+     | _ -> false
+     | exception Wire.Wire_error _ -> true)
+
 let test_server_admission_control () =
   (* one in-flight slot, held by a gated service call: the second
      request must be refused as "overloaded", never queued *)
@@ -950,6 +943,44 @@ let test_repo_compaction () =
   check_int "snapshot + journal recovered" stores (Repo.recovered repo2);
   check "snapshot document intact" true (D.equal (doc "1") (Peer.fetch reborn "1"));
   Repo.close repo2
+
+(* A compaction writes the snapshot files of the names journalled since
+   the last one, the records [attach] replayed included: a file the
+   snapshot already holds is left as it is. *)
+let test_repo_compaction_writes_changes () =
+  with_temp_dir @@ fun dir ->
+  let doc name = D.elem "newspaper" [ D.elem "title" [ D.data name ] ] in
+  let attach () =
+    let peer = make_receiver () in
+    (peer, Repo.attach ~dir peer)
+  in
+  let store (peer, repo) name =
+    Peer.store peer name (doc name);
+    Repo.record_store repo name (doc name)
+  in
+  let ((_, repo) as first) = attach () in
+  List.iter (store first) [ "a"; "b" ];
+  Repo.compact repo;
+  let a_file = Filename.concat dir ("snapshot/" ^ Repo.encode_name "a" ^ ".xml") in
+  Out_channel.with_open_bin a_file (fun oc ->
+      output_string oc (Syntax.to_xml_string (doc "overwritten")));
+  List.iter (store first) [ "b"; "c" ];
+  Repo.compact repo;
+  store first "d";
+  Repo.close repo;
+  (* "d" comes back from the journal, which this compaction truncates *)
+  let _, repo2 = attach () in
+  Repo.compact repo2;
+  Repo.close repo2;
+  let reborn, repo3 = attach () in
+  check_int "every document recovered" 4 (Repo.recovered repo3);
+  check_int "nothing skipped" 0 (Repo.skipped repo3);
+  check "an unchanged document's file is not rewritten" true
+    (D.equal (doc "overwritten") (Peer.fetch reborn "a"));
+  List.iter
+    (fun name -> check (name ^ " recovered") true (D.equal (doc name) (Peer.fetch reborn name)))
+    [ "b"; "c"; "d" ];
+  Repo.close repo3
 
 let test_repo_odd_names () =
   with_temp_dir @@ fun dir ->
@@ -1163,6 +1194,14 @@ let test_http_refusals () =
   refused "a malformed header" 400 "GET / HTTP/1.1\r\nno colon\r\n\r\n";
   refused "a malformed Content-Length" 400
     "POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n";
+  (* spellings [int_of_string] reads as numbers, each followed by the
+     bytes it would announce *)
+  List.iter
+    (fun (spelling, n) ->
+      refused ("Content-Length " ^ spelling) 400
+        (Fmt.str "POST / HTTP/1.1\r\nContent-Length: %s\r\n\r\n%s" spelling
+           (String.make n 'x')))
+    [ ("0x10", 16); ("1_000", 1000); ("+5", 5); ("0o17", 15); ("0b11", 3); ("0u12", 12) ];
   refused "EOF in headers" 400 "GET / HTTP/1.1\r\nHost: x\r\n"
 
 (* The server answers a refused head with the refusal's status. *)
@@ -1182,6 +1221,48 @@ let test_http_server_status () =
     (status_of ("GET /health HTTP/1.1\r\nX: " ^ String.make (Http.max_line_bytes + 1) 'x'));
   check_string "a malformed request" "HTTP/1.1 400 Bad Request\r"
     (status_of "GET\r\n\r\n")
+
+(* Two HTTP connections that send one byte and stall hold both of two
+   connection slots only until their receive timeout: a third
+   connection is refused while they hold them, then served. *)
+let test_http_stalled_connections_time_out () =
+  let config = { Server.default_config with max_connections = 2 } in
+  with_server ~config (make_receiver ()) @@ fun server ->
+  let connect () =
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+    fd
+  in
+  let stalled = List.init 2 (fun _ -> connect ()) in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close stalled) @@ fun () ->
+  List.iter (fun fd -> ignore (Unix.write_substring fd "G" 0 1)) stalled;
+  let t0 = Unix.gettimeofday () in
+  while Server.connections server < 2 && Unix.gettimeofday () -. t0 < 2.0 do
+    Thread.delay 0.01
+  done;
+  check_int "both stalled connections held" 2 (Server.connections server);
+  let health () =
+    let fd = connect () in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    let request = "GET /health HTTP/1.1\r\n\r\n" in
+    match
+      ignore (Unix.write_substring fd request 0 (String.length request));
+      input_line (Unix.in_channel_of_descr fd)
+    with
+    | status -> Some status
+    | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> None
+  in
+  check "a third connection is refused at the cap" true (health () = None);
+  let deadline = t0 +. Server.http_read_timeout_s +. 2.0 in
+  let rec served () =
+    match health () with
+    | Some status -> status
+    | None when Unix.gettimeofday () < deadline ->
+      Thread.delay 0.05;
+      served ()
+    | None -> Alcotest.fail "no slot freed within the timeout plus 2 s"
+  in
+  check_string "served after the timeout" "HTTP/1.1 200 OK\r" (served ())
 
 (* ------------------------------------------------------------------ *)
 (* HTTP mutation fuzz                                                   *)
@@ -1234,7 +1315,8 @@ let mutate_http other s =
         (fun v -> String.sub s 0 at ^ v ^ String.sub s stop (n - stop))
         (oneof
            [ map string_of_int (int_bound 0xffffff);
-             return "-1"; return "99999999999999999999"; return "0x10"; return "";
+             return "-1"; return "99999999999999999999"; return "";
+             oneofl [ "0x10"; "1_000"; "+5"; "0o17"; "0b11"; "0u12" ];
              string_size ~gen:printable (int_bound 8) ])
   and long_line =
     map2
@@ -1291,15 +1373,15 @@ let test_endpoint_request_counts () =
       (Axml_obs.Metrics.counter ~help:"Endpoint requests served, by operation"
          ~labels:[ ("op", op) ] "axml_net_requests_total")
   in
-  let pings = count "ping" and lists = count "list-documents" in
+  let pings = count "ping" and lists = count "list-services" in
   let serve () =
     for i = 1 to 1000 do
-      ignore (handle (if i land 1 = 0 then Wire.Ping else Wire.List_documents))
+      ignore (handle (if i land 1 = 0 then Wire.Ping else Wire.List_services))
     done
   in
   List.iter Thread.join (List.init 4 (fun _ -> Thread.create serve ()));
   check_int "pings counted" (pings + 2000) (count "ping");
-  check_int "listings counted" (lists + 2000) (count "list-documents")
+  check_int "listings counted" (lists + 2000) (count "list-services")
 
 let () =
   Alcotest.run "net"
@@ -1325,9 +1407,7 @@ let () =
          Alcotest.test_case "services over the wire" `Quick test_endpoint_services;
          Alcotest.test_case "k-mismatch refused" `Quick test_endpoint_k_mismatch;
          Alcotest.test_case "agreement cache and re-open" `Quick
-           test_client_agreement_cache;
-         Alcotest.test_case "lints keep the agreement's pipeline" `Quick
-           test_endpoint_lint_keeps_agreement ]);
+           test_client_agreement_cache ]);
       ("server",
        [ Alcotest.test_case "concurrent clients, verdict parity" `Quick
            test_server_concurrent_clients;
@@ -1335,6 +1415,8 @@ let () =
            test_server_killed_client_and_budget;
          Alcotest.test_case "error budget closes the connection" `Quick
            test_server_error_budget_closes;
+         Alcotest.test_case "freed request tags answer protocol" `Quick
+           test_server_freed_tags;
          Alcotest.test_case "admission control refuses, never queues" `Quick
            test_server_admission_control;
          Alcotest.test_case "graceful stop" `Quick test_server_graceful_stop ]);
@@ -1342,6 +1424,8 @@ let () =
        [ Alcotest.test_case "journal recovery" `Quick test_repo_journal_recovery;
          Alcotest.test_case "torn tail" `Quick test_repo_torn_tail;
          Alcotest.test_case "compaction" `Quick test_repo_compaction;
+         Alcotest.test_case "compaction writes what changed" `Quick
+           test_repo_compaction_writes_changes;
          Alcotest.test_case "odd repository names" `Quick test_repo_odd_names;
          Alcotest.test_case "name codec" `Quick test_repo_name_codec;
          Alcotest.test_case "garbage manifest" `Quick test_repo_garbage_manifest;
@@ -1351,5 +1435,7 @@ let () =
          Alcotest.test_case "body memory follows the bytes" `Quick test_http_body_memory;
          Alcotest.test_case "refusals and their statuses" `Quick test_http_refusals;
          Alcotest.test_case "the server answers the refusal's status" `Quick
-           test_http_server_status ]);
+           test_http_server_status;
+         Alcotest.test_case "stalled connections time out" `Quick
+           test_http_stalled_connections_time_out ]);
       ("http-fuzz", [ QCheck_alcotest.to_alcotest prop_fuzz_http ]) ]
