@@ -398,8 +398,10 @@ type exchange_outcome = {
 }
 
 (* The receiver's verdict the long way, for a document the one pass of
-   [receive] refused: parse to a tree, decode, and list every
-   violation, in the order and words a refusal reports them. *)
+   [receive] refused: decode without checking ([Syntax.of_xml_string],
+   which leaves malformed bytes to the tree route and its message), and
+   list every violation, in the order and words a refusal reports
+   them. *)
 let receive_slowly t ~ctx ~as_name (wire : string) : (Document.t, Enforcement.error) result =
   let rejected failures = Error (Enforcement.Rejected failures) in
   match Syntax.of_xml_string wire with

@@ -139,14 +139,16 @@ let to_xml_string ?(pretty = true) doc =
    int:fun syntax allows where ([opening], [content], [params_closed],
    [call_closed]):
    - [of_xml] decodes a parsed [Xml_tree]: SOAP bodies, path queries,
-     and [of_xml_string]. It recurses on the tree's depth and builds
-     each children list front to back ([@tail_mod_cons]); building
-     them on the explicit stack below measured 1.7-2.7x slower, since
-     every node stored into the long-lived stack pays the write
-     barrier.
-   - [of_xml_string_checked] reads the wire bytes token by token
+     and every input the one pass leaves to it. It recurses on the
+     tree's depth and builds each children list front to back
+     ([@tail_mod_cons]); building them on the explicit stack below
+     measured 1.7-2.7x slower, since every node stored into the
+     long-lived stack pays the write barrier.
+   - The one pass reads the wire bytes token by token
      ([Xml_parser.next]) and builds the document on an explicit stack,
-     checking Definition 3 as it goes; it is the receiver's one pass.
+     with no tree. [of_xml_string_checked], the receiver's, checks
+     Definition 3 as it goes; [of_xml_string], the batch loop's, the
+     journal replay's and the CLI's, checks nothing but the syntax.
 
    A rule is keyed by the kind of the element a node sits in. A call is
    [k_call] until content other than layout comes before its
@@ -299,13 +301,8 @@ let of_xml (tree : T.t) : D.t =
   | [] -> raise (Syntax_error "the document is empty")
   | _ -> raise (Syntax_error "the document has several roots")
 
-let of_xml_string input =
-  match Axml_xml.Xml_parser.parse_result input with
-  | Ok tree -> of_xml tree
-  | Error e -> raise (Syntax_error e)
-
 (* ------------------------------------------------------------------ *)
-(* The receiver's one pass                                             *)
+(* The one pass, checked or not                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* The wire bytes are read token by token and the document is built on
@@ -317,22 +314,28 @@ let of_xml_string input =
    children are popped into their list front to back, so each list is
    built once and never reversed.
 
-   Definition 3 is checked on the way: a node opening with an
-   undeclared name is refused, each opening child steps its parent's
-   DFA ([Dense.step_id]), a closing element or call must leave it in a
-   final state, and the root rule is checked last. The first offence of
-   any kind, malformed bytes included, ends the pass: the caller
-   rebuilds the refusal through the tree decoder and
-   [Validate.document_violations]. So content a call's syntax would
-   skip is refused as it opens, since it makes the document malformed
-   whatever follows.
+   Names are only looked up, never interned: a node opening with a
+   name no schema declared ends the pass. Under a [Validate.ctx]
+   Definition 3 is checked on the way: each opening child steps its
+   parent's DFA ([Dense.step_id]), a closing element or call must
+   leave it in a final state, and the root rule is checked last. Under
+   [unchecked] none of that runs. Either way the first offence of any
+   kind, malformed bytes included, ends the pass, and the answer is
+   rebuilt the long way: [of_xml_string_checked]'s caller lists the
+   refusal through the tree decoder and [Validate.document_violations],
+   and [of_xml_string] decodes through the tree, which raises its
+   error or returns its document (one with a name never declared).
+   So a first offence found mid-pass never decides which message is
+   reported, and content a call's syntax would skip ends the pass as it
+   opens, since it makes the document malformed whatever follows.
 
    The stacks live in one scratch value kept in a spare slot between
    decodes (as [Spare_buffer] keeps a printer's buffer): a decode that
    finds the slot empty, because another one holds it, makes its own,
-   and one whose stacks grew past their first size is dropped rather
-   than kept. So the slot holds one scratch of a fixed size, and what
-   an accepted document costs is the document. *)
+   and one whose stacks grew past their first size is dropped, a fresh
+   scratch taking its place. So the slot holds one scratch of a fixed
+   size after any decode, however deep, and what an accepted document
+   costs is the document. *)
 
 (* A frame's ints: its kind, the node-stack index its children start
    at, its DFA state, its symbol id, its name's offset and length in
@@ -371,15 +374,18 @@ let take () =
 (* A decode leaves what it popped in its slots; they are cleared once,
    here, so the scratch keeps no document alive. *)
 let give d =
-  for i = 0 to d.high_sp - 1 do
-    if Array.unsafe_get d.envs i != Ns.empty_env then Array.unsafe_set d.envs i Ns.empty_env
-  done;
-  for i = 0 to d.high_top - 1 do Array.unsafe_set d.nodes i no_node done;
-  d.sp <- 0;
-  d.top <- 0;
-  d.high_sp <- 0;
-  d.high_top <- 0;
-  if Array.length d.envs = frames && Array.length d.nodes = node_slots then Atomic.set spare d
+  if Array.length d.envs = frames && Array.length d.nodes = node_slots then begin
+    for i = 0 to d.high_sp - 1 do
+      if Array.unsafe_get d.envs i != Ns.empty_env then Array.unsafe_set d.envs i Ns.empty_env
+    done;
+    for i = 0 to d.high_top - 1 do Array.unsafe_set d.nodes i no_node done;
+    d.sp <- 0;
+    d.top <- 0;
+    d.high_sp <- 0;
+    d.high_top <- 0;
+    Atomic.set spare d
+  end
+  else Atomic.set spare (make_scratch ())
 
 let grow a fill =
   let b = Array.make (2 * Array.length a) fill in
@@ -433,6 +439,12 @@ let children d b =
 
 exception Unchecked
 
+(* The context of a pass that checks no model: the switch every check
+   below tests, by identity. *)
+let unchecked = Validate.ctx Axml_schema.Schema.empty
+
+let[@inline] checks ctx = ctx != unchecked
+
 let[@inline] dfa ctx id =
   match Validate.model_of_id ctx id with Some m -> m.Validate.dfa | None -> raise_notrace Unchecked
 
@@ -442,7 +454,7 @@ let[@inline] dfa ctx id =
 let step ctx d child =
   let i = d.sp - 1 in
   let o = if kind d i = k_param then i - 2 else i in
-  if o > 0 then begin
+  if o > 0 && checks ctx then begin
     let s = Dense.step_id (dfa ctx (id d o)) (state d o) child in
     if s < 0 then raise_notrace Unchecked;
     set_state d o s
@@ -461,7 +473,7 @@ let close_frame ctx d =
   if k = k_elem || k = k_call || k = k_done then begin
     if k <> k_elem then call_closed k;
     let id = id d i in
-    if not (Dense.is_final (dfa ctx id) (state d i)) then raise_notrace Unchecked;
+    if checks ctx && not (Dense.is_final (dfa ctx id) (state d i)) then raise_notrace Unchecked;
     let kids = children d (base d i) in
     d.sp <- i;
     add d (if k = k_elem then D.elem_of_id id kids else D.call_of_id id kids)
@@ -521,7 +533,7 @@ let start_element ctx d r =
   in
   if id < 0 then raise_notrace Unchecked;
   let state =
-    if k = k_elem || k = k_call then begin
+    if (k = k_elem || k = k_call) && checks ctx then begin
       let s = Dense.start (dfa ctx id) in
       step ctx d id;
       s
@@ -547,24 +559,41 @@ let rec pull ctx d r =
     pull ctx d r
   end
 
-let checked ctx d r =
+let decode ctx d r =
   (match P.next_top r with P.Start -> start_element ctx d r | _ -> raise_notrace Unchecked);
   pull ctx d r;
   (match P.next_top r with P.Eof -> () | _ -> raise_notrace Unchecked);
   if d.top <> 1 then raise_notrace Unchecked;
   Array.unsafe_get d.nodes 0
 
-let of_xml_string_checked ctx input =
+(* The one pass over [input] under [ctx]: the document, or [Unchecked]
+   at the first offence. The scratch is given back either way. *)
+let one_pass ctx input =
   let d = take () in
   (* frame 0 holds the forest read, and has no word *)
   push d k_elem Ns.empty_env ~id:(-1) ~state:0 ~off:0 ~len:0;
-  match checked ctx d (P.reader input) with
+  match decode ctx d (P.reader input) with
   | doc ->
     give d;
-    if Option.is_none (Validate.root_violation ctx doc) then Some doc else None
+    doc
   | exception (Unchecked | Syntax_error _ | P.Error _ | Ns.Too_many_bindings) ->
     give d;
-    None
+    raise_notrace Unchecked
   | exception e ->
     give d;
     raise e
+
+(* An input the unchecked pass leaves is decoded through the tree,
+   which returns its document or raises its error. *)
+let of_xml_string input =
+  match one_pass unchecked input with
+  | doc -> doc
+  | exception Unchecked ->
+    (match P.parse_result input with
+     | Ok tree -> of_xml tree
+     | Error e -> raise (Syntax_error e))
+
+let of_xml_string_checked ctx input =
+  match one_pass ctx input with
+  | doc -> if Option.is_none (Validate.root_violation ctx doc) then Some doc else None
+  | exception Unchecked -> None

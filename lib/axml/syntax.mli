@@ -32,6 +32,14 @@ val of_xml : Axml_xml.Xml_tree.t -> Axml_core.Document.t
     included. *)
 
 val of_xml_string : string -> Axml_core.Document.t
+(** Decode the XML bytes of a document, in one pass over them with no
+    [Xml_tree]: the pass of {!of_xml_string_checked}, checking the
+    syntax only. Names are looked up, never interned. At its first
+    offence (malformed bytes or markup, too many namespace prefixes, a
+    name no schema declared, no root or several) the bytes are decoded
+    again through [Xml_parser.parse_result] and {!of_xml}, so the
+    document and the error are always that route's.
+    @raise Syntax_error as that route does, with its message. *)
 
 val of_xml_string_checked :
   Axml_core.Validate.ctx -> string -> Axml_core.Document.t option

@@ -1674,8 +1674,8 @@ let test_enforce_conforming_alloc () =
 (* The [axml batch] loop on the newspaper pair at k = 2 — parse, decode,
    enforce, print — over 400 generated documents, about one and a half
    invocations each: words per document within 5% of what this loop
-   measured when its budget was set (449.7, since the print builds no
-   tree). *)
+   measured when its budget was set (180.5, since neither the decode
+   nor the print builds a tree). *)
 let test_batch_loop_alloc () =
   let p, s0, env = newspaper_pipeline () in
   let stream = Axml_workload.Mix.stream ~seed:3 ~env ~schema:s0 Axml_workload.Mix.steady in
@@ -1697,7 +1697,7 @@ let test_batch_loop_alloc () =
   check "about one and a half invocations a document" true
     (let n = float_of_int invocations /. float_of_int (Array.length xml) in
      n > 1. && n < 2.);
-  let budget = 449.7 *. 1.05 in
+  let budget = 180.5 *. 1.05 in
   if per_doc > budget then
     Alcotest.failf "the batch loop allocated %.1f words per document (budget %.1f)" per_doc
       budget
@@ -2010,11 +2010,19 @@ element price = #data
 (* Receive: the one pass against parse, decode, validate               *)
 (* ------------------------------------------------------------------ *)
 
+(* The tree route: parse to an [Xml_tree], then decode the tree. The
+   oracle of the one-pass parity groups, kept apart from
+   [Syntax.of_xml_string], which decodes in the one pass itself. *)
+let tree_route wire =
+  match Axml_xml.Xml_parser.parse_result wire with
+  | Ok tree -> Syntax.of_xml tree
+  | Error e -> raise (Syntax.Syntax_error e)
+
 (* What a receiver did before the one pass, and still does to report a
    refusal: parse, decode, list the violations. *)
 let reference_receive ctx wire =
   let refusal at detail = { Rewriter.at; reason = Rewriter.Not_instance { detail } } in
-  match Syntax.of_xml_string wire with
+  match tree_route wire with
   | exception Syntax.Syntax_error m ->
     Error (Enforcement.Rejected [ refusal [] ("malformed document: " ^ m) ])
   | doc ->
@@ -2138,10 +2146,11 @@ let prop_receive_generated =
        ~print:(fun (r, w) -> r.pair ^ ": " ^ String.escaped w))
     (fun (r, w) -> receive_parity r w)
 
+(* [k] rounds of [Xml_fuzz.mutate]. *)
+let rec mutations k s =
+  QCheck.Gen.(if k = 0 then return s else Xml_fuzz.mutate s >>= mutations (k - 1))
+
 let prop_receive_mutated =
-  let rec mutations k s =
-    QCheck.Gen.(if k = 0 then return s else Xml_fuzz.mutate s >>= mutations (k - 1))
-  in
   QCheck.Test.make ~count:1500 ~name:"mutated wire documents: one pass = parse, decode, validate"
     (QCheck.make
        QCheck.Gen.(
@@ -2251,6 +2260,173 @@ let test_receive_conforming_alloc () =
   if words > float_of_int budget then
     Alcotest.failf "a conforming receive allocated %.1f words; its document is %d, with the \
                     constant %d" words (doc_words doc) budget
+
+(* ------------------------------------------------------------------ *)
+(* Decode: the unchecked one pass against the tree route               *)
+(* ------------------------------------------------------------------ *)
+
+let decoded decode wire =
+  match decode wire with d -> Ok d | exception Syntax.Syntax_error m -> Error m
+
+(* One input: [Syntax.of_xml_string] returns the tree route's document,
+   with the same symbol ids and the same compact print, or raises the
+   tree route's error, with the same text. *)
+let decode_parity wire =
+  (match decoded Syntax.of_xml_string wire, decoded tree_route wire with
+   | Ok d, Ok d' ->
+     let print = Syntax.to_xml_string ~pretty:false in
+     if not (D.equal d d' && same_ids d d' && String.equal (print d) (print d')) then
+       Alcotest.failf "%S: decoded %a, the tree route %a" wire D.pp d D.pp d'
+   | Error m, Error m' ->
+     if not (String.equal m m') then
+       Alcotest.failf "%S: refused with %S, the tree route with %S" wire m m'
+   | Ok d, Error m -> Alcotest.failf "%S: decoded %a, the tree route refuses it: %s" wire D.pp d m
+   | Error m, Ok d -> Alcotest.failf "%S: refused (%s), the tree route decodes %a" wire m D.pp d);
+  true
+
+let prop_decode_generated =
+  QCheck.Test.make ~count:600 ~name:"generated documents: one pass = the tree route"
+    (QCheck.make QCheck.Gen.(gen_receiving >>= gen_wire) ~print:String.escaped)
+    decode_parity
+
+let prop_decode_mutated =
+  QCheck.Test.make ~count:1500 ~name:"mutated documents: one pass = the tree route"
+    (QCheck.make
+       QCheck.Gen.(
+         gen_receiving >>= gen_wire >>= fun w ->
+         frequencyl [ (4, 1); (2, 2); (1, 3) ] >>= fun k -> mutations k w)
+       ~print:String.escaped)
+    decode_parity
+
+(* The receive cases, and one or more inputs for every offence that
+   sends the one pass to the tree route. *)
+let decode_cases =
+  let int = Printf.sprintf "xmlns:int=\"%s\"" Syntax.axml_ns in
+  let head = "<title>t</title><date>d</date>" in
+  let in_newspaper body = Printf.sprintf "<newspaper %s>%s%s</newspaper>" int head body in
+  let get_temp body = in_newspaper ("<int:fun methodName=\"Get_Temp\">" ^ body ^ "</int:fun>") in
+  receive_cases
+  @ [ (* names no schema declared: a label, a function, one deep in the document *)
+      in_newspaper "<decode_unseen_label/>";
+      in_newspaper "<int:fun methodName=\"Decode_unseen_fn\"/>";
+      "<a><a><a><a>x<decode_unseen_label>y</decode_unseen_label></a></a></a></a>";
+      (* the int prefix unbound: int:fun is an element named fun *)
+      "<newspaper><int:fun methodName=\"Get_Temp\"/></newspaper>";
+      (* content a call skips or refuses: an element before int:params,
+         with or without them, and text or CDATA before or after them *)
+      get_temp "<city>Paris</city><int:params/>";
+      get_temp "<city>Paris</city>";
+      get_temp "<int:params/>x";
+      get_temp "<int:params/><![CDATA[ ]]>";
+      get_temp "<![CDATA[c]]><int:params/>";
+      get_temp "<int:params>x</int:params>";
+      get_temp "<int:params><city/></int:params>";
+      in_newspaper "<int:fun>x</int:fun>";
+      (* layout around int:params, no parameters, a call in a parameter *)
+      get_temp "\n <!-- c --><?p?>\n<int:params>\n<int:param>P</int:param>\n</int:params>\n";
+      in_newspaper "<int:fun methodName=\"TimeOut\"></int:fun>";
+      in_newspaper
+        "<int:fun methodName=\"TimeOut\"><int:params><int:param><int:fun \
+         methodName=\"Get_Temp\"><int:params><int:param><city>P</city></int:param></int:params>\
+         </int:fun></int:param><int:param>x</int:param></int:params></int:fun>";
+      (* no root, two roots, bytes after the root *)
+      "<!-- only a comment -->";
+      "  \n ";
+      "<title>a</title><title>b</title>";
+      "<newspaper/>junk";
+      "<newspaper/><!-- c --><?p?>";
+      (* malformed bytes mid-document *)
+      "<newspaper><title>&bogus;</title></newspaper>";
+      "<newspaper><title>t</date></newspaper>";
+      (* a document no schema accepts is decoded all the same *)
+      "<newspaper><temp>1</temp><temp>2</temp></newspaper>";
+      (* 40 frames open at once *)
+      String.concat "" (List.init 40 (fun _ -> "<a>")) ^ "x" ^ String.concat "" (List.init 40 (fun _ -> "</a>")) ]
+
+let test_decode_cases () =
+  ignore (Lazy.force receivings);
+  List.iter (fun w -> ignore (decode_parity w)) decode_cases
+
+(* What a decode allocates besides its document: the pull reader (6).
+   A call that declares int itself, as every printed call does, puts
+   the declaration in force with one list cell (3). *)
+let decode_constant = 6
+let declaring_call_words = 3
+
+let decode_alloc_wire =
+  Printf.sprintf
+    "<newspaper><title>The Sun</title><date>04/10/2002</date><int:fun xmlns:int=\"%s\" \
+     methodName=\"Get_Temp\"><int:params><int:param>Paris</int:param>\
+     </int:params></int:fun><exhibit><title>Monet</title><date>june</date></exhibit></newspaper>"
+    Syntax.axml_ns
+
+(* [Syntax.of_xml_string] of a newspaper whose names are declared, with
+   one call: its document, the constant and the call's binding, nothing
+   per token, per name or per tree node. *)
+let test_decode_alloc () =
+  ignore (Lazy.force receivings);
+  let doc = Syntax.of_xml_string decode_alloc_wire in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Syntax.of_xml_string decode_alloc_wire))
+        done)
+    /. 1000.
+  in
+  let expected = doc_words doc + decode_constant + (declaring_call_words * D.count_calls doc) in
+  if words <> float_of_int expected then
+    Alcotest.failf "a batch decode allocated %.1f words; its document is %d, %d in all" words
+      (doc_words doc) expected
+
+(* [f ()] in a systhread whose stack may grow to 32k words, far less
+   than a recursion over 100,000 levels needs. *)
+let in_small_stack f =
+  let limit = (Gc.get ()).Gc.stack_limit in
+  Gc.set { (Gc.get ()) with Gc.stack_limit = 32_768 };
+  let result = ref (Error Exit) in
+  Thread.join (Thread.create (fun () -> result := (try Ok (f ()) with e -> Error e)) ());
+  Gc.set { (Gc.get ()) with Gc.stack_limit = limit };
+  !result
+
+(* A 100,000-deep chain of the nested schema's [a] decodes in the one
+   pass on a stack where the tree route's recursion overflows. The
+   stacks it grew are not kept: the live heap is what it was before,
+   and the next decode allocates its document and the constant. *)
+let test_decode_deep () =
+  ignore (Lazy.force receivings);
+  let depth = 100_000 in
+  let wire =
+    String.concat "" (List.init depth (fun _ -> "<a>")) ^ "x"
+    ^ String.concat "" (List.init depth (fun _ -> "</a>"))
+  in
+  (match in_small_stack (fun () -> ignore (tree_route wire)) with
+   | Error Stack_overflow -> ()
+   | _ -> Alcotest.fail "the tree route must overflow the small stack");
+  let rec chain n (d : D.t) =
+    match d with
+    | D.Elem { label = "a"; id; children = [ c ] } when id >= 0 -> chain (n + 1) c
+    | D.Data "x" -> n
+    | _ -> -1
+  in
+  let small = "<a><a>x</a></a>" in
+  ignore (Syntax.of_xml_string small);
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  (match in_small_stack (fun () -> chain 0 (Syntax.of_xml_string wire)) with
+   | Ok n -> check_int "depth" depth n
+   | Error e -> Alcotest.failf "the one pass raised %s" (Printexc.to_string e));
+  let after = live () in
+  if after - before > 1_000 then
+    Alcotest.failf "the live heap grew by %d words over a deep decode" (after - before);
+  let expected = doc_words (tree_route small) + decode_constant in
+  let words =
+    minor_words (fun () -> ignore (Sys.opaque_identity (Syntax.of_xml_string small)))
+  in
+  if words <> float_of_int expected then
+    Alcotest.failf "the decode after a deep one allocated %.0f words, not %d" words expected
 
 (* ------------------------------------------------------------------ *)
 (* Print: the document printer against the tree route                  *)
@@ -2410,7 +2586,12 @@ let () =
            test_one_call_alloc;
          Alcotest.test_case "a conforming receive allocates its document" `Quick
            test_receive_conforming_alloc;
-         Alcotest.test_case "a print allocates its output" `Quick test_print_alloc ]);
+         Alcotest.test_case "a print allocates its output" `Quick test_print_alloc;
+         Alcotest.test_case "a batch decode allocates its document" `Quick test_decode_alloc ]);
+      ("decode",
+       Alcotest.test_case "hand cases" `Quick test_decode_cases
+       :: Alcotest.test_case "a 100,000-deep document" `Quick test_decode_deep
+       :: List.map QCheck_alcotest.to_alcotest [ prop_decode_generated; prop_decode_mutated ]);
       ("print",
        Alcotest.test_case "hand cases" `Quick test_print_cases
        :: List.map QCheck_alcotest.to_alcotest [ prop_print_mix; prop_print_hostile ]);
