@@ -734,6 +734,103 @@ let test_batch_json () =
   Jsonv.check_at "AXM033 diagnostic" v [ "diagnostics"; "0"; "code" ] (str "AXM033");
   Jsonv.check_at "failed outcome" v [ "outcomes"; "0"; "ok" ] (Json.Bool false)
 
+(* The numbers of a k = 2 batch over the four example documents with
+   the minimal-k search, at --jobs 1 (at --jobs 2 the seeded random
+   oracle's draws interleave across domains): every statistic apart
+   from the wall-clock members, in the --stats-json file and in the
+   --format json envelope, and every non-timing value of the
+   enforcement series in the --metrics-out dump. *)
+let example_docs =
+  List.map
+    (fun d -> Filename.concat "../examples/docs" ("newspaper_" ^ d ^ ".xml"))
+    [ "gazette"; "herald"; "sun"; "tribune" ]
+
+let example_sender = "../examples/schemas/newspaper_sender.axs"
+let example_exchange = "../examples/schemas/newspaper_exchange.axs"
+
+let pinned_batch_stats =
+  let int n = Json.Int n in
+  Json.Obj
+    [ ("sender_schema", str example_sender);
+      ("exchange_schema", str example_exchange);
+      ("docs", int 4); ("conformed", int 1); ("rewritten", int 3);
+      ("rewritten_possible", int 0); ("rejected", int 0);
+      ("attempt_failed", int 0); ("faults", int 0); ("invocations", int 4);
+      ("cache", Json.Obj [ ("hits", int 38); ("misses", int 22); ("entries", int 53) ]);
+      ("cache_hit_rate", Json.Float (38. /. 60.));
+      ( "resilience",
+        Json.Obj
+          [ ("calls", int 4); ("attempts", int 4); ("retries", int 0);
+            ("successes", int 4); ("gave_up", int 0); ("timeouts", int 0);
+            ("trips", int 0); ("short_circuited", int 0) ] );
+      ( "min_k",
+        Json.Obj
+          [ ("measured", int 4);
+            ("distribution", Json.Obj [ ("0", int 1); ("1", int 3) ]);
+            ("over_budget", int 0) ] ) ]
+
+let pinned_batch_series =
+  [ "axml_enforce_min_k_total{k=\"0\",kind=\"possible\"} 1";
+    "axml_enforce_min_k_total{k=\"0\",kind=\"safe\"} 1";
+    "axml_enforce_min_k_total{k=\"1\",kind=\"possible\"} 3";
+    "axml_enforce_min_k_total{k=\"1\",kind=\"safe\"} 3";
+    "axml_enforcement_documents_total{outcome=\"attempt_failed\"} 0";
+    "axml_enforcement_documents_total{outcome=\"conformed\"} 1";
+    "axml_enforcement_documents_total{outcome=\"fault\"} 0";
+    "axml_enforcement_documents_total{outcome=\"rejected\"} 0";
+    "axml_enforcement_documents_total{outcome=\"rewritten\"} 3";
+    "axml_enforcement_documents_total{outcome=\"rewritten_possible\"} 0";
+    "axml_enforcement_invocations_total 4";
+    "axml_enforcement_seconds_count 4" ]
+
+let test_batch_pinned_numbers () =
+  let wall_clock = [ "timestamp"; "elapsed_s"; "docs_per_s" ] in
+  let without_wall_clock label = function
+    | Some (Json.Obj ms) ->
+      List.iter
+        (fun key ->
+          check (label ^ ": has " ^ key) true (List.mem_assoc key ms))
+        wall_clock;
+      Json.Obj (List.filter (fun (key, _) -> not (List.mem key wall_clock)) ms)
+    | _ -> Alcotest.failf "%s: not an object" label
+  in
+  let check_stats label v =
+    Alcotest.check Jsonv.testable label pinned_batch_stats
+      (without_wall_clock label v)
+  in
+  (* the enforcement series of the dump, timing buckets and sums aside *)
+  let series prom =
+    List.filter
+      (fun l ->
+        (String.starts_with ~prefix:"axml_enforcement_" l
+         || String.starts_with ~prefix:"axml_enforce_min_k_total" l)
+        && not
+             (String.starts_with ~prefix:"axml_enforcement_seconds_bucket" l
+             || String.starts_with ~prefix:"axml_enforcement_seconds_sum" l))
+      (String.split_on_char '\n' prom)
+  in
+  List.iter
+    (fun format ->
+      let stats_file = path ("pinned_stats_" ^ format ^ ".json") in
+      let prom_file = path ("pinned_metrics_" ^ format ^ ".prom") in
+      let code, stdout, _ =
+        run_split
+          ([ "batch"; "-k"; "2"; "--possible"; "--min-k"; "--jobs"; "1";
+             "--format"; format; "--stats-json"; stats_file;
+             "--metrics-out"; prom_file; "-f"; example_sender;
+             "-t"; example_exchange ]
+          @ example_docs)
+      in
+      check_int (format ^ ": exit 0") 0 code;
+      check_stats (format ^ ": --stats-json")
+        (Some (Jsonv.parse_exn "pinned stats" (read_file stats_file)));
+      if format = "json" then
+        check_stats "json: envelope stats"
+          (Jsonv.at [ "stats" ] (check_json_envelope "pinned batch" stdout));
+      Alcotest.(check (list string)) (format ^ ": enforcement series")
+        pinned_batch_series (series (read_file prom_file)))
+    [ "text"; "json" ]
+
 let test_bad_inputs () =
   setup ();
   write_file (path "broken.axs") "element = nonsense";
@@ -804,6 +901,7 @@ let () =
          Alcotest.test_case "soak shape" `Quick test_soak_shape;
          Alcotest.test_case "json error envelopes" `Quick test_json_error_envelopes;
          Alcotest.test_case "batch json" `Quick test_batch_json;
+         Alcotest.test_case "batch pinned numbers" `Quick test_batch_pinned_numbers;
          Alcotest.test_case "bad inputs" `Quick test_bad_inputs
        ])
     ]
