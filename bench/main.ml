@@ -885,6 +885,12 @@ function g : () -> (b | c)
 
 module Pipeline = Enforcement.Pipeline
 
+(* [f x] and the wall-clock seconds it took. *)
+let clocked f x =
+  let t0 = Unix.gettimeofday () in
+  let r = f x in
+  (r, Unix.gettimeofday () -. t0)
+
 (* ------------------------------------------------------------------ *)
 (* E18: fault-tolerant batch enforcement under misbehaving services    *)
 (* ------------------------------------------------------------------ *)
@@ -941,9 +947,21 @@ let e18 () =
   in
   let fnames = [| "F_flaky"; "F_fail"; "F_ill" |] in
   let docs = List.init n (fun i -> D.elem "doc" [ D.call fnames.(i mod 3) [] ]) in
-  let results, stats = Pipeline.enforce_many pipeline docs in
+  let results, elapsed_s = clocked (Pipeline.enforce_many pipeline ~jobs:1) docs in
   assert (List.length results = n);  (* the batch never aborts *)
-  Fmt.pr "%a@." Pipeline.pp_stats stats;
+  let counts = Enforcement.counts results in
+  let cache = Contract.stats (Pipeline.contract pipeline) in
+  let guard = Resilience.total resilience in
+  let docs_per_s = float_of_int n /. elapsed_s in
+  Fmt.pr
+    "%d docs (%d conformed, %d rewritten, %d possible, %d rejected, %d \
+     attempt-failed, %d faulted), %d invocations, %.3f s (%.0f docs/s), \
+     cache: %a, resilience: %a@."
+    n counts.Enforcement.conformed counts.Enforcement.rewritten
+    counts.Enforcement.rewritten_possible counts.Enforcement.rejected
+    counts.Enforcement.attempt_failed counts.Enforcement.faults
+    counts.Enforcement.invocations elapsed_s docs_per_s Contract.pp_stats cache
+    Resilience.pp_stats guard;
   let first_matching pred =
     List.find_map
       (function
@@ -964,13 +982,14 @@ let e18 () =
    | Some f -> Fmt.pr "sample give-up outcome   : %a@." Rewriter.pp_failure f
    | None -> Fmt.pr "UNEXPECTED: no service-failure outcome@.");
   write_artifact "e18"
-    [ ("docs", int stats.Pipeline.docs); ("rewritten", int stats.Pipeline.rewritten);
-      ("rejected", int stats.Pipeline.rejected); ("faults", int stats.Pipeline.faults);
-      ("invocations", int stats.Pipeline.invocations);
-      ("elapsed_s", num stats.Pipeline.elapsed_s);
-      ("docs_per_s", num stats.Pipeline.docs_per_s);
-      ("cache_hit_rate", num stats.Pipeline.cache_hit_rate);
-      ("resilience", Resilience.stats_to_json stats.Pipeline.resilience) ]
+    [ ("docs", int n); ("rewritten", int counts.Enforcement.rewritten);
+      ("rejected", int counts.Enforcement.rejected);
+      ("faults", int counts.Enforcement.faults);
+      ("invocations", int counts.Enforcement.invocations);
+      ("elapsed_s", num elapsed_s);
+      ("docs_per_s", num docs_per_s);
+      ("cache_hit_rate", num (Contract.hit_rate cache));
+      ("resilience", Resilience.stats_to_json guard) ]
 
 (* ------------------------------------------------------------------ *)
 (* E19: observability overhead — tracing sinks vs the null sink        *)
@@ -1014,7 +1033,7 @@ let e19 () =
     Fun.protect
       ~finally:(fun () -> Trace.set_sink Trace.default Trace.Null)
       (fun () ->
-        let results, _ = Pipeline.enforce_many p docs in
+        let results = Pipeline.enforce_many p ~jobs:1 docs in
         assert (not (List.exists Result.is_error results)));
     Unix.gettimeofday () -. t0
   in
@@ -1219,59 +1238,58 @@ let e21 () =
            | Error e -> Fmt.str "%a" Enforcement.pp_error e)
          results)
   in
-  let fresh_pipeline jobs =
-    Pipeline.create
-      ~config:{ Enforcement.default_config with Enforcement.jobs }
-      ~s0:schema_star ~exchange:schema_star2 ~invoker ()
+  let fresh_pipeline () =
+    Pipeline.create ~s0:schema_star ~exchange:schema_star2 ~invoker ()
   in
   (* a per-document enforce loop is the byte-identity reference *)
   let reference =
-    render (List.map (Pipeline.enforce (fresh_pipeline 1)) docs)
+    render (List.map (Pipeline.enforce (fresh_pipeline ())) docs)
   in
+  (* each arm: (jobs, wall seconds, invocations, identical, cache) *)
   let arms =
     List.map
       (fun jobs ->
-        let results, batch = Pipeline.enforce_many (fresh_pipeline jobs) docs in
-        (jobs, batch, String.equal (render results) reference))
+        let p = fresh_pipeline () in
+        let results, elapsed_s = clocked (Pipeline.enforce_many p ~jobs) docs in
+        ( jobs,
+          elapsed_s,
+          (Enforcement.counts results).Enforcement.invocations,
+          String.equal (render results) reference,
+          Contract.stats (Pipeline.contract p) ))
       [ 1; 2; 4; 8 ]
   in
-  let elapsed (b : Pipeline.stats) = b.Pipeline.elapsed_s in
-  let base_s =
-    match arms with (_, b, _) :: _ -> elapsed b | [] -> assert false
+  let base_s, base_cache =
+    match arms with (_, s, _, _, c) :: _ -> (s, c) | [] -> assert false
   in
+  let docs_per_s s = float_of_int n /. s in
   List.iter
-    (fun (jobs, batch, identical) ->
+    (fun (jobs, s, _, identical, _) ->
       Fmt.pr
         "jobs %d: %8.3f s  (%7.0f docs/s)  speedup %.2fx  %s@."
-        jobs (elapsed batch) batch.Pipeline.docs_per_s
-        (base_s /. elapsed batch)
+        jobs s (docs_per_s s) (base_s /. s)
         (if identical then "output = sequential" else "OUTPUT MISMATCH"))
     arms;
-  (match arms with
-   | (_, b, _) :: _ ->
-     Fmt.pr "cache (jobs 1): %a@." Contract.pp_stats b.Pipeline.cache
-   | [] -> ());
+  Fmt.pr "cache (jobs 1): %a@." Contract.pp_stats base_cache;
   write_artifact "e21"
     [ ("docs", int n); ("service_delay_s", num delay_s);
       ( "arms",
         Json.List
           (List.map
-             (fun (jobs, batch, identical) ->
+             (fun (jobs, s, invocations, identical, _) ->
                Json.Obj
-                 [ ("jobs", int jobs); ("elapsed_s", num (elapsed batch));
-                   ("docs_per_s", num batch.Pipeline.docs_per_s);
-                   ("speedup", num (base_s /. elapsed batch));
-                   ("invocations", int batch.Pipeline.invocations);
+                 [ ("jobs", int jobs); ("elapsed_s", num s);
+                   ("docs_per_s", num (docs_per_s s));
+                   ("speedup", num (base_s /. s));
+                   ("invocations", int invocations);
                    ("identical", Json.Bool identical) ])
              arms) );
       ( "speedup_at_4_jobs",
         num
           (List.fold_left
-             (fun acc (jobs, batch, _) ->
-               if jobs = 4 then base_s /. elapsed batch else acc)
+             (fun acc (jobs, s, _, _, _) -> if jobs = 4 then base_s /. s else acc)
              0. arms) );
       ( "all_outputs_identical",
-        Json.Bool (List.for_all (fun (_, _, identical) -> identical) arms) ) ]
+        Json.Bool (List.for_all (fun (_, _, _, identical, _) -> identical) arms) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* E23: verdict cost and outcome growth in the rewriting depth k       *)
@@ -1341,7 +1359,7 @@ let e23 () =
       ks
   in
   (* dynamic arms: the same generated stream enforced at each depth,
-     with minimal-k tracking on *)
+     then searched for each document's minimal k *)
   let g = Generate.create ~seed:2304 schema_star in
   let docs = List.init n (fun _ -> Generate.document g) in
   let residual_calls results =
@@ -1359,13 +1377,27 @@ let e23 () =
              out a safe verdict, and the depth gap only shows once the
              call is actually invoked *)
           { Enforcement.default_config with
-            Enforcement.k; track_min_k = true; fallback_possible = true }
+            Enforcement.k; fallback_possible = true }
         in
         let p =
           Pipeline.create ~config ~s0:schema_star ~exchange:schema_extensional
             ~invoker:(Registry.invoker (deep_registry ())) ()
         in
-        let results, stats = Pipeline.enforce_many p docs in
+        let results, elapsed_s = clocked (Pipeline.enforce_many p ~jobs:1) docs in
+        let counts = Enforcement.counts results in
+        (* (minimal safe depth, documents), ascending in depth, and the
+           documents with no safe depth within k *)
+        let distribution, over_budget =
+          List.fold_left
+            (fun (dist, over) doc ->
+              match (Pipeline.minimal_k p doc).Rewriter.safe_k with
+              | Some d ->
+                let c = Option.value ~default:0 (List.assoc_opt d dist) in
+                ((d, c + 1) :: List.remove_assoc d dist, over)
+              | None -> (dist, over + 1))
+            ([], 0) docs
+        in
+        let distribution = List.sort compare distribution in
         let residual = residual_calls results in
         let ok =
           List.length (List.filter (function Ok _ -> true | _ -> false) results)
@@ -1373,22 +1405,33 @@ let e23 () =
         Fmt.pr
           "k=%d: %8.3f s  (%7.0f docs/s)  %d/%d accepted, %d rejected, %d \
            invocation(s), %d residual intensional result(s)@."
-          k stats.Pipeline.elapsed_s stats.Pipeline.docs_per_s ok n
-          stats.Pipeline.rejected stats.Pipeline.invocations residual;
-        let m = stats.Pipeline.min_k in
+          k elapsed_s (float_of_int n /. elapsed_s) ok n
+          counts.Enforcement.rejected counts.Enforcement.invocations residual;
         Fmt.pr "  minimal k: measured %d, over budget %d, distribution %a@."
-          m.Pipeline.measured m.Pipeline.unbounded
+          n over_budget
           Fmt.(list ~sep:sp (pair ~sep:(any ":") int int))
-          m.Pipeline.distribution;
-        (k, stats, ok, residual))
+          distribution;
+        ( k,
+          residual,
+          Json.Obj
+            [ ("k", int k); ("elapsed_s", num elapsed_s);
+              ("docs_per_s", num (float_of_int n /. elapsed_s));
+              ("accepted", int ok);
+              ("rejected", int counts.Enforcement.rejected);
+              ("invocations", int counts.Enforcement.invocations);
+              ("residual_intensional", int residual);
+              ( "min_k",
+                Json.Obj
+                  [ ("measured", int n);
+                    ("over_budget", int over_budget);
+                    ( "distribution",
+                      Json.Obj
+                        (List.map (fun (d, c) -> (string_of_int d, int c)) distribution) )
+                  ] ) ] ))
       ks
   in
-  let gap_closed =
-    List.for_all (fun (k, _, _, residual) -> k < 2 || residual = 0) arms
-  in
-  let gap_shown =
-    List.exists (fun (k, _, _, residual) -> k = 1 && residual > 0) arms
-  in
+  let gap_closed = List.for_all (fun (k, residual, _) -> k < 2 || residual = 0) arms in
+  let gap_shown = List.exists (fun (k, residual, _) -> k = 1 && residual > 0) arms in
   Fmt.pr "depth gap at k=1: %s; closed from k=2 on: %s@."
     (if gap_shown then "reproduced" else "NOT REPRODUCED")
     (if gap_closed then "yes" else "NO — residual calls above budget");
@@ -1396,27 +1439,7 @@ let e23 () =
     [ ("docs", int n);
       ( "verdict_ns",
         Json.Obj (List.map (fun (k, ns) -> (Printf.sprintf "k%d" k, num ns)) verdicts) );
-      ( "arms",
-        Json.List
-          (List.map
-             (fun (k, (stats : Pipeline.stats), ok, residual) ->
-               let m = stats.Pipeline.min_k in
-               Json.Obj
-                 [ ("k", int k); ("elapsed_s", num stats.Pipeline.elapsed_s);
-                   ("docs_per_s", num stats.Pipeline.docs_per_s);
-                   ("accepted", int ok); ("rejected", int stats.Pipeline.rejected);
-                   ("invocations", int stats.Pipeline.invocations);
-                   ("residual_intensional", int residual);
-                   ( "min_k",
-                     Json.Obj
-                       [ ("measured", int m.Pipeline.measured);
-                         ("over_budget", int m.Pipeline.unbounded);
-                         ( "distribution",
-                           Json.Obj
-                             (List.map
-                                (fun (d, c) -> (string_of_int d, int c))
-                                m.Pipeline.distribution) ) ] ) ])
-             arms) );
+      ("arms", Json.List (List.map (fun (_, _, arm) -> arm) arms));
       ("gap_at_k1", Json.Bool gap_shown); ("gap_closed_at_k2", Json.Bool gap_closed) ]
 
 (* ------------------------------------------------------------------ *)
@@ -1658,10 +1681,7 @@ let esoak () =
              (Oracle.scheduled ~origin entries)))
     fnames;
   let config =
-    { Enforcement.default_config with
-      Enforcement.k = 2;
-      fallback_possible = true;
-      resilience = Some resilience }
+    { Enforcement.k = 2; fallback_possible = true; resilience = Some resilience }
   in
   let pipeline exchange =
     Pipeline.create ~config ~s0:schema_star ~exchange

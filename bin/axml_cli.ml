@@ -334,49 +334,71 @@ let batch_cmd =
         in
         let config =
           { Enforcement.k; fallback_possible = possible;
-            resilience = Some resilience; jobs; track_min_k = min_k }
+            resilience = Some resilience }
         in
         let pipeline = Enforcement.Pipeline.create ~config ~s0 ~exchange ~invoker () in
-        let failed = ref 0 in
         (* JSON mode owes stdout a single envelope, so per-document
-           outcome lines move to stderr and the records accumulate *)
-        let outcomes = ref [] in
+           outcome lines move to stderr *)
         let report path result =
-          if Result.is_error result then incr failed;
           match format with
           | `Text -> Report.print_outcome ~label:path result
-          | `Json ->
-            outcomes := (path, result) :: !outcomes;
-            Report.print_outcome ~ppf:Fmt.stderr ~label:path result
+          | `Json -> Report.print_outcome ~ppf:Fmt.stderr ~label:path result
         in
-        if jobs <= 1 then
-          (* stream: enforce and report one document at a time *)
-          List.iter
-            (fun path ->
-              let doc = load_document path in
-              report path (Enforcement.Pipeline.enforce pipeline doc))
-            doc_paths
-        else begin
-          (* batch: results come back in input order, so the report
-             reads exactly like the streamed one *)
-          let docs = List.map load_document doc_paths in
-          let results, _batch = Enforcement.Pipeline.enforce_many pipeline docs in
-          List.iter2 report doc_paths results
-        end;
-        let stats = Enforcement.Pipeline.stats pipeline in
+        (* the minimal-k search runs on this domain, outside the clocked
+           enforcement calls: before each document when streaming,
+           after the batch when sharded *)
+        let tally = ref Report.no_min_k in
+        let search doc =
+          if min_k then
+            tally := Report.add_min_k !tally (Enforcement.Pipeline.minimal_k pipeline doc)
+        in
+        let elapsed_s = ref 0. in
+        let clocked f x =
+          let started = Unix.gettimeofday () in
+          let r = f x in
+          elapsed_s := !elapsed_s +. (Unix.gettimeofday () -. started);
+          r
+        in
+        let results =
+          if jobs <= 1 then
+            (* stream: enforce and report one document at a time *)
+            List.rev
+              (List.fold_left
+                 (fun results path ->
+                   let doc = load_document path in
+                   search doc;
+                   let result = clocked (Enforcement.Pipeline.enforce pipeline) doc in
+                   report path result;
+                   result :: results)
+                 [] doc_paths)
+          else begin
+            (* batch: results come back in input order, so the report
+               reads exactly like the streamed one *)
+            let docs = List.map load_document doc_paths in
+            let results = clocked (Enforcement.Pipeline.enforce_many pipeline ~jobs) docs in
+            List.iter search docs;
+            List.iter2 report doc_paths results;
+            results
+          end
+        in
+        let stats =
+          Report.run_stats ~results ~elapsed_s:!elapsed_s
+            ~contract:(Enforcement.Pipeline.contract pipeline) ~resilience
+            ~min_k:!tally
+        in
         (match format with
          | `Text -> ()
          | `Json ->
            Report.print_json Fmt.stdout
              (Report.batch_json ~sender ~exchange:target
-                ~outcomes:(List.rev !outcomes) stats));
+                ~outcomes:(List.combine doc_paths results) stats));
         Report.print_run_stats stats;
         Option.iter
           (fun file ->
             Axml_obs.Json.to_file file (Report.stats_json ~sender ~exchange:target stats))
           stats_out;
         Option.iter Report.write_metrics metrics_out;
-        if !failed = 0 then 0 else 1)
+        if List.exists Result.is_error results then 1 else 0)
   in
   Cmd.v
     (Cmd.info "batch"
@@ -436,8 +458,7 @@ let trace_cmd =
             ()
         in
         let config =
-          { Enforcement.default_config with
-            Enforcement.k; fallback_possible = possible;
+          { Enforcement.k; fallback_possible = possible;
             resilience = Some resilience }
         in
         let pipeline =
@@ -448,6 +469,7 @@ let trace_cmd =
         (* one interactive document: exact per-event timestamps beat
            the amortized-clock default *)
         Trace.set_clock_every Trace.default 1;
+        let started = Unix.gettimeofday () in
         let result =
           Fun.protect
             ~finally:(fun () ->
@@ -455,6 +477,7 @@ let trace_cmd =
               Trace.set_clock_every Trace.default 32)
             (fun () -> Enforcement.Pipeline.enforce pipeline doc)
         in
+        let elapsed_s = Unix.gettimeofday () -. started in
         let events = Trace.buffer_events buf in
         Fmt.pr "trace: %s -> %s (k=%d, %d event(s)%s)@." doc_path target k
           (Trace.buffer_pushed buf)
@@ -472,7 +495,10 @@ let trace_cmd =
             close_out oc)
           jsonl;
         Report.print_outcome ~label:doc_path result;
-        Report.print_run_stats (Enforcement.Pipeline.stats pipeline);
+        Report.print_run_stats
+          (Report.run_stats ~results:[ result ] ~elapsed_s
+             ~contract:(Enforcement.Pipeline.contract pipeline) ~resilience
+             ~min_k:Report.no_min_k);
         Option.iter Report.write_metrics metrics_out;
         if Result.is_ok result then 0 else 1)
   in

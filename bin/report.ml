@@ -4,6 +4,7 @@
    (and a new command cannot fork the format by copy-pasting). *)
 
 module Enforcement = Axml_peer.Enforcement
+module Contract = Axml_core.Contract
 module Resilience = Axml_services.Resilience
 module Json = Axml_obs.Json
 module Metrics = Axml_obs.Metrics
@@ -30,8 +31,72 @@ let print_outcome ?(ppf = Fmt.stdout) ~label = function
     Fmt.pf ppf "%s: %s@." label (error_tag e);
     Fmt.epr "%s: %a@." label Enforcement.pp_error e
 
-(* The shared run-statistics printer. *)
-let print_run_stats stats = Fmt.epr "%a@." Enforcement.Pipeline.pp_stats stats
+(* The minimal-k distribution of a run ([batch --min-k]): documents
+   searched, documents by minimal safe depth (ascending), and documents
+   with no safe depth within k. *)
+type min_k = { measured : int; distribution : (int * int) list; unbounded : int }
+
+let no_min_k = { measured = 0; distribution = []; unbounded = 0 }
+
+let add_min_k m (d : Axml_core.Rewriter.doc_minimal) =
+  let rec bump k = function
+    | (k', n) :: rest when k' = k -> (k, n + 1) :: rest
+    | (k', _) :: _ as l when k' > k -> (k, 1) :: l
+    | pair :: rest -> pair :: bump k rest
+    | [] -> [ (k, 1) ]
+  in
+  match d.Axml_core.Rewriter.safe_k with
+  | Some k -> { m with measured = m.measured + 1; distribution = bump k m.distribution }
+  | None -> { m with measured = m.measured + 1; unbounded = m.unbounded + 1 }
+
+(* The statistics of one run: the outcomes of the results the
+   enforcement calls returned, the counters of the run's own contract
+   and guard (the CLI builds both per run, so their totals are the
+   run's), its minimal-k tally, and [elapsed_s], the wall time of the
+   enforcement calls alone. *)
+type run_stats = {
+  docs : int;
+  counts : Enforcement.counts;
+  elapsed_s : float;
+  cache : Contract.stats;
+  resilience : Resilience.stats;
+  min_k : min_k;
+}
+
+let run_stats ~results ~elapsed_s ~contract ~resilience ~min_k =
+  { docs = List.length results;
+    counts = Enforcement.counts results;
+    elapsed_s;
+    cache = Contract.stats contract;
+    resilience = Resilience.total resilience;
+    min_k }
+
+let docs_per_s s = if s.elapsed_s > 0. then float_of_int s.docs /. s.elapsed_s else 0.
+
+let pp_tally ppf m =
+  if m.measured = 0 then Fmt.string ppf "not tracked"
+  else
+    Fmt.pf ppf "%d measured (%a%s)" m.measured
+      Fmt.(list ~sep:(any ", ") (fun ppf (k, n) -> Fmt.pf ppf "k=%d: %d" k n))
+      m.distribution
+      (if m.unbounded > 0 then
+         Fmt.str "%sover budget: %d"
+           (if m.distribution = [] then "" else ", ")
+           m.unbounded
+       else "")
+
+(* The shared run-statistics line, on stderr. *)
+let print_run_stats s =
+  let c = s.counts in
+  Fmt.epr
+    "%d docs (%d conformed, %d rewritten, %d possible, %d rejected, %d \
+     attempt-failed, %d faulted), %d invocations, %.3f s (%.0f docs/s), \
+     cache: %a, resilience: %a, min-k: %a@."
+    s.docs c.Enforcement.conformed c.Enforcement.rewritten
+    c.Enforcement.rewritten_possible c.Enforcement.rejected
+    c.Enforcement.attempt_failed c.Enforcement.faults c.Enforcement.invocations
+    s.elapsed_s (docs_per_s s) Contract.pp_stats s.cache Resilience.pp_stats
+    s.resilience pp_tally s.min_k
 
 let write_file path text =
   let oc = open_out_bin path in
@@ -54,41 +119,39 @@ let iso8601 t =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-let min_k_json (m : Enforcement.Pipeline.min_k_stats) =
+let min_k_json m =
   Json.Obj
-    [ ("measured", Json.Int m.Enforcement.Pipeline.measured);
+    [ ("measured", Json.Int m.measured);
       ( "distribution",
         Json.Obj
-          (List.map
-             (fun (k, n) -> (string_of_int k, Json.Int n))
-             m.Enforcement.Pipeline.distribution) );
-      ("over_budget", Json.Int m.Enforcement.Pipeline.unbounded) ]
+          (List.map (fun (k, n) -> (string_of_int k, Json.Int n)) m.distribution) );
+      ("over_budget", Json.Int m.unbounded) ]
 
-let stats_json ~sender ~exchange (s : Enforcement.Pipeline.stats) =
-  let c = s.Enforcement.Pipeline.cache in
+let stats_json ~sender ~exchange s =
+  let c = s.counts and cache = s.cache in
   let int n = Json.Int n in
   Json.Obj
     [ ("timestamp", Json.String (iso8601 (Unix.gettimeofday ())));
       ("sender_schema", Json.String sender);
       ("exchange_schema", Json.String exchange);
-      ("docs", int s.Enforcement.Pipeline.docs);
-      ("conformed", int s.Enforcement.Pipeline.conformed);
-      ("rewritten", int s.Enforcement.Pipeline.rewritten);
-      ("rewritten_possible", int s.Enforcement.Pipeline.rewritten_possible);
-      ("rejected", int s.Enforcement.Pipeline.rejected);
-      ("attempt_failed", int s.Enforcement.Pipeline.attempt_failed);
-      ("faults", int s.Enforcement.Pipeline.faults);
-      ("invocations", int s.Enforcement.Pipeline.invocations);
-      ("elapsed_s", Json.Float s.Enforcement.Pipeline.elapsed_s);
-      ("docs_per_s", Json.Float s.Enforcement.Pipeline.docs_per_s);
+      ("docs", int s.docs);
+      ("conformed", int c.Enforcement.conformed);
+      ("rewritten", int c.Enforcement.rewritten);
+      ("rewritten_possible", int c.Enforcement.rewritten_possible);
+      ("rejected", int c.Enforcement.rejected);
+      ("attempt_failed", int c.Enforcement.attempt_failed);
+      ("faults", int c.Enforcement.faults);
+      ("invocations", int c.Enforcement.invocations);
+      ("elapsed_s", Json.Float s.elapsed_s);
+      ("docs_per_s", Json.Float (docs_per_s s));
       ( "cache",
         Json.Obj
-          [ ("hits", int c.Axml_core.Contract.hits);
-            ("misses", int c.Axml_core.Contract.misses);
-            ("entries", int c.Axml_core.Contract.entries) ] );
-      ("cache_hit_rate", Json.Float s.Enforcement.Pipeline.cache_hit_rate);
-      ("resilience", Resilience.stats_to_json s.Enforcement.Pipeline.resilience);
-      ("min_k", min_k_json s.Enforcement.Pipeline.min_k) ]
+          [ ("hits", int cache.Contract.hits);
+            ("misses", int cache.Contract.misses);
+            ("entries", int cache.Contract.entries) ] );
+      ("cache_hit_rate", Json.Float (Contract.hit_rate cache));
+      ("resilience", Resilience.stats_to_json s.resilience);
+      ("min_k", min_k_json s.min_k) ]
 
 (* A usage/input error as a one-diagnostic report: commands running
    under --format json still owe stdout a single valid envelope when

@@ -24,9 +24,9 @@ module Trace = Axml_obs.Trace
 
 (* Every enforcement, one-shot [enforce] included, goes through
    [Pipeline.run], so the process-wide document counters live here and
-   are never double counted. Slot [i] of [m_documents] is outcome [i]
-   of a pipeline's tally: conformed, rewritten, rewritten_possible,
-   rejected, attempt_failed, fault. *)
+   are never double counted. Slot [i] of [m_documents] is outcome [i]:
+   conformed, rewritten, rewritten_possible, rejected, attempt_failed,
+   fault. *)
 let m_documents =
   Array.map
     (fun outcome ->
@@ -54,19 +54,17 @@ let g_enforce_k =
 
 (* Registration is idempotent (same name + labels = same child), so
    the dynamic k label can go straight through [Metrics.counter]; the
-   registry mutex is only taken on this opt-in path. *)
+   registry mutex is only taken by [Pipeline.minimal_k]. *)
 let m_min_k ~kind ~k =
   Metrics.counter
     ~help:"Documents by minimal rewriting depth (capacity planning)"
     ~labels:[ ("kind", kind); ("k", k) ]
     "axml_enforce_min_k_total"
 
-(* Wall clock for pipeline accounting, called directly so that its
-   reading stays an unboxed float. [Sys.time] would report process CPU
-   time — blind to service waits and summed across domains. *)
+(* Wall clock for [axml_enforcement_seconds], called directly so that
+   its reading stays an unboxed float. [Sys.time] would report process
+   CPU time — blind to service waits and summed across domains. *)
 let wall () = Unix.gettimeofday ()
-
-let ns_of_seconds s = int_of_float (s *. 1e9)
 
 type config = {
   k : int;
@@ -74,24 +72,9 @@ type config = {
     (* when the safe rewriting does not exist, attempt a possible one *)
   resilience : Resilience.t option;
     (* retry/timeout/breaker guard around every invocation *)
-  jobs : int;
-    (* domains [Pipeline.enforce_many] shards a batch across; [<= 1]
-       spawns none. Invokers must be thread-safe (see mli). *)
-  track_min_k : bool;
-    (* per accepted/checked document, also search for the smallest
-       depth at which it would enforce (Rewriter.minimal_k) and surface
-       the distribution in pipeline stats, axml_enforce_min_k_total and
-       trace notes. Off by default: the search costs extra analyses at
-       depths below k (cached, but not free). *)
 }
 
-let default_config = {
-  k = 1;
-  fallback_possible = false;
-  resilience = None;
-  jobs = 1;
-  track_min_k = false;
-}
+let default_config = { k = 1; fallback_possible = false; resilience = None }
 
 type action =
   | Conformed            (* step (i): already an instance, nothing to do *)
@@ -110,6 +93,33 @@ type error =
       (* the environment's fault, not the document's: a service broke its
          contract, crashed past its retry policy, or an engine invariant
          failed — the document may well be rewritable on a healthy path *)
+
+type counts = {
+  conformed : int;
+  rewritten : int;
+  rewritten_possible : int;
+  rejected : int;
+  attempt_failed : int;
+  faults : int;
+  invocations : int;
+}
+
+let count_result c = function
+  | Ok (_, { action; invocations }) ->
+    let c = { c with invocations = c.invocations + List.length invocations } in
+    (match action with
+     | Conformed -> { c with conformed = c.conformed + 1 }
+     | Rewritten -> { c with rewritten = c.rewritten + 1 }
+     | Rewritten_possible -> { c with rewritten_possible = c.rewritten_possible + 1 })
+  | Error (Rejected _) -> { c with rejected = c.rejected + 1 }
+  | Error (Attempt_failed _) -> { c with attempt_failed = c.attempt_failed + 1 }
+  | Error (Service_fault _) -> { c with faults = c.faults + 1 }
+
+let counts results =
+  List.fold_left count_result
+    { conformed = 0; rewritten = 0; rewritten_possible = 0; rejected = 0;
+      attempt_failed = 0; faults = 0; invocations = 0 }
+    results
 
 let pp_error ppf = function
   | Rejected fs ->
@@ -133,35 +143,17 @@ let subject_of doc =
 
 module Pipeline = struct
   (* Everything computed once per (s0, exchange, config) instead of
-     once per document, plus the running tally. Batch workers on other
-     domains enforce on this record itself: the contract's counters
-     and the tally are atomics, and win-table lookups take no lock. *)
+     once per document. Batch workers on other domains enforce on this
+     record itself: the contract's counters are atomics, and win-table
+     lookups take no lock. *)
   type t = {
     config : config;  (* [k] is the contract's *)
     contract : Contract.t;
     invoker : Execute.invoker;  (* inside [config.resilience]'s guard *)
-    outcomes : int Atomic.t array;  (* documents, by [m_documents] slot *)
-    invocations : int Atomic.t;
-    elapsed_ns : int Atomic.t;
-      (* wall time enforcing, summed by every domain without a lock or
-         a boxed float *)
-    cache_base : Contract.stats;
-    resilience_base : Resilience.stats;
-    (* minimal-k bookkeeping, populated only when [config.track_min_k];
-       main domain only *)
-    min_k : (int, int) Hashtbl.t;  (* minimal safe depth -> documents *)
-    mutable min_k_unbounded : int;
-      (* documents with no safe depth within [config.k] *)
-    mutable min_k_measured : int;
   }
 
   let contract t = t.contract
   let config t = t.config
-
-  let resilience_total config =
-    match config.resilience with
-    | Some r -> Resilience.total r
-    | None -> Resilience.zero_stats
 
   let of_contract ?(config = default_config) ~invoker contract =
     (* the caller's record itself when it already agrees on k *)
@@ -174,96 +166,11 @@ module Pipeline = struct
       invoker =
         (match config.resilience with
          | Some r -> Resilience.wrap_invoker r invoker
-         | None -> invoker);
-      outcomes = Array.init (Array.length m_documents) (fun _ -> Atomic.make 0);
-      invocations = Atomic.make 0;
-      elapsed_ns = Atomic.make 0;
-      cache_base = Contract.stats contract;
-      resilience_base = resilience_total config;
-      min_k = Hashtbl.create 8;
-      min_k_unbounded = 0;
-      min_k_measured = 0 }
+         | None -> invoker) }
 
   let create ?(config = default_config) ?predicate ~s0 ~exchange ~invoker () =
     of_contract ~config ~invoker
       (Contract.create ~k:config.k ?predicate ~s0 ~target:exchange ())
-
-  type min_k_stats = {
-    measured : int;
-    distribution : (int * int) list;
-      (* (minimal safe depth, documents), ascending in depth *)
-    unbounded : int;
-  }
-
-  type stats = {
-    docs : int;
-    conformed : int;
-    rewritten : int;
-    rewritten_possible : int;
-    rejected : int;
-    attempt_failed : int;
-    faults : int;
-    invocations : int;
-    elapsed_s : float;
-    docs_per_s : float;
-    cache : Contract.stats;
-    cache_hit_rate : float;
-    resilience : Resilience.stats;
-    min_k : min_k_stats;
-  }
-
-  let min_k_snapshot t =
-    { measured = t.min_k_measured;
-      unbounded = t.min_k_unbounded;
-      distribution =
-        Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.min_k []
-        |> List.sort (fun (a, _) (b, _) -> compare a b) }
-
-  let stats (t : t) =
-    let outcome i = Atomic.get t.outcomes.(i) in
-    let elapsed = float_of_int (Atomic.get t.elapsed_ns) *. 1e-9 in
-    let docs = Array.fold_left (fun n c -> n + Atomic.get c) 0 t.outcomes in
-    let cache = Contract.diff_stats ~before:t.cache_base (Contract.stats t.contract) in
-    { docs;
-      conformed = outcome 0;
-      rewritten = outcome 1;
-      rewritten_possible = outcome 2;
-      rejected = outcome 3;
-      attempt_failed = outcome 4;
-      faults = outcome 5;
-      invocations = Atomic.get t.invocations;
-      elapsed_s = elapsed;
-      docs_per_s = (if elapsed > 0. then float_of_int docs /. elapsed else 0.);
-      cache;
-      cache_hit_rate = Contract.hit_rate cache;
-      resilience =
-        Resilience.diff_stats ~before:t.resilience_base
-          (resilience_total t.config);
-      min_k = min_k_snapshot t }
-
-  let pp_min_k ppf m =
-    if m.measured = 0 then Fmt.string ppf "not tracked"
-    else
-      Fmt.pf ppf "%d measured (%a%s)" m.measured
-        Fmt.(
-          list ~sep:(any ", ")
-            (fun ppf (k, n) -> Fmt.pf ppf "k=%d: %d" k n))
-        m.distribution
-        (if m.unbounded > 0 then
-           Fmt.str "%sover budget: %d"
-             (if m.distribution = [] then "" else ", ")
-             m.unbounded
-         else "")
-
-  let pp_stats ppf s =
-    Fmt.pf ppf
-      "%d docs (%d conformed, %d rewritten, %d possible, %d rejected, %d \
-       attempt-failed, %d faulted), %d invocations, %.3f s (%.0f docs/s), \
-       cache: %a, resilience: %a, min-k: %a"
-      s.docs s.conformed s.rewritten s.rewritten_possible s.rejected
-      s.attempt_failed s.faults s.invocations s.elapsed_s
-      s.docs_per_s Contract.pp_stats s.cache Resilience.pp_stats s.resilience
-      pp_min_k s.min_k
 
   (* Steps (i) and (ii) in one walk: the materializer validates each
      children word through the dense tables as it goes and returns a
@@ -302,143 +209,82 @@ module Pipeline = struct
             if runtime then Error (Attempt_failed fs) else Error (Rejected fs)
       end
 
-  (* One outcome: slot [slot] of the tally and of [m_documents], and
-     the trace decision, whose [detail] renders the outcome's count. *)
-  let count (t : t) doc slot verdict n detail =
+  (* One outcome: slot [slot] of [m_documents], and the trace
+     decision, whose [detail] renders the outcome's count. *)
+  let count doc slot verdict n detail =
     Metrics.inc m_documents.(slot);
-    Atomic.incr t.outcomes.(slot);
     if Trace.enabled Trace.default then
       Trace.emit (Decision { subject = subject_of doc; verdict; detail = detail n })
 
   (* The one classification of a result. Runs on the enforcing domain:
-     everything it counts on is atomic. *)
-  let classify (t : t) doc = function
+     every metric it counts on is atomic. *)
+  let classify doc = function
     | Ok (_, { action; invocations }) ->
       let n = List.length invocations in
       if n > 0 then Metrics.inc m_invocations ~by:n;
-      ignore (Atomic.fetch_and_add t.invocations n);
       (match action with
-       | Conformed -> count t doc 0 Trace.Accept n (fun _ -> "already conforms")
+       | Conformed -> count doc 0 Trace.Accept n (fun _ -> "already conforms")
        | Rewritten ->
-         count t doc 1 Trace.Accept n (fun n ->
+         count doc 1 Trace.Accept n (fun n ->
              "safely rewritten, " ^ string_of_int n ^ " invocation(s)")
        | Rewritten_possible ->
-         count t doc 2 Trace.Accept n (fun n ->
+         count doc 2 Trace.Accept n (fun n ->
              "possible rewriting succeeded, " ^ string_of_int n
              ^ " invocation(s)"))
     | Error (Rejected fs) ->
-      count t doc 3 Trace.Reject (List.length fs) (fun n ->
+      count doc 3 Trace.Reject (List.length fs) (fun n ->
           string_of_int n ^ " failure(s)")
     | Error (Attempt_failed fs) ->
-      count t doc 4 Trace.Reject (List.length fs) (fun n ->
+      count doc 4 Trace.Reject (List.length fs) (fun n ->
           "possible attempt died at run time (" ^ string_of_int n
           ^ " failure(s))")
     | Error (Service_fault fs) ->
-      count t doc 5 Trace.Fault (List.length fs) (fun n ->
+      count doc 5 Trace.Fault (List.length fs) (fun n ->
           string_of_int n ^ " service failure(s)")
 
   (* One document through the three steps, timed by one clock pair
-     and classified once; its nanoseconds count in [elapsed_s] when
-     [timed] (a batch counts its whole call instead). Safe on any
-     domain. The span and its closures are built only under a trace
-     sink, and the nanoseconds go into an atomic, boxing nothing. *)
-  let enforce_timed t doc ~timed =
+     and classified once. Safe on any domain. The span and its
+     closures are built only under a trace sink. *)
+  let enforce_timed t doc =
     let started = wall () in
     let result = steps t doc in
-    let seconds = wall () -. started in
-    Metrics.observe h_enforce seconds;
-    if timed then ignore (Atomic.fetch_and_add t.elapsed_ns (ns_of_seconds seconds));
-    classify t doc result;
+    Metrics.observe h_enforce (wall () -. started);
+    classify doc result;
     result
 
-  let run t doc ~timed =
+  let enforce t doc =
     Metrics.set g_enforce_k (float_of_int t.config.k);
     if Trace.enabled Trace.default then
       Trace.with_span "enforce"
         ~detail:(fun () -> subject_of doc)
-        (fun () -> enforce_timed t doc ~timed)
-    else enforce_timed t doc ~timed
+        (fun () -> enforce_timed t doc)
+    else enforce_timed t doc
 
-  (* The minimal-k search (opt-in): how deep does this document
-     actually need the rewriter to go? Every per-word query runs
-     over the win tables of its depth, so a stream of similar
-     documents pays the sub-k table fills once. Main-domain only — the
-     histogram fields are plain mutable state. *)
-  let observe_min_k t doc =
-    if t.config.track_min_k then begin
-      let m = Rewriter.minimal_k t.contract doc in
-      t.min_k_measured <- t.min_k_measured + 1;
-      let safe_label =
-        match m.Rewriter.safe_k with
-        | Some k ->
-          Hashtbl.replace t.min_k k
-            (1 + Option.value ~default:0 (Hashtbl.find_opt t.min_k k));
-          string_of_int k
-        | None ->
-          t.min_k_unbounded <- t.min_k_unbounded + 1;
-          "over-budget"
-      in
-      let possible_label =
-        match m.Rewriter.possible_k with
-        | Some k -> string_of_int k
-        | None -> "over-budget"
-      in
-      Metrics.inc (m_min_k ~kind:"safe" ~k:safe_label);
-      Metrics.inc (m_min_k ~kind:"possible" ~k:possible_label);
-      if Trace.enabled Trace.default then
-        Trace.emit
-          (Note
-             ("min-k " ^ subject_of doc ^ ": safe=" ^ safe_label
-            ^ " possible=" ^ possible_label))
-    end
+  (* How deep does this document actually need the rewriter to go?
+     Every per-word query runs over the win tables of its depth, so a
+     stream of similar documents pays the sub-k table fills once. *)
+  let minimal_k t doc =
+    let m = Rewriter.minimal_k t.contract doc in
+    let label = function Some k -> string_of_int k | None -> "over-budget" in
+    let safe_label = label m.Rewriter.safe_k
+    and possible_label = label m.Rewriter.possible_k in
+    Metrics.inc (m_min_k ~kind:"safe" ~k:safe_label);
+    Metrics.inc (m_min_k ~kind:"possible" ~k:possible_label);
+    if Trace.enabled Trace.default then
+      Trace.emit
+        (Note
+           ("min-k " ^ subject_of doc ^ ": safe=" ^ safe_label
+          ^ " possible=" ^ possible_label));
+    m
 
-  let enforce t doc =
-    observe_min_k t doc;
-    run t doc ~timed:true
-
-  let diff_min_k ~(before : min_k_stats) (after : min_k_stats) =
-    { measured = after.measured - before.measured;
-      unbounded = after.unbounded - before.unbounded;
-      distribution =
-        List.filter_map
-          (fun (k, n) ->
-            let b =
-              Option.value ~default:0 (List.assoc_opt k before.distribution)
-            in
-            if n - b > 0 then Some (k, n - b) else None)
-          after.distribution }
-
-  let diff_batch ~(before : stats) (after : stats) =
-    let cache = Contract.diff_stats ~before:before.cache after.cache in
-    { docs = after.docs - before.docs;
-      conformed = after.conformed - before.conformed;
-      rewritten = after.rewritten - before.rewritten;
-      rewritten_possible = after.rewritten_possible - before.rewritten_possible;
-      rejected = after.rejected - before.rejected;
-      attempt_failed = after.attempt_failed - before.attempt_failed;
-      faults = after.faults - before.faults;
-      invocations = after.invocations - before.invocations;
-      elapsed_s = after.elapsed_s -. before.elapsed_s;
-      docs_per_s =
-        (let dt = after.elapsed_s -. before.elapsed_s in
-         if dt > 0. then float_of_int (after.docs - before.docs) /. dt else 0.);
-      cache;
-      cache_hit_rate = Contract.hit_rate cache;
-      resilience =
-        Resilience.diff_stats ~before:before.resilience after.resilience;
-      min_k = diff_min_k ~before:before.min_k after.min_k }
-
-  (* The one batch path, for every [config.jobs]: worker 0 runs on the
+  (* The one batch path, for every [jobs]: worker 0 runs on the
      calling domain, workers 1..jobs-1 on fresh domains, all on [t]
-     itself; with [jobs <= 1] no domain is spawned. [elapsed_s] covers
-     the whole call — workers, the minimal-k search and the assembly. *)
-  let enforce_many t docs =
-    let before = stats t in
-    let started = wall () in
+     itself; with [jobs <= 1] no domain is spawned. *)
+  let enforce_many t ~jobs docs =
     let docs = Array.of_list docs in
     let n = Array.length docs in
     (* never spawn more domains than there are documents *)
-    let jobs = max 1 (min t.config.jobs n) in
+    let jobs = max 1 (min jobs n) in
     Metrics.set m_jobs (float_of_int jobs);
     let results = Array.make n None in
     (* Chunked work stealing off one atomic cursor: chunks are small
@@ -450,7 +296,7 @@ module Pipeline = struct
       let start = Atomic.fetch_and_add cursor chunk in
       if start < n then begin
         for i = start to min n (start + chunk) - 1 do
-          results.(i) <- Some (run t docs.(i) ~timed:false)
+          results.(i) <- Some (enforce t docs.(i))
         done;
         worker ()
       end
@@ -458,22 +304,13 @@ module Pipeline = struct
     let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
     worker ();
     Array.iter Domain.join spawned;
-    (* deterministic in-order assembly: slot [i] belongs to input [i].
-       Minimal-k observation happens here on the main domain (the
-       contract's k-keyed tables answer most of it). *)
-    let results =
-      Array.to_list
-        (Array.mapi
-           (fun i r ->
-             match r with
-             | Some r ->
-               observe_min_k t docs.(i);
-               r
-             | None -> assert false (* every index below [n] was claimed *))
-           results)
-    in
-    ignore (Atomic.fetch_and_add t.elapsed_ns (ns_of_seconds (wall () -. started)));
-    (results, diff_batch ~before (stats t))
+    (* deterministic in-order assembly: slot [i] belongs to input [i] *)
+    Array.to_list
+      (Array.map
+         (function
+           | Some r -> r
+           | None -> assert false (* every index below [n] was claimed *))
+         results)
 end
 
 (* Enforce [exchange] on [doc]: a pipeline of one document. [s0] is the

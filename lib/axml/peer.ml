@@ -76,8 +76,6 @@ type config = Enforcement.config = {
   k : int;
   fallback_possible : bool;
   resilience : Axml_services.Resilience.t option;
-  jobs : int;
-  track_min_k : bool;
 }
 
 let default_config = Enforcement.default_config
@@ -376,10 +374,6 @@ let connect t ~(provider : t) =
       | Some _, _ | None, None -> ())
     (Schema.element_names provider.schema);
   invalidate t
-
-(* Call a connected service by name, through the registry (and thus
-   through SOAP). *)
-let call t name params = Registry.invoke t.registry name params
 
 (* The wire-level counterpart of [connect] for one service: a networked
    proxy plus its parsed WSDL declaration. *)

@@ -38,18 +38,11 @@ type config = Enforcement.config = {
       (** attempt a possible rewriting when no safe one exists *)
   resilience : Axml_services.Resilience.t option;
       (** retry/timeout/circuit-breaker guard around every invocation *)
-  jobs : int;
-      (** domains for [Enforcement.Pipeline.enforce_many]; a peer
-          enforces one document per {!send} or {!serve}, so this only
-          matters to callers batching through {!exchange_pipeline} *)
-  track_min_k : bool;
-      (** per-document minimal-k search surfaced in pipeline stats and
-          [axml_enforce_min_k_total] (see [Enforcement.config]) *)
 }
 
 val default_config : config
 (** {!Enforcement.default_config}: [k = 1], no fallback, no
-    resilience guard, [jobs = 1], no min-k tracking. *)
+    resilience guard. *)
 
 val configure : t -> config -> unit
 (** Replace the peer's configuration and invalidate every compiled
@@ -127,10 +120,6 @@ val register_remote :
     import its parsed WSDL [declaration] (see {!Wsdl.parse_string}) into
     the peer's schema.
     @raise Wsdl.Wsdl_error on a signature conflict. *)
-
-val call : t -> string -> Axml_core.Document.forest -> Axml_core.Document.forest
-(** Call a connected service by name (through the registry, with full
-    accounting). *)
 
 (** {1 Document exchange} *)
 

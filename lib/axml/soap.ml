@@ -64,6 +64,13 @@ let wire_version (wire : string) : int option =
   | Ok (T.Element root) -> version_of_root root
   | Ok _ -> None
 
+(* The decoded children of [e]: malformed intensional markup in a
+   payload is the envelope's fault. *)
+let payload env (e : T.element) =
+  match Syntax.of_xml_forest env e.T.children with
+  | forest -> forest
+  | exception Syntax.Syntax_error m -> raise (Protocol_error m)
+
 let decode (wire : string) : message =
   let tree =
     match Axml_xml.Xml_parser.parse_result wire with
@@ -99,7 +106,7 @@ let decode (wire : string) : message =
     in
     let params =
       match T.child_element e "int:args" with
-      | Some args -> Syntax.of_xml_forest env args.T.children
+      | Some args -> payload env args
       | None -> []
     in
     Request { method_name; params }
@@ -111,7 +118,7 @@ let decode (wire : string) : message =
     in
     let result =
       match T.child_element e "int:result" with
-      | Some r -> Syntax.of_xml_forest env r.T.children
+      | Some r -> payload env r
       | None -> []
     in
     Response { method_name; result }

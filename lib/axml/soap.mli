@@ -28,7 +28,8 @@ val encode : ?version:int -> message -> string
     pass an explicit value only to test version negotiation. *)
 
 val decode : string -> message
-(** @raise Protocol_error on malformed envelopes.
+(** @raise Protocol_error on malformed envelopes, malformed
+    intensional markup in [int:args] or [int:result] included.
     @raise Unsupported_version when the envelope declares a version
     above {!protocol_version} (an envelope without the attribute is
     version 1). *)

@@ -437,7 +437,6 @@ type check_mode =
 type check_report = {
   ok : bool;
   failures : failure list;
-  cache : Contract.stats;
 }
 
 let check_mode_name = function
@@ -460,7 +459,6 @@ let check ?(mode = Check_safe) t doc =
   let mode_name = check_mode_name mode in
   Axml_obs.Trace.with_span "rewriter.check" ~detail:(fun () -> mode_name)
   @@ fun () ->
-  let before = Contract.stats t in
   let failures =
     match mode with
     | Check_safe -> static_failures Safe t doc
@@ -472,9 +470,7 @@ let check ?(mode = Check_safe) t doc =
   in
   let ok = failures = [] in
   Axml_obs.Metrics.inc (List.assoc (mode_name, ok) m_checks_table);
-  { ok;
-    failures;
-    cache = Contract.diff_stats ~before (Contract.stats t) }
+  { ok; failures }
 
 (* ------------------------------------------------------------------ *)
 (* Document-level minimal-k                                            *)

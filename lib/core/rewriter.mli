@@ -83,9 +83,10 @@ type mode = Win.kind = Safe | Possible
 
 (** {2 The static check}
 
-    Pick the mode, get a structured report (verdict, failures, and the
-    win-table activity the check caused). Word-level questions go
-    to the {!Contract} entry points on {!contract}. *)
+    Pick the mode, get a structured report (verdict and failures);
+    the win-table activity the check caused is the change in
+    {!Contract.stats}. Word-level questions go to the {!Contract}
+    entry points on {!contract}. *)
 
 type check_mode =
   | Check_safe       (** every children word must rewrite {e safely} *)
@@ -100,8 +101,6 @@ type check_mode =
 type check_report = {
   ok : bool;                 (** [failures = []] *)
   failures : failure list;   (** prefix order *)
-  cache : Contract.stats;    (** win-table activity during this check
-                                 (deltas; [entries] is absolute) *)
 }
 
 val check : ?mode:check_mode -> t -> Document.t -> check_report
@@ -146,8 +145,8 @@ val minimal_k : t -> Document.t -> doc_minimal
     minima ({!Contract.minimal_k}); [None] when some word stays
     unsafe/impossible even at the contract's k, or
     when the document mentions unknown labels/functions or the wrong
-    root — those no depth can fix. A capacity-planning signal: it is
-    what the pipeline surfaces as min-k stats and
+    root — those no depth can fix. A capacity-planning signal:
+    [Enforcement.Pipeline.minimal_k] counts it in
     [axml_enforce_min_k_total]. *)
 
 (** {1 The mixed approach (Section 5)} *)

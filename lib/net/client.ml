@@ -78,8 +78,6 @@ let rpc t req =
     Mutex.unlock t.lock;
     raise e
 
-let transport t : Endpoint.transport = fun req -> rpc t req
-
 let ping t =
   match rpc t Wire.Ping with
   | Wire.Pong { peer; protocol } -> (peer, protocol)

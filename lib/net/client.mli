@@ -30,10 +30,6 @@ val rpc : t -> Wire.request -> Wire.response
     response, the server closing, a failed write) also closes the
     client: later calls raise [Net_error "connection is closed"]. *)
 
-val transport : t -> Endpoint.transport
-(** [rpc t] as a transport: anything written against
-    {!Endpoint.transport} runs unchanged over the socket. *)
-
 val ping : t -> string * int
 (** Remote peer name and protocol version.
     @raise Net_error on anything but a [Pong]. *)

@@ -16,8 +16,6 @@ type t = {
   mutable next_id : int;
 }
 
-type transport = Wire.request -> Wire.response
-
 (* One requests counter per operation, shared across endpoints: a slot
    per [Wire.request] constructor, filled on the operation's first
    request (under the lock, so it is registered once) and read without

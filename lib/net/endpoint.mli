@@ -1,9 +1,9 @@
 (** The transport-agnostic peer endpoint: one handler mapping
     {!Wire.request}s to {!Wire.response}s over an {!Axml_peer.Peer.t}.
 
-    The same [handle] backs every transport — the in-process
-    {!transport} used by tests, the framed socket protocol and the HTTP
-    front of {!Server}, and the CLI. It never raises on bad input:
+    The same [handle] backs every transport — in-process calls, the
+    framed socket protocol and the HTTP front of {!Server}, and the
+    CLI. It never raises on bad input:
     protocol-level problems come back as [Wire.Error] responses with
     stable codes. *)
 
@@ -20,11 +20,6 @@ val handle : t -> Wire.request -> Wire.response
     {!Wire.request_op}. Documents accepted through [Exchange] are stored
     in the peer's repository (and journaled when a {!Repo.t} is
     attached). Never raises. *)
-
-type transport = Wire.request -> Wire.response
-(** What a client needs: any function with the semantics of {!handle}.
-    [handle t] is the in-process transport; [Client.transport] is the
-    socket-backed one. *)
 
 val open_exchanges : t -> int
 (** Agreements currently opened (monotonic ids handed out by

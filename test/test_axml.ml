@@ -187,6 +187,30 @@ let test_soap_versioning () =
   (* bytes that are not XML at all have no version to report *)
   check "non-XML has no version" true (Soap.wire_version "not xml <" = None)
 
+(* An int:fun without its methodName inside int:args: the envelope is
+   well formed, its intensional payload is not. *)
+let soap_bad_call =
+  Printf.sprintf
+    {|<soap:Envelope xmlns:soap="%s" xmlns:int="%s" int:protocol="2"><soap:Body><int:request method="x"><int:args><int:fun xmlns:int="%s"/></int:args></int:request></soap:Body></soap:Envelope>|}
+    Soap.soap_ns Syntax.axml_ns Syntax.axml_ns
+
+let test_soap_bad_payload () =
+  (match Soap.decode soap_bad_call with
+   | exception Soap.Protocol_error _ -> ()
+   | _ -> Alcotest.fail "expected Protocol_error");
+  let response =
+    Printf.sprintf
+      {|<soap:Envelope xmlns:soap="%s" xmlns:int="%s"><soap:Body><int:response method="x"><int:result><int:fun><int:params/><int:params/></int:fun></int:result></int:response></soap:Body></soap:Envelope>|}
+      Soap.soap_ns Syntax.axml_ns
+  in
+  (match Soap.decode response with
+   | exception Soap.Protocol_error _ -> ()
+   | _ -> Alcotest.fail "expected Protocol_error");
+  let provider = Peer.create ~name:"p" ~schema:schema_star () in
+  match Soap.decode (Peer.handle_wire provider soap_bad_call) with
+  | Soap.Fault { code = "Client"; _ } -> ()
+  | _ -> Alcotest.fail "expected a Client fault"
+
 (* ------------------------------------------------------------------ *)
 (* XML Schema_int                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -576,13 +600,28 @@ let test_enforce_deep_k_gap () =
 
 module Pipeline = Enforcement.Pipeline
 
+(* A batch on one domain, the outcome counts of its results, and the
+   win-table activity it caused on the pipeline's contract. *)
+let batch_activity p docs =
+  let c = Pipeline.contract p in
+  let before = Contract.stats c in
+  let results = Pipeline.enforce_many p ~jobs:1 docs in
+  (results, Enforcement.counts results, Contract.diff_stats ~before (Contract.stats c))
+
+(* The counters of the pipeline's resilience guard: a fresh guard per
+   pipeline in these tests, so its totals are the pipeline's. *)
+let guard_total p =
+  match (Pipeline.config p).Enforcement.resilience with
+  | Some guard -> Resilience.total guard
+  | None -> Alcotest.fail "the pipeline has no resilience guard"
+
 let test_pipeline_batch () =
   let reg = make_registry () in
   let p =
     Pipeline.create ~s0:schema_star ~exchange:schema_star2
       ~invoker:(Registry.invoker reg) ()
   in
-  let results, batch = Pipeline.enforce_many p [ fig2a; fig2a; fig2a ] in
+  let results, counts, cache = batch_activity p [ fig2a; fig2a; fig2a ] in
   check_int "three results" 3 (List.length results);
   List.iter
     (function
@@ -590,18 +629,14 @@ let test_pipeline_batch () =
         check "rewritten" true (report.Enforcement.action = Enforcement.Rewritten)
       | Error e -> Alcotest.failf "unexpected: %a" Enforcement.pp_error e)
     results;
-  check_int "batch docs" 3 batch.Pipeline.docs;
-  check_int "batch rewritten" 3 batch.Pipeline.rewritten;
-  check_int "batch rejected" 0 batch.Pipeline.rejected;
-  check_int "batch invocations" 3 batch.Pipeline.invocations;
-  check "repeated docs hit the cache" true (batch.Pipeline.cache.Contract.hits > 0);
-  check "throughput measured" true (batch.Pipeline.docs_per_s >= 0.);
-  (* batch stats are deltas: a second batch restarts the counters *)
-  let _, batch2 = Pipeline.enforce_many p [ fig2a ] in
-  check_int "second batch: 1 doc" 1 batch2.Pipeline.docs;
-  check_int "second batch: all cached" 0 batch2.Pipeline.cache.Contract.misses;
-  (* while the cumulative stats keep the running total *)
-  check_int "cumulative docs" 4 (Pipeline.stats p).Pipeline.docs
+  check_int "batch rewritten" 3 counts.Enforcement.rewritten;
+  check_int "batch rejected" 0 counts.Enforcement.rejected;
+  check_int "batch invocations" 3 counts.Enforcement.invocations;
+  check "repeated docs hit the cache" true (cache.Contract.hits > 0);
+  (* a second batch rides the tables the first one filled *)
+  let results2, _, cache2 = batch_activity p [ fig2a ] in
+  check_int "second batch: 1 doc" 1 (List.length results2);
+  check_int "second batch: all cached" 0 cache2.Contract.misses
 
 let test_pipeline_outcome_counters () =
   let reg = make_registry () in
@@ -610,12 +645,12 @@ let test_pipeline_outcome_counters () =
     Pipeline.create ~s0:schema_star ~exchange:schema_star3
       ~invoker:(Registry.invoker reg) ()
   in
-  let results, batch = Pipeline.enforce_many p [ fig2a; fig2a ] in
+  let results, counts, _ = batch_activity p [ fig2a; fig2a ] in
   check "all rejected" true
     (List.for_all (function Error (Enforcement.Rejected _) -> true | _ -> false)
        results);
-  check_int "rejected counted" 2 batch.Pipeline.rejected;
-  check_int "nothing conformed" 0 batch.Pipeline.conformed;
+  check_int "rejected counted" 2 counts.Enforcement.rejected;
+  check_int "nothing conformed" 0 counts.Enforcement.conformed;
   (* with the fallback the same stream is rewritten possibly *)
   let config =
     { Enforcement.default_config with Enforcement.fallback_possible = true }
@@ -624,28 +659,32 @@ let test_pipeline_outcome_counters () =
     Pipeline.create ~config ~s0:schema_star ~exchange:schema_star3
       ~invoker:(Registry.invoker reg) ()
   in
-  let _, batch' = Pipeline.enforce_many p' [ fig2a; fig2a ] in
-  check_int "possible rewrites counted" 2 batch'.Pipeline.rewritten_possible;
+  let _, counts', _ = batch_activity p' [ fig2a; fig2a ] in
+  check_int "possible rewrites counted" 2 counts'.Enforcement.rewritten_possible;
   (* and an already-conforming stream counts as conformed *)
   let p'' =
     Pipeline.create ~s0:schema_star ~exchange:schema_star
       ~invoker:(Registry.invoker reg) ()
   in
-  let _, batch'' = Pipeline.enforce_many p'' [ fig2a ] in
-  check_int "conformed counted" 1 batch''.Pipeline.conformed
+  let _, counts'', _ = batch_activity p'' [ fig2a ] in
+  check_int "conformed counted" 1 counts''.Enforcement.conformed
 
-let test_pipeline_min_k_stats () =
+let test_pipeline_minimal_k () =
   let reg = make_registry () in
-  (* off by default: the stats stay all-zero *)
   let p =
     Pipeline.create ~s0:schema_star ~exchange:schema_star2
       ~invoker:(Registry.invoker reg) ()
   in
-  let _, batch = Pipeline.enforce_many p [ fig2a ] in
-  check_int "off by default" 0 batch.Pipeline.min_k.Pipeline.measured;
-  check "off by default: empty distribution" true
-    (batch.Pipeline.min_k.Pipeline.distribution = []);
-  (* on: one statically-conforming doc (depth 0) and two needing one
+  let searched kind k =
+    Axml_obs.Metrics.counter_value
+      (Axml_obs.Metrics.counter ~labels:[ ("kind", kind); ("k", k) ]
+         "axml_enforce_min_k_total")
+  in
+  (* enforcing never searches *)
+  let before = searched "safe" "1" in
+  ignore (Pipeline.enforce_many p ~jobs:1 [ fig2a ]);
+  check_int "enforcing does not search" before (searched "safe" "1");
+  (* one statically-conforming doc (depth 0) and two needing one
      materialization level each *)
   let conformed =
     D.elem "newspaper"
@@ -653,19 +692,10 @@ let test_pipeline_min_k_stats () =
         D.elem "date" [ D.data "d" ];
         D.elem "temp" [ D.data "15" ] ]
   in
-  let config =
-    { Enforcement.default_config with Enforcement.track_min_k = true }
-  in
-  let p' =
-    Pipeline.create ~config ~s0:schema_star ~exchange:schema_star2
-      ~invoker:(Registry.invoker reg) ()
-  in
-  let _, batch' = Pipeline.enforce_many p' [ fig2a; conformed; fig2a ] in
-  let m = batch'.Pipeline.min_k in
-  check_int "three measured" 3 m.Pipeline.measured;
-  check_int "none over budget" 0 m.Pipeline.unbounded;
-  check "distribution: one at 0, two at 1" true
-    (m.Pipeline.distribution = [ (0, 1); (1, 2) ])
+  let safe_k doc = (Pipeline.minimal_k p doc).Rewriter.safe_k in
+  check "fig2a: one level" true (safe_k fig2a = Some 1);
+  check "conformed: depth 0" true (safe_k conformed = Some 0);
+  check_int "the search counted" (before + 1) (searched "safe" "1")
 
 let test_pipeline_of_contract () =
   let reg = make_registry () in
@@ -674,9 +704,9 @@ let test_pipeline_of_contract () =
   ignore (Rewriter.check (Rewriter.of_contract c) fig2a);
   let p = Pipeline.of_contract ~invoker:(Registry.invoker reg) c in
   check "shares the contract" true (Pipeline.contract p == c);
-  let _, batch = Pipeline.enforce_many p [ fig2a ] in
-  check_int "pre-warmed: no misses" 0 batch.Pipeline.cache.Contract.misses;
-  check "pre-warmed: hits" true (batch.Pipeline.cache.Contract.hits > 0);
+  let _, _, cache = batch_activity p [ fig2a ] in
+  check_int "pre-warmed: no misses" 0 cache.Contract.misses;
+  check "pre-warmed: hits" true (cache.Contract.hits > 0);
   (* the contract fixes k: a k = 2 contract under the default config
      (k = 1) enforces, reports and searches minimal depths at 2. [f]'s
      result is a call to [g], so r[f()] is safe from depth 2 on. *)
@@ -695,20 +725,15 @@ function g : #data -> a
       Service.make ~input:(R.sym Schema.A_data) ~output:(R.sym (Schema.A_label "a"))
         "g" (Oracle.constant [ D.elem "a" [ D.data "1" ] ]) ];
   let c = Contract.create ~k:2 ~s0 ~target () in
-  let p =
-    Pipeline.of_contract
-      ~config:{ Enforcement.default_config with Enforcement.track_min_k = true }
-      ~invoker:(Registry.invoker reg) c
-  in
+  let p = Pipeline.of_contract ~invoker:(Registry.invoker reg) c in
   check_int "k is the contract's" 2 (Pipeline.config p).Enforcement.k;
-  let results, batch = Pipeline.enforce_many p [ D.elem "r" [ D.call "f" [ D.data "x" ] ] ] in
+  let doc = D.elem "r" [ D.call "f" [ D.data "x" ] ] in
   check "rewritten at depth 2" true
-    (match results with
-     | [ Ok (_, r) ] -> List.length r.Enforcement.invocations = 2
-     | _ -> false);
-  let m = batch.Pipeline.min_k in
-  check "minimal safe depth 2" true (m.Pipeline.distribution = [ (2, 1) ]);
-  check_int "not over budget" 0 m.Pipeline.unbounded
+    (match Pipeline.enforce p doc with
+     | Ok (_, r) -> List.length r.Enforcement.invocations = 2
+     | Error _ -> false);
+  check "minimal safe depth 2, within budget" true
+    ((Pipeline.minimal_k p doc).Rewriter.safe_k = Some 2)
 
 (* A pipeline config with a deterministic (manual-clock, jitter-free)
    resilience guard. *)
@@ -735,14 +760,14 @@ let test_pipeline_flaky_recovers () =
     Pipeline.create ~config:(resilient_config ()) ~s0:schema_star
       ~exchange:schema_star2 ~invoker:(Registry.invoker reg) ()
   in
-  let results, batch = Pipeline.enforce_many p [ fig2a; fig2a; fig2a; fig2a ] in
+  let results, counts, _ = batch_activity p [ fig2a; fig2a; fig2a; fig2a ] in
   check "all rewritten despite the flaky service" true
     (List.for_all Result.is_ok results);
-  check_int "no faults surfaced" 0 batch.Pipeline.faults;
-  check "retries recorded" true (batch.Pipeline.resilience.Resilience.retries > 0);
-  check_int "every doc's call eventually succeeded" 4
-    batch.Pipeline.resilience.Resilience.successes;
-  check_int "nothing gave up" 0 batch.Pipeline.resilience.Resilience.gave_up
+  check_int "no faults surfaced" 0 counts.Enforcement.faults;
+  let r = guard_total p in
+  check "retries recorded" true (r.Resilience.retries > 0);
+  check_int "every doc's call eventually succeeded" 4 r.Resilience.successes;
+  check_int "nothing gave up" 0 r.Resilience.gave_up
 
 let test_pipeline_survives_dead_service () =
   let reg = make_registry () in
@@ -756,7 +781,7 @@ let test_pipeline_survives_dead_service () =
       ~s0:schema_star ~exchange:schema_star2 ~invoker:(Registry.invoker reg) ()
   in
   let docs = [ fig2a; fig2a; fig2a; fig2a ] in
-  let results, batch = Pipeline.enforce_many p docs in
+  let results, counts, _ = batch_activity p docs in
   check_int "the batch still produced every outcome" 4 (List.length results);
   List.iter
     (function
@@ -772,9 +797,9 @@ let test_pipeline_survives_dead_service () =
       | Rewriter.Service_failure { fname = "Get_Temp"; attempts = 2; _ } -> ()
       | r -> Alcotest.failf "wrong reason: %a" Rewriter.pp_reason r)
    | _ -> Alcotest.fail "expected a Service_failure on the first document");
-  check_int "faults counted" 4 batch.Pipeline.faults;
-  check_int "faults are not rejections" 0 batch.Pipeline.rejected;
-  let r = batch.Pipeline.resilience in
+  check_int "faults counted" 4 counts.Enforcement.faults;
+  check_int "faults are not rejections" 0 counts.Enforcement.rejected;
+  let r = guard_total p in
   check "gave up at least once" true (r.Resilience.gave_up >= 1);
   check_int "breaker tripped" 1 r.Resilience.trips;
   check "later docs short-circuited" true (r.Resilience.short_circuited > 0)
@@ -789,14 +814,14 @@ let test_pipeline_ill_typed_service_fault () =
     Pipeline.create ~config:(resilient_config ()) ~s0:schema_star
       ~exchange:schema_star2 ~invoker:(Registry.invoker reg) ()
   in
-  let results, batch = Pipeline.enforce_many p [ fig2a ] in
+  let results, counts, _ = batch_activity p [ fig2a ] in
   (match results with
    | [ Error (Enforcement.Service_fault [ f ]) ] ->
      (match f.Rewriter.reason with
       | Rewriter.Ill_typed_service { fname = "Get_Temp"; _ } -> ()
       | r -> Alcotest.failf "wrong reason: %a" Rewriter.pp_reason r)
    | _ -> Alcotest.fail "expected an ill-typed service fault");
-  check_int "fault counted" 1 batch.Pipeline.faults
+  check_int "fault counted" 1 counts.Enforcement.faults
 
 let test_pipeline_fault_skips_possible_fallback () =
   (* a broken service is not evidence that the document needs a possible
@@ -811,13 +836,13 @@ let test_pipeline_fault_skips_possible_fallback () =
       ~config:(resilient_config ~fallback:true ~retries:0 ())
       ~s0:schema_star ~exchange:schema_star2 ~invoker:(Registry.invoker reg) ()
   in
-  let results, batch = Pipeline.enforce_many p [ fig2a ] in
+  let results, counts, _ = batch_activity p [ fig2a ] in
   (match results with
    | [ Error (Enforcement.Service_fault _) ] -> ()
    | [ Error e ] -> Alcotest.failf "wrong error: %a" Enforcement.pp_error e
    | _ -> Alcotest.fail "expected a service fault");
-  check_int "no possible rewriting attempted" 0 batch.Pipeline.rewritten_possible;
-  check_int "no attempt failure either" 0 batch.Pipeline.attempt_failed
+  check_int "no possible rewriting attempted" 0 counts.Enforcement.rewritten_possible;
+  check_int "no attempt failure either" 0 counts.Enforcement.attempt_failed
 
 let test_peer_exchange_pipeline_cached () =
   let sender = Peer.create ~name:"newspaper.com" ~schema:schema_star () in
@@ -835,18 +860,17 @@ let test_peer_exchange_pipeline_cached () =
    with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "send failed: %a" Enforcement.pp_error e);
-  let after_one = (Pipeline.stats p1).Pipeline.cache in
+  let after_one = Contract.stats (Pipeline.contract p1) in
   (match
      Peer.send sender ~receiver ~exchange:schema_star2 ~as_name:"b" fig2a
    with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "send failed: %a" Enforcement.pp_error e);
-  let after_two = (Pipeline.stats p1).Pipeline.cache in
+  let after_two = Contract.stats (Pipeline.contract p1) in
   check_int "second send: pure cache hits"
     after_one.Contract.misses after_two.Contract.misses;
   check "second send: hits grew" true
     (after_two.Contract.hits > after_one.Contract.hits);
-  check_int "pipeline counted both sends" 2 (Pipeline.stats p1).Pipeline.docs;
   (* changing the configuration invalidates the compiled pipeline *)
   Peer.configure sender { Peer.default_config with Peer.fallback_possible = true };
   let p3 = Peer.exchange_pipeline sender ~exchange:schema_star2 in
@@ -1018,7 +1042,7 @@ let test_peer_call_through_soap () =
     (Peer.Repository_path { doc = "exhibits"; path = "/listing/exhibit" });
   let client = Peer.create ~name:"newspaper.com" ~schema:schema_star () in
   Peer.connect client ~provider;
-  let result = Peer.call client "List_Exhibits" [ D.data "all" ] in
+  let result = Registry.invoke (Peer.registry client) "List_Exhibits" [ D.data "all" ] in
   (match result with
    | [ D.Elem { label = "exhibit"; _ } ] -> ()
    | _ -> Alcotest.failf "unexpected result: %a" D.pp_forest result);
@@ -1045,7 +1069,7 @@ let test_peer_serve_enforces_output () =
                 | _ -> false)));
   let client = Peer.create ~name:"reader" ~schema:schema_star () in
   Peer.connect client ~provider;
-  match Peer.call client "Temperature" [ D.data "q" ] with
+  match Registry.invoke (Peer.registry client) "Temperature" [ D.data "q" ] with
   | [ D.Elem { label = "temp"; _ } ] -> ()
   | other -> Alcotest.failf "expected a materialized temp, got %a" D.pp_forest other
 
@@ -1342,17 +1366,16 @@ let test_peer_configure () =
   let d = Peer.default_config in
   let c = Peer.current_config peer in
   check_int "default k" d.Peer.k c.Peer.k;
-  check_int "default jobs" d.Peer.jobs c.Peer.jobs;
+  check "no resilience guard by default" true (c.Peer.resilience = None);
   check "no fallback by default" false c.Peer.fallback_possible;
   (* compiled artifacts are cached while the config is stable... *)
   let p1 = Peer.exchange_pipeline peer ~exchange:schema_star2 in
   check "pipeline cached" true (p1 == Peer.exchange_pipeline peer ~exchange:schema_star2);
   (* ...and configure replaces the whole record atomically and
      invalidates them *)
-  Peer.configure peer { d with Peer.k = 3; jobs = 4; fallback_possible = true };
+  Peer.configure peer { d with Peer.k = 3; fallback_possible = true };
   let c = Peer.current_config peer in
   check_int "k applied" 3 c.Peer.k;
-  check_int "jobs applied" 4 c.Peer.jobs;
   check "fallback applied" true c.Peer.fallback_possible;
   check "configure invalidates compiled pipelines" true
     (p1 != Peer.exchange_pipeline peer ~exchange:schema_star2);
@@ -1365,7 +1388,7 @@ let test_peer_configure () =
   Peer.configure peer
     { (Peer.current_config peer) with Peer.resilience = Some (Resilience.create ()) };
   let c = Peer.current_config peer in
-  check_int "resilience update keeps jobs" 4 c.Peer.jobs;
+  check_int "resilience update keeps k" 3 c.Peer.k;
   check "resilience installed" true (Option.is_some c.Peer.resilience);
   check "resilience update keeps fallback" true c.Peer.fallback_possible
 
@@ -1465,41 +1488,31 @@ let prop_batch_matches_per_document =
     (fun (jobs, seed) ->
       let g = Generate.create ~seed schema_star in
       let docs = List.init 24 (fun _ -> Generate.document g) in
-      let pipeline jobs =
+      let pipeline () =
         Pipeline.create
           ~config:
-            { Enforcement.default_config with
-              Enforcement.fallback_possible = true; jobs }
+            { Enforcement.default_config with Enforcement.fallback_possible = true }
           ~s0:schema_star ~exchange:schema_star2
           ~invoker:(Registry.invoker (make_registry ())) ()
       in
       (* the reference: a per-document loop on a fresh pipeline *)
-      let reference = pipeline 1 in
+      let reference = pipeline () in
       let expected = List.map (Pipeline.enforce reference) docs in
-      let want = Pipeline.stats reference in
-      let results, got = Pipeline.enforce_many (pipeline jobs) docs in
+      let want = Contract.stats (Pipeline.contract reference) in
+      let batch = pipeline () in
+      let results = Pipeline.enforce_many batch ~jobs docs in
+      let got = Contract.stats (Pipeline.contract batch) in
       (* which analyses hit may differ between domains racing to fill
          the same entry; how many ran and what they filled may not *)
-      let analyses (s : Pipeline.stats) =
-        s.Pipeline.cache.Contract.hits + s.Pipeline.cache.Contract.misses
-      in
       List.iter
         (fun (name, field) ->
           if field want <> field got then
             QCheck.Test.fail_reportf
               "jobs=%d: batch counted %d %s, loop %d" jobs (field got) name
               (field want))
-        Pipeline.
-          [ ("docs", fun s -> s.docs);
-            ("conformed", fun s -> s.conformed);
-            ("rewritten", fun s -> s.rewritten);
-            ("rewritten_possible", fun s -> s.rewritten_possible);
-            ("rejected", fun s -> s.rejected);
-            ("attempt_failed", fun s -> s.attempt_failed);
-            ("faults", fun s -> s.faults);
-            ("invocations", fun s -> s.invocations);
-            ("analyses", analyses);
-            ("entries", fun s -> s.cache.Contract.entries) ];
+        Contract.
+          [ ("analyses", fun s -> s.hits + s.misses);
+            ("entries", fun s -> s.entries) ];
       List.iteri
         (fun i (s, q) ->
           let s = render_result s and q = render_result q in
@@ -1510,14 +1523,16 @@ let prop_batch_matches_per_document =
         (List.combine expected results);
       true)
 
-(* [config.jobs] routes enforce_many across domains. *)
-let test_parallel_jobs_config () =
-  let config = { Enforcement.default_config with Enforcement.jobs = 2 } in
+(* [~jobs] routes enforce_many across domains. *)
+let test_parallel_jobs () =
   let p =
-    Pipeline.create ~config ~s0:schema_star ~exchange:schema_star2
+    Pipeline.create ~s0:schema_star ~exchange:schema_star2
       ~invoker:(Registry.invoker (make_registry ())) ()
   in
-  let results, batch = Pipeline.enforce_many p [ fig2a; fig2a; fig2a; fig2a ] in
+  let c = Pipeline.contract p in
+  let before = Contract.stats c in
+  let results = Pipeline.enforce_many p ~jobs:2 [ fig2a; fig2a; fig2a; fig2a ] in
+  let cache = Contract.diff_stats ~before (Contract.stats c) in
   check_int "four results" 4 (List.length results);
   check "all rewritten" true
     (List.for_all
@@ -1525,14 +1540,12 @@ let test_parallel_jobs_config () =
          | Ok (_, r) -> r.Enforcement.action = Enforcement.Rewritten
          | Error _ -> false)
        results);
-  check_int "batch docs" 4 batch.Pipeline.docs;
   (* only Get_Temp is materialized (TimeOut may stay intensional under
      the exchange schema): one invocation per document *)
-  check_int "batch invocations" 4 batch.Pipeline.invocations;
-  (* the merged cache view spans the shared contract and the clones *)
-  check "cache activity merged" true
-    (batch.Pipeline.cache.Contract.misses > 0
-     || batch.Pipeline.cache.Contract.hits > 0)
+  check_int "batch invocations" 4 (Enforcement.counts results).Enforcement.invocations;
+  (* every worker counts on the one shared contract *)
+  check "cache activity counted" true
+    (cache.Contract.misses > 0 || cache.Contract.hits > 0)
 
 (* A breaker tripped by whichever domain fails first is observed by the
    other: with a permanently-dead service, two domains and a threshold
@@ -1552,15 +1565,14 @@ let test_parallel_breaker_shared () =
       ()
   in
   let config =
-    { Enforcement.default_config with
-      Enforcement.resilience = Some guard; jobs = 2 }
+    { Enforcement.default_config with Enforcement.resilience = Some guard }
   in
   let p =
     Pipeline.create ~config ~s0:schema_star ~exchange:schema_star2
       ~invoker:(Registry.invoker reg) ()
   in
   let docs = List.init 12 (fun _ -> fig2a) in
-  let results, batch = Pipeline.enforce_many p docs in
+  let results = Pipeline.enforce_many p ~jobs:2 docs in
   check "every document faulted" true
     (List.for_all
        (function Error (Enforcement.Service_fault _) -> true | _ -> false)
@@ -1570,7 +1582,7 @@ let test_parallel_breaker_shared () =
   check "other domains short-circuited" true (r.Resilience.short_circuited > 0);
   check "attempts stopped after the trip" true
     (r.Resilience.attempts < List.length docs);
-  check_int "faults counted" 12 batch.Pipeline.faults
+  check_int "faults counted" 12 (Enforcement.counts results).Enforcement.faults
 
 let axml_qcheck =
   List.map QCheck_alcotest.to_alcotest
@@ -1602,10 +1614,11 @@ let test_peer_three_hop () =
   Peer.connect aggregator ~provider:source;
   Peer.provide aggregator ~name:"Nice_Temp" ~input:(R.sym Schema.A_data)
     ~output:(R.sym (Schema.A_label "temp"))
-    (Peer.Compute (fun params -> Peer.call aggregator "Raw_Temp" params));
+    (Peer.Compute
+       (fun params -> Registry.invoke (Peer.registry aggregator) "Raw_Temp" params));
   let client = Peer.create ~name:"client" ~schema:schema_star () in
   Peer.connect client ~provider:aggregator;
-  match Peer.call client "Nice_Temp" [ D.data "q" ] with
+  match Registry.invoke (Peer.registry client) "Nice_Temp" [ D.data "q" ] with
   | [ D.Elem { label = "temp"; children = [ D.Data "15" ]; _ } ] ->
     check_int "aggregator accounted one upstream call" 1
       (Axml_services.Registry.invocation_count (Peer.registry aggregator))
@@ -1692,7 +1705,12 @@ let test_batch_loop_alloc () =
       xml
   in
   loop ();
-  let invocations = (Enforcement.Pipeline.stats p).Enforcement.Pipeline.invocations in
+  let invocations =
+    (Enforcement.counts
+       (Array.to_list
+          (Array.map (fun x -> Enforcement.Pipeline.enforce p (Syntax.of_xml_string x)) xml)))
+      .Enforcement.invocations
+  in
   let per_doc = minor_words loop /. float_of_int (Array.length xml) in
   check "about one and a half invocations a document" true
     (let n = float_of_int invocations /. float_of_int (Array.length xml) in
@@ -2525,6 +2543,77 @@ let test_print_alloc () =
   if words <> float_of_int output_words then
     Alcotest.failf "a print allocated %.1f words; its output string is %d" words output_words
 
+(* ------------------------------------------------------------------ *)
+(* SOAP mutation fuzz                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A provider whose one service takes #data and answers a temp. *)
+let soap_provider =
+  lazy
+    (let p = Peer.create ~name:"provider" ~schema:schema_star () in
+     Peer.provide p ~name:"Temperature" ~input:(R.sym Schema.A_data)
+       ~output:(R.sym (Schema.A_label "temp"))
+       (Peer.Const [ D.elem "temp" [ D.data "15" ] ]);
+     p)
+
+(* Encoded requests and responses over generated documents. *)
+let gen_envelope =
+  let open QCheck.Gen in
+  let forest =
+    map
+      (fun (seed, n) ->
+        let g = Generate.create ~seed schema_star in
+        List.init n (fun _ -> Generate.document g))
+      (pair small_nat (int_bound 2))
+  in
+  let method_name = oneofl [ "Temperature"; "Get_Temp"; "Nope" ] in
+  map3
+    (fun request method_name forest ->
+      Soap.encode
+        (if request then Soap.Request { method_name; params = forest }
+         else Soap.Response { method_name; result = forest }))
+    bool method_name forest
+
+(* An envelope damaged by one to three rounds of bit flips, markup,
+   truncations and splices, after a slice of another envelope has been
+   spliced in or not. *)
+let gen_damaged_envelope =
+  let open QCheck.Gen in
+  pair gen_envelope gen_envelope >>= fun (a, b) ->
+  let n = String.length a and m = String.length b in
+  (frequency
+     [ (1, return a);
+       (1,
+        map3
+          (fun i j len ->
+            String.sub a 0 i ^ String.sub b j (min len (m - j)) ^ String.sub a i (n - i))
+          (int_bound n) (int_bound (m - 1)) (int_bound 64)) ]
+   >>= fun s -> frequencyl [ (4, 1); (2, 2); (1, 3) ] >>= fun k -> mutations k s)
+
+(* [f wire] returns within a second. *)
+let within_a_second f wire =
+  let t0 = Unix.gettimeofday () in
+  f wire;
+  Unix.gettimeofday () -. t0 < 1.0
+
+let prop_soap_decode =
+  QCheck.Test.make ~count:1500
+    ~name:"soap fuzz: damaged envelopes decode or raise Protocol_error/Unsupported_version"
+    (QCheck.make ~print:String.escaped gen_damaged_envelope)
+    (within_a_second (fun wire ->
+         match Soap.decode wire with
+         | _ -> ()
+         | exception (Soap.Protocol_error _ | Soap.Unsupported_version _) -> ()))
+
+let prop_soap_handle =
+  QCheck.Test.make ~count:1000
+    ~name:"soap fuzz: a peer answers damaged envelopes with an envelope it reads"
+    (QCheck.make ~print:String.escaped gen_damaged_envelope)
+    (within_a_second (fun wire ->
+         match Soap.decode (Peer.handle_wire (Lazy.force soap_provider) wire) with
+         | Soap.Response _ | Soap.Fault _ -> ()
+         | Soap.Request _ -> QCheck.Test.fail_report "the peer answered with a request"))
+
 let () =
   Alcotest.run "axml"
     [ ("syntax",
@@ -2536,8 +2625,10 @@ let () =
       ("soap",
        [ Alcotest.test_case "roundtrip" `Quick test_soap_roundtrip;
          Alcotest.test_case "garbage" `Quick test_soap_garbage;
-         Alcotest.test_case "versioning" `Quick test_soap_versioning
+         Alcotest.test_case "versioning" `Quick test_soap_versioning;
+         Alcotest.test_case "malformed payload" `Quick test_soap_bad_payload
        ]);
+      ("soap-fuzz", List.map QCheck_alcotest.to_alcotest [ prop_soap_decode; prop_soap_handle ]);
       ("xml-schema-int",
        [ Alcotest.test_case "parse newspaper schema" `Quick test_xml_schema_int_parse;
          Alcotest.test_case "roundtrip" `Quick test_xml_schema_int_roundtrip;
@@ -2563,14 +2654,14 @@ let () =
       ("pipeline",
        [ Alcotest.test_case "batch stats" `Quick test_pipeline_batch;
          Alcotest.test_case "outcome counters" `Quick test_pipeline_outcome_counters;
-         Alcotest.test_case "minimal-k stats" `Quick test_pipeline_min_k_stats;
+         Alcotest.test_case "minimal-k stats" `Quick test_pipeline_minimal_k;
          Alcotest.test_case "from a shared contract" `Quick test_pipeline_of_contract;
          Alcotest.test_case "flaky service recovers" `Quick test_pipeline_flaky_recovers;
          Alcotest.test_case "survives a dead service" `Quick test_pipeline_survives_dead_service;
          Alcotest.test_case "ill-typed service fault" `Quick test_pipeline_ill_typed_service_fault;
          Alcotest.test_case "fault skips possible fallback" `Quick test_pipeline_fault_skips_possible_fallback;
          Alcotest.test_case "peer pipeline caching" `Quick test_peer_exchange_pipeline_cached;
-         Alcotest.test_case "parallel jobs config" `Quick test_parallel_jobs_config;
+         Alcotest.test_case "parallel jobs config" `Quick test_parallel_jobs;
          Alcotest.test_case "parallel shares the breaker" `Quick test_parallel_breaker_shared
        ]);
       ("properties", axml_qcheck);

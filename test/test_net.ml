@@ -623,12 +623,25 @@ let test_endpoint_services () =
          { method_name = "Get_Temp";
            params = [ D.elem "city" [ D.data "Paris" ] ] })
   in
+  (match handle (Wire.Invoke { envelope }) with
+   | Wire.Envelope { envelope } ->
+     (match Axml_peer.Soap.decode envelope with
+      | Axml_peer.Soap.Response { result = [ D.Elem { label = "temp"; _ } ]; _ } -> ()
+      | _ -> Alcotest.fail "unexpected invoke result")
+   | r -> Alcotest.failf "invoke: %a" Wire.pp_response r);
+  (* a well-formed envelope whose argument is a call without a
+     methodName is the client's fault, answered in SOAP *)
+  let envelope =
+    Printf.sprintf
+      {|<soap:Envelope xmlns:soap="%s" xmlns:int="%s" int:protocol="2"><soap:Body><int:request method="x"><int:args><int:fun/></int:args></int:request></soap:Body></soap:Envelope>|}
+      Axml_peer.Soap.soap_ns Axml_peer.Syntax.axml_ns
+  in
   match handle (Wire.Invoke { envelope }) with
   | Wire.Envelope { envelope } ->
     (match Axml_peer.Soap.decode envelope with
-     | Axml_peer.Soap.Response { result = [ D.Elem { label = "temp"; _ } ]; _ } -> ()
-     | _ -> Alcotest.fail "unexpected invoke result")
-  | r -> Alcotest.failf "invoke: %a" Wire.pp_response r
+     | Axml_peer.Soap.Fault { code = "Client"; _ } -> ()
+     | _ -> Alcotest.fail "expected a Client fault")
+  | r -> Alcotest.failf "invoke of a malformed payload: %a" Wire.pp_response r
 
 (* Sender and receiver must provably agree on the rewriting depth: the
    receiver refuses a mismatched Open_exchange with a stable error

@@ -442,7 +442,7 @@ let run_batch ~config ~seed sink =
   Trace.set_sink Trace.default sink;
   Fun.protect
     ~finally:(fun () -> Trace.set_sink Trace.default Trace.Null)
-    (fun () -> fst (Pipeline.enforce_many p docs))
+    (fun () -> Pipeline.enforce_many p ~jobs:1 docs)
 
 let invocation_equal (a : Rewriter.located_invocation)
     (b : Rewriter.located_invocation) =

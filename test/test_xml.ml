@@ -626,7 +626,8 @@ let test_syntax_refusals () =
   refused
     ("<int:fun methodName=\"F\"><int:params><x/></int:params>" ^ second ^ "</int:fun>")
     not_param;
-  (* a SOAP request decodes its arguments the same way *)
+  (* a SOAP request decodes its arguments the same way, and refuses
+     them as a malformed envelope with the same message *)
   let envelope content =
     Printf.sprintf
       {|<soap:Envelope xmlns:soap=%S xmlns:int=%S><soap:Body><int:request method="M"><int:args><int:fun methodName="F">%s</int:fun></int:args></int:request></soap:Body></soap:Envelope>|}
@@ -636,7 +637,7 @@ let test_syntax_refusals () =
    | Soap.Request { params = [ c ]; _ } when D.equal c (D.call "F" [ D.data "x" ]) -> ()
    | _ -> Alcotest.fail "a SOAP call with one int:params does not decode to its call");
   match Soap.decode (envelope (params ^ second)) with
-  | exception Syntax.Syntax_error m -> check_str "SOAP request" stray m
+  | exception Soap.Protocol_error m -> check_str "SOAP request" stray m
   | _ -> Alcotest.fail "a SOAP call with two int:params decoded"
 
 (* The printer allocates its output and nothing per element: printing a
