@@ -159,14 +159,13 @@ let deny_arg =
 let validate_cmd =
   let run schema_path doc_path =
     wrap (fun () ->
-        let schema = load_schema schema_path in
-        let doc = load_document doc_path in
-        let ctx = Validate.ctx schema in
-        match Validate.document_violations ctx doc with
-        | [] ->
+        let ctx = Validate.ctx (load_schema schema_path) in
+        match Syntax.of_xml_string_checked ctx (read_file doc_path) with
+        | Ok _ ->
           Fmt.pr "valid: the document is an instance of the schema@.";
           0
-        | violations ->
+        | Error (Syntax.Malformed m) -> fail "%s: %s" doc_path m
+        | Error (Syntax.Violations violations) ->
           List.iter (Fmt.pr "%a@." Validate.pp_violation) violations;
           1)
   in

@@ -391,48 +391,29 @@ type exchange_outcome = {
   wire_bytes : int;
 }
 
-(* The receiver's verdict the long way, for a document the one pass of
-   [receive] refused: decode without checking ([Syntax.of_xml_string],
-   which leaves malformed bytes to the tree route and its message), and
-   list every violation, in the order and words a refusal reports
-   them. *)
-let receive_slowly t ~ctx ~as_name (wire : string) : (Document.t, Enforcement.error) result =
-  let rejected failures = Error (Enforcement.Rejected failures) in
-  match Syntax.of_xml_string wire with
-  | exception Syntax.Syntax_error m ->
-    rejected
-      [ { Rewriter.at = [];
-          reason = Rewriter.Not_instance { detail = "malformed document: " ^ m } } ]
-  | received ->
-    (match Validate.document_violations ctx received with
-     | [] ->
-       store t as_name received;
-       Ok received
-     | violations ->
-       rejected
-         (List.map
-            (fun v ->
-              { Rewriter.at = v.Validate.at;
-                reason =
-                  Rewriter.Not_instance
-                    { detail = Fmt.str "%a" Validate.pp_violation_kind v.Validate.kind } })
-            violations))
+(* A refusal as the receiver reports it: one failure per violation, at
+   its path, or one at the root for a document that does not decode. *)
+let refusal_failures (refusal : Syntax.refusal) =
+  let failure at detail = { Rewriter.at; reason = Rewriter.Not_instance { detail } } in
+  match refusal with
+  | Syntax.Malformed m -> [ failure [] ("malformed document: " ^ m) ]
+  | Syntax.Violations vs ->
+    List.map (fun (v : Validate.violation) -> failure v.at (Validate.violation_text v.kind)) vs
 
 (* The receiver-side half of an exchange — shared by [send] and the
    network endpoint: decode the XML wire bytes and validate them against
    the exchange schema (never trust the sender) in one pass, then store
-   the document. At the first offence the pass stops and the refusal is
-   rebuilt by [receive_slowly], so every verdict, message and stored
-   document is the one parsing, decoding and validating in turn
-   gives. *)
+   the document. A refused document is decoded once too: the pass lists
+   every violation, in the order and words that parsing, decoding and
+   validating in turn give. *)
 let receive t ~exchange ~as_name (wire : string) :
     (Document.t, Enforcement.error) result =
   let ctx = Contract.ctx (Pipeline.contract (exchange_pipeline t ~exchange)) in
   match Syntax.of_xml_string_checked ctx wire with
-  | Some received ->
+  | Ok received ->
     store t as_name received;
     Ok received
-  | None -> receive_slowly t ~ctx ~as_name wire
+  | Error refusal -> Error (Enforcement.Rejected (refusal_failures refusal))
 
 (* Send [doc] to [receiver] under the agreed [exchange] schema: the
    sender's enforcement module materializes what must be materialized,

@@ -58,12 +58,6 @@ let version_of_root root =
      | Some v when v >= 1 -> Some v
      | _ -> None)
 
-let wire_version (wire : string) : int option =
-  match Axml_xml.Xml_parser.parse_result wire with
-  | Error _ -> None
-  | Ok (T.Element root) -> version_of_root root
-  | Ok _ -> None
-
 (* The decoded children of [e]: malformed intensional markup in a
    payload is the envelope's fault. *)
 let payload env (e : T.element) =

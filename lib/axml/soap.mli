@@ -33,8 +33,3 @@ val decode : string -> message
     @raise Unsupported_version when the envelope declares a version
     above {!protocol_version} (an envelope without the attribute is
     version 1). *)
-
-val wire_version : string -> int option
-(** The protocol version a wire envelope declares ([Some 1] for a
-    legacy unversioned envelope), or [None] when the bytes are not an
-    envelope at all — a cheap pre-flight peek for negotiation. *)

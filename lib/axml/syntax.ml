@@ -138,8 +138,8 @@ let to_xml_string ?(pretty = true) doc =
 (* Two decoders build documents, and one set of rules says what the
    int:fun syntax allows where ([opening], [content], [params_closed],
    [call_closed]):
-   - [of_xml] decodes a parsed [Xml_tree]: SOAP bodies, path queries,
-     and every input the one pass leaves to it. It recurses on the
+   - [of_xml] decodes a parsed [Xml_tree]: SOAP bodies and path
+     queries; no document's bytes come to it. It recurses on the
      tree's depth and builds each children list front to back
      ([@tail_mod_cons]); building them on the explicit stack below
      measured 1.7-2.7x slower, since every node stored into the
@@ -162,7 +162,13 @@ let k_params = 4
 let k_param = 5
 let k_skip = 6 (* an element a call's syntax ignores *)
 
-let unexpected_content () = raise (Syntax_error "unexpected content inside int:fun")
+let unexpected = "unexpected content inside int:fun"
+let no_method_name = "int:fun element without a methodName attribute"
+
+let too_many_bindings =
+  Printf.sprintf "more than %d namespace prefixes bound at once" Ns.max_bindings
+
+let unexpected_content () = raise (Syntax_error unexpected)
 let not_a_param () = raise (Syntax_error "int:params may only contain int:param elements")
 
 (* The kind of the element named [s.[off .. stop - 1]] (its prefix
@@ -206,7 +212,7 @@ let is_layout = function
 (* The first methodName attribute, as [T.attr_value] finds it. *)
 let rec method_name (attrs : T.attribute list) =
   match attrs with
-  | [] -> raise (Syntax_error "int:fun element without a methodName attribute")
+  | [] -> raise (Syntax_error no_method_name)
   | a :: rest -> if String.equal a.name "methodName" then a.value else method_name rest
 
 (* [opening] for a tree element. *)
@@ -290,10 +296,7 @@ and call_params env (nodes : T.t list) k =
 let of_xml_forest env (nodes : T.t list) : D.forest =
   match forest env nodes env [] with
   | decoded -> decoded
-  | exception Ns.Too_many_bindings ->
-    raise
-      (Syntax_error
-         (Printf.sprintf "more than %d namespace prefixes bound at once" Ns.max_bindings))
+  | exception Ns.Too_many_bindings -> raise (Syntax_error too_many_bindings)
 
 let of_xml (tree : T.t) : D.t =
   match of_xml_forest Ns.empty_env [ tree ] with
@@ -314,20 +317,32 @@ let of_xml (tree : T.t) : D.t =
    children are popped into their list front to back, so each list is
    built once and never reversed.
 
-   Names are only looked up, never interned: a node opening with a
-   name no schema declared ends the pass. Under a [Validate.ctx]
-   Definition 3 is checked on the way: each opening child steps its
-   parent's DFA ([Dense.step_id]), a closing element or call must
-   leave it in a final state, and the root rule is checked last. Under
-   [unchecked] none of that runs. Either way the first offence of any
-   kind, malformed bytes included, ends the pass, and the answer is
-   rebuilt the long way: [of_xml_string_checked]'s caller lists the
-   refusal through the tree decoder and [Validate.document_violations],
-   and [of_xml_string] decodes through the tree, which raises its
-   error or returns its document (one with a name never declared).
-   So a first offence found mid-pass never decides which message is
-   reported, and content a call's syntax would skip ends the pass as it
-   opens, since it makes the document malformed whatever follows.
+   Names are looked up, never interned: a declared name is the
+   interner's string, and a name no schema declared is copied out of
+   the input, its node getting id -1 as [Document.elem]/[call] give it.
+
+   The pass gives each outcome of the tree route (parse, [of_xml],
+   [Validate.document_violations]) itself, in the same words:
+   - Bytes that do not parse: the reader's error at the first such
+     token. The reader words the nesting's refusals too: no root, an
+     unterminated element, a second root (read to its end first).
+   - A syntax offence is raised at its token by the rules above, which
+     rank the offences inside a call as [of_xml] does. An element a
+     call skips is read for well-formedness only, since [of_xml]
+     decodes nothing in it. As the tree route parses the whole input
+     before it decodes, the input after a syntax offence is read for
+     well-formedness only too, and bytes there that do not parse are
+     reported instead.
+   - Under a [Validate.ctx] (mode checking), Definition 3: each opening
+     child steps its parent's DFA ([Dense.step_id]), and a closing
+     element or call must leave it in a final state. At the first
+     offence the pass turns to listing. It goes on building, and each
+     element or call that closes from then on records its
+     [Validate.node_violation], with its path read off the frame stack;
+     the nodes closed before conform. At the end the root rule's
+     violation comes first, then the records sorted by path, which is
+     [Validate.fold]'s prefix order.
+   Unchecked, no model is looked up.
 
    The stacks live in one scratch value kept in a spare slot between
    decodes (as [Spare_buffer] keeps a printer's buffer): a decode that
@@ -343,6 +358,10 @@ let of_xml (tree : T.t) : D.t =
    environment (its own only when it declares a prefix). *)
 let stride = 7
 
+let mode_unchecked = 0
+let mode_checking = 1
+let mode_listing = 2
+
 type scratch = {
   mutable ints : int array;
   mutable envs : Ns.env array;
@@ -351,6 +370,9 @@ type scratch = {
   mutable top : int;  (* nodes 0 .. top - 1 are on the stack *)
   mutable high_sp : int;  (* the slots written since the scratch was given back *)
   mutable high_top : int;
+  mutable mode : int;
+  mutable names : string list;  (* of the open frames with id -1, innermost first *)
+  mutable refused : Validate.violation list;  (* listed, latest first *)
 }
 
 let frames = 32
@@ -359,13 +381,15 @@ let no_node = D.data ""
 
 let make_scratch () =
   { ints = Array.make (frames * stride) 0; envs = Array.make frames Ns.empty_env;
-    nodes = Array.make node_slots no_node; sp = 0; top = 0; high_sp = 0; high_top = 0 }
+    nodes = Array.make node_slots no_node; sp = 0; top = 0; high_sp = 0; high_top = 0;
+    mode = mode_unchecked; names = []; refused = [] }
 
 let spare : scratch Atomic.t = Atomic.make (make_scratch ())
 
 (* What the slot holds while a decode has its scratch. *)
 let taken =
-  { ints = [||]; envs = [||]; nodes = [||]; sp = 0; top = 0; high_sp = 0; high_top = 0 }
+  { ints = [||]; envs = [||]; nodes = [||]; sp = 0; top = 0; high_sp = 0; high_top = 0;
+    mode = mode_unchecked; names = []; refused = [] }
 
 let take () =
   let d = Atomic.exchange spare taken in
@@ -383,6 +407,9 @@ let give d =
     d.top <- 0;
     d.high_sp <- 0;
     d.high_top <- 0;
+    d.mode <- mode_unchecked;
+    if d.names != [] then d.names <- [];
+    if d.refused != [] then d.refused <- [];
     Atomic.set spare d
   end
   else Atomic.set spare (make_scratch ())
@@ -437,51 +464,133 @@ let children d b =
   d.top <- b;
   !l
 
-exception Unchecked
+(* The innermost open element's close tag: read, or missing. *)
+let close_tag d r =
+  let o = (d.sp - 1) * stride in
+  P.close r (P.input r) (Array.unsafe_get d.ints (o + 4)) (Array.unsafe_get d.ints (o + 5))
 
-(* The context of a pass that checks no model: the switch every check
-   below tests, by identity. *)
-let unchecked = Validate.ctx Axml_schema.Schema.empty
+let unterminated d r =
+  let o = (d.sp - 1) * stride in
+  P.unterminated r (P.input r) (Array.unsafe_get d.ints (o + 4)) (Array.unsafe_get d.ints (o + 5))
 
-let[@inline] checks ctx = ctx != unchecked
+(* ---- Well-formedness only ---- *)
 
-let[@inline] dfa ctx id =
-  match Validate.model_of_id ctx id with Some m -> m.Validate.dfa | None -> raise_notrace Unchecked
+(* The rest of the start tag [s.[off .. stop - 1]] that [P.next] has
+   just read: its attributes, declaring none, and a [k_skip] frame
+   unless the tag is empty. *)
+let skip_tag d r off stop =
+  while P.attribute r do () done;
+  if not (P.tag_end r (P.input r) off (stop - off)) then
+    push d k_skip (current_env d) ~id:(-1) ~state:0 ~off ~len:(stop - off)
+
+(* The tokens up to the close of frame [level]. *)
+let rec skip d r level =
+  if d.sp > level then begin
+    (match P.next r with
+     | P.Start -> skip_tag d r (P.name_start r) (P.name_end r)
+     | P.End ->
+       close_tag d r;
+       d.sp <- d.sp - 1
+     | P.Eof -> unterminated d r
+     | P.Text | P.Cdata | P.Comment | P.Pi -> ());
+    skip d r level
+  end
+
+(* After the root: the end of the input, or a second root, refused once
+   it is read. *)
+let after_root d r =
+  match P.next_top r with
+  | P.Eof -> ()
+  | _ ->
+    skip_tag d r (P.name_start r) (P.name_end r);
+    skip d r 1;
+    P.multiple_roots r
+
+(* A start tag refused before its end: it is read on as [skip_tag]
+   reads it, so the reading after the refusal finds its close tag. *)
+let refuse_tag d r off stop message =
+  skip_tag d r off stop;
+  raise (Syntax_error message)
+
+(* ---- Definition 3 ---- *)
 
 (* A child with symbol id [child] joins the word of the innermost
    element or call (an int:param's content is its call's parameters);
-   the forest frame has no word. *)
+   the forest frame has no word. While checking, a word that leaves its
+   model turns the pass to listing. *)
 let step ctx d child =
-  let i = d.sp - 1 in
-  let o = if kind d i = k_param then i - 2 else i in
-  if o > 0 && checks ctx then begin
-    let s = Dense.step_id (dfa ctx (id d o)) (state d o) child in
-    if s < 0 then raise_notrace Unchecked;
-    set_state d o s
+  if d.mode = mode_checking then begin
+    let i = d.sp - 1 in
+    let o = if kind d i = k_param then i - 2 else i in
+    if o > 0 then
+      match Validate.model_of_id ctx (id d o) with
+      | Some m ->
+        let s = Dense.step_id m.Validate.dfa (state d o) child in
+        if s < 0 then d.mode <- mode_listing else set_state d o s
+      | None -> d.mode <- mode_listing
   end
 
-(* Character data other than layout. *)
-let data ctx d (r : P.reader) =
-  if content (kind d (d.sp - 1)) = k_stray then raise_notrace Unchecked;
-  step ctx d Sym_id.data;
-  add d (D.data (P.text r))
+(* [acc] prefixed with the path of the node that node frame [i] builds:
+   its index among the children (or the call's parameters) it sits in,
+   then its parent's, up to the root. *)
+let rec path d i acc =
+  if i <= 1 then acc
+  else
+    let o = if kind d (i - 1) = k_param then i - 3 else i - 1 in
+    path d o ((base d i - base d o) :: acc)
 
-(* The innermost frame closes. *)
+(* The node of frame [i], closing: while checking, its word must end in
+   a final state, and the first that does not turns the pass to
+   listing; while listing, its violation is recorded. *)
+let judge ctx d i node =
+  let listed =
+    d.mode = mode_listing
+    ||
+    match Validate.model_of_id ctx (id d i) with
+    | Some m when Dense.is_final m.Validate.dfa (state d i) -> false
+    | _ ->
+      d.mode <- mode_listing;
+      true
+  in
+  if listed then
+    match Validate.node_violation node (Validate.model_of_id ctx (D.sym_id node)) with
+    | None -> ()
+    | Some kind -> d.refused <- { Validate.at = path d i []; kind } :: d.refused
+
+(* ---- The token loop ---- *)
+
+(* Character data other than layout: a data node, or what makes a call
+   before its int:params stray. *)
+let data ctx d (r : P.reader) =
+  let i = d.sp - 1 in
+  if content (kind d i) = k_stray then set_kind d i k_stray
+  else begin
+    step ctx d Sym_id.data;
+    add d (D.data (P.text r))
+  end
+
+(* The innermost frame closes; it is popped before a rule can refuse. *)
 let close_frame ctx d =
   let i = d.sp - 1 in
+  d.sp <- i;
   let k = kind d i in
-  if k = k_elem || k = k_call || k = k_done then begin
+  if k <= k_done then begin
     if k <> k_elem then call_closed k;
     let id = id d i in
-    if checks ctx && not (Dense.is_final (dfa ctx id) (state d i)) then raise_notrace Unchecked;
     let kids = children d (base d i) in
-    d.sp <- i;
-    add d (if k = k_elem then D.elem_of_id id kids else D.call_of_id id kids)
+    let node =
+      if id >= 0 then if k = k_elem then D.elem_of_id id kids else D.call_of_id id kids
+      else
+        match d.names with
+        | name :: rest ->
+          d.names <- rest;
+          if k = k_elem then D.elem name kids else D.call name kids
+        | [] -> assert false (* every frame with id -1 put its name there *)
+    in
+    if d.mode <> mode_unchecked then judge ctx d i node;
+    add d node
   end
-  else begin
-    if k = k_params then set_kind d (i - 1) (params_closed (kind d (i - 1)));
-    d.sp <- i
-  end
+  else if k = k_params then set_kind d (i - 1) (params_closed (kind d (i - 1)))
 
 (* Is [s.[off .. stop - 1]] "methodName"? *)
 let is_method_name s off stop =
@@ -495,53 +604,78 @@ let is_method_name s off stop =
 (* The start tag [P.next] has just read opens a frame, closed at once
    when the tag is empty. Names are resolved in place: an element's
    local name and a plain methodName value are looked up as slices of
-   the input, so a declared name is never copied, and an undeclared
-   one is refused before anything is built for it. *)
+   the input, so a declared name is never copied. The element's
+   declarations are put in force before its kind is ruled on, as
+   [of_xml] extends an element before it decodes it; after a call's
+   int:params an element is refused before that, as [of_xml] refuses
+   it unextended. *)
 let start_element ctx d r =
   let s = P.input r in
   let off = P.name_start r and stop = P.name_end r in
-  let k = kind d (d.sp - 1) in
-  if k = k_done then ignore (content k);
+  let parent = kind d (d.sp - 1) in
+  if parent = k_done then refuse_tag d r off stop unexpected;
+  let c = Ns.prefix_end_sub s off stop in
   (* the first methodName: [moff] is -1 before it, -2 once decoded into [mname] *)
   let env = ref (current_env d) and moff = ref (-1) and mstop = ref 0 and mname = ref "" in
-  while P.attribute r do
-    env := Ns.declare_attribute ~known:int_declaration !env r;
-    if !moff = -1 && is_method_name s (P.name_start r) (P.name_end r) then
-      if P.value_decoded r then begin
-        mname := P.value r;
-        moff := -2
-      end
-      else begin
-        moff := P.value_start r;
-        mstop := P.value_end r
-      end
-  done;
+  let k =
+    match
+      while P.attribute r do
+        env := Ns.declare_attribute ~known:int_declaration !env r;
+        if !moff = -1 && is_method_name s (P.name_start r) (P.name_end r) then
+          if P.value_decoded r then begin
+            mname := P.value r;
+            moff := -2
+          end
+          else begin
+            moff := P.value_start r;
+            mstop := P.value_end r
+          end
+      done;
+      opening parent !env s off stop c
+    with
+    | k -> k
+    | exception Syntax_error m -> refuse_tag d r off stop m
+    | exception Ns.Too_many_bindings -> refuse_tag d r off stop too_many_bindings
+  in
+  if k = k_call && !moff = -1 then refuse_tag d r off stop no_method_name;
   let env = !env in
   let empty = P.tag_end r s off (stop - off) in
-  let c = Ns.prefix_end_sub s off stop in
-  let k = opening k env s off stop c in
-  let id =
-    if k = k_elem then
-      let l = if c < 0 then off else c + 1 in
-      Sym_id.find_label_sub s l (stop - l)
-    else if k = k_call then
-      if !moff = -2 then Sym_id.find_fun !mname
-      else if !moff >= 0 then Sym_id.find_fun_sub s !moff (!mstop - !moff)
-      else -1
-    else if k = k_skip then -1
-    else 0
-  in
-  if id < 0 then raise_notrace Unchecked;
-  let state =
-    if (k = k_elem || k = k_call) && checks ctx then begin
-      let s = Dense.start (dfa ctx id) in
-      step ctx d id;
-      s
+  if k = k_skip then begin
+    set_kind d (d.sp - 1) k_stray;
+    if not empty then begin
+      push d k_skip env ~id:(-1) ~state:0 ~off ~len:(stop - off);
+      skip d r (d.sp - 1)
     end
-    else 0
-  in
-  push d k env ~id ~state ~off ~len:(stop - off);
-  if empty then close_frame ctx d
+  end
+  else begin
+    let l = if c < 0 then off else c + 1 in
+    let id =
+      if k = k_elem then Sym_id.find_label_sub s l (stop - l)
+      else if k = k_call then
+        if !moff = -2 then Sym_id.find_fun !mname
+        else Sym_id.find_fun_sub s !moff (!mstop - !moff)
+      else 0
+    in
+    if id < 0 then
+      d.names <-
+        (if k = k_elem then String.sub s l (stop - l)
+         else if !moff = -2 then !mname
+         else String.sub s !moff (!mstop - !moff))
+        :: d.names;
+    let state =
+      if d.mode = mode_checking && k <= k_call then
+        match Validate.model_of_id ctx id with
+        | Some m ->
+          step ctx d id;
+          Dense.start m.Validate.dfa
+        | None ->
+          d.mode <- mode_listing;
+          0
+      else 0
+    in
+    push d k env ~id ~state ~off ~len:(stop - off);
+    if empty then close_frame ctx d
+  end
 
 (* The tokens up to the root's close tag. *)
 let rec pull ctx d r =
@@ -549,51 +683,73 @@ let rec pull ctx d r =
     (match P.next r with
      | P.Start -> start_element ctx d r
      | P.End ->
-       let o = (d.sp - 1) * stride in
-       P.close r (P.input r) (Array.unsafe_get d.ints (o + 4)) (Array.unsafe_get d.ints (o + 5));
+       close_tag d r;
        close_frame ctx d
      | P.Text -> if not (P.text_is_whitespace r) then data ctx d r
      | P.Cdata -> data ctx d r
      | P.Comment | P.Pi -> ()
-     | P.Eof -> raise_notrace Unchecked);
+     | P.Eof -> unterminated d r);
     pull ctx d r
   end
 
+(* The scratch, taken, with frame 0 open: the forest read, which has no
+   word. *)
+let open_pass mode =
+  let d = take () in
+  d.mode <- mode;
+  push d k_elem Ns.empty_env ~id:(-1) ~state:0 ~off:0 ~len:0;
+  d
+
 let decode ctx d r =
-  (match P.next_top r with P.Start -> start_element ctx d r | _ -> raise_notrace Unchecked);
+  (match P.next_top r with P.Start -> start_element ctx d r | _ -> P.no_root r);
   pull ctx d r;
-  (match P.next_top r with P.Eof -> () | _ -> raise_notrace Unchecked);
-  if d.top <> 1 then raise_notrace Unchecked;
+  after_root d r;
   Array.unsafe_get d.nodes 0
 
-(* The one pass over [input] under [ctx]: the document, or [Unchecked]
-   at the first offence. The scratch is given back either way. *)
-let one_pass ctx input =
-  let d = take () in
-  (* frame 0 holds the forest read, and has no word *)
-  push d k_elem Ns.empty_env ~id:(-1) ~state:0 ~off:0 ~len:0;
-  match decode ctx d (P.reader input) with
+(* The text of the refusal [e] raised mid-pass, the scratch given back:
+   the syntax offence, unless the input after it does not parse. *)
+let refusal_text d r e =
+  let text =
+    match e with
+    | Syntax_error m ->
+      (match
+         skip d r 1;
+         after_root d r
+       with
+       | () -> m
+       | exception P.Error { pos; message } -> P.error_text pos message)
+    | P.Error { pos; message } -> P.error_text pos message
+    | e ->
+      give d;
+      raise e
+  in
+  give d;
+  text
+
+(* The context of the unchecked pass, in which no model is looked up. *)
+let unchecked = Validate.ctx Axml_schema.Schema.empty
+
+let of_xml_string input =
+  let d = open_pass mode_unchecked and r = P.reader input in
+  match decode unchecked d r with
   | doc ->
     give d;
     doc
-  | exception (Unchecked | Syntax_error _ | P.Error _ | Ns.Too_many_bindings) ->
-    give d;
-    raise_notrace Unchecked
-  | exception e ->
-    give d;
-    raise e
+  | exception e -> raise (Syntax_error (refusal_text d r e))
 
-(* An input the unchecked pass leaves is decoded through the tree,
-   which returns its document or raises its error. *)
-let of_xml_string input =
-  match one_pass unchecked input with
-  | doc -> doc
-  | exception Unchecked ->
-    (match P.parse_result input with
-     | Ok tree -> of_xml tree
-     | Error e -> raise (Syntax_error e))
+type refusal = Malformed of string | Violations of Validate.violation list
 
 let of_xml_string_checked ctx input =
-  match one_pass ctx input with
-  | doc -> if Option.is_none (Validate.root_violation ctx doc) then Some doc else None
-  | exception Unchecked -> None
+  let d = open_pass mode_checking and r = P.reader input in
+  match decode ctx d r with
+  | doc ->
+    let listed = d.refused in
+    give d;
+    (match Validate.root_violation ctx doc, listed with
+     | None, [] -> Ok doc
+     | root, listed ->
+       (* a path is an int list: [compare] orders them lexicographically,
+          a prefix first, which is the prefix order of [Validate.fold] *)
+       let by_path (a : Validate.violation) (b : Validate.violation) = compare a.at b.at in
+       Error (Violations (Option.to_list root @ List.stable_sort by_path listed)))
+  | exception e -> Error (Malformed (refusal_text d r e))

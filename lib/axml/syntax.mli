@@ -32,26 +32,35 @@ val of_xml : Axml_xml.Xml_tree.t -> Axml_core.Document.t
     included. *)
 
 val of_xml_string : string -> Axml_core.Document.t
-(** Decode the XML bytes of a document, in one pass over them with no
+(** Decode the XML bytes of a document in one pass over them, with no
     [Xml_tree]: the pass of {!of_xml_string_checked}, checking the
-    syntax only. Names are looked up, never interned. At its first
-    offence (malformed bytes or markup, too many namespace prefixes, a
-    name no schema declared, no root or several) the bytes are decoded
-    again through [Xml_parser.parse_result] and {!of_xml}, so the
-    document and the error are always that route's.
-    @raise Syntax_error as that route does, with its message. *)
+    syntax only. Names are looked up, never interned; a node whose name
+    no schema declared has id [-1], as {!Axml_core.Document.elem} gives
+    it. The document, and the error, are those of
+    [Xml_parser.parse_result] then {!of_xml}: bytes that do not parse
+    anywhere in the input are reported before a markup offence (worded
+    ["line L, column C: ..."], as [parse_result] words them), and
+    markup offences rank as {!of_xml} ranks them.
+    @raise Syntax_error with that route's message. *)
+
+(** Why {!of_xml_string_checked} refused a document. *)
+type refusal =
+  | Malformed of string
+      (** {!of_xml_string} raises [Syntax_error] with this message *)
+  | Violations of Axml_core.Validate.violation list
+      (** the document decodes, and these are its
+          [Validate.document_violations], never [[]] *)
 
 val of_xml_string_checked :
-  Axml_core.Validate.ctx -> string -> Axml_core.Document.t option
-(** One pass over the bytes, with no [Xml_tree]: decode and check the
-    document against the context (Definition 3 and the root rule) at
-    once. [Some doc] when {!of_xml_string} would return [doc] and
-    [Validate.document_violations ctx doc] would be [[]], with the same
-    names and symbol ids; [None] otherwise, at the first offence of any
-    kind (malformed bytes or markup, an undeclared name, a children
-    word outside its model), so the caller that reports the refusal
-    rebuilds it through {!of_xml_string} and
-    [Validate.document_violations]. *)
+  Axml_core.Validate.ctx -> string -> (Axml_core.Document.t, refusal) result
+(** The one pass of {!of_xml_string}, checking the document against the
+    context (Definition 3 and the root rule) as it decodes. [Ok doc]
+    when {!of_xml_string} would return [doc], with the same names and
+    symbol ids, and [Validate.document_violations ctx doc] would be
+    [[]]; the refusal otherwise, in that route's words and order. At
+    its first violation the pass goes on building and lists the
+    violation of each node that closes after it, so a refused document
+    is decoded once. *)
 
 (**/**)
 

@@ -22,17 +22,23 @@ type violation_kind =
 
 type violation = { at : Document.path; kind : violation_kind }
 
-let pp_word = Fmt.(list ~sep:(any ".") Symbol.pp)
-
-let pp_violation_kind ppf = function
-  | Unknown_label l -> Fmt.pf ppf "element type %S is not declared" l
-  | Unknown_function f -> Fmt.pf ppf "function %S is not declared" f
-  | Content_mismatch { label; word } ->
-    Fmt.pf ppf "children of <%s> form %a, outside its content model" label pp_word word
-  | Input_mismatch { fname; word } ->
-    Fmt.pf ppf "parameters of %s() form %a, outside its input type" fname pp_word word
+(* Built from strings, with no formatter: a receiver words every
+   violation of each document it refuses. [quoted] is what [%S]
+   prints. *)
+let violation_text kind =
+  let quoted s = "\"" ^ String.escaped s ^ "\"" in
+  let word w = String.concat "." (List.map Symbol.to_string w) in
+  match kind with
+  | Unknown_label l -> "element type " ^ quoted l ^ " is not declared"
+  | Unknown_function f -> "function " ^ quoted f ^ " is not declared"
+  | Content_mismatch { label; word = w } ->
+    String.concat "" [ "children of <"; label; "> form "; word w; ", outside its content model" ]
+  | Input_mismatch { fname; word = w } ->
+    String.concat "" [ "parameters of "; fname; "() form "; word w; ", outside its input type" ]
   | Root_mismatch { expected; found } ->
-    Fmt.pf ppf "root is <%s> but the schema requires <%s>" found expected
+    String.concat "" [ "root is <"; found; "> but the schema requires <"; expected; ">" ]
+
+let pp_violation_kind ppf kind = Fmt.string ppf (violation_text kind)
 
 let pp_violation ppf v =
   Fmt.pf ppf "%a: %a" Document.pp_path v.at pp_violation_kind v.kind
@@ -148,8 +154,6 @@ let push rev_path node own _enclosing acc =
   match node_violation node own with
   | None -> acc
   | Some kind -> { at = List.rev rev_path; kind } :: acc
-
-let violations ctx doc = List.rev (fold ctx push doc [])
 
 let document_violations ctx doc =
   List.rev (fold ctx push doc (Option.to_list (root_violation ctx doc)))

@@ -19,6 +19,7 @@ type violation_kind =
 
 type violation = { at : Document.path; kind : violation_kind }
 
+val violation_text : violation_kind -> string
 val pp_violation_kind : violation_kind Fmt.t
 val pp_violation : violation Fmt.t
 
@@ -99,12 +100,9 @@ val fold :
     (default [[]]). The walk only reads; besides the model lookup, a
     visited node allocates only its path cell. *)
 
-val violations : ctx -> Document.t -> violation list
-(** All violations of the model rule, prefix order; [[]] means
-    instance. *)
-
 val document_violations : ctx -> Document.t -> violation list
-(** The root rule's violation, then {!violations}. *)
+(** The root rule's violation, then every violation of the model rule,
+    prefix order; [[]] means instance. *)
 
 val document_conforms : ctx -> Document.t -> bool
 (** Boolean twin of {!document_violations}: same verdict as

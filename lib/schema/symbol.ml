@@ -20,9 +20,5 @@ let compare s1 s2 =
 
 let equal s1 s2 = compare s1 s2 = 0
 
-let pp ppf = function
-  | Label l -> Fmt.string ppf l
-  | Fun f -> Fmt.pf ppf "%s()" f
-  | Data -> Fmt.string ppf "#data"
-
-let to_string = Fmt.to_to_string pp
+let to_string = function Label l -> l | Fun f -> f ^ "()" | Data -> "#data"
+let pp ppf s = Fmt.string ppf (to_string s)

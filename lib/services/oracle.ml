@@ -46,8 +46,6 @@ let honest_random ?(seed = 7) ?env schema fname : Service.behaviour =
 let echo : Service.behaviour = fun params -> params
 
 (* Failure injection. *)
-let ill_typed forest : Service.behaviour = fun _params -> forest
-
 let failing message : Service.behaviour = fun _params -> failwith message
 
 (* Burn [delay_s] of (possibly virtual) time before answering like

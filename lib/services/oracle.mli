@@ -26,9 +26,6 @@ val echo : Service.behaviour
 
 (** {1 Failure injection} *)
 
-val ill_typed : Axml_core.Document.forest -> Service.behaviour
-(** Always returns the given (presumably contract-violating) forest. *)
-
 val failing : string -> Service.behaviour
 (** Raises [Failure] on every call. *)
 

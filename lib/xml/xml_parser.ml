@@ -549,6 +549,18 @@ let close cur s off len =
     fail cur (Fmt.str "mismatched close tag </%s> for <%s>" close (String.sub s off len))
   end
 
+(* The refusals of the nesting, which the consumer keeps: the same text
+   from the tree builder and from [Syntax]'s one pass. *)
+let no_root cur = fail cur "no root element"
+let multiple_roots cur = fail cur "multiple root elements"
+
+let unterminated cur s off len =
+  fail cur ("unterminated element <" ^ String.sub s off len ^ ">")
+
+let error_text pos message =
+  String.concat ""
+    [ "line "; string_of_int pos.line; ", column "; string_of_int pos.column; ": "; message ]
+
 (* ------------------------------------------------------------------ *)
 (* What a token holds                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -651,7 +663,7 @@ and elements cur f =
   | Pi ->
     let target = name cur in
     emit cur f (Xml_tree.pi target (String.trim (pi_content cur)))
-  | Eof -> fail cur (Fmt.str "unterminated element <%s>" f.name)
+  | Eof -> unterminated cur f.name 0 (String.length f.name)
 
 (* A finished node: a child of the innermost open element, or, with none
    open, the element read. *)
@@ -668,17 +680,16 @@ and emit cur f node =
 let parse input : Xml_tree.t =
   let cur = make_cursor input in
   match next_top cur with
-  | Eof -> fail cur "no root element"
+  | Eof -> no_root cur
   | _ ->
     let root = start cur outside in
     (match next_top cur with
      | Eof -> root
      | _ ->
        ignore (start cur outside);
-       fail cur "multiple root elements")
+       multiple_roots cur)
 
 let parse_result input =
   match parse input with
   | tree -> Ok tree
-  | exception Error { pos; message } ->
-    Result.error (Fmt.str "line %d, column %d: %s" pos.line pos.column message)
+  | exception Error { pos; message } -> Result.error (error_text pos message)

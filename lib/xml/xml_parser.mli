@@ -35,6 +35,10 @@ val parse : string -> Xml_tree.t
     allowed. @raise Error with a line/column position otherwise. *)
 
 val parse_result : string -> (Xml_tree.t, string) result
+(** {!parse}, its {!Error} worded by {!error_text}. *)
+
+val error_text : position -> string -> string
+(** ["line L, column C: message"]. *)
 
 (** {1 The pull reader}
 
@@ -45,7 +49,8 @@ val parse_result : string -> (Xml_tree.t, string) result
     its consumer takes. A reader checks everything but the nesting: the
     consumer keeps the open elements and hands each one's name to
     {!close}. Every function raises {!Error} where {!parse} would;
-    [Eof] inside an element is the consumer's to refuse. *)
+    [Eof] inside an element is the consumer's to refuse
+    ({!unterminated}). *)
 
 type reader
 
@@ -84,6 +89,18 @@ val tag_end : reader -> string -> int -> int -> bool
 val close : reader -> string -> int -> int -> unit
 (** After [End]: read the close tag of the open element whose name is
     [s.[off .. off + len - 1]], compared in place. *)
+
+(** The consumer's refusals of the nesting, raised as {!Error} at the
+    reader's position in {!parse}'s words. *)
+
+val no_root : reader -> 'a
+(** [next_top] gave [Eof] before any root. *)
+
+val multiple_roots : reader -> 'a
+(** A second root element was read. *)
+
+val unterminated : reader -> string -> int -> int -> 'a
+(** [Eof] inside the open element [s.[off .. off + len - 1]]. *)
 
 val name_start : reader -> int
 val name_end : reader -> int

@@ -160,8 +160,8 @@ let test_soap_garbage () =
 let test_soap_versioning () =
   let msg = Soap.Request { method_name = "M"; params = [] } in
   (* the current version is stamped on every envelope *)
-  check "wire declares current version" true
-    (Soap.wire_version (Soap.encode msg) = Some Soap.protocol_version);
+  check "encode stamps the current version" true
+    (String.equal (Soap.encode msg) (Soap.encode ~version:Soap.protocol_version msg));
   (* older versions up to the current one still decode *)
   (match Soap.decode (Soap.encode ~version:1 msg) with
    | Soap.Request { method_name = "M"; _ } -> ()
@@ -172,20 +172,15 @@ let test_soap_versioning () =
       {|<soap:Envelope xmlns:soap=%S xmlns:int=%S><soap:Body><int:request method="M"><int:args/></int:request></soap:Body></soap:Envelope>|}
       Soap.soap_ns Syntax.axml_ns
   in
-  check "legacy envelope is version 1" true (Soap.wire_version legacy = Some 1);
   (match Soap.decode legacy with
    | Soap.Request { method_name = "M"; params = [] } -> ()
    | _ -> Alcotest.fail "legacy envelope refused");
-  (* a future version is a typed refusal, not a generic decode error *)
-  let future = Soap.encode ~version:99 msg in
-  check "future version visible pre-flight" true
-    (Soap.wire_version future = Some 99);
-  (match Soap.decode future with
+  (* a future version is read off its stamp and refused with a typed
+     error, not a generic decode error *)
+  (match Soap.decode (Soap.encode ~version:99 msg) with
    | exception Soap.Unsupported_version { got = 99; supported } ->
      check_int "supported version" Soap.protocol_version supported
-   | _ -> Alcotest.fail "expected Unsupported_version");
-  (* bytes that are not XML at all have no version to report *)
-  check "non-XML has no version" true (Soap.wire_version "not xml <" = None)
+   | _ -> Alcotest.fail "expected Unsupported_version")
 
 (* An int:fun without its methodName inside int:args: the envelope is
    well formed, its intensional payload is not. *)
@@ -2127,14 +2122,14 @@ let outcome_text = function
 let receive_parity r wire =
   let reference = reference_receive r.vctx wire in
   (match Syntax.of_xml_string_checked r.vctx wire, reference with
-   | Some d, Ok d' ->
+   | Ok d, Ok d' ->
      if not (D.equal d d' && same_ids d d') then
        Alcotest.failf "%s: %S: one pass decoded %a, the route %a" r.pair wire D.pp d D.pp d'
-   | None, Error _ -> ()
-   | Some d, Error _ ->
+   | Error _, Error _ -> ()
+   | Ok d, Error _ ->
      Alcotest.failf "%s: %S: one pass accepted %a, the route refuses it: %s" r.pair wire D.pp d
        (outcome_text reference)
-   | None, Ok _ -> Alcotest.failf "%s: %S: one pass refused a conforming document" r.pair wire);
+   | Error _, Ok _ -> Alcotest.failf "%s: %S: one pass refused a conforming document" r.pair wire);
   let got = Peer.receive r.receiver ~exchange:r.agreed ~as_name:"received" wire in
   (match got, reference with
    | Ok d, Ok d' ->
@@ -2238,7 +2233,7 @@ let test_receive_cases () =
   (* the cases reach both verdicts on the one pass *)
   let r = List.hd (Lazy.force receivings) in
   check "the conforming case passes in one pass" true
-    (Option.is_some (Syntax.of_xml_string_checked r.vctx (List.hd receive_cases)))
+    (Result.is_ok (Syntax.of_xml_string_checked r.vctx (List.hd receive_cases)))
 
 (* The words of a decoded document: 4 an element or call (its name is
    the interner's), 3 a list cell, 2 a data leaf and its string's. *)
@@ -2249,7 +2244,7 @@ let rec doc_words (d : D.t) =
     List.fold_left (fun w c -> w + 3 + doc_words c) 4 l
 
 (* What a conforming receive allocates besides its document: the pull
-   reader (6), the decoder's [Some] (2) and the [Ok] (2). Its pipeline
+   reader (6), the decoder's [Ok] (2) and the receiver's (2). Its pipeline
    is looked up by the exchange schema alone, with no slot and no
    option. *)
 let receive_constant = 10
@@ -2278,6 +2273,97 @@ let test_receive_conforming_alloc () =
   if words > float_of_int budget then
     Alcotest.failf "a conforming receive allocated %.1f words; its document is %d, with the \
                     constant %d" words (doc_words doc) budget
+
+(* [f ()] in a systhread whose stack may grow to 32k words, far less
+   than a recursion over 100,000 levels needs. *)
+let in_small_stack f =
+  let limit = (Gc.get ()).Gc.stack_limit in
+  Gc.set { (Gc.get ()) with Gc.stack_limit = 32_768 };
+  let result = ref (Error Exit) in
+  Thread.join (Thread.create (fun () -> result := (try Ok (f ()) with e -> Error e)) ());
+  Gc.set { (Gc.get ()) with Gc.stack_limit = limit };
+  !result
+
+(* Two 100,000-deep chains of the nested schema's [a], one ending in a
+   label no schema declared and one in a declared word outside [a]'s
+   model, are refused by [Peer.receive] on a stack where a recursion
+   over the depth overflows. Each refusal lists what the tree route
+   lists, computed on the default stack. *)
+let test_receive_deep_refusals () =
+  let r = List.find (fun r -> r.pair = "nested") (Lazy.force receivings) in
+  let depth = 100_000 in
+  let chain leaf =
+    String.concat "" (List.init depth (fun _ -> "<a>"))
+    ^ leaf
+    ^ String.concat "" (List.init depth (fun _ -> "</a>"))
+  in
+  List.iter
+    (fun leaf ->
+      let wire = chain leaf in
+      let reference = reference_receive r.vctx wire in
+      (match reference with
+       | Error (Enforcement.Rejected (_ :: _)) -> ()
+       | _ -> Alcotest.failf "%s: the tree route must refuse it" leaf);
+      match
+        in_small_stack (fun () -> Peer.receive r.receiver ~exchange:r.agreed ~as_name:"deep" wire)
+      with
+      | Ok got ->
+        if outcome_text got <> outcome_text reference then
+          Alcotest.failf "%s: the deep refusal differs from the tree route's" leaf
+      | Error e -> Alcotest.failf "%s: the receive raised %s" leaf (Printexc.to_string e))
+    [ "<receive_unseen_leaf/>"; "x<a>y</a>" ]
+
+(* What a refused receive allocates besides one unchecked decode of the
+   same bytes and the refusal it returns: the violations as the pass
+   lists them (each record, its path, a mismatch's word), the
+   temporaries of their texts and the result blocks. *)
+let refusal_constant = 128
+
+(* A newspaper refused for a word outside its model, for a label no
+   schema declared and for bytes that do not parse after a call without
+   a methodName. *)
+let refused_newspapers =
+  let int = Printf.sprintf "xmlns:int=\"%s\"" Syntax.axml_ns in
+  [ "<newspaper><title>The Sun</title><date>04/10/2002</date><temp>15</temp><temp>16</temp>\
+     <exhibit><title>Monet</title><date>june</date></exhibit></newspaper>";
+    "<newspaper><title>The Sun</title><date>04/10/2002</date><temp>15</temp>\
+     <refused_unseen_label><title>Monet</title><date>june</date></refused_unseen_label></newspaper>";
+    Printf.sprintf
+      "<newspaper %s><title>The Sun</title><date>04/10/2002</date><int:fun>x</int:fun>\
+       <exhibit><title>Monet</title><date>june</date></exhibit></newspaper" int ]
+
+(* [Peer.receive] of a refused newspaper decodes its bytes once: it
+   allocates at most one [Syntax.of_xml_string] of them, the refusal it
+   returns and the constant. *)
+let test_receive_refusal_alloc () =
+  let r = List.find (fun r -> r.pair = "newspaper") (Lazy.force receivings) in
+  let per_run f =
+    minor_words (fun () ->
+        for _ = 1 to 1000 do
+          f ()
+        done)
+    /. 1000.
+  in
+  List.iter
+    (fun wire ->
+      let receive () = Peer.receive r.receiver ~exchange:r.agreed ~as_name:"x" wire in
+      let refusal =
+        match receive () with
+        | Error (Enforcement.Rejected _) as refused -> Obj.reachable_words (Obj.repr refused)
+        | _ -> Alcotest.failf "%S must be refused" wire
+      in
+      let decode =
+        per_run (fun () ->
+            match Syntax.of_xml_string wire with
+            | d -> ignore (Sys.opaque_identity d)
+            | exception Syntax.Syntax_error _ -> ())
+      in
+      let words = per_run (fun () -> ignore (Sys.opaque_identity (receive ()))) in
+      let budget = decode +. float_of_int (refusal + refusal_constant) in
+      if words > budget then
+        Alcotest.failf "%S: a refused receive allocated %.1f words; one decode is %.1f, the \
+                        refusal %d, %.1f in all with the constant" wire words decode refusal budget)
+    refused_newspapers
 
 (* ------------------------------------------------------------------ *)
 (* Decode: the unchecked one pass against the tree route               *)
@@ -2316,13 +2402,17 @@ let prop_decode_mutated =
        ~print:String.escaped)
     decode_parity
 
-(* The receive cases, and one or more inputs for every offence that
-   sends the one pass to the tree route. *)
+(* The receive cases, and one or more inputs for every offence and for
+   each rule that ranks two of them. *)
 let decode_cases =
   let int = Printf.sprintf "xmlns:int=\"%s\"" Syntax.axml_ns in
   let head = "<title>t</title><date>d</date>" in
   let in_newspaper body = Printf.sprintf "<newspaper %s>%s%s</newspaper>" int head body in
-  let get_temp body = in_newspaper ("<int:fun methodName=\"Get_Temp\">" ^ body ^ "</int:fun>") in
+  let get_temp_call body = "<int:fun methodName=\"Get_Temp\">" ^ body ^ "</int:fun>" in
+  let get_temp body = in_newspaper (get_temp_call body) in
+  let prefixes n =
+    String.concat "" (List.init n (fun i -> Printf.sprintf " xmlns:p%d=\"urn:p%d\"" i i))
+  in
   receive_cases
   @ [ (* names no schema declared: a label, a function, one deep in the document *)
       in_newspaper "<decode_unseen_label/>";
@@ -2356,6 +2446,32 @@ let decode_cases =
       (* malformed bytes mid-document *)
       "<newspaper><title>&bogus;</title></newspaper>";
       "<newspaper><title>t</date></newspaper>";
+      (* a markup offence, then bytes that do not parse: the bytes are
+         reported, as the tree route parses the whole input first, whether
+         the offence is found inside a call, at a start tag or at a close *)
+      in_newspaper (get_temp_call "<int:params>x</int:params>" ^ "<title>&bogus;</title>");
+      in_newspaper ("<int:fun/>" ^ "<title>t</date>");
+      in_newspaper (get_temp_call "<int:params/><city>c</city>" ^ "<");
+      Printf.sprintf "<newspaper %s>%s<int:fun/>" int head;
+      get_temp "x<int:params/>" ^ "<";
+      in_newspaper "<int:fun/>" ^ "<title/>";
+      (* a second root whose content does not parse, or does not end *)
+      "<title>a</title><title>b</date>";
+      "<title>a</title><title><b>";
+      "<title>a</title><title>&bogus;</title>";
+      (* inside an element a call skips, names no schema declared and
+         more prefixes than an element may bind are not read; on the
+         skipped element itself the prefixes are *)
+      get_temp "<city><decode_unseen_skipped/></city><int:params/>";
+      get_temp ("<city><x" ^ prefixes 65 ^ "/></city>");
+      get_temp ("<city" ^ prefixes 65 ^ "/><int:params/>");
+      get_temp "<city><int:fun/><int:params x=\"y\"><p:q/></int:params></city>";
+      (* a missing methodName inside the int:params ranks before the call's
+         stray content, before or after them; in a skipped element it is
+         not read *)
+      get_temp "x<int:params><int:param><int:fun/></int:param></int:params>";
+      get_temp "<int:params><int:param><int:fun/></int:param></int:params>x";
+      get_temp "x<int:fun/>";
       (* a document no schema accepts is decoded all the same *)
       "<newspaper><temp>1</temp><temp>2</temp></newspaper>";
       (* 40 frames open at once *)
@@ -2395,16 +2511,6 @@ let test_decode_alloc () =
   if words <> float_of_int expected then
     Alcotest.failf "a batch decode allocated %.1f words; its document is %d, %d in all" words
       (doc_words doc) expected
-
-(* [f ()] in a systhread whose stack may grow to 32k words, far less
-   than a recursion over 100,000 levels needs. *)
-let in_small_stack f =
-  let limit = (Gc.get ()).Gc.stack_limit in
-  Gc.set { (Gc.get ()) with Gc.stack_limit = 32_768 };
-  let result = ref (Error Exit) in
-  Thread.join (Thread.create (fun () -> result := (try Ok (f ()) with e -> Error e)) ());
-  Gc.set { (Gc.get ()) with Gc.stack_limit = limit };
-  !result
 
 (* A 100,000-deep chain of the nested schema's [a] decodes in the one
    pass on a stack where the tree route's recursion overflows. The
@@ -2667,6 +2773,10 @@ let () =
       ("properties", axml_qcheck);
       ("receive",
        Alcotest.test_case "hand cases" `Quick test_receive_cases
+       :: Alcotest.test_case "100,000-deep refusals on a small stack" `Quick
+            test_receive_deep_refusals
+       :: Alcotest.test_case "a refusal allocates one decode and its list" `Quick
+            test_receive_refusal_alloc
        :: List.map QCheck_alcotest.to_alcotest [ prop_receive_generated; prop_receive_mutated ]);
       ("allocation",
        [ Alcotest.test_case "enforcing a conforming document" `Quick

@@ -888,10 +888,10 @@ let test_validate_violations () =
         D.elem "temp" [ D.data "x" ];
         D.call "TimeOut" [ D.data "y" ] ]
   in
-  let vs = Validate.violations ctx bad in
+  let vs = Validate.document_violations ctx bad in
   check "violation found" true (vs <> []);
   let bad_params = D.call "Get_Temp" [ D.data "not a city" ] in
-  let vs = Validate.violations ctx bad_params in
+  let vs = Validate.document_violations ctx bad_params in
   check "input violation" true
     (List.exists
        (fun v -> match v.Validate.kind with
